@@ -37,7 +37,6 @@ from .measure import (
     ExpansivenessVerdict,
     FiniteMeasure,
     brute_force_invariant_sets,
-    countably_expansive,
     entropy_criterion_check,
     expansiveness_upgrade_check,
     expansiveness_verdict,

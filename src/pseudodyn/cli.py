@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -405,10 +404,6 @@ def cmd_shift(args) -> tuple[int, object]:
 
 
 def cmd_probe(args) -> tuple[int, object]:
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("PSEUDODYN_THREADS")
-        threads = int(env) if env else None
     spec = probes.InstanceSpec(seed=args.seed, count=args.seeds)
     if args.survey:
         survey = probes.question_probe(args.survey, spec)
@@ -420,7 +415,7 @@ def cmd_probe(args) -> tuple[int, object]:
         }
         return EXIT_OK, (payload, None)
     statements = "all" if args.statements == "all" else args.statements.split(",")
-    reports = probes.run_suite(spec, statements=statements, threads=threads)
+    reports = probes.run_suite(spec, statements=statements)
     payload = {
         "seeds": args.seeds,
         "statements": {
@@ -534,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=0)
         p.add_argument("--statements", default="all")
         p.add_argument("--survey", choices=probes.QUESTION_TOPICS)
-        p.add_argument("--threads", type=int, default=None)
 
     return parser
 

@@ -286,7 +286,9 @@ def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8,
     rows = []
     for eps in eps_grid:
         for n in range(1, n_max + 1):
-            rep = separated_count(sys, n, eps, mode=mode, closure=closure)
+            # past the stabilization index the table, hence the count, is fixed
+            if n <= closure.stable_index:
+                rep = separated_count(sys, n, eps, mode=mode, closure=closure)
             rate = math.log(rep.lower) / n if rep.lower > 0 else float("-inf")
             rows.append(HTopRow(eps=eps, n=n, count_lower=rep.lower,
                                 count_upper=rep.upper, rate=rate))

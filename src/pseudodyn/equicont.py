@@ -221,17 +221,18 @@ def no_expansive_certificate_good(sys: GeneratingSystem,
                                   rho_grid=None) -> GoodInclusionReport:
     """Core-restricted analogue: with xi = min(modulus(rho), agreement
     radius), open xi-balls sit inside the core-restricted Bowen rho-balls,
-    point by point and for every grid rho."""
+    point by point and for every grid rho.
+
+    Every core-restricted word is a restriction of an ambient word, so the
+    agreement radius against the ambient closure is unbounded by
+    construction (see ``local_agreement_radius``) and xi is the modulus,
+    or the diameter where the modulus is unbounded.
+    """
     if not sys.has_cores:
         raise PreconditionError("this certificate requires cores")
     space = sys.space
-    closure = sys.word_closure()
-    gamma = closure.stabilized_maps
-    agreement = local_agreement_radius(sys, gamma)
-    if agreement.value is None:
-        raise PreconditionError(
-            f"no agreement radius exists: witness {agreement.counterexample}"
-        )
+    gamma = sys.word_closure().stabilized_maps
+    agreement = AgreementRadiusReport(value=UNBOUNDED, counterexample=None)
     compacted = compacted_system(sys)
     ctable = compacted.word_closure().constraint_table(
         compacted.word_closure().stable_index)
@@ -242,8 +243,7 @@ def no_expansive_certificate_good(sys: GeneratingSystem,
     diameter = space.diameter()
     for rho in [parse_rational(r) for r in rho_grid]:
         delta = modulus_at(gamma, space, rho)
-        finite = [v for v in (delta, agreement.value) if not is_unbounded(v)]
-        xi = min(finite) if finite else diameter
+        xi = diameter if is_unbounded(delta) else delta
         ok = True
         for x in range(space.n):
             ball = space.ball_ix(x, xi, closed=False)

@@ -385,13 +385,6 @@ def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
                                 atoms=atoms, zero_set_measure=zmass, note=note)
 
 
-def countably_expansive(sys: GeneratingSystem, delta) -> bool:
-    """Every subset of a finite space is countable; kept for interface
-    parity with the symbolic shift backend."""
-    parse_rational(delta)
-    return True
-
-
 # -- statement-level checks --------------------------------------------------------
 
 

@@ -11,7 +11,6 @@ injected to validate the probes themselves.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -20,9 +19,8 @@ from . import morphism
 from .dynamics import dyn_ball, dyn_ball_via_formula
 from .equicont import modulus_at
 from .errors import InputError
-from .measure import (FiniteMeasure, countably_expansive,
-                      expansiveness_upgrade_check)
-from .pseudogroup import (GeneratingSystem, PartialMap, WordClosure,
+from .measure import FiniteMeasure, expansiveness_upgrade_check
+from .pseudogroup import (GeneratingSystem, PartialMap, WordClosure, _closure,
                           compacted_system, separation_radius)
 from .rational import is_unbounded
 from .space import FiniteMetricSpace
@@ -226,7 +224,7 @@ def _default_bowen_members(sys, x, delta, closure):
 
 
 DEFAULT_OPS = OperationSet(
-    compose=lambda g, h: g.then(h),
+    compose=PartialMap.then,
     build_system=_default_build,
     compacted=compacted_system,
     ball_members=_default_ball_members,
@@ -238,31 +236,7 @@ DEFAULT_OPS = OperationSet(
 def closure_with(ops: OperationSet, sys: GeneratingSystem) -> WordClosure:
     """Word closure computed through ``ops.compose``; identical to the
     system's own closure under the production operations."""
-    seen: dict[PartialMap, PartialMap] = {}
-    first: dict[PartialMap, int] = {}
-    level1 = []
-    for g in sys.generators:
-        if g not in seen:
-            seen[g] = g
-            first[g] = 1
-            level1.append(g)
-    levels = [list(level1)]
-    frontier = list(level1)
-    n = 1
-    while True:
-        new = []
-        for b in frontier:
-            for a in level1:
-                c = ops.compose(b, a)
-                if c not in seen:
-                    seen[c] = c
-                    first[c] = n + 1
-                    new.append(c)
-        if not new:
-            return WordClosure(sys, levels, n, first)
-        levels.append(levels[-1] + new)
-        frontier = new
-        n += 1
+    return _closure(sys, ops.compose)
 
 
 # -- probe context -----------------------------------------------------------------
@@ -587,15 +561,6 @@ def stmt_group_claim(ctx: ProbeContext) -> Outcome:
     return Outcome.ok()
 
 
-def stmt_countable(ctx: ProbeContext) -> Outcome:
-    """Finite-space Bowen balls are trivially countable; the conclusion
-    side of the countability transfer can never fail here."""
-    for delta in ctx.eps_sample(cap=3):
-        if not countably_expansive(ctx.sys, delta):
-            return Outcome.bad((str(delta),))
-    return Outcome.ok(substantive=False)
-
-
 STATEMENTS: dict[str, Callable[[ProbeContext], Outcome]] = {
     "ball-formula-identity": stmt_ball_formula,
     "bowen-stabilization": stmt_bowen_stabilization,
@@ -609,7 +574,6 @@ STATEMENTS: dict[str, Callable[[ProbeContext], Outcome]] = {
     "iso-ball-transfer": stmt_iso_ball_transfer,
     "iso-separated-counts": stmt_iso_counts,
     "equicontinuous-group-claim": stmt_group_claim,
-    "countable-expansive": stmt_countable,
 }
 
 
@@ -647,7 +611,7 @@ def shrink_genome(genome: Genome, violates: Callable[[Genome], bool]) -> Genome:
         changed = False
         for label in list(current.labels):
             candidate = current.without_point(label)
-            if candidate is not None and _safe_violates(candidate, violates):
+            if candidate is not None and violates(candidate):
                 current = candidate
                 changed = True
                 break
@@ -655,18 +619,11 @@ def shrink_genome(genome: Genome, violates: Callable[[Genome], bool]) -> Genome:
             continue
         for k in range(len(current.gens)):
             candidate = current.without_generator(k)
-            if candidate is not None and _safe_violates(candidate, violates):
+            if candidate is not None and violates(candidate):
                 current = candidate
                 changed = True
                 break
     return current
-
-
-def _safe_violates(genome: Genome, violates: Callable[[Genome], bool]) -> bool:
-    try:
-        return violates(genome)
-    except Exception:
-        return False
 
 
 def _evaluate(genome: Genome, ops: OperationSet, names, rng_seed: str):
@@ -690,13 +647,11 @@ def _evaluate(genome: Genome, ops: OperationSet, names, rng_seed: str):
 def run_suite(spec: InstanceSpec, statements="all",
               ops: OperationSet | None = None,
               extra_genomes: list[Genome] | None = None,
-              threads: int | None = None,
               shrink: bool = True) -> dict[str, ProbeReport]:
     """Evaluate the selected statements over the instance stream.
 
     Deterministic for a fixed spec: instance i is derived from
-    (spec.seed, i) and reports are merged in index order regardless of the
-    thread count.
+    (spec.seed, i), and instances are evaluated and reported in index order.
     """
     ops = ops or DEFAULT_OPS
     if statements == "all":
@@ -710,18 +665,9 @@ def run_suite(spec: InstanceSpec, statements="all",
     genomes += [random_genome(spec, i) for i in range(spec.count)]
     seeds = [f"pseudodyn-eval:{spec.seed}:{i}" for i in range(len(genomes))]
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_results = list(pool.map(
-                lambda args: _evaluate(args[0], ops, names, args[1]),
-                zip(genomes, seeds)))
-    else:
-        all_results = [_evaluate(g, ops, names, s)
-                       for g, s in zip(genomes, seeds)]
-
     reports = {name: ProbeReport(statement=name) for name in names}
-    for index, results in enumerate(all_results):
-        for name, outcome in results.items():
+    for index, (genome, seed) in enumerate(zip(genomes, seeds)):
+        for name, outcome in _evaluate(genome, ops, names, seed).items():
             rep = reports[name]
             rep.instances += 1
             if outcome.status == "vacuous":
@@ -730,15 +676,15 @@ def run_suite(spec: InstanceSpec, statements="all",
                 rep.substantive += 1
             else:
                 violation = Violation(index=index, witness=outcome.witness,
-                                      genome_size=genomes[index].size())
+                                      genome_size=genome.size())
                 if shrink:
-                    def violates(genome, _name=name, _seed=seeds[index]):
-                        out = _evaluate(genome, ops, [_name], _seed)[_name]
+                    def violates(candidate, _name=name, _seed=seed):
+                        out = _evaluate(candidate, ops, [_name], _seed)[_name]
                         return out.status == "violation"
-                    small = shrink_genome(genomes[index], violates)
+                    small = shrink_genome(genome, violates)
                     violation.shrunk_size = small.size()
                     violation.shrunk_witness = _evaluate(
-                        small, ops, [name], seeds[index])[name].witness
+                        small, ops, [name], seed)[name].witness
                 rep.violations.append(violation)
     return reports
 
@@ -746,8 +692,7 @@ def run_suite(spec: InstanceSpec, statements="all",
 # -- open-question surveys ------------------------------------------------------------
 
 
-QUESTION_TOPICS = ("ae", "generators", "generators-any", "countability",
-                   "homogeneity")
+QUESTION_TOPICS = ("ae", "generators", "generators-any", "homogeneity")
 
 
 @dataclass
@@ -784,11 +729,8 @@ def question_probe(topic: str, spec: InstanceSpec) -> QuestionSurvey:
             note = ("with atoms present neither full nor a.e. expansiveness "
                     "can hold on a finite space; both verdicts are compared "
                     "anyway")
-            same = all(
-                expansiveness_verdict(mu, sys, d).expansive
-                == expansiveness_verdict(mu, sys, d).weakly_expansive
-                for d in grid
-            )
+            verdicts = (expansiveness_verdict(mu, sys, d) for d in grid)
+            same = all(v.expansive == v.weakly_expansive for v in verdicts)
             if same:
                 agreements += 1
             else:
@@ -801,27 +743,15 @@ def question_probe(topic: str, spec: InstanceSpec) -> QuestionSurvey:
             if alt.germ_relation().pairs != sys.germ_relation().pairs:
                 disagreements.append((i, "germ relation changed (bug)"))
                 continue
-            same = all(
-                expansiveness_verdict(mu, sys, d).classification
-                == expansiveness_verdict(mu, alt, d).classification
-                for d in grid
-            )
-            if same:
+            witness = next(
+                (d for d in grid
+                 if expansiveness_verdict(mu, sys, d).classification
+                 != expansiveness_verdict(mu, alt, d).classification),
+                None)
+            if witness is None:
                 agreements += 1
             else:
-                witness = next(
-                    (d for d in grid
-                     if expansiveness_verdict(mu, sys, d).classification
-                     != expansiveness_verdict(mu, alt, d).classification),
-                    None)
                 disagreements.append((i, f"verdicts differ at delta={witness}"))
-        elif topic == "countability":
-            note = ("every finite subset is countable; the finite scale "
-                    "cannot distinguish the two sides")
-            if countably_expansive(sys, grid[0] if grid else 1):
-                agreements += 1
-            else:
-                disagreements.append((i, "finite ball not countable (bug)"))
         elif topic == "homogeneity":
             if not sys.has_cores:
                 evaluated -= 1

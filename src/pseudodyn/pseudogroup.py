@@ -357,7 +357,7 @@ class WordClosure:
         self.level_maps = level_maps
         self.stable_index = stable_index
         self.first_level = first_level
-        self._m_cache: dict[tuple[int, bool], list[list[Fraction]]] = {}
+        self._m_cache: dict[int, list[list[Fraction]]] = {}
 
     def maps_at(self, n: int) -> list[PartialMap]:
         """The word set at length ``n`` (constant from the stabilization on)."""
@@ -377,9 +377,8 @@ class WordClosure:
         radius.
         """
         level = min(n, self.stable_index)
-        key = (level, True)
-        if key in self._m_cache:
-            return self._m_cache[key]
+        if level in self._m_cache:
+            return self._m_cache[level]
         space = self.system.space
         npts = space.n
         dist = space.dist
@@ -395,7 +394,7 @@ class WordClosure:
                     if d > row[j]:
                         row[j] = d
                         table[j][i] = d
-        self._m_cache[key] = table
+        self._m_cache[level] = table
         return table
 
 
@@ -405,6 +404,13 @@ def word_closure(sys: GeneratingSystem, n_max: int | str = "auto") -> WordClosur
     limit = None if n_max == "auto" else int(n_max)
     if limit is not None and limit < 1:
         raise InputError("n_max must be at least 1")
+    return _closure(sys, PartialMap.then, limit)
+
+
+def _closure(sys: GeneratingSystem, compose, limit: int | None = None) -> WordClosure:
+    """The closure loop behind every word closure: each round extends the
+    newest words by one generator through ``compose(word, generator)``
+    until a round adds nothing or ``limit`` levels exist."""
     seen: dict[PartialMap, PartialMap] = {}
     first_level: dict[PartialMap, int] = {}
     level1: list[PartialMap] = []
@@ -419,28 +425,22 @@ def word_closure(sys: GeneratingSystem, n_max: int | str = "auto") -> WordClosur
     levels = [list(level1)]
     frontier = list(level1)
     n = 1
-    stable = None
-    while True:
-        if limit is not None and n >= limit:
-            break
+    while limit is None or n < limit:
         new: list[PartialMap] = []
         for b in frontier:
-            for a in levels[0]:
-                c = b.then(a)
+            for a in level1:
+                c = compose(b, a)
                 if c not in seen:
                     seen[c] = c
                     first_level[c] = n + 1
                     new.append(c)
         if not new:
-            stable = n
             break
         levels.append(levels[-1] + new)
         frontier = new
         n += 1
-    if stable is None:
-        # truncated run: report the last computed level as the horizon
-        stable = n
-    return WordClosure(sys, levels, stable, first_level)
+    # a truncated run reports the last computed level as the horizon
+    return WordClosure(sys, levels, n, first_level)
 
 
 class GermRelation:

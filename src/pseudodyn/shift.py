@@ -567,12 +567,13 @@ def shift_entropy_criterion_report(spec: BernoulliSpec | None = None,
               for n in (1, 2, 5) for eps in (Fraction(3, 5), Fraction(1, 10))]
     hom = shift_homogeneity_check(spec, tuples)
     verdict = shift_expansiveness_verdict(spec, delta)
-    coeff = Fraction(2)
-    violated = (inv.invariant and inv.ergodic and hom.ok and coeff > 0
+    coeff = measure_entropy_shift(spec, delta, 1).limit_log2_coeff
+    positive = coeff > 0
+    violated = (inv.invariant and inv.ergodic and hom.ok and positive
                 and not verdict.weakly_expansive)
     return ShiftCriterionReport(invariant=inv.invariant, ergodic=inv.ergodic,
                                 homogeneous=hom.ok, entropy_log2_coeff=coeff,
-                                entropy_positive=True,
+                                entropy_positive=positive,
                                 conclusion_weakly_expansive=verdict.weakly_expansive,
                                 violated=violated)
 

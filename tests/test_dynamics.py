@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -166,8 +167,21 @@ def test_h_top_table(line_system):
     assert all(r.count_lower == 1 and r.rate == 0.0 for r in one_point.rows)
 
 
+def test_h_top_rows_match_direct_counts(line_system):
+    """Rows past the stabilization index reuse the stable count; each must
+    equal a direct separated count at its own n."""
+    spec = InstanceSpec(seed=3, count=12)
+    systems = [line_system] + [random_genome(spec, i).build()[0]
+                               for i in range(spec.count)]
+    for sys_i in systems:
+        n_max = sys_i.word_closure().stable_index + 2
+        for row in h_top_table(sys_i, n_max=n_max).rows:
+            rep = separated_count(sys_i, row.n, row.eps)
+            assert (row.count_lower, row.count_upper) == (rep.lower, rep.upper)
+            assert row.rate == math.log(rep.lower) / row.n
+
+
 def test_h_top_rate_decays_like_log_count(line_system):
-    import math
     table = h_top_table(line_system, eps_grid=[Fraction(3, 2)], n_max=6)
     for row in table.rows:
         assert row.count_lower == 2

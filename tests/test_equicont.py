@@ -10,6 +10,7 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        no_expansive_certificate_group)
 from pseudodyn.equicont import (modulus_at,
                                 sweep_measures_never_weakly_expansive)
+from pseudodyn.probes import InstanceSpec, random_instance
 
 from conftest import cyclic_space, rotation_system
 
@@ -106,6 +107,24 @@ def test_agreement_radius_counterexample_with_poor_family():
     sys_q = GeneratingSystem.build(z6, [q], cores={"q": {0, 1, 2}})
     rep = local_agreement_radius(sys_q, [PartialMap.identity(z6)])
     assert rep.value is None and rep.counterexample is not None
+
+
+def test_good_certificate_agreement_radius_unbounded_seeded():
+    """Reference check for the certificate's constant agreement radius: the
+    searched radius against the ambient closure is unbounded, and every
+    row's xi is the modulus, or the diameter where that is unbounded."""
+    spec = InstanceSpec(seed=13, count=60)
+    for idx in range(spec.count):
+        sys_i, _ = random_instance(spec, idx)
+        assert sys_i.has_cores
+        assert is_unbounded(local_agreement_radius(sys_i).value)
+        gamma = closure_maps(sys_i)
+        space = sys_i.space
+        for row in no_expansive_certificate_good(sys_i).rows:
+            assert is_unbounded(row.lam)
+            delta = modulus_at(gamma, space, row.rho)
+            assert row.delta == delta
+            assert row.xi == (space.diameter() if is_unbounded(delta) else delta)
 
 
 def test_good_certificate_rotations():

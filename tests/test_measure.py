@@ -5,11 +5,10 @@ import pytest
 
 from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
                        InputError, PartialMap, PreconditionError,
-                       brute_force_invariant_sets, countably_expansive,
-                       entropy_criterion_check, expansiveness_upgrade_check,
-                       expansiveness_verdict, invariant_sets, is_ergodic,
-                       is_homogeneous, is_invariant_measure, local_entropy,
-                       orbit_components)
+                       brute_force_invariant_sets, entropy_criterion_check,
+                       expansiveness_upgrade_check, expansiveness_verdict,
+                       invariant_sets, is_ergodic, is_homogeneous,
+                       is_invariant_measure, local_entropy, orbit_components)
 from pseudodyn.probes import InstanceSpec, random_genome
 
 
@@ -162,10 +161,6 @@ def test_atoms_block_weak_expansiveness():
             for d in sys_i.space.distance_grid():
                 assert expansiveness_verdict(mu, sys_i, d).classification \
                     == "neither"
-
-
-def test_countably_expansive_finite(line_system):
-    assert countably_expansive(line_system, Fraction(1, 2)) is True
 
 
 def test_upgrade_check_vacuous_on_atomic(line, line_system_cores):

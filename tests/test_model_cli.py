@@ -186,7 +186,7 @@ def test_cli_probe_violation_exit_code(capsys, monkeypatch):
     from pseudodyn import cli
     from pseudodyn.probes import ProbeReport, Violation
 
-    def fake_suite(spec, statements="all", threads=None):
+    def fake_suite(spec, statements="all"):
         rep = ProbeReport(statement="germ-equivalence", instances=1,
                           violations=[Violation(index=0, witness=("x",),
                                                 genome_size=(3, 1))])

@@ -55,16 +55,6 @@ def test_suite_deterministic():
         assert not a[name].violations
 
 
-def test_suite_threads_match_sequential():
-    spec = InstanceSpec(seed=5, count=6)
-    names = ["germ-equivalence", "inverse-composition"]
-    seq = run_suite(spec, statements=names)
-    par = run_suite(spec, statements=names, threads=4)
-    for name in names:
-        assert seq[name].substantive == par[name].substantive
-        assert len(seq[name].violations) == len(par[name].violations)
-
-
 def test_suite_rejects_unknown_statement():
     with pytest.raises(InputError, match="unknown statements"):
         run_suite(InstanceSpec(count=1), statements=["nope"])
@@ -108,6 +98,16 @@ def test_shrink_genome_preserves_predicate():
     small = shrink_genome(genome, has_g)
     assert has_g(small)
     assert small.size() <= genome.size()
+
+
+def test_shrink_genome_propagates_predicate_errors():
+    """A fault in the predicate surfaces instead of reading as 'no
+    violation'."""
+    def broken(g: Genome) -> bool:
+        raise RuntimeError("predicate fault")
+
+    with pytest.raises(RuntimeError, match="predicate fault"):
+        shrink_genome(crafted_genomes()[0], broken)
 
 
 @pytest.mark.parametrize("topic", QUESTION_TOPICS)
