@@ -692,7 +692,7 @@ def run_suite(spec: InstanceSpec, statements="all",
 # -- open-question surveys ------------------------------------------------------------
 
 
-QUESTION_TOPICS = ("ae", "generators", "generators-any", "homogeneity")
+QUESTION_TOPICS = ("generators", "generators-any", "homogeneity")
 
 
 @dataclass
@@ -725,17 +725,7 @@ def question_probe(topic: str, spec: InstanceSpec) -> QuestionSurvey:
         rng = _instance_rng(spec, i)
         grid = sys.space.distance_grid()
         evaluated += 1
-        if topic == "ae":
-            note = ("with atoms present neither full nor a.e. expansiveness "
-                    "can hold on a finite space; both verdicts are compared "
-                    "anyway")
-            verdicts = (expansiveness_verdict(mu, sys, d) for d in grid)
-            same = all(v.expansive == v.weakly_expansive for v in verdicts)
-            if same:
-                agreements += 1
-            else:
-                disagreements.append((i, "expansive vs a.e. differ"))
-        elif topic in ("generators", "generators-any"):
+        if topic in ("generators", "generators-any"):
             pieces = 2 if topic == "generators" else 3
             alt = _split_generators(sys, rng, pieces)
             note = ("alternative generators are overlapping restrictions of "

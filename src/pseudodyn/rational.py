@@ -33,10 +33,13 @@ def is_unbounded(value) -> bool:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from int, Fraction, or a 'p/q' / decimal string.
+    """Parse an exact rational from int, Fraction, float, or a 'p/q' /
+    decimal string.
 
-    Floats are rejected: a float has already lost the author's intent, so
-    model files must use strings or integers for non-integral values.
+    A float is read as the shortest decimal literal that prints as it, so
+    ``0.1`` gives ``1/10``, not the binary value of the float.  Booleans
+    are rejected.  Model files should prefer 'p/q' strings or integers for
+    non-integral values.
     """
     if isinstance(value, Fraction):
         return value

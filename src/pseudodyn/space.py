@@ -7,6 +7,8 @@ point indices.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -20,8 +22,9 @@ class FiniteMetricSpace:
     """An ordered finite point set together with an exact metric matrix.
 
     The metric axioms (zero diagonal, positivity, symmetry, triangle
-    inequality) are validated at construction; a violation is a hard
-    error because every verdict downstream assumes a genuine metric.
+    inequality) are validated exactly at construction; a violation is a
+    hard error because every verdict downstream assumes a genuine metric.
+    The triangle inequality costs O(|X|^2) integer row scans of length |X|.
     Instances are immutable and safe to share between threads.
     """
 
@@ -50,14 +53,20 @@ class FiniteMetricSpace:
                     raise InputError(
                         f"distinct points need positive distance: ({pts[i]},{pts[j]})"
                     )
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if matrix[i][k] > matrix[i][j] + matrix[j][k]:
-                        raise InputError(
-                            "triangle inequality violated at "
-                            f"({pts[i]},{pts[j]},{pts[k]})"
-                        )
+        # Triangle inequality over integers on one common denominator:
+        # d(i,k) > d(i,j) + d(j,k) iff row_i[k] - row_j[k] > row_i[j], so
+        # one C-level row scan per ordered pair (i, j) decides every k.
+        scale = math.lcm(*(v.denominator for row in matrix for v in row))
+        rows = [[v.numerator * (scale // v.denominator) for v in row]
+                for row in matrix]
+        for i, ri in enumerate(rows):
+            for j, rj in enumerate(rows):
+                if max(map(operator.sub, ri, rj)) > ri[j]:
+                    k = next(k for k in range(n) if ri[k] - rj[k] > ri[j])
+                    raise InputError(
+                        "triangle inequality violated at "
+                        f"({pts[i]},{pts[j]},{pts[k]})"
+                    )
         self.points = pts
         self.dist = matrix
         self._index = {p: i for i, p in enumerate(pts)}

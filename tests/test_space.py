@@ -1,9 +1,12 @@
+import collections
+import random
 from fractions import Fraction
 
 import pytest
 
 from pseudodyn import FiniteMetricSpace, InputError, is_unbounded
 from pseudodyn.probes import InstanceSpec, random_genome
+from pseudodyn.rational import parse_rational
 
 from conftest import cyclic_space
 
@@ -11,7 +14,8 @@ from conftest import cyclic_space
 def test_metric_axioms_validated():
     with pytest.raises(InputError, match="symmetry"):
         FiniteMetricSpace(["a", "b"], [[0, 1], [2, 0]])
-    with pytest.raises(InputError, match="triangle"):
+    with pytest.raises(InputError,
+                       match=r"^triangle inequality violated at \(a,b,c\)$"):
         FiniteMetricSpace(["a", "b", "c"],
                           [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     with pytest.raises(InputError, match="positive"):
@@ -20,6 +24,169 @@ def test_metric_axioms_validated():
         FiniteMetricSpace(["a"], [[1]])
     with pytest.raises(InputError, match="duplicate"):
         FiniteMetricSpace(["a", "a"], [[0, 1], [1, 0]])
+
+
+def reference_metric_check(points, dist):
+    """The validator as a direct O(n^3) loop over ``Fraction`` sums: the
+    oracle for ``FiniteMetricSpace``'s row-scan triangle check."""
+    pts = tuple(points)
+    n = len(pts)
+    matrix = tuple(tuple(parse_rational(v) for v in row) for row in dist)
+    for i in range(n):
+        if matrix[i][i] != 0:
+            raise InputError(f"dist({pts[i]},{pts[i]}) must be 0")
+        for j in range(i + 1, n):
+            if matrix[i][j] != matrix[j][i]:
+                raise InputError(
+                    f"symmetry violated at ({pts[i]},{pts[j]}): "
+                    f"{matrix[i][j]} != {matrix[j][i]}"
+                )
+            if matrix[i][j] <= 0:
+                raise InputError(
+                    f"distinct points need positive distance: ({pts[i]},{pts[j]})"
+                )
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if matrix[i][k] > matrix[i][j] + matrix[j][k]:
+                    raise InputError(
+                        "triangle inequality violated at "
+                        f"({pts[i]},{pts[j]},{pts[k]})"
+                    )
+    return matrix
+
+
+def _mixed(rng, value):
+    """``value`` as an int (when integral), a 'p/q' string or a Fraction."""
+    kind = rng.randrange(3)
+    if kind == 0 and value.denominator == 1:
+        return int(value)
+    if kind == 1:
+        return f"{value.numerator}/{value.denominator}"
+    return value
+
+
+def _path_metric(rng, n):
+    """Shortest-path metric of random rational edge weights: exact ties
+    d(i,k) == d(i,j) + d(j,k) wherever a shortest path runs through j."""
+    d = [[Fraction(0) if i == j
+          else Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4, 6)))
+          for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            d[i][j] = d[j][i]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+def _plant(rng, d):
+    """One planted fault of a random kind, or none (kinds 5 and 6)."""
+    n = len(d)
+    kind = rng.randrange(7)
+    i, j = rng.sample(range(n), 2)
+    if kind == 0:  # stretch one pair: usually breaks the triangle inequality
+        d[i][j] = d[j][i] = d[i][j] * rng.choice((2, 3)) + Fraction(1, 7)
+    elif kind == 1:
+        d[i][i] = Fraction(rng.randint(1, 3), 2)
+    elif kind == 2:
+        d[i][j] = d[i][j] + Fraction(1, 5)
+    elif kind == 3:
+        d[i][j] = d[j][i] = Fraction(rng.choice((0, -1)))
+    elif kind == 4:  # shrink one pair: may break it from the other side
+        d[i][j] = d[j][i] = d[i][j] / rng.choice((3, 5))
+    return d
+
+
+def _validator_cases():
+    rng = random.Random(20260517)
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        if rng.random() < 0.5:
+            d = _path_metric(rng, n)
+        else:
+            d = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    # entries in [10, 20): a metric before any fault
+                    d[i][j] = d[j][i] = 10 + Fraction(rng.randint(0, 50),
+                                                      rng.choice((6, 7, 10)))
+        d = _plant(rng, d)
+        yield [[_mixed(rng, v) for v in row] for row in d]
+
+
+def test_metric_validation_matches_reference():
+    outcomes = collections.Counter()
+    for dist in _validator_cases():
+        labels = [f"p{i}" for i in range(len(dist))]
+        try:
+            expected = reference_metric_check(labels, dist)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                FiniteMetricSpace(labels, dist)
+            assert str(got.value) == str(exc)
+            msg = str(exc)
+            outcomes["diagonal" if msg.endswith("must be 0")
+                     else msg.split(" ")[0]] += 1
+        else:
+            space = FiniteMetricSpace(labels, dist)
+            assert space.dist == expected
+            assert all(type(v) is Fraction for row in space.dist for v in row)
+            outcomes["accepted"] += 1
+    # every axiom is planted and caught, and many inputs are accepted
+    assert set(outcomes) == {"accepted", "triangle", "symmetry", "distinct",
+                             "diagonal"}
+    assert outcomes["accepted"] >= 150 and outcomes["triangle"] >= 50
+
+
+def test_metric_validation_coprime_denominators():
+    """Pairwise coprime denominators 1/p over the first 28 primes, so the
+    common denominator is their product."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+              53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107]
+    labels = list("abcdefgh")
+    for offset, accepted in ((1, True), (0, False)):
+        # 1 + 1/p always satisfies the triangle inequality; bare 1/p breaks
+        # it where a large 1/p faces two small ones.
+        ps = iter(primes)
+        dist = [[Fraction(0)] * 8 for _ in range(8)]
+        for i in range(8):
+            for j in range(i + 1, 8):
+                dist[i][j] = dist[j][i] = offset + Fraction(1, next(ps))
+        if accepted:
+            assert FiniteMetricSpace(labels, dist).dist == \
+                reference_metric_check(labels, dist)
+            continue
+        with pytest.raises(InputError) as exc:
+            reference_metric_check(labels, dist)
+        with pytest.raises(InputError) as got:
+            FiniteMetricSpace(labels, dist)
+        assert str(got.value) == str(exc.value)
+        assert str(got.value).startswith("triangle")
+
+
+def test_metric_validation_accepts_exact_ties():
+    """Collinear points: every triangle through the middle point is tight."""
+    xs = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(7, 5), 3]
+    dist = [[abs(Fraction(a) - b) for b in xs] for a in xs]
+    space = FiniteMetricSpace(list("vwxyz"), dist)
+    assert space.d(0, 4) == space.d(0, 2) + space.d(2, 4)
+    # Any excess over a tie is a violation, named at its first triple.
+    dist[0][4] = dist[4][0] = Fraction(3) + Fraction(1, 10**9)
+    with pytest.raises(InputError) as exc:
+        FiniteMetricSpace(list("vwxyz"), dist)
+    assert str(exc.value) == "triangle inequality violated at (v,w,z)"
+
+
+def test_parse_rational_floats_and_bools():
+    assert parse_rational(0.1) == Fraction(1, 10)
+    with pytest.raises(InputError):
+        parse_rational(True)
+    space = FiniteMetricSpace(["a", "b"], [[0, 0.1], [0.1, 0]])
+    assert space.dist[0][1] == Fraction(1, 10)
+    assert type(space.dist[0][1]) is Fraction
 
 
 def test_metric_ball_examples(line):
