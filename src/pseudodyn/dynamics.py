@@ -120,16 +120,6 @@ def bowen_ball(sys: GeneratingSystem, x, delta,
                     closure=closure)
 
 
-def bowen_members(sys: GeneratingSystem, x, delta,
-                  closure: WordClosure | None = None) -> PointSet:
-    closure = closure or sys.word_closure()
-    space = sys.space
-    xi = space.index(x)
-    table = closure.constraint_table(closure.stable_index)
-    delta = parse_rational(delta)
-    return frozenset(y for y in range(space.n) if table[xi][y] <= delta)
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     n: int

@@ -30,16 +30,6 @@ class EquicontinuityCertificate:
     witnesses: dict
     isometric: bool
 
-    def delta_for(self, eps):
-        eps = parse_rational(eps)
-        if eps in self.table:
-            return self.table[eps]
-        finite = [d for e, d in self.table.items()
-                  if e >= eps and not is_unbounded(d)]
-        if not finite:
-            return UNBOUNDED
-        return min(finite)
-
     def audit(self, maps, space: FiniteMetricSpace) -> bool:
         """Re-verify the defining implication over every map and pair."""
         for eps, delta in self.table.items():
@@ -55,11 +45,13 @@ class EquicontinuityCertificate:
         return True
 
 
-def modulus_at(maps, space: FiniteMetricSpace, eps):
-    """Least distance among pairs some map spreads to eps or beyond;
-    UNBOUNDED when no map ever does."""
-    eps = parse_rational(eps)
+def _modulus_scan(maps, space: FiniteMetricSpace, eps):
+    """``(delta, witness)``: the least distance among pairs some map spreads
+    to eps or beyond (UNBOUNDED when none does), and the (map, i, j) that
+    first sets it, scanning maps in order and i < j over each sorted
+    domain (None when unbounded)."""
     best = None
+    witness = None
     for g in maps:
         vals = g.vals
         dom = sorted(g.dom)
@@ -69,7 +61,14 @@ def modulus_at(maps, space: FiniteMetricSpace, eps):
                     d = space.dist[i][j]
                     if best is None or d < best:
                         best = d
-    return UNBOUNDED if best is None else best
+                        witness = (g, i, j)
+    return (UNBOUNDED, None) if best is None else (best, witness)
+
+
+def modulus_at(maps, space: FiniteMetricSpace, eps):
+    """Least distance among pairs some map spreads to eps or beyond;
+    UNBOUNDED when no map ever does."""
+    return _modulus_scan(maps, space, parse_rational(eps))[0]
 
 
 def equicontinuity_modulus(maps, space: FiniteMetricSpace,
@@ -80,23 +79,11 @@ def equicontinuity_modulus(maps, space: FiniteMetricSpace,
     table = {}
     witnesses = {}
     for eps in eps_grid:
-        delta = modulus_at(maps, space, eps)
+        delta, wit = _modulus_scan(maps, space, eps)
         table[eps] = delta
-        wit = None
-        if not is_unbounded(delta):
-            for g in maps:
-                vals = g.vals
-                dom = sorted(g.dom)
-                for ai, i in enumerate(dom):
-                    for j in dom[ai + 1:]:
-                        if (space.dist[i][j] == delta
-                                and space.dist[vals[i]][vals[j]] >= eps):
-                            wit = (g, space.label(i), space.label(j))
-                            break
-                    if wit:
-                        break
-                if wit:
-                    break
+        if wit is not None:
+            g, i, j = wit
+            wit = (g, space.label(i), space.label(j))
         witnesses[eps] = wit
     isometric = all(table.get(e) == e for e in eps_grid)
     return EquicontinuityCertificate(scope=scope, table=table,
@@ -116,6 +103,14 @@ class GroupInclusionReport:
     conclusion: str
 
 
+def _inclusion_failures(space: FiniteMetricSpace, delta, table, rho) -> list[int]:
+    """Centres x whose open delta-ball is not inside the Bowen rho-ball
+    {y : table[x][y] <= rho}."""
+    return [x for x in range(space.n)
+            if not space.ball_ix(x, delta, closed=False)
+            <= frozenset(y for y in range(space.n) if table[x][y] <= rho)]
+
+
 def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusionReport:
     rho = parse_rational(rho)
     if not all(g.is_total() for g in sys.generators):
@@ -128,14 +123,9 @@ def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusion
     delta = modulus_at(maps, space, rho)
     delta_used = space.diameter() if is_unbounded(delta) else delta
     table = closure.constraint_table(closure.stable_index)
-    inclusions = {}
-    ok = True
-    for x in range(space.n):
-        ball = space.ball_ix(x, delta_used, closed=False)
-        bowen = frozenset(y for y in range(space.n) if table[x][y] <= rho)
-        inside = ball <= bowen
-        inclusions[space.label(x)] = inside
-        ok = ok and inside
+    failed = _inclusion_failures(space, delta_used, table, rho)
+    inclusions = {space.label(x): x not in failed for x in range(space.n)}
+    ok = not failed
     conclusion = (
         "every Bowen ball at rho contains the open delta-ball around its "
         "center; a ball around any atom has positive measure, so no measure "
@@ -244,13 +234,7 @@ def no_expansive_certificate_good(sys: GeneratingSystem,
     for rho in [parse_rational(r) for r in rho_grid]:
         delta = modulus_at(gamma, space, rho)
         xi = diameter if is_unbounded(delta) else delta
-        ok = True
-        for x in range(space.n):
-            ball = space.ball_ix(x, xi, closed=False)
-            bowen2 = frozenset(y for y in range(space.n) if ctable[x][y] <= rho)
-            if not ball <= bowen2:
-                ok = False
-                break
+        ok = not _inclusion_failures(space, xi, ctable, rho)
         rows.append(GoodInclusionRow(rho=rho, delta=delta, lam=agreement.value,
                                      xi=xi, inclusion_ok=ok))
         all_ok = all_ok and ok

@@ -443,8 +443,9 @@ def entropy_criterion_check(mu: FiniteMeasure, sys: GeneratingSystem,
     hom_report = is_homogeneous(mu, sys, eps_grid=eps_grid, n_max=n_max)
     limits = {}
     for xi in range(sys.space.n):
-        limits[sys.space.label(xi)] = local_entropy(
-            mu, sys, xi, side="upper", eps_grid=eps_grid, n_max=1).limit
+        label = sys.space.label(xi)
+        limits[label] = local_entropy(
+            mu, sys, label, side="upper", eps_grid=eps_grid, n_max=1).limit
     values = list(limits.values())
     constant = (len(set(values)) == 1) if hom_report.ok else None
     positive = bool(values) and min(values) > 0

@@ -66,9 +66,6 @@ class SpaceIso:
     def apply(self, i: int) -> int:
         return self.fwd[i]
 
-    def unapply(self, j: int) -> int:
-        return self.inv[j]
-
     def apply_set(self, s) -> PointSet:
         return frozenset(self.fwd[i] for i in s)
 
@@ -99,15 +96,6 @@ class SpaceIso:
 
     def inverse_modulus(self, eps):
         return self.inverted().forward_modulus(eps)
-
-    def modulus_table(self) -> dict:
-        """Forward and inverse moduli across the relevant distance grids."""
-        return {
-            "forward": {eps: self.forward_modulus(eps)
-                        for eps in self.dst.distance_grid()},
-            "inverse": {eps: self.inverse_modulus(eps)
-                        for eps in self.src.distance_grid()},
-        }
 
 
 def conjugate_map(g: PartialMap, iso: SpaceIso) -> PartialMap:
@@ -243,43 +231,18 @@ def transfer_expansive_constant(eta, iso: SpaceIso) -> Fraction:
     <= delta pull back strictly below eta; any expansiveness constant eta
     on the source then transfers to delta on the target.
 
-    Falls back to half the inverse modulus when no grid value qualifies,
-    and caps at the target diameter when every grid value does.
+    Those are the grid values strictly below the inverse modulus m at eta.
+    Falls back to m / 2 when no grid value qualifies, and to the target
+    diameter when m is unbounded.
     """
     eta = parse_rational(eta)
     if eta <= 0:
         raise InputError("eta must be positive")
-
-    def valid(delta: Fraction) -> bool:
-        for u in range(iso.dst.n):
-            for v in range(u + 1, iso.dst.n):
-                if iso.dst.dist[u][v] <= delta:
-                    if iso.src.dist[iso.inv[u]][iso.inv[v]] >= eta:
-                        return False
-        return True
-
-    for delta in reversed(iso.dst.distance_grid()):
-        if valid(delta):
-            return delta
     bound = iso.inverse_modulus(eta)
     if is_unbounded(bound):
         return iso.dst.diameter()
-    return bound / 2
-
-
-def separation_transfer_scale(eps, iso: SpaceIso):
-    """Least target distance among image pairs of source pairs that are at
-    least eps apart; a separated set therefore stays separated at this
-    scale after the bijection."""
-    eps = parse_rational(eps)
-    best = None
-    for i in range(iso.src.n):
-        for j in range(i + 1, iso.src.n):
-            if iso.src.dist[i][j] >= eps:
-                d = iso.dst.dist[iso.fwd[i]][iso.fwd[j]]
-                if best is None or d < best:
-                    best = d
-    return UNBOUNDED if best is None else best
+    below = [delta for delta in iso.dst.distance_grid() if delta < bound]
+    return below[-1] if below else bound / 2
 
 
 @dataclass(frozen=True)
@@ -302,7 +265,10 @@ def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
     """Separated-count tables on both sides of the bijection.
 
     For every (n, eps) the source count is bounded by the target count at
-    the transferred scale and vice versa; for an isometric bijection the
+    the transferred scale and vice versa.  An eps-separated source set maps
+    to a set separated at ``iso.inverse_modulus(eps)``, the least target
+    distance among images of source pairs at least eps apart; backwards
+    the scale is ``iso.forward_modulus(eps)``.  For an isometric bijection the
     tables agree cell by cell (and so do local entropy tables when a
     measure and a basepoint are supplied).
     """
@@ -322,31 +288,22 @@ def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
         for n in n_list:
             counts_dst[(n, eps)] = separated_count(conj, n, eps).lower
 
-    def dst_count_at(n, scale) -> int:
-        if is_unbounded(scale):
-            return 1
-        return separated_count(conj, n, scale).lower
-
-    def src_count_at(n, scale) -> int:
-        if is_unbounded(scale):
-            return 1
-        return separated_count(sys, n, scale).lower
-
     forward_ok = True
     backward_ok = True
-    inv_iso = iso.inverted()
     for eps in eps_grid:
+        scale = iso.inverse_modulus(eps)
+        if is_unbounded(scale):
+            continue
         for n in n_list:
-            scale = separation_transfer_scale(eps, iso)
-            if not is_unbounded(scale):
-                if counts_src[(n, eps)] > dst_count_at(n, scale):
-                    forward_ok = False
+            if counts_src[(n, eps)] > separated_count(conj, n, scale).lower:
+                forward_ok = False
     for eps in dst_grid:
+        scale = iso.forward_modulus(eps)
+        if is_unbounded(scale):
+            continue
         for n in n_list:
-            scale = separation_transfer_scale(eps, inv_iso)
-            if not is_unbounded(scale):
-                if counts_dst[(n, eps)] > src_count_at(n, scale):
-                    backward_ok = False
+            if counts_dst[(n, eps)] > separated_count(sys, n, scale).lower:
+                backward_ok = False
 
     isometric = iso.is_isometric()
     tables_equal = None

@@ -17,11 +17,11 @@ from typing import Callable, Optional
 
 from . import morphism
 from .dynamics import dyn_ball, dyn_ball_via_formula
-from .equicont import modulus_at
+from .equicont import no_expansive_certificate_group
 from .errors import InputError
 from .measure import FiniteMeasure, expansiveness_upgrade_check
-from .pseudogroup import (GeneratingSystem, PartialMap, WordClosure, _closure,
-                          compacted_system, separation_radius)
+from .pseudogroup import (GeneratingSystem, GermRelation, PartialMap, WordClosure,
+                          _closure, compacted_system, separation_radius)
 from .rational import is_unbounded
 from .space import FiniteMetricSpace
 
@@ -234,8 +234,11 @@ DEFAULT_OPS = OperationSet(
 
 
 def closure_with(ops: OperationSet, sys: GeneratingSystem) -> WordClosure:
-    """Word closure computed through ``ops.compose``; identical to the
-    system's own closure under the production operations."""
+    """Word closure computed through ``ops.compose``; under the production
+    compose that is the system's own cached closure, shared with every
+    library call on the same system."""
+    if ops.compose is PartialMap.then:
+        return sys.word_closure()
     return _closure(sys, ops.compose)
 
 
@@ -340,27 +343,13 @@ def stmt_bowen_stabilization(ctx: ProbeContext) -> Outcome:
 def stmt_germ_equivalence(ctx: ProbeContext) -> Outcome:
     """The realized-pair relation is an equivalence: reflexive via the
     identity, symmetric via inverses, transitive via word concatenation."""
-    pairs = set()
-    for g in ctx.closure.stabilized_maps:
-        for i, v in enumerate(g.vals):
-            if v is not None:
-                pairs.add((i, v))
-    for i in range(ctx.space.n):
-        if (i, i) not in pairs:
-            return Outcome.bad(("reflexivity", ctx.space.label(i)))
-    for (i, j) in pairs:
-        if (j, i) not in pairs:
-            return Outcome.bad(("symmetry", ctx.space.label(i), ctx.space.label(j)))
-    succ: dict[int, set[int]] = {}
-    for i, j in pairs:
-        succ.setdefault(i, set()).add(j)
-    for i, js in succ.items():
-        for j in js:
-            if not succ.get(j, set()) <= js:
-                k = min(succ.get(j, set()) - js)
-                return Outcome.bad(("transitivity", ctx.space.label(i),
-                                    ctx.space.label(j), ctx.space.label(k)))
-    return Outcome.ok()
+    pairs = frozenset((i, v) for g in ctx.closure.stabilized_maps
+                      for i, v in enumerate(g.vals) if v is not None)
+    failure = GermRelation(ctx.space, pairs, {}).equivalence_failure()
+    if failure is None:
+        return Outcome.ok()
+    kind, *points = failure
+    return Outcome.bad((kind, *(ctx.space.label(i) for i in points)))
 
 
 def stmt_inverse_composition(ctx: ProbeContext) -> Outcome:
@@ -546,18 +535,11 @@ def stmt_group_claim(ctx: ProbeContext) -> Outcome:
         total_maps.append(PartialMap(
             ctx.space, [g[i] for i in range(n)], name=f"t{k}"))
     group = GeneratingSystem.build(ctx.space, total_maps)
-    closure = closure_with(ctx.ops, group)
-    table = closure.constraint_table(closure.stable_index)
     for rho in ctx.eps_sample(cap=4):
-        delta = modulus_at(closure.stabilized_maps, ctx.space, rho)
-        if is_unbounded(delta):
-            delta = ctx.space.diameter()
-        for x in range(n):
-            ball = ctx.space.ball_ix(x, delta, closed=False)
-            bowen = frozenset(y for y in range(n) if table[x][y] <= rho)
-            if not ball <= bowen:
-                return Outcome.bad((ctx.space.label(x), str(rho), str(delta),
-                                    sorted(ball - bowen)))
+        rep = no_expansive_certificate_group(group, rho)
+        if not rep.inclusion_ok:
+            x = next(x for x, inside in rep.inclusions.items() if not inside)
+            return Outcome.bad((x, str(rho), str(rep.delta)))
     return Outcome.ok()
 
 

@@ -311,14 +311,6 @@ class GeneratingSystem:
     def has_cores(self) -> bool:
         return self.cores is not None
 
-    def core_of(self, k: int) -> PointSet:
-        if self.cores is None:
-            raise PreconditionError("system has no cores")
-        return self.cores[k]
-
-    def generator_names(self) -> tuple:
-        return tuple(g.name or f"g{k}" for k, g in enumerate(self.generators))
-
     # -- closure ----------------------------------------------------------------
 
     def word_closure(self, n_max: int | str = "auto") -> "WordClosure":
@@ -334,12 +326,6 @@ class GeneratingSystem:
             self._germ = germ_relation(self)
         return self._germ
 
-    def compacted(self) -> "GeneratingSystem":
-        return compacted_system(self)
-
-    def separation_radius(self):
-        return separation_radius(self)
-
 
 class WordClosure:
     """Extensionally deduplicated word sets, level by level, to stabilization.
@@ -347,16 +333,18 @@ class WordClosure:
     ``level_maps[k]`` lists the distinct maps realizable by words of length
     ``k+1`` (cumulative, since the identity pads any shorter word).  Each
     map records one shortest witness word.
+
+    It keeps the space, not the system: a system caches its closure, and a
+    back reference would make a cycle that only the cyclic collector frees.
     """
 
-    __slots__ = ("system", "level_maps", "stable_index", "first_level", "_m_cache")
+    __slots__ = ("space", "level_maps", "stable_index", "_m_cache")
 
-    def __init__(self, system: GeneratingSystem, level_maps: list[list[PartialMap]],
-                 stable_index: int, first_level: dict[PartialMap, int]):
-        self.system = system
+    def __init__(self, space: FiniteMetricSpace, level_maps: list[list[PartialMap]],
+                 stable_index: int):
+        self.space = space
         self.level_maps = level_maps
         self.stable_index = stable_index
-        self.first_level = first_level
         self._m_cache: dict[int, list[list[Fraction]]] = {}
 
     def maps_at(self, n: int) -> list[PartialMap]:
@@ -379,7 +367,7 @@ class WordClosure:
         level = min(n, self.stable_index)
         if level in self._m_cache:
             return self._m_cache[level]
-        space = self.system.space
+        space = self.space
         npts = space.n
         dist = space.dist
         table = [[Fraction(0)] * npts for _ in range(npts)]
@@ -412,7 +400,6 @@ def _closure(sys: GeneratingSystem, compose, limit: int | None = None) -> WordCl
     newest words by one generator through ``compose(word, generator)``
     until a round adds nothing or ``limit`` levels exist."""
     seen: dict[PartialMap, PartialMap] = {}
-    first_level: dict[PartialMap, int] = {}
     level1: list[PartialMap] = []
     for g in sys.generators:
         if g.word is None:
@@ -420,7 +407,6 @@ def _closure(sys: GeneratingSystem, compose, limit: int | None = None) -> WordCl
                            word=(g.name,) if g.name else ("?",))
         if g not in seen:
             seen[g] = g
-            first_level[g] = 1
             level1.append(g)
     levels = [list(level1)]
     frontier = list(level1)
@@ -432,7 +418,6 @@ def _closure(sys: GeneratingSystem, compose, limit: int | None = None) -> WordCl
                 c = compose(b, a)
                 if c not in seen:
                     seen[c] = c
-                    first_level[c] = n + 1
                     new.append(c)
         if not new:
             break
@@ -440,7 +425,7 @@ def _closure(sys: GeneratingSystem, compose, limit: int | None = None) -> WordCl
         frontier = new
         n += 1
     # a truncated run reports the last computed level as the horizon
-    return WordClosure(sys, levels, n, first_level)
+    return WordClosure(sys.space, levels, n)
 
 
 class GermRelation:
@@ -465,21 +450,28 @@ class GermRelation:
     def __contains__(self, pair):
         return pair in self.pairs
 
-    def is_reflexive(self) -> bool:
-        return all((i, i) in self.pairs for i in range(self.space.n))
-
-    def is_symmetric(self) -> bool:
-        return all((j, i) in self.pairs for (i, j) in self.pairs)
-
-    def is_transitive(self) -> bool:
+    def equivalence_failure(self) -> Optional[tuple]:
+        """None when the relation is an equivalence, else the first failure
+        as point indices, checking reflexivity, symmetry and transitivity
+        in that order: ``("reflexivity", i)``, ``("symmetry", i, j)`` or
+        ``("transitivity", i, j, k)`` with (i, j) and (j, k) related but
+        not (i, k)."""
+        pairs = self.pairs
+        for i in range(self.space.n):
+            if (i, i) not in pairs:
+                return ("reflexivity", i)
+        for i, j in pairs:
+            if (j, i) not in pairs:
+                return ("symmetry", i, j)
         succ: dict[int, set[int]] = {}
-        for i, j in self.pairs:
+        for i, j in pairs:
             succ.setdefault(i, set()).add(j)
         for i, js in succ.items():
             for j in js:
-                if not succ.get(j, set()) <= js:
-                    return False
-        return True
+                missing = succ.get(j, set()) - js
+                if missing:
+                    return ("transitivity", i, j, min(missing))
+        return None
 
     def components(self) -> list[frozenset[int]]:
         """Connected components of the relation viewed as an undirected graph."""

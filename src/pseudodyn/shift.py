@@ -211,7 +211,7 @@ def cylinder_measure(c: Cylinder, spec: BernoulliSpec) -> Fraction:
     return spec.p ** zeros * (1 - spec.p) ** ones
 
 
-def dyn_ball_cylinder(x: ShiftPoint, n: int, eps, mode: str = "paper") -> Cylinder:
+def dyn_ball_cylinder(x: ShiftPoint, n: int, eps) -> Cylinder:
     """The dynamical ball as a cylinder on [-(n+s), n+s].
 
     With words of length n the shift exponents range over [-n, n], so the
@@ -220,7 +220,7 @@ def dyn_ball_cylinder(x: ShiftPoint, n: int, eps, mode: str = "paper") -> Cylind
     eps = parse_rational(eps)
     if n < 0:
         raise InputError("n must be nonnegative")
-    s = window_radius(eps, mode=mode)
+    s = window_radius(eps)
     return Cylinder.around(x, n + s)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
-                       GeneratingSystem, PartialMap, bowen_ball,
+                       GeneratingSystem, PartialMap, bowen_ball, compacted_system,
                        equicontinuity_modulus, expansiveness_verdict,
                        is_unbounded, local_agreement_radius,
                        no_expansive_certificate_good,
@@ -136,6 +136,53 @@ def test_good_certificate_rotations():
     assert [r.inclusion_ok for r in rep.rows] == [True] * len(rep.rows)
     wide = [r for r in rep.rows if r.rho >= z6.diameter()]
     assert wide and all(r.inclusion_ok for r in wide)
+
+
+def reference_modulus_and_witness(maps, space, eps):
+    """The modulus by one scan, then its witness by a second scan for the
+    first pair at exactly that distance that some map spreads to eps."""
+    best = None
+    for g in maps:
+        dom = sorted(g.dom)
+        for ai, i in enumerate(dom):
+            for j in dom[ai + 1:]:
+                if space.dist[g.vals[i]][g.vals[j]] >= eps:
+                    if best is None or space.dist[i][j] < best:
+                        best = space.dist[i][j]
+    if best is None:
+        return None, None
+    for g in maps:
+        dom = sorted(g.dom)
+        for ai, i in enumerate(dom):
+            for j in dom[ai + 1:]:
+                if (space.dist[i][j] == best
+                        and space.dist[g.vals[i]][g.vals[j]] >= eps):
+                    return best, (g, space.label(i), space.label(j))
+
+
+def test_modulus_and_witness_match_two_scan_reference():
+    """Seeded closures and their core restrictions: every table entry and
+    every witness, down to the map object, equals the two-scan reference."""
+    spec = InstanceSpec(seed="modulus-witness", count=80)
+    checked = 0
+    for idx in range(spec.count):
+        sys_i, _ = random_instance(spec, idx)
+        space = sys_i.space
+        for s in (sys_i, compacted_system(sys_i)):
+            maps = closure_maps(s)
+            cert = equicontinuity_modulus(maps, space)
+            for eps in space.distance_grid():
+                delta, witness = reference_modulus_and_witness(maps, space, eps)
+                if delta is None:
+                    assert is_unbounded(cert.table[eps])
+                    assert cert.witnesses[eps] is None
+                    continue
+                checked += 1
+                assert cert.table[eps] == delta == modulus_at(maps, space, eps)
+                got = cert.witnesses[eps]
+                assert got[0] is witness[0] and got[1:] == witness[1:]
+            assert cert.audit(maps, space)
+    assert checked > 200
 
 
 def test_modulus_at_direct(z6_rotations):

@@ -190,6 +190,15 @@ def test_entropy_criterion_finite_vacuous(line, line_system):
     assert rep.entropy_constant is True  # all-zero limits across points
 
 
+def test_entropy_criterion_limits_keyed_by_label():
+    """Integer labels out of index order: each limit belongs to its own
+    point, not to the point whose label equals its index."""
+    space = FiniteMetricSpace([2, 0, 1], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    ident = GeneratingSystem.build(space, [])
+    rep = entropy_criterion_check(FiniteMeasure.point_mass(space, 2), ident)
+    assert rep.entropy_limits == {2: 0.0, 0: float("inf"), 1: float("inf")}
+
+
 def test_verdicts_stable_under_point_permutation(line):
     """Permuting the point order leaves every verdict unchanged."""
     perm = FiniteMetricSpace(["c", "a", "b"],

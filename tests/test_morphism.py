@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from pseudodyn import (CrossMap, FiniteMeasure, FiniteMetricSpace,
                        compare_entropy, conjugate_family, conjugate_map,
                        conjugate_system, expansiveness_verdict, pushforward,
                        transfer_expansive_constant)
-from pseudodyn.morphism import separation_transfer_scale
-from pseudodyn.probes import InstanceSpec, random_genome
+from pseudodyn.probes import (InstanceSpec, random_genome,
+                              random_space_matrix)
+from pseudodyn.rational import UNBOUNDED, is_unbounded
 
 
 @pytest.fixture
@@ -134,9 +136,83 @@ def test_compare_entropy_scaled(line, line_system, doubled):
         assert rep.counts_dst[(n, 2 * eps)] == count
 
 
+def reference_separation_transfer_scale(eps, iso):
+    """Least target distance among images of source pairs at least eps
+    apart, by a direct scan over source pairs."""
+    best = None
+    for i in range(iso.src.n):
+        for j in range(i + 1, iso.src.n):
+            if iso.src.dist[i][j] >= eps:
+                d = iso.dst.dist[iso.fwd[i]][iso.fwd[j]]
+                if best is None or d < best:
+                    best = d
+    return UNBOUNDED if best is None else best
+
+
+def reference_transfer_expansive_constant(eta, iso):
+    """Largest target grid value delta under which no target pair pulls
+    back to eta or farther, tried grid value by grid value."""
+    def valid(delta):
+        for u in range(iso.dst.n):
+            for v in range(u + 1, iso.dst.n):
+                if iso.dst.dist[u][v] <= delta:
+                    if iso.src.dist[iso.inv[u]][iso.inv[v]] >= eta:
+                        return False
+        return True
+
+    for delta in reversed(iso.dst.distance_grid()):
+        if valid(delta):
+            return delta
+    bound = iso.inverse_modulus(eta)
+    if is_unbounded(bound):
+        return iso.dst.diameter()
+    return bound / 2
+
+
+def seeded_isos(count=240):
+    """Bijections at |X| from 1 to 9: onto a relabeled copy, onto a scaled
+    copy, and onto an unrelated random metric."""
+    rng = random.Random("iso-reference")
+    for k in range(count):
+        n = 1 + k % 9
+        src = FiniteMetricSpace(range(n), random_space_matrix(rng, n, 5))
+        fwd = list(range(n))
+        rng.shuffle(fwd)
+        kind = k // 9 % 3
+        if kind == 2:
+            dst_dist = random_space_matrix(rng, n, 5)
+        else:
+            scale = Fraction(1) if kind == 0 else Fraction(rng.randint(1, 5),
+                                                           rng.randint(1, 3))
+            inv = [0] * n
+            for i, v in enumerate(fwd):
+                inv[v] = i
+            dst_dist = [[src.dist[inv[u]][inv[v]] * scale for v in range(n)]
+                        for u in range(n)]
+        yield SpaceIso(src, FiniteMetricSpace(range(n), dst_dist), fwd)
+
+
+def test_iso_moduli_match_reference_scans():
+    """The transfer scales of ``compare_entropy`` and the expansive-constant
+    transfer agree with their direct scans at every grid value of both
+    spaces, and beyond the diameters."""
+    for iso in seeded_isos():
+        grid = sorted(set(iso.src.distance_grid()) | set(iso.dst.distance_grid()))
+        for eps in grid + [Fraction(1, 2), max(grid, default=0) + 1]:
+            assert iso.inverse_modulus(eps) \
+                == reference_separation_transfer_scale(eps, iso)
+            assert iso.forward_modulus(eps) \
+                == reference_separation_transfer_scale(eps, iso.inverted())
+            assert transfer_expansive_constant(eps, iso) \
+                == reference_transfer_expansive_constant(eps, iso)
+
+
 def test_separation_transfer_scale(line, doubled):
-    assert separation_transfer_scale(1, doubled) == 2
-    assert separation_transfer_scale(2, doubled) == 4
+    assert doubled.inverse_modulus(1) == 2
+    assert doubled.inverse_modulus(2) == 4
+    assert is_unbounded(doubled.inverse_modulus(3))
+    assert doubled.forward_modulus(2) == 1
+    assert doubled.forward_modulus(4) == 2
 
 
 def test_conjugate_family_single_piece(line_system, relabel):

@@ -1,6 +1,6 @@
 import pytest
 
-from pseudodyn import (GeneratingSystem, InputError, PartialMap,
+from pseudodyn import (GeneratingSystem, GermRelation, InputError, PartialMap,
                        PreconditionError, compacted_system, compose,
                        goodness_check, invert, is_unbounded, raw_word_maps,
                        restrict, separation_radius)
@@ -98,7 +98,19 @@ def test_germ_relation_examples(line, line_system, identity_system):
 
 def test_germ_relation_is_equivalence(line_system):
     germ = line_system.germ_relation()
-    assert germ.is_reflexive() and germ.is_symmetric() and germ.is_transitive()
+    assert germ.equivalence_failure() is None
+
+
+def test_germ_equivalence_failure_witnesses(line):
+    diagonal = {(0, 0), (1, 1), (2, 2)}
+    chain = GermRelation(line, frozenset(diagonal | {(0, 1), (1, 0),
+                                                     (1, 2), (2, 1)}), {})
+    assert chain.equivalence_failure() in {("transitivity", 0, 1, 2),
+                                           ("transitivity", 2, 1, 0)}
+    one_way = GermRelation(line, frozenset(diagonal | {(0, 1)}), {})
+    assert one_way.equivalence_failure() == ("symmetry", 0, 1)
+    no_loop = GermRelation(line, frozenset({(0, 0), (1, 1)}), {})
+    assert no_loop.equivalence_failure() == ("reflexivity", 2)
 
 
 def test_germ_witness_words_are_shortest(line_system):
