@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -437,7 +438,10 @@ def cmd_probe(args) -> tuple[int, object]:
     return (EXIT_VIOLATION if bad else EXIT_OK), (payload, None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="pseudodyn",
         description="Exact dynamical balls, entropy and expansiveness "

@@ -14,7 +14,8 @@ from typing import Optional
 
 from .errors import CapabilityError, PreconditionError
 from .measure import expansiveness_verdict
-from .pseudogroup import GeneratingSystem, PartialMap, compacted_system
+from .pseudogroup import (GeneratingSystem, PartialMap, compacted_system,
+                          spread_table, table_ball)
 from .rational import UNBOUNDED, is_unbounded, parse_rational
 from .space import FiniteMetricSpace
 
@@ -45,46 +46,46 @@ class EquicontinuityCertificate:
         return True
 
 
-def _modulus_scan(maps, space: FiniteMetricSpace, eps):
-    """``(delta, witness)``: the least distance among pairs some map spreads
-    to eps or beyond (UNBOUNDED when none does), and the (map, i, j) that
-    first sets it, scanning maps in order and i < j over each sorted
-    domain (None when unbounded)."""
-    best = None
-    witness = None
-    for g in maps:
-        vals = g.vals
-        dom = sorted(g.dom)
-        for ai, i in enumerate(dom):
-            for j in dom[ai + 1:]:
-                if space.dist[vals[i]][vals[j]] >= eps:
-                    d = space.dist[i][j]
-                    if best is None or d < best:
-                        best = d
-                        witness = (g, i, j)
-    return (UNBOUNDED, None) if best is None else (best, witness)
+def _modulus(spread, space: FiniteMetricSpace, eps):
+    """``(delta, pairs)``: the least d(i, j) over the pairs i < j whose
+    spread reaches eps (UNBOUNDED when none does), and the pairs at
+    exactly that distance, in lexicographic order."""
+    dist = space.dist
+    # a zero entry means no map in scope is defined at both points
+    spread_pairs = [(i, j) for i, row in enumerate(spread)
+                    for j in range(i + 1, space.n) if row[j] and row[j] >= eps]
+    if not spread_pairs:
+        return UNBOUNDED, []
+    delta = min(dist[i][j] for i, j in spread_pairs)
+    return delta, [(i, j) for i, j in spread_pairs if dist[i][j] == delta]
 
 
 def modulus_at(maps, space: FiniteMetricSpace, eps):
     """Least distance among pairs some map spreads to eps or beyond;
     UNBOUNDED when no map ever does."""
-    return _modulus_scan(maps, space, parse_rational(eps))[0]
+    return _modulus(spread_table(maps, space), space, parse_rational(eps))[0]
 
 
 def equicontinuity_modulus(maps, space: FiniteMetricSpace,
                            eps_grid=None, scope: str = "closure") -> EquicontinuityCertificate:
+    """One spread table serves every grid eps.  Each finite delta's witness
+    is the first (map, i, j) that spreads a pair at distance delta to eps,
+    scanning maps in order and i < j over each sorted domain."""
     if eps_grid is None:
         eps_grid = space.distance_grid()
     eps_grid = [parse_rational(e) for e in eps_grid]
+    spread = spread_table(maps, space)
+    dist = space.dist
     table = {}
     witnesses = {}
     for eps in eps_grid:
-        delta, wit = _modulus_scan(maps, space, eps)
+        delta, pairs = _modulus(spread, space, eps)
         table[eps] = delta
-        if wit is not None:
-            g, i, j = wit
-            wit = (g, space.label(i), space.label(j))
-        witnesses[eps] = wit
+        witnesses[eps] = next(
+            ((g, space.label(i), space.label(j)) for g in maps for i, j in pairs
+             if g.vals[i] is not None and g.vals[j] is not None
+             and dist[g.vals[i]][g.vals[j]] >= eps),
+            None)
     isometric = all(table.get(e) == e for e in eps_grid)
     return EquicontinuityCertificate(scope=scope, table=table,
                                      witnesses=witnesses, isometric=isometric)
@@ -107,8 +108,8 @@ def _inclusion_failures(space: FiniteMetricSpace, delta, table, rho) -> list[int
     """Centres x whose open delta-ball is not inside the Bowen rho-ball
     {y : table[x][y] <= rho}."""
     return [x for x in range(space.n)
-            if not space.ball_ix(x, delta, closed=False)
-            <= frozenset(y for y in range(space.n) if table[x][y] <= rho)]
+            if not table_ball(space.dist, x, delta, closed=False)
+            <= table_ball(table, x, rho, closed=True)]
 
 
 def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusionReport:

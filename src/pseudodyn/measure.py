@@ -15,7 +15,8 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InputError, PreconditionError
-from .pseudogroup import GeneratingSystem, compacted_system, separation_radius
+from .pseudogroup import (GeneratingSystem, compacted_system, separation_radius,
+                          table_ball)
 from .rational import is_unbounded, parse_rational
 from .space import FiniteMetricSpace, PointSet
 
@@ -191,11 +192,6 @@ class LocalEntropyTable:
     limit: float  # 0.0 when the stabilized ball keeps positive measure
 
 
-def _ball_measure_open(mu: FiniteMeasure, table, xi: int, eps: Fraction) -> Fraction:
-    row = table[xi]
-    return sum((mu.weights[y] for y in range(len(row)) if row[y] < eps), Fraction(0))
-
-
 def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
                   side: str = "upper", eps_grid=None,
                   n_max: int | None = None) -> LocalEntropyTable:
@@ -219,12 +215,12 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     for eps in sorted(eps_grid):
         for n in range(1, n_max + 1):
             table = closure.constraint_table(n)
-            m = _ball_measure_open(mu, table, xi, eps)
+            m = mu(table_ball(table, xi, eps, closed=False))
             value = math.inf if m == 0 else -math.log(m) / n
             cells.append(EntropyCell(eps=eps, n=n, ball_measure=m, value=value))
     smallest = min(eps_grid)
-    stab_m = _ball_measure_open(
-        mu, closure.constraint_table(closure.stable_index), xi, smallest)
+    stab_m = mu(table_ball(closure.constraint_table(closure.stable_index),
+                           xi, smallest, closed=False))
     limit = 0.0 if stab_m > 0 else math.inf
     return LocalEntropyTable(x=space.label(xi), side=side, cells=cells, limit=limit)
 
@@ -271,7 +267,8 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
 
     def measures(radius: Fraction, n: int) -> list[Fraction]:
         table = closure.constraint_table(n)
-        return [_ball_measure_open(mu, table, i, radius) for i in range(space.n)]
+        return [mu(table_ball(table, i, radius, closed=False))
+                for i in range(space.n)]
 
     witnesses: dict = {}
     degenerate = False
@@ -355,15 +352,15 @@ class ExpansivenessVerdict:
 def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
                           delta) -> ExpansivenessVerdict:
     delta = parse_rational(delta)
+    if delta < 0:
+        raise InputError("radius must be nonnegative")
     space = sys.space
     closure = sys.word_closure()
     table = closure.constraint_table(closure.stable_index)
     measures = {}
     zero = set()
     for xi in range(space.n):
-        row = table[xi]
-        m = sum((mu.weights[y] for y in range(space.n) if row[y] <= delta),
-                Fraction(0))
+        m = mu(table_ball(table, xi, delta, closed=True))
         measures[space.label(xi)] = m
         if m == 0:
             zero.add(xi)

@@ -96,18 +96,9 @@ def parse_model(text: str, path: str | None = None) -> Model:
 
     iso = None
     if "phi" in doc:
-        if "target" in doc:
-            target = FiniteMetricSpace(doc["target"]["points"],
-                                       doc["target"]["dist"])
-        else:
-            phi = doc["phi"]
-            target = FiniteMetricSpace(
-                [phi[p] for p in space.points],
-                [[space.dist[i][j] for j in range(space.n)]
-                 for i in range(space.n)],
-            )
+        iso = _read_iso(doc, space)
+        if "target" not in doc:
             report.notes.append("iso target defaulted to a relabeled copy")
-        iso = SpaceIso.from_dict(space, target, doc["phi"])
 
     sha = hashlib.sha256(text.encode()).hexdigest()
     return Model(space=space, system=system, measure=measure, iso=iso,
@@ -142,12 +133,24 @@ def load_iso(path: str, space: FiniteMetricSpace) -> SpaceIso:
         raise InputError(f"cannot read iso file {path}: {exc}") from exc
     if "phi" not in doc:
         raise InputError("iso file needs a 'phi' object")
+    return _read_iso(doc, space)
+
+
+def _read_iso(doc: dict, space: FiniteMetricSpace) -> SpaceIso:
+    """The bijection ``phi`` onto the document's ``target`` space or, when
+    there is none, onto a relabelled copy of ``space``."""
+    phi = doc["phi"]
+    if not isinstance(phi, dict):
+        raise InputError("'phi' must be an object")
     if "target" in doc:
-        target = FiniteMetricSpace(doc["target"]["points"], doc["target"]["dist"])
-    else:
-        phi = doc["phi"]
-        target = FiniteMetricSpace(
-            [phi[p] for p in space.points],
-            [[space.dist[i][j] for j in range(space.n)] for i in range(space.n)],
-        )
-    return SpaceIso.from_dict(space, target, doc["phi"])
+        target = doc["target"]
+        if not isinstance(target, dict) or "points" not in target \
+                or "dist" not in target:
+            raise InputError("iso 'target' needs 'points' and 'dist'")
+        return SpaceIso.from_dict(
+            space, FiniteMetricSpace(target["points"], target["dist"]), phi)
+    missing = [p for p in space.points if p not in phi]
+    if missing:
+        raise InputError(f"phi misses points {missing}")
+    return SpaceIso.from_dict(
+        space, FiniteMetricSpace([phi[p] for p in space.points], space.dist), phi)

@@ -16,12 +16,13 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import morphism
-from .dynamics import dyn_ball, dyn_ball_via_formula
+from .dynamics import bowen_ball, dyn_ball_via_formula
 from .equicont import no_expansive_certificate_group
 from .errors import InputError
-from .measure import FiniteMeasure, expansiveness_upgrade_check
+from .measure import FiniteMeasure, expansiveness_upgrade_check, is_homogeneous
 from .pseudogroup import (GeneratingSystem, GermRelation, PartialMap, WordClosure,
-                          _closure, compacted_system, separation_radius)
+                          _closure, compacted_system, separation_radius,
+                          table_ball)
 from .rational import is_unbounded
 from .space import FiniteMetricSpace
 
@@ -196,7 +197,6 @@ class OperationSet:
     compose: Callable[[PartialMap, PartialMap], PartialMap]
     build_system: Callable
     compacted: Callable[[GeneratingSystem], GeneratingSystem]
-    ball_members: Callable
     ball_formula: Callable
     bowen_members: Callable
 
@@ -205,29 +205,18 @@ def _default_build(space, maps, cores):
     return GeneratingSystem.build(space, maps, cores=cores)
 
 
-def _default_ball_members(sys, x, n, eps, closed, closure):
-    # same membership rule as dyn_ball, through the per-level max table
-    table = closure.constraint_table(n)
-    row = table[sys.space.index(x)]
-    if closed:
-        return frozenset(y for y in range(sys.space.n) if row[y] <= eps)
-    return frozenset(y for y in range(sys.space.n) if row[y] < eps)
-
-
 def _default_ball_formula(sys, x, n, eps, closed, closure):
     return dyn_ball_via_formula(sys, x, n, eps, closed=closed, closure=closure)
 
 
 def _default_bowen_members(sys, x, delta, closure):
-    return dyn_ball(sys, x, closure.stable_index, delta, closed=True,
-                    closure=closure).members
+    return bowen_ball(sys, x, delta, closure).members
 
 
 DEFAULT_OPS = OperationSet(
     compose=PartialMap.then,
     build_system=_default_build,
     compacted=compacted_system,
-    ball_members=_default_ball_members,
     ball_formula=_default_ball_formula,
     bowen_members=_default_bowen_members,
 )
@@ -316,7 +305,7 @@ def stmt_ball_formula(ctx: ProbeContext) -> Outcome:
         for eps in ctx.eps_sample():
             for n in ns:
                 for closed in (False, True):
-                    a = ctx.ops.ball_members(ctx.sys, x, n, eps, closed, closure)
+                    a = table_ball(closure.constraint_table(n), x, eps, closed)
                     b = ctx.ops.ball_formula(ctx.sys, x, n, eps, closed, closure)
                     if a != b:
                         return Outcome.bad((ctx.space.label(x), n, eps, closed,
@@ -333,7 +322,8 @@ def stmt_bowen_stabilization(ctx: ProbeContext) -> Outcome:
             bw = ctx.ops.bowen_members(ctx.sys, x, delta, closure)
             inter = ctx.space.full_set()
             for n in range(1, closure.stable_index + 1):
-                inter &= ctx.ops.ball_members(ctx.sys, x, n, delta, True, closure)
+                inter &= table_ball(closure.constraint_table(n), x, delta,
+                                    closed=True)
             if bw != inter:
                 return Outcome.bad((ctx.space.label(x), delta,
                                     sorted(bw), sorted(inter)))
@@ -410,14 +400,13 @@ def stmt_half_radius(ctx: ProbeContext) -> Outcome:
     m1 = ctx.closure.constraint_table(ctx.closure.stable_index)
     cc = ctx.compacted_closure
     m2 = cc.constraint_table(cc.stable_index)
-    half = rho / 2
     for x0 in range(ctx.space.n):
-        ball = [y for y in range(ctx.space.n) if m1[x0][y] <= half]
-        for y0 in ball:
-            for y in ball:
-                if m2[y0][y] > rho:
-                    return Outcome.bad((ctx.space.label(x0), ctx.space.label(y0),
-                                        ctx.space.label(y), str(rho)))
+        ball = table_ball(m1, x0, rho / 2, closed=True)
+        for y0 in sorted(ball):
+            escaped = ball - table_ball(m2, y0, rho, closed=True)
+            if escaped:
+                return Outcome.bad((ctx.space.label(x0), ctx.space.label(y0),
+                                    ctx.space.label(min(escaped)), str(rho)))
     return Outcome.ok()
 
 
@@ -674,7 +663,7 @@ def run_suite(spec: InstanceSpec, statements="all",
 # -- open-question surveys ------------------------------------------------------------
 
 
-QUESTION_TOPICS = ("generators", "generators-any", "homogeneity")
+QUESTION_TOPICS = ("homogeneity",)
 
 
 @dataclass
@@ -690,77 +679,28 @@ def question_probe(topic: str, spec: InstanceSpec) -> QuestionSurvey:
     """Finite-instance surveys around the open independence questions.
 
     These are evidence tables, not verdicts: they compare paired verdicts
-    across reformulations that preserve the germ relation and report
-    agreement counts with explicit disagreement witnesses.
+    across reformulations and report agreement counts with explicit
+    disagreement witnesses.
     """
     if topic not in QUESTION_TOPICS:
         raise InputError(f"unknown survey topic {topic!r}; "
                          f"choose from {QUESTION_TOPICS}")
-    from .measure import expansiveness_verdict, is_homogeneous
     agreements = 0
     disagreements = []
     evaluated = 0
     note = ""
     for i in range(spec.count):
-        genome = random_genome(spec, i)
-        sys, mu = genome.build()
-        rng = _instance_rng(spec, i)
-        grid = sys.space.distance_grid()
+        sys, mu = random_genome(spec, i).build()
+        if not sys.has_cores:
+            continue
         evaluated += 1
-        if topic in ("generators", "generators-any"):
-            pieces = 2 if topic == "generators" else 3
-            alt = _split_generators(sys, rng, pieces)
-            note = ("alternative generators are overlapping restrictions of "
-                    "the originals, so the germ relation is unchanged")
-            if alt.germ_relation().pairs != sys.germ_relation().pairs:
-                disagreements.append((i, "germ relation changed (bug)"))
-                continue
-            witness = next(
-                (d for d in grid
-                 if expansiveness_verdict(mu, sys, d).classification
-                 != expansiveness_verdict(mu, alt, d).classification),
-                None)
-            if witness is None:
-                agreements += 1
-            else:
-                disagreements.append((i, f"verdicts differ at delta={witness}"))
-        elif topic == "homogeneity":
-            if not sys.has_cores:
-                evaluated -= 1
-                continue
-            note = "homogeneity verdicts for the system vs its core restriction"
-            a = is_homogeneous(mu, sys).ok
-            b = is_homogeneous(mu, compacted_system(sys)).ok
-            if a == b:
-                agreements += 1
-            else:
-                disagreements.append((i, f"original={a} compacted={b}"))
+        note = "homogeneity verdicts for the system vs its core restriction"
+        a = is_homogeneous(mu, sys).ok
+        b = is_homogeneous(mu, compacted_system(sys)).ok
+        if a == b:
+            agreements += 1
+        else:
+            disagreements.append((i, f"original={a} compacted={b}"))
     return QuestionSurvey(topic=topic, instances=evaluated,
                           agreements=agreements, disagreements=disagreements,
                           note=note)
-
-
-def _split_generators(sys: GeneratingSystem, rng: random.Random,
-                      pieces: int) -> GeneratingSystem:
-    """Replace each non-identity generator by overlapping restrictions
-    whose domains cover it; the realized pairs are unchanged."""
-    maps = []
-    for g in sys.generators:
-        if g.is_identity():
-            continue
-        dom = sorted(g.dom)
-        if len(dom) == 1 or pieces <= 1:
-            maps.append(PartialMap(sys.space, g.vals, name=g.name))
-            continue
-        parts = []
-        for p in range(pieces):
-            size = max(1, len(dom) - 1)
-            sub = rng.sample(dom, size)
-            parts.append(frozenset(sub))
-        missing = frozenset(dom) - frozenset().union(*parts)
-        if missing:
-            parts[0] |= missing
-        for p, keep in enumerate(parts):
-            r = g.restrict(keep)
-            maps.append(PartialMap(sys.space, r.vals, name=f"{g.name}.{p}"))
-    return GeneratingSystem.build(sys.space, maps)

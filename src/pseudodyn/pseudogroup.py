@@ -208,7 +208,8 @@ class GeneratingSystem:
     are built with ``check_symmetric=False``.
     """
 
-    __slots__ = ("space", "generators", "cores", "_closure", "_germ")
+    __slots__ = ("space", "generators", "cores", "_closure", "_germ",
+                 "_compacted")
 
     def __init__(self, space: FiniteMetricSpace, generators: Sequence[PartialMap],
                  cores: Sequence[Optional[PointSet]] | None = None,
@@ -246,6 +247,7 @@ class GeneratingSystem:
         self.cores = cores
         self._closure = None
         self._germ = None
+        self._compacted = None
 
     # -- construction ----------------------------------------------------------
 
@@ -358,32 +360,49 @@ class WordClosure:
         return self.level_maps[self.stable_index - 1]
 
     def constraint_table(self, n: int) -> list[list[Fraction]]:
-        """``M[i][j]`` = max over shared-domain maps of d(g(i), g(j)).
-
-        The dynamical ball membership test is exactly ``M[i][j] < eps``
-        (open) or ``<= eps`` (closed); computing the max once serves every
-        radius.
-        """
+        """The spread table of the word set at length ``n``, cached per
+        level: the dynamical n-ball around ``i`` is ``table_ball(table, i,
+        eps, closed)``."""
         level = min(n, self.stable_index)
-        if level in self._m_cache:
-            return self._m_cache[level]
-        space = self.space
-        npts = space.n
-        dist = space.dist
-        table = [[Fraction(0)] * npts for _ in range(npts)]
-        for g in self.level_maps[level - 1]:
-            vals = g.vals
-            dom = [i for i, v in enumerate(vals) if v is not None]
-            for a_pos, i in enumerate(dom):
-                gi = vals[i]
-                row = table[i]
-                for j in dom[a_pos + 1:]:
-                    d = dist[gi][vals[j]]
-                    if d > row[j]:
-                        row[j] = d
-                        table[j][i] = d
-        self._m_cache[level] = table
+        table = self._m_cache.get(level)
+        if table is None:
+            table = self._m_cache[level] = spread_table(
+                self.level_maps[level - 1], self.space)
         return table
+
+
+def spread_table(maps, space: FiniteMetricSpace) -> list[list[Fraction]]:
+    """``S[i][j]`` = max of d(g(i), g(j)) over the maps defined at both
+    points, 0 where none is (maps are injective, so a shared map makes the
+    entry positive off the diagonal).
+
+    The one fold of maps into distances: the constraint tables, the
+    equicontinuity moduli and every table ball read it, at every radius.
+    """
+    npts = space.n
+    dist = space.dist
+    table = [[Fraction(0)] * npts for _ in range(npts)]
+    for g in maps:
+        vals = g.vals
+        dom = [i for i, v in enumerate(vals) if v is not None]
+        for a_pos, i in enumerate(dom):
+            gi = vals[i]
+            row = table[i]
+            for j in dom[a_pos + 1:]:
+                d = dist[gi][vals[j]]
+                if d > row[j]:
+                    row[j] = d
+                    table[j][i] = d
+    return table
+
+
+def table_ball(table, i: int, r, closed: bool) -> PointSet:
+    """``{y : table[i][y] < r}`` (open) or ``<= r`` (closed): with a spread
+    table the dynamical ball around ``i``, with the metric the metric ball."""
+    row = table[i]
+    if closed:
+        return frozenset(y for y, v in enumerate(row) if v <= r)
+    return frozenset(y for y, v in enumerate(row) if v < r)
 
 
 def word_closure(sys: GeneratingSystem, n_max: int | str = "auto") -> WordClosure:
@@ -518,9 +537,14 @@ def compacted_system(sys: GeneratingSystem) -> GeneratingSystem:
     new domain.  It is not forced to be symmetric: symmetry of the
     restricted family holds exactly when inverse cores are images of each
     other, which callers may or may not have arranged.
+
+    It is cached on ``sys``, so every caller shares one core-restricted
+    system and its word closure; it holds no reference back to ``sys``.
     """
     if not sys.has_cores:
         raise PreconditionError("compaction requires cores")
+    if sys._compacted is not None:
+        return sys._compacted
     gens = []
     cores = []
     for g, core in zip(sys.generators, sys.cores):
@@ -533,8 +557,9 @@ def compacted_system(sys: GeneratingSystem) -> GeneratingSystem:
                        word=(g.name,) if g.name else None)
         gens.append(r)
         cores.append(r.dom)
-    return GeneratingSystem(sys.space, gens, cores=tuple(cores),
-                            check_symmetric=False)
+    sys._compacted = GeneratingSystem(sys.space, gens, cores=tuple(cores),
+                                      check_symmetric=False)
+    return sys._compacted
 
 
 def goodness_check(sys: GeneratingSystem):

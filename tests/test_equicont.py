@@ -189,3 +189,13 @@ def test_modulus_at_direct(z6_rotations):
     maps = closure_maps(z6_rotations)
     assert modulus_at(maps, z6_rotations.space, 2) == 2
     assert is_unbounded(modulus_at(maps, z6_rotations.space, 4))
+
+
+def test_modulus_at_zero_counts_only_shared_pairs():
+    """At eps <= 0 every pair some map is defined at qualifies, and only
+    those: (a, b) is closer than (b, c) but no map is defined at both."""
+    vline = FiniteMetricSpace(["a", "b", "c"], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
+    g = PartialMap.from_dict(vline, {"b": "a", "c": "b"}, name="g")
+    for eps in (0, -1):
+        assert modulus_at([g], vline, eps) == 2
+        assert reference_modulus_and_witness([g], vline, eps)[0] == 2

@@ -110,6 +110,42 @@ def test_cli_input_error_exit(tmp_path, capsys):
     assert "symmetry" in capsys.readouterr().err
 
 
+def test_cli_negative_delta_is_input_error(model_path, capsys):
+    code = main(["check", "--model", model_path, "--what", "expansive",
+                 "--delta", "-1"])
+    assert code == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+MALFORMED_ISOS = {
+    "phi-misses-point": {"phi": {"a": "p", "b": "q"}},
+    "target-without-dist": {"phi": {"a": "p", "b": "q", "c": "r"},
+                            "target": {"points": ["p", "q", "r"]}},
+    "target-without-points": {"phi": {"a": "p", "b": "q", "c": "r"},
+                              "target": {"dist": [[0, 1], [1, 0]]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ISOS))
+def test_cli_malformed_iso_in_model_is_input_error(case, tmp_path, capsys):
+    doc = {k: v for k, v in LINE_MODEL.items() if k != "phi"}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(doc, **MALFORMED_ISOS[case])))
+    code = main(["conjugate", "--model", str(path)])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ISOS))
+def test_cli_malformed_iso_file_is_input_error(case, model_path, tmp_path,
+                                               capsys):
+    iso = tmp_path / "iso.json"
+    iso.write_text(json.dumps(MALFORMED_ISOS[case]))
+    code = main(["conjugate", "--model", model_path, "--iso", str(iso)])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_cli_unknown_point_is_input_error(model_path, capsys):
     code = main(["ball", "--model", model_path, "--x", "z",
                  "--n", "1", "--eps", "1"])

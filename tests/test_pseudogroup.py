@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from pseudodyn import (GeneratingSystem, GermRelation, InputError, PartialMap,
                        PreconditionError, compacted_system, compose,
                        goodness_check, invert, is_unbounded, raw_word_maps,
                        restrict, separation_radius)
+from pseudodyn.pseudogroup import table_ball
 from pseudodyn.probes import InstanceSpec, random_genome
 
 from conftest import rotation_system
@@ -146,6 +149,36 @@ def test_compacted_system(line, line_system_cores):
     assert by_name["g"].dom == {0}
     assert by_name["g^-1"].dom == {2}
     assert comp.cores[1] == by_name["g"].dom
+
+
+def test_compacted_system_is_shared(line_system_cores):
+    """One core-restricted system per parent, so its closure is built once;
+    it keeps no reference to the parent, so the cache forms no cycle."""
+    comp = compacted_system(line_system_cores)
+    assert compacted_system(line_system_cores) is comp
+    assert all(getattr(comp, slot) is not line_system_cores
+               for slot in GeneratingSystem.__slots__)
+
+
+def test_table_ball_radii_on_grid_values():
+    """Open and closed balls of every closure level's table, at radii
+    exactly on its values and just off them, against a direct row
+    comparison."""
+    spec = InstanceSpec(seed="table-ball", count=20)
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        space = sys_i.space
+        closure = sys_i.word_closure()
+        for n in range(1, closure.stable_index + 1):
+            table = closure.constraint_table(n)
+            values = {v for row in table for v in row}
+            for r in values | {v + Fraction(1, 7) for v in values}:
+                for i in range(space.n):
+                    row = table[i]
+                    assert table_ball(table, i, r, closed=False) \
+                        == {y for y in range(space.n) if row[y] < r}
+                    assert table_ball(table, i, r, closed=True) \
+                        == {y for y in range(space.n) if row[y] <= r}
 
 
 def test_compacted_requires_cores(line_system):
