@@ -222,18 +222,18 @@ def no_expansive_certificate_good(sys: GeneratingSystem,
     if not sys.has_cores:
         raise PreconditionError("this certificate requires cores")
     space = sys.space
-    gamma = sys.word_closure().stabilized_maps
+    closure = sys.word_closure()
+    spread = closure.constraint_table(closure.stable_index)
     agreement = AgreementRadiusReport(value=UNBOUNDED, counterexample=None)
-    compacted = compacted_system(sys)
-    ctable = compacted.word_closure().constraint_table(
-        compacted.word_closure().stable_index)
+    core_closure = compacted_system(sys).word_closure()
+    ctable = core_closure.constraint_table(core_closure.stable_index)
     if rho_grid is None:
         rho_grid = space.distance_grid()
     rows = []
     all_ok = True
     diameter = space.diameter()
     for rho in [parse_rational(r) for r in rho_grid]:
-        delta = modulus_at(gamma, space, rho)
+        delta = _modulus(spread, space, rho)[0]
         xi = diameter if is_unbounded(delta) else delta
         ok = not _inclusion_failures(space, xi, ctable, rho)
         rows.append(GoodInclusionRow(rho=rho, delta=delta, lam=agreement.value,

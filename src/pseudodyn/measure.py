@@ -211,6 +211,8 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     eps_grid = [parse_rational(e) for e in eps_grid]
     if n_max is None:
         n_max = closure.stable_index
+    if not eps_grid or n_max < 1:
+        raise InputError("need a nonempty eps grid and n_max >= 1")
     cells = []
     for eps in sorted(eps_grid):
         for n in range(1, n_max + 1):
@@ -263,12 +265,20 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     eps_grid = [parse_rational(e) for e in eps_grid]
     if n_max is None:
         n_max = closure.stable_index
+    if n_max < 1:
+        raise InputError("n_max must be at least 1")
     n_range = range(1, min(n_max, closure.stable_index) + 1)
+    rows: dict[tuple[Fraction, int], list[Fraction]] = {}
 
     def measures(radius: Fraction, n: int) -> list[Fraction]:
-        table = closure.constraint_table(n)
-        return [mu(table_ball(table, i, radius, closed=False))
+        """Open-ball measures around every point, once per (radius, n)."""
+        row = rows.get((radius, n))
+        if row is None:
+            table = closure.constraint_table(n)
+            row = rows[radius, n] = [
+                mu(table_ball(table, i, radius, closed=False))
                 for i in range(space.n)]
+        return row
 
     witnesses: dict = {}
     degenerate = False

@@ -378,22 +378,24 @@ def spread_table(maps, space: FiniteMetricSpace) -> list[list[Fraction]]:
 
     The one fold of maps into distances: the constraint tables, the
     equicontinuity moduli and every table ball read it, at every radius.
+    The max runs over the integer distance ranks of the space, which order
+    as the distances do, and each rank maps back to its distance once.
     """
     npts = space.n
-    dist = space.dist
-    table = [[Fraction(0)] * npts for _ in range(npts)]
+    ranks, values = space.distance_ranks()
+    table = [[0] * npts for _ in range(npts)]
     for g in maps:
         vals = g.vals
         dom = [i for i, v in enumerate(vals) if v is not None]
         for a_pos, i in enumerate(dom):
-            gi = vals[i]
+            rank_row = ranks[vals[i]]
             row = table[i]
             for j in dom[a_pos + 1:]:
-                d = dist[gi][vals[j]]
-                if d > row[j]:
-                    row[j] = d
-                    table[j][i] = d
-    return table
+                r = rank_row[vals[j]]
+                if r > row[j]:
+                    row[j] = r
+                    table[j][i] = r
+    return [list(map(values.__getitem__, row)) for row in table]
 
 
 def table_ball(table, i: int, r, closed: bool) -> PointSet:

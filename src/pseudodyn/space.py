@@ -28,7 +28,7 @@ class FiniteMetricSpace:
     Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("points", "dist", "_index", "_grid", "_ball_masks")
+    __slots__ = ("points", "dist", "_index", "_grid", "_ranks", "_ball_masks")
 
     def __init__(self, points: Sequence, dist: Sequence[Sequence]):
         pts = tuple(points)
@@ -71,6 +71,7 @@ class FiniteMetricSpace:
         self.dist = matrix
         self._index = {p: i for i, p in enumerate(pts)}
         self._grid = None
+        self._ranks = None
         self._ball_masks = {}
 
     # -- basic queries ----------------------------------------------------
@@ -119,6 +120,21 @@ class FiniteMetricSpace:
             vals = {self.dist[i][j] for i in range(self.n) for j in range(self.n)} - {Fraction(0)}
             self._grid = sorted(vals)
         return list(self._grid)
+
+    def distance_ranks(self) -> tuple[tuple, tuple]:
+        """``(ranks, values)``: ``ranks[i][j]`` is the position of d(i, j)
+        in ``values = (0, *distance_grid())``.
+
+        Ranks order exactly as the distances do, so a max or a comparison
+        over distances can run over small integers and map back through
+        ``values`` once.  Built on first use; the space is immutable.
+        """
+        if self._ranks is None:
+            values = (Fraction(0), *self.distance_grid())
+            pos = {v: k for k, v in enumerate(values)}
+            ranks = tuple(tuple(pos[v] for v in row) for row in self.dist)
+            self._ranks = (ranks, values)
+        return self._ranks
 
     def ball_ix(self, i: int, r, closed: bool = False) -> PointSet:
         r = parse_rational(r)

@@ -98,6 +98,27 @@ def test_local_entropy_zero_measure_cells_are_inf(line, identity_system):
     assert table.limit == math.inf
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_n_max_below_one_is_input_error(line, identity_system, n_max):
+    """No n means no ball to measure: refuse instead of answering vacuously
+    (the default n_max finds the point mass inhomogeneous)."""
+    pm = FiniteMeasure.point_mass(line, "a")
+    with pytest.raises(InputError, match="n_max"):
+        local_entropy(pm, identity_system, "a", n_max=n_max)
+    with pytest.raises(InputError, match="n_max"):
+        is_homogeneous(pm, identity_system, n_max=n_max)
+
+
+def test_local_entropy_empty_grid_is_input_error(line, line_system):
+    one = FiniteMetricSpace(["a"], [[0]])
+    with pytest.raises(InputError, match="eps grid"):
+        local_entropy(FiniteMeasure.uniform(line), line_system, "a",
+                      eps_grid=[])
+    with pytest.raises(InputError, match="eps grid"):
+        local_entropy(FiniteMeasure.uniform(one),
+                      GeneratingSystem.build(one, []), "a")
+
+
 def test_positive_limit_impossible_with_positive_stabilized_measure():
     """Meta-scan: whenever the stabilized ball keeps positive measure the
     reported limit is zero, across random instances."""

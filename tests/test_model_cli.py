@@ -166,6 +166,25 @@ def test_cli_entropy(model_path, capsys):
     assert "limit: 0.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_cli_entropy_n_max_below_one_is_input_error(model_path, capsys, n_max):
+    code = main(["entropy", "--model", model_path, "--x", "a",
+                 "--n-max", n_max])
+    assert code == 2
+    assert "n_max" in capsys.readouterr().err
+
+
+def test_cli_entropy_one_point_model_is_input_error(tmp_path, capsys):
+    """A one-point space has no positive distance, so the auto grid is
+    empty."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"points": ["a"], "dist": [[0]],
+                                "generators": [], "mu": {"a": 1}}))
+    code = main(["entropy", "--model", str(path), "--x", "a"])
+    assert code == 2
+    assert "eps grid" in capsys.readouterr().err
+
+
 def test_cli_conjugate_entropy(model_path, capsys):
     code = main(["--format", "json", "conjugate", "--model", model_path,
                  "--check", "entropy"])

@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from pseudodyn import (GeneratingSystem, GermRelation, InputError, PartialMap,
-                       PreconditionError, compacted_system, compose,
-                       goodness_check, invert, is_unbounded, raw_word_maps,
-                       restrict, separation_radius)
-from pseudodyn.pseudogroup import table_ball
+from pseudodyn import (FiniteMetricSpace, GeneratingSystem, GermRelation,
+                       InputError, PartialMap, PreconditionError,
+                       compacted_system, compose, goodness_check, invert,
+                       is_unbounded, raw_word_maps, restrict, separation_radius)
+from pseudodyn.pseudogroup import spread_table, table_ball
 from pseudodyn.probes import InstanceSpec, random_genome
 
 from conftest import rotation_system
@@ -179,6 +180,119 @@ def test_table_ball_radii_on_grid_values():
                         == {y for y in range(space.n) if row[y] < r}
                     assert table_ball(table, i, r, closed=True) \
                         == {y for y in range(space.n) if row[y] <= r}
+
+
+def reference_spread_table(maps, space):
+    """The spread table folded directly over ``Fraction`` distances."""
+    npts = space.n
+    dist = space.dist
+    table = [[Fraction(0)] * npts for _ in range(npts)]
+    for g in maps:
+        vals = g.vals
+        dom = [i for i, v in enumerate(vals) if v is not None]
+        for a_pos, i in enumerate(dom):
+            gi = vals[i]
+            row = table[i]
+            for j in dom[a_pos + 1:]:
+                d = dist[gi][vals[j]]
+                if d > row[j]:
+                    row[j] = d
+                    table[j][i] = d
+    return table
+
+
+def coprime_space(n, primes=(2, 3, 5, 7, 11, 13, 17)):
+    """d(i, j) = 1 + 1/p over pairwise coprime p, some values repeated;
+    every distance lies in [1, 2], so the triangle inequality holds."""
+    k = 0
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = 1 + Fraction(1, primes[k % len(primes)])
+            k += 1
+    return FiniteMetricSpace([f"q{i}" for i in range(n)], dist)
+
+
+def symmetric_group(space):
+    """The group of all permutations, from a rotation and a transposition."""
+    n = space.n
+    rot = PartialMap(space, [(i + 1) % n for i in range(n)], name="r")
+    swap = PartialMap(space, [1, 0] + list(range(2, n)), name="s")
+    return GeneratingSystem.build(space, [rot, swap])
+
+
+def assert_spread_tables_agree(maps, space):
+    table = spread_table(maps, space)
+    assert table == reference_spread_table(maps, space)
+    assert all(type(v) is Fraction for row in table for v in row)
+
+
+def test_distance_ranks_index_the_grid():
+    spaces = [coprime_space(7), FiniteMetricSpace(["a"], [[0]])]
+    spec = InstanceSpec(seed="ranks", count=20)
+    spaces += [random_genome(spec, idx).build()[0].space
+               for idx in range(spec.count)]
+    for space in spaces:
+        ranks, values = space.distance_ranks()
+        assert list(values[1:]) == space.distance_grid()
+        assert values[0] == 0
+        for i in range(space.n):
+            for j in range(space.n):
+                assert values[ranks[i][j]] == space.d(i, j)
+        assert space.distance_ranks() is space.distance_ranks()
+
+
+def test_spread_table_matches_reference_on_seeded_closures():
+    """Every closure level, the core-restricted closure and random partial
+    subfamilies of seeded instances."""
+    rng = random.Random("spread-subfamilies")
+    spec = InstanceSpec(seed="spread-kernel", count=40, n_points=(3, 9))
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        space = sys_i.space
+        systems = [sys_i]
+        if sys_i.has_cores:
+            systems.append(compacted_system(sys_i))
+        for system in systems:
+            closure = system.word_closure()
+            for n in range(1, closure.stable_index + 1):
+                assert_spread_tables_agree(closure.maps_at(n), space)
+        maps = sys_i.word_closure().stabilized_maps
+        for _ in range(3):
+            family = rng.sample(maps, rng.randint(1, len(maps)))
+            family = [g.restrict(rng.sample(range(space.n),
+                                            rng.randint(0, space.n)))
+                      for g in family]
+            assert_spread_tables_agree(family, space)
+
+
+def test_spread_table_matches_reference_on_symmetric_groups():
+    """S_6 and S_7 on coprime denominators, whole and as partial
+    subfamilies."""
+    rng = random.Random("spread-groups")
+    for n in (6, 7):
+        space = coprime_space(n)
+        maps = symmetric_group(space).word_closure().stabilized_maps
+        assert len(maps) == (720 if n == 6 else 5040)
+        assert_spread_tables_agree(maps, space)
+        family = [g.restrict(rng.sample(range(n), rng.randint(2, n)))
+                  for g in rng.sample(maps, 50)]
+        assert_spread_tables_agree(family, space)
+
+
+def test_spread_table_edge_cases():
+    space = coprime_space(5)
+    one = FiniteMetricSpace(["a"], [[0]])
+    g = PartialMap(space, [1, None, None, None, 0])  # 0 -> 1, 4 -> 0
+    assert_spread_tables_agree([], space)
+    assert_spread_tables_agree([], one)
+    assert_spread_tables_agree([PartialMap.identity(one)], one)
+    assert_spread_tables_agree([PartialMap.empty(space)], space)
+    # pairs with no shared map stay 0; a shared map makes the entry positive
+    table = spread_table([g, PartialMap.empty(space)], space)
+    assert table == reference_spread_table([g], space)
+    assert table[0][4] == table[4][0] == space.d(1, 0)
+    assert table[0][1] == table[2][3] == 0
 
 
 def test_compacted_requires_cores(line_system):
