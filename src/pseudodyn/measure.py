@@ -2,8 +2,9 @@
 
 Everything verdict-shaped here is exact rational arithmetic; floats only
 appear in rendered entropy columns.  Ergodicity goes through the orbit
-components of the germ relation (linear) with an exhaustive bitset oracle
-retained for cross-checking at small sizes.
+components of the germ relation, found by a search over the generator
+graph, with an exhaustive bitset oracle retained for cross-checking at
+small sizes.
 """
 
 from __future__ import annotations
@@ -265,8 +266,8 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     eps_grid = [parse_rational(e) for e in eps_grid]
     if n_max is None:
         n_max = closure.stable_index
-    if n_max < 1:
-        raise InputError("n_max must be at least 1")
+    if not eps_grid or n_max < 1:
+        raise InputError("need a nonempty eps grid and n_max >= 1")
     n_range = range(1, min(n_max, closure.stable_index) + 1)
     rows: dict[tuple[Fraction, int], list[Fraction]] = {}
 

@@ -46,6 +46,20 @@ def _exact_loads(text: str):
         raise InputError(f"not valid JSON: {exc}") from exc
 
 
+def _label(x) -> str:
+    """A label read from a document: JSON object keys are strings, so an
+    integer becomes its decimal string (``1`` and ``"1"`` are duplicates)."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return str(x)
+    raise InputError(f"point label {x!r} must be a string or an integer")
+
+
+def _space(doc: dict) -> FiniteMetricSpace:
+    return FiniteMetricSpace([_label(p) for p in doc["points"]], doc["dist"])
+
+
 def parse_model(text: str, path: str | None = None) -> Model:
     doc = _exact_loads(text)
     if not isinstance(doc, dict):
@@ -57,7 +71,7 @@ def parse_model(text: str, path: str | None = None) -> Model:
 
     if "points" not in doc or "dist" not in doc:
         raise InputError("model needs 'points' and 'dist'")
-    space = FiniteMetricSpace(doc["points"], doc["dist"])
+    space = _space(doc)
 
     maps = []
     cores: Optional[dict] = None
@@ -65,9 +79,9 @@ def parse_model(text: str, path: str | None = None) -> Model:
         if "map" not in fragment:
             raise InputError("generator fragment needs a 'map'")
         name = fragment.get("name")
-        mapping = fragment["map"]
+        mapping = {k: _label(v) for k, v in fragment["map"].items()}
         if "dom" in fragment:
-            declared = set(fragment["dom"])
+            declared = {_label(p) for p in fragment["dom"]}
             if declared != set(mapping):
                 raise InputError(
                     f"generator {name!r}: 'dom' disagrees with the map keys")
@@ -77,7 +91,7 @@ def parse_model(text: str, path: str | None = None) -> Model:
             if name is None:
                 raise InputError("a cored generator needs a name")
             cores = cores or {}
-            cores[name] = {space.index(p) for p in fragment["core"]}
+            cores[name] = {space.index(_label(p)) for p in fragment["core"]}
     before = {PartialMap(space, m.vals) for m in maps}
     system = GeneratingSystem.build(space, maps, cores=cores)
     for g in system.generators:
@@ -105,32 +119,27 @@ def parse_model(text: str, path: str | None = None) -> Model:
                  report=report, sha256=sha, path=path)
 
 
-def load_model(path: str) -> Model:
+def _read(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read model file {path}: {exc}") from exc
-    return parse_model(text, path=path)
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def load_model(path: str) -> Model:
+    return parse_model(_read(path, "model"), path=path)
 
 
 def load_measure(path: str, space: FiniteMetricSpace) -> FiniteMeasure:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = _exact_loads(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read measure file {path}: {exc}") from exc
+    doc = _exact_loads(_read(path, "measure"))
     if "mu" not in doc:
         raise InputError("measure file needs a 'mu' object")
     return FiniteMeasure.from_dict(space, doc["mu"])
 
 
 def load_iso(path: str, space: FiniteMetricSpace) -> SpaceIso:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = _exact_loads(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read iso file {path}: {exc}") from exc
+    doc = _exact_loads(_read(path, "iso"))
     if "phi" not in doc:
         raise InputError("iso file needs a 'phi' object")
     return _read_iso(doc, space)
@@ -142,13 +151,13 @@ def _read_iso(doc: dict, space: FiniteMetricSpace) -> SpaceIso:
     phi = doc["phi"]
     if not isinstance(phi, dict):
         raise InputError("'phi' must be an object")
+    phi = {k: _label(v) for k, v in phi.items()}
     if "target" in doc:
         target = doc["target"]
         if not isinstance(target, dict) or "points" not in target \
                 or "dist" not in target:
             raise InputError("iso 'target' needs 'points' and 'dist'")
-        return SpaceIso.from_dict(
-            space, FiniteMetricSpace(target["points"], target["dist"]), phi)
+        return SpaceIso.from_dict(space, _space(target), phi)
     missing = [p for p in space.points if p not in phi]
     if missing:
         raise InputError(f"phi misses points {missing}")

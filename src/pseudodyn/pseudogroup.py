@@ -315,13 +315,10 @@ class GeneratingSystem:
 
     # -- closure ----------------------------------------------------------------
 
-    def word_closure(self, n_max: int | str = "auto") -> "WordClosure":
-        if n_max == "auto" and self._closure is not None:
-            return self._closure
-        closure = word_closure(self, n_max)
-        if n_max == "auto":
-            self._closure = closure
-        return closure
+    def word_closure(self) -> "WordClosure":
+        if self._closure is None:
+            self._closure = word_closure(self)
+        return self._closure
 
     def germ_relation(self) -> "GermRelation":
         if self._germ is None:
@@ -407,32 +404,34 @@ def table_ball(table, i: int, r, closed: bool) -> PointSet:
     return frozenset(y for y, v in enumerate(row) if v < r)
 
 
-def word_closure(sys: GeneratingSystem, n_max: int | str = "auto") -> WordClosure:
+def word_closure(sys: GeneratingSystem) -> WordClosure:
     """Breadth-first closure of the generators under composition with
-    extensional deduplication; ``auto`` runs until a round adds nothing."""
-    limit = None if n_max == "auto" else int(n_max)
-    if limit is not None and limit < 1:
-        raise InputError("n_max must be at least 1")
-    return _closure(sys, PartialMap.then, limit)
+    extensional deduplication, run until a round adds nothing."""
+    return _closure(sys, PartialMap.then)
 
 
-def _closure(sys: GeneratingSystem, compose, limit: int | None = None) -> WordClosure:
+def _letter(g: PartialMap) -> tuple[str, ...]:
+    """A generator's part of a witness word: its word, else its name."""
+    if g.word is not None:
+        return g.word
+    return (g.name,) if g.name else ("?",)
+
+
+def _closure(sys: GeneratingSystem, compose) -> WordClosure:
     """The closure loop behind every word closure: each round extends the
     newest words by one generator through ``compose(word, generator)``
-    until a round adds nothing or ``limit`` levels exist."""
+    until a round adds nothing."""
     seen: dict[PartialMap, PartialMap] = {}
     level1: list[PartialMap] = []
     for g in sys.generators:
         if g.word is None:
-            g = PartialMap(sys.space, g.vals, name=g.name,
-                           word=(g.name,) if g.name else ("?",))
+            g = PartialMap(sys.space, g.vals, name=g.name, word=_letter(g))
         if g not in seen:
             seen[g] = g
             level1.append(g)
     levels = [list(level1)]
     frontier = list(level1)
-    n = 1
-    while limit is None or n < limit:
+    while True:
         new: list[PartialMap] = []
         for b in frontier:
             for a in level1:
@@ -444,14 +443,12 @@ def _closure(sys: GeneratingSystem, compose, limit: int | None = None) -> WordCl
             break
         levels.append(levels[-1] + new)
         frontier = new
-        n += 1
-    # a truncated run reports the last computed level as the horizon
-    return WordClosure(sys.space, levels, n)
+    return WordClosure(sys.space, levels, len(levels))
 
 
 class GermRelation:
-    """All realized pairs (x, w(x)) over the stabilized closure, each tagged
-    with a shortest realizing word."""
+    """All realized pairs (x, w(x)) over the words w in the generators,
+    each tagged with a shortest realizing word."""
 
     __slots__ = ("space", "pairs", "witness")
 
@@ -461,15 +458,6 @@ class GermRelation:
         self.space = space
         self.pairs = pairs
         self.witness = witness
-
-    def __eq__(self, other):
-        return isinstance(other, GermRelation) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __contains__(self, pair):
-        return pair in self.pairs
 
     def equivalence_failure(self) -> Optional[tuple]:
         """None when the relation is an equivalence, else the first failure
@@ -516,20 +504,23 @@ class GermRelation:
 
 
 def germ_relation(sys: GeneratingSystem) -> GermRelation:
-    closure = sys.word_closure()
-    pairs: set[tuple[int, int]] = set()
+    """A word maps x to y exactly when a path of generator edges
+    z -> g(z) leads from x to y, so one breadth-first search from each
+    point finds every pair without building the word closure.  Each point
+    reached records the word of its path: a shortest witness, () at x."""
+    edges = [(g.vals, _letter(g)) for g in sys.generators]
     witness: dict[tuple[int, int], tuple[str, ...]] = {}
-    prev_len = 0
-    for level_list in closure.level_maps:
-        for g in level_list[prev_len:]:
-            for i, v in enumerate(g.vals):
-                if v is None:
-                    continue
-                if (i, v) not in pairs:
-                    pairs.add((i, v))
-                    witness[(i, v)] = g.word or ()
-        prev_len = len(level_list)
-    return GermRelation(sys.space, frozenset(pairs), witness)
+    for x in range(sys.space.n):
+        words = {x: ()}
+        queue = [x]
+        for y in queue:  # the list grows while it is read: first in, first out
+            for vals, letter in edges:
+                z = vals[y]
+                if z is not None and z not in words:
+                    words[z] = words[y] + letter
+                    queue.append(z)
+        witness.update(((x, y), word) for y, word in words.items())
+    return GermRelation(sys.space, frozenset(witness), witness)
 
 
 def compacted_system(sys: GeneratingSystem) -> GeneratingSystem:

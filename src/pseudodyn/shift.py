@@ -110,6 +110,20 @@ def shift_distance(x: ShiftPoint, y: ShiftPoint) -> Fraction:
     return total
 
 
+def _dyadic_exponent(c: int, eps: Fraction, strict: bool) -> int:
+    """The least m >= 0 with c / 2^m < eps (``strict``) or <= eps, exactly.
+
+    With eps = p/q, c/2^m < eps iff p * 2^m > c * q, and comparing bit
+    lengths leaves one candidate and its successor."""
+    if eps <= 0:
+        raise InputError("scale must be positive")
+    a, b = c * eps.denominator, eps.numerator
+    m = max(0, a.bit_length() - b.bit_length())
+    if (b << m <= a) if strict else (b << m < a):
+        m += 1
+    return m
+
+
 def window_radius(eps, mode: str = "paper") -> int:
     """Window radius for a distance scale.
 
@@ -118,39 +132,24 @@ def window_radius(eps, mode: str = "paper") -> int:
     agreement on [-m, m] forces distance <= eps, i.e. 2^(1-m) <= eps.
     """
     eps = parse_rational(eps)
-    if eps <= 0:
-        raise InputError("scale must be positive")
-    m = 0
     if mode == "paper":
-        while Fraction(1, 2 ** m) >= eps:
-            m += 1
-        return m
+        return _dyadic_exponent(1, eps, strict=True)
     if mode == "exact":
-        while Fraction(2, 2 ** m) > eps:
-            m += 1
-        return m
+        return _dyadic_exponent(2, eps, strict=False)
     raise InputError(f"unknown mode {mode!r}")
 
 
 def _largest_single_cost_at_least(eps: Fraction) -> Optional[int]:
     """max m >= 0 with 2^(-m) >= eps, or None when even m = 0 fails."""
-    if eps > 1:
-        return None
-    m = 0
-    while Fraction(1, 2 ** (m + 1)) >= eps:
-        m += 1
-    return m
+    m = _dyadic_exponent(1, eps, strict=True) - 1
+    return None if m < 0 else m
 
 
 def _strict_tail_radius(eps: Fraction) -> Optional[int]:
     """max m >= 0 with 2^(-m) > eps, or None (cost of one disagreement must
     exceed eps for the coordinate to be forced)."""
-    if eps >= 1:
-        return None
-    m = 0
-    while Fraction(1, 2 ** (m + 1)) > eps:
-        m += 1
-    return m
+    m = _dyadic_exponent(1, eps, strict=False) - 1
+    return None if m < 0 else m
 
 
 @dataclass(frozen=True)
@@ -324,15 +323,11 @@ class ShiftSeparationBounds:
 
 def htop_shift(eps, n: int) -> ShiftSeparationBounds:
     eps = parse_rational(eps)
-    if eps <= 0:
-        raise InputError("scale must be positive")
+    u = _largest_single_cost_at_least(eps)
     if n < 0:
         raise InputError("n must be nonnegative")
-    u = _largest_single_cost_at_least(eps)
     lower = 1 if u is None else 2 ** (2 * (n + u) + 1)
-    m = 0
-    while not Fraction(2, 2 ** m) < eps:
-        m += 1
+    m = _dyadic_exponent(2, eps, strict=True)
     upper = 2 ** (2 * (n + m) + 1)
     rate_lower = None
     rate_upper = None

@@ -28,7 +28,7 @@ class FiniteMetricSpace:
     Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("points", "dist", "_index", "_grid", "_ranks", "_ball_masks")
+    __slots__ = ("points", "dist", "_index", "_ranks", "_ball_masks")
 
     def __init__(self, points: Sequence, dist: Sequence[Sequence]):
         pts = tuple(points)
@@ -70,7 +70,6 @@ class FiniteMetricSpace:
         self.points = pts
         self.dist = matrix
         self._index = {p: i for i, p in enumerate(pts)}
-        self._grid = None
         self._ranks = None
         self._ball_masks = {}
 
@@ -116,10 +115,7 @@ class FiniteMetricSpace:
         between consecutive grid values, so this is the canonical candidate
         list for radii and thresholds.
         """
-        if self._grid is None:
-            vals = {self.dist[i][j] for i in range(self.n) for j in range(self.n)} - {Fraction(0)}
-            self._grid = sorted(vals)
-        return list(self._grid)
+        return list(self.distance_ranks()[1][1:])
 
     def distance_ranks(self) -> tuple[tuple, tuple]:
         """``(ranks, values)``: ``ranks[i][j]`` is the position of d(i, j)
@@ -127,12 +123,19 @@ class FiniteMetricSpace:
 
         Ranks order exactly as the distances do, so a max or a comparison
         over distances can run over small integers and map back through
-        ``values`` once.  Built on first use; the space is immutable.
+        ``values`` once.  Built on first use, with the grid, in one pass that
+        hashes each upper-triangle distance once; the space is immutable.
         """
         if self._ranks is None:
-            values = (Fraction(0), *self.distance_grid())
-            pos = {v: k for k, v in enumerate(values)}
-            ranks = tuple(tuple(pos[v] for v in row) for row in self.dist)
+            ids: dict[Fraction, int] = {}
+            seen: list[list[int]] = []
+            for i, row in enumerate(self.dist):
+                # the matrix is symmetric: hash the upper triangle only
+                seen.append([above[i] for above in seen]
+                            + [ids.setdefault(v, len(ids)) for v in row[i:]])
+            values = tuple(sorted(ids))
+            rank_of = {ids[v]: k for k, v in enumerate(values)}
+            ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in seen)
             self._ranks = (ranks, values)
         return self._ranks
 

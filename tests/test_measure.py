@@ -119,6 +119,14 @@ def test_local_entropy_empty_grid_is_input_error(line, line_system):
                       GeneratingSystem.build(one, []), "a")
 
 
+def test_homogeneity_empty_grid_is_input_error(line, identity_system):
+    """No scale means nothing to check: refuse instead of answering ok
+    (the default grid finds the point mass inhomogeneous)."""
+    pm = FiniteMeasure.point_mass(line, "a")
+    with pytest.raises(InputError, match="eps grid"):
+        is_homogeneous(pm, identity_system, eps_grid=[])
+
+
 def test_positive_limit_impossible_with_positive_stabilized_measure():
     """Meta-scan: whenever the stabilized ball keeps positive measure the
     reported limit is zero, across random instances."""

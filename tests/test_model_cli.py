@@ -185,6 +185,49 @@ def test_cli_entropy_one_point_model_is_input_error(tmp_path, capsys):
     assert "eps grid" in capsys.readouterr().err
 
 
+def test_cli_check_homogeneous_one_point_model_is_input_error(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"points": ["a"], "dist": [[0]],
+                                "generators": [], "mu": {"a": 1}}))
+    code = main(["check", "--model", str(path), "--what", "homogeneous"])
+    assert code == 2
+    assert "eps grid" in capsys.readouterr().err
+
+
+def test_integer_point_labels_are_strings(tmp_path, capsys):
+    """JSON object keys are strings, so integer labels are read as their
+    decimal strings everywhere: points, maps, dom, core, phi, and --x."""
+    doc = {"points": [2, 0, 1], "dist": LINE_MODEL["dist"],
+           "generators": [{"name": "g", "dom": [2, 0], "map": {"2": 0, "0": 1},
+                           "core": [2]}],
+           "mu": {"2": "1/2", "0": "1/2", "1": 0},
+           "phi": {"2": 5, "0": "q", "1": "r"}}
+    model = parse_model(json.dumps(doc))
+    assert model.space.points == ("2", "0", "1")
+    assert model.system.cores[1] == {0}
+    assert model.measure.weight("0") == Fraction(1, 2)
+    assert model.iso.dst.points == ("5", "q", "r")
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc))
+    code = main(["--format", "json", "ball", "--model", str(path),
+                 "--x", "0", "--n", "1", "--eps", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["result"]["center"] == "0"
+    assert out["result"]["members"] == ["0"]
+
+
+@pytest.mark.parametrize("points", [[1, "1"], ["a", [1]], ["a", True]])
+def test_cli_bad_point_labels_are_input_error(tmp_path, capsys, points):
+    """Labels that meet as strings are duplicates; only strings and
+    integers are labels."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"points": points, "dist": [[0, 1], [1, 0]]}))
+    code = main(["check", "--model", str(path), "--what", "ergodic"])
+    assert code == 2
+    assert "label" in capsys.readouterr().err
+
+
 def test_cli_conjugate_entropy(model_path, capsys):
     code = main(["--format", "json", "conjugate", "--model", model_path,
                  "--check", "entropy"])

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import (FiniteMetricSpace, GeneratingSystem, GermRelation,
-                       InputError, PartialMap, PreconditionError,
-                       compacted_system, compose, goodness_check, invert,
-                       is_unbounded, raw_word_maps, restrict, separation_radius)
+from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
+                       GermRelation, InputError, PartialMap, PreconditionError,
+                       SpaceIso, compacted_system, compose, conjugate_system,
+                       goodness_check, invariant_sets, invert, is_ergodic,
+                       is_unbounded, pseudogroup, raw_word_maps, restrict,
+                       separation_radius)
 from pseudodyn.pseudogroup import spread_table, table_ball
 from pseudodyn.probes import InstanceSpec, random_genome
 
@@ -86,11 +88,6 @@ def test_closure_monotone_and_stable(line_system):
         == closure.maps_at(closure.stable_index + 5)
 
 
-def test_truncated_closure(line_system):
-    partial = line_system.word_closure(n_max=1)
-    assert len(partial.level_maps) == 1
-
-
 def test_germ_relation_examples(line, line_system, identity_system):
     germ = line_system.germ_relation()
     assert germ.pairs == {(i, j) for i in range(3) for j in range(3)}
@@ -122,6 +119,103 @@ def test_germ_witness_words_are_shortest(line_system):
     assert germ.witness[(0, 0)] == ()       # identity
     assert germ.witness[(0, 1)] == ("g",)
     assert len(germ.witness[(0, 2)]) == 2   # a -> c needs two letters
+
+
+def reference_germ_relation(system):
+    """The closure scan: every pair (i, g(i)) of every closure map, level
+    by level, each with the word of the first map that realizes it."""
+    closure = system.word_closure()
+    witness = {}
+    prev_len = 0
+    for level_list in closure.level_maps:
+        for g in level_list[prev_len:]:
+            for i, v in enumerate(g.vals):
+                if v is not None and (i, v) not in witness:
+                    witness[i, v] = g.word or ()
+        prev_len = len(level_list)
+    return witness
+
+
+def apply_word(system, word, x):
+    """Apply a witness word one letter at a time (application order)."""
+    by_letter = {}
+    for g in system.generators:
+        letter = g.word if g.word is not None else (g.name or "?",)
+        if letter:
+            assert by_letter.setdefault(letter, g.vals) == g.vals
+    for letter in word:
+        x = by_letter[(letter,)][x]
+        assert x is not None
+    return x
+
+
+def assert_germ_matches_reference(system):
+    germ = system.germ_relation()
+    reference = reference_germ_relation(system)
+    assert germ.pairs == set(reference)
+    assert set(germ.witness) == germ.pairs
+    for (x, y), word in germ.witness.items():
+        assert len(word) == len(reference[x, y])
+        assert apply_word(system, word, x) == y
+
+
+def permuted_conjugate(system, rng):
+    space = system.space
+    fwd = rng.sample(range(space.n), space.n)
+    dst = FiniteMetricSpace([f"p{k}" for k in range(space.n)], space.dist)
+    return conjugate_system(system, SpaceIso(space, dst, fwd))
+
+
+def test_germ_relation_matches_closure_scan_on_seeded_instances():
+    """Seeded default-spec instances, their core-restricted systems (not
+    symmetric) and conjugates under a random relabelling."""
+    rng = random.Random("germ-conjugates")
+    spec = InstanceSpec(seed="germ-bfs", count=150)
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        assert_germ_matches_reference(sys_i)
+        assert_germ_matches_reference(permuted_conjugate(sys_i, rng))
+        if sys_i.has_cores:
+            assert_germ_matches_reference(compacted_system(sys_i))
+
+
+def test_germ_relation_matches_closure_scan_on_criterion_10_stream():
+    """The first 30 instances of the ergodicity criterion's stream, |X| up
+    to 15; instance 34 alone has a 1.19M-map closure, too large for a unit
+    test, and criterion 10 checks its orbits against the subset oracle."""
+    spec = InstanceSpec(seed="acceptance-10", count=30, n_points=(4, 15),
+                        n_generators=(1, 2))
+    for idx in range(spec.count):
+        assert_germ_matches_reference(random_genome(spec, idx).build()[0])
+
+
+def test_germ_relation_unnamed_generator(line):
+    unnamed = PartialMap.from_dict(line, {"a": "b", "b": "c"})
+    system = GeneratingSystem(line, [PartialMap.identity(line), unnamed],
+                              check_symmetric=False)
+    assert_germ_matches_reference(system)
+    germ = system.germ_relation()
+    assert germ.pairs == {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}
+    assert germ.witness[(0, 2)] == ("?", "?")
+
+
+def test_orbit_questions_build_no_closure(monkeypatch):
+    """The germ relation, and every orbit question read from it, comes
+    from the generator graph: the closure loop is never entered."""
+    def no_closure(*args):
+        raise AssertionError("word closure built")
+
+    monkeypatch.setattr(pseudogroup, "_closure", no_closure)
+    spec = InstanceSpec(seed="germ-no-closure", count=10)
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        assert sys_i.germ_relation().equivalence_failure() is None
+        assert invariant_sets(sys_i)
+        assert is_ergodic(FiniteMeasure.uniform(sys_i.space), sys_i).components
+        if sys_i.has_cores:
+            goodness_check(sys_i)
+    with pytest.raises(AssertionError, match="closure built"):
+        sys_i.word_closure()
 
 
 def test_compose_associative_on_closure(line_system):

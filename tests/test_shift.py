@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from pseudodyn import (BernoulliSpec, Cylinder, InputError, ShiftPoint,
                        dyn_ball_cylinder_bounds, htop_shift,
                        measure_entropy_shift, shift_distance,
                        shift_expansiveness_verdict, window_radius)
-from pseudodyn.shift import (are_separated, ball_contains,
+from pseudodyn.shift import (_largest_single_cost_at_least,
+                             _strict_tail_radius, are_separated, ball_contains,
                              bernoulli_invariance_report,
                              separated_witness_points,
                              shift_countably_expansive,
@@ -67,6 +69,68 @@ def test_window_radius_exact_mode():
     assert window_radius(Fraction(2), "exact") == 0
     with pytest.raises(InputError):
         window_radius(0)
+
+
+def reference_dyadic_radii(eps):
+    """The five loops the exact dyadic helper replaced: window_radius in
+    both modes, the two largest-exponent forms, and htop_shift's upper
+    radius."""
+    paper = 0
+    while Fraction(1, 2 ** paper) >= eps:
+        paper += 1
+    exact = 0
+    while Fraction(2, 2 ** exact) > eps:
+        exact += 1
+    largest = None
+    if eps <= 1:
+        largest = 0
+        while Fraction(1, 2 ** (largest + 1)) >= eps:
+            largest += 1
+    tail = None
+    if eps < 1:
+        tail = 0
+        while Fraction(1, 2 ** (tail + 1)) > eps:
+            tail += 1
+    upper = 0
+    while not Fraction(2, 2 ** upper) < eps:
+        upper += 1
+    return paper, exact, largest, tail, upper
+
+
+def test_dyadic_radii_match_reference_loops():
+    """Exact powers of two, values a millionth either side, and random
+    rationals."""
+    rng = random.Random("dyadic")
+    nudge = Fraction(1, 10 ** 6)
+    values = [Fraction(2) ** k * f for k in range(-12, 4)
+              for f in (1, 1 - nudge, 1 + nudge)]
+    values += [Fraction(3, 5), Fraction(3, 10), Fraction(1, 100), Fraction(7, 2)]
+    values += [Fraction(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
+               for _ in range(40)]
+    for eps in values:
+        upper = htop_shift(eps, 0).upper.bit_length() // 2 - 1  # 2^(2m+1)
+        assert (window_radius(eps), window_radius(eps, "exact"),
+                _largest_single_cost_at_least(eps), _strict_tail_radius(eps),
+                upper) == reference_dyadic_radii(eps)
+
+
+def test_nonpositive_scale_is_input_error():
+    """separated_witness_points once looped forever at eps <= 0."""
+    def hang(signum, frame):
+        raise TimeoutError("no answer within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for eps in (0, Fraction(-1, 4)):
+            for call in (lambda: separated_witness_points(1, eps),
+                         lambda: htop_shift(eps, 1),
+                         lambda: window_radius(eps, "exact")):
+                with pytest.raises(InputError, match="scale must be positive"):
+                    call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_dyn_ball_cylinder_examples():
