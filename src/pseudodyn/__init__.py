@@ -15,12 +15,9 @@ from .pseudogroup import (
     PartialMap,
     WordClosure,
     compacted_system,
-    compose,
     germ_relation,
     goodness_check,
-    invert,
     raw_word_maps,
-    restrict,
     separation_radius,
     word_closure,
 )
@@ -74,7 +71,6 @@ from .morphism import (
 from .equicont import (
     EquicontinuityCertificate,
     equicontinuity_modulus,
-    local_agreement_radius,
     no_expansive_certificate_good,
     no_expansive_certificate_group,
 )

@@ -206,11 +206,10 @@ def cmd_entropy(args) -> tuple[int, object]:
     grid = None
     if args.eps_grid != "auto":
         grid = [parse_rational(v) for v in args.eps_grid.split(",")]
-    table = measure.local_entropy(mu, model.system, args.x, side=args.side,
+    table = measure.local_entropy(mu, model.system, args.x,
                                   eps_grid=grid, n_max=args.n_max)
     payload = {
         "x": table.x,
-        "side": table.side,
         "cells": [{"eps": c.eps, "n": c.n, "ball_measure": c.ball_measure,
                    "value": c.value} for c in table.cells],
         "limit": table.limit,
@@ -319,8 +318,8 @@ def cmd_equicont(args) -> tuple[int, object]:
         rep = equicont.no_expansive_certificate_good(sysm)
         payload = {
             "mode": "core-restricted",
-            "rows": [{"rho": r.rho, "delta": r.delta, "lambda": r.lam,
-                      "xi": r.xi, "inclusion_ok": r.inclusion_ok}
+            "rows": [{"rho": r.rho, "delta": r.delta, "xi": r.xi,
+                      "inclusion_ok": r.inclusion_ok}
                      for r in rep.rows],
             "all_ok": rep.all_ok,
             "conclusion": rep.conclusion,
@@ -481,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--measure")
     p.add_argument("--x", required=True)
-    p.add_argument("--side", choices=["lower", "upper"], default="upper")
     p.add_argument("--eps-grid", default="auto")
     p.add_argument("--n-max", type=int, default=None)
 

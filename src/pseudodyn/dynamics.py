@@ -38,9 +38,6 @@ class BallReport:
     members: PointSet
     exclusions: dict[int, tuple[PartialMap, Fraction]] = field(repr=False)
 
-    def member_labels(self, space) -> tuple:
-        return space.labels_of(self.members)
-
 
 def dyn_ball(sys: GeneratingSystem, x, n: int, eps, closed: bool = False,
              closure: WordClosure | None = None) -> BallReport:
@@ -258,9 +255,9 @@ class HTopTable:
     note: str
 
 
-def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8,
-                mode: str | None = None) -> HTopTable:
-    """Separated-count table with growth rates.
+def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8) -> HTopTable:
+    """Separated-count table with growth rates: exact counts up to
+    ``EXACT_CLIQUE_CAP`` points, greedy bounds above.
 
     On a finite space the counts are bounded by |X|, so the reported limit
     is 0; the rows still show the per-(n, eps) structure.
@@ -270,8 +267,7 @@ def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8,
     eps_grid = [parse_rational(e) for e in eps_grid]
     if not eps_grid or n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
-    if mode is None:
-        mode = "exact" if sys.space.n <= EXACT_CLIQUE_CAP else "greedy"
+    mode = "exact" if sys.space.n <= EXACT_CLIQUE_CAP else "greedy"
     closure = sys.word_closure()
     rows = []
     for eps in eps_grid:

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .errors import CapabilityError, PreconditionError
-from .measure import expansiveness_verdict
-from .pseudogroup import (GeneratingSystem, PartialMap, compacted_system,
-                          spread_table, table_ball)
+from .errors import CapabilityError, InputError, PreconditionError
+from .pseudogroup import (GeneratingSystem, compacted_system, spread_table,
+                          table_ball)
 from .rational import UNBOUNDED, is_unbounded, parse_rational
 from .space import FiniteMetricSpace
 
@@ -67,7 +65,7 @@ def modulus_at(maps, space: FiniteMetricSpace, eps):
 
 
 def equicontinuity_modulus(maps, space: FiniteMetricSpace,
-                           eps_grid=None, scope: str = "closure") -> EquicontinuityCertificate:
+                           eps_grid=None) -> EquicontinuityCertificate:
     """One spread table serves every grid eps.  Each finite delta's witness
     is the first (map, i, j) that spreads a pair at distance delta to eps,
     scanning maps in order and i < j over each sorted domain."""
@@ -87,7 +85,7 @@ def equicontinuity_modulus(maps, space: FiniteMetricSpace,
              and dist[g.vals[i]][g.vals[j]] >= eps),
             None)
     isometric = all(table.get(e) == e for e in eps_grid)
-    return EquicontinuityCertificate(scope=scope, table=table,
+    return EquicontinuityCertificate(scope="closure", table=table,
                                      witnesses=witnesses, isometric=isometric)
 
 
@@ -112,8 +110,15 @@ def _inclusion_failures(space: FiniteMetricSpace, delta, table, rho) -> list[int
             <= table_ball(table, x, rho, closed=True)]
 
 
-def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusionReport:
+def _radius(rho) -> Fraction:
     rho = parse_rational(rho)
+    if rho < 0:
+        raise InputError("radius must be nonnegative")
+    return rho
+
+
+def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusionReport:
+    rho = _radius(rho)
     if not all(g.is_total() for g in sys.generators):
         raise CapabilityError(
             "generators are not all total; use the core-restricted variant"
@@ -138,64 +143,9 @@ def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusion
 
 
 @dataclass(frozen=True)
-class AgreementRadiusReport:
-    value: object  # Fraction or UNBOUNDED
-    counterexample: Optional[tuple]  # (map, x label, y label) with no agreeing extension
-
-
-def local_agreement_radius(sys: GeneratingSystem,
-                           closure_maps=None) -> AgreementRadiusReport:
-    """Largest grid radius under which every core-restricted word agrees,
-    at any two sufficiently close domain points, with a single map of the
-    ambient closure.
-
-    With the ambient closure itself as the reference family every
-    restricted word is matched by its unrestricted extension, so the
-    radius is unbounded; a genuinely smaller reference family can fail,
-    and then the report carries the witnessing (map, pair).
-    """
-    if not sys.has_cores:
-        raise PreconditionError("agreement radius requires cores")
-    space = sys.space
-    compacted = compacted_system(sys)
-    small = compacted.word_closure().stabilized_maps
-    if closure_maps is None:
-        closure_maps = sys.word_closure().stabilized_maps
-    closure_list = list(closure_maps)
-
-    def pair_ok(g: PartialMap, i: int, j: int) -> bool:
-        gi, gj = g.vals[i], g.vals[j]
-        for h in closure_list:
-            if h.vals[i] == gi and h.vals[j] == gj:
-                return True
-        return False
-
-    def works(lam) -> Optional[tuple]:
-        for g in small:
-            dom = sorted(g.dom)
-            for i in dom:
-                for j in dom:
-                    if lam is not None and space.dist[i][j] >= lam:
-                        continue
-                    if not pair_ok(g, i, j):
-                        return (g, space.label(i), space.label(j))
-        return None
-
-    if works(None) is None:
-        return AgreementRadiusReport(value=UNBOUNDED, counterexample=None)
-    grid = space.distance_grid()
-    for lam in reversed(grid):
-        if works(lam) is None:
-            return AgreementRadiusReport(value=lam, counterexample=None)
-    witness = works(grid[0]) if grid else works(None)
-    return AgreementRadiusReport(value=None, counterexample=witness)
-
-
-@dataclass(frozen=True)
 class GoodInclusionRow:
     rho: Fraction
     delta: object
-    lam: object
     xi: object
     inclusion_ok: bool
 
@@ -204,40 +154,39 @@ class GoodInclusionRow:
 class GoodInclusionReport:
     rows: list[GoodInclusionRow]
     all_ok: bool
-    agreement: AgreementRadiusReport
     conclusion: str
 
 
 def no_expansive_certificate_good(sys: GeneratingSystem,
                                   rho_grid=None) -> GoodInclusionReport:
-    """Core-restricted analogue: with xi = min(modulus(rho), agreement
-    radius), open xi-balls sit inside the core-restricted Bowen rho-balls,
-    point by point and for every grid rho.
+    """Core-restricted analogue: open xi-balls sit inside the
+    core-restricted Bowen rho-balls, point by point and for every grid rho,
+    where xi is the modulus at rho, or the diameter where the modulus is
+    unbounded.
 
-    Every core-restricted word is a restriction of an ambient word, so the
-    agreement radius against the ambient closure is unbounded by
-    construction (see ``local_agreement_radius``) and xi is the modulus,
-    or the diameter where the modulus is unbounded.
+    Every core-restricted word is a restriction of an ambient word, so each
+    one agrees with a map of the ambient closure at any two points of its
+    domain, and the modulus alone bounds xi.
     """
     if not sys.has_cores:
         raise PreconditionError("this certificate requires cores")
     space = sys.space
-    closure = sys.word_closure()
-    spread = closure.constraint_table(closure.stable_index)
-    agreement = AgreementRadiusReport(value=UNBOUNDED, counterexample=None)
-    core_closure = compacted_system(sys).word_closure()
-    ctable = core_closure.constraint_table(core_closure.stable_index)
     if rho_grid is None:
         rho_grid = space.distance_grid()
+    rho_grid = [_radius(r) for r in rho_grid]
+    closure = sys.word_closure()
+    spread = closure.constraint_table(closure.stable_index)
+    core_closure = compacted_system(sys).word_closure()
+    ctable = core_closure.constraint_table(core_closure.stable_index)
     rows = []
     all_ok = True
     diameter = space.diameter()
-    for rho in [parse_rational(r) for r in rho_grid]:
+    for rho in rho_grid:
         delta = _modulus(spread, space, rho)[0]
         xi = diameter if is_unbounded(delta) else delta
         ok = not _inclusion_failures(space, xi, ctable, rho)
-        rows.append(GoodInclusionRow(rho=rho, delta=delta, lam=agreement.value,
-                                     xi=xi, inclusion_ok=ok))
+        rows.append(GoodInclusionRow(rho=rho, delta=delta, xi=xi,
+                                     inclusion_ok=ok))
         all_ok = all_ok and ok
     conclusion = (
         "open xi-balls land inside the core-restricted Bowen balls at every "
@@ -245,18 +194,5 @@ def no_expansive_certificate_good(sys: GeneratingSystem,
         "measure is weakly expansive for the core-restricted system"
         if all_ok else "an inclusion failed; no conclusion"
     )
-    return GoodInclusionReport(rows=rows, all_ok=all_ok, agreement=agreement,
-                               conclusion=conclusion)
+    return GoodInclusionReport(rows=rows, all_ok=all_ok, conclusion=conclusion)
 
-
-def sweep_measures_never_weakly_expansive(sys: GeneratingSystem, measures,
-                                          rho_grid=None) -> bool:
-    """Cross-check against the measure module: every supplied measure gets
-    verdict 'neither' at every grid rho."""
-    if rho_grid is None:
-        rho_grid = sys.space.distance_grid()
-    for mu in measures:
-        for rho in rho_grid:
-            if expansiveness_verdict(mu, sys, rho).weakly_expansive:
-                return False
-    return True

@@ -68,9 +68,6 @@ class FiniteMeasure:
     def atoms(self) -> PointSet:
         return frozenset(i for i, w in enumerate(self.weights) if w > 0)
 
-    def as_dict(self) -> dict:
-        return {self.space.label(i): w for i, w in enumerate(self.weights)}
-
 
 # -- invariance and ergodicity -------------------------------------------------
 
@@ -188,28 +185,33 @@ class EntropyCell:
 @dataclass(frozen=True)
 class LocalEntropyTable:
     x: object
-    side: str
     cells: list[EntropyCell]
     limit: float  # 0.0 when the stabilized ball keeps positive measure
 
 
+def _scales(eps_grid) -> list[Fraction]:
+    """The parsed grid; a scale <= 0 has empty open balls, so it is an
+    input error rather than a zero ball measure."""
+    scales = [parse_rational(e) for e in eps_grid]
+    if any(e <= 0 for e in scales):
+        raise InputError("scale must be positive")
+    return scales
+
+
 def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
-                  side: str = "upper", eps_grid=None,
-                  n_max: int | None = None) -> LocalEntropyTable:
+                  eps_grid=None, n_max: int | None = None) -> LocalEntropyTable:
     """Table of -(1/n) log mu(B_n(x, eps)) over the (eps, n) grid.
 
     Balls stabilize with n on a finite space, so the large-n limit is 0
     whenever the stabilized ball keeps positive measure and +inf otherwise;
-    liminf and limsup coincide and the ``side`` tag is informational.
+    liminf and limsup coincide.
     """
-    if side not in ("lower", "upper"):
-        raise InputError("side must be 'lower' or 'upper'")
     space = sys.space
     xi = space.index(x)
     closure = sys.word_closure()
     if eps_grid is None:
         eps_grid = space.distance_grid()
-    eps_grid = [parse_rational(e) for e in eps_grid]
+    eps_grid = _scales(eps_grid)
     if n_max is None:
         n_max = closure.stable_index
     if not eps_grid or n_max < 1:
@@ -225,7 +227,7 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     stab_m = mu(table_ball(closure.constraint_table(closure.stable_index),
                            xi, smallest, closed=False))
     limit = 0.0 if stab_m > 0 else math.inf
-    return LocalEntropyTable(x=space.label(xi), side=side, cells=cells, limit=limit)
+    return LocalEntropyTable(x=space.label(xi), cells=cells, limit=limit)
 
 
 # -- homogeneity -----------------------------------------------------------------
@@ -245,8 +247,6 @@ class HomogeneityReport:
     witnesses: dict
     degenerate: bool  # some comparison cell had measure zero on both sides
     counterexample: Optional[tuple]  # (eps, x label, y label, n)
-    finite_mass: bool = True     # compact subsets have finite measure
-    positive_core: bool = True   # some compact subset has positive measure
 
 
 def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
@@ -263,7 +263,7 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     grid = space.distance_grid()
     if eps_grid is None:
         eps_grid = grid
-    eps_grid = [parse_rational(e) for e in eps_grid]
+    eps_grid = _scales(eps_grid)
     if n_max is None:
         n_max = closure.stable_index
     if not eps_grid or n_max < 1:
@@ -453,7 +453,7 @@ def entropy_criterion_check(mu: FiniteMeasure, sys: GeneratingSystem,
     for xi in range(sys.space.n):
         label = sys.space.label(xi)
         limits[label] = local_entropy(
-            mu, sys, label, side="upper", eps_grid=eps_grid, n_max=1).limit
+            mu, sys, label, eps_grid=eps_grid, n_max=1).limit
     values = list(limits.values())
     constant = (len(set(values)) == 1) if hom_report.ok else None
     positive = bool(values) and min(values) > 0

@@ -46,6 +46,17 @@ def _exact_loads(text: str):
         raise InputError(f"not valid JSON: {exc}") from exc
 
 
+_KINDS = {list: "a list", dict: "an object", str: "a string"}
+
+
+def _shaped(value, kind: type, what: str):
+    """``value`` once it is checked to be a list, an object or a string:
+    every value read from a document passes here before it is used."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what} must be {_KINDS[kind]}")
+    return value
+
+
 def _label(x) -> str:
     """A label read from a document: JSON object keys are strings, so an
     integer becomes its decimal string (``1`` and ``"1"`` are duplicates)."""
@@ -57,13 +68,14 @@ def _label(x) -> str:
 
 
 def _space(doc: dict) -> FiniteMetricSpace:
-    return FiniteMetricSpace([_label(p) for p in doc["points"]], doc["dist"])
+    points = [_label(p) for p in _shaped(doc["points"], list, "'points'")]
+    dist = [_shaped(row, list, "a 'dist' row")
+            for row in _shaped(doc["dist"], list, "'dist'")]
+    return FiniteMetricSpace(points, dist)
 
 
 def parse_model(text: str, path: str | None = None) -> Model:
-    doc = _exact_loads(text)
-    if not isinstance(doc, dict):
-        raise InputError("model file must be a JSON object")
+    doc = _shaped(_exact_loads(text), dict, "a model file")
     schema = doc.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise InputError(f"unsupported schema version {schema!r}")
@@ -75,13 +87,17 @@ def parse_model(text: str, path: str | None = None) -> Model:
 
     maps = []
     cores: Optional[dict] = None
-    for fragment in doc.get("generators", []):
-        if "map" not in fragment:
+    for fragment in _shaped(doc.get("generators", []), list, "'generators'"):
+        if "map" not in _shaped(fragment, dict, "a generator fragment"):
             raise InputError("generator fragment needs a 'map'")
         name = fragment.get("name")
-        mapping = {k: _label(v) for k, v in fragment["map"].items()}
+        if name is not None:
+            _shaped(name, str, "a generator 'name'")
+        mapping = {k: _label(v) for k, v in
+                   _shaped(fragment["map"], dict, "a generator 'map'").items()}
         if "dom" in fragment:
-            declared = {_label(p) for p in fragment["dom"]}
+            declared = {_label(p) for p in
+                        _shaped(fragment["dom"], list, "a generator 'dom'")}
             if declared != set(mapping):
                 raise InputError(
                     f"generator {name!r}: 'dom' disagrees with the map keys")
@@ -91,7 +107,8 @@ def parse_model(text: str, path: str | None = None) -> Model:
             if name is None:
                 raise InputError("a cored generator needs a name")
             cores = cores or {}
-            cores[name] = {space.index(_label(p)) for p in fragment["core"]}
+            cores[name] = {space.index(_label(p)) for p in
+                           _shaped(fragment["core"], list, "a generator 'core'")}
     before = {PartialMap(space, m.vals) for m in maps}
     system = GeneratingSystem.build(space, maps, cores=cores)
     for g in system.generators:
@@ -106,7 +123,7 @@ def parse_model(text: str, path: str | None = None) -> Model:
 
     measure = None
     if "mu" in doc:
-        measure = FiniteMeasure.from_dict(space, doc["mu"])
+        measure = FiniteMeasure.from_dict(space, _shaped(doc["mu"], dict, "'mu'"))
 
     iso = None
     if "phi" in doc:
@@ -132,14 +149,14 @@ def load_model(path: str) -> Model:
 
 
 def load_measure(path: str, space: FiniteMetricSpace) -> FiniteMeasure:
-    doc = _exact_loads(_read(path, "measure"))
+    doc = _shaped(_exact_loads(_read(path, "measure")), dict, "a measure file")
     if "mu" not in doc:
         raise InputError("measure file needs a 'mu' object")
-    return FiniteMeasure.from_dict(space, doc["mu"])
+    return FiniteMeasure.from_dict(space, _shaped(doc["mu"], dict, "'mu'"))
 
 
 def load_iso(path: str, space: FiniteMetricSpace) -> SpaceIso:
-    doc = _exact_loads(_read(path, "iso"))
+    doc = _shaped(_exact_loads(_read(path, "iso")), dict, "an iso file")
     if "phi" not in doc:
         raise InputError("iso file needs a 'phi' object")
     return _read_iso(doc, space)
@@ -148,14 +165,10 @@ def load_iso(path: str, space: FiniteMetricSpace) -> SpaceIso:
 def _read_iso(doc: dict, space: FiniteMetricSpace) -> SpaceIso:
     """The bijection ``phi`` onto the document's ``target`` space or, when
     there is none, onto a relabelled copy of ``space``."""
-    phi = doc["phi"]
-    if not isinstance(phi, dict):
-        raise InputError("'phi' must be an object")
-    phi = {k: _label(v) for k, v in phi.items()}
+    phi = {k: _label(v) for k, v in _shaped(doc["phi"], dict, "'phi'").items()}
     if "target" in doc:
-        target = doc["target"]
-        if not isinstance(target, dict) or "points" not in target \
-                or "dist" not in target:
+        target = _shaped(doc["target"], dict, "iso 'target'")
+        if "points" not in target or "dist" not in target:
             raise InputError("iso 'target' needs 'points' and 'dist'")
         return SpaceIso.from_dict(space, _space(target), phi)
     missing = [p for p in space.points if p not in phi]

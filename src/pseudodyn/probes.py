@@ -41,9 +41,7 @@ class InstanceSpec:
     domain_density: tuple[float, float] = (0.3, 0.9)
     core_density: tuple[float, float] = (0.3, 0.9)
     total_fraction: float = 0.2
-    with_cores: bool = True
     measure_family: str = "mix"  # uniform | random | point | mix
-    max_distance: int = 4
 
 
 @dataclass
@@ -142,10 +140,10 @@ def random_genome(spec: InstanceSpec, index: int) -> Genome:
     rng = _instance_rng(spec, index)
     n = rng.randint(*spec.n_points)
     labels = [f"p{i}" for i in range(n)]
-    dist = random_space_matrix(rng, n, spec.max_distance)
+    dist = random_space_matrix(rng, n, 4)  # edge weights 1..4
     n_gens = rng.randint(*spec.n_generators)
     gens = []
-    cores: Optional[dict] = {} if spec.with_cores else None
+    cores = {}
     for k in range(n_gens):
         name = f"g{k}"
         # total maps only on small spaces: a pair of large random
@@ -159,11 +157,10 @@ def random_genome(spec: InstanceSpec, index: int) -> Genome:
         targets = rng.sample(range(n), len(dom))
         mapping = {labels[a]: labels[b] for a, b in zip(dom, targets)}
         gens.append((name, mapping))
-        if cores is not None:
-            density = rng.uniform(*spec.core_density)
-            csize = max(1, min(len(dom), round(density * len(dom))))
-            core = rng.sample(sorted(mapping), csize)
-            cores[name] = set(core)
+        density = rng.uniform(*spec.core_density)
+        csize = max(1, min(len(dom), round(density * len(dom))))
+        core = rng.sample(sorted(mapping), csize)
+        cores[name] = set(core)
     family = spec.measure_family
     if family == "mix":
         family = rng.choice(["uniform", "random", "random", "point"])

@@ -128,9 +128,6 @@ class PartialMap:
     def ran(self) -> PointSet:
         return frozenset(v for v in self.vals if v is not None)
 
-    def defined_at(self, i: int) -> bool:
-        return self.vals[i] is not None
-
     def apply(self, i: int) -> int:
         v = self.vals[i]
         if v is None:
@@ -184,19 +181,6 @@ class PartialMap:
 
 def _invert_letter(letter: str) -> str:
     return letter[:-3] if letter.endswith("^-1") else letter + "^-1"
-
-
-def compose(g: PartialMap, h: PartialMap) -> PartialMap:
-    """Composite ``h`` after ``g``; the empty-domain result is legal output."""
-    return g.then(h)
-
-
-def invert(g: PartialMap) -> PartialMap:
-    return g.inverse()
-
-
-def restrict(g: PartialMap, subset: Iterable[int]) -> PartialMap:
-    return g.restrict(subset)
 
 
 class GeneratingSystem:

@@ -6,6 +6,7 @@ floats only ever appear in rendered log/entropy columns.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -55,7 +56,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         # Read the float as the decimal literal it prints as; model files
         # should prefer 'p/q' strings, and the JSON loader parses decimal
-        # literals exactly before a float is ever constructed.
+        # literals exactly before a float is ever constructed.  The JSON
+        # constants Infinity and NaN arrive as the only non-finite floats.
+        if not math.isfinite(value):
+            raise InputError(f"not a rational: {value!r}")
         return Fraction(str(value))
     raise InputError(f"cannot parse rational from {value!r}")
 

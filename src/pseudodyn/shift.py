@@ -200,9 +200,6 @@ class BernoulliSpec:
         if not (0 < self.p < 1):
             raise InputError("p must lie strictly between 0 and 1")
 
-    def prob(self, symbol: int) -> Fraction:
-        return self.p if symbol == 0 else 1 - self.p
-
 
 def cylinder_measure(c: Cylinder, spec: BernoulliSpec) -> Fraction:
     zeros = c.block.count(0)
@@ -386,8 +383,9 @@ class ShiftBowenReport:
 
 
 def bowen_ball_shift(x: ShiftPoint, delta,
-                     spec: BernoulliSpec | None = None,
-                     stages: int = 8) -> ShiftBowenReport:
+                     spec: BernoulliSpec | None = None) -> ShiftBowenReport:
+    """The Bowen delta-ball around ``x``.  A singleton carries the
+    measures of its outer blocks of width 2(n+t)+1 for n = 1..8."""
     delta = parse_rational(delta)
     if delta <= 0:
         raise InputError("delta must be positive")
@@ -395,7 +393,7 @@ def bowen_ball_shift(x: ShiftPoint, delta,
     t = _strict_tail_radius(delta)
     if t is not None:
         q = max(spec.p, 1 - spec.p)
-        bounds = [(n, q ** (2 * (n + t) + 1)) for n in range(1, stages + 1)]
+        bounds = [(n, q ** (2 * (n + t) + 1)) for n in range(1, 9)]
         return ShiftBowenReport(delta=delta, singleton=True,
                                 outer_radius_gap=t, measure_zero=True,
                                 measure_bounds=bounds,
@@ -428,34 +426,17 @@ class ShiftExpansivenessVerdict:
         return self.expansive
 
 
-def shift_expansiveness_verdict(spec: BernoulliSpec, delta,
-                                x: ShiftPoint | None = None) -> ShiftExpansivenessVerdict:
+def shift_expansiveness_verdict(spec: BernoulliSpec, delta) -> ShiftExpansivenessVerdict:
     """Expansive for any delta in (0, 1): every Bowen ball is a singleton of
     measure zero, uniformly in the center (the certificate does not depend
     on the center's symbols)."""
     delta = parse_rational(delta)
-    report = bowen_ball_shift(x or ShiftPoint.zero(), delta, spec=spec)
+    report = bowen_ball_shift(ShiftPoint.zero(), delta, spec=spec)
     if report.singleton and report.measure_zero:
         return ShiftExpansivenessVerdict(delta=delta, classification="expansive",
                                          certificate=report)
     return ShiftExpansivenessVerdict(delta=delta, classification="not-certified",
                                      certificate=report)
-
-
-def shift_countably_expansive(delta, generators: str = "full") -> bool:
-    """Countability of Bowen balls at scale delta.
-
-    With the full shift generators the balls are singletons for delta < 1.
-    With the identity alone the ball is the closed metric ball, which
-    contains a whole cylinder tail-set and is therefore uncountable for
-    every positive delta.
-    """
-    delta = parse_rational(delta)
-    if generators == "full":
-        return delta < 1
-    if generators == "identity":
-        return False
-    raise InputError(f"unknown generator family {generators!r}")
 
 
 # -- statement-level reports -----------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .rational import UNBOUNDED, parse_rational
+from .rational import parse_rational
 
 PointSet = frozenset
 
@@ -163,33 +163,3 @@ class FiniteMetricSpace:
                         mask |= 1 << j
             self._ball_masks[key] = mask
         return mask
-
-    def metric_ball(self, x, r, closed: bool = False) -> PointSet:
-        """Open (default) or closed metric ball around point ``x``."""
-        r = parse_rational(r)
-        if r < 0:
-            raise InputError("ball radius must be nonnegative")
-        return self.ball_ix(self.index(x), r, closed)
-
-    def lebesgue_number(self, cover: Sequence[Iterable[int]]):
-        """Largest grid value delta such that every open ball of radius delta
-        fits inside one cover element; ``UNBOUNDED`` if a cover element is
-        the whole space.
-        """
-        sets = [frozenset(c) for c in cover]
-        union = frozenset().union(*sets) if sets else frozenset()
-        if union != self.full_set():
-            missing = self.labels_of(self.full_set() - union)
-            raise InputError(f"cover misses points {missing}")
-        full = self.full_set()
-        if any(c == full for c in sets):
-            return UNBOUNDED
-        for delta in reversed(self.distance_grid()):
-            if all(
-                any(self.ball_ix(i, delta) <= c for c in sets)
-                for i in range(self.n)
-            ):
-                return delta
-        # Unreachable for a valid cover: at the smallest grid value every
-        # open ball is a singleton and the cover contains each point.
-        raise AssertionError("no Lebesgue number found for a valid cover")

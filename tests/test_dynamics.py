@@ -24,7 +24,7 @@ def test_dyn_ball_identity_system_is_metric_ball(identity_system):
         for eps in [Fraction(1, 2), 1, Fraction(3, 2), 2]:
             for closed in (False, True):
                 assert (dyn_ball(identity_system, x, 3, eps, closed=closed).members
-                        == space.metric_ball(x, eps, closed=closed))
+                        == space.ball_ix(space.index(x), eps, closed=closed))
 
 
 def test_dyn_ball_rotations_collapse_to_metric():
@@ -83,7 +83,7 @@ def test_bowen_ball_identity_system(identity_system):
     for x in space.points:
         for d in (1, 2):
             assert (bowen_ball(identity_system, x, d).members
-                    == space.metric_ball(x, d, closed=True))
+                    == space.ball_ix(space.index(x), d, closed=True))
 
 
 def test_bowen_inside_closed_metric_ball(line_system):
@@ -92,7 +92,7 @@ def test_bowen_inside_closed_metric_ball(line_system):
         for d in space.distance_grid():
             members = bowen_ball(line_system, x, d).members
             assert space.index(x) in members
-            assert members <= space.metric_ball(x, d, closed=True)
+            assert members <= space.ball_ix(space.index(x), d, closed=True)
 
 
 def test_compaction_enlarges_bowen_balls(line_system_cores):

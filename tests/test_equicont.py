@@ -3,16 +3,15 @@ from fractions import Fraction
 import pytest
 
 from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
-                       GeneratingSystem, PartialMap, bowen_ball, compacted_system,
-                       equicontinuity_modulus, expansiveness_verdict,
-                       is_unbounded, local_agreement_radius,
+                       GeneratingSystem, InputError, PartialMap, bowen_ball,
+                       compacted_system, equicontinuity_modulus,
+                       expansiveness_verdict, is_unbounded,
                        no_expansive_certificate_good,
                        no_expansive_certificate_group)
-from pseudodyn.equicont import (modulus_at,
-                                sweep_measures_never_weakly_expansive)
+from pseudodyn.equicont import modulus_at
 from pseudodyn.probes import InstanceSpec, random_instance
 
-from conftest import cyclic_space, rotation_system
+from conftest import cyclic_space
 
 
 def closure_maps(sys):
@@ -66,6 +65,18 @@ def test_group_certificate_requires_total(line_system):
         no_expansive_certificate_group(line_system, 1)
 
 
+def test_negative_radius_is_input_error(z6_rotations, line_system_cores):
+    """A negative radius is an input error, not a failed inclusion; radius
+    0 stays valid."""
+    with pytest.raises(InputError, match="nonnegative"):
+        no_expansive_certificate_group(z6_rotations, -1)
+    with pytest.raises(InputError, match="nonnegative"):
+        no_expansive_certificate_good(line_system_cores, rho_grid=[1, -1])
+    assert no_expansive_certificate_group(z6_rotations, 0).inclusion_ok
+    assert no_expansive_certificate_good(line_system_cores,
+                                         rho_grid=[0]).all_ok
+
+
 def test_group_conclusion_cross_checked_with_measures(z6_rotations):
     import random
     rng = random.Random(0)
@@ -75,53 +86,25 @@ def test_group_conclusion_cross_checked_with_measures(z6_rotations):
         raw = [rng.randint(1, 6) for _ in range(6)]
         total = sum(raw)
         measures.append(FiniteMeasure(space, [Fraction(v, total) for v in raw]))
-    assert sweep_measures_never_weakly_expansive(z6_rotations, measures)
+    for mu in measures:
+        for rho in space.distance_grid():
+            assert not expansiveness_verdict(mu, z6_rotations,
+                                             rho).weakly_expansive
     assert expansiveness_verdict(FiniteMeasure.uniform(space),
                                  z6_rotations, 1).ball_measures[0] \
         == Fraction(1, 2)
 
 
-def test_agreement_radius_unbounded_with_ambient_closure():
-    z6 = cyclic_space(6)
-    q = PartialMap.from_dict(z6, {i: (i + 1) % 6 for i in range(5)}, name="q")
-    sys_q = GeneratingSystem.build(z6, [q], cores={"q": {0, 1, 2}})
-    rep = local_agreement_radius(sys_q)
-    assert is_unbounded(rep.value)
-
-
-def test_agreement_radius_full_group_closure():
-    """Core-restricted rotations extend to the full rotations, so any
-    reference family containing those is enough."""
-    z6 = cyclic_space(6)
-    q = PartialMap.from_dict(z6, {i: (i + 1) % 6 for i in range(5)}, name="q")
-    sys_q = GeneratingSystem.build(z6, [q], cores={"q": {0, 1, 2}})
-    rotations = closure_maps(rotation_system(6))
-    rep = local_agreement_radius(sys_q, rotations)
-    assert is_unbounded(rep.value)
-
-
-def test_agreement_radius_counterexample_with_poor_family():
-    """A reference family missing the needed germs is flagged."""
-    z6 = cyclic_space(6)
-    q = PartialMap.from_dict(z6, {i: (i + 1) % 6 for i in range(5)}, name="q")
-    sys_q = GeneratingSystem.build(z6, [q], cores={"q": {0, 1, 2}})
-    rep = local_agreement_radius(sys_q, [PartialMap.identity(z6)])
-    assert rep.value is None and rep.counterexample is not None
-
-
-def test_good_certificate_agreement_radius_unbounded_seeded():
-    """Reference check for the certificate's constant agreement radius: the
-    searched radius against the ambient closure is unbounded, and every
-    row's xi is the modulus, or the diameter where that is unbounded."""
+def test_good_certificate_xi_is_modulus_seeded():
+    """Every row's delta is the modulus of the ambient closure, and its xi
+    is that modulus, or the diameter where the modulus is unbounded."""
     spec = InstanceSpec(seed=13, count=60)
     for idx in range(spec.count):
         sys_i, _ = random_instance(spec, idx)
         assert sys_i.has_cores
-        assert is_unbounded(local_agreement_radius(sys_i).value)
         gamma = closure_maps(sys_i)
         space = sys_i.space
         for row in no_expansive_certificate_good(sys_i).rows:
-            assert is_unbounded(row.lam)
             delta = modulus_at(gamma, space, row.rho)
             assert row.delta == delta
             assert row.xi == (space.diameter() if is_unbounded(delta) else delta)

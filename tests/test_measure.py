@@ -119,6 +119,17 @@ def test_local_entropy_empty_grid_is_input_error(line, line_system):
                       GeneratingSystem.build(one, []), "a")
 
 
+@pytest.mark.parametrize("eps", [0, -1])
+def test_nonpositive_scale_is_input_error(line, line_system, eps):
+    """A scale <= 0 has empty open balls: refuse instead of reporting
+    positive local entropy, or homogeneity with a nonpositive delta."""
+    mu = FiniteMeasure.uniform(line)
+    with pytest.raises(InputError, match="scale must be positive"):
+        local_entropy(mu, line_system, "a", eps_grid=[1, eps])
+    with pytest.raises(InputError, match="scale must be positive"):
+        is_homogeneous(mu, line_system, eps_grid=[eps])
+
+
 def test_homogeneity_empty_grid_is_input_error(line, identity_system):
     """No scale means nothing to check: refuse instead of answering ok
     (the default grid finds the point mass inhomogeneous)."""
@@ -147,7 +158,6 @@ def test_positive_limit_impossible_with_positive_stabilized_measure():
 def test_homogeneity_uniform_line(line, line_system):
     rep = is_homogeneous(FiniteMeasure.uniform(line), line_system)
     assert rep.ok
-    assert rep.finite_mass and rep.positive_core
     for eps, witness in rep.witnesses.items():
         assert witness.delta == eps
         assert witness.c_exact <= 3  # every ball measure lies in [1/3, 1]

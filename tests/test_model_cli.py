@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -228,6 +230,96 @@ def test_cli_bad_point_labels_are_input_error(tmp_path, capsys, points):
     assert "label" in capsys.readouterr().err
 
 
+def _nodes(doc, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _nodes(v, path + (i,))
+
+
+def _json_kind(v) -> str:
+    """null, bool, number, str, list or dict."""
+    if v is None:
+        return "null"
+    return "number" if type(v) is int else type(v).__name__
+
+
+FUZZ_BASES = [LINE_MODEL, dict(LINE_MODEL, target={
+    "points": ["p", "q", "r"], "dist": LINE_MODEL["dist"]})]
+FUZZ_PALETTE = [None, True, 0, -1, "a", "", [], {}, ["a", "b"], {"a": 1}]
+
+
+def _mutant(rng: random.Random) -> dict:
+    """A base model with one node removed, or replaced by a value of another
+    JSON type: a palette value or a (copied) node of the same document."""
+    doc = copy.deepcopy(rng.choice(FUZZ_BASES))
+    nodes = list(_nodes(doc))
+    path, old = rng.choice(nodes[1:])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if rng.random() < 0.25:
+        del parent[path[-1]]
+        return doc
+    pool = [v for v in [v for _, v in nodes] + FUZZ_PALETTE
+            if _json_kind(v) != _json_kind(old)]
+    parent[path[-1]] = copy.deepcopy(rng.choice(pool))
+    return doc
+
+
+def test_mutated_models_raise_only_input_errors(tmp_path, capsys):
+    """No single-node type mutation of a model escapes as a raw traceback:
+    ``parse_model`` accepts the document or raises ``InputError``, and the
+    CLI exits 2 on the rejected ones."""
+    rng = random.Random(20261018)
+    rejected = []
+    for _ in range(2500):
+        text = json.dumps(_mutant(rng))
+        try:
+            parse_model(text)
+        except InputError:
+            rejected.append(text)
+    assert len(rejected) > 2000
+    path = tmp_path / "mutant.json"
+    for text in rng.sample(rejected, 40):
+        path.write_text(text)
+        assert main(["check", "--model", str(path), "--what", "invariant"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_nonfinite_json_constant_is_input_error(constant):
+    text = json.dumps(LINE_MODEL).replace("[0, 1, 2]", f"[0, 1, {constant}]")
+    with pytest.raises(InputError, match="not a rational"):
+        parse_model(text)
+
+
+@pytest.mark.parametrize("doc", [7, "mu", ["mu"], {"mu": ["a"]}],
+                         ids=["number", "string", "list", "mu-list"])
+def test_cli_malformed_measure_file_is_input_error(doc, model_path, tmp_path,
+                                                   capsys):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--model", model_path, "--measure", str(path),
+                 "--what", "invariant"])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [7, "phi"], ids=["number", "string"])
+def test_cli_malformed_iso_shape_is_input_error(doc, model_path, tmp_path,
+                                               capsys):
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps(doc))
+    code = main(["conjugate", "--model", model_path, "--iso", str(path)])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_cli_conjugate_entropy(model_path, capsys):
     code = main(["--format", "json", "conjugate", "--model", model_path,
                  "--check", "entropy"])
@@ -241,6 +333,32 @@ def test_cli_equicont(model_path, capsys):
     code = main(["equicont", "--model", model_path])
     assert code == 0
     assert "audit_ok: True" in capsys.readouterr().out
+
+
+TRIANGLE_ROTATION = {
+    "points": ["a", "b", "c"],
+    "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    "generators": [{"name": "r", "map": {"a": "b", "b": "c", "c": "a"}}],
+}
+
+
+@pytest.mark.parametrize("rho,code", [("-1", 2), ("0", 0), ("1", 0)])
+def test_cli_equicont_rho_sign(rho, code, tmp_path, capsys):
+    """A negative radius is an input error, not a failed inclusion."""
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps(TRIANGLE_ROTATION))
+    assert main(["equicont", "--model", str(path), "--rho", rho]) == code
+    if code == 2:
+        assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["-1", "0", "1,0"])
+def test_cli_entropy_nonpositive_scale_is_input_error(model_path, capsys,
+                                                      grid):
+    code = main(["entropy", "--model", model_path, "--x", "a",
+                 "--eps-grid", grid])
+    assert code == 2
+    assert "scale must be positive" in capsys.readouterr().err
 
 
 def test_cli_shift_entropy(capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
                        GermRelation, InputError, PartialMap, PreconditionError,
-                       SpaceIso, compacted_system, compose, conjugate_system,
-                       goodness_check, invariant_sets, invert, is_ergodic,
-                       is_unbounded, pseudogroup, raw_word_maps, restrict,
+                       SpaceIso, compacted_system, conjugate_system,
+                       goodness_check, invariant_sets, is_ergodic,
+                       is_unbounded, pseudogroup, raw_word_maps,
                        separation_radius)
 from pseudodyn.pseudogroup import spread_table, table_ball
 from pseudodyn.probes import InstanceSpec, random_genome
@@ -21,19 +21,19 @@ def _g(line):
 
 def test_compose_examples(line):
     g = _g(line)
-    gg = compose(g, g)
+    gg = g.then(g)
     assert gg.dom == {0}
     assert gg.apply(0) == 2
-    assert compose(g, invert(g)) == PartialMap.identity(line).restrict({0, 1})
+    assert g.then(g.inverse()) == PartialMap.identity(line).restrict({0, 1})
     empty = PartialMap.empty(line)
-    assert compose(empty, g) == empty
+    assert empty.then(g) == empty
 
 
 def test_invert_restrict(line):
     g = _g(line)
-    assert invert(g) == PartialMap.from_dict(line, {"b": "a", "c": "b"})
-    assert restrict(g, {0}) == PartialMap.from_dict(line, {"a": "b"})
-    assert invert(invert(g)) == g
+    assert g.inverse() == PartialMap.from_dict(line, {"b": "a", "c": "b"})
+    assert g.restrict({0}) == PartialMap.from_dict(line, {"a": "b"})
+    assert g.inverse().inverse() == g
 
 
 def test_partial_map_injectivity_enforced(line):
@@ -223,7 +223,7 @@ def test_compose_associative_on_closure(line_system):
     for f in maps[:6]:
         for g in maps[:6]:
             for h in maps[:6]:
-                assert compose(compose(f, g), h) == compose(f, compose(g, h))
+                assert f.then(g).then(h) == f.then(g.then(h))
 
 
 def test_closure_realizes_pseudogroup_operations(line_system):
@@ -235,7 +235,7 @@ def test_closure_realizes_pseudogroup_operations(line_system):
         assert f.inverse().graph() <= {(b, a) for a, b in pairs}
         assert f.restrict({0, 1}).graph() <= pairs
         for g in maps[:5]:
-            assert compose(f, g).graph() <= pairs
+            assert f.then(g).graph() <= pairs
 
 
 def test_compacted_system(line, line_system_cores):

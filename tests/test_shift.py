@@ -14,7 +14,6 @@ from pseudodyn.shift import (_largest_single_cost_at_least,
                              _strict_tail_radius, are_separated, ball_contains,
                              bernoulli_invariance_report,
                              separated_witness_points,
-                             shift_countably_expansive,
                              shift_entropy_criterion_report,
                              shift_homogeneity_check, shift_upgrade_report)
 
@@ -289,11 +288,6 @@ def test_shift_expansiveness_verdict():
     assert shift_expansiveness_verdict(HALF, Fraction(1, 2)).expansive
     assert shift_expansiveness_verdict(HALF, Fraction(1, 4)).expansive
     assert not shift_expansiveness_verdict(HALF, 2).expansive
-
-
-def test_countably_expansive_backends():
-    assert shift_countably_expansive(Fraction(1, 2), "full")
-    assert not shift_countably_expansive(Fraction(1, 2), "identity")
 
 
 def test_invariance_and_ergodicity_report():

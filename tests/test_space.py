@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import FiniteMetricSpace, InputError, is_unbounded
-from pseudodyn.probes import InstanceSpec, random_genome
+from pseudodyn import FiniteMetricSpace, InputError
 from pseudodyn.rational import parse_rational
 
 from conftest import cyclic_space
@@ -190,71 +189,27 @@ def test_parse_rational_floats_and_bools():
 
 
 def test_metric_ball_examples(line):
-    assert line.metric_ball("a", 0, closed=True) == {0}
-    assert line.metric_ball("a", Fraction(3, 2)) == {0, 1}
-    assert line.metric_ball("b", 1, closed=True) == {0, 1, 2}
-
-
-def test_metric_ball_unknown_point(line):
-    with pytest.raises(InputError, match="unknown point"):
-        line.metric_ball("z", 1)
+    assert line.ball_ix(0, 0, closed=True) == {0}
+    assert line.ball_ix(0, Fraction(3, 2)) == {0, 1}
+    assert line.ball_ix(1, 1, closed=True) == {0, 1, 2}
 
 
 def test_metric_ball_radius_monotone(line):
-    for x in line.points:
+    for x in range(line.n):
         prev = frozenset()
         for r in [0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3]:
-            ball = line.metric_ball(x, r)
+            ball = line.ball_ix(x, r)
             assert prev <= ball
-            assert ball <= line.metric_ball(x, r, closed=True)
+            assert ball <= line.ball_ix(x, r, closed=True)
             prev = ball
 
 
 def test_ball_beyond_diameter_is_everything(line):
-    assert line.metric_ball("a", 3) == line.full_set()
-    assert line.metric_ball("c", 2, closed=True) == line.full_set()
+    assert line.ball_ix(0, 3) == line.full_set()
+    assert line.ball_ix(2, 2, closed=True) == line.full_set()
 
 
 def test_distance_grid(line):
     assert line.distance_grid() == [1, 2]
     assert FiniteMetricSpace(["x"], [[0]]).distance_grid() == []
     assert cyclic_space(6).distance_grid() == [1, 2, 3]
-
-
-def test_lebesgue_number_examples(line):
-    assert line.lebesgue_number([{0, 1}, {1, 2}]) == 1
-    assert is_unbounded(line.lebesgue_number([{0, 1, 2}]))
-    assert line.lebesgue_number([{0}, {1}, {2}]) == 1
-
-
-def test_lebesgue_number_requires_cover(line):
-    with pytest.raises(InputError, match="misses"):
-        line.lebesgue_number([{0, 1}])
-
-
-def test_lebesgue_number_maximality():
-    """The returned value works and the next grid value up fails."""
-    for idx in range(12):
-        genome = random_genome(InstanceSpec(seed="lebesgue", count=12), idx)
-        space = FiniteMetricSpace(genome.labels, genome.dist)
-        n = space.n
-        cover = [space.ball_ix(i, 2, closed=True) for i in range(0, n, 2)]
-        cover.append(space.full_set() - frozenset().union(*cover) or {0})
-        try:
-            delta = space.lebesgue_number(cover)
-        except InputError:
-            continue
-        if is_unbounded(delta):
-            assert any(c == space.full_set() for c in map(frozenset, cover))
-            continue
-
-        def works(d):
-            return all(
-                any(space.ball_ix(i, d) <= frozenset(c) for c in cover)
-                for i in range(n)
-            )
-
-        assert works(delta)
-        larger = [v for v in space.distance_grid() if v > delta]
-        if larger:
-            assert not works(larger[0])
