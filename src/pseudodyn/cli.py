@@ -335,9 +335,11 @@ def cmd_equicont(args) -> tuple[int, object]:
     payload = {"mode": "closure", "isometric": cert.isometric, "rows": rows,
                "audit_ok": cert.audit(maps, model.space)}
     if args.rho is not None:
+        rho = parse_rational(args.rho)
+        if rho < 0:
+            raise InputError("radius must be nonnegative")
         if all(g.is_total() for g in sysm.generators):
-            rep = equicont.no_expansive_certificate_group(
-                sysm, parse_rational(args.rho))
+            rep = equicont.no_expansive_certificate_group(sysm, rho)
             payload["group_certificate"] = {
                 "rho": rep.rho, "delta": rep.delta,
                 "inclusion_ok": rep.inclusion_ok,

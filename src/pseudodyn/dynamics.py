@@ -88,13 +88,14 @@ def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,
     space = sys.space
     xi = space.index(x)
     closure = closure or sys.word_closure()
+    balls = space.ball_masks(eps, closed=closed)
     full = (1 << space.n) - 1
     result = full
     for g in closure.maps_at(n):
         gx = g.vals[xi]
         if gx is None:
             continue
-        target = space.ball_mask(gx, eps, closed=closed)
+        target = balls[gx]
         preimage = 0
         for i, v in enumerate(g.vals):
             if v is not None and target >> v & 1:

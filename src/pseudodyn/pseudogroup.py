@@ -401,33 +401,75 @@ def _letter(g: PartialMap) -> tuple[str, ...]:
     return (g.name,) if g.name else ("?",)
 
 
+_UNDEFINED = 255
+_DECODE = tuple(range(_UNDEFINED)) + (None,)
+
+
 def _closure(sys: GeneratingSystem, compose) -> WordClosure:
     """The closure loop behind every word closure: each round extends the
     newest words by one generator through ``compose(word, generator)``
-    until a round adds nothing."""
-    seen: dict[PartialMap, PartialMap] = {}
+    until a round adds nothing.
+
+    The loop runs on hashable keys, one per map, and one step function.
+    Under ``PartialMap.then`` on at most 255 points a key is the map as
+    ``bytes``, with 255 for "undefined", and a generator is its key
+    padded to 256 bytes with 255: composing is then ``key.translate``,
+    one C call that also sends 255 to 255.  Any other ``compose``, and
+    any wider space, steps through ``compose`` on ``PartialMap``s keyed
+    by their ``vals``.  Each new key keeps its parent's position and its
+    generator's, and the maps, with their witness words, are built once
+    after the loop.
+    """
+    space = sys.space
+    seen: set[PartialMap] = set()
     level1: list[PartialMap] = []
     for g in sys.generators:
         if g.word is None:
-            g = PartialMap(sys.space, g.vals, name=g.name, word=_letter(g))
+            g = PartialMap(space, g.vals, name=g.name, word=_letter(g))
         if g not in seen:
-            seen[g] = g
+            seen.add(g)
             level1.append(g)
-    levels = [list(level1)]
-    frontier = list(level1)
+    if compose is PartialMap.then and space.n <= _UNDEFINED:
+        keys = [bytes(_UNDEFINED if v is None else v for v in g.vals)
+                for g in level1]
+        pad = bytes([_UNDEFINED]) * (256 - space.n)
+        tables = [key + pad for key in keys]
+        step = bytes.translate
+
+        def decode(key):
+            return tuple([_DECODE[v] for v in key])
+    else:
+        keys = [g.vals for g in level1]
+        tables = level1
+
+        def step(vals, a):
+            return compose(PartialMap._raw(space, vals), a).vals
+
+        def decode(vals):
+            return vals
+    known = set(keys)
+    links: list[tuple[int, int]] = []  # (parent, generator) past level 1
+    sizes = [len(keys)]
+    start = 0
     while True:
-        new: list[PartialMap] = []
-        for b in frontier:
-            for a in level1:
-                c = compose(b, a)
-                if c not in seen:
-                    seen[c] = c
-                    new.append(c)
-        if not new:
+        end = len(keys)
+        for parent in range(start, end):
+            key = keys[parent]
+            for gen, table in enumerate(tables):
+                c = step(key, table)
+                if c not in known:
+                    known.add(c)
+                    keys.append(c)
+                    links.append((parent, gen))
+        if len(keys) == end:
             break
-        levels.append(levels[-1] + new)
-        frontier = new
-    return WordClosure(sys.space, levels, len(levels))
+        sizes.append(len(keys))
+        start = end
+    maps = list(level1)
+    for key, (parent, gen) in zip(keys[len(level1):], links):
+        maps.append(PartialMap._raw(space, decode(key),
+                                    word=maps[parent].word + level1[gen].word))
+    return WordClosure(space, [maps[:size] for size in sizes], len(sizes))
 
 
 class GermRelation:

@@ -146,20 +146,14 @@ class FiniteMetricSpace:
             return frozenset(j for j in range(self.n) if row[j] <= r)
         return frozenset(j for j in range(self.n) if row[j] < r)
 
-    def ball_mask(self, i: int, r, closed: bool = False) -> int:
-        """The metric ball as a bitmask over point indices, memoized."""
-        key = (i, r, closed)
-        mask = self._ball_masks.get(key)
-        if mask is None:
-            row = self.dist[i]
-            mask = 0
-            if closed:
-                for j in range(self.n):
-                    if row[j] <= r:
-                        mask |= 1 << j
-            else:
-                for j in range(self.n):
-                    if row[j] < r:
-                        mask |= 1 << j
-            self._ball_masks[key] = mask
-        return mask
+    def ball_masks(self, r, closed: bool = False) -> tuple[int, ...]:
+        """Every metric ball of radius ``r`` as a bitmask over point
+        indices, the ``i``-th around point ``i``; memoized per radius."""
+        key = (r, closed)
+        masks = self._ball_masks.get(key)
+        if masks is None:
+            inside = operator.le if closed else operator.lt
+            masks = self._ball_masks[key] = tuple(
+                sum(1 << j for j, d in enumerate(row) if inside(d, r))
+                for row in self.dist)
+        return masks

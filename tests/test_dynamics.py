@@ -39,6 +39,54 @@ def test_formula_matches_examples(line_system):
         == line_system.space.full_set()
 
 
+def reference_ball_via_formula(sys, x, n, eps, closed, closure):
+    """The set-algebra ball with each map's metric-ball mask computed from
+    the distance row of its image of ``x``, memoized per image."""
+    space = sys.space
+    full = (1 << space.n) - 1
+    result = full
+    masks = {}
+    for g in closure.maps_at(n):
+        gx = g.vals[x]
+        if gx is None:
+            continue
+        target = masks.get(gx)
+        if target is None:
+            row = space.dist[gx]
+            target = 0
+            for j in range(space.n):
+                if (row[j] <= eps) if closed else (row[j] < eps):
+                    target |= 1 << j
+            masks[gx] = target
+        preimage = 0
+        for i, v in enumerate(g.vals):
+            if v is not None and target >> v & 1:
+                preimage |= 1 << i
+        result &= preimage | (full ^ g.dom_mask)
+        if not result:
+            break
+    return frozenset(i for i in range(space.n) if result >> i & 1)
+
+
+def test_formula_matches_per_map_masks_seeded():
+    spec = InstanceSpec(seed="formula-rows", count=100)
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        closure = sys_i.word_closure()
+        space = sys_i.space
+        grid = space.distance_grid()
+        radii = [Fraction(0), *grid, space.diameter() + 1]
+        radii += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        for x in range(space.n):
+            for n in sorted({1, closure.stable_index}):
+                for eps in radii:
+                    for closed in (False, True):
+                        assert dyn_ball_via_formula(
+                            sys_i, x, n, eps, closed=closed, closure=closure) \
+                            == reference_ball_via_formula(
+                                sys_i, x, n, eps, closed, closure)
+
+
 def test_formula_equals_scan_exhaustive_desk_scale():
     spec = InstanceSpec(seed="formula-module", count=15, n_points=(3, 6),
                         n_generators=(1, 2))

@@ -352,6 +352,13 @@ def test_cli_equicont_rho_sign(rho, code, tmp_path, capsys):
         assert "nonnegative" in capsys.readouterr().err
 
 
+def test_cli_equicont_negative_rho_on_partial_model(model_path, capsys):
+    """The sign of the radius is checked whether or not the generators
+    are total."""
+    assert main(["equicont", "--model", model_path, "--rho", "-1"]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["-1", "0", "1,0"])
 def test_cli_entropy_nonpositive_scale_is_input_error(model_path, capsys,
                                                       grid):

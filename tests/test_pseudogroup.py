@@ -9,8 +9,9 @@ from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
                        goodness_check, invariant_sets, is_ergodic,
                        is_unbounded, pseudogroup, raw_word_maps,
                        separation_radius)
-from pseudodyn.pseudogroup import spread_table, table_ball
-from pseudodyn.probes import InstanceSpec, random_genome
+from pseudodyn.mutations import MUTATIONS
+from pseudodyn.pseudogroup import WordClosure, spread_table, table_ball
+from pseudodyn.probes import InstanceSpec, closure_with, random_genome
 
 from conftest import rotation_system
 
@@ -216,6 +217,105 @@ def test_orbit_questions_build_no_closure(monkeypatch):
             goodness_check(sys_i)
     with pytest.raises(AssertionError, match="closure built"):
         sys_i.word_closure()
+
+
+def reference_closure(sys, compose):
+    """The closure loop over ``PartialMap``s: each round extends the newest
+    maps by one generator through ``compose``, deduplicating on the maps
+    themselves, until a round adds nothing."""
+    seen = {}
+    level1 = []
+    for g in sys.generators:
+        if g.word is None:
+            g = PartialMap(sys.space, g.vals, name=g.name,
+                           word=(g.name,) if g.name else ("?",))
+        if g not in seen:
+            seen[g] = g
+            level1.append(g)
+    levels = [list(level1)]
+    frontier = list(level1)
+    while True:
+        new = []
+        for b in frontier:
+            for a in level1:
+                c = compose(b, a)
+                if c not in seen:
+                    seen[c] = c
+                    new.append(c)
+        if not new:
+            break
+        levels.append(levels[-1] + new)
+        frontier = new
+    return WordClosure(sys.space, levels, len(levels))
+
+
+def assert_closure_matches_reference(sys, compose=PartialMap.then,
+                                     got=None):
+    """Equal level sizes, the same maps in the same order with the same
+    witness words, and each word, applied one letter at a time through
+    ``compose``, gives its map."""
+    got = got or pseudogroup._closure(sys, compose)
+    want = reference_closure(sys, compose)
+    assert got.stable_index == want.stable_index
+    assert [len(level) for level in got.level_maps] \
+        == [len(level) for level in want.level_maps]
+    for got_level, want_level in zip(got.level_maps, want.level_maps):
+        assert [g.vals for g in got_level] == [w.vals for w in want_level]
+        assert [g.word for g in got_level] == [w.word for w in want_level]
+    by_letter = {g.word[0]: g for g in got.level_maps[0] if len(g.word) == 1}
+    for g in got.stabilized_maps:
+        m = PartialMap.identity(sys.space)
+        for letter in g.word:
+            m = compose(m, by_letter[letter])
+        assert m.vals == g.vals
+
+
+def test_closure_matches_reference_on_seeded_instances():
+    spec = InstanceSpec()
+    for idx in range(300):
+        sys_i, _ = random_genome(spec, idx).build()
+        assert_closure_matches_reference(sys_i, got=sys_i.word_closure())
+        if sys_i.has_cores:
+            assert_closure_matches_reference(compacted_system(sys_i))
+
+
+def test_closure_matches_reference_on_symmetric_groups():
+    for n in (6, 7):
+        assert_closure_matches_reference(symmetric_group(coprime_space(n)))
+
+
+def test_closure_matches_reference_on_criterion_10_stream():
+    spec = InstanceSpec(seed="acceptance-10", count=100, n_points=(4, 15),
+                        n_generators=(1, 2))
+    for idx in range(30):
+        sys_i, _ = random_genome(spec, idx).build()
+        assert_closure_matches_reference(sys_i)
+
+
+def test_closure_matches_reference_past_255_points():
+    """Past 255 points no index fits in a byte, so the closure composes
+    ``PartialMap``s."""
+    n = 256
+    space = FiniteMetricSpace(list(range(n)),
+                              [[int(i != j) for j in range(n)]
+                               for i in range(n)])
+    flip = PartialMap(space, [n - 1 - i for i in range(n)], name="f")
+    step = PartialMap(space, [i + 1 if i < 3 else None for i in range(n)],
+                      name="s")
+    system = GeneratingSystem.build(space, [flip, step])
+    closure = system.word_closure()
+    assert max(v for g in closure.stabilized_maps for v in g.vals
+               if v is not None) == n - 1
+    assert_closure_matches_reference(system, got=closure)
+
+
+def test_closure_matches_reference_under_mutant_compose():
+    ops = MUTATIONS["compose-intersect-domains"]
+    spec = InstanceSpec(seed="mutant-closure", count=40)
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        assert_closure_matches_reference(sys_i, ops.compose,
+                                         got=closure_with(ops, sys_i))
 
 
 def test_compose_associative_on_closure(line_system):

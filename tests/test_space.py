@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pseudodyn import FiniteMetricSpace, InputError
+from pseudodyn.probes import InstanceSpec, random_genome
 from pseudodyn.rational import parse_rational
 
 from conftest import cyclic_space
@@ -213,3 +214,25 @@ def test_distance_grid(line):
     assert line.distance_grid() == [1, 2]
     assert FiniteMetricSpace(["x"], [[0]]).distance_grid() == []
     assert cyclic_space(6).distance_grid() == [1, 2, 3]
+
+
+def test_ball_masks_match_ball_ix():
+    """Each row of masks is the metric ball around its point, on grid
+    radii, midpoints, 0 and past the diameter, open and closed."""
+    spec = InstanceSpec(seed="ball-masks", count=30)
+    spaces = [cyclic_space(7), FiniteMetricSpace(["a"], [[0]])]
+    spaces += [random_genome(spec, idx).build()[0].space
+               for idx in range(spec.count)]
+    for space in spaces:
+        grid = space.distance_grid()
+        radii = [Fraction(0), *grid, space.diameter() + 1]
+        radii += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        for r in radii:
+            for closed in (False, True):
+                masks = space.ball_masks(r, closed)
+                assert len(masks) == space.n
+                for i, mask in enumerate(masks):
+                    assert mask < 1 << space.n
+                    assert {j for j in range(space.n) if mask >> j & 1} \
+                        == space.ball_ix(i, r, closed)
+                assert space.ball_masks(r, closed) is masks
