@@ -22,7 +22,8 @@ from . import dynamics, equicont, measure, morphism, probes, shift
 from .errors import CapabilityError, InputError
 from .model import load_iso, load_measure, load_model
 from .pseudogroup import PartialMap
-from .rational import format_rational, is_unbounded, parse_rational
+from .rational import (format_rational, is_unbounded, parse_radius,
+                       parse_rational)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -51,8 +52,9 @@ def to_jsonable(obj):
     if isinstance(obj, shift.ShiftPoint):
         return {"window": list(obj.window), "background": obj.background}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+        # rendered as the dict of its fields, its keys sorted like any dict
+        return to_jsonable({f.name: getattr(obj, f.name)
+                            for f in dataclasses.fields(obj)})
     if isinstance(obj, dict):
         return {_key(k): to_jsonable(v) for k, v in sorted(
             obj.items(), key=lambda kv: _key(kv[0]))}
@@ -143,6 +145,19 @@ def _manifest(args, model=None, seed=None, started=None) -> dict:
 # -- command implementations -----------------------------------------------------
 
 
+def _excluded(space, rep) -> dict:
+    """The exclusion evidence of a ball report, keyed by point label."""
+    return {str(space.label(y)): {"by": g.word_str() or g.name, "distance": d}
+            for y, (g, d) in rep.exclusions.items()}
+
+
+def _measure(args, model):
+    """The measure of ``--measure`` when given, else the model's own."""
+    if args.measure:
+        return load_measure(args.measure, model.space)
+    return model.measure
+
+
 def cmd_ball(args) -> tuple[int, object]:
     model = load_model(args.model)
     rep = dynamics.dyn_ball(model.system, args.x, args.n,
@@ -154,11 +169,7 @@ def cmd_ball(args) -> tuple[int, object]:
         "eps": rep.radius,
         "closed": rep.closed,
         "members": list(space.labels_of(rep.members)),
-        "excluded": {
-            str(space.label(y)): {"by": g.word_str() or g.name,
-                                  "distance": d}
-            for y, (g, d) in rep.exclusions.items()
-        },
+        "excluded": _excluded(space, rep),
     }
     return EXIT_OK, (payload, model)
 
@@ -172,10 +183,7 @@ def cmd_bowen(args) -> tuple[int, object]:
         "delta": rep.radius,
         "stabilized_at": model.system.word_closure().stable_index,
         "members": list(space.labels_of(rep.members)),
-        "excluded": {
-            str(space.label(y)): {"by": g.word_str() or g.name, "distance": d}
-            for y, (g, d) in rep.exclusions.items()
-        },
+        "excluded": _excluded(space, rep),
     }
     return EXIT_OK, (payload, model)
 
@@ -186,21 +194,12 @@ def cmd_htop(args) -> tuple[int, object]:
     if args.eps_grid != "auto":
         grid = [parse_rational(v) for v in args.eps_grid.split(",")]
     table = dynamics.h_top_table(model.system, eps_grid=grid, n_max=args.n_max)
-    payload = {
-        "rows": [{"eps": r.eps, "n": r.n, "count_lower": r.count_lower,
-                  "count_upper": r.count_upper, "rate": r.rate}
-                 for r in table.rows],
-        "limit": table.limit,
-        "note": table.note,
-    }
-    return EXIT_OK, (payload, model)
+    return EXIT_OK, (table, model)
 
 
 def cmd_entropy(args) -> tuple[int, object]:
     model = load_model(args.model)
-    mu = model.measure
-    if args.measure:
-        mu = load_measure(args.measure, model.space)
+    mu = _measure(args, model)
     if mu is None:
         raise InputError("local entropy needs a measure (--measure or 'mu')")
     grid = None
@@ -208,20 +207,12 @@ def cmd_entropy(args) -> tuple[int, object]:
         grid = [parse_rational(v) for v in args.eps_grid.split(",")]
     table = measure.local_entropy(mu, model.system, args.x,
                                   eps_grid=grid, n_max=args.n_max)
-    payload = {
-        "x": table.x,
-        "cells": [{"eps": c.eps, "n": c.n, "ball_measure": c.ball_measure,
-                   "value": c.value} for c in table.cells],
-        "limit": table.limit,
-    }
-    return EXIT_OK, (payload, model)
+    return EXIT_OK, (table, model)
 
 
 def cmd_check(args) -> tuple[int, object]:
     model = load_model(args.model)
-    mu = model.measure
-    if args.measure:
-        mu = load_measure(args.measure, model.space)
+    mu = _measure(args, model)
     if mu is None:
         raise InputError("checks need a measure (--measure or 'mu')")
     sysm = model.system
@@ -272,9 +263,7 @@ def cmd_conjugate(args) -> tuple[int, object]:
         iso = load_iso(args.iso, model.space)
     if iso is None:
         raise InputError("conjugation needs an iso (--iso or 'phi')")
-    mu = model.measure
-    if args.measure:
-        mu = load_measure(args.measure, model.space)
+    mu = _measure(args, model)
     if args.check == "entropy":
         rep = morphism.compare_entropy(model.system, iso, mu=mu,
                                        x=model.space.points[0] if mu else None)
@@ -318,9 +307,7 @@ def cmd_equicont(args) -> tuple[int, object]:
         rep = equicont.no_expansive_certificate_good(sysm)
         payload = {
             "mode": "core-restricted",
-            "rows": [{"rho": r.rho, "delta": r.delta, "xi": r.xi,
-                      "inclusion_ok": r.inclusion_ok}
-                     for r in rep.rows],
+            "rows": rep.rows,
             "all_ok": rep.all_ok,
             "conclusion": rep.conclusion,
         }
@@ -335,9 +322,7 @@ def cmd_equicont(args) -> tuple[int, object]:
     payload = {"mode": "closure", "isometric": cert.isometric, "rows": rows,
                "audit_ok": cert.audit(maps, model.space)}
     if args.rho is not None:
-        rho = parse_rational(args.rho)
-        if rho < 0:
-            raise InputError("radius must be nonnegative")
+        rho = parse_radius(args.rho)
         if all(g.is_total() for g in sysm.generators):
             rep = equicont.no_expansive_certificate_group(sysm, rho)
             payload["group_certificate"] = {

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import CapabilityError, InputError
 from .pseudogroup import GeneratingSystem, PartialMap, WordClosure
-from .rational import parse_rational
+from .rational import parse_radius, parse_rational
 from .space import PointSet
 
 EXACT_CLIQUE_CAP = 20
@@ -42,15 +42,15 @@ class BallReport:
 def dyn_ball(sys: GeneratingSystem, x, n: int, eps, closed: bool = False,
              closure: WordClosure | None = None) -> BallReport:
     """Dynamical n-ball around ``x`` with radius ``eps``."""
-    eps = parse_rational(eps)
+    eps = parse_radius(eps)
     if n < 1:
         raise InputError("n must be at least 1")
-    if eps < 0:
-        raise InputError("radius must be nonnegative")
     space = sys.space
     xi = space.index(x)
     closure = closure or sys.word_closure()
     maps = closure.maps_at(n)
+    ranks = space.distance_ranks()[0]
+    t = space.threshold(eps, closed)
     members = set()
     exclusions: dict[int, tuple[PartialMap, Fraction]] = {}
     for y in range(space.n):
@@ -61,9 +61,8 @@ def dyn_ball(sys: GeneratingSystem, x, n: int, eps, closed: bool = False,
             gy = gv[y]
             if gx is None or gy is None:
                 continue
-            d = space.dist[gx][gy]
-            if (d >= eps) if not closed else (d > eps):
-                blocker = (g, d)
+            if ranks[gx][gy] >= t:
+                blocker = (g, space.dist[gx][gy])
                 break
         if blocker is None:
             members.add(y)
@@ -110,9 +109,7 @@ def bowen_ball(sys: GeneratingSystem, x, delta,
                closure: WordClosure | None = None) -> BallReport:
     """Exact Bowen ball: the closed dynamical ball at the stabilization
     index, where the nested intersection over all n becomes constant."""
-    delta = parse_rational(delta)
-    if delta < 0:
-        raise InputError("radius must be nonnegative")
+    delta = parse_radius(delta)
     closure = closure or sys.word_closure()
     return dyn_ball(sys, x, closure.stable_index, delta, closed=True,
                     closure=closure)
@@ -128,26 +125,17 @@ class SeparationReport:
     exact: bool
 
 
-def separation_graph(sys: GeneratingSystem, n: int, eps,
-                     closure: WordClosure | None = None) -> list[int]:
+def separation_graph(sys: GeneratingSystem, n: int, eps) -> list[int]:
     """Adjacency bitmasks: an edge joins two points some shared word pushes
     at least ``eps`` apart."""
-    eps = parse_rational(eps)
-    closure = closure or sys.word_closure()
-    table = closure.constraint_table(n)
-    npts = sys.space.n
-    adj = [0] * npts
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            if table[i][j] >= eps:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+    t = sys.space.threshold(parse_rational(eps))
+    table = sys.word_closure().constraint_table(n)
+    return [sum(1 << j for j, r in enumerate(row) if r >= t and j != i)
+            for i, row in enumerate(table)]
 
 
 def separated_count(sys: GeneratingSystem, n: int, eps,
-                    mode: str = "exact",
-                    closure: WordClosure | None = None) -> SeparationReport:
+                    mode: str = "exact") -> SeparationReport:
     """Maximal cardinality of an (n, eps)-separated subset.
 
     Separated sets are cliques of the separation graph.  ``exact`` runs a
@@ -160,7 +148,7 @@ def separated_count(sys: GeneratingSystem, n: int, eps,
     if eps <= 0:
         raise InputError("separation scale must be positive")
     npts = sys.space.n
-    adj = separation_graph(sys, n, eps, closure=closure)
+    adj = separation_graph(sys, n, eps)
     if mode == "exact":
         if npts > EXACT_CLIQUE_CAP:
             raise CapabilityError(
@@ -275,7 +263,7 @@ def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8) -> HTopTab
         for n in range(1, n_max + 1):
             # past the stabilization index the table, hence the count, is fixed
             if n <= closure.stable_index:
-                rep = separated_count(sys, n, eps, mode=mode, closure=closure)
+                rep = separated_count(sys, n, eps, mode=mode)
             rate = math.log(rep.lower) / n if rep.lower > 0 else float("-inf")
             rows.append(HTopRow(eps=eps, n=n, count_lower=rep.lower,
                                 count_upper=rep.upper, rate=rate))

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapabilityError, InputError, PreconditionError
+from .errors import CapabilityError, PreconditionError
 from .pseudogroup import (GeneratingSystem, compacted_system, spread_table,
                           table_ball)
-from .rational import UNBOUNDED, is_unbounded, parse_rational
+from .rational import UNBOUNDED, is_unbounded, parse_radius, parse_rational
 from .space import FiniteMetricSpace
 
 
@@ -44,24 +44,26 @@ class EquicontinuityCertificate:
         return True
 
 
-def _modulus(spread, space: FiniteMetricSpace, eps):
+def _modulus(spread, space: FiniteMetricSpace, t: int):
     """``(delta, pairs)``: the least d(i, j) over the pairs i < j whose
-    spread reaches eps (UNBOUNDED when none does), and the pairs at
-    exactly that distance, in lexicographic order."""
-    dist = space.dist
-    # a zero entry means no map in scope is defined at both points
+    spread rank reaches the threshold ``t`` (UNBOUNDED when none does), and
+    the pairs at exactly that distance, in lexicographic order."""
+    ranks, values = space.distance_ranks()
+    # rank 0 means no map in scope is defined at both points
+    t = max(t, 1)
     spread_pairs = [(i, j) for i, row in enumerate(spread)
-                    for j in range(i + 1, space.n) if row[j] and row[j] >= eps]
+                    for j in range(i + 1, space.n) if row[j] >= t]
     if not spread_pairs:
         return UNBOUNDED, []
-    delta = min(dist[i][j] for i, j in spread_pairs)
-    return delta, [(i, j) for i, j in spread_pairs if dist[i][j] == delta]
+    low = min(ranks[i][j] for i, j in spread_pairs)
+    return values[low], [(i, j) for i, j in spread_pairs if ranks[i][j] == low]
 
 
 def modulus_at(maps, space: FiniteMetricSpace, eps):
     """Least distance among pairs some map spreads to eps or beyond;
     UNBOUNDED when no map ever does."""
-    return _modulus(spread_table(maps, space), space, parse_rational(eps))[0]
+    t = space.threshold(parse_rational(eps))
+    return _modulus(spread_table(maps, space), space, t)[0]
 
 
 def equicontinuity_modulus(maps, space: FiniteMetricSpace,
@@ -73,16 +75,17 @@ def equicontinuity_modulus(maps, space: FiniteMetricSpace,
         eps_grid = space.distance_grid()
     eps_grid = [parse_rational(e) for e in eps_grid]
     spread = spread_table(maps, space)
-    dist = space.dist
+    ranks = space.distance_ranks()[0]
     table = {}
     witnesses = {}
     for eps in eps_grid:
-        delta, pairs = _modulus(spread, space, eps)
+        t = space.threshold(eps)
+        delta, pairs = _modulus(spread, space, t)
         table[eps] = delta
         witnesses[eps] = next(
             ((g, space.label(i), space.label(j)) for g in maps for i, j in pairs
              if g.vals[i] is not None and g.vals[j] is not None
-             and dist[g.vals[i]][g.vals[j]] >= eps),
+             and ranks[g.vals[i]][g.vals[j]] >= t),
             None)
     isometric = all(table.get(e) == e for e in eps_grid)
     return EquicontinuityCertificate(scope="closure", table=table,
@@ -105,20 +108,15 @@ class GroupInclusionReport:
 def _inclusion_failures(space: FiniteMetricSpace, delta, table, rho) -> list[int]:
     """Centres x whose open delta-ball is not inside the Bowen rho-ball
     {y : table[x][y] <= rho}."""
+    ranks = space.distance_ranks()[0]
+    inner = space.threshold(delta)
+    outer = space.threshold(rho, closed=True)
     return [x for x in range(space.n)
-            if not table_ball(space.dist, x, delta, closed=False)
-            <= table_ball(table, x, rho, closed=True)]
-
-
-def _radius(rho) -> Fraction:
-    rho = parse_rational(rho)
-    if rho < 0:
-        raise InputError("radius must be nonnegative")
-    return rho
+            if not table_ball(ranks, x, inner) <= table_ball(table, x, outer)]
 
 
 def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusionReport:
-    rho = _radius(rho)
+    rho = parse_radius(rho)
     if not all(g.is_total() for g in sys.generators):
         raise CapabilityError(
             "generators are not all total; use the core-restricted variant"
@@ -173,17 +171,16 @@ def no_expansive_certificate_good(sys: GeneratingSystem,
     space = sys.space
     if rho_grid is None:
         rho_grid = space.distance_grid()
-    rho_grid = [_radius(r) for r in rho_grid]
+    rho_grid = [parse_radius(r) for r in rho_grid]
     closure = sys.word_closure()
     spread = closure.constraint_table(closure.stable_index)
     core_closure = compacted_system(sys).word_closure()
     ctable = core_closure.constraint_table(core_closure.stable_index)
     rows = []
     all_ok = True
-    diameter = space.diameter()
     for rho in rho_grid:
-        delta = _modulus(spread, space, rho)[0]
-        xi = diameter if is_unbounded(delta) else delta
+        delta = _modulus(spread, space, space.threshold(rho))[0]
+        xi = space.diameter() if is_unbounded(delta) else delta
         ok = not _inclusion_failures(space, xi, ctable, rho)
         rows.append(GoodInclusionRow(rho=rho, delta=delta, xi=xi,
                                      inclusion_ok=ok))

@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import InputError, PreconditionError
 from .pseudogroup import (GeneratingSystem, compacted_system, separation_radius,
                           table_ball)
-from .rational import is_unbounded, parse_rational
+from .rational import is_unbounded, parse_radius, parse_rational
 from .space import FiniteMetricSpace, PointSet
 
 HOMOGENEITY_LADDER_CAP = Fraction(2) ** 20
@@ -217,15 +217,17 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     if not eps_grid or n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
     cells = []
-    for eps in sorted(eps_grid):
+    scales = sorted(eps_grid)
+    thresholds = [space.threshold(eps) for eps in scales]
+    for eps, t in zip(scales, thresholds):
         for n in range(1, n_max + 1):
             table = closure.constraint_table(n)
-            m = mu(table_ball(table, xi, eps, closed=False))
+            m = mu(table_ball(table, xi, t))
             value = math.inf if m == 0 else -math.log(m) / n
             cells.append(EntropyCell(eps=eps, n=n, ball_measure=m, value=value))
-    smallest = min(eps_grid)
+    # the smallest scale comes first
     stab_m = mu(table_ball(closure.constraint_table(closure.stable_index),
-                           xi, smallest, closed=False))
+                           xi, thresholds[0]))
     limit = 0.0 if stab_m > 0 else math.inf
     return LocalEntropyTable(x=space.label(xi), cells=cells, limit=limit)
 
@@ -269,16 +271,15 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     if not eps_grid or n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
     n_range = range(1, min(n_max, closure.stable_index) + 1)
-    rows: dict[tuple[Fraction, int], list[Fraction]] = {}
+    rows: dict[tuple[int, int], list[Fraction]] = {}
 
-    def measures(radius: Fraction, n: int) -> list[Fraction]:
-        """Open-ball measures around every point, once per (radius, n)."""
-        row = rows.get((radius, n))
+    def measures(t: int, n: int) -> list[Fraction]:
+        """Open-ball measures around every point, once per threshold and n."""
+        row = rows.get((t, n))
         if row is None:
             table = closure.constraint_table(n)
-            row = rows[radius, n] = [
-                mu(table_ball(table, i, radius, closed=False))
-                for i in range(space.n)]
+            row = rows[t, n] = [mu(table_ball(table, i, t))
+                                for i in range(space.n)]
         return row
 
     witnesses: dict = {}
@@ -286,15 +287,17 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     counterexample = None
     ok = True
     for eps in eps_grid:
+        t_eps = space.threshold(eps)
         candidates = [eps] + [d for d in reversed(grid) if d != eps]
         found = None
         fail_cell = None
         for delta in candidates:
+            t_delta = t_eps if delta == eps else space.threshold(delta)
             c_needed = Fraction(0)
             feasible = True
             for n in n_range:
-                denom = measures(eps, n)
-                numer = measures(delta, n)
+                denom = measures(t_eps, n)
+                numer = measures(t_delta, n)
                 lo = min(denom)
                 hi = max(numer)
                 if lo == 0:
@@ -362,16 +365,15 @@ class ExpansivenessVerdict:
 
 def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
                           delta) -> ExpansivenessVerdict:
-    delta = parse_rational(delta)
-    if delta < 0:
-        raise InputError("radius must be nonnegative")
+    delta = parse_radius(delta)
     space = sys.space
     closure = sys.word_closure()
     table = closure.constraint_table(closure.stable_index)
+    t = space.threshold(delta, closed=True)
     measures = {}
     zero = set()
     for xi in range(space.n):
-        m = mu(table_ball(table, xi, delta, closed=True))
+        m = mu(table_ball(table, xi, t))
         measures[space.label(xi)] = m
         if m == 0:
             zero.add(xi)

@@ -14,10 +14,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .dynamics import separated_count
+from .equicont import _modulus
 from .errors import InputError
 from .measure import FiniteMeasure, LocalEntropyTable, local_entropy
 from .pseudogroup import GeneratingSystem, PartialMap
-from .rational import UNBOUNDED, is_unbounded, parse_rational
+from .rational import is_unbounded, parse_rational
 from .space import FiniteMetricSpace, PointSet
 
 
@@ -84,15 +85,10 @@ class SpaceIso:
         """Largest threshold delta with d_src(u,v) < delta implying
         d_dst(phi u, phi v) < eps: the least source distance among pairs
         whose images are eps or farther apart (UNBOUNDED if none)."""
-        eps = parse_rational(eps)
-        best = None
-        for i in range(self.src.n):
-            for j in range(i + 1, self.src.n):
-                if self.dst.dist[self.fwd[i]][self.fwd[j]] >= eps:
-                    d = self.src.dist[i][j]
-                    if best is None or d < best:
-                        best = d
-        return UNBOUNDED if best is None else best
+        rows = self.dst.distance_ranks()[0]
+        pulled = [[rows[u][v] for v in self.fwd] for u in self.fwd]
+        t = self.dst.threshold(parse_rational(eps))
+        return _modulus(pulled, self.src, t)[0]
 
     def inverse_modulus(self, eps):
         return self.inverted().forward_modulus(eps)
@@ -241,8 +237,9 @@ def transfer_expansive_constant(eta, iso: SpaceIso) -> Fraction:
     bound = iso.inverse_modulus(eta)
     if is_unbounded(bound):
         return iso.dst.diameter()
-    below = [delta for delta in iso.dst.distance_grid() if delta < bound]
-    return below[-1] if below else bound / 2
+    # values[t - 1] is the largest distance below the bound; values[0] is 0
+    t = iso.dst.threshold(bound)
+    return iso.dst.distance_ranks()[1][t - 1] if t > 1 else bound / 2
 
 
 @dataclass(frozen=True)

@@ -298,11 +298,12 @@ def stmt_ball_formula(ctx: ProbeContext) -> Outcome:
     """Scan and set-algebra routes to the dynamical ball agree."""
     closure = ctx.closure
     ns = sorted({1, min(2, closure.stable_index), closure.stable_index})
-    for x in range(ctx.space.n):
-        for eps in ctx.eps_sample():
-            for n in ns:
-                for closed in (False, True):
-                    a = table_ball(closure.constraint_table(n), x, eps, closed)
+    for eps in ctx.eps_sample():
+        for closed in (False, True):
+            t = ctx.space.threshold(eps, closed)
+            for x in range(ctx.space.n):
+                for n in ns:
+                    a = table_ball(closure.constraint_table(n), x, t)
                     b = ctx.ops.ball_formula(ctx.sys, x, n, eps, closed, closure)
                     if a != b:
                         return Outcome.bad((ctx.space.label(x), n, eps, closed,
@@ -314,13 +315,13 @@ def stmt_bowen_stabilization(ctx: ProbeContext) -> Outcome:
     """The Bowen ball equals the nested intersection of closed n-balls,
     which is constant from the stabilization index on."""
     closure = ctx.closure
-    for x in range(ctx.space.n):
-        for delta in ctx.eps_sample():
+    for delta in ctx.eps_sample():
+        t = ctx.space.threshold(delta, closed=True)
+        for x in range(ctx.space.n):
             bw = ctx.ops.bowen_members(ctx.sys, x, delta, closure)
             inter = ctx.space.full_set()
             for n in range(1, closure.stable_index + 1):
-                inter &= table_ball(closure.constraint_table(n), x, delta,
-                                    closed=True)
+                inter &= table_ball(closure.constraint_table(n), x, t)
             if bw != inter:
                 return Outcome.bad((ctx.space.label(x), delta,
                                     sorted(bw), sorted(inter)))
@@ -371,12 +372,14 @@ def stmt_compaction_inclusion(ctx: ProbeContext) -> Outcome:
     m1 = ctx.closure.constraint_table(ctx.closure.stable_index)
     cc = ctx.compacted_closure
     m2 = cc.constraint_table(cc.stable_index)
+    values = ctx.space.distance_ranks()[1]
     strict = False
     for x in range(ctx.space.n):
         for y in range(ctx.space.n):
             if m2[x][y] > m1[x][y]:
                 return Outcome.bad((ctx.space.label(x), ctx.space.label(y),
-                                    str(m1[x][y]), str(m2[x][y])))
+                                    str(values[m1[x][y]]),
+                                    str(values[m2[x][y]])))
             if m2[x][y] < m1[x][y]:
                 strict = True
     proper_core = any(
@@ -397,10 +400,12 @@ def stmt_half_radius(ctx: ProbeContext) -> Outcome:
     m1 = ctx.closure.constraint_table(ctx.closure.stable_index)
     cc = ctx.compacted_closure
     m2 = cc.constraint_table(cc.stable_index)
+    half = ctx.space.threshold(rho / 2, closed=True)
+    full = ctx.space.threshold(rho, closed=True)
     for x0 in range(ctx.space.n):
-        ball = table_ball(m1, x0, rho / 2, closed=True)
+        ball = table_ball(m1, x0, half)
         for y0 in sorted(ball):
-            escaped = ball - table_ball(m2, y0, rho, closed=True)
+            escaped = ball - table_ball(m2, y0, full)
             if escaped:
                 return Outcome.bad((ctx.space.label(x0), ctx.space.label(y0),
                                     ctx.space.label(min(escaped)), str(rho)))
@@ -415,13 +420,15 @@ def stmt_core_margin(ctx: ProbeContext) -> Outcome:
     rho = separation_radius(ctx.sys)
     if is_unbounded(rho):
         return Outcome.ok(substantive=False)
+    ranks = ctx.space.distance_ranks()[0]
+    t = ctx.space.threshold(rho)
     for g, g2 in zip(ctx.sys.generators, ctx.compacted.generators):
         if g.is_identity():
             continue
         outside = ctx.space.full_set() - g.dom
         for z in outside:
             for y in g2.dom:
-                if ctx.space.dist[z][y] < rho:
+                if ranks[z][y] < t:
                     return Outcome.bad((g.name, ctx.space.label(z),
                                         ctx.space.label(y),
                                         str(ctx.space.dist[z][y]), str(rho)))
@@ -485,11 +492,14 @@ def stmt_iso_ball_transfer(ctx: ProbeContext) -> Outcome:
     m_dst = conj_closure.constraint_table(conj_closure.stable_index)
     for eta in ctx.eps_sample(cap=4):
         delta = morphism.transfer_expansive_constant(eta, iso)
+        # each table against the threshold of its own space
+        t_dst = iso.dst.threshold(delta, closed=True)
+        t_src = ctx.space.threshold(eta, closed=True)
         for x in range(ctx.space.n):
             fx = iso.fwd[x]
             for z in range(ctx.space.n):
                 fz = iso.fwd[z]
-                if m_dst[fx][fz] <= delta and m_src[x][z] > eta:
+                if m_dst[fx][fz] < t_dst and m_src[x][z] >= t_src:
                     return Outcome.bad((ctx.space.label(x), ctx.space.label(z),
                                         str(eta), str(delta)))
     return Outcome.ok()

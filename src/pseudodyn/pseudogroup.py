@@ -9,12 +9,15 @@ witness words are carried as metadata only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import CapabilityError, InputError, PreconditionError
 from .rational import UNBOUNDED
 from .space import FiniteMetricSpace, PointSet
+
+# The most maps a word closure may hold: the largest one known to fit has
+# 1,188,736 maps, and a closure past the cap stops after about 320 MB.
+CLOSURE_CAP = 1_500_000
 
 
 class PartialMap:
@@ -328,7 +331,7 @@ class WordClosure:
         self.space = space
         self.level_maps = level_maps
         self.stable_index = stable_index
-        self._m_cache: dict[int, list[list[Fraction]]] = {}
+        self._m_cache: dict[int, list[list[int]]] = {}
 
     def maps_at(self, n: int) -> list[PartialMap]:
         """The word set at length ``n`` (constant from the stabilization on)."""
@@ -340,10 +343,10 @@ class WordClosure:
     def stabilized_maps(self) -> list[PartialMap]:
         return self.level_maps[self.stable_index - 1]
 
-    def constraint_table(self, n: int) -> list[list[Fraction]]:
+    def constraint_table(self, n: int) -> list[list[int]]:
         """The spread table of the word set at length ``n``, cached per
         level: the dynamical n-ball around ``i`` is ``table_ball(table, i,
-        eps, closed)``."""
+        space.threshold(eps, closed))``."""
         level = min(n, self.stable_index)
         table = self._m_cache.get(level)
         if table is None:
@@ -352,18 +355,17 @@ class WordClosure:
         return table
 
 
-def spread_table(maps, space: FiniteMetricSpace) -> list[list[Fraction]]:
-    """``S[i][j]`` = max of d(g(i), g(j)) over the maps defined at both
-    points, 0 where none is (maps are injective, so a shared map makes the
-    entry positive off the diagonal).
+def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
+    """``S[i][j]`` = the rank of max d(g(i), g(j)) over the maps defined at
+    both points, 0 where none is (maps are injective, so a shared map makes
+    the entry positive off the diagonal).
 
     The one fold of maps into distances: the constraint tables, the
-    equicontinuity moduli and every table ball read it, at every radius.
-    The max runs over the integer distance ranks of the space, which order
-    as the distances do, and each rank maps back to its distance once.
+    equicontinuity moduli and every table ball read it, at every radius,
+    through ``space.threshold``; ``values[S[i][j]]`` is the distance.
     """
     npts = space.n
-    ranks, values = space.distance_ranks()
+    ranks = space.distance_ranks()[0]
     table = [[0] * npts for _ in range(npts)]
     for g in maps:
         vals = g.vals
@@ -376,16 +378,14 @@ def spread_table(maps, space: FiniteMetricSpace) -> list[list[Fraction]]:
                 if r > row[j]:
                     row[j] = r
                     table[j][i] = r
-    return [list(map(values.__getitem__, row)) for row in table]
+    return table
 
 
-def table_ball(table, i: int, r, closed: bool) -> PointSet:
-    """``{y : table[i][y] < r}`` (open) or ``<= r`` (closed): with a spread
-    table the dynamical ball around ``i``, with the metric the metric ball."""
-    row = table[i]
-    if closed:
-        return frozenset(y for y, v in enumerate(row) if v <= r)
-    return frozenset(y for y, v in enumerate(row) if v < r)
+def table_ball(table, i: int, t: int) -> PointSet:
+    """``{y : table[i][y] < t}`` for a rank threshold ``t`` from
+    ``space.threshold``: with a spread table the dynamical ball around
+    ``i``, with the distance ranks the metric ball."""
+    return frozenset(y for y, v in enumerate(table[i]) if v < t)
 
 
 def word_closure(sys: GeneratingSystem) -> WordClosure:
@@ -408,7 +408,7 @@ _DECODE = tuple(range(_UNDEFINED)) + (None,)
 def _closure(sys: GeneratingSystem, compose) -> WordClosure:
     """The closure loop behind every word closure: each round extends the
     newest words by one generator through ``compose(word, generator)``
-    until a round adds nothing.
+    until a round adds nothing, or past ``CLOSURE_CAP`` maps.
 
     The loop runs on hashable keys, one per map, and one step function.
     Under ``PartialMap.then`` on at most 255 points a key is the map as
@@ -461,6 +461,10 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
                     known.add(c)
                     keys.append(c)
                     links.append((parent, gen))
+            if len(keys) > CLOSURE_CAP:
+                raise CapabilityError(
+                    f"the word closure passed {CLOSURE_CAP} maps; orbit "
+                    "questions (check --what invariant|ergodic) build none")
         if len(keys) == end:
             break
         sizes.append(len(keys))

@@ -64,6 +64,14 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"cannot parse rational from {value!r}")
 
 
+def parse_radius(value) -> Fraction:
+    """Parse a ball radius: an exact rational that must be nonnegative."""
+    radius = parse_rational(value)
+    if radius < 0:
+        raise InputError("radius must be nonnegative")
+    return radius
+
+
 def format_rational(value) -> str:
     if is_unbounded(value):
         return "unbounded"

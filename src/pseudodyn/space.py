@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -103,8 +104,7 @@ class FiniteMetricSpace:
         return tuple(self.points[i] for i in sorted(s))
 
     def diameter(self) -> Fraction:
-        return max((self.dist[i][j] for i in range(self.n) for j in range(self.n)),
-                   default=Fraction(0))
+        return self.distance_ranks()[1][-1]
 
     # -- operations --------------------------------------------------------
 
@@ -121,10 +121,10 @@ class FiniteMetricSpace:
         """``(ranks, values)``: ``ranks[i][j]`` is the position of d(i, j)
         in ``values = (0, *distance_grid())``.
 
-        Ranks order exactly as the distances do, so a max or a comparison
-        over distances can run over small integers and map back through
-        ``values`` once.  Built on first use, with the grid, in one pass that
-        hashes each upper-triangle distance once; the space is immutable.
+        Ranks order exactly as the distances do, so comparisons and maxima
+        run over small integers (see ``threshold``) and ``values[rank]``
+        is the distance.  Built on first use, with the grid, in one pass
+        that hashes each upper-triangle distance once; the space is immutable.
         """
         if self._ranks is None:
             ids: dict[Fraction, int] = {}
@@ -138,6 +138,14 @@ class FiniteMetricSpace:
             ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in seen)
             self._ranks = (ranks, values)
         return self._ranks
+
+    def threshold(self, r, closed: bool = False) -> int:
+        """The one radius rule: d(i, j) lies in the open (or closed) ball of
+        radius ``r`` exactly when its rank is below ``threshold(r, closed)``,
+        and is ``r`` or more exactly when its rank is ``threshold(r)`` or
+        more."""
+        values = self.distance_ranks()[1]
+        return (bisect_right if closed else bisect_left)(values, r)
 
     def ball_ix(self, i: int, r, closed: bool = False) -> PointSet:
         r = parse_rational(r)

@@ -32,6 +32,18 @@ def cyclic_space(n):
     )
 
 
+def coprime_space(n, primes=(2, 3, 5, 7, 11, 13, 17)):
+    """d(i, j) = 1 + 1/p over pairwise coprime p, some values repeated;
+    every distance lies in [1, 2], so the triangle inequality holds."""
+    k = 0
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = 1 + Fraction(1, primes[k % len(primes)])
+            k += 1
+    return FiniteMetricSpace([f"q{i}" for i in range(n)], dist)
+
+
 def rotation_system(n):
     space = cyclic_space(n)
     r = PartialMap.from_dict(space, {i: (i + 1) % n for i in range(n)}, name="r")

@@ -102,6 +102,7 @@ def test_criterion_05_ball_formula_equivalence():
         sys_i, _ = random_genome(spec, idx).build()
         closure = sys_i.word_closure()
         space = sys_i.space
+        values = space.distance_ranks()[1]
         grid = space.distance_grid()
         if len(grid) > 8:
             step = (len(grid) - 1) / 7
@@ -109,7 +110,7 @@ def test_criterion_05_ball_formula_equivalence():
         for n in range(1, min(6, closure.stable_index) + 1):
             table = closure.constraint_table(n)
             for x in range(space.n):
-                row = table[x]
+                row = [values[r] for r in table[x]]
                 for eps in grid:
                     for closed in (False, True):
                         members = frozenset(
@@ -135,6 +136,7 @@ def test_criterion_06_dedup_soundness():
         sys_i, _ = random_genome(spec, idx).build()
         closure = sys_i.word_closure()
         space = sys_i.space
+        values = space.distance_ranks()[1]
         npts = space.n
         for n in range(1, 5):
             raw = raw_word_maps(sys_i, n)
@@ -148,7 +150,8 @@ def test_criterion_06_dedup_soundness():
                         if d > raw_table[i][j]:
                             raw_table[i][j] = d
                             raw_table[j][i] = d
-            if raw_table != closure.constraint_table(n):
+            table = closure.constraint_table(n)
+            if raw_table != [[values[r] for r in row] for row in table]:
                 mismatches += 1
     report(6, mismatches == 0,
            "raw word enumeration and deduplicated closure give identical "

@@ -150,8 +150,10 @@ def test_positive_limit_impossible_with_positive_stabilized_measure():
             if table.limit == math.inf:
                 closure = sys_i.word_closure()
                 row = closure.constraint_table(closure.stable_index)[x]
+                values = sys_i.space.distance_ranks()[1]
                 smallest = min(sys_i.space.distance_grid())
-                ball = [y for y in range(sys_i.space.n) if row[y] < smallest]
+                ball = [y for y in range(sys_i.space.n)
+                        if values[row[y]] < smallest]
                 assert mu(ball) == 0
 
 

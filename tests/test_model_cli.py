@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import InputError
+from pseudodyn import InputError, pseudogroup
 from pseudodyn.cli import main, render, to_jsonable
 from pseudodyn.model import parse_model
 
@@ -430,3 +430,30 @@ def test_manifest_and_payload_reproducible(model_path, capsys):
     assert first["result"] == second["result"]
     assert first["manifest"]["model_sha256"] == second["manifest"]["model_sha256"]
     assert first["manifest"]["version"] == second["manifest"]["version"]
+
+
+def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
+    """A closure past the cap is a capability error (exit 2) that names the
+    orbit questions, and those still run without the closure."""
+    labels = [f"p{i}" for i in range(6)]
+    doc = {
+        "points": labels,
+        "dist": [[int(i != j) for j in range(6)] for i in range(6)],
+        "generators": [
+            {"name": "r", "map": {labels[i]: labels[(i + 1) % 6]
+                                  for i in range(6)}},
+            {"name": "s", "map": {"p0": "p1", "p1": "p0"}},
+        ],
+        "mu": {p: "1/6" for p in labels},
+    }
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(pseudogroup, "CLOSURE_CAP", 100)
+    assert main(["ball", "--model", str(path), "--x", "p0", "--n", "2",
+                 "--eps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "capability error" in err and "invariant|ergodic" in err
+    for what in ("invariant", "ergodic"):
+        assert main(["--format", "json", "check", "--model", str(path),
+                     "--what", what]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["ok"] is True

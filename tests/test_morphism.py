@@ -97,12 +97,14 @@ def test_transfer_claim_pointwise(line, line_system, doubled):
     m1 = c1.constraint_table(c1.stable_index)
     c2 = conj.word_closure()
     m2 = c2.constraint_table(c2.stable_index)
+    values1 = line.distance_ranks()[1]
+    values2 = doubled.dst.distance_ranks()[1]
     for eta in line.distance_grid():
         delta = transfer_expansive_constant(eta, doubled)
         for x in range(3):
             for z in range(3):
-                if m2[doubled.fwd[x]][doubled.fwd[z]] <= delta:
-                    assert m1[x][z] <= eta
+                if values2[m2[doubled.fwd[x]][doubled.fwd[z]]] <= delta:
+                    assert values1[m1[x][z]] <= eta
 
 
 def test_expansiveness_transfer_never_violated():
@@ -205,6 +207,47 @@ def test_iso_moduli_match_reference_scans():
                 == reference_separation_transfer_scale(eps, iso.inverted())
             assert transfer_expansive_constant(eps, iso) \
                 == reference_transfer_expansive_constant(eps, iso)
+
+
+def reference_forward_modulus(iso, eps):
+    """The least source distance among pairs whose images are eps or
+    farther apart, by the direct pair loop over ``Fraction`` distances."""
+    best = None
+    for i in range(iso.src.n):
+        for j in range(i + 1, iso.src.n):
+            if iso.dst.dist[iso.fwd[i]][iso.fwd[j]] >= eps:
+                d = iso.src.dist[i][j]
+                if best is None or d < best:
+                    best = d
+    return UNBOUNDED if best is None else best
+
+
+def test_forward_modulus_matches_pair_loop():
+    """The rank route agrees with the pair loop on shuffled bijections onto
+    copies scaled by 1 and by 2, both ways, at every grid value of both
+    spaces, at midpoints, 0 and past the diameters."""
+    rng = random.Random("forward-modulus")
+    spec = InstanceSpec(seed="forward-modulus", count=40)
+    for idx in range(spec.count):
+        src = random_genome(spec, idx).build()[0].space
+        n = src.n
+        for scale in (1, 2):
+            fwd = list(range(n))
+            rng.shuffle(fwd)
+            inv = [0] * n
+            for i, v in enumerate(fwd):
+                inv[v] = i
+            dst = FiniteMetricSpace(
+                range(n), [[src.dist[inv[u]][inv[v]] * scale for v in range(n)]
+                           for u in range(n)])
+            iso = SpaceIso(src, dst, fwd)
+            grid = sorted(set(src.distance_grid()) | set(dst.distance_grid()))
+            radii = [Fraction(0), *grid, grid[-1] + 1]
+            radii += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+            for eps in radii:
+                for way in (iso, iso.inverted()):
+                    assert way.forward_modulus(eps) \
+                        == reference_forward_modulus(way, eps)
 
 
 def test_separation_transfer_scale(line, doubled):

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
-                       GermRelation, InputError, PartialMap, PreconditionError,
-                       SpaceIso, compacted_system, conjugate_system,
+from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
+                       GeneratingSystem, GermRelation, InputError,
+                       PartialMap, PreconditionError, SpaceIso, compacted_system, conjugate_system,
                        goodness_check, invariant_sets, is_ergodic,
                        is_unbounded, pseudogroup, raw_word_maps,
                        separation_radius)
@@ -13,7 +13,7 @@ from pseudodyn.mutations import MUTATIONS
 from pseudodyn.pseudogroup import WordClosure, spread_table, table_ball
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
 
-from conftest import rotation_system
+from conftest import coprime_space, rotation_system
 
 
 def _g(line):
@@ -292,6 +292,23 @@ def test_closure_matches_reference_on_criterion_10_stream():
         assert_closure_matches_reference(sys_i)
 
 
+def test_closure_cap_raises_capability_error(monkeypatch):
+    """A closure may hold exactly ``CLOSURE_CAP`` maps; one more raises, on
+    the byte path and on the ``PartialMap`` path of a mutant compose."""
+    system = symmetric_group(coprime_space(6))
+    monkeypatch.setattr(pseudogroup, "CLOSURE_CAP", 720)
+    assert len(system.word_closure().stabilized_maps) == 720
+    monkeypatch.setattr(pseudogroup, "CLOSURE_CAP", 719)
+    fresh = symmetric_group(coprime_space(6))
+    with pytest.raises(CapabilityError,
+                       match=r"passed 719 maps; .*invariant\|ergodic"):
+        fresh.word_closure()
+    with pytest.raises(CapabilityError, match="passed 719 maps"):
+        closure_with(MUTATIONS["compose-intersect-domains"], fresh)
+    # orbit questions read the generator graph, not the closure
+    assert len(fresh.germ_relation().components()) == 1
+
+
 def test_closure_matches_reference_past_255_points():
     """Past 255 points no index fits in a byte, so the closure composes
     ``PartialMap``s."""
@@ -358,21 +375,25 @@ def test_compacted_system_is_shared(line_system_cores):
 def test_table_ball_radii_on_grid_values():
     """Open and closed balls of every closure level's table, at radii
     exactly on its values and just off them, against a direct row
-    comparison."""
+    comparison of the distances the ranks stand for."""
     spec = InstanceSpec(seed="table-ball", count=20)
     for idx in range(spec.count):
         sys_i, _ = random_genome(spec, idx).build()
         space = sys_i.space
+        values = space.distance_ranks()[1]
         closure = sys_i.word_closure()
         for n in range(1, closure.stable_index + 1):
             table = closure.constraint_table(n)
-            values = {v for row in table for v in row}
-            for r in values | {v + Fraction(1, 7) for v in values}:
+            spreads = [[values[r] for r in row] for row in table]
+            seen = {v for row in spreads for v in row}
+            for r in seen | {v + Fraction(1, 7) for v in seen}:
+                t_open = space.threshold(r)
+                t_closed = space.threshold(r, closed=True)
                 for i in range(space.n):
-                    row = table[i]
-                    assert table_ball(table, i, r, closed=False) \
+                    row = spreads[i]
+                    assert table_ball(table, i, t_open) \
                         == {y for y in range(space.n) if row[y] < r}
-                    assert table_ball(table, i, r, closed=True) \
+                    assert table_ball(table, i, t_closed) \
                         == {y for y in range(space.n) if row[y] <= r}
 
 
@@ -395,18 +416,6 @@ def reference_spread_table(maps, space):
     return table
 
 
-def coprime_space(n, primes=(2, 3, 5, 7, 11, 13, 17)):
-    """d(i, j) = 1 + 1/p over pairwise coprime p, some values repeated;
-    every distance lies in [1, 2], so the triangle inequality holds."""
-    k = 0
-    dist = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i][j] = dist[j][i] = 1 + Fraction(1, primes[k % len(primes)])
-            k += 1
-    return FiniteMetricSpace([f"q{i}" for i in range(n)], dist)
-
-
 def symmetric_group(space):
     """The group of all permutations, from a rotation and a transposition."""
     n = space.n
@@ -415,10 +424,16 @@ def symmetric_group(space):
     return GeneratingSystem.build(space, [rot, swap])
 
 
+def spread_distances(table, space):
+    """A rank table with each rank read through ``values``."""
+    values = space.distance_ranks()[1]
+    return [[values[r] for r in row] for row in table]
+
+
 def assert_spread_tables_agree(maps, space):
     table = spread_table(maps, space)
-    assert table == reference_spread_table(maps, space)
-    assert all(type(v) is Fraction for row in table for v in row)
+    assert all(type(r) is int for row in table for r in row)
+    assert spread_distances(table, space) == reference_spread_table(maps, space)
 
 
 def test_distance_ranks_index_the_grid():
@@ -483,7 +498,8 @@ def test_spread_table_edge_cases():
     assert_spread_tables_agree([PartialMap.identity(one)], one)
     assert_spread_tables_agree([PartialMap.empty(space)], space)
     # pairs with no shared map stay 0; a shared map makes the entry positive
-    table = spread_table([g, PartialMap.empty(space)], space)
+    table = spread_distances(spread_table([g, PartialMap.empty(space)], space),
+                             space)
     assert table == reference_spread_table([g], space)
     assert table[0][4] == table[4][0] == space.d(1, 0)
     assert table[0][1] == table[2][3] == 0

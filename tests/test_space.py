@@ -8,7 +8,7 @@ from pseudodyn import FiniteMetricSpace, InputError
 from pseudodyn.probes import InstanceSpec, random_genome
 from pseudodyn.rational import parse_rational
 
-from conftest import cyclic_space
+from conftest import coprime_space, cyclic_space
 
 
 def test_metric_axioms_validated():
@@ -236,3 +236,24 @@ def test_ball_masks_match_ball_ix():
                     assert {j for j in range(space.n) if mask >> j & 1} \
                         == space.ball_ix(i, r, closed)
                 assert space.ball_masks(r, closed) is masks
+
+
+def test_threshold_matches_ball_ix():
+    """Ranks below the threshold are the metric ball, at radii exactly on
+    each grid value, at midpoints, 0, negative and past the diameter, open
+    and closed; the coprime space has exact ties."""
+    spec = InstanceSpec(seed="threshold", count=30)
+    spaces = [coprime_space(7), FiniteMetricSpace(["a"], [[0]])]
+    spaces += [random_genome(spec, idx).build()[0].space
+               for idx in range(spec.count)]
+    for space in spaces:
+        ranks = space.distance_ranks()[0]
+        grid = space.distance_grid()
+        radii = [Fraction(-1), Fraction(0), *grid, space.diameter() + 1]
+        radii += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        for r in radii:
+            for closed in (False, True):
+                t = space.threshold(r, closed)
+                for i in range(space.n):
+                    assert {j for j in range(space.n) if ranks[i][j] < t} \
+                        == space.ball_ix(i, r, closed)
