@@ -391,6 +391,8 @@ def cmd_shift(args) -> tuple[int, object]:
 
 
 def cmd_probe(args) -> tuple[int, object]:
+    if args.seeds < 1:
+        raise InputError("--seeds must be at least 1")
     spec = probes.InstanceSpec(seed=args.seed, count=args.seeds)
     if args.survey:
         survey = probes.question_probe(args.survey, spec)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapabilityError, InputError
-from .pseudogroup import GeneratingSystem, PartialMap, WordClosure
+from .pseudogroup import GeneratingSystem, PartialMap, WordClosure, table_ball
 from .rational import parse_radius, parse_rational
 from .space import PointSet
 
@@ -25,9 +25,9 @@ EXACT_CLIQUE_CAP = 20
 class BallReport:
     """A computed dynamical ball with its exclusion evidence.
 
-    ``exclusions`` maps each non-member to one (map, distance) constraint
-    that rules it out; ``stabilized`` marks balls computed at the word
-    closure's stabilization index (i.e. Bowen balls).
+    ``exclusions`` maps each non-member to the first (map, distance)
+    constraint that rules it out; ``stabilized`` marks balls computed at
+    the word closure's stabilization index (i.e. Bowen balls).
     """
 
     center: object
@@ -41,36 +41,27 @@ class BallReport:
 
 def dyn_ball(sys: GeneratingSystem, x, n: int, eps, closed: bool = False,
              closure: WordClosure | None = None) -> BallReport:
-    """Dynamical n-ball around ``x`` with radius ``eps``."""
+    """Dynamical n-ball around ``x`` with radius ``eps``: a row of the
+    constraint table, with each non-member's first blocking word."""
     eps = parse_radius(eps)
     if n < 1:
         raise InputError("n must be at least 1")
     space = sys.space
     xi = space.index(x)
     closure = closure or sys.word_closure()
-    maps = closure.maps_at(n)
-    ranks = space.distance_ranks()[0]
     t = space.threshold(eps, closed)
-    members = set()
+    members = table_ball(closure.constraint_table(n), xi, t)
+    ranks = space.distance_ranks()[0]
     exclusions: dict[int, tuple[PartialMap, Fraction]] = {}
-    for y in range(space.n):
-        blocker = None
-        for g in maps:
-            gv = g.vals
-            gx = gv[xi]
-            gy = gv[y]
-            if gx is None or gy is None:
-                continue
-            if ranks[gx][gy] >= t:
-                blocker = (g, space.dist[gx][gy])
+    for y in sorted(space.full_set() - members):
+        for g in closure.maps_at(n):
+            gx, gy = g.vals[xi], g.vals[y]
+            if gx is not None and gy is not None and ranks[gx][gy] >= t:
+                exclusions[y] = (g, space.dist[gx][gy])
                 break
-        if blocker is None:
-            members.add(y)
-        else:
-            exclusions[y] = blocker
     return BallReport(center=space.label(xi), radius=eps, n=n, closed=closed,
                       stabilized=(n >= closure.stable_index),
-                      members=frozenset(members), exclusions=exclusions)
+                      members=members, exclusions=exclusions)
 
 
 def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,

@@ -116,6 +116,9 @@ def _inclusion_failures(space: FiniteMetricSpace, delta, table, rho) -> list[int
 
 
 def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusionReport:
+    """For total generators: delta is the modulus at rho folded over the
+    closure's maps, and the Bowen rho-balls are rows of the pair-recurrence
+    table, so the inclusion test checks one route against the other."""
     rho = parse_radius(rho)
     if not all(g.is_total() for g in sys.generators):
         raise CapabilityError(

@@ -25,7 +25,7 @@ from .space import FiniteMetricSpace, PointSet
 class SpaceIso:
     """Bijection between the point sets of two finite metric spaces."""
 
-    __slots__ = ("src", "dst", "fwd", "inv")
+    __slots__ = ("src", "dst", "fwd", "inv", "_pulled", "_inverse")
 
     def __init__(self, src: FiniteMetricSpace, dst: FiniteMetricSpace, fwd):
         if src.n != dst.n:
@@ -40,6 +40,8 @@ class SpaceIso:
         self.dst = dst
         self.fwd = fwd
         self.inv = tuple(inv)
+        self._pulled = None  # pulled-back ranks and inverse: built on first use
+        self._inverse = None
 
     @classmethod
     def from_dict(cls, src: FiniteMetricSpace, dst: FiniteMetricSpace,
@@ -85,13 +87,16 @@ class SpaceIso:
         """Largest threshold delta with d_src(u,v) < delta implying
         d_dst(phi u, phi v) < eps: the least source distance among pairs
         whose images are eps or farther apart (UNBOUNDED if none)."""
-        rows = self.dst.distance_ranks()[0]
-        pulled = [[rows[u][v] for v in self.fwd] for u in self.fwd]
+        if self._pulled is None:
+            rows = self.dst.distance_ranks()[0]
+            self._pulled = [[rows[u][v] for v in self.fwd] for u in self.fwd]
         t = self.dst.threshold(parse_rational(eps))
-        return _modulus(pulled, self.src, t)[0]
+        return _modulus(self._pulled, self.src, t)[0]
 
     def inverse_modulus(self, eps):
-        return self.inverted().forward_modulus(eps)
+        if self._inverse is None:
+            self._inverse = self.inverted()
+        return self._inverse.forward_modulus(eps)
 
 
 def conjugate_map(g: PartialMap, iso: SpaceIso) -> PartialMap:

@@ -9,6 +9,7 @@ witness words are carried as metadata only.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapabilityError, InputError, PreconditionError
@@ -324,14 +325,14 @@ class WordClosure:
     back reference would make a cycle that only the cyclic collector frees.
     """
 
-    __slots__ = ("space", "level_maps", "stable_index", "_m_cache")
+    __slots__ = ("space", "level_maps", "stable_index", "_tables", "_reads")
 
     def __init__(self, space: FiniteMetricSpace, level_maps: list[list[PartialMap]],
                  stable_index: int):
         self.space = space
         self.level_maps = level_maps
         self.stable_index = stable_index
-        self._m_cache: dict[int, list[list[int]]] = {}
+        self._tables = self._reads = None  # built by the first table
 
     def maps_at(self, n: int) -> list[PartialMap]:
         """The word set at length ``n`` (constant from the stabilization on)."""
@@ -344,26 +345,40 @@ class WordClosure:
         return self.level_maps[self.stable_index - 1]
 
     def constraint_table(self, n: int) -> list[list[int]]:
-        """The spread table of the word set at length ``n``, cached per
-        level: the dynamical n-ball around ``i`` is ``table_ball(table, i,
-        space.threshold(eps, closed))``."""
-        level = min(n, self.stable_index)
-        table = self._m_cache.get(level)
-        if table is None:
-            table = self._m_cache[level] = spread_table(
-                self.level_maps[level - 1], self.space)
-        return table
+        """``T[i][j]`` = the rank of max d(w i, w j) over the words w of
+        length ``n`` defined at i and j: ``table_ball(T, i, space.threshold(
+        eps, closed))`` is the dynamical n-ball around ``i``.  Level k is the
+        pair recurrence T_k[i][j] = max_g T_{k-1}[g i][g j] over the
+        generators (the level-1 maps; the identity's term is row i itself)
+        from T_0, the distance ranks.  A level equal to the one before
+        serves every later level."""
+        if n < 1:
+            raise InputError("word length must be at least 1")
+        if self._reads is None:
+            self._tables = [list(map(list, self.space.distance_ranks()[0]))]
+            gens = [g.vals for g in self.level_maps[0] if not g.is_identity()]
+            # off g's domain, row i's gather reads T[g i][g i] = 0
+            self._reads = [[(vals[i], itemgetter(*[vals[i] if v is None else v
+                                                   for v in vals]))
+                            for vals in gens if vals[i] is not None]
+                           for i in range(self.space.n)]
+        tables = self._tables
+        while len(tables) <= min(n, self.stable_index):
+            prev = tables[-1]
+            table = [list(map(max, prev[i], *[get(prev[gi])
+                                              for gi, get in reads]))
+                     if reads else prev[i]
+                     for i, reads in enumerate(self._reads)]
+            tables += ([table] if table != prev
+                       else [prev] * (self.stable_index + 1 - len(tables)))
+        return tables[min(n, self.stable_index)]
 
 
 def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
     """``S[i][j]`` = the rank of max d(g(i), g(j)) over the maps defined at
     both points, 0 where none is (maps are injective, so a shared map makes
-    the entry positive off the diagonal).
-
-    The one fold of maps into distances: the constraint tables, the
-    equicontinuity moduli and every table ball read it, at every radius,
-    through ``space.threshold``; ``values[S[i][j]]`` is the distance.
-    """
+    the entry positive off the diagonal); ``values[S[i][j]]`` is the
+    distance.  The fold of an explicit map list, for the moduli."""
     npts = space.n
     ranks = space.distance_ranks()[0]
     table = [[0] * npts for _ in range(npts)]

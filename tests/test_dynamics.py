@@ -6,7 +6,9 @@ import pytest
 from pseudodyn import (CapabilityError, GeneratingSystem, bowen_ball, brute_force_separated, compacted_system,
                        dyn_ball, dyn_ball_via_formula, h_top_table,
                        is_unbounded, separated_count, separation_radius)
-from pseudodyn.probes import InstanceSpec, random_genome
+from pseudodyn.mutations import MUTATIONS
+from pseudodyn.probes import InstanceSpec, closure_with, random_genome
+from pseudodyn.pseudogroup import table_ball
 
 from conftest import rotation_system
 
@@ -104,6 +106,90 @@ def test_formula_equals_scan_exhaustive_desk_scale():
                                 == dyn_ball_via_formula(sys_i, x, n, eps,
                                                         closed=closed,
                                                         closure=closure))
+
+
+def reference_dyn_ball(sys, x, n, eps, closed, closure):
+    """The ball by the per-map scan: each point is a member unless some
+    word, in closure order, is defined at both and pushes it to ``eps``
+    or past; that first word is its exclusion."""
+    space = sys.space
+    members = set()
+    exclusions = {}
+    for y in range(space.n):
+        for g in closure.maps_at(n):
+            gx, gy = g.vals[x], g.vals[y]
+            if gx is None or gy is None:
+                continue
+            d = space.dist[gx][gy]
+            if (d > eps) if closed else (d >= eps):
+                exclusions[y] = (g, d)
+                break
+        else:
+            members.add(y)
+    return members, exclusions
+
+
+def assert_ball_matches_reference(rep, npts, want_members, want_exclusions):
+    """Equal members, and every non-member excluded by the same word at
+    the same distance."""
+    assert rep.members == want_members
+    assert set(rep.exclusions) == set(range(npts)) - rep.members
+    assert {y: (g.word, d) for y, (g, d) in rep.exclusions.items()} \
+        == {y: (g.word, d) for y, (g, d) in want_exclusions.items()}
+
+
+def test_dyn_ball_matches_per_map_scan_seeded():
+    """Equal members and the same exclusion, word and distance, at radii
+    on the grid, between its values, at 0 and past the diameter, open and
+    closed, at n = 1, 2 and the stabilization index and for Bowen balls,
+    on the systems and their core-restricted ones."""
+    spec = InstanceSpec(seed="dyn-ball-scan", count=60)
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        systems = [sys_i]
+        if sys_i.has_cores:
+            systems.append(compacted_system(sys_i))
+        for system in systems:
+            closure = system.word_closure()
+            space = system.space
+            grid = space.distance_grid()
+            radii = [Fraction(0), *grid, space.diameter() + 1]
+            radii += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+            for x in range(space.n):
+                for eps in radii:
+                    for n in sorted({1, 2, closure.stable_index}):
+                        for closed in (False, True):
+                            assert_ball_matches_reference(
+                                dyn_ball(system, x, n, eps, closed=closed,
+                                         closure=closure), space.n,
+                                *reference_dyn_ball(system, x, n, eps,
+                                                    closed, closure))
+                    assert_ball_matches_reference(
+                        bowen_ball(system, x, eps, closure=closure), space.n,
+                        *reference_dyn_ball(system, x, closure.stable_index,
+                                            eps, True, closure))
+
+
+def test_dyn_ball_on_mutant_closure_keeps_table_members():
+    """Under a mutant compose the members follow the generators' tables,
+    and a non-member that no mutant word blocks gets no exclusion."""
+    ops = MUTATIONS["compose-intersect-domains"]
+    spec = InstanceSpec(seed="dyn-ball-mutant", count=40)
+    unexcluded = 0
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        closure = closure_with(ops, sys_i)
+        space = sys_i.space
+        for x in range(space.n):
+            for eps in space.distance_grid():
+                rep = dyn_ball(sys_i, x, closure.stable_index, eps,
+                               closure=closure)
+                assert rep.members == table_ball(
+                    closure.constraint_table(closure.stable_index), x,
+                    space.threshold(eps))
+                assert not set(rep.exclusions) & rep.members
+                unexcluded += len(rep.exclusions) + len(rep.members) < space.n
+    assert unexcluded
 
 
 def test_ball_monotonicity(line_system):

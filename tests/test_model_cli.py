@@ -404,6 +404,14 @@ def test_cli_verify_alias(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["probe", "verify"])
+@pytest.mark.parametrize("seeds", ["0", "-5"])
+def test_cli_probe_seeds_below_1_is_input_error(command, seeds, capsys):
+    """A run over no instance checks nothing, so it is refused."""
+    assert main([command, "--seeds", seeds]) == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_probe_violation_exit_code(capsys, monkeypatch):
     """A statement violation in the suite maps to exit code 3."""
     from pseudodyn import cli

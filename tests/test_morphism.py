@@ -248,6 +248,8 @@ def test_forward_modulus_matches_pair_loop():
                 for way in (iso, iso.inverted()):
                     assert way.forward_modulus(eps) \
                         == reference_forward_modulus(way, eps)
+                assert iso.inverse_modulus(eps) \
+                    == reference_forward_modulus(iso.inverted(), eps)
 
 
 def test_separation_transfer_scale(line, doubled):

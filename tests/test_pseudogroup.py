@@ -5,7 +5,9 @@ import pytest
 
 from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        GeneratingSystem, GermRelation, InputError,
-                       PartialMap, PreconditionError, SpaceIso, compacted_system, conjugate_system,
+                       PartialMap, PreconditionError, SpaceIso,
+                       brute_force_separated, compacted_system,
+                       conjugate_system,
                        goodness_check, invariant_sets, is_ergodic,
                        is_unbounded, pseudogroup, raw_word_maps,
                        separation_radius)
@@ -309,9 +311,8 @@ def test_closure_cap_raises_capability_error(monkeypatch):
     assert len(fresh.germ_relation().components()) == 1
 
 
-def test_closure_matches_reference_past_255_points():
-    """Past 255 points no index fits in a byte, so the closure composes
-    ``PartialMap``s."""
+def system_past_255_points():
+    """A flip and a partial step on 256 points at distance 1."""
     n = 256
     space = FiniteMetricSpace(list(range(n)),
                               [[int(i != j) for j in range(n)]
@@ -319,10 +320,16 @@ def test_closure_matches_reference_past_255_points():
     flip = PartialMap(space, [n - 1 - i for i in range(n)], name="f")
     step = PartialMap(space, [i + 1 if i < 3 else None for i in range(n)],
                       name="s")
-    system = GeneratingSystem.build(space, [flip, step])
+    return GeneratingSystem.build(space, [flip, step])
+
+
+def test_closure_matches_reference_past_255_points():
+    """Past 255 points no index fits in a byte, so the closure composes
+    ``PartialMap``s."""
+    system = system_past_255_points()
     closure = system.word_closure()
     assert max(v for g in closure.stabilized_maps for v in g.vals
-               if v is not None) == n - 1
+               if v is not None) == 255
     assert_closure_matches_reference(system, got=closure)
 
 
@@ -503,6 +510,45 @@ def test_spread_table_edge_cases():
     assert table == reference_spread_table([g], space)
     assert table[0][4] == table[4][0] == space.d(1, 0)
     assert table[0][1] == table[2][3] == 0
+
+
+def assert_pair_tables_match_spread_tables(system):
+    """Each level's pair table, one level past the stabilization too,
+    equals the fold of that level's word set."""
+    closure = system.word_closure()
+    for n in range(1, closure.stable_index + 2):
+        assert closure.constraint_table(n) \
+            == spread_table(closure.maps_at(n), system.space)
+
+
+def test_pair_tables_match_spread_tables_on_seeded_instances():
+    spec = InstanceSpec(seed=1, count=300)
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        assert_pair_tables_match_spread_tables(sys_i)
+        if sys_i.has_cores:
+            assert_pair_tables_match_spread_tables(compacted_system(sys_i))
+
+
+def test_pair_tables_match_spread_tables_on_edge_systems():
+    """S_6, S_7, 256 points (past the byte closure) and one point, bare
+    and with an empty generator."""
+    one = FiniteMetricSpace(["a"], [[0]])
+    systems = [symmetric_group(coprime_space(6)),
+               symmetric_group(coprime_space(7)),
+               system_past_255_points(), GeneratingSystem.build(one, []),
+               GeneratingSystem.build(one, [PartialMap.empty(one, "e")])]
+    for system in systems:
+        assert_pair_tables_match_spread_tables(system)
+
+
+def test_constraint_table_rejects_word_length_below_1(line_system):
+    closure = line_system.word_closure()
+    for n in (0, -1):
+        with pytest.raises(InputError, match="at least 1"):
+            closure.constraint_table(n)
+    with pytest.raises(InputError, match="at least 1"):
+        brute_force_separated(line_system, 0, 1)
 
 
 def test_compacted_requires_cores(line_system):
