@@ -34,7 +34,6 @@ from .measure import (
     ExpansivenessVerdict,
     FiniteMeasure,
     brute_force_invariant_sets,
-    entropy_criterion_check,
     expansiveness_upgrade_check,
     expansiveness_verdict,
     invariant_sets,

@@ -429,46 +429,3 @@ def expansiveness_upgrade_check(mu: FiniteMeasure,
     return UpgradeReport(rho=rho, vacuous=not hyp, hypothesis=hyp,
                          conclusion=concl, violated=violated)
 
-
-@dataclass(frozen=True)
-class CriterionReport:
-    """Entropy criterion: ergodic + invariant + homogeneous + positive upper
-    local entropy must imply weak expansiveness at some grid radius."""
-
-    invariant: bool
-    ergodic: Optional[bool]
-    homogeneous: bool
-    entropy_positive: bool
-    entropy_limits: dict
-    entropy_constant: Optional[bool]
-    conclusion: Optional[bool]
-    vacuous: bool
-    violated: bool
-
-
-def entropy_criterion_check(mu: FiniteMeasure, sys: GeneratingSystem,
-                            eps_grid=None, n_max: int | None = None) -> CriterionReport:
-    inv = is_invariant_measure(mu, sys).ok
-    erg = is_ergodic(mu, sys).ok if inv else None
-    hom_report = is_homogeneous(mu, sys, eps_grid=eps_grid, n_max=n_max)
-    limits = {}
-    for xi in range(sys.space.n):
-        label = sys.space.label(xi)
-        limits[label] = local_entropy(
-            mu, sys, label, eps_grid=eps_grid, n_max=1).limit
-    values = list(limits.values())
-    constant = (len(set(values)) == 1) if hom_report.ok else None
-    positive = bool(values) and min(values) > 0
-    hyp = bool(inv and erg and hom_report.ok and positive)
-    conclusion = None
-    if hyp:
-        conclusion = any(
-            expansiveness_verdict(mu, sys, d).weakly_expansive
-            for d in sys.space.distance_grid()
-        )
-    violated = hyp and conclusion is False
-    constancy_violated = hom_report.ok and constant is False
-    return CriterionReport(invariant=inv, ergodic=erg, homogeneous=hom_report.ok,
-                           entropy_positive=positive, entropy_limits=limits,
-                           entropy_constant=constant, conclusion=conclusion,
-                           vacuous=not hyp, violated=violated or constancy_violated)

@@ -517,20 +517,28 @@ def stmt_iso_counts(ctx: ProbeContext) -> Outcome:
     return Outcome.ok()
 
 
+def totalized_group(space: FiniteMetricSpace, gens,
+                    rng: random.Random) -> GeneratingSystem:
+    """The system of a genome's generators ``gens``, each extended to a
+    permutation by sending the points outside its domain to a shuffle of
+    the points outside its image."""
+    n = space.n
+    total_maps = []
+    for k, (_, mapping) in enumerate(gens):
+        g = {space.index(a): space.index(b) for a, b in mapping.items()}
+        free_src = [i for i in range(n) if i not in g]
+        free_dst = [j for j in range(n) if j not in set(g.values())]
+        rng.shuffle(free_dst)
+        g.update(dict(zip(free_src, free_dst)))
+        total_maps.append(PartialMap(
+            space, [g[i] for i in range(n)], name=f"t{k}"))
+    return GeneratingSystem.build(space, total_maps)
+
+
 def stmt_group_claim(ctx: ProbeContext) -> Outcome:
     """On the group generated by totalized generators, open modulus-balls
     sit inside Bowen balls at every grid radius."""
-    n = ctx.space.n
-    total_maps = []
-    for k, (name, mapping) in enumerate(ctx.genome.gens):
-        g = {ctx.space.index(a): ctx.space.index(b) for a, b in mapping.items()}
-        free_src = [i for i in range(n) if i not in g]
-        free_dst = [j for j in range(n) if j not in set(g.values())]
-        ctx.rng.shuffle(free_dst)
-        g.update(dict(zip(free_src, free_dst)))
-        total_maps.append(PartialMap(
-            ctx.space, [g[i] for i in range(n)], name=f"t{k}"))
-    group = GeneratingSystem.build(ctx.space, total_maps)
+    group = totalized_group(ctx.space, ctx.genome.gens, ctx.rng)
     for rho in ctx.eps_sample(cap=4):
         rep = no_expansive_certificate_group(group, rho)
         if not rep.inclusion_ok:

@@ -378,11 +378,20 @@ def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
     """``S[i][j]`` = the rank of max d(g(i), g(j)) over the maps defined at
     both points, 0 where none is (maps are injective, so a shared map makes
     the entry positive off the diagonal); ``values[S[i][j]]`` is the
-    distance.  The fold of an explicit map list, for the moduli."""
+    distance.  The fold of an explicit map list, for the moduli.
+
+    Entries only grow and none passes the top rank (the diameter), so the
+    fold stops reading maps once every pair i < j holds the top rank: on
+    a group transitive on pairs, such as S_n, within a few hundred of its
+    maps.  A pair no map can spread to the diameter keeps it reading all."""
     npts = space.n
-    ranks = space.distance_ranks()[0]
+    ranks, values = space.distance_ranks()
+    top = len(values) - 1
+    below_top = npts * (npts - 1) // 2
     table = [[0] * npts for _ in range(npts)]
     for g in maps:
+        if not below_top:
+            break
         vals = g.vals
         dom = [i for i, v in enumerate(vals) if v is not None]
         for a_pos, i in enumerate(dom):
@@ -393,6 +402,8 @@ def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
                 if r > row[j]:
                     row[j] = r
                     table[j][i] = r
+                    if r == top:
+                        below_top -= 1
     return table
 
 

@@ -44,6 +44,14 @@ def coprime_space(n, primes=(2, 3, 5, 7, 11, 13, 17)):
     return FiniteMetricSpace([f"q{i}" for i in range(n)], dist)
 
 
+def symmetric_group(space):
+    """The group of all permutations, from a rotation and a transposition."""
+    n = space.n
+    rot = PartialMap(space, [(i + 1) % n for i in range(n)], name="r")
+    swap = PartialMap(space, [1, 0] + list(range(2, n)), name="s")
+    return GeneratingSystem.build(space, [rot, swap])
+
+
 def rotation_system(n):
     space = cyclic_space(n)
     r = PartialMap.from_dict(space, {i: (i + 1) % n for i in range(n)}, name="r")

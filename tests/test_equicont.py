@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,9 +11,10 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        no_expansive_certificate_good,
                        no_expansive_certificate_group)
 from pseudodyn.equicont import modulus_at
-from pseudodyn.probes import InstanceSpec, random_instance
+from pseudodyn.probes import (InstanceSpec, random_genome, random_instance,
+                              totalized_group)
 
-from conftest import cyclic_space
+from conftest import coprime_space, cyclic_space, symmetric_group
 
 
 def closure_maps(sys):
@@ -143,29 +146,67 @@ def reference_modulus_and_witness(maps, space, eps):
                     return best, (g, space.label(i), space.label(j))
 
 
+def assert_moduli_match_two_scan_reference(maps, space) -> dict:
+    """Every table entry and every witness, down to the map object, equals
+    the two-scan reference; returns the reference modulus per grid eps,
+    None where it is unbounded."""
+    cert = equicontinuity_modulus(maps, space)
+    deltas = {}
+    for eps in space.distance_grid():
+        delta, witness = reference_modulus_and_witness(maps, space, eps)
+        deltas[eps] = delta
+        if delta is None:
+            assert is_unbounded(cert.table[eps])
+            assert is_unbounded(modulus_at(maps, space, eps))
+            assert cert.witnesses[eps] is None
+            continue
+        assert cert.table[eps] == delta == modulus_at(maps, space, eps)
+        got = cert.witnesses[eps]
+        assert got[0] is witness[0] and got[1:] == witness[1:]
+    assert cert.audit(maps, space)
+    return deltas
+
+
 def test_modulus_and_witness_match_two_scan_reference():
-    """Seeded closures and their core restrictions: every table entry and
-    every witness, down to the map object, equals the two-scan reference."""
+    """Seeded closures and their core restrictions."""
     spec = InstanceSpec(seed="modulus-witness", count=80)
     checked = 0
     for idx in range(spec.count):
         sys_i, _ = random_instance(spec, idx)
-        space = sys_i.space
         for s in (sys_i, compacted_system(sys_i)):
-            maps = closure_maps(s)
-            cert = equicontinuity_modulus(maps, space)
-            for eps in space.distance_grid():
-                delta, witness = reference_modulus_and_witness(maps, space, eps)
-                if delta is None:
-                    assert is_unbounded(cert.table[eps])
-                    assert cert.witnesses[eps] is None
-                    continue
-                checked += 1
-                assert cert.table[eps] == delta == modulus_at(maps, space, eps)
-                got = cert.witnesses[eps]
-                assert got[0] is witness[0] and got[1:] == witness[1:]
-            assert cert.audit(maps, space)
+            deltas = assert_moduli_match_two_scan_reference(closure_maps(s),
+                                                            sys_i.space)
+            checked += sum(d is not None for d in deltas.values())
     assert checked > 200
+
+
+def assert_group_moduli_match_two_scan_reference(group) -> None:
+    """The closure's moduli and witnesses, and the group certificate's
+    delta at every grid rho, equal the two-scan reference."""
+    deltas = assert_moduli_match_two_scan_reference(closure_maps(group),
+                                                    group.space)
+    for rho, delta in deltas.items():
+        got = no_expansive_certificate_group(group, rho).delta
+        assert is_unbounded(got) if delta is None else got == delta
+
+
+def test_group_moduli_match_two_scan_reference():
+    """S_6 and S_7, whose spread tables reach the diameter at every pair
+    within their first few dozen maps, and seeded totalized groups built
+    as the group-claim statement builds them."""
+    for n in (6, 7):
+        assert_group_moduli_match_two_scan_reference(
+            symmetric_group(coprime_space(n)))
+    spec = InstanceSpec(seed="group-modulus", count=40)
+    rng = random.Random("group-modulus")
+    orders = []
+    for idx in range(spec.count):
+        genome = random_genome(spec, idx)
+        space = genome.build()[0].space
+        group = totalized_group(space, genome.gens, rng)
+        orders.append(len(closure_maps(group)))
+        assert_group_moduli_match_two_scan_reference(group)
+    assert max(orders) >= 720
 
 
 def test_modulus_at_direct(z6_rotations):
@@ -182,3 +223,25 @@ def test_modulus_at_zero_counts_only_shared_pairs():
     for eps in (0, -1):
         assert modulus_at([g], vline, eps) == 2
         assert reference_modulus_and_witness([g], vline, eps)[0] == 2
+
+
+def test_audit_rejects_a_delta_raised_to_the_next_grid_value():
+    """Raising a finite delta to the next grid value lets its witness pair,
+    which some map spreads to eps, in under delta, so the audit fails."""
+    spec = InstanceSpec(seed="audit-raised", count=40)
+    raised = 0
+    for idx in range(spec.count):
+        sys_i, _ = random_instance(spec, idx)
+        maps = closure_maps(sys_i)
+        space = sys_i.space
+        grid = space.distance_grid()
+        cert = equicontinuity_modulus(maps, space)
+        assert cert.audit(maps, space)
+        for eps, delta in cert.table.items():
+            if is_unbounded(delta) or delta == grid[-1]:
+                continue
+            forged = replace(cert, table={
+                **cert.table, eps: grid[grid.index(delta) + 1]})
+            assert not forged.audit(maps, space)
+            raised += 1
+    assert raised > 40

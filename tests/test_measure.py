@@ -5,7 +5,7 @@ import pytest
 
 from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
                        InputError, PartialMap, PreconditionError,
-                       brute_force_invariant_sets, entropy_criterion_check,
+                       brute_force_invariant_sets,
                        expansiveness_upgrade_check, expansiveness_verdict,
                        invariant_sets, is_ergodic, is_homogeneous,
                        is_invariant_measure, local_entropy, orbit_components)
@@ -222,22 +222,6 @@ def test_upgrade_never_violated_randomized():
     for idx in range(spec.count):
         sys_i, mu = random_genome(spec, idx).build()
         assert not expansiveness_upgrade_check(mu, sys_i).violated
-
-
-def test_entropy_criterion_finite_vacuous(line, line_system):
-    rep = entropy_criterion_check(FiniteMeasure.uniform(line), line_system)
-    assert rep.vacuous and not rep.violated
-    assert rep.homogeneous and not rep.entropy_positive
-    assert rep.entropy_constant is True  # all-zero limits across points
-
-
-def test_entropy_criterion_limits_keyed_by_label():
-    """Integer labels out of index order: each limit belongs to its own
-    point, not to the point whose label equals its index."""
-    space = FiniteMetricSpace([2, 0, 1], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    ident = GeneratingSystem.build(space, [])
-    rep = entropy_criterion_check(FiniteMeasure.point_mass(space, 2), ident)
-    assert rep.entropy_limits == {2: 0.0, 0: float("inf"), 1: float("inf")}
 
 
 def test_verdicts_stable_under_point_permutation(line):

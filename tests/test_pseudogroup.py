@@ -15,7 +15,7 @@ from pseudodyn.mutations import MUTATIONS
 from pseudodyn.pseudogroup import WordClosure, spread_table, table_ball
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
 
-from conftest import coprime_space, rotation_system
+from conftest import coprime_space, rotation_system, symmetric_group
 
 
 def _g(line):
@@ -423,14 +423,6 @@ def reference_spread_table(maps, space):
     return table
 
 
-def symmetric_group(space):
-    """The group of all permutations, from a rotation and a transposition."""
-    n = space.n
-    rot = PartialMap(space, [(i + 1) % n for i in range(n)], name="r")
-    swap = PartialMap(space, [1, 0] + list(range(2, n)), name="s")
-    return GeneratingSystem.build(space, [rot, swap])
-
-
 def spread_distances(table, space):
     """A rank table with each rank read through ``values``."""
     values = space.distance_ranks()[1]
@@ -510,6 +502,117 @@ def test_spread_table_edge_cases():
     assert table == reference_spread_table([g], space)
     assert table[0][4] == table[4][0] == space.d(1, 0)
     assert table[0][1] == table[2][3] == 0
+
+
+class Unreadable:
+    """Stands for a map that a saturated fold must not read."""
+
+    @property
+    def vals(self):
+        raise AssertionError("map read after every pair held the diameter")
+
+
+class CountedReads:
+    """A map that counts how often its values are read."""
+
+    def __init__(self, g):
+        self.g = g
+        self.reads = 0
+
+    @property
+    def vals(self):
+        self.reads += 1
+        return self.g.vals
+
+
+def saturation_length(maps, space):
+    """The length of the shortest prefix that spreads every pair i < j to
+    the diameter, or None; read from the distances, not from ranks."""
+    diam = space.diameter()
+    below = {(i, j) for i in range(space.n) for j in range(i + 1, space.n)}
+    for k, g in enumerate(maps):
+        if not below:
+            return k
+        vals = g.vals
+        below = {(i, j) for i, j in below
+                 if vals[i] is None or vals[j] is None
+                 or space.dist[vals[i]][vals[j]] < diam}
+    return len(maps) if not below else None
+
+
+def assert_fold_stops_at_saturation(maps, space):
+    """The shortest saturating prefix ends on its saturating map, and the
+    fold reads nothing after it."""
+    k = saturation_length(maps, space)
+    assert k is not None and k >= 1
+    prefix = maps[:k]
+    assert_spread_tables_agree(prefix, space)
+    diam = space.diameter()
+    assert any(d < diam for i, row in enumerate(
+        reference_spread_table(prefix[:-1], space)) for d in row[i + 1:])
+    table = spread_table(prefix + [Unreadable()] * 3, space)
+    assert spread_distances(table, space) \
+        == reference_spread_table(prefix, space)
+    assert table == spread_table(maps, space)
+
+
+def assert_fold_reads_every_map(maps, space):
+    assert saturation_length(maps, space) is None
+    counted = [CountedReads(g) for g in maps]
+    table = spread_table(counted, space)
+    assert spread_distances(table, space) == reference_spread_table(maps, space)
+    assert [c.reads for c in counted] == [1] * len(maps)
+
+
+def test_spread_table_stops_at_saturation_on_groups():
+    """S_6 and S_7 saturate within their first few dozen maps, and so do
+    the seeded closures whose every pair reaches the diameter."""
+    for n in (6, 7):
+        space = coprime_space(n)
+        assert_fold_stops_at_saturation(
+            symmetric_group(space).word_closure().stabilized_maps, space)
+    spec = InstanceSpec(seed="spread-saturation", count=60)
+    saturated = 0
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        maps = sys_i.word_closure().stabilized_maps
+        if saturation_length(maps, sys_i.space) is None:
+            assert_fold_reads_every_map(maps, sys_i.space)
+        else:
+            saturated += 1
+            assert_fold_stops_at_saturation(maps, sys_i.space)
+    assert 0 < saturated < spec.count
+
+
+def test_spread_table_reads_every_map_below_saturation():
+    """A pair no map is defined at, and a diameter that only some pairs
+    reach: every map is read and the table equals the reference."""
+    rng = random.Random("spread-unsaturated")
+    space = coprime_space(6)
+    maps = symmetric_group(space).word_closure().stabilized_maps
+    # no map is defined at both 0 and 1
+    family = [g.restrict({0, 1, 2, 3, 4, 5} - {rng.randint(0, 1)})
+              for g in rng.sample(maps, 100)]
+    assert_fold_reads_every_map(family, space)
+    # rotations keep every distance, so only diametral pairs reach the top
+    z8 = rotation_system(8)
+    assert_fold_reads_every_map(z8.word_closure().stabilized_maps, z8.space)
+    assert_fold_reads_every_map(
+        [g.restrict(rng.sample(range(8), rng.randint(0, 8)))
+         for g in z8.word_closure().stabilized_maps] * 3, z8.space)
+
+
+def test_spread_table_saturation_on_one_and_two_points():
+    one = FiniteMetricSpace(["a"], [[0]])
+    # no pair is below the top rank, so no map is read
+    assert spread_table([Unreadable()], one) == [[0]]
+    two = FiniteMetricSpace(["a", "b"], [[0, 3], [3, 0]])
+    step = PartialMap(two, [1, None])
+    swap = PartialMap(two, [1, 0])
+    empty = PartialMap.empty(two)
+    assert_fold_reads_every_map([empty, step, empty], two)
+    assert_fold_stops_at_saturation([step, empty, swap, step], two)
+    assert spread_table([swap, Unreadable()], two) == [[0, 1], [1, 0]]
 
 
 def assert_pair_tables_match_spread_tables(system):
