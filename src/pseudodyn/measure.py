@@ -1,10 +1,12 @@
 """Exact probability measures and the expansiveness/entropy verdict suite.
 
 Everything verdict-shaped here is exact rational arithmetic; floats only
-appear in rendered entropy columns.  Ergodicity goes through the orbit
-components of the germ relation, found by a search over the generator
-graph, with an exhaustive bitset oracle retained for cross-checking at
-small sizes.
+appear in rendered entropy columns.  A measure keeps its weights as
+integer numerators over one common denominator, so every ball and subset
+measure is an integer sum; a ``Fraction`` is built only for what a verdict
+reports.  Ergodicity goes through the orbit components of the germ
+relation, found by a search over the generator graph, with an exhaustive
+bitset oracle retained for cross-checking at small sizes.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InputError, PreconditionError
-from .pseudogroup import (GeneratingSystem, compacted_system, separation_radius,
-                          table_ball)
+from .pseudogroup import GeneratingSystem, compacted_system, separation_radius
 from .rational import is_unbounded, parse_radius, parse_rational
 from .space import FiniteMetricSpace, PointSet
 
@@ -25,9 +26,13 @@ HOMOGENEITY_LADDER_CAP = Fraction(2) ** 20
 
 
 class FiniteMeasure:
-    """Per-point rational weights, nonnegative and summing to one."""
+    """Per-point rational weights, nonnegative and summing to one.
 
-    __slots__ = ("space", "weights")
+    ``weights`` holds the ``Fraction``s; ``nums`` holds the same weights
+    as integer numerators over the one common denominator ``den``, which
+    every ball and subset measure sums."""
+
+    __slots__ = ("space", "weights", "den", "nums")
 
     def __init__(self, space: FiniteMetricSpace, weights):
         ws = tuple(parse_rational(w) for w in weights)
@@ -35,11 +40,15 @@ class FiniteMeasure:
             raise InputError("weight vector length must match the space")
         if any(w < 0 for w in ws):
             raise InputError("weights must be nonnegative")
-        total = sum(ws)
+        den = math.lcm(*(w.denominator for w in ws))
+        nums = tuple(w.numerator * (den // w.denominator) for w in ws)
+        total = Fraction(sum(nums), den)
         if total != 1:
             raise InputError(f"weights must sum to 1 (got {total})")
         self.space = space
         self.weights = ws
+        self.den = den
+        self.nums = nums
 
     @classmethod
     def uniform(cls, space: FiniteMetricSpace) -> "FiniteMeasure":
@@ -55,12 +64,25 @@ class FiniteMeasure:
     @classmethod
     def from_dict(cls, space: FiniteMetricSpace, mapping: dict) -> "FiniteMeasure":
         weights = [Fraction(0)] * space.n
+        given = set()
         for label, w in mapping.items():
-            weights[space.index(label)] = parse_rational(w)
+            i = space.index(label)
+            if i in given:
+                raise InputError(f"duplicate assignment for point {label!r}")
+            given.add(i)
+            weights[i] = parse_rational(w)
         return cls(space, weights)
 
     def __call__(self, subset) -> Fraction:
-        return sum((self.weights[i] for i in subset), Fraction(0))
+        nums = self.nums
+        return Fraction(sum([nums[i] for i in subset]), self.den)
+
+    def ball_numerators(self, rows, t: int) -> list[int]:
+        """For each row of a rank table, the measure of the ball
+        ``{y : row[y] < t}`` (see ``table_ball``) as a numerator over
+        ``den``."""
+        nums = self.nums
+        return [sum([w for w, v in zip(nums, row) if v < t]) for row in rows]
 
     def weight(self, x) -> Fraction:
         return self.weights[self.space.index(x)]
@@ -198,6 +220,16 @@ def _scales(eps_grid) -> list[Fraction]:
     return scales
 
 
+def _rate(m: Fraction, n: int) -> float:
+    """-(1/n) log m, +inf at m = 0.  A positive m below float range takes
+    the logarithms of its numerator and denominator instead."""
+    if m == 0:
+        return math.inf
+    if float(m) == 0:
+        return -(math.log(m.numerator) - math.log(m.denominator)) / n
+    return -math.log(m) / n
+
+
 def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
                   eps_grid=None, n_max: int | None = None) -> LocalEntropyTable:
     """Table of -(1/n) log mu(B_n(x, eps)) over the (eps, n) grid.
@@ -221,13 +253,13 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     thresholds = [space.threshold(eps) for eps in scales]
     for eps, t in zip(scales, thresholds):
         for n in range(1, n_max + 1):
-            table = closure.constraint_table(n)
-            m = mu(table_ball(table, xi, t))
-            value = math.inf if m == 0 else -math.log(m) / n
-            cells.append(EntropyCell(eps=eps, n=n, ball_measure=m, value=value))
+            row = closure.constraint_table(n)[xi]
+            m = Fraction(mu.ball_numerators((row,), t)[0], mu.den)
+            cells.append(EntropyCell(eps=eps, n=n, ball_measure=m,
+                                     value=_rate(m, n)))
     # the smallest scale comes first
-    stab_m = mu(table_ball(closure.constraint_table(closure.stable_index),
-                           xi, thresholds[0]))
+    stab_row = closure.constraint_table(closure.stable_index)[xi]
+    stab_m = mu.ball_numerators((stab_row,), thresholds[0])[0]
     limit = 0.0 if stab_m > 0 else math.inf
     return LocalEntropyTable(x=space.label(xi), cells=cells, limit=limit)
 
@@ -271,15 +303,14 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     if not eps_grid or n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
     n_range = range(1, min(n_max, closure.stable_index) + 1)
-    rows: dict[tuple[int, int], list[Fraction]] = {}
+    rows: dict[tuple[int, int], list[int]] = {}
 
-    def measures(t: int, n: int) -> list[Fraction]:
-        """Open-ball measures around every point, once per threshold and n."""
+    def measures(t: int, n: int) -> list[int]:
+        """Open-ball measures around every point, as numerators over
+        ``mu.den``, once per threshold and n."""
         row = rows.get((t, n))
         if row is None:
-            table = closure.constraint_table(n)
-            row = rows[t, n] = [mu(table_ball(table, i, t))
-                                for i in range(space.n)]
+            row = rows[t, n] = mu.ball_numerators(closure.constraint_table(n), t)
         return row
 
     witnesses: dict = {}
@@ -309,7 +340,7 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
                     yi = numer.index(hi)
                     fail_cell = (eps, space.label(xi), space.label(yi), n)
                     break
-                ratio = hi / lo
+                ratio = Fraction(hi, lo)
                 if ratio > c_needed:
                     c_needed = ratio
             if not feasible:
@@ -370,14 +401,10 @@ def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
     closure = sys.word_closure()
     table = closure.constraint_table(closure.stable_index)
     t = space.threshold(delta, closed=True)
-    measures = {}
-    zero = set()
-    for xi in range(space.n):
-        m = mu(table_ball(table, xi, t))
-        measures[space.label(xi)] = m
-        if m == 0:
-            zero.add(xi)
-    zero_set = frozenset(zero)
+    nums = mu.ball_numerators(table, t)
+    measures = {space.label(xi): Fraction(m, mu.den)
+                for xi, m in enumerate(nums)}
+    zero_set = frozenset(xi for xi, m in enumerate(nums) if m == 0)
     zmass = mu(zero_set)
     atoms = mu.atoms()
     if len(zero_set) == space.n:

@@ -9,7 +9,11 @@ from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
                        expansiveness_upgrade_check, expansiveness_verdict,
                        invariant_sets, is_ergodic, is_homogeneous,
                        is_invariant_measure, local_entropy, orbit_components)
+from pseudodyn.measure import (HOMOGENEITY_LADDER_CAP, ExpansivenessVerdict,
+                               HomogeneityReport, HomogeneityWitness, _scales)
 from pseudodyn.probes import InstanceSpec, random_genome
+from pseudodyn.pseudogroup import compacted_system, table_ball
+from pseudodyn.rational import parse_radius
 
 
 def two_cycles():
@@ -26,6 +30,16 @@ def test_measure_validation(line):
         FiniteMeasure(line, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 5)])
     with pytest.raises(InputError, match="nonnegative"):
         FiniteMeasure(line, [Fraction(3, 2), Fraction(-1, 2), 0])
+
+
+def test_from_dict_rejects_a_point_given_twice(line):
+    """A label and an index naming the same point must not overwrite each
+    other into a measure the caller never gave."""
+    with pytest.raises(InputError, match="duplicate assignment"):
+        FiniteMeasure.from_dict(
+            line, {"a": Fraction(1, 2), 0: Fraction(1, 2), "b": Fraction(1, 2)})
+    mu = FiniteMeasure.from_dict(line, {"a": Fraction(1, 2), 1: Fraction(1, 2)})
+    assert mu.weights == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
 
 
 def test_invariance_examples(line, line_system, identity_system):
@@ -239,3 +253,182 @@ def test_verdicts_stable_under_point_permutation(line):
         v2 = expansiveness_verdict(FiniteMeasure.uniform(perm), g2, d)
         assert v1.classification == v2.classification
         assert v1.ball_measures == v2.ball_measures
+
+
+# -- integer ball sums against the Fraction route -----------------------------
+
+
+def ref_mu(mu, subset) -> Fraction:
+    """The reference measure: the ``Fraction`` weights summed one by one."""
+    return sum((mu.weights[i] for i in subset), Fraction(0))
+
+
+def ref_is_homogeneous(mu, sys, eps_grid=None, n_max=None):
+    """Reference homogeneity search with ``Fraction`` ball measures."""
+    space = sys.space
+    closure = sys.word_closure()
+    grid = space.distance_grid()
+    if eps_grid is None:
+        eps_grid = grid
+    eps_grid = _scales(eps_grid)
+    if n_max is None:
+        n_max = closure.stable_index
+    n_range = range(1, min(n_max, closure.stable_index) + 1)
+
+    def measures(t, n):
+        table = closure.constraint_table(n)
+        return [ref_mu(mu, table_ball(table, i, t)) for i in range(space.n)]
+
+    witnesses = {}
+    degenerate = False
+    counterexample = None
+    ok = True
+    for eps in eps_grid:
+        t_eps = space.threshold(eps)
+        candidates = [eps] + [d for d in reversed(grid) if d != eps]
+        found = None
+        fail_cell = None
+        for delta in candidates:
+            t_delta = space.threshold(delta)
+            c_needed = Fraction(0)
+            feasible = True
+            for n in n_range:
+                denom = measures(t_eps, n)
+                numer = measures(t_delta, n)
+                lo = min(denom)
+                hi = max(numer)
+                if lo == 0:
+                    if hi == 0:
+                        degenerate = True
+                        continue
+                    feasible = False
+                    fail_cell = (eps, space.label(denom.index(lo)),
+                                 space.label(numer.index(hi)), n)
+                    break
+                c_needed = max(c_needed, hi / lo)
+            if not feasible:
+                continue
+            if c_needed > HOMOGENEITY_LADDER_CAP:
+                fail_cell = fail_cell or (eps, None, None, None)
+                continue
+            c_exact = max(c_needed, Fraction(1))
+            ladder = Fraction(1)
+            while ladder < c_exact:
+                ladder *= 2
+            found = HomogeneityWitness(eps=eps, delta=delta,
+                                       c_exact=c_exact, c_ladder=ladder)
+            break
+        if found is None:
+            ok = False
+            counterexample = counterexample or fail_cell
+        else:
+            witnesses[eps] = found
+    return HomogeneityReport(ok=ok, witnesses=witnesses, degenerate=degenerate,
+                             counterexample=counterexample)
+
+
+def ref_expansiveness_verdict(mu, sys, delta):
+    """Reference expansiveness verdict with ``Fraction`` ball measures."""
+    delta = parse_radius(delta)
+    space = sys.space
+    closure = sys.word_closure()
+    table = closure.constraint_table(closure.stable_index)
+    t = space.threshold(delta, closed=True)
+    measures = {}
+    zero = set()
+    for xi in range(space.n):
+        m = ref_mu(mu, table_ball(table, xi, t))
+        measures[space.label(xi)] = m
+        if m == 0:
+            zero.add(xi)
+    zero_set = frozenset(zero)
+    zmass = ref_mu(mu, zero_set)
+    atoms = frozenset(i for i, w in enumerate(mu.weights) if w > 0)
+    if len(zero_set) == space.n:
+        cls = "expansive"
+    elif zmass == 1:
+        cls = "weakly-expansive-only"
+    else:
+        cls = "neither"
+    note = ""
+    if atoms and cls != "expansive":
+        note = ("atoms pin positive ball measure at their own centers, so no "
+                "finite-space measure is expansive at any scale")
+    return ExpansivenessVerdict(delta=delta, classification=cls,
+                                ball_measures=measures, zero_set=zero_set,
+                                atoms=atoms, zero_set_measure=zmass, note=note)
+
+
+COPRIME = (3, 5, 7, 11, 13, 17, 19)
+
+
+def reference_measures(space, mu):
+    """The instance's own measure, uniform, two point masses, a measure
+    with zero weights, and one over pairwise-coprime denominators."""
+    n = space.n
+    out = [mu, FiniteMeasure.uniform(space),
+           FiniteMeasure.point_mass(space, 0),
+           FiniteMeasure.point_mass(space, n - 1)]
+    even = [Fraction(i + 1) if i % 2 == 0 else Fraction(0) for i in range(n)]
+    out.append(FiniteMeasure(space, [w / sum(even) for w in even]))
+    head = [Fraction(1, p) for p in COPRIME[:n - 1]]
+    out.append(FiniteMeasure(space, head + [1 - sum(head)]))
+    return out
+
+
+def reference_radii(space):
+    """Every grid radius, every midpoint, 0, and a radius past the
+    diameter."""
+    grid = space.distance_grid()
+    mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+    return [Fraction(0), *grid, *mids, grid[-1] + 1]
+
+
+def reference_systems(count=60):
+    spec = InstanceSpec(seed="integer-ball-sums", count=count)
+    for idx in range(spec.count):
+        sys_i, mu = random_genome(spec, idx).build()
+        yield sys_i, mu
+        if sys_i.has_cores:
+            yield compacted_system(sys_i), mu
+
+
+def test_ball_numerators_match_fraction_sums():
+    """Integer ball sums over ``den`` equal the ``Fraction`` route on every
+    radius, open and closed, and every level up to the stable index."""
+    cells = 0
+    coprime_den = 0
+    for sys_i, mu_i in reference_systems():
+        space = sys_i.space
+        closure = sys_i.word_closure()
+        tables = [space.distance_ranks()[0]] + [
+            closure.constraint_table(n)
+            for n in range(1, closure.stable_index + 1)]
+        # radii with the same rank threshold have the same balls
+        thresholds = {space.threshold(r, closed)
+                      for r in reference_radii(space) for closed in (False, True)}
+        for mu in reference_measures(space, mu_i):
+            assert mu.den == math.lcm(*(w.denominator for w in mu.weights))
+            coprime_den = max(coprime_den, mu.den)
+            for t in thresholds:
+                for table in tables:
+                    balls = [table_ball(table, i, t) for i in range(space.n)]
+                    want = [ref_mu(mu, ball) for ball in balls]
+                    assert [Fraction(m, mu.den)
+                            for m in mu.ball_numerators(table, t)] == want
+                    assert [mu(ball) for ball in balls] == want
+                    cells += 1
+    assert cells > 5_000
+    assert coprime_den >= 3 * 5 * 7
+
+
+def test_verdicts_match_fraction_reference():
+    """Whole homogeneity reports and expansiveness verdicts equal the
+    reference on every measure, at every radius for the verdict."""
+    for sys_i, mu_i in reference_systems():
+        space = sys_i.space
+        for mu in reference_measures(space, mu_i):
+            assert is_homogeneous(mu, sys_i) == ref_is_homogeneous(mu, sys_i)
+            for r in reference_radii(space):
+                assert expansiveness_verdict(mu, sys_i, r) \
+                    == ref_expansiveness_verdict(mu, sys_i, r)

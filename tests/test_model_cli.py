@@ -1,11 +1,12 @@
 import copy
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from pseudodyn import InputError, pseudogroup
+from pseudodyn import InputError, morphism, pseudogroup
 from pseudodyn.cli import main, render, to_jsonable
 from pseudodyn.model import parse_model
 
@@ -327,6 +328,44 @@ def test_cli_conjugate_entropy(model_path, capsys):
     assert code == 0
     assert out["result"]["isometric"] is True
     assert out["result"]["tables_equal"] is True
+
+
+TINY = 10 ** 400
+TINY_ATOM_MODEL = dict(
+    LINE_MODEL, phi={"a": "a", "b": "b", "c": "c"},
+    mu={"a": f"1/{TINY}", "b": "1/2", "c": f"{TINY // 2 - 1}/{TINY}"})
+
+
+@pytest.fixture
+def tiny_atom_path(tmp_path):
+    """The line model with an atom of 10^-400, below float range."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY_ATOM_MODEL))
+    return str(path)
+
+
+def test_cli_entropy_of_a_ball_below_float_range(tiny_atom_path, capsys):
+    code = main(["--format", "json", "entropy", "--model", tiny_atom_path,
+                 "--x", "a", "--eps-grid", "1/2", "--n-max", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    (cell,) = out["result"]["cells"]
+    assert 0 < cell["value"] < float("inf")
+    assert cell["value"] == pytest.approx(400 * math.log(10))
+
+
+def test_cli_conjugate_entropy_below_float_range(tiny_atom_path, capsys):
+    code = main(["--format", "json", "conjugate", "--model", tiny_atom_path,
+                 "--check", "entropy"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["result"]["tables_equal"] is True
+    model = parse_model(json.dumps(TINY_ATOM_MODEL))
+    rep = morphism.compare_entropy(model.system, model.iso, mu=model.measure,
+                                   x="a")
+    assert rep.local_equal is True
+    values = [c.value for c in rep.local_src.cells]
+    assert all(0 < v < float("inf") for v in values)
 
 
 def test_cli_equicont(model_path, capsys):
