@@ -2,9 +2,11 @@
 
 A point ``y`` lies in the n-ball around ``x`` when every word of length n
 defined at both points keeps the images within the radius; maps defined at
-only one of the two impose no constraint.  On finite spaces the word sets
-stabilize, so Bowen balls (the all-n intersection) are computed exactly at
-the stabilization index rather than truncated.
+only one of the two impose no constraint.  The members of every n-ball are
+a row of the system's constraint table, which reaches a fixpoint, so Bowen
+balls (the all-n intersection) are exact rather than truncated.  Separated
+counts and growth tables read the tables alone; the word closure supplies
+only each non-member's blocking word and the stabilization index.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def separation_graph(sys: GeneratingSystem, n: int, eps) -> list[int]:
     """Adjacency bitmasks: an edge joins two points some shared word pushes
     at least ``eps`` apart."""
     t = sys.space.threshold(parse_rational(eps))
-    table = sys.word_closure().constraint_table(n)
+    table = sys.constraint_table(n)
     return [sum(1 << j for j, r in enumerate(row) if r >= t and j != i)
             for i, row in enumerate(table)]
 
@@ -189,8 +191,6 @@ def _max_clique(adj: list[int], npts: int) -> tuple[int, int]:
             expand(current | bit, size + 1, cand & adj[v])
 
     expand(0, 0, (1 << npts) - 1)
-    if best_size == 0 and npts > 0:
-        best_size, best_mask = 1, 1
     return best_size, best_mask
 
 
@@ -248,12 +248,12 @@ def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8) -> HTopTab
     if not eps_grid or n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
     mode = "exact" if sys.space.n <= EXACT_CLIQUE_CAP else "greedy"
-    closure = sys.word_closure()
+    level = sys.fixpoint_level
     rows = []
     for eps in eps_grid:
         for n in range(1, n_max + 1):
-            # past the stabilization index the table, hence the count, is fixed
-            if n <= closure.stable_index:
+            # past the tables' fixpoint the table, hence the count, is fixed
+            if n <= level:
                 rep = separated_count(sys, n, eps, mode=mode)
             rate = math.log(rep.lower) / n if rep.lower > 0 else float("-inf")
             rows.append(HTopRow(eps=eps, n=n, count_lower=rep.lower,

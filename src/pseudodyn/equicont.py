@@ -117,19 +117,18 @@ def _inclusion_failures(space: FiniteMetricSpace, delta, table, rho) -> list[int
 
 def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusionReport:
     """For total generators: delta is the modulus at rho folded over the
-    closure's maps, and the Bowen rho-balls are rows of the pair-recurrence
-    table, so the inclusion test checks one route against the other."""
+    closure's maps, and the Bowen rho-balls are rows of the system's
+    constraint table at its fixpoint, so the inclusion test checks one
+    route against the other."""
     rho = parse_radius(rho)
     if not all(g.is_total() for g in sys.generators):
         raise CapabilityError(
             "generators are not all total; use the core-restricted variant"
         )
-    closure = sys.word_closure()
-    maps = closure.stabilized_maps
     space = sys.space
-    delta = modulus_at(maps, space, rho)
+    delta = modulus_at(sys.word_closure().stabilized_maps, space, rho)
     delta_used = space.diameter() if is_unbounded(delta) else delta
-    table = closure.constraint_table(closure.stable_index)
+    table = sys.constraint_table()
     failed = _inclusion_failures(space, delta_used, table, rho)
     inclusions = {space.label(x): x not in failed for x in range(space.n)}
     ok = not failed
@@ -175,10 +174,8 @@ def no_expansive_certificate_good(sys: GeneratingSystem,
     if rho_grid is None:
         rho_grid = space.distance_grid()
     rho_grid = [parse_radius(r) for r in rho_grid]
-    closure = sys.word_closure()
-    spread = closure.constraint_table(closure.stable_index)
-    core_closure = compacted_system(sys).word_closure()
-    ctable = core_closure.constraint_table(core_closure.stable_index)
+    spread = sys.constraint_table()
+    ctable = compacted_system(sys).constraint_table()
     rows = []
     all_ok = True
     for rho in rho_grid:

@@ -240,12 +240,11 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     """
     space = sys.space
     xi = space.index(x)
-    closure = sys.word_closure()
+    if n_max is None:
+        n_max = sys.word_closure().stable_index
     if eps_grid is None:
         eps_grid = space.distance_grid()
     eps_grid = _scales(eps_grid)
-    if n_max is None:
-        n_max = closure.stable_index
     if not eps_grid or n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
     cells = []
@@ -253,12 +252,12 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     thresholds = [space.threshold(eps) for eps in scales]
     for eps, t in zip(scales, thresholds):
         for n in range(1, n_max + 1):
-            row = closure.constraint_table(n)[xi]
+            row = sys.constraint_table(n)[xi]
             m = Fraction(mu.ball_numerators((row,), t)[0], mu.den)
             cells.append(EntropyCell(eps=eps, n=n, ball_measure=m,
                                      value=_rate(m, n)))
     # the smallest scale comes first
-    stab_row = closure.constraint_table(closure.stable_index)[xi]
+    stab_row = sys.constraint_table()[xi]
     stab_m = mu.ball_numerators((stab_row,), thresholds[0])[0]
     limit = 0.0 if stab_m > 0 else math.inf
     return LocalEntropyTable(x=space.label(xi), cells=cells, limit=limit)
@@ -293,16 +292,17 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     where both sides vanish pass vacuously and set the degenerate flag.
     """
     space = sys.space
-    closure = sys.word_closure()
+    level = sys.fixpoint_level
     grid = space.distance_grid()
     if eps_grid is None:
         eps_grid = grid
     eps_grid = _scales(eps_grid)
     if n_max is None:
-        n_max = closure.stable_index
+        n_max = level
     if not eps_grid or n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
-    n_range = range(1, min(n_max, closure.stable_index) + 1)
+    # every n past the fixpoint reads the same table, so adds no cell
+    n_range = range(1, min(n_max, level) + 1)
     rows: dict[tuple[int, int], list[int]] = {}
 
     def measures(t: int, n: int) -> list[int]:
@@ -310,7 +310,7 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
         ``mu.den``, once per threshold and n."""
         row = rows.get((t, n))
         if row is None:
-            row = rows[t, n] = mu.ball_numerators(closure.constraint_table(n), t)
+            row = rows[t, n] = mu.ball_numerators(sys.constraint_table(n), t)
         return row
 
     witnesses: dict = {}
@@ -398,8 +398,7 @@ def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
                           delta) -> ExpansivenessVerdict:
     delta = parse_radius(delta)
     space = sys.space
-    closure = sys.word_closure()
-    table = closure.constraint_table(closure.stable_index)
+    table = sys.constraint_table()
     t = space.threshold(delta, closed=True)
     nums = mu.ball_numerators(table, t)
     measures = {space.label(xi): Fraction(m, mu.den)

@@ -242,7 +242,6 @@ class ProbeContext:
         self.space = self.sys.space
         self._closure = None
         self._compacted = None
-        self._compacted_closure = None
 
     @property
     def closure(self) -> WordClosure:
@@ -257,14 +256,6 @@ class ProbeContext:
         if self._compacted is None:
             self._compacted = self.ops.compacted(self.sys)
         return self._compacted
-
-    @property
-    def compacted_closure(self) -> Optional[WordClosure]:
-        if self.compacted is None:
-            return None
-        if self._compacted_closure is None:
-            self._compacted_closure = closure_with(self.ops, self.compacted)
-        return self._compacted_closure
 
     def eps_sample(self, cap: int = 8) -> list[Fraction]:
         grid = self.space.distance_grid()
@@ -369,9 +360,8 @@ def stmt_compaction_inclusion(ctx: ProbeContext) -> Outcome:
     original system sits inside the core-restricted one, at every radius."""
     if ctx.compacted is None:
         return Outcome.ok(substantive=False)
-    m1 = ctx.closure.constraint_table(ctx.closure.stable_index)
-    cc = ctx.compacted_closure
-    m2 = cc.constraint_table(cc.stable_index)
+    m1 = ctx.sys.constraint_table()
+    m2 = ctx.compacted.constraint_table()
     values = ctx.space.distance_ranks()[1]
     strict = False
     for x in range(ctx.space.n):
@@ -397,9 +387,8 @@ def stmt_half_radius(ctx: ProbeContext) -> Outcome:
     rho = separation_radius(ctx.sys)
     if is_unbounded(rho):
         return Outcome.ok(substantive=False)
-    m1 = ctx.closure.constraint_table(ctx.closure.stable_index)
-    cc = ctx.compacted_closure
-    m2 = cc.constraint_table(cc.stable_index)
+    m1 = ctx.sys.constraint_table()
+    m2 = ctx.compacted.constraint_table()
     half = ctx.space.threshold(rho / 2, closed=True)
     full = ctx.space.threshold(rho, closed=True)
     for x0 in range(ctx.space.n):
@@ -487,9 +476,8 @@ def stmt_iso_ball_transfer(ctx: ProbeContext) -> Outcome:
     source Bowen balls at the original radius."""
     iso = _random_iso(ctx)
     conj = morphism.conjugate_system(ctx.sys, iso)
-    m_src = ctx.closure.constraint_table(ctx.closure.stable_index)
-    conj_closure = closure_with(ctx.ops, conj)
-    m_dst = conj_closure.constraint_table(conj_closure.stable_index)
+    m_src = ctx.sys.constraint_table()
+    m_dst = conj.constraint_table()
     for eta in ctx.eps_sample(cap=4):
         delta = morphism.transfer_expansive_constant(eta, iso)
         # each table against the threshold of its own space

@@ -9,6 +9,7 @@ witness words are carried as metadata only.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -197,7 +198,7 @@ class GeneratingSystem:
     """
 
     __slots__ = ("space", "generators", "cores", "_closure", "_germ",
-                 "_compacted")
+                 "_compacted", "_tables")
 
     def __init__(self, space: FiniteMetricSpace, generators: Sequence[PartialMap],
                  cores: Sequence[Optional[PointSet]] | None = None,
@@ -212,10 +213,6 @@ class GeneratingSystem:
                     raise InputError(
                         f"system is not symmetric: inverse of {g!r} is missing"
                     )
-        covered = frozenset().union(*(g.dom | g.ran for g in gens))
-        if covered != space.full_set():
-            missing = space.labels_of(space.full_set() - covered)
-            raise InputError(f"generator domains and ranges miss points {missing}")
         if cores is not None:
             cores = tuple(None if c is None else frozenset(c) for c in cores)
             if len(cores) != len(gens):
@@ -236,6 +233,7 @@ class GeneratingSystem:
         self._closure = None
         self._germ = None
         self._compacted = None
+        self._tables = None
 
     # -- construction ----------------------------------------------------------
 
@@ -301,12 +299,31 @@ class GeneratingSystem:
     def has_cores(self) -> bool:
         return self.cores is not None
 
-    # -- closure ----------------------------------------------------------------
+    # -- closure and tables -----------------------------------------------------
 
     def word_closure(self) -> "WordClosure":
         if self._closure is None:
             self._closure = word_closure(self)
         return self._closure
+
+    def constraint_table(self, n=math.inf) -> list[list[int]]:
+        """``T[i][j]`` = the rank of max d(w i, w j) over the words w of
+        length ``n`` defined at i and j: ``table_ball(T, i, space.threshold(
+        eps, closed))`` is the dynamical n-ball around ``i``.  Every level
+        from ``fixpoint_level`` on, and the default, is the fixpoint table."""
+        return self._pair_tables().table(n)
+
+    @property
+    def fixpoint_level(self) -> int:
+        """The least n >= 1 from which the tables stop changing; at most
+        the closure's stabilization index, found without the closure."""
+        self.constraint_table()
+        return max(len(self._tables.tables) - 1, 1)
+
+    def _pair_tables(self) -> "_PairTables":
+        if self._tables is None:
+            self._tables = _PairTables(self.space, self.generators)
+        return self._tables
 
     def germ_relation(self) -> "GermRelation":
         if self._germ is None:
@@ -314,25 +331,59 @@ class GeneratingSystem:
         return self._germ
 
 
+class _PairTables:
+    """The pair recurrence T_k[i][j] = max_g T_{k-1}[g i][g j] over the
+    generators (the identity's term is row i itself) from T_0, the distance
+    ranks, built on demand until a level equals the one before.  It holds
+    no reference to the system, which caches it: that would make a cycle."""
+
+    __slots__ = ("tables", "reads", "settled")
+
+    def __init__(self, space: FiniteMetricSpace, generators):
+        self.tables = [list(map(list, space.distance_ranks()[0]))]
+        gens = [g.vals for g in generators if not g.is_identity()]
+        # off g's domain, row i's gather reads T[g i][g i] = 0
+        self.reads = [[(vals[i], itemgetter(*[vals[i] if v is None else v
+                                              for v in vals]))
+                       for vals in gens if vals[i] is not None]
+                      for i in range(space.n)]
+        self.settled = False  # the last table is the fixpoint
+
+    def table(self, n) -> list[list[int]]:
+        if n < 1:
+            raise InputError("word length must be at least 1")
+        tables = self.tables
+        while len(tables) <= n and not self.settled:
+            prev = tables[-1]
+            table = [list(map(max, prev[i], *[get(prev[gi])
+                                              for gi, get in reads]))
+                     if reads else prev[i]
+                     for i, reads in enumerate(self.reads)]
+            self.settled = table == prev
+            if not self.settled:
+                tables.append(table)
+        return tables[min(n, len(tables) - 1)]
+
+
 class WordClosure:
     """Extensionally deduplicated word sets, level by level, to stabilization.
 
     ``level_maps[k]`` lists the distinct maps realizable by words of length
     ``k+1`` (cumulative, since the identity pads any shorter word).  Each
-    map records one shortest witness word.
+    map records one shortest witness word.  Its tables are the system's.
 
-    It keeps the space, not the system: a system caches its closure, and a
-    back reference would make a cycle that only the cyclic collector frees.
+    It keeps the system's table engine, not the system: a system caches its
+    closure, and a back reference would make a cycle that only the cyclic
+    collector frees.
     """
 
-    __slots__ = ("space", "level_maps", "stable_index", "_tables", "_reads")
+    __slots__ = ("level_maps", "stable_index", "_pairs")
 
-    def __init__(self, space: FiniteMetricSpace, level_maps: list[list[PartialMap]],
-                 stable_index: int):
-        self.space = space
+    def __init__(self, sys: GeneratingSystem,
+                 level_maps: list[list[PartialMap]], stable_index: int):
         self.level_maps = level_maps
         self.stable_index = stable_index
-        self._tables = self._reads = None  # built by the first table
+        self._pairs = sys._pair_tables()
 
     def maps_at(self, n: int) -> list[PartialMap]:
         """The word set at length ``n`` (constant from the stabilization on)."""
@@ -345,33 +396,8 @@ class WordClosure:
         return self.level_maps[self.stable_index - 1]
 
     def constraint_table(self, n: int) -> list[list[int]]:
-        """``T[i][j]`` = the rank of max d(w i, w j) over the words w of
-        length ``n`` defined at i and j: ``table_ball(T, i, space.threshold(
-        eps, closed))`` is the dynamical n-ball around ``i``.  Level k is the
-        pair recurrence T_k[i][j] = max_g T_{k-1}[g i][g j] over the
-        generators (the level-1 maps; the identity's term is row i itself)
-        from T_0, the distance ranks.  A level equal to the one before
-        serves every later level."""
-        if n < 1:
-            raise InputError("word length must be at least 1")
-        if self._reads is None:
-            self._tables = [list(map(list, self.space.distance_ranks()[0]))]
-            gens = [g.vals for g in self.level_maps[0] if not g.is_identity()]
-            # off g's domain, row i's gather reads T[g i][g i] = 0
-            self._reads = [[(vals[i], itemgetter(*[vals[i] if v is None else v
-                                                   for v in vals]))
-                            for vals in gens if vals[i] is not None]
-                           for i in range(self.space.n)]
-        tables = self._tables
-        while len(tables) <= min(n, self.stable_index):
-            prev = tables[-1]
-            table = [list(map(max, prev[i], *[get(prev[gi])
-                                              for gi, get in reads]))
-                     if reads else prev[i]
-                     for i, reads in enumerate(self._reads)]
-            tables += ([table] if table != prev
-                       else [prev] * (self.stable_index + 1 - len(tables)))
-        return tables[min(n, self.stable_index)]
+        """The system's constraint table at min(n, stabilization index)."""
+        return self._pairs.table(min(n, self.stable_index))
 
 
 def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
@@ -489,8 +515,10 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
                     links.append((parent, gen))
             if len(keys) > CLOSURE_CAP:
                 raise CapabilityError(
-                    f"the word closure passed {CLOSURE_CAP} maps; orbit "
-                    "questions (check --what invariant|ergodic) build none")
+                    f"the word closure passed {CLOSURE_CAP} maps; htop, "
+                    "entropy --n-max, check --what invariant|ergodic|"
+                    "homogeneous|expansive, equicont --compacted and "
+                    "conjugate --check expansive build none")
         if len(keys) == end:
             break
         sizes.append(len(keys))
@@ -499,7 +527,7 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
     for key, (parent, gen) in zip(keys[len(level1):], links):
         maps.append(PartialMap._raw(space, decode(key),
                                     word=maps[parent].word + level1[gen].word))
-    return WordClosure(space, [maps[:size] for size in sizes], len(sizes))
+    return WordClosure(sys, [maps[:size] for size in sizes], len(sizes))
 
 
 class GermRelation:

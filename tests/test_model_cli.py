@@ -481,26 +481,45 @@ def test_manifest_and_payload_reproducible(model_path, capsys):
 
 def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
     """A closure past the cap is a capability error (exit 2) that names the
-    orbit questions, and those still run without the closure."""
+    commands which build no closure, and those give the same exit code and
+    result with the cap as without it."""
     labels = [f"p{i}" for i in range(6)]
     doc = {
         "points": labels,
         "dist": [[int(i != j) for j in range(6)] for i in range(6)],
         "generators": [
             {"name": "r", "map": {labels[i]: labels[(i + 1) % 6]
-                                  for i in range(6)}},
+                                  for i in range(6)},
+             "core": ["p0", "p1", "p2"]},
             {"name": "s", "map": {"p0": "p1", "p1": "p0"}},
         ],
         "mu": {p: "1/6" for p in labels},
+        "phi": {p: p.upper() for p in labels},
     }
     path = tmp_path / "s6.json"
     path.write_text(json.dumps(doc))
+    model = ["--model", str(path)]
+    commands = [["htop", *model],
+                ["entropy", *model, "--x", "p0", "--n-max", "2"],
+                ["equicont", *model, "--compacted"],
+                ["conjugate", *model, "--check", "expansive"]]
+    commands += [["check", *model, "--what", what, "--delta", "1"]
+                 for what in ("invariant", "ergodic", "homogeneous",
+                              "expansive")]
+
+    def run(argv):
+        code = main(["--format", "json", *argv])
+        return code, json.loads(capsys.readouterr().out)["result"]
+
+    uncapped = [run(argv) for argv in commands]
+    assert all(code != 2 for code, _ in uncapped)
+    for code, result in uncapped[4:6]:  # check --what invariant|ergodic
+        assert code == 0 and result["ok"] is True
     monkeypatch.setattr(pseudogroup, "CLOSURE_CAP", 100)
-    assert main(["ball", "--model", str(path), "--x", "p0", "--n", "2",
-                 "--eps", "1"]) == 2
+    assert main(["ball", *model, "--x", "p0", "--n", "2", "--eps", "1"]) == 2
     err = capsys.readouterr().err
-    assert "capability error" in err and "invariant|ergodic" in err
-    for what in ("invariant", "ergodic"):
-        assert main(["--format", "json", "check", "--model", str(path),
-                     "--what", what]) == 0
-        assert json.loads(capsys.readouterr().out)["result"]["ok"] is True
+    assert "capability error" in err
+    assert ("htop, entropy --n-max, check --what "
+            "invariant|ergodic|homogeneous|expansive, equicont --compacted "
+            "and conjugate --check expansive build none") in err
+    assert [run(argv) for argv in commands] == uncapped

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -7,10 +8,12 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        GeneratingSystem, GermRelation, InputError,
                        PartialMap, PreconditionError, SpaceIso,
                        brute_force_separated, compacted_system,
-                       conjugate_system,
-                       goodness_check, invariant_sets, is_ergodic,
-                       is_unbounded, pseudogroup, raw_word_maps,
-                       separation_radius)
+                       conjugate_system, expansiveness_upgrade_check,
+                       expansiveness_verdict, goodness_check, h_top_table,
+                       invariant_sets, is_ergodic, is_homogeneous,
+                       is_unbounded, local_entropy,
+                       no_expansive_certificate_good, pseudogroup,
+                       raw_word_maps, separated_count, separation_radius)
 from pseudodyn.mutations import MUTATIONS
 from pseudodyn.pseudogroup import WordClosure, spread_table, table_ball
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
@@ -221,6 +224,34 @@ def test_orbit_questions_build_no_closure(monkeypatch):
         sys_i.word_closure()
 
 
+def test_table_only_calls_build_no_closure(monkeypatch):
+    """Separated counts, entropy rows up to a given n, homogeneity,
+    expansiveness and the core-restricted certificate read the constraint
+    tables alone: the closure loop is never entered, for the system or
+    its core restriction."""
+    def no_closure(*args):
+        raise AssertionError("word closure built")
+
+    monkeypatch.setattr(pseudogroup, "_closure", no_closure)
+    spec = InstanceSpec(seed="tables-no-closure", count=20)
+    cored = 0
+    for idx in range(spec.count):
+        sys_i, mu = random_genome(spec, idx).build()
+        eps = sys_i.space.distance_grid()[0]
+        h_top_table(sys_i, n_max=3)
+        separated_count(sys_i, 2, eps, mode="greedy")
+        is_homogeneous(mu, sys_i)
+        expansiveness_verdict(mu, sys_i, eps)
+        local_entropy(mu, sys_i, sys_i.space.points[0], n_max=3)
+        if sys_i.has_cores:
+            no_expansive_certificate_good(sys_i)
+            expansiveness_upgrade_check(mu, sys_i)
+            cored += 1
+    assert cored
+    with pytest.raises(AssertionError, match="closure built"):
+        sys_i.word_closure()
+
+
 def reference_closure(sys, compose):
     """The closure loop over ``PartialMap``s: each round extends the newest
     maps by one generator through ``compose``, deduplicating on the maps
@@ -248,7 +279,7 @@ def reference_closure(sys, compose):
             break
         levels.append(levels[-1] + new)
         frontier = new
-    return WordClosure(sys.space, levels, len(levels))
+    return WordClosure(sys, levels, len(levels))
 
 
 def assert_closure_matches_reference(sys, compose=PartialMap.then,
@@ -377,6 +408,22 @@ def test_compacted_system_is_shared(line_system_cores):
     assert compacted_system(line_system_cores) is comp
     assert all(getattr(comp, slot) is not line_system_cores
                for slot in GeneratingSystem.__slots__)
+
+
+def test_table_engine_and_closure_hold_no_reference_to_the_system():
+    """The system caches its tables and its closure, so neither may reach
+    back to it: that would make a cycle only the cyclic collector frees."""
+    system = symmetric_group(coprime_space(4))
+    closure = system.word_closure()
+    assert closure.constraint_table(2) is system.constraint_table(2)
+    seen = set()
+    todo = [system._tables, closure]
+    while todo:
+        obj = todo.pop()
+        assert obj is not system
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            todo.extend(gc.get_referents(obj))
 
 
 def test_table_ball_radii_on_grid_values():
@@ -617,11 +664,24 @@ def test_spread_table_saturation_on_one_and_two_points():
 
 def assert_pair_tables_match_spread_tables(system):
     """Each level's pair table, one level past the stabilization too,
-    equals the fold of that level's word set."""
+    equals the fold of that level's word set, on the system and on its
+    closure, which reads the system's own table objects.  The fixpoint
+    level is the first level the later ones repeat, at most the
+    stabilization index, and the default length reads its table."""
     closure = system.word_closure()
     for n in range(1, closure.stable_index + 2):
+        fold = spread_table(closure.maps_at(n), system.space)
+        assert system.constraint_table(n) == fold
         assert closure.constraint_table(n) \
-            == spread_table(closure.maps_at(n), system.space)
+            is system.constraint_table(min(n, closure.stable_index))
+    level = system.fixpoint_level
+    assert 1 <= level <= closure.stable_index
+    assert system.constraint_table() is system.constraint_table(level)
+    assert system.constraint_table(level + 1) \
+        is system.constraint_table(level)
+    if level > 1:
+        assert system.constraint_table(level - 1) \
+            != system.constraint_table(level)
 
 
 def test_pair_tables_match_spread_tables_on_seeded_instances():
