@@ -74,15 +74,22 @@ def _key(k) -> str:
 
 
 def render(payload, fmt: str, manifest: dict | None = None) -> str:
-    data = to_jsonable(payload)
-    if fmt == "json":
-        doc = {"result": data}
-        if manifest:
-            doc["manifest"] = manifest
-        return json.dumps(doc, indent=2, sort_keys=True)
-    if fmt == "csv":
-        return _render_csv(data)
-    return _render_table(data)
+    try:
+        data = to_jsonable(payload)
+        if fmt == "json":
+            doc = {"result": data}
+            if manifest:
+                doc["manifest"] = manifest
+            return json.dumps(doc, indent=2, sort_keys=True)
+        if fmt == "csv":
+            return _render_csv(data)
+        return _render_table(data)
+    except ValueError as exc:
+        # the one ValueError rendering meets: an integer too long to print
+        raise CapabilityError(
+            "a value has more than the "
+            f"{sys.get_int_max_str_digits()} digits Python prints "
+            "in an integer") from exc
 
 
 def _render_csv(data, prefix="") -> str:
@@ -132,9 +139,9 @@ def _render_table(data, indent=0) -> str:
     return "\n".join(lines)
 
 
-def _manifest(args, model=None, seed=None, started=None) -> dict:
+def _manifest(argv, model=None, seed=None, started=None) -> dict:
     return {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.command,
+        "command": " ".join(argv),
         "model_sha256": getattr(model, "sha256", None),
         "seed": seed,
         "version": __version__,
@@ -160,7 +167,7 @@ def _measure(args, model):
 
 def cmd_ball(args) -> tuple[int, object]:
     model = load_model(args.model)
-    rep = dynamics.dyn_ball(model.system, args.x, args.n,
+    rep = dynamics.dyn_ball(model.system, model.space.index(args.x), args.n,
                             parse_rational(args.eps), closed=args.closed)
     space = model.space
     payload = {
@@ -176,7 +183,8 @@ def cmd_ball(args) -> tuple[int, object]:
 
 def cmd_bowen(args) -> tuple[int, object]:
     model = load_model(args.model)
-    rep = dynamics.bowen_ball(model.system, args.x, parse_rational(args.delta))
+    rep = dynamics.bowen_ball(model.system, model.space.index(args.x),
+                              parse_rational(args.delta))
     space = model.space
     payload = {
         "center": rep.center,
@@ -205,7 +213,7 @@ def cmd_entropy(args) -> tuple[int, object]:
     grid = None
     if args.eps_grid != "auto":
         grid = [parse_rational(v) for v in args.eps_grid.split(",")]
-    table = measure.local_entropy(mu, model.system, args.x,
+    table = measure.local_entropy(mu, model.system, model.space.index(args.x),
                                   eps_grid=grid, n_max=args.n_max)
     return EXIT_OK, (table, model)
 
@@ -266,7 +274,7 @@ def cmd_conjugate(args) -> tuple[int, object]:
     mu = _measure(args, model)
     if args.check == "entropy":
         rep = morphism.compare_entropy(model.system, iso, mu=mu,
-                                       x=model.space.points[0] if mu else None)
+                                       x=0 if mu else None)
         payload = {
             "check": "entropy",
             "isometric": rep.isometric,
@@ -525,6 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
@@ -542,16 +551,17 @@ def main(argv=None) -> int:
     }
     try:
         code, (payload, model) = handlers[args.command](args)
+        seed = getattr(args, "seed", None)
+        manifest = _manifest(argv, model=model, seed=seed, started=started)
+        fmt = getattr(args, "format_sub", None) or args.format
+        text = render(payload, fmt, manifest=manifest)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    seed = getattr(args, "seed", None)
-    manifest = _manifest(args, model=model, seed=seed, started=started)
-    fmt = getattr(args, "format_sub", None) or args.format
-    print(render(payload, fmt, manifest=manifest))
+    print(text)
     return code
 
 

@@ -43,13 +43,13 @@ class BallReport:
 
 def dyn_ball(sys: GeneratingSystem, x, n: int, eps, closed: bool = False,
              closure: WordClosure | None = None) -> BallReport:
-    """Dynamical n-ball around ``x`` with radius ``eps``: a row of the
-    constraint table, with each non-member's first blocking word."""
+    """Dynamical n-ball around point index ``x`` with radius ``eps``: a
+    row of the constraint table, with each non-member's first blocking word."""
     eps = parse_radius(eps)
     if n < 1:
         raise InputError("n must be at least 1")
     space = sys.space
-    xi = space.index(x)
+    xi = space._point(x)
     closure = closure or sys.word_closure()
     t = space.threshold(eps, closed)
     members = table_ball(closure.constraint_table(n), xi, t)
@@ -70,15 +70,15 @@ def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,
                          closed: bool = False,
                          closure: WordClosure | None = None) -> PointSet:
     """The same ball through the set-algebra route: intersect, over the
-    words defined at ``x``, the preimage of the metric ball around the
-    image with the domain complement.  Serves as the independent oracle
-    for :func:`dyn_ball`.
+    words defined at point index ``x``, the preimage of the metric ball
+    around the image with the domain complement.  Serves as the
+    independent oracle for :func:`dyn_ball`.
     """
     eps = parse_rational(eps)
     if n < 1:
         raise InputError("n must be at least 1")
     space = sys.space
-    xi = space.index(x)
+    xi = space._point(x)
     closure = closure or sys.word_closure()
     balls = space.ball_masks(eps, closed=closed)
     full = (1 << space.n) - 1
@@ -100,8 +100,8 @@ def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,
 
 def bowen_ball(sys: GeneratingSystem, x, delta,
                closure: WordClosure | None = None) -> BallReport:
-    """Exact Bowen ball: the closed dynamical ball at the stabilization
-    index, where the nested intersection over all n becomes constant."""
+    """Exact Bowen ball around point index ``x``: the closed dynamical ball
+    at the stabilization index, where the nested intersection is constant."""
     delta = parse_radius(delta)
     closure = closure or sys.word_closure()
     return dyn_ball(sys, x, closure.stable_index, delta, closed=True,

@@ -57,20 +57,16 @@ class FiniteMeasure:
 
     @classmethod
     def point_mass(cls, space: FiniteMetricSpace, x) -> "FiniteMeasure":
-        i = space.index(x)
+        """The Dirac measure at point index ``x``."""
+        i = space._point(x)
         return cls(space, [Fraction(1) if j == i else Fraction(0)
                            for j in range(space.n)])
 
     @classmethod
     def from_dict(cls, space: FiniteMetricSpace, mapping: dict) -> "FiniteMeasure":
         weights = [Fraction(0)] * space.n
-        given = set()
         for label, w in mapping.items():
-            i = space.index(label)
-            if i in given:
-                raise InputError(f"duplicate assignment for point {label!r}")
-            given.add(i)
-            weights[i] = parse_rational(w)
+            weights[space.index(label)] = parse_rational(w)
         return cls(space, weights)
 
     def __call__(self, subset) -> Fraction:
@@ -83,9 +79,6 @@ class FiniteMeasure:
         ``den``."""
         nums = self.nums
         return [sum([w for w, v in zip(nums, row) if v < t]) for row in rows]
-
-    def weight(self, x) -> Fraction:
-        return self.weights[self.space.index(x)]
 
     def atoms(self) -> PointSet:
         return frozenset(i for i, w in enumerate(self.weights) if w > 0)
@@ -232,14 +225,15 @@ def _rate(m: Fraction, n: int) -> float:
 
 def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
                   eps_grid=None, n_max: int | None = None) -> LocalEntropyTable:
-    """Table of -(1/n) log mu(B_n(x, eps)) over the (eps, n) grid.
+    """Table of -(1/n) log mu(B_n(x, eps)) over the (eps, n) grid, at
+    point index ``x``.
 
     Balls stabilize with n on a finite space, so the large-n limit is 0
     whenever the stabilized ball keeps positive measure and +inf otherwise;
     liminf and limsup coincide.
     """
     space = sys.space
-    xi = space.index(x)
+    xi = space._point(x)
     if n_max is None:
         n_max = sys.word_closure().stable_index
     if eps_grid is None:

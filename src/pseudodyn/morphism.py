@@ -156,9 +156,8 @@ class CrossMap:
     @classmethod
     def from_iso_restriction(cls, iso: SpaceIso, subset,
                              name: str | None = None) -> "CrossMap":
-        subset = frozenset(iso.src.index(x) for x in subset)
         return cls(iso.src, iso.dst,
-                   {iso.src.label(i): iso.dst.label(iso.fwd[i]) for i in subset},
+                   {x: iso.dst.label(iso.fwd[iso.src.index(x)]) for x in subset},
                    name=name)
 
 
@@ -272,7 +271,7 @@ def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
     distance among images of source pairs at least eps apart; backwards
     the scale is ``iso.forward_modulus(eps)``.  For an isometric bijection the
     tables agree cell by cell (and so do local entropy tables when a
-    measure and a basepoint are supplied).
+    measure and a basepoint index ``x`` are supplied).
     """
     conj = conjugate_system(sys, iso)
     if eps_grid is None:
@@ -320,8 +319,7 @@ def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
         local_src = local_entropy(mu, sys, x, eps_grid=eps_grid)
         push = pushforward(mu, iso)
         dst_eps = dst_grid if not isometric else eps_grid
-        local_dst = local_entropy(push, conj, iso.dst.label(iso.fwd[sys.space.index(x)]),
-                                  eps_grid=dst_eps)
+        local_dst = local_entropy(push, conj, iso.fwd[x], eps_grid=dst_eps)
         if isometric:
             local_equal = (
                 [(c.eps, c.n, c.ball_measure) for c in local_src.cells]

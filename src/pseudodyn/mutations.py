@@ -21,7 +21,7 @@ def _mutant_formula_drop_complement(sys, x, n, eps, closed, closure):
     """Forgets that maps undefined at a point impose no constraint there."""
     eps = parse_rational(eps)
     space = sys.space
-    xi = space.index(x)
+    xi = space._point(x)
     result = space.full_set()
     for g in closure.maps_at(n):
         gx = g.vals[xi]

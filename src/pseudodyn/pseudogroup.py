@@ -74,10 +74,7 @@ class PartialMap:
                   name: str | None = None) -> "PartialMap":
         vals: list[Optional[int]] = [None] * space.n
         for src, dst in mapping.items():
-            i = space.index(src)
-            if vals[i] is not None:
-                raise InputError(f"duplicate assignment for point {src!r}")
-            vals[i] = space.index(dst)
+            vals[space.index(src)] = space.index(dst)
         return cls(space, vals, name=name)
 
     @classmethod

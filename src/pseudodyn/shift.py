@@ -14,10 +14,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InputError
+from .errors import CapabilityError, InputError
 from .rational import parse_rational
 
 LOG2 = math.log(2)
+
+# The widest window, as a radius R: at p = 1/2 a window of 2R + 1
+# coordinates has measure 2^-(2R+1), and R = 7000 keeps that under the
+# 4,300 digits CPython prints in an integer by default.
+WINDOW_RADIUS_CAP = 7000
+
+
+def _window(radius: int) -> int:
+    """``radius``, once it is checked against ``WINDOW_RADIUS_CAP``."""
+    if radius > WINDOW_RADIUS_CAP:
+        raise CapabilityError(
+            f"window radius {radius} exceeds {WINDOW_RADIUS_CAP}, past which "
+            "values outgrow the 4,300 digits Python prints in an integer by "
+            "default")
+    return radius
 
 
 @dataclass(frozen=True)
@@ -48,6 +63,8 @@ class ShiftPoint:
     def from_string(cls, block: str, center: int = 0,
                     background: int = 0) -> "ShiftPoint":
         """Place ``block`` so that its middle character sits at ``center``."""
+        if set(block) - {"0", "1"}:
+            raise InputError(f"symbols must be 0 or 1 (got {block!r})")
         symbols = tuple(int(ch) for ch in block)
         if not symbols:
             return cls((background,), background)
@@ -55,7 +72,7 @@ class ShiftPoint:
         start = center - mid
         lo = min(start, -start - len(symbols) + 1)
         hi = max(start + len(symbols) - 1, -lo)
-        radius = max(-lo, hi)
+        radius = _window(max(-lo, hi))
         window = []
         for k in range(-radius, radius + 1):
             if start <= k < start + len(symbols):
@@ -170,7 +187,7 @@ class Cylinder:
 
     @classmethod
     def around(cls, x: ShiftPoint, radius: int) -> "Cylinder":
-        return cls(-radius, x.block(-radius, radius))
+        return cls(-radius, x.block(-radius, _window(radius)))
 
     @property
     def interval(self) -> Optional[tuple[int, int]]:
@@ -323,9 +340,9 @@ def htop_shift(eps, n: int) -> ShiftSeparationBounds:
     u = _largest_single_cost_at_least(eps)
     if n < 0:
         raise InputError("n must be nonnegative")
-    lower = 1 if u is None else 2 ** (2 * (n + u) + 1)
     m = _dyadic_exponent(2, eps, strict=True)
-    upper = 2 ** (2 * (n + m) + 1)
+    upper = 2 ** (2 * _window(n + m) + 1)
+    lower = 1 if u is None else 2 ** (2 * (n + u) + 1)
     rate_lower = None
     rate_upper = None
     if n >= 1:
@@ -393,7 +410,7 @@ def bowen_ball_shift(x: ShiftPoint, delta,
     t = _strict_tail_radius(delta)
     if t is not None:
         q = max(spec.p, 1 - spec.p)
-        bounds = [(n, q ** (2 * (n + t) + 1)) for n in range(1, 9)]
+        bounds = [(n, q ** (2 * _window(n + t) + 1)) for n in range(1, 9)]
         return ShiftBowenReport(delta=delta, singleton=True,
                                 outer_radius_gap=t, measure_zero=True,
                                 measure_bounds=bounds,

@@ -1,6 +1,7 @@
 """Finite metric spaces with exact rational distances.
 
-Points carry opaque labels; all internal computation is index-based.
+Points carry opaque labels; every computation takes point indices, and a
+label becomes an index only where it arrives (``FiniteMetricSpace.index``).
 Subsets of a space ("point sets") are plain ``frozenset`` objects over
 point indices.
 """
@@ -80,13 +81,19 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return len(self.points)
 
-    def index(self, x) -> int:
-        """Resolve a point label (or an already-resolved index) to an index."""
-        if x in self._index:
-            return self._index[x]
-        if isinstance(x, int) and 0 <= x < len(self.points):
-            return x
-        raise InputError(f"unknown point {x!r}")
+    def index(self, label) -> int:
+        """The index of the point labelled ``label``.  Labels only: an
+        integer is read as a label, never as an index."""
+        if label in self._index:
+            return self._index[label]
+        raise InputError(f"unknown point {label!r}")
+
+    def _point(self, i) -> int:
+        """``i``, checked to be a point index: every computation at a point
+        takes an index, so a label, a bool or an int out of range fails."""
+        if type(i) is not int or not 0 <= i < self.n:
+            raise InputError(f"{i!r} is not a point index (0 to {self.n - 1})")
+        return i
 
     def label(self, i: int):
         return self.points[i]

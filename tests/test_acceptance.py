@@ -253,7 +253,7 @@ def test_criterion_12_morphism_invariance():
         rng.shuffle(labels)
         iso = SpaceIso.relabel(space, labels)
         rep = compare_entropy(sys_i, mu=mu, iso=iso, n_list=[1, 2],
-                              x=space.points[0])
+                              x=0)
         ok = ok and rep.isometric and rep.tables_equal and rep.local_equal
         ok = ok and rep.forward_ok and rep.backward_ok
         conj = conjugate_system(sys_i, iso)

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import (CapabilityError, GeneratingSystem, bowen_ball, brute_force_separated, compacted_system,
-                       dyn_ball, dyn_ball_via_formula, h_top_table,
-                       is_unbounded, separated_count, separation_radius)
+from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
+                       GeneratingSystem, InputError, SpaceIso, bowen_ball,
+                       brute_force_separated, compacted_system,
+                       compare_entropy, dyn_ball, dyn_ball_via_formula,
+                       h_top_table, is_unbounded, local_entropy,
+                       separated_count, separation_radius)
 from pseudodyn.mutations import MUTATIONS
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
 from pseudodyn.pseudogroup import table_ball
@@ -14,7 +17,7 @@ from conftest import rotation_system
 
 
 def test_dyn_ball_line(line_system):
-    rep = dyn_ball(line_system, "a", 1, Fraction(3, 2))
+    rep = dyn_ball(line_system, 0, 1, Fraction(3, 2))
     assert rep.members == {0, 1}
     blocker, dist = rep.exclusions[2]
     assert blocker.is_identity() and dist == 2
@@ -22,11 +25,46 @@ def test_dyn_ball_line(line_system):
 
 def test_dyn_ball_identity_system_is_metric_ball(identity_system):
     space = identity_system.space
-    for x in space.points:
+    for x in range(space.n):
         for eps in [Fraction(1, 2), 1, Fraction(3, 2), 2]:
             for closed in (False, True):
                 assert (dyn_ball(identity_system, x, 3, eps, closed=closed).members
-                        == space.ball_ix(space.index(x), eps, closed=closed))
+                        == space.ball_ix(x, eps, closed=closed))
+
+
+def test_a_point_argument_is_an_index_not_a_label():
+    """On points [2, 0, 1], index 0 is the point labelled 2: every
+    computation at a point reads its argument as an index, and reports
+    name the centre by its label."""
+    space = FiniteMetricSpace([2, 0, 1], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    system = GeneratingSystem.build(space, [])
+    mu = FiniteMeasure.uniform(space)
+    for rep in (dyn_ball(system, 0, 1, Fraction(3, 2)),
+                bowen_ball(system, 0, 1)):
+        assert rep.center == 2 and rep.members == {0, 1}
+    assert dyn_ball_via_formula(system, 0, 1, Fraction(3, 2)) == {0, 1}
+    assert local_entropy(mu, system, 0).x == 2
+    assert FiniteMeasure.point_mass(space, 0).weights[0] == 1
+    iso = SpaceIso.relabel(space, ["p", "q", "r"])
+    rep = compare_entropy(system, iso, mu=mu, x=0)
+    assert (rep.local_src.x, rep.local_dst.x) == (2, "p")
+
+
+@pytest.mark.parametrize("x", ["a", True, -1, 3, 1.0])
+def test_a_point_that_is_no_index_is_input_error(line, line_system, x):
+    """A label, a bool, a non-int and an int out of range are refused by
+    every computation at a point."""
+    mu = FiniteMeasure.uniform(line)
+    iso = SpaceIso.relabel(line, ["p", "q", "r"])
+    calls = [lambda: dyn_ball(line_system, x, 1, 1),
+             lambda: bowen_ball(line_system, x, 1),
+             lambda: dyn_ball_via_formula(line_system, x, 1, 1),
+             lambda: local_entropy(mu, line_system, x),
+             lambda: FiniteMeasure.point_mass(line, x),
+             lambda: compare_entropy(line_system, iso, mu=mu, x=x)]
+    for call in calls:
+        with pytest.raises(InputError, match="not a point index"):
+            call()
 
 
 def test_dyn_ball_rotations_collapse_to_metric():
@@ -36,8 +74,8 @@ def test_dyn_ball_rotations_collapse_to_metric():
 
 
 def test_formula_matches_examples(line_system):
-    assert dyn_ball_via_formula(line_system, "a", 1, Fraction(3, 2)) == {0, 1}
-    assert dyn_ball_via_formula(line_system, "a", 1, 10) \
+    assert dyn_ball_via_formula(line_system, 0, 1, Fraction(3, 2)) == {0, 1}
+    assert dyn_ball_via_formula(line_system, 0, 1, 10) \
         == line_system.space.full_set()
 
 
@@ -193,7 +231,7 @@ def test_dyn_ball_on_mutant_closure_keeps_table_members():
 
 
 def test_ball_monotonicity(line_system):
-    for x in ("a", "b", "c"):
+    for x in range(3):
         for eps in [1, Fraction(3, 2), 2]:
             balls = [dyn_ball(line_system, x, n, eps).members for n in (1, 2, 3, 4)]
             for small, big in zip(balls[1:], balls):
@@ -204,7 +242,7 @@ def test_ball_monotonicity(line_system):
 
 
 def test_bowen_ball_examples(line_system):
-    rep = bowen_ball(line_system, "a", 1)
+    rep = bowen_ball(line_system, 0, 1)
     assert rep.members == {0, 1}
     assert rep.stabilized
 
@@ -214,25 +252,25 @@ def test_bowen_ball_examples(line_system):
 
 def test_bowen_ball_identity_system(identity_system):
     space = identity_system.space
-    for x in space.points:
+    for x in range(space.n):
         for d in (1, 2):
             assert (bowen_ball(identity_system, x, d).members
-                    == space.ball_ix(space.index(x), d, closed=True))
+                    == space.ball_ix(x, d, closed=True))
 
 
 def test_bowen_inside_closed_metric_ball(line_system):
     space = line_system.space
-    for x in space.points:
+    for x in range(space.n):
         for d in space.distance_grid():
             members = bowen_ball(line_system, x, d).members
-            assert space.index(x) in members
-            assert members <= space.ball_ix(space.index(x), d, closed=True)
+            assert x in members
+            assert members <= space.ball_ix(x, d, closed=True)
 
 
 def test_compaction_enlarges_bowen_balls(line_system_cores):
     comp = compacted_system(line_system_cores)
     space = line_system_cores.space
-    for x in space.points:
+    for x in range(space.n):
         for eta in space.distance_grid():
             assert (bowen_ball(line_system_cores, x, eta).members
                     <= bowen_ball(comp, x, eta).members)

@@ -32,13 +32,12 @@ def test_measure_validation(line):
         FiniteMeasure(line, [Fraction(3, 2), Fraction(-1, 2), 0])
 
 
-def test_from_dict_rejects_a_point_given_twice(line):
-    """A label and an index naming the same point must not overwrite each
-    other into a measure the caller never gave."""
-    with pytest.raises(InputError, match="duplicate assignment"):
-        FiniteMeasure.from_dict(
-            line, {"a": Fraction(1, 2), 0: Fraction(1, 2), "b": Fraction(1, 2)})
-    mu = FiniteMeasure.from_dict(line, {"a": Fraction(1, 2), 1: Fraction(1, 2)})
+def test_from_dict_index_key_is_unknown_point(line):
+    """``from_dict`` reads labels only: an index key names no point."""
+    with pytest.raises(InputError, match="unknown point 0"):
+        FiniteMeasure.from_dict(line, {"a": Fraction(1, 2), 0: Fraction(1, 2)})
+    mu = FiniteMeasure.from_dict(line, {"a": Fraction(1, 2),
+                                        "b": Fraction(1, 2)})
     assert mu.weights == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
 
 
@@ -61,7 +60,7 @@ def test_ergodicity_examples(line, line_system, identity_system):
     assert not rep.ok
     assert rep.witness in ({0, 1}, {2, 3})
 
-    assert is_ergodic(FiniteMeasure.point_mass(line, "a"), identity_system).ok
+    assert is_ergodic(FiniteMeasure.point_mass(line, 0), identity_system).ok
 
 
 def test_ergodicity_requires_invariance(line, line_system):
@@ -90,7 +89,7 @@ def test_invariant_sets_oracle_randomized():
 
 
 def test_local_entropy_stabilizes_to_zero(line, line_system):
-    table = local_entropy(FiniteMeasure.uniform(line), line_system, "a")
+    table = local_entropy(FiniteMeasure.uniform(line), line_system, 0)
     assert table.limit == 0.0
     for cell in table.cells:
         assert cell.ball_measure > 0
@@ -99,15 +98,15 @@ def test_local_entropy_stabilizes_to_zero(line, line_system):
 
 
 def test_local_entropy_point_mass_all_zero(line, identity_system):
-    table = local_entropy(FiniteMeasure.point_mass(line, "a"),
-                          identity_system, "a", n_max=3)
+    table = local_entropy(FiniteMeasure.point_mass(line, 0),
+                          identity_system, 0, n_max=3)
     assert all(c.value == 0 for c in table.cells)
     assert table.limit == 0.0
 
 
 def test_local_entropy_zero_measure_cells_are_inf(line, identity_system):
-    pm = FiniteMeasure.point_mass(line, "a")
-    table = local_entropy(pm, identity_system, "c", eps_grid=[1], n_max=2)
+    pm = FiniteMeasure.point_mass(line, 0)
+    table = local_entropy(pm, identity_system, 2, eps_grid=[1], n_max=2)
     assert all(c.value == math.inf for c in table.cells)
     assert table.limit == math.inf
 
@@ -116,9 +115,9 @@ def test_local_entropy_zero_measure_cells_are_inf(line, identity_system):
 def test_n_max_below_one_is_input_error(line, identity_system, n_max):
     """No n means no ball to measure: refuse instead of answering vacuously
     (the default n_max finds the point mass inhomogeneous)."""
-    pm = FiniteMeasure.point_mass(line, "a")
+    pm = FiniteMeasure.point_mass(line, 0)
     with pytest.raises(InputError, match="n_max"):
-        local_entropy(pm, identity_system, "a", n_max=n_max)
+        local_entropy(pm, identity_system, 0, n_max=n_max)
     with pytest.raises(InputError, match="n_max"):
         is_homogeneous(pm, identity_system, n_max=n_max)
 
@@ -126,11 +125,11 @@ def test_n_max_below_one_is_input_error(line, identity_system, n_max):
 def test_local_entropy_empty_grid_is_input_error(line, line_system):
     one = FiniteMetricSpace(["a"], [[0]])
     with pytest.raises(InputError, match="eps grid"):
-        local_entropy(FiniteMeasure.uniform(line), line_system, "a",
+        local_entropy(FiniteMeasure.uniform(line), line_system, 0,
                       eps_grid=[])
     with pytest.raises(InputError, match="eps grid"):
         local_entropy(FiniteMeasure.uniform(one),
-                      GeneratingSystem.build(one, []), "a")
+                      GeneratingSystem.build(one, []), 0)
 
 
 @pytest.mark.parametrize("eps", [0, -1])
@@ -139,7 +138,7 @@ def test_nonpositive_scale_is_input_error(line, line_system, eps):
     positive local entropy, or homogeneity with a nonpositive delta."""
     mu = FiniteMeasure.uniform(line)
     with pytest.raises(InputError, match="scale must be positive"):
-        local_entropy(mu, line_system, "a", eps_grid=[1, eps])
+        local_entropy(mu, line_system, 0, eps_grid=[1, eps])
     with pytest.raises(InputError, match="scale must be positive"):
         is_homogeneous(mu, line_system, eps_grid=[eps])
 
@@ -147,7 +146,7 @@ def test_nonpositive_scale_is_input_error(line, line_system, eps):
 def test_homogeneity_empty_grid_is_input_error(line, identity_system):
     """No scale means nothing to check: refuse instead of answering ok
     (the default grid finds the point mass inhomogeneous)."""
-    pm = FiniteMeasure.point_mass(line, "a")
+    pm = FiniteMeasure.point_mass(line, 0)
     with pytest.raises(InputError, match="eps grid"):
         is_homogeneous(pm, identity_system, eps_grid=[])
 
@@ -183,7 +182,7 @@ def test_homogeneity_uniform_line(line, line_system):
 def test_homogeneity_point_mass_fails_literally(line, identity_system):
     """A null ball opposite an atom ball defeats the inequality for every
     (delta, c); the report carries the falsifying cell."""
-    rep = is_homogeneous(FiniteMeasure.point_mass(line, "a"), identity_system)
+    rep = is_homogeneous(FiniteMeasure.point_mass(line, 0), identity_system)
     assert not rep.ok
     assert rep.counterexample is not None
 

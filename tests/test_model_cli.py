@@ -9,6 +9,7 @@ import pytest
 from pseudodyn import InputError, morphism, pseudogroup
 from pseudodyn.cli import main, render, to_jsonable
 from pseudodyn.model import parse_model
+from pseudodyn.shift import WINDOW_RADIUS_CAP
 
 LINE_MODEL = {
     "points": ["a", "b", "c"],
@@ -33,7 +34,7 @@ def test_parse_model_valid():
     model = parse_model(json.dumps(LINE_MODEL))
     assert [m.name for m in model.system.generators] == ["id", "g", "g^-1"]
     assert set(model.report.auto_added) == {"id", "g^-1"}
-    assert model.measure is not None and model.measure.weight("a") == Fraction(1, 3)
+    assert model.measure.weights[0] == Fraction(1, 3)
     assert model.iso is not None and model.iso.is_isometric()
     # the auto-linked inverse core is the image of the given core
     assert model.system.cores[2] == {1}
@@ -208,7 +209,7 @@ def test_integer_point_labels_are_strings(tmp_path, capsys):
     model = parse_model(json.dumps(doc))
     assert model.space.points == ("2", "0", "1")
     assert model.system.cores[1] == {0}
-    assert model.measure.weight("0") == Fraction(1, 2)
+    assert model.measure.weights[model.space.index("0")] == Fraction(1, 2)
     assert model.iso.dst.points == ("5", "q", "r")
     path = tmp_path / "ints.json"
     path.write_text(json.dumps(doc))
@@ -362,7 +363,7 @@ def test_cli_conjugate_entropy_below_float_range(tiny_atom_path, capsys):
     assert out["result"]["tables_equal"] is True
     model = parse_model(json.dumps(TINY_ATOM_MODEL))
     rep = morphism.compare_entropy(model.system, model.iso, mu=model.measure,
-                                   x="a")
+                                   x=0)
     assert rep.local_equal is True
     values = [c.value for c in rep.local_src.cells]
     assert all(0 < v < float("inf") for v in values)
@@ -425,6 +426,53 @@ def test_cli_shift_ball(capsys):
     assert out["result"]["measure"] == "1/128"
 
 
+@pytest.mark.parametrize("block", ["1a0", "012", " 1", "\u0660"])
+@pytest.mark.parametrize("command", [["ball", "--n", "1", "--eps", "1"],
+                                     ["bowen", "--delta", "1"]])
+def test_cli_shift_bad_symbol_is_input_error(block, command, capsys):
+    """Every character of a shift point is 0 or 1; "\u0660" is a digit
+    zero that ``int`` would read."""
+    assert main(["shift", command[0], "--x", block, *command[1:]]) == 2
+    assert "symbols must be 0 or 1" in capsys.readouterr().err
+
+
+PAST_CAP = str(WINDOW_RADIUS_CAP + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    # at eps = 4 the scale adds nothing, so the window radius is n
+    ["htop", "--eps", "4", "--n", PAST_CAP],
+    ["entropy", "--eps", "4", "--n", PAST_CAP],
+    ["ball", "--x", "1", "--n", PAST_CAP, "--eps", "4"],
+    ["ball", "--x", "1", "--center", PAST_CAP, "--n", "1", "--eps", "4"],
+    # delta = 2^-CAP puts the outer block of n = 2 one past the cap
+    ["bowen", "--x", "1", "--delta", f"1/{2 ** WINDOW_RADIUS_CAP}"],
+])
+def test_cli_shift_window_past_cap_is_capability_error(argv, capsys):
+    assert main(["--format", "json", "shift", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"exceeds {WINDOW_RADIUS_CAP}" in out.err
+
+
+def test_cli_shift_htop_at_cap_prints(capsys):
+    n = str(WINDOW_RADIUS_CAP)
+    assert main(["--format", "json", "shift", "htop", "--eps", "4",
+                 "--n", n]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"]["count_upper"] == 2 ** (2 * WINDOW_RADIUS_CAP + 1)
+
+
+def test_cli_value_too_long_to_print_is_capability_error(capsys):
+    """A three-coordinate ball at p = 10^-1500 has measure 10^-4500, past
+    the digits Python prints in an integer: exit 2, nothing printed."""
+    assert main(["--format", "json", "shift", "entropy", "--eps", "4",
+                 "--n", "1", "--p", f"1/{10 ** 1500}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "digits Python prints in an integer" in out.err
+
+
 def test_cli_probe_small(capsys):
     code = main(["--format", "json", "probe", "--seeds", "3"])
     out = json.loads(capsys.readouterr().out)
@@ -477,6 +525,16 @@ def test_manifest_and_payload_reproducible(model_path, capsys):
     assert first["result"] == second["result"]
     assert first["manifest"]["model_sha256"] == second["manifest"]["model_sha256"]
     assert first["manifest"]["version"] == second["manifest"]["version"]
+
+
+def test_manifest_command_is_the_parsed_argv(model_path, capsys,
+                                              monkeypatch):
+    monkeypatch.setattr("sys.argv", ["pseudodyn", "extra", "args", "here"])
+    argv = ["--format", "json", "bowen", "--model", model_path,
+            "--x", "a", "--delta", "1"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["manifest"]["command"] == " ".join(argv)
 
 
 def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):

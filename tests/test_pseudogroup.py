@@ -242,7 +242,7 @@ def test_table_only_calls_build_no_closure(monkeypatch):
         separated_count(sys_i, 2, eps, mode="greedy")
         is_homogeneous(mu, sys_i)
         expansiveness_verdict(mu, sys_i, eps)
-        local_entropy(mu, sys_i, sys_i.space.points[0], n_max=3)
+        local_entropy(mu, sys_i, 0, n_max=3)
         if sys_i.has_cores:
             no_expansive_certificate_good(sys_i)
             expansiveness_upgrade_check(mu, sys_i)

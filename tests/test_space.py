@@ -26,6 +26,16 @@ def test_metric_axioms_validated():
         FiniteMetricSpace(["a", "a"], [[0, 1], [1, 0]])
 
 
+def test_index_reads_labels_only(line):
+    """``index`` turns a label into an index; an integer is read as a
+    label too, never as an index."""
+    assert line.index("b") == 1
+    with pytest.raises(InputError, match="unknown point 0"):
+        line.index(0)
+    permuted = FiniteMetricSpace([2, 0, 1], line.dist)
+    assert [permuted.index(p) for p in (0, 1, 2)] == [1, 2, 0]
+
+
 def reference_metric_check(points, dist):
     """The validator as a direct O(n^3) loop over ``Fraction`` sums: the
     oracle for ``FiniteMetricSpace``'s row-scan triangle check."""
