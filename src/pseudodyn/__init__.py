@@ -16,7 +16,6 @@ from .pseudogroup import (
     WordClosure,
     compacted_system,
     germ_relation,
-    goodness_check,
     raw_word_maps,
     separation_radius,
     word_closure,
@@ -58,10 +57,8 @@ from .shift import (
     window_radius,
 )
 from .morphism import (
-    CrossMap,
     SpaceIso,
     compare_entropy,
-    conjugate_family,
     conjugate_map,
     conjugate_system,
     pushforward,

@@ -28,15 +28,13 @@ class BallReport:
     """A computed dynamical ball with its exclusion evidence.
 
     ``exclusions`` maps each non-member to the first (map, distance)
-    constraint that rules it out; ``stabilized`` marks balls computed at
-    the word closure's stabilization index (i.e. Bowen balls).
+    constraint that rules it out.
     """
 
     center: object
     radius: Fraction
     n: int
     closed: bool
-    stabilized: bool
     members: PointSet
     exclusions: dict[int, tuple[PartialMap, Fraction]] = field(repr=False)
 
@@ -62,7 +60,6 @@ def dyn_ball(sys: GeneratingSystem, x, n: int, eps, closed: bool = False,
                 exclusions[y] = (g, space.dist[gx][gy])
                 break
     return BallReport(center=space.label(xi), radius=eps, n=n, closed=closed,
-                      stabilized=(n >= closure.stable_index),
                       members=members, exclusions=exclusions)
 
 

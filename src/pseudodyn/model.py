@@ -1,15 +1,15 @@
 """Model-file ingestion: one self-describing JSON document per instance.
 
 Rationals are parsed exactly (decimal literals never become floats), every
-module-level invariant is validated at load, and all auto-completions
-(identity, inverses, linked cores) are recorded in the load report.
+module-level invariant is validated at load, and the identity, missing
+inverses and their linked cores are completed at load.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -23,20 +23,12 @@ SCHEMA_VERSION = 1
 
 
 @dataclass
-class LoadReport:
-    auto_added: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-
-
-@dataclass
 class Model:
     space: FiniteMetricSpace
     system: GeneratingSystem
     measure: Optional[FiniteMeasure]
     iso: Optional[SpaceIso]
-    report: LoadReport
     sha256: str
-    path: Optional[str] = None
 
 
 def _exact_loads(text: str):
@@ -74,12 +66,11 @@ def _space(doc: dict) -> FiniteMetricSpace:
     return FiniteMetricSpace(points, dist)
 
 
-def parse_model(text: str, path: str | None = None) -> Model:
+def parse_model(text: str) -> Model:
     doc = _shaped(_exact_loads(text), dict, "a model file")
     schema = doc.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise InputError(f"unsupported schema version {schema!r}")
-    report = LoadReport()
 
     if "points" not in doc or "dist" not in doc:
         raise InputError("model needs 'points' and 'dist'")
@@ -109,17 +100,7 @@ def parse_model(text: str, path: str | None = None) -> Model:
             cores = cores or {}
             cores[name] = {space.index(_label(p)) for p in
                            _shaped(fragment["core"], list, "a generator 'core'")}
-    before = {PartialMap(space, m.vals) for m in maps}
     system = GeneratingSystem.build(space, maps, cores=cores)
-    for g in system.generators:
-        if PartialMap(space, g.vals) not in before:
-            report.auto_added.append(g.name or "id")
-    if cores is not None:
-        linked = [g.name for g in system.generators
-                  if g.name and g.name not in cores and not g.is_identity()]
-        if linked:
-            report.notes.append(
-                f"cores for {linked} defaulted to images/domains")
 
     measure = None
     if "mu" in doc:
@@ -128,12 +109,10 @@ def parse_model(text: str, path: str | None = None) -> Model:
     iso = None
     if "phi" in doc:
         iso = _read_iso(doc, space)
-        if "target" not in doc:
-            report.notes.append("iso target defaulted to a relabeled copy")
 
     sha = hashlib.sha256(text.encode()).hexdigest()
     return Model(space=space, system=system, measure=measure, iso=iso,
-                 report=report, sha256=sha, path=path)
+                 sha256=sha)
 
 
 def _read(path: str, what: str) -> str:
@@ -145,7 +124,7 @@ def _read(path: str, what: str) -> str:
 
 
 def load_model(path: str) -> Model:
-    return parse_model(_read(path, "model"), path=path)
+    return parse_model(_read(path, "model"))
 
 
 def load_measure(path: str, space: FiniteMetricSpace) -> FiniteMeasure:

@@ -66,9 +66,6 @@ class SpaceIso:
         )
         return cls(src, dst, range(src.n))
 
-    def apply(self, i: int) -> int:
-        return self.fwd[i]
-
     def apply_set(self, s) -> PointSet:
         return frozenset(self.fwd[i] for i in s)
 
@@ -121,109 +118,6 @@ def pushforward(mu: FiniteMeasure, iso: SpaceIso) -> FiniteMeasure:
     for i, w in enumerate(mu.weights):
         weights[iso.fwd[i]] = w
     return FiniteMeasure(iso.dst, weights)
-
-
-class CrossMap:
-    """Injective partial map between two (possibly different) spaces;
-    the pieces of a finite isomorphism family."""
-
-    __slots__ = ("src", "dst", "mapping", "name")
-
-    def __init__(self, src: FiniteMetricSpace, dst: FiniteMetricSpace,
-                 mapping: dict, name: str | None = None):
-        pairs = {src.index(a): dst.index(b) for a, b in mapping.items()}
-        if len(set(pairs.values())) != len(pairs):
-            raise InputError("cross map is not injective")
-        self.src = src
-        self.dst = dst
-        self.mapping = pairs
-        self.name = name
-
-    @property
-    def dom(self) -> PointSet:
-        return frozenset(self.mapping)
-
-    @property
-    def ran(self) -> PointSet:
-        return frozenset(self.mapping.values())
-
-    def apply(self, i: int) -> int:
-        return self.mapping[i]
-
-    def inverse_mapping(self) -> dict:
-        return {v: k for k, v in self.mapping.items()}
-
-    @classmethod
-    def from_iso_restriction(cls, iso: SpaceIso, subset,
-                             name: str | None = None) -> "CrossMap":
-        return cls(iso.src, iso.dst,
-                   {x: iso.dst.label(iso.fwd[iso.src.index(x)]) for x in subset},
-                   name=name)
-
-
-@dataclass(frozen=True)
-class FamilyConjugationReport:
-    system: GeneratingSystem
-    germ_checked: bool
-    germ_equal: Optional[bool]
-
-
-def conjugate_family(sys: GeneratingSystem, family: list[CrossMap],
-                     reference: SpaceIso | None = None) -> FamilyConjugationReport:
-    """Generating system built from phi_j o f o phi_i^{-1} over all family
-    pieces and generators.
-
-    The family's domains must cover the source and its ranges the target.
-    When the pieces are restrictions of a single bijection (passed as
-    ``reference`` or reconstructible from the pieces), the result is
-    checked at germ level against the directly conjugated system.
-    """
-    if not family:
-        raise InputError("family must be nonempty")
-    dst = family[0].dst
-    dom_union = frozenset().union(*(f.dom for f in family))
-    ran_union = frozenset().union(*(f.ran for f in family))
-    if dom_union != sys.space.full_set():
-        raise InputError("family domains do not cover the source space")
-    if ran_union != frozenset(range(dst.n)):
-        raise InputError("family ranges do not cover the target space")
-
-    gens = []
-    for f in sys.generators:
-        for phi_i in family:
-            inv_i = phi_i.inverse_mapping()
-            for phi_j in family:
-                vals: list[Optional[int]] = [None] * dst.n
-                for y, x in inv_i.items():
-                    v = f.vals[x]
-                    if v is not None and v in phi_j.mapping:
-                        vals[y] = phi_j.mapping[v]
-                m = PartialMap(dst, vals, name=f.name)
-                if m.dom:
-                    gens.append(m)
-    system = GeneratingSystem.build(dst, gens)
-
-    if reference is None:
-        reference = _family_as_single_bijection(sys.space, dst, family)
-    if reference is None:
-        return FamilyConjugationReport(system=system, germ_checked=False,
-                                       germ_equal=None)
-    direct = conjugate_system(sys, reference)
-    equal = system.germ_relation().pairs == direct.germ_relation().pairs
-    return FamilyConjugationReport(system=system, germ_checked=True,
-                                   germ_equal=equal)
-
-
-def _family_as_single_bijection(src, dst, family) -> SpaceIso | None:
-    fwd: list[Optional[int]] = [None] * src.n
-    for f in family:
-        for i, v in f.mapping.items():
-            if fwd[i] is not None and fwd[i] != v:
-                return None
-            fwd[i] = v
-    if any(v is None for v in fwd) or sorted(fwd) != list(range(dst.n)):
-        return None
-    return SpaceIso(src, dst, fwd)
 
 
 def transfer_expansive_constant(eta, iso: SpaceIso) -> Fraction:

@@ -324,7 +324,7 @@ def stmt_germ_equivalence(ctx: ProbeContext) -> Outcome:
     identity, symmetric via inverses, transitive via word concatenation."""
     pairs = frozenset((i, v) for g in ctx.closure.stabilized_maps
                       for i, v in enumerate(g.vals) if v is not None)
-    failure = GermRelation(ctx.space, pairs, {}).equivalence_failure()
+    failure = GermRelation(ctx.space, pairs).equivalence_failure()
     if failure is None:
         return Outcome.ok()
     kind, *points = failure

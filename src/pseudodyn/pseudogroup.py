@@ -240,9 +240,11 @@ class GeneratingSystem:
         """Assemble a symmetric system: the total identity is added when
         missing and so is the inverse of any generator (named ``g^-1``).
 
-        ``cores`` maps generator names to point-index sets; the core of an
-        auto-added inverse defaults to the image of the original core so
-        that core restriction commutes with inversion.
+        A name labels one map: two maps named alike, or a name that the
+        completion gives to another map (``id``, ``g^-1``), is an input
+        error.  ``cores`` maps generator names to point-index sets; the
+        core of an auto-added inverse defaults to the image of the
+        original core so that core restriction commutes with inversion.
         """
         gens: list[PartialMap] = []
         seen: dict[PartialMap, PartialMap] = {}
@@ -254,10 +256,14 @@ class GeneratingSystem:
                 gens.append(m)
                 seen[m] = m
                 kept = m
-            if m.name and m.name not in alias:
-                alias[m.name] = kept
+            if m.name and alias.setdefault(m.name, kept) != kept:
+                raise InputError(f"generator name {m.name!r} names two maps")
             return kept
 
+        names = [g.name for g in maps if g.name]
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise InputError(f"generator name {name!r} is declared twice")
         identity = PartialMap.identity(space)
         push(identity)
         for g in maps:
@@ -528,17 +534,14 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
 
 
 class GermRelation:
-    """All realized pairs (x, w(x)) over the words w in the generators,
-    each tagged with a shortest realizing word."""
+    """All realized pairs (x, w(x)) over the words w in the generators."""
 
-    __slots__ = ("space", "pairs", "witness")
+    __slots__ = ("space", "pairs")
 
     def __init__(self, space: FiniteMetricSpace,
-                 pairs: frozenset[tuple[int, int]],
-                 witness: dict[tuple[int, int], tuple[str, ...]]):
+                 pairs: frozenset[tuple[int, int]]):
         self.space = space
         self.pairs = pairs
-        self.witness = witness
 
     def equivalence_failure(self) -> Optional[tuple]:
         """None when the relation is an equivalence, else the first failure
@@ -587,21 +590,20 @@ class GermRelation:
 def germ_relation(sys: GeneratingSystem) -> GermRelation:
     """A word maps x to y exactly when a path of generator edges
     z -> g(z) leads from x to y, so one breadth-first search from each
-    point finds every pair without building the word closure.  Each point
-    reached records the word of its path: a shortest witness, () at x."""
-    edges = [(g.vals, _letter(g)) for g in sys.generators]
-    witness: dict[tuple[int, int], tuple[str, ...]] = {}
+    point finds every pair without building the word closure."""
+    edges = [g.vals for g in sys.generators]
+    pairs = []
     for x in range(sys.space.n):
-        words = {x: ()}
+        reached = {x}
         queue = [x]
         for y in queue:  # the list grows while it is read: first in, first out
-            for vals, letter in edges:
+            for vals in edges:
                 z = vals[y]
-                if z is not None and z not in words:
-                    words[z] = words[y] + letter
+                if z is not None and z not in reached:
+                    reached.add(z)
                     queue.append(z)
-        witness.update(((x, y), word) for y, word in words.items())
-    return GermRelation(sys.space, frozenset(witness), witness)
+        pairs.extend((x, y) for y in queue)
+    return GermRelation(sys.space, frozenset(pairs))
 
 
 def compacted_system(sys: GeneratingSystem) -> GeneratingSystem:
@@ -634,20 +636,6 @@ def compacted_system(sys: GeneratingSystem) -> GeneratingSystem:
     sys._compacted = GeneratingSystem(sys.space, gens, cores=tuple(cores),
                                       check_symmetric=False)
     return sys._compacted
-
-
-def goodness_check(sys: GeneratingSystem):
-    """True when core restriction preserves the germ relation; on failure
-    returns a pair in the difference."""
-    if not sys.has_cores:
-        raise PreconditionError("goodness check requires cores")
-    full = sys.germ_relation()
-    small = compacted_system(sys).germ_relation()
-    if small.pairs == full.pairs:
-        return True, None
-    diff = sorted(full.pairs - small.pairs) or sorted(small.pairs - full.pairs)
-    i, j = diff[0]
-    return False, (sys.space.label(i), sys.space.label(j))
 
 
 def separation_radius(sys: GeneratingSystem):

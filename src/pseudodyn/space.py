@@ -104,9 +104,6 @@ class FiniteMetricSpace:
     def full_set(self) -> PointSet:
         return frozenset(range(len(self.points)))
 
-    def complement(self, s: Iterable[int]) -> PointSet:
-        return frozenset(range(len(self.points))) - frozenset(s)
-
     def labels_of(self, s: Iterable[int]) -> tuple:
         return tuple(self.points[i] for i in sorted(s))
 

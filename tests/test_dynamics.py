@@ -244,7 +244,6 @@ def test_ball_monotonicity(line_system):
 def test_bowen_ball_examples(line_system):
     rep = bowen_ball(line_system, 0, 1)
     assert rep.members == {0, 1}
-    assert rep.stabilized
 
     sys6 = rotation_system(6)
     assert bowen_ball(sys6, 0, 1).members == {5, 0, 1}

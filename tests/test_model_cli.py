@@ -33,7 +33,6 @@ def model_path(tmp_path):
 def test_parse_model_valid():
     model = parse_model(json.dumps(LINE_MODEL))
     assert [m.name for m in model.system.generators] == ["id", "g", "g^-1"]
-    assert set(model.report.auto_added) == {"id", "g^-1"}
     assert model.measure.weights[0] == Fraction(1, 3)
     assert model.iso is not None and model.iso.is_isometric()
     # the auto-linked inverse core is the image of the given core
@@ -62,6 +61,47 @@ def test_parse_model_errors_name_the_invariant():
 
     with pytest.raises(InputError, match="JSON"):
         parse_model("not json{")
+
+
+def _four_points(generators):
+    return {"points": ["a", "b", "c", "d"],
+            "dist": [[abs(i - j) for j in range(4)] for i in range(4)],
+            "generators": generators}
+
+
+G_CORED = {"name": "g", "map": {"a": "b", "b": "c"}, "core": ["a"]}
+
+
+@pytest.mark.parametrize("generators, name", [
+    ([G_CORED, {"name": "g", "map": {"b": "d"}, "core": ["b"]}], "'g'"),
+    ([{"name": "id", "map": {"a": "b", "b": "c"}, "core": ["a"]}], "'id'"),
+    ([G_CORED, {"name": "g^-1", "map": {"c": "d"}}], "'g\\^-1'"),
+], ids=["declared-twice", "id-on-another-map", "inverse-name-on-another-map"])
+def test_generator_name_labels_one_map(generators, name, tmp_path, capsys):
+    """A name that would label two maps, one declared and one declared or
+    completed, would send a core to the wrong map: it is an input error."""
+    doc = _four_points(generators)
+    with pytest.raises(InputError, match=name):
+        parse_model(json.dumps(doc))
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ball", "--model", str(path), "--x", "a", "--n", "1",
+                 "--eps", "1"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_explicit_inverse_loads_like_the_completed_one(tmp_path, capsys):
+    inverse = {"name": "g^-1", "map": {"b": "a", "c": "b"}}
+    results = []
+    for generators in ([G_CORED], [G_CORED, inverse]):
+        path = tmp_path / "inverse.json"
+        path.write_text(json.dumps(_four_points(generators)))
+        for argv in (["bowen", "--x", "b", "--delta", "1"],
+                     ["equicont", "--compacted"]):
+            code = main(["--format", "json", argv[0], "--model", str(path),
+                         *argv[1:]])
+            results.append((code, json.loads(capsys.readouterr().out)["result"]))
+    assert results[:2] == results[2:]
 
 
 def test_to_jsonable_round_trip():

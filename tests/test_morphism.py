@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import (CrossMap, FiniteMeasure, FiniteMetricSpace,
+from pseudodyn import (FiniteMeasure, FiniteMetricSpace,
                        InputError, PartialMap, SpaceIso,
-                       compare_entropy, conjugate_family, conjugate_map,
+                       compare_entropy, conjugate_map,
                        conjugate_system, expansiveness_verdict, pushforward,
                        transfer_expansive_constant)
 from pseudodyn.probes import (InstanceSpec, random_genome,
@@ -258,24 +258,3 @@ def test_separation_transfer_scale(line, doubled):
     assert is_unbounded(doubled.inverse_modulus(3))
     assert doubled.forward_modulus(2) == 1
     assert doubled.forward_modulus(4) == 2
-
-
-def test_conjugate_family_single_piece(line_system, relabel):
-    fam = [CrossMap.from_iso_restriction(relabel, ["a", "b", "c"])]
-    rep = conjugate_family(line_system, fam)
-    assert rep.germ_checked and rep.germ_equal
-    direct = conjugate_system(line_system, relabel)
-    assert rep.system.germ_relation().pairs == direct.germ_relation().pairs
-
-
-def test_conjugate_family_overlapping_restrictions(line_system, relabel):
-    fam = [CrossMap.from_iso_restriction(relabel, ["a", "b"]),
-           CrossMap.from_iso_restriction(relabel, ["b", "c"])]
-    rep = conjugate_family(line_system, fam)
-    assert rep.germ_checked and rep.germ_equal
-
-
-def test_conjugate_family_covering_required(line_system, relabel):
-    with pytest.raises(InputError, match="cover"):
-        conjugate_family(line_system,
-                         [CrossMap.from_iso_restriction(relabel, ["a", "b"])])

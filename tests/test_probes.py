@@ -37,15 +37,6 @@ def test_total_density_one_makes_total_maps():
         assert all(g.is_total() for g in sys_i.generators)
 
 
-def test_core_density_one_is_good():
-    from pseudodyn import goodness_check
-    spec = InstanceSpec(seed=3, count=10, core_density=(1.0, 1.0))
-    for idx in range(spec.count):
-        sys_i, _ = random_instance(spec, idx)
-        ok, _ = goodness_check(sys_i)
-        assert ok
-
-
 def test_suite_deterministic():
     spec = InstanceSpec(seed=5, count=6)
     names = ["compaction-ball-inclusion", "half-radius-recentering"]

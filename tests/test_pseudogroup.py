@@ -9,7 +9,7 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        PartialMap, PreconditionError, SpaceIso,
                        brute_force_separated, compacted_system,
                        conjugate_system, expansiveness_upgrade_check,
-                       expansiveness_verdict, goodness_check, h_top_table,
+                       expansiveness_verdict, h_top_table,
                        invariant_sets, is_ergodic, is_homogeneous,
                        is_unbounded, local_entropy,
                        no_expansive_certificate_good, pseudogroup,
@@ -111,58 +111,24 @@ def test_germ_relation_is_equivalence(line_system):
 def test_germ_equivalence_failure_witnesses(line):
     diagonal = {(0, 0), (1, 1), (2, 2)}
     chain = GermRelation(line, frozenset(diagonal | {(0, 1), (1, 0),
-                                                     (1, 2), (2, 1)}), {})
+                                                     (1, 2), (2, 1)}))
     assert chain.equivalence_failure() in {("transitivity", 0, 1, 2),
                                            ("transitivity", 2, 1, 0)}
-    one_way = GermRelation(line, frozenset(diagonal | {(0, 1)}), {})
+    one_way = GermRelation(line, frozenset(diagonal | {(0, 1)}))
     assert one_way.equivalence_failure() == ("symmetry", 0, 1)
-    no_loop = GermRelation(line, frozenset({(0, 0), (1, 1)}), {})
+    no_loop = GermRelation(line, frozenset({(0, 0), (1, 1)}))
     assert no_loop.equivalence_failure() == ("reflexivity", 2)
 
 
-def test_germ_witness_words_are_shortest(line_system):
-    germ = line_system.germ_relation()
-    assert germ.witness[(0, 0)] == ()       # identity
-    assert germ.witness[(0, 1)] == ("g",)
-    assert len(germ.witness[(0, 2)]) == 2   # a -> c needs two letters
-
-
 def reference_germ_relation(system):
-    """The closure scan: every pair (i, g(i)) of every closure map, level
-    by level, each with the word of the first map that realizes it."""
-    closure = system.word_closure()
-    witness = {}
-    prev_len = 0
-    for level_list in closure.level_maps:
-        for g in level_list[prev_len:]:
-            for i, v in enumerate(g.vals):
-                if v is not None and (i, v) not in witness:
-                    witness[i, v] = g.word or ()
-        prev_len = len(level_list)
-    return witness
-
-
-def apply_word(system, word, x):
-    """Apply a witness word one letter at a time (application order)."""
-    by_letter = {}
-    for g in system.generators:
-        letter = g.word if g.word is not None else (g.name or "?",)
-        if letter:
-            assert by_letter.setdefault(letter, g.vals) == g.vals
-    for letter in word:
-        x = by_letter[(letter,)][x]
-        assert x is not None
-    return x
+    """The closure scan: every pair (i, g(i)) of every stabilized closure
+    map."""
+    return {(i, v) for g in system.word_closure().stabilized_maps
+            for i, v in enumerate(g.vals) if v is not None}
 
 
 def assert_germ_matches_reference(system):
-    germ = system.germ_relation()
-    reference = reference_germ_relation(system)
-    assert germ.pairs == set(reference)
-    assert set(germ.witness) == germ.pairs
-    for (x, y), word in germ.witness.items():
-        assert len(word) == len(reference[x, y])
-        assert apply_word(system, word, x) == y
+    assert system.germ_relation().pairs == reference_germ_relation(system)
 
 
 def permuted_conjugate(system, rng):
@@ -202,7 +168,6 @@ def test_germ_relation_unnamed_generator(line):
     assert_germ_matches_reference(system)
     germ = system.germ_relation()
     assert germ.pairs == {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}
-    assert germ.witness[(0, 2)] == ("?", "?")
 
 
 def test_orbit_questions_build_no_closure(monkeypatch):
@@ -219,7 +184,7 @@ def test_orbit_questions_build_no_closure(monkeypatch):
         assert invariant_sets(sys_i)
         assert is_ergodic(FiniteMeasure.uniform(sys_i.space), sys_i).components
         if sys_i.has_cores:
-            goodness_check(sys_i)
+            compacted_system(sys_i).germ_relation()
     with pytest.raises(AssertionError, match="closure built"):
         sys_i.word_closure()
 
@@ -724,20 +689,6 @@ def test_compacted_noop_when_cores_equal_domains(line):
     sys_full = GeneratingSystem.build(line, [g], cores={"g": {0, 1}})
     comp = compacted_system(sys_full)
     assert set(comp.generators) == set(sys_full.generators)
-
-
-def test_goodness_check(line, line_system_cores):
-    ok, witness = goodness_check(line_system_cores)
-    assert not ok
-    assert witness is not None
-
-    g = PartialMap.from_dict(line, {"a": "b", "b": "c"}, name="g")
-    sys_full = GeneratingSystem.build(line, [g], cores={"g": {0, 1}})
-    assert goodness_check(sys_full) == (True, None)
-
-    ident = GeneratingSystem(line, [PartialMap.identity(line)],
-                             cores=(line.full_set(),))
-    assert goodness_check(ident) == (True, None)
 
 
 def test_goodness_witness_unreachable_pair(line, line_system_cores):
