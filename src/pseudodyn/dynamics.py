@@ -52,9 +52,10 @@ def dyn_ball(sys: GeneratingSystem, x, n: int, eps, closed: bool = False,
     t = space.threshold(eps, closed)
     members = table_ball(closure.constraint_table(n), xi, t)
     ranks = space.distance_ranks()[0]
+    maps = closure.maps_at(n)
     exclusions: dict[int, tuple[PartialMap, Fraction]] = {}
     for y in sorted(space.full_set() - members):
-        for g in closure.maps_at(n):
+        for g in maps:
             gx, gy = g.vals[xi], g.vals[y]
             if gx is not None and gy is not None and ranks[gx][gy] >= t:
                 exclusions[y] = (g, space.dist[gx][gy])

@@ -365,10 +365,8 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
 class ExpansivenessVerdict:
     """Exact Bowen-ball measures and the induced classification.
 
-    ``zero_set`` collects the centers whose Bowen ball has measure zero.
-    A point with an atom is never in the zero set (the ball contains its
-    center), so finite-space measures are never expansive; the verdict
-    reports that structural fact rather than hiding it.
+    ``zero_set`` collects the centers whose Bowen ball has measure zero;
+    :func:`expansiveness_verdict` says why no finite measure is expansive.
     """
 
     delta: Fraction
@@ -390,29 +388,23 @@ class ExpansivenessVerdict:
 
 def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
                           delta) -> ExpansivenessVerdict:
+    """Always ``"neither"``: a ``FiniteMeasure`` sums to 1, so it has an
+    atom, and a closed ball holds its center (``threshold(delta,
+    closed=True)`` is at least 1 and ``table[x][x]`` is 0).  So every atom
+    has a ball of positive measure, ``zero_set`` holds only points of
+    weight 0 and its measure is 0."""
     delta = parse_radius(delta)
     space = sys.space
-    table = sys.constraint_table()
     t = space.threshold(delta, closed=True)
-    nums = mu.ball_numerators(table, t)
-    measures = {space.label(xi): Fraction(m, mu.den)
-                for xi, m in enumerate(nums)}
-    zero_set = frozenset(xi for xi, m in enumerate(nums) if m == 0)
-    zmass = mu(zero_set)
-    atoms = mu.atoms()
-    if len(zero_set) == space.n:
-        cls = "expansive"
-    elif zmass == 1:
-        cls = "weakly-expansive-only"
-    else:
-        cls = "neither"
-    note = ""
-    if atoms and cls != "expansive":
-        note = ("atoms pin positive ball measure at their own centers, so no "
-                "finite-space measure is expansive at any scale")
-    return ExpansivenessVerdict(delta=delta, classification=cls,
-                                ball_measures=measures, zero_set=zero_set,
-                                atoms=atoms, zero_set_measure=zmass, note=note)
+    nums = mu.ball_numerators(sys.constraint_table(), t)
+    return ExpansivenessVerdict(
+        delta=delta, classification="neither",
+        ball_measures={space.label(xi): Fraction(m, mu.den)
+                       for xi, m in enumerate(nums)},
+        zero_set=frozenset(xi for xi, m in enumerate(nums) if m == 0),
+        atoms=mu.atoms(), zero_set_measure=Fraction(0),
+        note="atoms pin positive ball measure at their own centers, so no "
+             "finite-space measure is expansive at any scale")
 
 
 # -- statement-level checks --------------------------------------------------------

@@ -61,8 +61,14 @@ class Genome:
                 for name, mapping in self.gens]
         cores = None
         if self.cores is not None:
-            cores = {name: {space.index(x) for x in pts}
-                     for name, pts in self.cores.items()}
+            # a drawn or shrunk genome may hold the total identity, whose
+            # core is the space, or one map twice, which keeps its first core
+            full, kept, cores = set(range(space.n)), {}, {}
+            for g in maps:
+                if g.name in self.cores:
+                    core = {space.index(x) for x in self.cores[g.name]}
+                    cores[g.name] = (full if g.is_identity()
+                                     else kept.setdefault(g, core))
         sys = ops.build_system(space, maps, cores)
         total = sum(self.weights.get(p, Fraction(0)) for p in self.labels)
         if total == 0:

@@ -245,6 +245,8 @@ class GeneratingSystem:
         error.  ``cores`` maps generator names to point-index sets; the
         core of an auto-added inverse defaults to the image of the
         original core so that core restriction commutes with inversion.
+        Two names of one map must declare one core, and the identity's
+        core is the whole space.
         """
         gens: list[PartialMap] = []
         seen: dict[PartialMap, PartialMap] = {}
@@ -277,12 +279,18 @@ class GeneratingSystem:
         core_tuple = None
         if cores is not None:
             by_map: dict[PartialMap, PointSet] = {}
+            owner: dict[PartialMap, str] = {}  # the first name given a core
             for gname, core in cores.items():
                 if gname not in alias:
                     raise InputError(f"core given for unknown generator {gname!r}")
-                target = alias[gname]
-                if target not in by_map:  # first core wins for deduped names
-                    by_map[target] = frozenset(core)
+                target, core = alias[gname], frozenset(core)
+                if target.is_identity() and core != space.full_set():
+                    raise InputError(f"generator {gname!r} is the identity, "
+                                     "whose core is the whole space")
+                first = owner.setdefault(target, gname)
+                if by_map.setdefault(target, core) != core:
+                    raise InputError(f"generators {first!r} and {gname!r} "
+                                     "name one map with different cores")
             core_tuple = []
             for g in gens:
                 if g.is_identity():
@@ -371,32 +379,36 @@ class _PairTables:
 class WordClosure:
     """Extensionally deduplicated word sets, level by level, to stabilization.
 
-    ``level_maps[k]`` lists the distinct maps realizable by words of length
-    ``k+1`` (cumulative, since the identity pads any shorter word).  Each
-    map records one shortest witness word.  Its tables are the system's.
+    ``stabilized_maps`` lists every realizable map once, in breadth-first
+    order with one shortest witness word; its first ``sizes[k]`` maps are
+    those realized by words of length ``k+1`` (cumulative, since the
+    identity pads any shorter word).  Its tables are the system's.
 
     It keeps the system's table engine, not the system: a system caches its
     closure, and a back reference would make a cycle that only the cyclic
     collector frees.
     """
 
-    __slots__ = ("level_maps", "stable_index", "_pairs")
+    __slots__ = ("stabilized_maps", "sizes", "stable_index", "_pairs")
 
-    def __init__(self, sys: GeneratingSystem,
-                 level_maps: list[list[PartialMap]], stable_index: int):
-        self.level_maps = level_maps
-        self.stable_index = stable_index
+    def __init__(self, sys: GeneratingSystem, maps: list[PartialMap],
+                 sizes: list[int]):
+        self.stabilized_maps = maps
+        self.sizes = sizes
+        self.stable_index = len(sizes)
         self._pairs = sys._pair_tables()
 
     def maps_at(self, n: int) -> list[PartialMap]:
-        """The word set at length ``n`` (constant from the stabilization on)."""
+        """The word set at length ``n``: a prefix of ``stabilized_maps``."""
         if n < 1:
             raise InputError("word length must be at least 1")
-        return self.level_maps[min(n, self.stable_index) - 1]
+        maps = self.stabilized_maps
+        return maps if n >= self.stable_index else maps[:self.sizes[n - 1]]
 
     @property
-    def stabilized_maps(self) -> list[PartialMap]:
-        return self.level_maps[self.stable_index - 1]
+    def level_maps(self) -> list[list[PartialMap]]:
+        """Every level as its own list, sliced when read."""
+        return [self.stabilized_maps[:size] for size in self.sizes]
 
     def constraint_table(self, n: int) -> list[list[int]]:
         """The system's constraint table at min(n, stabilization index)."""
@@ -530,7 +542,7 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
     for key, (parent, gen) in zip(keys[len(level1):], links):
         maps.append(PartialMap._raw(space, decode(key),
                                     word=maps[parent].word + level1[gen].word))
-    return WordClosure(sys, [maps[:size] for size in sizes], len(sizes))
+    return WordClosure(sys, maps, sizes)
 
 
 class GermRelation:

@@ -70,16 +70,23 @@ def _four_points(generators):
 
 
 G_CORED = {"name": "g", "map": {"a": "b", "b": "c"}, "core": ["a"]}
+IDENTITY = {"name": "e", "map": {p: p for p in "abcd"}}
+G_ON_AB = {"map": {"a": "b"}}
 
 
 @pytest.mark.parametrize("generators, name", [
     ([G_CORED, {"name": "g", "map": {"b": "d"}, "core": ["b"]}], "'g'"),
     ([{"name": "id", "map": {"a": "b", "b": "c"}, "core": ["a"]}], "'id'"),
     ([G_CORED, {"name": "g^-1", "map": {"c": "d"}}], "'g\\^-1'"),
-], ids=["declared-twice", "id-on-another-map", "inverse-name-on-another-map"])
+    ([dict(IDENTITY, core=["a"])], "'e'"),
+    ([dict(G_ON_AB, name="g", core=["a"]), dict(G_ON_AB, name="h", core=[])],
+     "'g' and 'h'"),
+], ids=["declared-twice", "id-on-another-map", "inverse-name-on-another-map",
+        "identity-core-short-of-the-space", "one-map-two-cores"])
 def test_generator_name_labels_one_map(generators, name, tmp_path, capsys):
     """A name that would label two maps, one declared and one declared or
-    completed, would send a core to the wrong map: it is an input error."""
+    completed, would send a core to the wrong map, and a map has one core,
+    the identity's being the whole space: each is an input error."""
     doc = _four_points(generators)
     with pytest.raises(InputError, match=name):
         parse_model(json.dumps(doc))
@@ -90,18 +97,31 @@ def test_generator_name_labels_one_map(generators, name, tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def _results(generators, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_four_points(generators)))
+    results = []
+    for argv in (["bowen", "--x", "b", "--delta", "1"],
+                 ["equicont", "--compacted"]):
+        code = main(["--format", "json", argv[0], "--model", str(path),
+                     *argv[1:]])
+        results.append((code, json.loads(capsys.readouterr().out)["result"]))
+    return results
+
+
 def test_explicit_inverse_loads_like_the_completed_one(tmp_path, capsys):
     inverse = {"name": "g^-1", "map": {"b": "a", "c": "b"}}
-    results = []
-    for generators in ([G_CORED], [G_CORED, inverse]):
-        path = tmp_path / "inverse.json"
-        path.write_text(json.dumps(_four_points(generators)))
-        for argv in (["bowen", "--x", "b", "--delta", "1"],
-                     ["equicont", "--compacted"]):
-            code = main(["--format", "json", argv[0], "--model", str(path),
-                         *argv[1:]])
-            results.append((code, json.loads(capsys.readouterr().out)["result"]))
-    assert results[:2] == results[2:]
+    assert _results([G_CORED, inverse], tmp_path, capsys) \
+        == _results([G_CORED], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("extra", [
+    dict(IDENTITY, core=list("abcd")),
+    {"name": "h", "map": {"a": "b", "b": "c"}, "core": ["a"]},
+], ids=["identity-core-is-the-space", "one-map-one-core"])
+def test_a_core_the_system_keeps_loads_alike(extra, tmp_path, capsys):
+    assert _results([G_CORED, extra], tmp_path, capsys) \
+        == _results([G_CORED], tmp_path, capsys)
 
 
 def test_to_jsonable_round_trip():
