@@ -17,12 +17,12 @@ from typing import Callable, Optional
 
 from . import morphism
 from .dynamics import bowen_ball, dyn_ball_via_formula
-from .equicont import no_expansive_certificate_group
+from .equicont import _modulus, no_expansive_certificate_group
 from .errors import InputError
 from .measure import FiniteMeasure, expansiveness_upgrade_check, is_homogeneous
 from .pseudogroup import (GeneratingSystem, GermRelation, PartialMap, WordClosure,
                           _closure, compacted_system, separation_radius,
-                          table_ball)
+                          spread_table, table_ball)
 from .rational import is_unbounded
 from .space import FiniteMetricSpace
 
@@ -531,13 +531,20 @@ def totalized_group(space: FiniteMetricSpace, gens,
 
 def stmt_group_claim(ctx: ProbeContext) -> Outcome:
     """On the group generated by totalized generators, open modulus-balls
-    sit inside Bowen balls at every grid radius."""
+    sit inside Bowen balls at every grid radius, and the certificate's
+    delta, read from the pair table, is the modulus of a fold of the
+    closure's maps."""
     group = totalized_group(ctx.space, ctx.genome.gens, ctx.rng)
+    fold = spread_table(group.word_closure().stabilized_maps, ctx.space)
     for rho in ctx.eps_sample(cap=4):
         rep = no_expansive_certificate_group(group, rho)
         if not rep.inclusion_ok:
             x = next(x for x, inside in rep.inclusions.items() if not inside)
             return Outcome.bad((x, str(rho), str(rep.delta)))
+        folded = _modulus(fold, ctx.space, ctx.space.threshold(rho))[0]
+        if rep.delta != folded:
+            return Outcome.bad(("delta", str(rho), str(rep.delta),
+                                str(folded)))
     return Outcome.ok()
 
 

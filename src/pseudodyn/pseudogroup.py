@@ -376,13 +376,24 @@ class _PairTables:
         return tables[min(n, len(tables) - 1)]
 
 
+class ClosureMaps(list):
+    """A word closure's map list under ``PartialMap.then``, carrying its
+    system's pair tables ``pairs``: their fixpoint table is the spread
+    table of these maps, so the moduli read it instead of folding them.
+    Slices and sums of it are plain lists.  The tables hold no reference
+    to the maps, the space or the system."""
+
+    __slots__ = ("pairs",)
+
+
 class WordClosure:
     """Extensionally deduplicated word sets, level by level, to stabilization.
 
     ``stabilized_maps`` lists every realizable map once, in breadth-first
     order with one shortest witness word; its first ``sizes[k]`` maps are
     those realized by words of length ``k+1`` (cumulative, since the
-    identity pads any shorter word).  Its tables are the system's.
+    identity pads any shorter word).  Its tables are the system's; under
+    ``PartialMap.then`` the list is a ``ClosureMaps`` that carries them.
 
     It keeps the system's table engine, not the system: a system caches its
     closure, and a back reference would make a cycle that only the cyclic
@@ -419,7 +430,9 @@ def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
     """``S[i][j]`` = the rank of max d(g(i), g(j)) over the maps defined at
     both points, 0 where none is (maps are injective, so a shared map makes
     the entry positive off the diagonal); ``values[S[i][j]]`` is the
-    distance.  The fold of an explicit map list, for the moduli.
+    distance.  The fold of an explicit map list: the moduli of any list
+    but a ``ClosureMaps``, and the reference the pair tables are tested
+    against, so it reads every list alike.
 
     Entries only grow and none passes the top rank (the diameter), so the
     fold stops reading maps once every pair i < j holds the top rank: on
@@ -538,7 +551,11 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
             break
         sizes.append(len(keys))
         start = end
-    maps = list(level1)
+    if compose is PartialMap.then:
+        maps = ClosureMaps(level1)
+        maps.pairs = sys._pair_tables()
+    else:
+        maps = list(level1)
     for key, (parent, gen) in zip(keys[len(level1):], links):
         maps.append(PartialMap._raw(space, decode(key),
                                     word=maps[parent].word + level1[gen].word))

@@ -10,6 +10,7 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        expansiveness_verdict, is_unbounded,
                        no_expansive_certificate_good,
                        no_expansive_certificate_group)
+from pseudodyn import equicont
 from pseudodyn.equicont import modulus_at
 from pseudodyn.probes import (InstanceSpec, random_genome, random_instance,
                               totalized_group)
@@ -148,23 +149,24 @@ def reference_modulus_and_witness(maps, space, eps):
 
 def assert_moduli_match_two_scan_reference(maps, space) -> dict:
     """Every table entry and every witness, down to the map object, equals
-    the two-scan reference; returns the reference modulus per grid eps,
-    None where it is unbounded."""
-    cert = equicontinuity_modulus(maps, space)
-    deltas = {}
-    for eps in space.distance_grid():
-        delta, witness = reference_modulus_and_witness(maps, space, eps)
-        deltas[eps] = delta
-        if delta is None:
-            assert is_unbounded(cert.table[eps])
-            assert is_unbounded(modulus_at(maps, space, eps))
-            assert cert.witnesses[eps] is None
-            continue
-        assert cert.table[eps] == delta == modulus_at(maps, space, eps)
-        got = cert.witnesses[eps]
-        assert got[0] is witness[0] and got[1:] == witness[1:]
-    assert cert.audit(maps, space)
-    return deltas
+    the two-scan reference, over the maps as given (a closure's list reads
+    its pair table) and as a plain list (which is folded); returns the
+    reference modulus per grid eps, None where it is unbounded."""
+    want = {eps: reference_modulus_and_witness(maps, space, eps)
+            for eps in space.distance_grid()}
+    for route in (maps, list(maps)):
+        cert = equicontinuity_modulus(route, space)
+        for eps, (delta, witness) in want.items():
+            if delta is None:
+                assert is_unbounded(cert.table[eps])
+                assert is_unbounded(modulus_at(route, space, eps))
+                assert cert.witnesses[eps] is None
+                continue
+            assert cert.table[eps] == delta == modulus_at(route, space, eps)
+            got = cert.witnesses[eps]
+            assert got[0] is witness[0] and got[1:] == witness[1:]
+        assert cert.audit(route, space)
+    return {eps: delta for eps, (delta, _) in want.items()}
 
 
 def test_modulus_and_witness_match_two_scan_reference():
@@ -245,3 +247,65 @@ def test_audit_rejects_a_delta_raised_to_the_next_grid_value():
             assert not forged.audit(maps, space)
             raised += 1
     assert raised > 40
+
+
+def test_closure_moduli_read_the_pair_table(monkeypatch):
+    """Over a word closure's map list the moduli read the system's fixpoint
+    pair table: they answer, as the fold did, with the fold disabled."""
+    spec = InstanceSpec(seed="closure-moduli", count=20)
+    cases = []
+    for idx in range(spec.count):
+        sys_i, _ = random_instance(spec, idx)
+        maps, space = closure_maps(sys_i), sys_i.space
+        cert = equicontinuity_modulus(list(maps), space)
+        cases.append((maps, space, cert))
+
+    def no_fold(maps, space):
+        raise AssertionError("a closure's moduli folded its maps")
+
+    monkeypatch.setattr(equicont, "spread_table", no_fold)
+    for maps, space, want in cases:
+        got = equicontinuity_modulus(maps, space)
+        assert got == want
+        for eps, delta in want.table.items():
+            assert modulus_at(maps, space, eps) == delta
+
+
+def reference_audit(cert, maps, space) -> bool:
+    """The defining implication over every map and pair, in distances."""
+    for eps, delta in cert.table.items():
+        if is_unbounded(delta):
+            continue
+        for g in maps:
+            dom = sorted(g.dom)
+            for ai, i in enumerate(dom):
+                for j in dom[ai + 1:]:
+                    if space.dist[i][j] < delta:
+                        if space.dist[g.vals[i]][g.vals[j]] >= eps:
+                            return False
+    return True
+
+
+def test_audit_matches_fraction_reference():
+    """The rank audit and the distance loop agree on seeded true
+    certificates, which both accept, and on each finite delta raised to
+    the next grid value, which both reject."""
+    spec = InstanceSpec(seed="audit-reference", count=40)
+    verdicts = []
+    for idx in range(spec.count):
+        sys_i, _ = random_instance(spec, idx)
+        for s in (sys_i, compacted_system(sys_i)):
+            maps, space = closure_maps(s), s.space
+            grid = space.distance_grid()
+            cert = equicontinuity_modulus(maps, space)
+            certs = [cert] + [
+                replace(cert, table={**cert.table,
+                                     eps: grid[grid.index(delta) + 1]})
+                for eps, delta in cert.table.items()
+                if not is_unbounded(delta) and delta != grid[-1]]
+            for c in certs:
+                verdict = c.audit(maps, space)
+                assert verdict == reference_audit(c, maps, space)
+                verdicts.append(verdict)
+    assert verdicts.count(True) >= spec.count
+    assert verdicts.count(False) > 40

@@ -1,12 +1,14 @@
-from dataclasses import fields
+import random
+from dataclasses import fields, replace
 
 import pytest
 
-from pseudodyn import InputError
+from pseudodyn import InputError, is_unbounded, probes
 from pseudodyn.mutations import MUTATIONS, crafted_genomes
 from pseudodyn.probes import (DEFAULT_OPS, Genome, InstanceSpec, OperationSet,
-                              QUESTION_TOPICS, question_probe, random_instance,
-                              run_suite, shrink_genome)
+                              ProbeContext, QUESTION_TOPICS, question_probe,
+                              random_genome, random_instance, run_suite,
+                              shrink_genome, stmt_group_claim)
 
 
 def test_random_instance_deterministic():
@@ -74,6 +76,34 @@ def test_every_mutation_is_caught(mutation):
                         extra_genomes=crafted_genomes(), shrink=False)
     caught = [name for name, rep in reports.items() if rep.violations]
     assert caught, f"mutation {mutation} undetected"
+
+
+def test_group_claim_rejects_a_delta_raised_to_the_next_grid_value(monkeypatch):
+    """The certificate's delta and its Bowen balls read one table, so the
+    inclusion cannot catch a wrong delta; the statement's fold of the
+    closure's maps does."""
+    spec = InstanceSpec(seed="group-claim-raised", count=30)
+    genomes = [random_genome(spec, idx) for idx in range(spec.count)]
+
+    def outcomes():
+        return [stmt_group_claim(ProbeContext(g, DEFAULT_OPS,
+                                              random.Random(idx)))
+                for idx, g in enumerate(genomes)]
+
+    assert all(o.status == "substantive" for o in outcomes())
+    certificate = probes.no_expansive_certificate_group
+
+    def raised(group, rho):
+        rep = certificate(group, rho)
+        grid = group.space.distance_grid()
+        if is_unbounded(rep.delta) or rep.delta == grid[-1]:
+            return rep
+        return replace(rep, delta=grid[grid.index(rep.delta) + 1])
+
+    monkeypatch.setattr(probes, "no_expansive_certificate_group", raised)
+    caught = [o for o in outcomes() if o.status == "violation"]
+    assert len(caught) > spec.count // 2
+    assert all(o.witness[0] == "delta" for o in caught)
 
 
 def test_shrinking_reaches_small_witness():

@@ -15,7 +15,8 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        no_expansive_certificate_good, pseudogroup,
                        raw_word_maps, separated_count, separation_radius)
 from pseudodyn.mutations import MUTATIONS
-from pseudodyn.pseudogroup import WordClosure, spread_table, table_ball
+from pseudodyn.pseudogroup import (ClosureMaps, WordClosure, spread_table,
+                                   table_ball)
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
 
 from conftest import coprime_space, rotation_system, symmetric_group
@@ -330,12 +331,18 @@ def test_closure_matches_reference_past_255_points():
 
 
 def test_closure_matches_reference_under_mutant_compose():
-    ops = MUTATIONS["compose-intersect-domains"]
+    """Every mutant compose's closure matches the reference and keeps a
+    plain list: the system's pair tables are not the spread of its maps."""
+    mutants = [ops for ops in MUTATIONS.values()
+               if ops.compose is not PartialMap.then]
+    assert mutants
     spec = InstanceSpec(seed="mutant-closure", count=40)
     for idx in range(spec.count):
         sys_i, _ = random_genome(spec, idx).build()
-        assert_closure_matches_reference(sys_i, ops.compose,
-                                         got=closure_with(ops, sys_i))
+        for ops in mutants:
+            got = closure_with(ops, sys_i)
+            assert_closure_matches_reference(sys_i, ops.compose, got=got)
+            assert type(got.stabilized_maps) is list
 
 
 def test_compose_associative_on_closure(line_system):
@@ -414,10 +421,13 @@ def test_closure_holds_each_map_once():
             held += sum(isinstance(m, PartialMap) for m in inner)
         todo.extend(inner)
     assert held == len(maps)
+    assert type(maps) is ClosureMaps and maps.pairs is closure._pairs
     for n in range(1, closure.stable_index + 3):
         level = closure.maps_at(n)
         assert len(level) <= len(maps)
         assert all(g is m for g, m in zip(level, maps))
+        if n < closure.stable_index:
+            assert type(level) is list
 
 
 def test_table_ball_radii_on_grid_values():
