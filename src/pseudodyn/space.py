@@ -12,6 +12,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -26,7 +27,9 @@ class FiniteMetricSpace:
     The metric axioms (zero diagonal, positivity, symmetry, triangle
     inequality) are validated exactly at construction; a violation is a
     hard error because every verdict downstream assumes a genuine metric.
-    The triangle inequality costs O(|X|^2) integer row scans of length |X|.
+    Each distinct entry is parsed once, and every check runs on one integer
+    matrix over a common denominator: the triangle inequality costs |X|
+    big-integer steps, one per middle point, each over |X|^2 packed fields.
     Instances are immutable and safe to share between threads.
     """
 
@@ -41,38 +44,43 @@ class FiniteMetricSpace:
         n = len(pts)
         if len(dist) != n or any(len(row) != n for row in dist):
             raise InputError(f"distance matrix must be {n}x{n}")
-        matrix = tuple(tuple(parse_rational(v) for v in row) for row in dist)
-        for i in range(n):
-            if matrix[i][i] != 0:
-                raise InputError(f"dist({pts[i]},{pts[i]}) must be 0")
-            for j in range(i + 1, n):
-                if matrix[i][j] != matrix[j][i]:
-                    raise InputError(
-                        f"symmetry violated at ({pts[i]},{pts[j]}): "
-                        f"{matrix[i][j]} != {matrix[j][i]}"
-                    )
-                if matrix[i][j] <= 0:
-                    raise InputError(
-                        f"distinct points need positive distance: ({pts[i]},{pts[j]})"
-                    )
-        # Triangle inequality over integers on one common denominator:
-        # d(i,k) > d(i,j) + d(j,k) iff row_i[k] - row_j[k] > row_i[j], so
-        # one C-level row scan per ordered pair (i, j) decides every k.
-        scale = math.lcm(*(v.denominator for row in matrix for v in row))
-        rows = [[v.numerator * (scale // v.denominator) for v in row]
-                for row in matrix]
-        for i, ri in enumerate(rows):
-            for j, rj in enumerate(rows):
-                if max(map(operator.sub, ri, rj)) > ri[j]:
-                    k = next(k for k in range(n) if ri[k] - rj[k] > ri[j])
-                    raise InputError(
-                        "triangle inequality violated at "
-                        f"({pts[i]},{pts[j]},{pts[k]})"
-                    )
+        flat = list(chain.from_iterable(dist))
+        ratios = None  # each distinct entry's key -> (numerator, denominator)
+        if set(map(type, flat)) != {Fraction}:
+            # each distinct entry is parsed once, at its first occurrence;
+            # keyed by type too, so True is never read as the int 1
+            keys = list(zip(map(type, flat), flat))
+            try:
+                distinct = dict.fromkeys(keys)
+            except TypeError:  # an unhashable entry: parse entry by entry
+                flat = [parse_rational(v) for v in flat]
+            else:
+                ratios = {key: parse_rational(key[1]).as_integer_ratio()
+                          for key in distinct}
+        if ratios is None:
+            # a Fraction hashes and compares in Python code, its pair in C
+            keys = list(map(Fraction.as_integer_ratio, flat))
+            ratios = dict(zip(keys, keys))
+        scale = math.lcm(*(q for _, q in ratios.values()))
+        scaled = {key: p * (scale // q) for key, (p, q) in ratios.items()}
+        ints = list(map(scaled.__getitem__, keys))
+        rows = [ints[i * n:(i + 1) * n] for i in range(n)]
+        grid = sorted(set(ints))
+        if not (ints.count(0) == n and grid[0] >= 0
+                and not any(ints[::n + 1])
+                and rows == [ints[j::n] for j in range(n)]):
+            raise InputError(_axiom_failure(pts, rows, scale))
+        triple = _triangle_failure(rows, ints, grid)
+        if triple is not None:
+            raise InputError("triangle inequality violated at "
+                             "({},{},{})".format(*map(pts.__getitem__, triple)))
+        rank_of = {v: r for r, v in enumerate(grid)}
+        values = tuple(Fraction(v, scale) for v in grid)
+        ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in rows)
         self.points = pts
-        self.dist = matrix
+        self.dist = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
         self._index = {p: i for i, p in enumerate(pts)}
-        self._ranks = None
+        self._ranks = (ranks, values)
         self._ball_masks = {}
 
     # -- basic queries ----------------------------------------------------
@@ -127,20 +135,9 @@ class FiniteMetricSpace:
 
         Ranks order exactly as the distances do, so comparisons and maxima
         run over small integers (see ``threshold``) and ``values[rank]``
-        is the distance.  Built on first use, with the grid, in one pass
-        that hashes each upper-triangle distance once; the space is immutable.
+        is the distance.  Both are built at construction from the sorted
+        scaled integers, and every ``dist`` entry is ``values[rank]``.
         """
-        if self._ranks is None:
-            ids: dict[Fraction, int] = {}
-            seen: list[list[int]] = []
-            for i, row in enumerate(self.dist):
-                # the matrix is symmetric: hash the upper triangle only
-                seen.append([above[i] for above in seen]
-                            + [ids.setdefault(v, len(ids)) for v in row[i:]])
-            values = tuple(sorted(ids))
-            rank_of = {ids[v]: k for k, v in enumerate(values)}
-            ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in seen)
-            self._ranks = (ranks, values)
         return self._ranks
 
     def threshold(self, r, closed: bool = False) -> int:
@@ -169,3 +166,60 @@ class FiniteMetricSpace:
                 sum(1 << j for j, d in enumerate(row) if inside(d, r))
                 for row in self.dist)
         return masks
+
+
+def _axiom_failure(pts: tuple, rows: list[list[int]], scale: int) -> str:
+    """The message for the first failure of the zero diagonal, symmetry or
+    positivity of the scaled matrix ``rows``, read in order: the diagonal
+    at point i, then symmetry and positivity at each pair (i, j > i).
+    Called only once a whole-matrix check has failed."""
+    for i, row in enumerate(rows):
+        if row[i] != 0:
+            return f"dist({pts[i]},{pts[i]}) must be 0"
+        for j in range(i + 1, len(rows)):
+            if row[j] != rows[j][i]:
+                return (f"symmetry violated at ({pts[i]},{pts[j]}): "
+                        f"{Fraction(row[j], scale)} != "
+                        f"{Fraction(rows[j][i], scale)}")
+            if row[j] <= 0:
+                return ("distinct points need positive distance: "
+                        f"({pts[i]},{pts[j]})")
+
+
+def _triangle_failure(rows: list[list[int]], ints: list[int],
+                      grid: list[int]):
+    """The first (i, j, k) in lexicographic order with d(i,k) > d(i,j) +
+    d(j,k), or None, for a symmetric nonnegative integer matrix ``rows``
+    with zero diagonal (``ints`` is ``rows`` flattened, ``grid`` its sorted
+    distinct entries).
+
+    For each middle point j one big int holds, in the w-bit field (i, k),
+    2^(w-1) + d(i,j) + d(j,k) - d(i,k).  With 2^(w-2) above every entry
+    each field stays in [0, 2^w), so no carry or borrow crosses into the
+    next field, and the guard bit 2^(w-1) is set exactly where the
+    triangle holds: n big-integer steps decide all n^3 triples.
+    """
+    n = len(rows)
+    width = (grid[-1].bit_length() + 9) // 8  # bytes per field
+    enc = {v: v.to_bytes(width, "little") for v in grid}
+    packed = b"".join(map(enc.__getitem__, ints))  # field (i, k): d(i, k)
+    guards = int.from_bytes((bytes(width - 1) + b"\x80") * (n * n), "little")
+    base = guards - int.from_bytes(packed, "little")
+    step = n * width
+    first = None
+    for j, row in enumerate(rows):
+        # field (i, k) gets d(j, k) from row j repeated, and d(j, i), which
+        # is d(i, j) by symmetry, from each entry of row j repeated
+        fields = (base
+                  + int.from_bytes(packed[j * step:(j + 1) * step] * n,
+                                   "little")
+                  + int.from_bytes(b"".join(map(operator.mul,
+                                                map(enc.__getitem__, row),
+                                                repeat(n))), "little"))
+        if fields & guards != guards:
+            failed = guards & ~fields
+            i, k = divmod(((failed & -failed).bit_length() - 1) // (8 * width),
+                          n)
+            if first is None or (i, j, k) < first:
+                first = (i, j, k)
+    return first

@@ -22,6 +22,11 @@ def test_metric_axioms_validated():
         FiniteMetricSpace(["a", "b"], [[0, 0], [0, 0]])
     with pytest.raises(InputError, match="must be 0"):
         FiniteMetricSpace(["a"], [[1]])
+    # as many zeros as points, symmetric, and every triangle holds: only
+    # the diagonal itself is wrong
+    with pytest.raises(InputError, match=r"^dist\(a,a\) must be 0$"):
+        FiniteMetricSpace("abcd", [[1, 2, 2, 2], [2, 1, 2, 2],
+                                   [2, 2, 0, 0], [2, 2, 0, 0]])
     with pytest.raises(InputError, match="duplicate"):
         FiniteMetricSpace(["a", "a"], [[0, 1], [1, 0]])
 
@@ -110,8 +115,71 @@ def _plant(rng, d):
     return d
 
 
+def _banded(rng, n, top):
+    """Entries in [ceil(top/2), floor(3 top/4)], a metric because no entry
+    exceeds the sum of two others, with the pair (n-2, n-1) at ``top``
+    (tight where both halves are ceil(top/2))."""
+    low, high = -(-top // 2), 3 * top // 4
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(low, high)
+    d[n - 2][n - 1] = d[n - 1][n - 2] = top
+    return d
+
+
+def _plant_late(rng, d, top, kind):
+    """A fault of kind 1-5 in the last row or at the last triples, so the
+    highest packed fields decide; kind 0 plants none."""
+    n = len(d)
+    if kind == 1:
+        d[n - 1][n - 1] = 1
+    elif kind == 2:  # the lower triangle only
+        d[n - 1][n - 2] -= 1
+    elif kind == 3:
+        j = rng.randrange(n - 1)
+        d[j][n - 1] = d[n - 1][j] = rng.choice((0, -1))
+    elif kind in (4, 5):
+        # the pair (a, b) at top, both legs through c at ceil(top/2) - 1:
+        # only the triangles (a, c, b) and (b, c, a) fail, and with kind 5
+        # the middle point c is the last point
+        a, b, c = (n - 2, n - 1, n - 3) if kind == 4 else (n - 3, n - 2, n - 1)
+        d[n - 2][n - 1] = d[n - 1][n - 2] = rng.randint(-(-top // 2),
+                                                         3 * top // 4)
+        d[a][b] = d[b][a] = top
+        d[a][c] = d[c][a] = d[b][c] = d[c][b] = -(-top // 2) - 1
+    return d
+
+
+def _packed_field_cases(rng):
+    """20-64 points with largest entry 63 or 64 (one-byte fields widen to
+    two) and 2^14 - 1 or 2^14 (two bytes widen to three), then rational
+    matrices whose common denominator needs several bytes per field."""
+    for top in (63, 64, 2**14 - 1, 2**14):
+        for kind in range(6):
+            d = _banded(rng, rng.randint(20, 64), top)
+            d = _plant_late(rng, d, top, kind)
+            yield [[Fraction(v) for v in row] for row in d]
+    for case in range(9):
+        n = rng.randint(20, 32)
+        d = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                # entries in [1, 2]; the denominators' lcm is about 2^40
+                d[i][j] = d[j][i] = 1 + Fraction(
+                    rng.randint(0, 96), rng.choice((97, 101, 103, 107, 109,
+                                                    113)))
+        if case % 3 == 1:
+            d = _plant(rng, d)
+        elif case % 3 == 2:  # breaks where both legs are near 1
+            d[n - 2][n - 1] = d[n - 1][n - 2] = 2 + Fraction(1, 7)
+        yield d
+
+
 def _validator_cases():
     rng = random.Random(20260517)
+    for d in _packed_field_cases(rng):
+        yield [[_mixed(rng, v) for v in row] for row in d]
     for _ in range(400):
         n = rng.randint(2, 9)
         if rng.random() < 0.5:
@@ -149,6 +217,38 @@ def test_metric_validation_matches_reference():
     assert set(outcomes) == {"accepted", "triangle", "symmetry", "distinct",
                              "diagonal"}
     assert outcomes["accepted"] >= 150 and outcomes["triangle"] >= 50
+
+
+def reference_distance_ranks(space):
+    """``(ranks, values)`` by hashing each upper-triangle ``Fraction`` of
+    ``space.dist`` once: the oracle for the ranks built at construction."""
+    ids = {}
+    seen = []
+    for i, row in enumerate(space.dist):
+        # the matrix is symmetric: hash the upper triangle only
+        seen.append([above[i] for above in seen]
+                    + [ids.setdefault(v, len(ids)) for v in row[i:]])
+    values = tuple(sorted(ids))
+    rank_of = {ids[v]: k for k, v in enumerate(values)}
+    ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in seen)
+    return ranks, values
+
+
+def test_distance_ranks_match_reference():
+    spaces = [coprime_space(7), cyclic_space(6), FiniteMetricSpace("a", [[0]])]
+    for dist in _validator_cases():
+        try:
+            spaces.append(FiniteMetricSpace(range(len(dist)), dist))
+        except InputError:
+            continue
+    assert len(spaces) > 150
+    for space in spaces:
+        ranks, values = space.distance_ranks()
+        assert (ranks, values) == reference_distance_ranks(space)
+        assert all(type(v) is Fraction for v in values)
+        assert space.distance_grid() == list(values[1:])
+        assert all(space.dist[i][j] == values[ranks[i][j]]
+                   for i in range(space.n) for j in range(space.n))
 
 
 def test_metric_validation_coprime_denominators():
@@ -197,6 +297,20 @@ def test_parse_rational_floats_and_bools():
     space = FiniteMetricSpace(["a", "b"], [[0, 0.1], [0.1, 0]])
     assert space.dist[0][1] == Fraction(1, 10)
     assert type(space.dist[0][1]) is Fraction
+    # True equals and hashes like 1, yet is no rational
+    with pytest.raises(InputError, match=r"^not a rational: True$"):
+        FiniteMetricSpace(["a", "b"], [[0, 1], [True, 0]])
+    # one value written four ways parses to one Fraction
+    ones = [1, 1.0, "1", Fraction(1)]
+    dist = [[0 if i == j else ones[(i + j) % 4] for j in range(4)]
+            for i in range(4)]
+    space = FiniteMetricSpace("abcd", dist)
+    assert {v for i, row in enumerate(space.dist)
+            for j, v in enumerate(row) if i != j} == {Fraction(1)}
+    assert all(type(v) is Fraction for row in space.dist for v in row)
+    # an unhashable entry fails as the per-entry parse names it
+    with pytest.raises(InputError, match=r"^cannot parse rational from \[1\]$"):
+        FiniteMetricSpace(["a", "b"], [[0, [1]], [[1], 0]])
 
 
 def test_metric_ball_examples(line):
