@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from .errors import CapabilityError, InputError
 from .pseudogroup import GeneratingSystem, PartialMap, WordClosure, table_ball
@@ -52,14 +53,27 @@ def dyn_ball(sys: GeneratingSystem, x, n: int, eps, closed: bool = False,
     t = space.threshold(eps, closed)
     members = table_ball(closure.constraint_table(n), xi, t)
     ranks = space.distance_ranks()[0]
-    maps = closure.maps_at(n)
-    exclusions: dict[int, tuple[PartialMap, Fraction]] = {}
-    for y in sorted(space.full_set() - members):
-        for g in maps:
-            gx, gy = g.vals[xi], g.vals[y]
-            if gx is not None and gy is not None and ranks[gx][gy] >= t:
-                exclusions[y] = (g, space.dist[gx][gy])
-                break
+    # one pass over the words, each non-member leaving at its first blocker,
+    # so a closure's maps are read, and built, once
+    pending = sorted(space.full_set() - members)
+    found = {}
+    for g in closure.maps_at(n):
+        if not pending:
+            break
+        vals = g.vals
+        gx = vals[xi]
+        if gx is None:
+            continue
+        row = ranks[gx]
+        left = []
+        for y in pending:
+            gy = vals[y]
+            if gy is not None and row[gy] >= t:
+                found[y] = (g, space.dist[gx][gy])
+            else:
+                left.append(y)
+        pending = left
+    exclusions = dict(sorted(found.items()))
     return BallReport(center=space.label(xi), radius=eps, n=n, closed=closed,
                       members=members, exclusions=exclusions)
 
@@ -71,29 +85,44 @@ def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,
     words defined at point index ``x``, the preimage of the metric ball
     around the image with the domain complement.  Serves as the
     independent oracle for :func:`dyn_ball`.
+
+    On at most 255 points each term is one byte per point: a word's
+    ``key`` translated through the pullback table of the ball around its
+    image of ``x``, read as an integer with bit ``8 i`` for point ``i``.
     """
-    eps = parse_rational(eps)
+    eps = parse_radius(eps)
     if n < 1:
         raise InputError("n must be at least 1")
     space = sys.space
     xi = space._point(x)
-    closure = closure or sys.word_closure()
-    balls = space.ball_masks(eps, closed=closed)
-    full = (1 << space.n) - 1
-    result = full
-    for g in closure.maps_at(n):
+    maps = (closure or sys.word_closure()).maps_at(n)
+    npts = space.n
+    if npts > 255:
+        balls = space.ball_masks(eps, closed=closed)
+        full = (1 << npts) - 1
+        result = full
+        for g in maps:
+            gx = g.vals[xi]
+            if gx is None:
+                continue
+            target = balls[gx]
+            preimage = 0
+            for i, v in enumerate(g.vals):
+                if v is not None and target >> v & 1:
+                    preimage |= 1 << i
+            result &= preimage | (full ^ g.dom_mask)
+            if not result:
+                break
+        return frozenset(i for i in range(npts) if result >> i & 1)
+    pull = space.ball_pullbacks(eps, closed)
+    result = int.from_bytes(b"\x01" * npts, "little")
+    for g in maps:
         gx = g.vals[xi]
-        if gx is None:
-            continue
-        target = balls[gx]
-        preimage = 0
-        for i, v in enumerate(g.vals):
-            if v is not None and target >> v & 1:
-                preimage |= 1 << i
-        result &= preimage | (full ^ g.dom_mask)
-        if not result:
-            break
-    return frozenset(i for i in range(space.n) if result >> i & 1)
+        if gx is not None:
+            result &= int.from_bytes(g.key.translate(pull[gx]), "little")
+            if not result:
+                break
+    return frozenset(compress(range(npts), result.to_bytes(npts, "little")))
 
 
 def bowen_ball(sys: GeneratingSystem, x, delta,

@@ -10,6 +10,8 @@ witness words are carried as metadata only.
 from __future__ import annotations
 
 import math
+from collections import abc
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -21,6 +23,11 @@ from .space import FiniteMetricSpace, PointSet
 # 1,188,736 maps, and a closure past the cap stops after about 320 MB.
 CLOSURE_CAP = 1_500_000
 
+# A byte key holds an image index per point, and this byte off the domain,
+# so it serves spaces of at most this many points.
+_UNDEFINED = 255
+_DECODE = tuple(range(_UNDEFINED)) + (None,)
+
 
 class PartialMap:
     """Injective partial self-map of a finite space.
@@ -30,7 +37,8 @@ class PartialMap:
     only); ``name``/``word`` are display metadata.
     """
 
-    __slots__ = ("space", "vals", "name", "word", "_hash", "_dom_mask")
+    __slots__ = ("space", "vals", "name", "word", "_hash", "_dom_mask",
+                 "_key")
 
     def __init__(self, space: FiniteMetricSpace, vals: Sequence[Optional[int]],
                  name: str | None = None, word: tuple[str, ...] | None = None):
@@ -53,11 +61,14 @@ class PartialMap:
         self.word = word
         self._hash = hash(vals)
         self._dom_mask = None
+        self._key = None
 
     @classmethod
-    def _raw(cls, space, vals: tuple, name=None, word=None) -> "PartialMap":
+    def _raw(cls, space, vals: tuple, name=None, word=None,
+             key=None) -> "PartialMap":
         """Unvalidated constructor for internal algebra, where injectivity
-        is guaranteed by construction."""
+        is guaranteed by construction; ``key``, when given, is ``vals`` as
+        bytes (see ``PartialMap.key``)."""
         self = object.__new__(cls)
         self.space = space
         self.vals = vals
@@ -65,6 +76,7 @@ class PartialMap:
         self.word = word
         self._hash = hash(vals)
         self._dom_mask = None
+        self._key = key
         return self
 
     # -- construction helpers ----------------------------------------------
@@ -125,6 +137,19 @@ class PartialMap:
                     mask |= 1 << i
             self._dom_mask = mask
         return self._dom_mask
+
+    @property
+    def key(self) -> bytes:
+        """``vals`` as bytes, with 255 off the domain, on spaces of at most
+        255 points; built once.  ``key.translate(table)`` reads a 256-byte
+        table at each point's image, and at 255 off the domain."""
+        if self._key is None:
+            if self.space.n > _UNDEFINED:
+                raise CapabilityError(
+                    f"a byte key serves at most {_UNDEFINED} points")
+            self._key = bytes([_UNDEFINED if v is None else v
+                               for v in self.vals])
+        return self._key
 
     @property
     def ran(self) -> PointSet:
@@ -376,14 +401,96 @@ class _PairTables:
         return tables[min(n, len(tables) - 1)]
 
 
-class ClosureMaps(list):
-    """A word closure's map list under ``PartialMap.then``, carrying its
-    system's pair tables ``pairs``: their fixpoint table is the spread
-    table of these maps, so the moduli read it instead of folding them.
-    Slices and sums of it are plain lists.  The tables hold no reference
-    to the maps, the space or the system."""
+class ClosureMaps(abc.Sequence):
+    """A word closure's maps under ``PartialMap.then``, in breadth-first
+    order, carrying its system's pair tables ``pairs``: their fixpoint
+    table is the spread table of these maps, so the moduli read it instead
+    of folding them.  The tables hold no reference to the maps, the space
+    or the system.
 
-    __slots__ = ("pairs",)
+    The closure loop leaves each map as a key and a (parent, generator)
+    link.  A map and its witness word are built when an index, a slice or
+    an iteration first reaches it, together with every map before it, and
+    once all are built the keys and links go.  Read-only; slices are plain
+    lists.  A read may build maps, so one thread reads a closure at a time.
+    """
+
+    __slots__ = ("pairs", "_space", "_maps", "_size", "_keys", "_links")
+
+    def __init__(self, space: FiniteMetricSpace, level1: list[PartialMap],
+                 keys: list, links: list[tuple[int, int]], pairs):
+        self.pairs = pairs
+        self._space = space
+        self._maps = list(level1)
+        self._size = len(keys)
+        self._keys = keys
+        self._links = links  # the link of keys[k] is links[k - len(level1)]
+
+    def _build(self, stop: int) -> None:
+        """Build the maps before index ``stop``."""
+        maps = self._maps
+        start = len(maps)
+        if start < stop:
+            space, raw = self._space, PartialMap._raw
+            first = self._size - len(self._links)
+            links = self._links[start - first:stop - first]
+            if type(self._keys[0]) is bytes:  # else the keys are the vals
+                for key, (parent, gen) in zip(self._keys[start:stop], links):
+                    vals = (tuple([_DECODE[v] for v in key])
+                            if _UNDEFINED in key else tuple(key))
+                    maps.append(raw(space, vals,
+                                    word=maps[parent].word + maps[gen].word,
+                                    key=key))
+            else:
+                for vals, (parent, gen) in zip(self._keys[start:stop], links):
+                    maps.append(raw(space, vals,
+                                    word=maps[parent].word + maps[gen].word))
+        if len(maps) == self._size:
+            self._keys = self._links = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        maps = self._maps
+        if self._keys is None:
+            return maps[i]
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self._size)
+            if step == 1:
+                self._build(stop)
+                return maps[start:stop]
+            picked = range(start, stop, step)
+            if picked:
+                self._build(max(picked[0], picked[-1]) + 1)
+            return [maps[k] for k in picked]
+        k = i + self._size if i < 0 else i
+        if not 0 <= k < self._size:
+            raise IndexError("closure index out of range")
+        self._build(k + 1)
+        return maps[k]
+
+    def __iter__(self):
+        if self._keys is None:
+            return iter(self._maps)
+        return self._iter()
+
+    def _iter(self):
+        """Every map, building at most twice the prefix read so far."""
+        maps = self._maps
+        start = 0
+        while start < self._size:
+            stop = min(self._size, max(len(maps), 2 * start))
+            self._build(stop)
+            yield from islice(maps, start, stop)
+            start = stop
+
+    def __eq__(self, other):
+        if isinstance(other, (list, ClosureMaps)):
+            return self[:] == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 class WordClosure:
@@ -393,7 +500,8 @@ class WordClosure:
     order with one shortest witness word; its first ``sizes[k]`` maps are
     those realized by words of length ``k+1`` (cumulative, since the
     identity pads any shorter word).  Its tables are the system's; under
-    ``PartialMap.then`` the list is a ``ClosureMaps`` that carries them.
+    ``PartialMap.then`` the maps are a ``ClosureMaps`` that carries them
+    and builds each map when first read.
 
     It keeps the system's table engine, not the system: a system caches its
     closure, and a back reference would make a cycle that only the cyclic
@@ -402,7 +510,7 @@ class WordClosure:
 
     __slots__ = ("stabilized_maps", "sizes", "stable_index", "_pairs")
 
-    def __init__(self, sys: GeneratingSystem, maps: list[PartialMap],
+    def __init__(self, sys: GeneratingSystem, maps: Sequence[PartialMap],
                  sizes: list[int]):
         self.stabilized_maps = maps
         self.sizes = sizes
@@ -481,10 +589,6 @@ def _letter(g: PartialMap) -> tuple[str, ...]:
     return (g.name,) if g.name else ("?",)
 
 
-_UNDEFINED = 255
-_DECODE = tuple(range(_UNDEFINED)) + (None,)
-
-
 def _closure(sys: GeneratingSystem, compose) -> WordClosure:
     """The closure loop behind every word closure: each round extends the
     newest words by one generator through ``compose(word, generator)``
@@ -497,8 +601,9 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
     one C call that also sends 255 to 255.  Any other ``compose``, and
     any wider space, steps through ``compose`` on ``PartialMap``s keyed
     by their ``vals``.  Each new key keeps its parent's position and its
-    generator's, and the maps, with their witness words, are built once
-    after the loop.
+    generator's.  Under ``PartialMap.then`` the maps, with their witness
+    words, are built when first read (``ClosureMaps``); under any other
+    ``compose`` all of them are built after the loop, into a plain list.
     """
     space = sys.space
     seen: set[PartialMap] = set()
@@ -510,23 +615,16 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
             seen.add(g)
             level1.append(g)
     if compose is PartialMap.then and space.n <= _UNDEFINED:
-        keys = [bytes(_UNDEFINED if v is None else v for v in g.vals)
-                for g in level1]
+        keys = [g.key for g in level1]
         pad = bytes([_UNDEFINED]) * (256 - space.n)
         tables = [key + pad for key in keys]
         step = bytes.translate
-
-        def decode(key):
-            return tuple([_DECODE[v] for v in key])
     else:
         keys = [g.vals for g in level1]
         tables = level1
 
         def step(vals, a):
             return compose(PartialMap._raw(space, vals), a).vals
-
-        def decode(vals):
-            return vals
     known = set(keys)
     links: list[tuple[int, int]] = []  # (parent, generator) past level 1
     sizes = [len(keys)]
@@ -552,13 +650,9 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
         sizes.append(len(keys))
         start = end
     if compose is PartialMap.then:
-        maps = ClosureMaps(level1)
-        maps.pairs = sys._pair_tables()
+        maps = ClosureMaps(space, level1, keys, links, sys._pair_tables())
     else:
-        maps = list(level1)
-    for key, (parent, gen) in zip(keys[len(level1):], links):
-        maps.append(PartialMap._raw(space, decode(key),
-                                    word=maps[parent].word + level1[gen].word))
+        maps = ClosureMaps(space, level1, keys, links, None)[:]
     return WordClosure(sys, maps, sizes)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import CapabilityError, InputError
 from .rational import parse_rational
 
 PointSet = frozenset
@@ -33,7 +33,8 @@ class FiniteMetricSpace:
     Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("points", "dist", "_index", "_ranks", "_ball_masks")
+    __slots__ = ("points", "dist", "_index", "_ranks", "_ball_masks",
+                 "_pullbacks")
 
     def __init__(self, points: Sequence, dist: Sequence[Sequence]):
         pts = tuple(points)
@@ -82,6 +83,7 @@ class FiniteMetricSpace:
         self._index = {p: i for i, p in enumerate(pts)}
         self._ranks = (ranks, values)
         self._ball_masks = {}
+        self._pullbacks = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -166,6 +168,26 @@ class FiniteMetricSpace:
                 sum(1 << j for j, d in enumerate(row) if inside(d, r))
                 for row in self.dist)
         return masks
+
+    def ball_pullbacks(self, r, closed: bool = False) -> tuple[bytes, ...]:
+        """Every metric ball of radius ``r`` as a 256-byte table, the
+        ``v``-th around point ``v``: 1 at each point inside the ball and at
+        255, the byte a ``PartialMap.key`` holds off its domain, else 0.
+        So ``g.key.translate(table)`` marks the points g sends into the
+        ball together with those outside its domain.  Memoized per radius;
+        spaces of at most 255 points."""
+        key = (r, closed)
+        tables = self._pullbacks.get(key)
+        if tables is None:
+            if self.n > 255:
+                raise CapabilityError("ball pullback tables serve at most "
+                                      "255 points")
+            t = self.threshold(r, closed)
+            pad = bytes(255 - self.n) + b"\x01"
+            tables = self._pullbacks[key] = tuple(
+                bytes([rank < t for rank in row]) + pad
+                for row in self.distance_ranks()[0])
+        return tables
 
 
 def _axiom_failure(pts: tuple, rows: list[list[int]], scale: int) -> str:

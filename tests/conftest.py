@@ -52,6 +52,18 @@ def symmetric_group(space):
     return GeneratingSystem.build(space, [rot, swap])
 
 
+def system_past_255_points():
+    """A flip and a partial step on 256 points at distance 1."""
+    n = 256
+    space = FiniteMetricSpace(list(range(n)),
+                              [[int(i != j) for j in range(n)]
+                               for i in range(n)])
+    flip = PartialMap(space, [n - 1 - i for i in range(n)], name="f")
+    step = PartialMap(space, [i + 1 if i < 3 else None for i in range(n)],
+                      name="s")
+    return GeneratingSystem.build(space, [flip, step])
+
+
 def rotation_system(n):
     space = cyclic_space(n)
     r = PartialMap.from_dict(space, {i: (i + 1) % n for i in range(n)}, name="r")

@@ -11,9 +11,9 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        separated_count, separation_radius)
 from pseudodyn.mutations import MUTATIONS
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
-from pseudodyn.pseudogroup import table_ball
+from pseudodyn.pseudogroup import PartialMap, table_ball
 
-from conftest import rotation_system
+from conftest import rotation_system, system_past_255_points
 
 
 def test_dyn_ball_line(line_system):
@@ -79,9 +79,11 @@ def test_formula_matches_examples(line_system):
         == line_system.space.full_set()
 
 
-def reference_ball_via_formula(sys, x, n, eps, closed, closure):
-    """The set-algebra ball with each map's metric-ball mask computed from
-    the distance row of its image of ``x``, memoized per image."""
+def reference_ball_formula(sys, x, n, eps, closed, closure):
+    """The set-algebra ball point by point: each word defined at ``x``
+    contributes the points it sends into the metric ball around its image
+    of ``x`` (a mask from that image's distance row, memoized per image),
+    together with the points outside its domain."""
     space = sys.space
     full = (1 << space.n) - 1
     result = full
@@ -108,23 +110,76 @@ def reference_ball_via_formula(sys, x, n, eps, closed, closure):
     return frozenset(i for i in range(space.n) if result >> i & 1)
 
 
+def grid_radii(space):
+    """0, every grid value, the midpoints between them and a radius past
+    the diameter."""
+    grid = space.distance_grid()
+    return ([Fraction(0), *grid, space.diameter() + 1]
+            + [(a + b) / 2 for a, b in zip(grid, grid[1:])])
+
+
+def assert_formula_matches_reference(system, closure, ns, radii):
+    for x in range(system.space.n):
+        for n in ns:
+            for eps in radii:
+                for closed in (False, True):
+                    assert dyn_ball_via_formula(
+                        system, x, n, eps, closed=closed, closure=closure) \
+                        == reference_ball_formula(system, x, n, eps, closed,
+                                                  closure)
+
+
 def test_formula_matches_per_map_masks_seeded():
+    """The byte-table formula against the point-by-point one at every n
+    up to one past the stabilization index, open and closed, at every
+    grid radius."""
     spec = InstanceSpec(seed="formula-rows", count=100)
     for idx in range(spec.count):
         sys_i, _ = random_genome(spec, idx).build()
         closure = sys_i.word_closure()
-        space = sys_i.space
-        grid = space.distance_grid()
-        radii = [Fraction(0), *grid, space.diameter() + 1]
-        radii += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
-        for x in range(space.n):
-            for n in sorted({1, closure.stable_index}):
-                for eps in radii:
-                    for closed in (False, True):
-                        assert dyn_ball_via_formula(
-                            sys_i, x, n, eps, closed=closed, closure=closure) \
-                            == reference_ball_via_formula(
-                                sys_i, x, n, eps, closed, closure)
+        assert_formula_matches_reference(
+            sys_i, closure, range(1, closure.stable_index + 2),
+            grid_radii(sys_i.space))
+
+
+def test_formula_matches_reference_on_mutant_closures():
+    """A mutant compose's closure is a plain list of maps whose byte keys
+    are built when the formula first reads them."""
+    mutants = [ops for ops in MUTATIONS.values()
+               if ops.compose is not PartialMap.then]
+    spec = InstanceSpec(seed="formula-mutants", count=20)
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        for ops in mutants:
+            closure = closure_with(ops, sys_i)
+            assert type(closure.stabilized_maps) is list
+            assert_formula_matches_reference(
+                sys_i, closure, sorted({1, closure.stable_index}),
+                grid_radii(sys_i.space))
+
+
+def test_formula_past_255_points_reads_point_by_point():
+    """On 256 points no map has a byte key, so the formula takes the
+    point-by-point route."""
+    system = system_past_255_points()
+    closure = system.word_closure()
+    radii = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    for x in (0, 1, 3, 4, 128, 252, 255):
+        for n in range(1, closure.stable_index + 2):
+            for eps in radii:
+                for closed in (False, True):
+                    assert dyn_ball_via_formula(
+                        system, x, n, eps, closed=closed, closure=closure) \
+                        == reference_ball_formula(system, x, n, eps, closed,
+                                                  closure)
+
+
+def test_formula_refuses_a_negative_radius(line_system):
+    for eps in (-1, Fraction(-1, 2), "-3"):
+        with pytest.raises(InputError, match="radius must be nonnegative"):
+            dyn_ball_via_formula(line_system, 0, 1, eps)
+        with pytest.raises(InputError, match="radius must be nonnegative"):
+            dyn_ball(line_system, 0, 1, eps)
 
 
 def test_formula_equals_scan_exhaustive_desk_scale():

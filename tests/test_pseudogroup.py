@@ -19,7 +19,8 @@ from pseudodyn.pseudogroup import (ClosureMaps, WordClosure, spread_table,
                                    table_ball)
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
 
-from conftest import coprime_space, rotation_system, symmetric_group
+from conftest import (coprime_space, rotation_system, symmetric_group,
+                      system_past_255_points)
 
 
 def _g(line):
@@ -308,18 +309,6 @@ def test_closure_cap_raises_capability_error(monkeypatch):
     assert len(fresh.germ_relation().components()) == 1
 
 
-def system_past_255_points():
-    """A flip and a partial step on 256 points at distance 1."""
-    n = 256
-    space = FiniteMetricSpace(list(range(n)),
-                              [[int(i != j) for j in range(n)]
-                               for i in range(n)])
-    flip = PartialMap(space, [n - 1 - i for i in range(n)], name="f")
-    step = PartialMap(space, [i + 1 if i < 3 else None for i in range(n)],
-                      name="s")
-    return GeneratingSystem.build(space, [flip, step])
-
-
 def test_closure_matches_reference_past_255_points():
     """Past 255 points no index fits in a byte, so the closure composes
     ``PartialMap``s."""
@@ -398,10 +387,29 @@ def test_table_engine_and_closure_hold_no_reference_to_the_system():
             todo.extend(gc.get_referents(obj))
 
 
+def maps_held(closure):
+    """The map references in the lists reachable from ``closure``, past
+    its table engine."""
+    held, seen = 0, set()
+    todo = [r for r in gc.get_referents(closure) if r is not closure._pairs]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or not isinstance(obj, (list, tuple, dict,
+                                                   ClosureMaps)):
+            continue
+        seen.add(id(obj))
+        inner = gc.get_referents(obj)
+        if isinstance(obj, list):
+            held += sum(isinstance(m, PartialMap) for m in inner)
+        todo.extend(inner)
+    return held
+
+
 def test_closure_holds_each_map_once():
     """The closure keeps one list with each map once, and every level is a
     prefix of it: on the 20-point path shift, per-level copies would hold
-    44,118 map references instead of 2,871."""
+    44,118 map references instead of 2,871.  Before any read it holds only
+    its generators; a full read drops the keys and links."""
     space = FiniteMetricSpace(list(range(20)),
                               [[abs(i - j) for j in range(20)] for i in range(20)])
     shift = PartialMap(space, [i + 1 if i < 19 else None for i in range(20)],
@@ -409,18 +417,10 @@ def test_closure_holds_each_map_once():
     closure = GeneratingSystem.build(space, [shift]).word_closure()
     maps = closure.stabilized_maps
     assert (len(maps), closure.stable_index) == (2871, 38)
-    held, seen = 0, set()
-    todo = [r for r in gc.get_referents(closure) if r is not closure._pairs]
-    while todo:
-        obj = todo.pop()
-        if id(obj) in seen or not isinstance(obj, (list, tuple, dict)):
-            continue
-        seen.add(id(obj))
-        inner = gc.get_referents(obj)
-        if isinstance(obj, list):
-            held += sum(isinstance(m, PartialMap) for m in inner)
-        todo.extend(inner)
-    assert held == len(maps)
+    assert maps_held(closure) == closure.sizes[0] == 3
+    assert len(list(maps)) == len(maps)
+    assert maps_held(closure) == len(maps)
+    assert maps._keys is None and maps._links is None
     assert type(maps) is ClosureMaps and maps.pairs is closure._pairs
     for n in range(1, closure.stable_index + 3):
         level = closure.maps_at(n)
@@ -428,6 +428,75 @@ def test_closure_holds_each_map_once():
         assert all(g is m for g, m in zip(level, maps))
         if n < closure.stable_index:
             assert type(level) is list
+
+
+def lazy_and_eager(system):
+    """A fresh, unread closure map list of ``system`` and the reference
+    closure's eager list."""
+    closure = pseudogroup._closure(system, PartialMap.then)
+    lazy = closure.stabilized_maps
+    assert type(lazy) is ClosureMaps and len(lazy._maps) == closure.sizes[0]
+    return lazy, reference_closure(system, PartialMap.then).stabilized_maps
+
+
+def same_maps(got, want):
+    return ([(g.vals, g.word) for g in got]
+            == [(w.vals, w.word) for w in want])
+
+
+def test_lazy_closure_maps_read_like_the_eager_build():
+    """Every way of reading a closure's maps, each on an unread closure,
+    gives the maps and witness words of the eager reference build: int,
+    negative and out-of-range indices, slices with any step, iterating
+    after a partial read, ``len``, ``==``, ``random.sample`` and the
+    levels.  Each map's ``key`` is its ``vals`` in bytes."""
+    spec = InstanceSpec(seed="lazy-closure", count=40)
+    systems = [random_genome(spec, idx).build()[0] for idx in range(spec.count)]
+    systems += [symmetric_group(coprime_space(5)), system_past_255_points()]
+    rng = random.Random("lazy-closure")
+    for system in systems:
+        lazy, eager = lazy_and_eager(system)
+        size = len(eager)
+        assert len(lazy) == size
+        assert same_maps(lazy, eager)
+        assert lazy == eager and eager == lazy and lazy == lazy[:]
+        assert lazy != eager[:-1] and lazy != tuple(eager)
+        for _ in range(3):
+            k = rng.randrange(size)
+            lazy, _ = lazy_and_eager(system)
+            assert same_maps([lazy[k], lazy[-1 - k]], [eager[k], eager[-1 - k]])
+            assert same_maps(lazy, eager)
+            lazy, _ = lazy_and_eager(system)
+            for bad in (size, -size - 1):
+                with pytest.raises(IndexError):
+                    lazy[bad]
+            a, b = sorted(rng.randrange(-size - 2, size + 2) for _ in range(2))
+            for cut in (slice(a, b), slice(b, a, -1), slice(None, b, 3),
+                        slice(a, None, -2), slice(-3, None), slice(None)):
+                lazy, _ = lazy_and_eager(system)
+                got = lazy[cut]
+                assert type(got) is list and same_maps(got, eager[cut])
+            lazy, _ = lazy_and_eager(system)
+            read = iter(lazy)
+            head = [next(read) for _ in range(min(k, 3))]
+            lazy[k]
+            assert same_maps(head + list(read), eager)
+            lazy, _ = lazy_and_eager(system)
+            picked = random.Random(k).sample(lazy, min(size, 5))
+            assert same_maps(picked, random.Random(k).sample(eager,
+                                                             min(size, 5)))
+        closure = pseudogroup._closure(system, PartialMap.then)
+        want = reference_closure(system, PartialMap.then)
+        assert closure.sizes == want.sizes
+        for got_level, want_level in zip(closure.level_maps, want.level_maps):
+            assert type(got_level) is list and same_maps(got_level,
+                                                         want_level)
+        if system.space.n <= 255:
+            assert all(g.key == bytes(255 if v is None else v
+                                      for v in g.vals) for g in lazy)
+        else:
+            with pytest.raises(CapabilityError, match="at most 255 points"):
+                lazy[0].key
 
 
 def test_table_ball_radii_on_grid_values():
