@@ -145,7 +145,8 @@ def _manifest(argv, model=None, seed=None, started=None) -> dict:
         "model_sha256": getattr(model, "sha256", None),
         "seed": seed,
         "version": __version__,
-        "wall_ms": None if started is None else round((time.time() - started) * 1000),
+        "wall_ms": None if started is None else round(
+            (time.perf_counter() - started) * 1000),
     }
 
 
@@ -536,7 +537,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     handlers = {
         "ball": cmd_ball,
         "bowen": cmd_bowen,

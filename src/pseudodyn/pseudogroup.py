@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import abc
 from itertools import islice
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapabilityError, InputError, PreconditionError
@@ -368,37 +367,73 @@ class GeneratingSystem:
 
 
 class _PairTables:
-    """The pair recurrence T_k[i][j] = max_g T_{k-1}[g i][g j] over the
-    generators (the identity's term is row i itself) from T_0, the distance
-    ranks, built on demand until a level equals the one before.  It holds
-    no reference to the system, which caches it: that would make a cycle."""
+    """The pair recurrence T_k[i][j] = max(T_{k-1}[i][j], T_{k-1}[g i][g j]
+    over the generators g defined at i and j) from T_0, the distance ranks,
+    built on demand until a level raises nothing.
 
-    __slots__ = ("tables", "reads", "settled")
+    Levels are built semi-naively, cell by cell: T_{k-1}[i][j] already
+    bounds every T_{k-2}[g i][g j], so only a cell (a, b) raised at level
+    k-1 can raise a cell at level k, namely (g^-1 a, g^-1 b).  Level k
+    starts as a shallow copy of level k-1's rows and copies a row the first
+    time one of its cells rises, so an unchanged row is the same list in
+    both levels: rows are read-only.  Level 1 pushes every cell of T_0.
+    The pullbacks g^-1 come from each generator's own values, since a
+    compacted family need not hold the inverse of its maps.  Once settled,
+    the engine keeps only its levels.  It holds no reference to the system,
+    which caches it: that would make a cycle."""
+
+    __slots__ = ("tables", "_pulls", "_raised")
 
     def __init__(self, space: FiniteMetricSpace, generators):
+        n = space.n
         self.tables = [list(map(list, space.distance_ranks()[0]))]
-        gens = [g.vals for g in generators if not g.is_identity()]
-        # off g's domain, row i's gather reads T[g i][g i] = 0
-        self.reads = [[(vals[i], itemgetter(*[vals[i] if v is None else v
-                                              for v in vals]))
-                       for vals in gens if vals[i] is not None]
-                      for i in range(space.n)]
-        self.settled = False  # the last table is the fixpoint
+        self._pulls = []  # pull[a] = g^-1 a, or None off g's range
+        for g in generators:
+            if not g.is_identity():
+                pull = [None] * n
+                for i, a in enumerate(g.vals):
+                    if a is not None:
+                        pull[a] = i
+                self._pulls.append(pull)
+        every = range(n)
+        self._raised = {a: every for a in every}  # row -> columns raised
 
     def table(self, n) -> list[list[int]]:
         if n < 1:
             raise InputError("word length must be at least 1")
         tables = self.tables
-        while len(tables) <= n and not self.settled:
-            prev = tables[-1]
-            table = [list(map(max, prev[i], *[get(prev[gi])
-                                              for gi, get in reads]))
-                     if reads else prev[i]
-                     for i, reads in enumerate(self.reads)]
-            self.settled = table == prev
-            if not self.settled:
-                tables.append(table)
+        while len(tables) <= n and self._raised is not None:
+            self._push()
         return tables[min(n, len(tables) - 1)]
+
+    def _push(self) -> None:
+        """Build the next level from the cells the last one raised, or
+        settle when none rises."""
+        prev = self.tables[-1]
+        level = prev[:]
+        raised: dict[int, set[int]] = {}
+        for a, cols in self._raised.items():
+            src = prev[a]
+            for pull in self._pulls:
+                i = pull[a]
+                if i is None:
+                    continue
+                row = level[i]
+                up = None
+                for b in cols:
+                    j = pull[b]
+                    if j is not None and src[b] > row[j]:
+                        if up is None:
+                            if row is prev[i]:
+                                row = level[i] = row[:]
+                            up = raised.setdefault(i, set())
+                        row[j] = src[b]
+                        up.add(j)
+        if raised:
+            self.tables.append(level)
+            self._raised = raised
+        else:
+            self._pulls = self._raised = None
 
 
 class ClosureMaps(abc.Sequence):

@@ -597,6 +597,24 @@ def test_manifest_command_is_the_parsed_argv(model_path, capsys,
     assert out["manifest"]["command"] == " ".join(argv)
 
 
+def test_manifest_wall_ms_ignores_a_wall_clock_stepping_back(model_path,
+                                                             capsys,
+                                                             monkeypatch):
+    """The elapsed time comes from a monotonic clock: a wall clock that
+    steps back an hour between two reads leaves it nonnegative, and the
+    result does not change."""
+    argv = ["--format", "json", "bowen", "--model", model_path,
+            "--x", "a", "--delta", "1"]
+    assert main(argv) == 0
+    want = json.loads(capsys.readouterr().out)["result"]
+    clock = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr("time.time", lambda: next(clock))
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["manifest"]["wall_ms"] >= 0
+    assert out["result"] == want
+
+
 def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
     """A closure past the cap is a capability error (exit 2) that names the
     commands which build no closure, and those give the same exit code and

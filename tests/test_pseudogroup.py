@@ -1,14 +1,17 @@
 import gc
+import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
 from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        GeneratingSystem, GermRelation, InputError,
                        PartialMap, PreconditionError, SpaceIso,
-                       brute_force_separated, compacted_system,
-                       conjugate_system, expansiveness_upgrade_check,
+                       bowen_ball, brute_force_separated, compacted_system,
+                       conjugate_system, dyn_ball,
+                       expansiveness_upgrade_check,
                        expansiveness_verdict, h_top_table,
                        invariant_sets, is_ergodic, is_homogeneous,
                        is_unbounded, local_entropy,
@@ -766,16 +769,165 @@ def test_pair_tables_match_spread_tables_on_seeded_instances():
             assert_pair_tables_match_spread_tables(compacted_system(sys_i))
 
 
-def test_pair_tables_match_spread_tables_on_edge_systems():
+def edge_systems():
     """S_6, S_7, 256 points (past the byte closure) and one point, bare
     and with an empty generator."""
     one = FiniteMetricSpace(["a"], [[0]])
-    systems = [symmetric_group(coprime_space(6)),
-               symmetric_group(coprime_space(7)),
-               system_past_255_points(), GeneratingSystem.build(one, []),
-               GeneratingSystem.build(one, [PartialMap.empty(one, "e")])]
-    for system in systems:
+    return [symmetric_group(coprime_space(6)),
+            symmetric_group(coprime_space(7)),
+            system_past_255_points(), GeneratingSystem.build(one, []),
+            GeneratingSystem.build(one, [PartialMap.empty(one, "e")])]
+
+
+def test_pair_tables_match_spread_tables_on_edge_systems():
+    for system in edge_systems():
         assert_pair_tables_match_spread_tables(system)
+
+
+def reference_pair_levels(system):
+    """The pair recurrence with every level recomputed in full: T_0, the
+    distance ranks, then T_k[i][j] = max of T_{k-1}[i][j] and
+    T_{k-1}[g i][g j] over the generators g defined at i and j.  Yields
+    T_0, T_1, ... up to the last level that differs from the one before."""
+    n = system.space.n
+    table = [list(row) for row in system.space.distance_ranks()[0]]
+    gens = [g.vals for g in system.generators if not g.is_identity()]
+    # off g's domain, row i's gather reads T[g i][g i] = 0
+    reads = [[(vals[i], itemgetter(*[vals[i] if v is None else v
+                                     for v in vals]))
+              for vals in gens if vals[i] is not None]
+             for i in range(n)]
+    while True:
+        yield table
+        following = [list(map(max, table[i], *[get(table[gi])
+                                               for gi, get in row_reads]))
+                     if row_reads else table[i]
+                     for i, row_reads in enumerate(reads)]
+        if following == table:
+            return
+        table = following
+
+
+def assert_pair_levels_match_reference(system):
+    """Every level of the system's tables equals the full recurrence, and
+    so do the two levels past the fixpoint and the default length; the
+    fixpoint level is the last level that differs from the one before,
+    and 1 when no level does."""
+    last = 0
+    for k, want in enumerate(reference_pair_levels(system)):
+        if k:
+            assert system.constraint_table(k) == want
+        last = k
+    level = max(last, 1)
+    assert system.fixpoint_level == level
+    for n in (level, level + 1, level + 2, math.inf):
+        assert system.constraint_table(n) == want
+
+
+def long_chain_system(n=200):
+    """The step i -> i+1 on n points of a line with unit gaps but the last,
+    which is 2: cell (i, j) first rises at level n - 1 - j, so the tables
+    settle at level n - 2.  Its closure is far past what the spread-table
+    comparison can fold."""
+    xs = list(range(n - 1)) + [n]
+    space = FiniteMetricSpace(list(range(n)),
+                              [[abs(x - y) for y in xs] for x in xs])
+    step = PartialMap(space, [i + 1 if i < n - 1 else None
+                              for i in range(n)], name="g")
+    return GeneratingSystem.build(space, [step])
+
+
+def test_pair_levels_match_reference_on_seeded_instances():
+    spec = InstanceSpec(seed=1, count=300)
+    for idx in range(spec.count):
+        sys_i, _ = random_genome(spec, idx).build()
+        assert_pair_levels_match_reference(sys_i)
+        if sys_i.has_cores:
+            assert_pair_levels_match_reference(compacted_system(sys_i))
+
+
+def test_pair_levels_match_reference_on_edge_systems():
+    for system in edge_systems():
+        assert_pair_levels_match_reference(system)
+
+
+def test_pair_levels_match_reference_on_a_long_chain():
+    system = long_chain_system()
+    assert_pair_levels_match_reference(system)
+    assert system.fixpoint_level == 198
+
+
+def test_pair_tables_of_a_non_symmetric_compaction():
+    """Cores declared on g and on g^-1 that are not images of each other:
+    the compacted family lacks the inverses of its restricted maps, and
+    its tables, built from each map's own pullback, match the recurrence
+    and the fold of its closure at every level."""
+    xs = [0, 1, 3, 4, 7, 8, 12]
+    space = FiniteMetricSpace(list(range(len(xs))),
+                              [[abs(x - y) for y in xs] for x in xs])
+    step = PartialMap(space, [i + 1 if i < len(xs) - 1 else None
+                              for i in range(len(xs))], name="g")
+    system = GeneratingSystem.build(space, [step],
+                                    cores={"g": {0, 1, 2, 3}, "g^-1": {5, 6}})
+    comp = compacted_system(system)
+    restricted = [g for g in comp.generators if not g.is_identity()]
+    assert any(g.inverse() not in restricted for g in restricted)
+    assert_pair_levels_match_reference(comp)
+    assert_pair_tables_match_spread_tables(comp)
+    assert comp.fixpoint_level > 1
+
+
+def read_every_table(system, mu):
+    """Every reader of the pair tables, on ``system``."""
+    space = system.space
+    grid = space.distance_grid()
+    for x in range(space.n):
+        for n in (1, 2, 3):
+            dyn_ball(system, x, n, grid[0])
+            dyn_ball(system, x, n, grid[-1], closed=True)
+        bowen_ball(system, x, grid[0])
+    h_top_table(system, n_max=4)
+    local_entropy(mu, system, 0, n_max=4)
+    is_homogeneous(mu, system)
+    expansiveness_verdict(mu, system, grid[0])
+    if system.has_cores:
+        no_expansive_certificate_good(system)
+
+
+def assert_rows_shared_when_unchanged(system):
+    """A level shares each unchanged row with the level before and holds a
+    new list for each changed one; a settled engine keeps only levels."""
+    system.fixpoint_level
+    engine = system._tables
+    assert engine._pulls is None and engine._raised is None
+    tables = engine.tables
+    assert len({id(row) for row in tables[0]}) == system.space.n
+    for prev, level in zip(tables, tables[1:]):
+        assert prev != level
+        for before, row in zip(prev, level):
+            assert (row is before) == (row == before)
+
+
+def test_table_readers_leave_every_level_intact():
+    """After every table reader has run, each level still equals the
+    recurrence: no reader writes to a row that other levels share."""
+    spec = InstanceSpec(seed="shared-rows", count=30)
+    cored = 0
+    for idx in range(spec.count):
+        sys_i, mu = random_genome(spec, idx).build()
+        read_every_table(sys_i, mu)
+        systems = [sys_i]
+        if sys_i.has_cores:
+            systems.append(compacted_system(sys_i))
+            cored += 1
+        for system in systems:
+            assert_pair_levels_match_reference(system)
+            assert_rows_shared_when_unchanged(system)
+    assert cored
+    chain = long_chain_system(40)
+    read_every_table(chain, FiniteMeasure.uniform(chain.space))
+    assert_pair_levels_match_reference(chain)
+    assert_rows_shared_when_unchanged(chain)
 
 
 def test_constraint_table_rejects_word_length_below_1(line_system):
