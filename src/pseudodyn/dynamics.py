@@ -3,10 +3,11 @@
 A point ``y`` lies in the n-ball around ``x`` when every word of length n
 defined at both points keeps the images within the radius; maps defined at
 only one of the two impose no constraint.  The members of every n-ball are
-a row of the system's constraint table, which reaches a fixpoint, so Bowen
-balls (the all-n intersection) are exact rather than truncated.  Separated
-counts and growth tables read the tables alone; the word closure supplies
-only each non-member's blocking word and the stabilization index.
+a row of the system's constraint table, which reaches a fixpoint at level
+L, so Bowen balls (the all-n intersection) are the closed balls at L,
+exact rather than truncated.  Separated counts and growth tables read the
+tables alone; the word closure supplies only each non-member's blocking
+word.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 
 from .errors import CapabilityError, InputError
 from .pseudogroup import GeneratingSystem, PartialMap, WordClosure, table_ball
@@ -22,6 +23,15 @@ from .rational import parse_radius, parse_rational
 from .space import PointSet
 
 EXACT_CLIQUE_CAP = 20
+N_MAX_CAP = 10_000
+
+
+def check_n_max(n_max: int) -> None:
+    """Refuse an explicit table length past ``N_MAX_CAP``, before any row."""
+    if n_max > N_MAX_CAP:
+        raise CapabilityError(
+            f"n_max is capped at N_MAX_CAP = {N_MAX_CAP} (got {n_max}); "
+            "rows past the fixpoint level repeat")
 
 
 @dataclass(frozen=True)
@@ -40,8 +50,8 @@ class BallReport:
     exclusions: dict[int, tuple[PartialMap, Fraction]] = field(repr=False)
 
 
-def dyn_ball(sys: GeneratingSystem, x, n: int, eps, closed: bool = False,
-             closure: WordClosure | None = None) -> BallReport:
+def dyn_ball(sys: GeneratingSystem, x, n: int, eps,
+             closed: bool = False) -> BallReport:
     """Dynamical n-ball around point index ``x`` with radius ``eps``: a
     row of the constraint table, with each non-member's first blocking word."""
     eps = parse_radius(eps)
@@ -49,15 +59,17 @@ def dyn_ball(sys: GeneratingSystem, x, n: int, eps, closed: bool = False,
         raise InputError("n must be at least 1")
     space = sys.space
     xi = space._point(x)
-    closure = closure or sys.word_closure()
+    closure = sys.word_closure()
     t = space.threshold(eps, closed)
     members = table_ball(closure.constraint_table(n), xi, t)
     ranks = space.distance_ranks()[0]
-    # one pass over the words, each non-member leaving at its first blocker,
-    # so a closure's maps are read, and built, once
+    # one lazy pass over the words of length n, a prefix of the closure,
+    # each non-member leaving at its first blocker: no map past the last
+    # first blocker is read or built
     pending = sorted(space.full_set() - members)
     found = {}
-    for g in closure.maps_at(n):
+    for g in islice(closure.stabilized_maps,
+                    closure.sizes[min(n, closure.stable_index) - 1]):
         if not pending:
             break
         vals = g.vals
@@ -98,17 +110,18 @@ def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,
     maps = (closure or sys.word_closure()).maps_at(n)
     npts = space.n
     if npts > 255:
-        balls = space.ball_masks(eps, closed=closed)
+        ranks = space.distance_ranks()[0]
+        t = space.threshold(eps, closed)
         full = (1 << npts) - 1
         result = full
         for g in maps:
             gx = g.vals[xi]
             if gx is None:
                 continue
-            target = balls[gx]
+            row = ranks[gx]
             preimage = 0
             for i, v in enumerate(g.vals):
-                if v is not None and target >> v & 1:
+                if v is not None and row[v] < t:
                     preimage |= 1 << i
             result &= preimage | (full ^ g.dom_mask)
             if not result:
@@ -125,14 +138,11 @@ def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,
     return frozenset(compress(range(npts), result.to_bytes(npts, "little")))
 
 
-def bowen_ball(sys: GeneratingSystem, x, delta,
-               closure: WordClosure | None = None) -> BallReport:
+def bowen_ball(sys: GeneratingSystem, x, delta) -> BallReport:
     """Exact Bowen ball around point index ``x``: the closed dynamical ball
-    at the stabilization index, where the nested intersection is constant."""
-    delta = parse_radius(delta)
-    closure = closure or sys.word_closure()
-    return dyn_ball(sys, x, closure.stable_index, delta, closed=True,
-                    closure=closure)
+    at the pair fixpoint level L, from which the tables, hence the nested
+    intersection, are constant; words of length L block every non-member."""
+    return dyn_ball(sys, x, sys.fixpoint_level, delta, closed=True)
 
 
 @dataclass(frozen=True)
@@ -269,6 +279,7 @@ def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8) -> HTopTab
     On a finite space the counts are bounded by |X|, so the reported limit
     is 0; the rows still show the per-(n, eps) structure.
     """
+    check_n_max(n_max)
     if eps_grid is None:
         eps_grid = sys.space.distance_grid()
     eps_grid = [parse_rational(e) for e in eps_grid]

@@ -3,7 +3,9 @@
 On a finite space a modulus always exists (the least distance among pairs
 some map spreads past the scale is positive), so the content is the exact
 table: isometry families certify with delta(eps) = eps, while distortion
-shows up as a smaller modulus with an explicit witness pair.
+shows up as a smaller modulus with an explicit witness pair.  A
+certificate's audit folds the maps it is given once, with
+``spread_table``, and checks every scale against that one fold.
 """
 
 from __future__ import annotations
@@ -31,21 +33,18 @@ class EquicontinuityCertificate:
     isometric: bool
 
     def audit(self, maps, space: FiniteMetricSpace) -> bool:
-        """Re-verify the defining implication over every map and pair, in
-        distance ranks: no pair closer than delta is spread to eps."""
-        ranks = space.distance_ranks()[0]
-        for eps, delta in self.table.items():
-            if is_unbounded(delta):
-                continue
-            inner, outer = space.threshold(delta), space.threshold(eps)
-            for g in maps:
-                vals = g.vals
-                dom = [i for i, v in enumerate(vals) if v is not None]
-                for ai, i in enumerate(dom):
-                    near, image = ranks[i], ranks[vals[i]]
-                    for j in dom[ai + 1:]:
-                        if near[j] < inner and image[vals[j]] >= outer:
-                            return False
+        """Re-verify over ``maps`` that no pair closer than delta is spread
+        to eps: a bounded delta holds exactly when the modulus at eps of
+        one fold of the maps is unbounded or at least delta."""
+        bounded = {eps: delta for eps, delta in self.table.items()
+                   if not is_unbounded(delta)}
+        if not bounded:
+            return True
+        fold = spread_table(maps, space)
+        for eps, delta in bounded.items():
+            least = _modulus(fold, space, space.threshold(eps))[0]
+            if not (is_unbounded(least) or least >= delta):
+                return False
         return True
 
 
@@ -80,14 +79,12 @@ def modulus_at(maps, space: FiniteMetricSpace, eps):
     return _modulus(_spread(maps, space), space, t)[0]
 
 
-def equicontinuity_modulus(maps, space: FiniteMetricSpace,
-                           eps_grid=None) -> EquicontinuityCertificate:
+def equicontinuity_modulus(maps, space: FiniteMetricSpace
+                           ) -> EquicontinuityCertificate:
     """One spread table serves every grid eps.  Each finite delta's witness
     is the first (map, i, j) that spreads a pair at distance delta to eps,
     scanning maps in order and i < j over each sorted domain."""
-    if eps_grid is None:
-        eps_grid = space.distance_grid()
-    eps_grid = [parse_rational(e) for e in eps_grid]
+    eps_grid = space.distance_grid()
     spread = _spread(maps, space)
     ranks = space.distance_ranks()[0]
     table = {}
@@ -101,7 +98,7 @@ def equicontinuity_modulus(maps, space: FiniteMetricSpace,
              if g.vals[i] is not None and g.vals[j] is not None
              and ranks[g.vals[i]][g.vals[j]] >= t),
             None)
-    isometric = all(table.get(e) == e for e in eps_grid)
+    isometric = all(table[e] == e for e in eps_grid)
     return EquicontinuityCertificate(scope="closure", table=table,
                                      witnesses=witnesses, isometric=isometric)
 
@@ -172,8 +169,7 @@ class GoodInclusionReport:
     conclusion: str
 
 
-def no_expansive_certificate_good(sys: GeneratingSystem,
-                                  rho_grid=None) -> GoodInclusionReport:
+def no_expansive_certificate_good(sys: GeneratingSystem) -> GoodInclusionReport:
     """Core-restricted analogue: open xi-balls sit inside the
     core-restricted Bowen rho-balls, point by point and for every grid rho,
     where xi is the modulus at rho, or the diameter where the modulus is
@@ -186,14 +182,11 @@ def no_expansive_certificate_good(sys: GeneratingSystem,
     if not sys.has_cores:
         raise PreconditionError("this certificate requires cores")
     space = sys.space
-    if rho_grid is None:
-        rho_grid = space.distance_grid()
-    rho_grid = [parse_radius(r) for r in rho_grid]
     spread = sys.constraint_table()
     ctable = compacted_system(sys).constraint_table()
     rows = []
     all_ok = True
-    for rho in rho_grid:
+    for rho in space.distance_grid():
         delta = _modulus(spread, space, space.threshold(rho))[0]
         xi = space.diameter() if is_unbounded(delta) else delta
         ok = not _inclusion_failures(space, xi, ctable, rho)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+from .dynamics import check_n_max
 from .errors import InputError, PreconditionError
 from .pseudogroup import GeneratingSystem, compacted_system, separation_radius
 from .rational import is_unbounded, parse_radius, parse_rational
@@ -236,6 +237,8 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     xi = space._point(x)
     if n_max is None:
         n_max = sys.word_closure().stable_index
+    else:
+        check_n_max(n_max)
     if eps_grid is None:
         eps_grid = space.distance_grid()
     eps_grid = _scales(eps_grid)

@@ -154,8 +154,7 @@ class EntropyComparison:
 
 
 def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
-                    mu: FiniteMeasure | None = None,
-                    eps_grid=None, n_list=None,
+                    mu: FiniteMeasure | None = None, n_list=None,
                     x=None) -> EntropyComparison:
     """Separated-count tables on both sides of the bijection.
 
@@ -168,9 +167,7 @@ def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
     measure and a basepoint index ``x`` are supplied).
     """
     conj = conjugate_system(sys, iso)
-    if eps_grid is None:
-        eps_grid = sys.space.distance_grid()
-    eps_grid = [parse_rational(e) for e in eps_grid]
+    eps_grid = sys.space.distance_grid()
     if n_list is None:
         n_list = [1, 2, 3]
     counts_src = {}

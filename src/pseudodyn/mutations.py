@@ -36,11 +36,10 @@ def _mutant_formula_drop_complement(sys, x, n, eps, closed, closure):
     return result
 
 
-def _mutant_bowen_open(sys, x, delta, closure):
+def _mutant_bowen_open(sys, x, delta):
     """Uses strict inequality where the all-n intersection needs closed."""
     from .dynamics import dyn_ball
-    return dyn_ball(sys, x, closure.stable_index, delta, closed=False,
-                    closure=closure).members
+    return dyn_ball(sys, x, sys.fixpoint_level, delta, closed=False).members
 
 
 def _mutant_build_skip_symmetrization(space, maps, cores):

@@ -212,8 +212,8 @@ def _default_ball_formula(sys, x, n, eps, closed, closure):
     return dyn_ball_via_formula(sys, x, n, eps, closed=closed, closure=closure)
 
 
-def _default_bowen_members(sys, x, delta, closure):
-    return bowen_ball(sys, x, delta, closure).members
+def _default_bowen_members(sys, x, delta):
+    return bowen_ball(sys, x, delta).members
 
 
 DEFAULT_OPS = OperationSet(
@@ -315,7 +315,7 @@ def stmt_bowen_stabilization(ctx: ProbeContext) -> Outcome:
     for delta in ctx.eps_sample():
         t = ctx.space.threshold(delta, closed=True)
         for x in range(ctx.space.n):
-            bw = ctx.ops.bowen_members(ctx.sys, x, delta, closure)
+            bw = ctx.ops.bowen_members(ctx.sys, x, delta)
             inter = ctx.space.full_set()
             for n in range(1, closure.stable_index + 1):
                 inter &= table_ball(closure.constraint_table(n), x, t)

@@ -565,8 +565,8 @@ class WordClosure:
         return [self.stabilized_maps[:size] for size in self.sizes]
 
     def constraint_table(self, n: int) -> list[list[int]]:
-        """The system's constraint table at min(n, stabilization index)."""
-        return self._pairs.table(min(n, self.stable_index))
+        """The system's constraint table at length ``n``."""
+        return self._pairs.table(n)
 
 
 def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
@@ -574,8 +574,9 @@ def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
     both points, 0 where none is (maps are injective, so a shared map makes
     the entry positive off the diagonal); ``values[S[i][j]]`` is the
     distance.  The fold of an explicit map list: the moduli of any list
-    but a ``ClosureMaps``, and the reference the pair tables are tested
-    against, so it reads every list alike.
+    but a ``ClosureMaps``, every certificate audit, the group-claim
+    probe's delta, and the reference the pair tables are tested against,
+    so it reads every list alike.
 
     Entries only grow and none passes the top rank (the diameter), so the
     fold stops reading maps once every pair i < j holds the top rank: on

@@ -60,14 +60,14 @@ class ShiftPoint:
         return cls((symbol,), symbol)
 
     @classmethod
-    def from_string(cls, block: str, center: int = 0,
-                    background: int = 0) -> "ShiftPoint":
-        """Place ``block`` so that its middle character sits at ``center``."""
+    def from_string(cls, block: str, center: int = 0) -> "ShiftPoint":
+        """Place ``block`` so that its middle character sits at ``center``,
+        over the background 0."""
         if set(block) - {"0", "1"}:
             raise InputError(f"symbols must be 0 or 1 (got {block!r})")
         symbols = tuple(int(ch) for ch in block)
         if not symbols:
-            return cls((background,), background)
+            return cls.zero()
         mid = len(symbols) // 2
         start = center - mid
         lo = min(start, -start - len(symbols) + 1)
@@ -78,8 +78,8 @@ class ShiftPoint:
             if start <= k < start + len(symbols):
                 window.append(symbols[k - start])
             else:
-                window.append(background)
-        return cls(tuple(window), background)
+                window.append(0)
+        return cls(tuple(window))
 
     @property
     def radius(self) -> int:
@@ -288,19 +288,18 @@ class ShiftEntropyValue:
     limit_value: Optional[float]
 
 
-def measure_entropy_shift(spec: BernoulliSpec, eps, n: int,
-                          x: ShiftPoint | None = None) -> ShiftEntropyValue:
-    """-(1/n) log mu(B_n(x, eps)) on the shift.
+def measure_entropy_shift(spec: BernoulliSpec, eps,
+                          n: int) -> ShiftEntropyValue:
+    """-(1/n) log mu(B_n(0, eps)) on the shift, at the zero point.
 
     For p = 1/2 the value is ((2(n+s)+1)/n) log 2 exactly, independent of
     the center, and the n -> infinity limit is 2 log 2.  For general p the
-    per-n value is computed from the cylinder measure at the given center.
+    per-n value is computed from the cylinder measure at the zero point.
     """
     eps = parse_rational(eps)
     if n < 1:
         raise InputError("n must be at least 1")
-    x = x or ShiftPoint.zero()
-    ball = dyn_ball_cylinder(x, n, eps)
+    ball = dyn_ball_cylinder(ShiftPoint.zero(), n, eps)
     s = window_radius(eps)
     m = cylinder_measure(ball, spec)
     if spec.p == Fraction(1, 2):

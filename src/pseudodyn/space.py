@@ -33,8 +33,7 @@ class FiniteMetricSpace:
     Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("points", "dist", "_index", "_ranks", "_ball_masks",
-                 "_pullbacks")
+    __slots__ = ("points", "dist", "_index", "_ranks", "_pullbacks")
 
     def __init__(self, points: Sequence, dist: Sequence[Sequence]):
         pts = tuple(points)
@@ -82,7 +81,6 @@ class FiniteMetricSpace:
         self.dist = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
         self._index = {p: i for i, p in enumerate(pts)}
         self._ranks = (ranks, values)
-        self._ball_masks = {}
         self._pullbacks = {}
 
     # -- basic queries ----------------------------------------------------
@@ -151,23 +149,11 @@ class FiniteMetricSpace:
         return (bisect_right if closed else bisect_left)(values, r)
 
     def ball_ix(self, i: int, r, closed: bool = False) -> PointSet:
-        r = parse_rational(r)
-        row = self.dist[i]
-        if closed:
-            return frozenset(j for j in range(self.n) if row[j] <= r)
-        return frozenset(j for j in range(self.n) if row[j] < r)
-
-    def ball_masks(self, r, closed: bool = False) -> tuple[int, ...]:
-        """Every metric ball of radius ``r`` as a bitmask over point
-        indices, the ``i``-th around point ``i``; memoized per radius."""
-        key = (r, closed)
-        masks = self._ball_masks.get(key)
-        if masks is None:
-            inside = operator.le if closed else operator.lt
-            masks = self._ball_masks[key] = tuple(
-                sum(1 << j for j, d in enumerate(row) if inside(d, r))
-                for row in self.dist)
-        return masks
+        """The metric ball of radius ``r`` around point index ``i``: the
+        rank row below ``threshold(r, closed)``."""
+        t = self.threshold(parse_rational(r), closed)
+        return frozenset(j for j, v in enumerate(self.distance_ranks()[0][i])
+                         if v < t)
 
     def ball_pullbacks(self, r, closed: bool = False) -> tuple[bytes, ...]:
         """Every metric ball of radius ``r`` as a 256-byte table, the

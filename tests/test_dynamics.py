@@ -11,7 +11,7 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        separated_count, separation_radius)
 from pseudodyn.mutations import MUTATIONS
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
-from pseudodyn.pseudogroup import PartialMap, table_ball
+from pseudodyn.pseudogroup import PartialMap
 
 from conftest import rotation_system, system_past_255_points
 
@@ -194,8 +194,8 @@ def test_formula_equals_scan_exhaustive_desk_scale():
             for n in (1, 2, closure.stable_index):
                 for eps in grid:
                     for closed in (False, True):
-                        assert (dyn_ball(sys_i, x, n, eps, closed=closed,
-                                         closure=closure).members
+                        assert (dyn_ball(sys_i, x, n, eps,
+                                         closed=closed).members
                                 == dyn_ball_via_formula(sys_i, x, n, eps,
                                                         closed=closed,
                                                         closure=closure))
@@ -253,36 +253,35 @@ def test_dyn_ball_matches_per_map_scan_seeded():
                     for n in sorted({1, 2, closure.stable_index}):
                         for closed in (False, True):
                             assert_ball_matches_reference(
-                                dyn_ball(system, x, n, eps, closed=closed,
-                                         closure=closure), space.n,
+                                dyn_ball(system, x, n, eps, closed=closed),
+                                space.n,
                                 *reference_dyn_ball(system, x, n, eps,
                                                     closed, closure))
                     assert_ball_matches_reference(
-                        bowen_ball(system, x, eps, closure=closure), space.n,
+                        bowen_ball(system, x, eps), space.n,
                         *reference_dyn_ball(system, x, closure.stable_index,
                                             eps, True, closure))
 
 
-def test_dyn_ball_on_mutant_closure_keeps_table_members():
-    """Under a mutant compose the members follow the generators' tables,
-    and a non-member that no mutant word blocks gets no exclusion."""
-    ops = MUTATIONS["compose-intersect-domains"]
-    spec = InstanceSpec(seed="dyn-ball-mutant", count=40)
-    unexcluded = 0
+def test_cold_bowen_ball_reads_the_fixpoint_prefix():
+    """A cold Bowen query works at the pair fixpoint level L and builds at
+    most twice the closure's length-L prefix, on systems whose closure
+    stabilizes later than their tables."""
+    spec = InstanceSpec(seed="bowen-prefix", count=80)
+    checked = 0
     for idx in range(spec.count):
         sys_i, _ = random_genome(spec, idx).build()
-        closure = closure_with(ops, sys_i)
-        space = sys_i.space
-        for x in range(space.n):
-            for eps in space.distance_grid():
-                rep = dyn_ball(sys_i, x, closure.stable_index, eps,
-                               closure=closure)
-                assert rep.members == table_ball(
-                    closure.constraint_table(closure.stable_index), x,
-                    space.threshold(eps))
-                assert not set(rep.exclusions) & rep.members
-                unexcluded += len(rep.exclusions) + len(rep.members) < space.n
-    assert unexcluded
+        for system in (sys_i, compacted_system(sys_i)):
+            closure = system.word_closure()
+            level = system.fixpoint_level
+            if level >= closure.stable_index:
+                continue
+            rep = bowen_ball(system, 0, system.space.distance_grid()[0])
+            assert rep.n == level
+            built = len(closure.stabilized_maps._maps)
+            assert built <= 2 * closure.sizes[level - 1]
+            checked += 1
+    assert checked >= 20
 
 
 def test_ball_monotonicity(line_system):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
-                       GeneratingSystem, InputError, PartialMap, bowen_ball,
+from pseudodyn import (UNBOUNDED, CapabilityError, FiniteMeasure,
+                       FiniteMetricSpace, GeneratingSystem, InputError,
+                       PartialMap, bowen_ball,
                        compacted_system, equicontinuity_modulus,
                        expansiveness_verdict, is_unbounded,
                        no_expansive_certificate_good,
@@ -74,11 +75,7 @@ def test_negative_radius_is_input_error(z6_rotations, line_system_cores):
     0 stays valid."""
     with pytest.raises(InputError, match="nonnegative"):
         no_expansive_certificate_group(z6_rotations, -1)
-    with pytest.raises(InputError, match="nonnegative"):
-        no_expansive_certificate_good(line_system_cores, rho_grid=[1, -1])
     assert no_expansive_certificate_group(z6_rotations, 0).inclusion_ok
-    assert no_expansive_certificate_good(line_system_cores,
-                                         rho_grid=[0]).all_ok
 
 
 def test_group_conclusion_cross_checked_with_measures(z6_rotations):
@@ -287,25 +284,50 @@ def reference_audit(cert, maps, space) -> bool:
 
 
 def test_audit_matches_fraction_reference():
-    """The rank audit and the distance loop agree on seeded true
+    """The one-fold audit and the distance loop agree on seeded true
     certificates, which both accept, and on each finite delta raised to
-    the next grid value, which both reject."""
+    the next grid value, which both reject; on S_5 the fold stops early."""
     spec = InstanceSpec(seed="audit-reference", count=40)
-    verdicts = []
+    systems = [symmetric_group(coprime_space(5))]
     for idx in range(spec.count):
         sys_i, _ = random_instance(spec, idx)
-        for s in (sys_i, compacted_system(sys_i)):
-            maps, space = closure_maps(s), s.space
-            grid = space.distance_grid()
-            cert = equicontinuity_modulus(maps, space)
-            certs = [cert] + [
-                replace(cert, table={**cert.table,
-                                     eps: grid[grid.index(delta) + 1]})
-                for eps, delta in cert.table.items()
-                if not is_unbounded(delta) and delta != grid[-1]]
-            for c in certs:
-                verdict = c.audit(maps, space)
-                assert verdict == reference_audit(c, maps, space)
-                verdicts.append(verdict)
+        systems += [sys_i, compacted_system(sys_i)]
+    verdicts = []
+    for system in systems:
+        maps, space = closure_maps(system), system.space
+        grid = space.distance_grid()
+        cert = equicontinuity_modulus(maps, space)
+        certs = [cert] + [
+            replace(cert, table={**cert.table,
+                                 eps: grid[grid.index(delta) + 1]})
+            for eps, delta in cert.table.items()
+            if not is_unbounded(delta) and delta != grid[-1]]
+        for c in certs:
+            verdict = c.audit(maps, space)
+            assert verdict == reference_audit(c, maps, space)
+            verdicts.append(verdict)
     assert verdicts.count(True) >= spec.count
     assert verdicts.count(False) > 40
+
+
+def test_audit_folds_the_maps_once(monkeypatch):
+    """The audit folds its maps once for every scale, and not at all when
+    every delta is unbounded."""
+    folds = []
+    fold = equicont.spread_table
+
+    def spy(maps, space):
+        folds.append(len(maps))
+        return fold(maps, space)
+
+    monkeypatch.setattr(equicont, "spread_table", spy)
+    group = symmetric_group(coprime_space(5))
+    maps, space = closure_maps(group), group.space
+    cert = equicontinuity_modulus(maps, space)
+    assert sum(not is_unbounded(d) for d in cert.table.values()) > 1
+    assert folds == []
+    assert cert.audit(maps, space)
+    assert folds == [len(maps)]
+    unbounded = replace(cert, table=dict.fromkeys(cert.table, UNBOUNDED))
+    assert unbounded.audit(maps, space)
+    assert folds == [len(maps)]

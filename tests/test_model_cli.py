@@ -8,6 +8,7 @@ import pytest
 
 from pseudodyn import InputError, morphism, pseudogroup
 from pseudodyn.cli import main, render, to_jsonable
+from pseudodyn.dynamics import N_MAX_CAP
 from pseudodyn.model import parse_model
 from pseudodyn.shift import WINDOW_RADIUS_CAP
 
@@ -228,6 +229,22 @@ def test_cli_entropy(model_path, capsys):
     code = main(["entropy", "--model", model_path, "--x", "a", "--n-max", "3"])
     assert code == 0
     assert "limit: 0.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["htop"], ["entropy", "--x", "a"]])
+def test_cli_n_max_is_capped(model_path, capsys, command):
+    """An explicit --n-max answers at the cap and exits 2 one past it,
+    naming the cap, before any row is built."""
+    args = [command[0], "--model", model_path, *command[1:],
+            "--eps-grid", "1", "--n-max"]
+    code = main(["--format", "csv", *args, str(N_MAX_CAP)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("\n") > N_MAX_CAP
+    code = main([*args, str(N_MAX_CAP + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"N_MAX_CAP = {N_MAX_CAP}" in captured.err
 
 
 @pytest.mark.parametrize("n_max", ["0", "-3"])

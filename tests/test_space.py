@@ -8,7 +8,7 @@ from pseudodyn import FiniteMetricSpace, InputError
 from pseudodyn.probes import InstanceSpec, random_genome
 from pseudodyn.rational import parse_rational
 
-from conftest import coprime_space, cyclic_space
+from conftest import coprime_space, cyclic_space, system_past_255_points
 
 
 def test_metric_axioms_validated():
@@ -340,44 +340,24 @@ def test_distance_grid(line):
     assert cyclic_space(6).distance_grid() == [1, 2, 3]
 
 
-def test_ball_masks_match_ball_ix():
-    """Each row of masks is the metric ball around its point, on grid
-    radii, midpoints, 0 and past the diameter, open and closed."""
-    spec = InstanceSpec(seed="ball-masks", count=30)
-    spaces = [cyclic_space(7), FiniteMetricSpace(["a"], [[0]])]
-    spaces += [random_genome(spec, idx).build()[0].space
-               for idx in range(spec.count)]
-    for space in spaces:
-        grid = space.distance_grid()
-        radii = [Fraction(0), *grid, space.diameter() + 1]
-        radii += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
-        for r in radii:
-            for closed in (False, True):
-                masks = space.ball_masks(r, closed)
-                assert len(masks) == space.n
-                for i, mask in enumerate(masks):
-                    assert mask < 1 << space.n
-                    assert {j for j in range(space.n) if mask >> j & 1} \
-                        == space.ball_ix(i, r, closed)
-                assert space.ball_masks(r, closed) is masks
-
-
 def test_threshold_matches_ball_ix():
-    """Ranks below the threshold are the metric ball, at radii exactly on
-    each grid value, at midpoints, 0, negative and past the diameter, open
-    and closed; the coprime space has exact ties."""
+    """The rank row below the threshold is the ball by distances, at radii
+    exactly on each grid value, at midpoints, 0, negative and past the
+    diameter, open and closed; the coprime space has exact ties, and the
+    256-point space is past the byte-key bound."""
     spec = InstanceSpec(seed="threshold", count=30)
-    spaces = [coprime_space(7), FiniteMetricSpace(["a"], [[0]])]
+    spaces = [coprime_space(7), cyclic_space(7),
+              FiniteMetricSpace(["a"], [[0]]), system_past_255_points().space]
     spaces += [random_genome(spec, idx).build()[0].space
                for idx in range(spec.count)]
     for space in spaces:
-        ranks = space.distance_ranks()[0]
         grid = space.distance_grid()
         radii = [Fraction(-1), Fraction(0), *grid, space.diameter() + 1]
         radii += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
         for r in radii:
             for closed in (False, True):
-                t = space.threshold(r, closed)
                 for i in range(space.n):
-                    assert {j for j in range(space.n) if ranks[i][j] < t} \
-                        == space.ball_ix(i, r, closed)
+                    row = space.dist[i]
+                    want = {j for j in range(space.n)
+                            if (row[j] <= r if closed else row[j] < r)}
+                    assert space.ball_ix(i, r, closed) == want
