@@ -190,7 +190,7 @@ def cmd_bowen(args) -> tuple[int, object]:
     payload = {
         "center": rep.center,
         "delta": rep.radius,
-        "stabilized_at": model.system.word_closure().stable_index,
+        "stabilized_at": model.system.fixpoint_level,
         "members": list(space.labels_of(rep.members)),
         "excluded": _excluded(space, rep),
     }
@@ -260,8 +260,8 @@ def cmd_check(args) -> tuple[int, object]:
             "atoms": sorted(model.space.labels_of(rep.atoms), key=str),
             "note": rep.note,
         }
-        code = EXIT_OK if rep.classification != "neither" else EXIT_NEGATIVE
-        return code, (payload, model)
+        # a finite measure has an atom, so the verdict is always "neither"
+        return EXIT_NEGATIVE, (payload, model)
     raise InputError(f"unknown check {what!r}")
 
 
@@ -273,40 +273,22 @@ def cmd_conjugate(args) -> tuple[int, object]:
     if iso is None:
         raise InputError("conjugation needs an iso (--iso or 'phi')")
     mu = _measure(args, model)
-    if args.check == "entropy":
-        rep = morphism.compare_entropy(model.system, iso, mu=mu,
-                                       x=0 if mu else None)
-        payload = {
-            "check": "entropy",
-            "isometric": rep.isometric,
-            "forward_ok": rep.forward_ok,
-            "backward_ok": rep.backward_ok,
-            "tables_equal": rep.tables_equal,
-            "local_equal": rep.local_equal,
-            "counts_src": {f"n={n} eps={format_rational(e)}": c
-                           for (n, e), c in rep.counts_src.items()},
-            "counts_dst": {f"n={n} eps={format_rational(e)}": c
-                           for (n, e), c in rep.counts_dst.items()},
-        }
-        ok = rep.forward_ok and rep.backward_ok and rep.tables_equal is not False
-        return (EXIT_OK if ok else EXIT_VIOLATION), (payload, model)
-    if args.check == "expansive":
-        if mu is None:
-            raise InputError("the expansiveness transfer check needs a measure")
-        eta = parse_rational(args.eta)
-        delta = morphism.transfer_expansive_constant(eta, iso)
-        src = measure.expansiveness_verdict(mu, model.system, eta)
-        conj = morphism.conjugate_system(model.system, iso)
-        dst = measure.expansiveness_verdict(morphism.pushforward(mu, iso),
-                                            conj, delta)
-        violated = src.expansive and not dst.expansive
-        payload = {
-            "check": "expansive", "eta": eta, "delta": delta,
-            "source": src.classification, "target": dst.classification,
-            "transfer_violated": violated,
-        }
-        return (EXIT_VIOLATION if violated else EXIT_OK), (payload, model)
-    raise InputError(f"unknown conjugation check {args.check!r}")
+    rep = morphism.compare_entropy(model.system, iso, mu=mu,
+                                   x=0 if mu else None)
+    payload = {
+        "check": "entropy",
+        "isometric": rep.isometric,
+        "forward_ok": rep.forward_ok,
+        "backward_ok": rep.backward_ok,
+        "tables_equal": rep.tables_equal,
+        "local_equal": rep.local_equal,
+        "counts_src": {f"n={n} eps={format_rational(e)}": c
+                       for (n, e), c in rep.counts_src.items()},
+        "counts_dst": {f"n={n} eps={format_rational(e)}": c
+                       for (n, e), c in rep.counts_dst.items()},
+    }
+    ok = rep.forward_ok and rep.backward_ok and rep.tables_equal is not False
+    return (EXIT_OK if ok else EXIT_VIOLATION), (payload, model)
 
 
 def cmd_equicont(args) -> tuple[int, object]:
@@ -347,6 +329,16 @@ def cmd_equicont(args) -> tuple[int, object]:
 
 
 def cmd_shift(args) -> tuple[int, object]:
+    if args.shift_command == "htop":
+        rep = shift.htop_shift(parse_rational(args.eps), args.n)
+        payload = {
+            "eps": rep.eps, "n": rep.n,
+            "count_lower": rep.lower, "count_upper": rep.upper,
+            "rate_lower_log2": rep.rate_lower_log2_coeff,
+            "rate_upper_log2": rep.rate_upper_log2_coeff,
+            "limit": "2 log 2",
+        }
+        return EXIT_OK, (payload, None)
     spec = shift.BernoulliSpec(parse_rational(args.p))
     if args.shift_command == "entropy":
         val = shift.measure_entropy_shift(spec, parse_rational(args.eps), args.n)
@@ -386,16 +378,6 @@ def cmd_shift(args) -> tuple[int, object]:
         }
         code = EXIT_OK if rep.singleton else EXIT_NEGATIVE
         return code, (payload, None)
-    if args.shift_command == "htop":
-        rep = shift.htop_shift(parse_rational(args.eps), args.n)
-        payload = {
-            "eps": rep.eps, "n": rep.n,
-            "count_lower": rep.lower, "count_upper": rep.upper,
-            "rate_lower_log2": rep.rate_lower_log2_coeff,
-            "rate_upper_log2": rep.rate_upper_log2_coeff,
-            "limit": "2 log 2",
-        }
-        return EXIT_OK, (payload, None)
     raise InputError(f"unknown shift command {args.shift_command!r}")
 
 
@@ -488,12 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["invariant", "ergodic", "homogeneous", "expansive"])
     p.add_argument("--delta")
 
-    p = sub.add_parser("conjugate", help="transfer checks across a bijection")
+    p = sub.add_parser("conjugate",
+                       help="separated-count transfer across a bijection")
     p.add_argument("--model", required=True)
     p.add_argument("--iso")
     p.add_argument("--measure")
-    p.add_argument("--check", choices=["entropy", "expansive"], default="entropy")
-    p.add_argument("--eta", default="1")
+    p.add_argument("--check", choices=["entropy"], default="entropy")
 
     p = sub.add_parser("equicont", help="equicontinuity certificates")
     p.add_argument("--model", required=True)
@@ -521,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = shift_sub.add_parser("htop")
     q.add_argument("--eps", required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--p", default="1/2")
 
     for name in ("probe", "verify"):
         p = sub.add_parser(name, help="randomized statement conformance suite")

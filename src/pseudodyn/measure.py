@@ -231,12 +231,13 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
 
     Balls stabilize with n on a finite space, so the large-n limit is 0
     whenever the stabilized ball keeps positive measure and +inf otherwise;
-    liminf and limsup coincide.
+    liminf and limsup coincide.  The default ``n_max`` is the pair
+    fixpoint level L, from which every ball is the stabilized one.
     """
     space = sys.space
     xi = space._point(x)
     if n_max is None:
-        n_max = sys.word_closure().stable_index
+        n_max = sys.fixpoint_level
     else:
         check_n_max(n_max)
     if eps_grid is None:

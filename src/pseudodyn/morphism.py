@@ -110,7 +110,7 @@ def conjugate_system(sys: GeneratingSystem, iso: SpaceIso) -> GeneratingSystem:
     cores = None
     if sys.cores is not None:
         cores = tuple(iso.apply_set(c) for c in sys.cores)
-    return GeneratingSystem(iso.dst, gens, cores=cores, check_symmetric=False)
+    return GeneratingSystem(iso.dst, gens, cores=cores)
 
 
 def pushforward(mu: FiniteMeasure, iso: SpaceIso) -> FiniteMeasure:
@@ -153,6 +153,18 @@ class EntropyComparison:
     local_equal: Optional[bool]
 
 
+def _transfer_ok(counts, other, grid, n_list, modulus) -> bool:
+    """Every count is at most the other side's count at the modulus of its
+    scale.  A bounded modulus is a distance of the other space, hence one
+    of its grid values, so that count is already in ``other``."""
+    for eps in grid:
+        scale = modulus(eps)
+        if not is_unbounded(scale) and any(
+                counts[(n, eps)] > other[(n, scale)] for n in n_list):
+            return False
+    return True
+
+
 def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
                     mu: FiniteMeasure | None = None, n_list=None,
                     x=None) -> EntropyComparison:
@@ -179,23 +191,10 @@ def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
     for eps in dst_grid:
         for n in n_list:
             counts_dst[(n, eps)] = separated_count(conj, n, eps).lower
-
-    forward_ok = True
-    backward_ok = True
-    for eps in eps_grid:
-        scale = iso.inverse_modulus(eps)
-        if is_unbounded(scale):
-            continue
-        for n in n_list:
-            if counts_src[(n, eps)] > separated_count(conj, n, scale).lower:
-                forward_ok = False
-    for eps in dst_grid:
-        scale = iso.forward_modulus(eps)
-        if is_unbounded(scale):
-            continue
-        for n in n_list:
-            if counts_dst[(n, eps)] > separated_count(sys, n, scale).lower:
-                backward_ok = False
+    forward_ok = _transfer_ok(counts_src, counts_dst, eps_grid, n_list,
+                              iso.inverse_modulus)
+    backward_ok = _transfer_ok(counts_dst, counts_src, dst_grid, n_list,
+                               iso.forward_modulus)
 
     isometric = iso.is_isometric()
     tables_equal = None

@@ -65,8 +65,7 @@ def _mutant_build_skip_symmetrization(space, maps, cores):
             else:
                 core_tuple.append(g.dom)
         core_tuple = tuple(core_tuple)
-    return GeneratingSystem(space, gens, cores=core_tuple,
-                            check_symmetric=False)
+    return GeneratingSystem(space, gens, cores=core_tuple)
 
 
 def _mutant_compose_intersect(g: PartialMap, h: PartialMap) -> PartialMap:
@@ -87,8 +86,7 @@ def _mutant_compose_intersect(g: PartialMap, h: PartialMap) -> PartialMap:
 def _mutant_compacted_no_restriction(sys: GeneratingSystem) -> GeneratingSystem:
     """Claims the cores but never restricts the generators to them."""
     return GeneratingSystem(sys.space, sys.generators,
-                            cores=tuple(g.dom for g in sys.generators),
-                            check_symmetric=False)
+                            cores=tuple(g.dom for g in sys.generators))
 
 
 MUTATIONS: dict[str, OperationSet] = {

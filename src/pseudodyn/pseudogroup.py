@@ -210,30 +210,22 @@ def _invert_letter(letter: str) -> str:
 
 
 class GeneratingSystem:
-    """Finite symmetric generator family containing the identity.
+    """Finite generator family containing the total identity.
 
     ``cores`` is an optional parallel tuple of subsets ``K_g`` of the
     generator domains; the identity's core defaults to the whole space.
-    Derived systems (e.g. core-restricted ones) may be non-symmetric and
-    are built with ``check_symmetric=False``.
+    Symmetry is what ``build`` guarantees, not a class invariant: derived
+    systems (e.g. core-restricted ones) may be non-symmetric.
     """
 
     __slots__ = ("space", "generators", "cores", "_closure", "_germ",
                  "_compacted", "_tables")
 
     def __init__(self, space: FiniteMetricSpace, generators: Sequence[PartialMap],
-                 cores: Sequence[Optional[PointSet]] | None = None,
-                 check_symmetric: bool = True):
+                 cores: Sequence[Optional[PointSet]] | None = None):
         gens = tuple(generators)
         if not any(g.is_identity() and g.is_total() for g in gens):
             raise InputError("generating system must contain the total identity")
-        ext = set(gens)
-        if check_symmetric:
-            for g in gens:
-                if g.inverse() not in ext:
-                    raise InputError(
-                        f"system is not symmetric: inverse of {g!r} is missing"
-                    )
         if cores is not None:
             cores = tuple(None if c is None else frozenset(c) for c in cores)
             if len(cores) != len(gens):
@@ -678,9 +670,9 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
             if len(keys) > CLOSURE_CAP:
                 raise CapabilityError(
                     f"the word closure passed {CLOSURE_CAP} maps; htop, "
-                    "entropy --n-max, check --what invariant|ergodic|"
-                    "homogeneous|expansive, equicont --compacted and "
-                    "conjugate --check expansive build none")
+                    "entropy, check --what invariant|ergodic|homogeneous|"
+                    "expansive, equicont --compacted and conjugate build "
+                    "none")
         if len(keys) == end:
             break
         sizes.append(len(keys))
@@ -792,8 +784,7 @@ def compacted_system(sys: GeneratingSystem) -> GeneratingSystem:
                        word=(g.name,) if g.name else None)
         gens.append(r)
         cores.append(r.dom)
-    sys._compacted = GeneratingSystem(sys.space, gens, cores=tuple(cores),
-                                      check_symmetric=False)
+    sys._compacted = GeneratingSystem(sys.space, gens, cores=tuple(cores))
     return sys._compacted
 
 

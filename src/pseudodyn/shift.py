@@ -354,19 +354,19 @@ def htop_shift(eps, n: int) -> ShiftSeparationBounds:
                                  limit_log2_coeff=Fraction(2))
 
 
-def separated_witness_points(n: int, eps, background: int = 0) -> list[ShiftPoint]:
+def separated_witness_points(n: int, eps) -> list[ShiftPoint]:
     """The explicit separated family behind the lower bound: every block on
-    [-(n+u), n+u] over a fixed background."""
+    [-(n+u), n+u] over the background 0."""
     eps = parse_rational(eps)
     u = _largest_single_cost_at_least(eps)
     if u is None:
-        return [ShiftPoint.constant(background)]
+        return [ShiftPoint.zero()]
     radius = n + u
     width = 2 * radius + 1
     points = []
     for code in range(2 ** width):
         window = tuple((code >> i) & 1 for i in range(width))
-        points.append(ShiftPoint(window, background))
+        points.append(ShiftPoint(window))
     return points
 
 

@@ -10,6 +10,7 @@ from pseudodyn import InputError, morphism, pseudogroup
 from pseudodyn.cli import main, render, to_jsonable
 from pseudodyn.dynamics import N_MAX_CAP
 from pseudodyn.model import parse_model
+from pseudodyn.rational import format_rational
 from pseudodyn.shift import WINDOW_RADIUS_CAP
 
 LINE_MODEL = {
@@ -151,6 +152,37 @@ def test_cli_bowen(model_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["result"]["members"] == ["a", "b"]
+
+
+def test_cli_payloads_read_the_fixpoint_level(model_path, capsys):
+    """bowen's stabilized_at and entropy's default n_max are the pair
+    fixpoint level L, here below the closure's stabilization index."""
+    system = parse_model(json.dumps(LINE_MODEL)).system
+    level = system.fixpoint_level
+    assert level < system.word_closure().stable_index
+    model = ["--model", model_path, "--x", "a"]
+    assert main(["--format", "json", "bowen", *model, "--delta", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["stabilized_at"] \
+        == level
+    assert main(["--format", "json", "entropy", *model]) == 0
+    cells = json.loads(capsys.readouterr().out)["result"]["cells"]
+    assert [(c["eps"], c["n"]) for c in cells] == [
+        (format_rational(eps), n) for eps in system.space.distance_grid()
+        for n in range(1, level + 1)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "--model", "m.json", "--check", "expansive"],
+    ["conjugate", "--model", "m.json", "--eta", "1"],
+    ["shift", "htop", "--eps", "1", "--n", "1", "--p", "1/3"],
+])
+def test_cli_removed_options_are_usage_errors(argv, capsys):
+    """The expansiveness transfer check, its --eta and shift htop's --p,
+    which no computation read, are gone: argparse exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_cli_check_negative_exit(model_path, capsys):
@@ -654,8 +686,9 @@ def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
     model = ["--model", str(path)]
     commands = [["htop", *model],
                 ["entropy", *model, "--x", "p0", "--n-max", "2"],
+                ["entropy", *model, "--x", "p0"],
                 ["equicont", *model, "--compacted"],
-                ["conjugate", *model, "--check", "expansive"]]
+                ["conjugate", *model]]
     commands += [["check", *model, "--what", what, "--delta", "1"]
                  for what in ("invariant", "ergodic", "homogeneous",
                               "expansive")]
@@ -666,13 +699,13 @@ def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
 
     uncapped = [run(argv) for argv in commands]
     assert all(code != 2 for code, _ in uncapped)
-    for code, result in uncapped[4:6]:  # check --what invariant|ergodic
+    for code, result in uncapped[5:7]:  # check --what invariant|ergodic
         assert code == 0 and result["ok"] is True
     monkeypatch.setattr(pseudogroup, "CLOSURE_CAP", 100)
     assert main(["ball", *model, "--x", "p0", "--n", "2", "--eps", "1"]) == 2
     err = capsys.readouterr().err
     assert "capability error" in err
-    assert ("htop, entropy --n-max, check --what "
+    assert ("htop, entropy, check --what "
             "invariant|ergodic|homogeneous|expansive, equicont --compacted "
-            "and conjugate --check expansive build none") in err
+            "and conjugate build none") in err
     assert [run(argv) for argv in commands] == uncapped

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from pseudodyn import (FiniteMeasure, FiniteMetricSpace,
-                       InputError, PartialMap, SpaceIso,
+                       InputError, PartialMap, SpaceIso, compacted_system,
                        compare_entropy, conjugate_map,
-                       conjugate_system, expansiveness_verdict, pushforward,
-                       transfer_expansive_constant)
+                       conjugate_system, expansiveness_verdict, morphism,
+                       pushforward, transfer_expansive_constant)
+from pseudodyn.dynamics import separated_count
 from pseudodyn.probes import (InstanceSpec, random_genome,
                               random_space_matrix)
 from pseudodyn.rational import UNBOUNDED, is_unbounded
@@ -136,6 +137,76 @@ def test_compare_entropy_scaled(line, line_system, doubled):
     # counts match under the eps -> 2 eps regrading
     for (n, eps), count in rep.counts_src.items():
         assert rep.counts_dst[(n, 2 * eps)] == count
+
+
+def reference_compare_counts(sys, iso, n_list=(1, 2, 3)):
+    """``compare_entropy``'s count tables and verdicts, recounting the
+    other side at every transfer scale."""
+    conj = conjugate_system(sys, iso)
+    src_grid = sys.space.distance_grid()
+    dst_grid = iso.dst.distance_grid()
+    counts_src = {(n, eps): separated_count(sys, n, eps).lower
+                  for eps in src_grid for n in n_list}
+    counts_dst = {(n, eps): separated_count(conj, n, eps).lower
+                  for eps in dst_grid for n in n_list}
+    forward_ok = backward_ok = True
+    for eps in src_grid:
+        scale = iso.inverse_modulus(eps)
+        if is_unbounded(scale):
+            continue
+        for n in n_list:
+            if counts_src[(n, eps)] > separated_count(conj, n, scale).lower:
+                forward_ok = False
+    for eps in dst_grid:
+        scale = iso.forward_modulus(eps)
+        if is_unbounded(scale):
+            continue
+        for n in n_list:
+            if counts_dst[(n, eps)] > separated_count(sys, n, scale).lower:
+                backward_ok = False
+    tables_equal = None
+    if iso.is_isometric():
+        tables_equal = all(counts_src[(n, eps)] == counts_dst[(n, eps)]
+                           for n in n_list for eps in src_grid)
+    return forward_ok, backward_ok, tables_equal, counts_src, counts_dst
+
+
+def test_compare_entropy_matches_recount_reference(monkeypatch):
+    """The transfer verdicts read the count tables, with one separated
+    count per table cell, and agree with a recount at every transfer
+    scale: on seeded systems and their compacted systems, over shuffled
+    isos onto copies scaled by 1, 2 and 1/3."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return separated_count(*args, **kwargs)
+
+    monkeypatch.setattr(morphism, "separated_count", spy)
+    rng = random.Random("compare-recount")
+    spec = InstanceSpec(seed="compare-recount", count=100)
+    for idx in range(spec.count):
+        sys_i = random_genome(spec, idx).build()[0]
+        src = sys_i.space
+        n = src.n
+        for system in (sys_i, compacted_system(sys_i)):
+            for scale in (1, 2, Fraction(1, 3)):
+                fwd = list(range(n))
+                rng.shuffle(fwd)
+                inv = [0] * n
+                for i, v in enumerate(fwd):
+                    inv[v] = i
+                dst = FiniteMetricSpace(
+                    range(n), [[src.dist[inv[u]][inv[v]] * scale
+                                for v in range(n)] for u in range(n)])
+                iso = SpaceIso(src, dst, fwd)
+                calls.clear()
+                rep = compare_entropy(system, iso)
+                assert len(calls) <= 3 * (len(src.distance_grid())
+                                          + len(dst.distance_grid()))
+                assert (rep.forward_ok, rep.backward_ok, rep.tables_equal,
+                        rep.counts_src, rep.counts_dst) \
+                    == reference_compare_counts(system, iso)
 
 
 def reference_separation_transfer_scale(eps, iso):

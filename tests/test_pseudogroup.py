@@ -58,12 +58,6 @@ def test_extensional_equality_ignores_names(line):
     assert g1 == g2 and hash(g1) == hash(g2)
 
 
-def test_system_requires_symmetry(line):
-    g = _g(line)
-    with pytest.raises(InputError, match="symmetric"):
-        GeneratingSystem(line, [PartialMap.identity(line), g])
-
-
 def test_build_adds_identity_and_inverses(line, line_system):
     names = [m.name for m in line_system.generators]
     assert names == ["id", "g", "g^-1"]
@@ -168,8 +162,7 @@ def test_germ_relation_matches_closure_scan_on_criterion_10_stream():
 
 def test_germ_relation_unnamed_generator(line):
     unnamed = PartialMap.from_dict(line, {"a": "b", "b": "c"})
-    system = GeneratingSystem(line, [PartialMap.identity(line), unnamed],
-                              check_symmetric=False)
+    system = GeneratingSystem(line, [PartialMap.identity(line), unnamed])
     assert_germ_matches_reference(system)
     germ = system.germ_relation()
     assert germ.pairs == {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}

@@ -221,9 +221,10 @@ def test_htop_bounds_and_rate():
 
 def test_htop_witness_family_is_pairwise_separated():
     for n, eps in [(0, Fraction(3, 5)), (1, Fraction(3, 5)),
-                   (0, Fraction(3, 10))]:
+                   (0, Fraction(3, 10)), (1, Fraction(4))]:
         pts = separated_witness_points(n, eps)
         assert len(pts) == htop_shift(eps, n).lower
+        assert all(p.background == 0 for p in pts)
         for i, a in enumerate(pts):
             for b in pts[i + 1:]:
                 assert are_separated(a, b, n, eps)
