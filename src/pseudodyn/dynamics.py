@@ -98,23 +98,30 @@ def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,
     around the image with the domain complement.  Serves as the
     independent oracle for :func:`dyn_ball`.
 
-    On at most 255 points each term is one byte per point: a word's
-    ``key`` translated through the pullback table of the ball around its
-    image of ``x``, read as an integer with bit ``8 i`` for point ``i``.
+    On at most 255 points one pass over the words of length n computes
+    the balls of every point at the eight rank thresholds sharing
+    ``threshold(eps, closed) & ~7``, bit-sliced (see ``_formula_balls``),
+    and the closure memoizes them per (min(n, stable_index), threshold
+    byte): the memo grows by |X|^2 bytes per level and threshold byte
+    read, holds bytes only and no reference back, and a later call reads
+    its point's |X| bytes through one bit plane.  The first call of a
+    (level, byte) costs about |X| single-point scans, which the other
+    points' calls repay.  Past 255 points each call scans the words for
+    its own point.
     """
     eps = parse_radius(eps)
     if n < 1:
         raise InputError("n must be at least 1")
     space = sys.space
     xi = space._point(x)
-    maps = (closure or sys.word_closure()).maps_at(n)
+    closure = closure or sys.word_closure()
     npts = space.n
+    t = space.threshold(eps, closed)
     if npts > 255:
         ranks = space.distance_ranks()[0]
-        t = space.threshold(eps, closed)
         full = (1 << npts) - 1
         result = full
-        for g in maps:
+        for g in closure.maps_at(n):
             gx = g.vals[xi]
             if gx is None:
                 continue
@@ -127,15 +134,40 @@ def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,
             if not result:
                 break
         return frozenset(i for i in range(npts) if result >> i & 1)
-    pull = space.ball_pullbacks(eps, closed)
-    result = int.from_bytes(b"\x01" * npts, "little")
-    for g in maps:
-        gx = g.vals[xi]
-        if gx is not None:
-            result &= int.from_bytes(g.key.translate(pull[gx]), "little")
-            if not result:
-                break
-    return frozenset(compress(range(npts), result.to_bytes(npts, "little")))
+    balls = _formula_balls(closure, space, min(n, closure.stable_index),
+                           t & ~7)
+    row = balls[xi * npts:(xi + 1) * npts].translate(_BIT_PLANES[t & 7])
+    return frozenset(compress(range(npts), row))
+
+
+# byte b -> its bit j, for each j: one threshold out of a threshold byte
+_BIT_PLANES = tuple(bytes(b >> j & 1 for b in range(256)) for j in range(8))
+
+
+def _formula_balls(closure: WordClosure, space, level: int,
+                   base: int) -> bytes:
+    """Byte ``x * |X| + y`` has bit j set when y lies in the formula ball
+    around x at length ``level`` and rank threshold ``base + j``.
+
+    Each word adds one term for every point at once: its key translated
+    through the rank pullback table of each point's image (table 255,
+    all 0xff, where the word is undefined), the |X| translates joined
+    into one |X|^2-byte integer and and-ed into the accumulator, so each
+    bit plane is the intersection of preimage sets of its threshold.
+    Memoized on the closure per (level, base)."""
+    key = (level, base)
+    balls = closure._formula_balls.get(key)
+    if balls is None:
+        pull = space.rank_pullbacks(base)
+        size = space.n * space.n
+        acc = (1 << 8 * size) - 1
+        for g in closure.maps_at(level):
+            k = g.key
+            acc &= int.from_bytes(
+                b"".join(map(k.translate, map(pull.__getitem__, k))),
+                "little")
+        balls = closure._formula_balls[key] = acc.to_bytes(size, "little")
+    return balls
 
 
 def bowen_ball(sys: GeneratingSystem, x, delta) -> BallReport:

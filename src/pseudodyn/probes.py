@@ -208,10 +208,6 @@ def _default_build(space, maps, cores):
     return GeneratingSystem.build(space, maps, cores=cores)
 
 
-def _default_ball_formula(sys, x, n, eps, closed, closure):
-    return dyn_ball_via_formula(sys, x, n, eps, closed=closed, closure=closure)
-
-
 def _default_bowen_members(sys, x, delta):
     return bowen_ball(sys, x, delta).members
 
@@ -220,7 +216,7 @@ DEFAULT_OPS = OperationSet(
     compose=PartialMap.then,
     build_system=_default_build,
     compacted=compacted_system,
-    ball_formula=_default_ball_formula,
+    ball_formula=dyn_ball_via_formula,
     bowen_members=_default_bowen_members,
 )
 
@@ -292,12 +288,18 @@ class Outcome:
 
 
 def stmt_ball_formula(ctx: ProbeContext) -> Outcome:
-    """Scan and set-algebra routes to the dynamical ball agree."""
+    """Scan and set-algebra routes to the dynamical ball agree.  Radii
+    with one rank threshold give one ball, which is checked once, at the
+    first of them in (eps, closed) order."""
     closure = ctx.closure
     ns = sorted({1, min(2, closure.stable_index), closure.stable_index})
+    checked = set()
     for eps in ctx.eps_sample():
         for closed in (False, True):
             t = ctx.space.threshold(eps, closed)
+            if t in checked:
+                continue
+            checked.add(t)
             for x in range(ctx.space.n):
                 for n in ns:
                     a = table_ball(closure.constraint_table(n), x, t)

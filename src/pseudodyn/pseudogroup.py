@@ -532,10 +532,12 @@ class WordClosure:
 
     It keeps the system's table engine, not the system: a system caches its
     closure, and a back reference would make a cycle that only the cyclic
-    collector frees.
+    collector frees.  The balls of the set-algebra route are memoized
+    here too, as bytes (``dynamics._formula_balls``).
     """
 
-    __slots__ = ("stabilized_maps", "sizes", "stable_index", "_pairs")
+    __slots__ = ("stabilized_maps", "sizes", "stable_index", "_pairs",
+                 "_formula_balls")
 
     def __init__(self, sys: GeneratingSystem, maps: Sequence[PartialMap],
                  sizes: list[int]):
@@ -543,6 +545,7 @@ class WordClosure:
         self.sizes = sizes
         self.stable_index = len(sizes)
         self._pairs = sys._pair_tables()
+        self._formula_balls = {}  # see dynamics._formula_balls
 
     def maps_at(self, n: int) -> list[PartialMap]:
         """The word set at length ``n``: a prefix of ``stabilized_maps``."""

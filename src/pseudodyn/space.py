@@ -155,24 +155,29 @@ class FiniteMetricSpace:
         return frozenset(j for j, v in enumerate(self.distance_ranks()[0][i])
                          if v < t)
 
-    def ball_pullbacks(self, r, closed: bool = False) -> tuple[bytes, ...]:
-        """Every metric ball of radius ``r`` as a 256-byte table, the
-        ``v``-th around point ``v``: 1 at each point inside the ball and at
-        255, the byte a ``PartialMap.key`` holds off its domain, else 0.
-        So ``g.key.translate(table)`` marks the points g sends into the
-        ball together with those outside its domain.  Memoized per radius;
-        spaces of at most 255 points."""
-        key = (r, closed)
-        tables = self._pullbacks.get(key)
+    def rank_pullbacks(self, base: int) -> tuple[bytes, ...]:
+        """The metric balls at the eight rank thresholds ``base`` to
+        ``base + 7`` (``base`` a multiple of 8) as 256 translate tables,
+        one bit per threshold: bit j of byte w of table v is set when
+        ``rank(v, w) < base + j``.  Byte 255, the one a ``PartialMap.key``
+        holds off its domain, is 0xff in every table, and so is every
+        byte of the tables past the last point, so table 255 is the one a
+        key's undefined point selects.  Thus ``key.translate(tables[v])``
+        marks, in bit plane j, the points the map sends into the ball
+        around ``v`` at threshold ``base + j`` together with those outside
+        its domain.  Memoized per ``base``; spaces of at most 255 points."""
+        tables = self._pullbacks.get(base)
         if tables is None:
             if self.n > 255:
-                raise CapabilityError("ball pullback tables serve at most "
+                raise CapabilityError("rank pullback tables serve at most "
                                       "255 points")
-            t = self.threshold(r, closed)
-            pad = bytes(255 - self.n) + b"\x01"
-            tables = self._pullbacks[key] = tuple(
-                bytes([rank < t for rank in row]) + pad
-                for row in self.distance_ranks()[0])
+            # a rank d past base is below base + j for the bits j > d
+            pad = bytes(255 - self.n) + b"\xff"
+            tables = self._pullbacks[base] = tuple(
+                bytes(0xff if rank < base else 0xff << rank - base + 1 & 0xff
+                      for rank in row) + pad
+                for row in self.distance_ranks()[0]
+            ) + (b"\xff" * 256,) * (256 - self.n)
         return tables
 
 

@@ -11,7 +11,7 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        separated_count, separation_radius)
 from pseudodyn.mutations import MUTATIONS
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
-from pseudodyn.pseudogroup import PartialMap
+from pseudodyn.pseudogroup import PartialMap, WordClosure
 
 from conftest import rotation_system, system_past_255_points
 
@@ -144,18 +144,32 @@ def test_formula_matches_per_map_masks_seeded():
 
 def test_formula_matches_reference_on_mutant_closures():
     """A mutant compose's closure is a plain list of maps whose byte keys
-    are built when the formula first reads them."""
+    are built when the formula first reads them.  It memoizes its own
+    balls: after the production closure of the same system has filled its
+    memo, the mutant closure still answers by its own words, and on some
+    instance that answer differs from the production one."""
     mutants = [ops for ops in MUTATIONS.values()
                if ops.compose is not PartialMap.then]
     spec = InstanceSpec(seed="formula-mutants", count=20)
+    differ = 0
     for idx in range(spec.count):
         sys_i, _ = random_genome(spec, idx).build()
+        closure = sys_i.word_closure()
+        radii = grid_radii(sys_i.space)
+        ns = sorted({1, 2, closure.stable_index})
+        assert_formula_matches_reference(sys_i, closure, ns, radii)
+        memo = dict(closure._formula_balls)
         for ops in mutants:
-            closure = closure_with(ops, sys_i)
-            assert type(closure.stabilized_maps) is list
-            assert_formula_matches_reference(
-                sys_i, closure, sorted({1, closure.stable_index}),
-                grid_radii(sys_i.space))
+            mutant = closure_with(ops, sys_i)
+            assert type(mutant.stabilized_maps) is list
+            assert not mutant._formula_balls
+            assert_formula_matches_reference(sys_i, mutant, ns, radii)
+            differ += any(
+                dyn_ball_via_formula(sys_i, x, n, eps, closure=mutant)
+                != dyn_ball_via_formula(sys_i, x, n, eps, closure=closure)
+                for x in range(sys_i.space.n) for n in ns for eps in radii)
+        assert closure._formula_balls == memo
+    assert differ
 
 
 def test_formula_past_255_points_reads_point_by_point():
@@ -172,6 +186,112 @@ def test_formula_past_255_points_reads_point_by_point():
                         system, x, n, eps, closed=closed, closure=closure) \
                         == reference_ball_formula(system, x, n, eps, closed,
                                                   closure)
+
+
+def twelve_point_system():
+    """Twelve points on a line, so eleven grid values and rank thresholds
+    in two threshold bytes, under a partial step and a partial flip."""
+    n = 12
+    space = FiniteMetricSpace(list(range(n)),
+                              [[abs(i - j) for j in range(n)]
+                               for i in range(n)])
+    step = PartialMap(space, [i + 1 if i < n - 1 else None
+                              for i in range(n)], name="s")
+    flip = PartialMap(space, [n - 1 - i if i < 8 else None
+                              for i in range(n)], name="f")
+    return GeneratingSystem.build(space, [step, flip])
+
+
+def assert_formula_cell(system, closure, x, n, eps, closed):
+    assert dyn_ball_via_formula(system, x, n, eps, closed=closed,
+                                closure=closure) \
+        == reference_ball_formula(system, x, n, eps, closed, closure)
+
+
+def test_formula_interleaves_thresholds_within_and_across_bytes():
+    """Reads that jump between thresholds of one byte and of two bytes,
+    and between levels, each answer from the memo of its own (level,
+    byte)."""
+    system = twelve_point_system()
+    space = system.space
+    closure = system.word_closure()
+    grid = space.distance_grid()
+    assert len(grid) > 8
+    order = [grid[9], grid[0], grid[10], grid[3], Fraction(0), grid[7],
+             grid[8], grid[1], space.diameter() + 1, grid[6]]
+    thresholds = set()
+    for k, eps in enumerate(order):
+        for closed in (True, False):
+            thresholds.add(space.threshold(eps, closed))
+            for x in range(space.n):
+                for n in (1 + k % 3, closure.stable_index):
+                    assert_formula_cell(system, closure, x, n, eps, closed)
+    assert {t & ~7 for t in thresholds} == {0, 8}
+    assert len({t & ~7 for t in thresholds if t & 7}) == 2
+
+
+def test_formula_open_and_closed_radii_share_a_threshold():
+    """The closed ball at grid value k and the open one at value k + 1
+    have one rank threshold, hence one answer."""
+    system = twelve_point_system()
+    space = system.space
+    closure = system.word_closure()
+    grid = space.distance_grid()
+    for a, b in zip(grid, grid[1:]):
+        assert space.threshold(a, True) == space.threshold(b, False)
+        for x in range(space.n):
+            for n in (1, 2, closure.stable_index):
+                closed_ball = dyn_ball_via_formula(
+                    system, x, n, a, closed=True, closure=closure)
+                assert closed_ball == dyn_ball_via_formula(
+                    system, x, n, b, closed=False, closure=closure)
+                assert closed_ball == reference_ball_formula(
+                    system, x, n, a, True, closure)
+
+
+def test_formula_past_the_stable_index_reads_the_stable_level():
+    system = twelve_point_system()
+    closure = system.word_closure()
+    stable = closure.stable_index
+    for n in (stable, stable + 1, stable + 7):
+        for x in range(system.space.n):
+            for eps in (Fraction(1), Fraction(5, 2), Fraction(9)):
+                for closed in (False, True):
+                    assert_formula_cell(system, closure, x, n, eps, closed)
+    assert {level for level, _ in closure._formula_balls} == {stable}
+
+
+def test_formula_reads_the_words_once_per_level_and_threshold_byte(
+        monkeypatch):
+    """Every point, level and threshold of a byte after the first read
+    comes from the memo: one ``maps_at`` pass per (level, byte)."""
+    system = twelve_point_system()
+    space = system.space
+    closure = system.word_closure()
+    passes = []
+    maps_at = WordClosure.maps_at
+
+    def spy(self, n):
+        passes.append(n)
+        return maps_at(self, n)
+
+    monkeypatch.setattr(WordClosure, "maps_at", spy)
+    radii = grid_radii(space)
+    ns = (1, 2, closure.stable_index, closure.stable_index + 3)
+    for _ in range(2):
+        for x in range(space.n):
+            for n in ns:
+                for eps in radii:
+                    for closed in (False, True):
+                        dyn_ball_via_formula(system, x, n, eps, closed=closed,
+                                             closure=closure)
+    bases = {space.threshold(eps, closed) & ~7
+             for eps in radii for closed in (False, True)}
+    levels = {min(n, closure.stable_index) for n in ns}
+    assert sorted(passes) == sorted(level for level in levels
+                                    for _ in bases)
+    assert set(closure._formula_balls) == {(level, base) for level in levels
+                                           for base in bases}
 
 
 def test_formula_refuses_a_negative_radius(line_system):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import random
@@ -598,6 +599,20 @@ def test_cli_verify_alias(capsys):
     code = main(["verify", "--seeds", "2",
                  "--statements", "germ-equivalence,inverse-composition"])
     assert code == 0
+
+
+# sha1 of the sorted JSON of the `verify --seeds 500` result; a change
+# that alters the payload on purpose updates it and says why
+VERIFY_500_SHA1 = "8a53a1f5217cb0cac5e35baa992c18d9fbcf3d2d"
+
+
+def test_verify_500_result_is_pinned(capsys):
+    """Every statement's counts and witnesses over 500 instances, as one
+    digest: a speed-up that changes an answer shows here."""
+    assert main(["verify", "--seeds", "500", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    digest = hashlib.sha1(json.dumps(result, sort_keys=True).encode())
+    assert digest.hexdigest() == VERIFY_500_SHA1
 
 
 @pytest.mark.parametrize("command", ["probe", "verify"])
