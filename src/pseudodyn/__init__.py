@@ -33,7 +33,6 @@ from .measure import (
     ExpansivenessVerdict,
     FiniteMeasure,
     brute_force_invariant_sets,
-    expansiveness_upgrade_check,
     expansiveness_verdict,
     invariant_sets,
     is_ergodic,

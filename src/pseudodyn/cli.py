@@ -303,6 +303,7 @@ def cmd_equicont(args) -> tuple[int, object]:
             "conclusion": rep.conclusion,
         }
         return (EXIT_OK if rep.all_ok else EXIT_VIOLATION), (payload, model)
+    rho = None if args.rho is None else parse_radius(args.rho)
     maps = sysm.word_closure().stabilized_maps
     cert = equicont.equicontinuity_modulus(maps, model.space)
     rows = [{"eps": e, "delta": d,
@@ -312,8 +313,7 @@ def cmd_equicont(args) -> tuple[int, object]:
             for e, d in cert.table.items()]
     payload = {"mode": "closure", "isometric": cert.isometric, "rows": rows,
                "audit_ok": cert.audit(maps, model.space)}
-    if args.rho is not None:
-        rho = parse_radius(args.rho)
+    if rho is not None:
         if all(g.is_total() for g in sysm.generators):
             rep = equicont.no_expansive_certificate_group(sysm, rho)
             payload["group_certificate"] = {

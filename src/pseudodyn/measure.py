@@ -19,8 +19,8 @@ from typing import Optional
 
 from .dynamics import check_n_max
 from .errors import InputError, PreconditionError
-from .pseudogroup import GeneratingSystem, compacted_system, separation_radius
-from .rational import is_unbounded, parse_radius, parse_rational
+from .pseudogroup import GeneratingSystem
+from .rational import parse_radius, parse_rational
 from .space import FiniteMetricSpace, PointSet
 
 HOMOGENEITY_LADDER_CAP = Fraction(2) ** 20
@@ -378,16 +378,7 @@ class ExpansivenessVerdict:
     ball_measures: dict
     zero_set: PointSet
     atoms: PointSet
-    zero_set_measure: Fraction
     note: str = ""
-
-    @property
-    def expansive(self) -> bool:
-        return self.classification == "expansive"
-
-    @property
-    def weakly_expansive(self) -> bool:
-        return self.classification in ("expansive", "weakly-expansive-only")
 
 
 def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
@@ -395,8 +386,8 @@ def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
     """Always ``"neither"``: a ``FiniteMeasure`` sums to 1, so it has an
     atom, and a closed ball holds its center (``threshold(delta,
     closed=True)`` is at least 1 and ``table[x][x]`` is 0).  So every atom
-    has a ball of positive measure, ``zero_set`` holds only points of
-    weight 0 and its measure is 0."""
+    has a ball of positive measure, and ``zero_set`` holds only points of
+    weight 0."""
     delta = parse_radius(delta)
     space = sys.space
     t = space.threshold(delta, closed=True)
@@ -406,42 +397,6 @@ def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
         ball_measures={space.label(xi): Fraction(m, mu.den)
                        for xi, m in enumerate(nums)},
         zero_set=frozenset(xi for xi, m in enumerate(nums) if m == 0),
-        atoms=mu.atoms(), zero_set_measure=Fraction(0),
+        atoms=mu.atoms(),
         note="atoms pin positive ball measure at their own centers, so no "
              "finite-space measure is expansive at any scale")
-
-
-# -- statement-level checks --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UpgradeReport:
-    """Outcome of the weak-to-strong expansiveness upgrade check: weak
-    expansiveness for the core-restricted system at rho must imply
-    expansiveness for the original system at rho/2."""
-
-    rho: object
-    vacuous: bool
-    hypothesis: Optional[bool]
-    conclusion: Optional[bool]
-    violated: bool
-    note: str = ""
-
-
-def expansiveness_upgrade_check(mu: FiniteMeasure,
-                                sys: GeneratingSystem) -> UpgradeReport:
-    if not sys.has_cores:
-        raise PreconditionError("upgrade check requires cores")
-    rho = separation_radius(sys)
-    if is_unbounded(rho):
-        return UpgradeReport(rho=rho, vacuous=True, hypothesis=None,
-                             conclusion=None, violated=False,
-                             note="all generators are total; no separation "
-                                  "radius constrains the instance")
-    compacted = compacted_system(sys)
-    hyp = expansiveness_verdict(mu, compacted, rho).weakly_expansive
-    concl = expansiveness_verdict(mu, sys, rho / 2).expansive
-    violated = hyp and not concl
-    return UpgradeReport(rho=rho, vacuous=not hyp, hypothesis=hyp,
-                         conclusion=concl, violated=violated)
-

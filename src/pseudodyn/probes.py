@@ -19,7 +19,7 @@ from . import morphism
 from .dynamics import bowen_ball, dyn_ball_via_formula
 from .equicont import _modulus, no_expansive_certificate_group
 from .errors import InputError
-from .measure import FiniteMeasure, expansiveness_upgrade_check, is_homogeneous
+from .measure import FiniteMeasure, expansiveness_verdict, is_homogeneous
 from .pseudogroup import (GeneratingSystem, GermRelation, PartialMap, WordClosure,
                           _closure, compacted_system, separation_radius,
                           spread_table, table_ball)
@@ -389,7 +389,10 @@ def stmt_compaction_inclusion(ctx: ProbeContext) -> Outcome:
 
 def stmt_half_radius(ctx: ProbeContext) -> Outcome:
     """Recentering: anything in the half-radius ball around x0 has its
-    whole ball inside the full-radius core-restricted ball around it."""
+    whole ball inside the full-radius core-restricted ball around it.  The
+    upgrade lemma's measure step follows: the expansiveness verdict at
+    rho/2 gives x0's ball its measure, and that is at most the
+    core-restricted verdict's measure at rho around y0."""
     if ctx.compacted is None:
         return Outcome.ok(substantive=False)
     rho = separation_radius(ctx.sys)
@@ -399,13 +402,20 @@ def stmt_half_radius(ctx: ProbeContext) -> Outcome:
     m2 = ctx.compacted.constraint_table()
     half = ctx.space.threshold(rho / 2, closed=True)
     full = ctx.space.threshold(rho, closed=True)
+    small = expansiveness_verdict(ctx.mu, ctx.sys, rho / 2).ball_measures
+    large = expansiveness_verdict(ctx.mu, ctx.compacted, rho).ball_measures
+    label = ctx.space.label
     for x0 in range(ctx.space.n):
         ball = table_ball(m1, x0, half)
+        m = small[label(x0)]
         for y0 in sorted(ball):
             escaped = ball - table_ball(m2, y0, full)
             if escaped:
-                return Outcome.bad((ctx.space.label(x0), ctx.space.label(y0),
-                                    ctx.space.label(min(escaped)), str(rho)))
+                return Outcome.bad((label(x0), label(y0),
+                                    label(min(escaped)), str(rho)))
+            if m != ctx.mu(ball) or m > large[label(y0)]:
+                return Outcome.bad((label(x0), label(y0), str(m),
+                                    str(large[label(y0)]), str(rho)))
     return Outcome.ok()
 
 
@@ -430,17 +440,6 @@ def stmt_core_margin(ctx: ProbeContext) -> Outcome:
                                         ctx.space.label(y),
                                         str(ctx.space.dist[z][y]), str(rho)))
     return Outcome.ok()
-
-
-def stmt_upgrade(ctx: ProbeContext) -> Outcome:
-    """Weak expansiveness for the core-restricted system upgrades to full
-    expansiveness at half the separation radius."""
-    if ctx.compacted is None:
-        return Outcome.ok(substantive=False)
-    report = expansiveness_upgrade_check(ctx.mu, ctx.sys)
-    if report.violated:
-        return Outcome.bad(report)
-    return Outcome.ok(substantive=not report.vacuous)
 
 
 def stmt_invariance_extension(ctx: ProbeContext) -> Outcome:
@@ -558,7 +557,6 @@ STATEMENTS: dict[str, Callable[[ProbeContext], Outcome]] = {
     "compaction-ball-inclusion": stmt_compaction_inclusion,
     "half-radius-recentering": stmt_half_radius,
     "core-margin": stmt_core_margin,
-    "expansiveness-upgrade": stmt_upgrade,
     "invariance-extension": stmt_invariance_extension,
     "iso-ball-transfer": stmt_iso_ball_transfer,
     "iso-separated-counts": stmt_iso_counts,

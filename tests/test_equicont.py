@@ -89,8 +89,9 @@ def test_group_conclusion_cross_checked_with_measures(z6_rotations):
         measures.append(FiniteMeasure(space, [Fraction(v, total) for v in raw]))
     for mu in measures:
         for rho in space.distance_grid():
-            assert not expansiveness_verdict(mu, z6_rotations,
-                                             rho).weakly_expansive
+            verdict = expansiveness_verdict(mu, z6_rotations, rho)
+            assert all(verdict.ball_measures[space.label(a)] > 0
+                       for a in mu.atoms())
     assert expansiveness_verdict(FiniteMeasure.uniform(space),
                                  z6_rotations, 1).ball_measures[0] \
         == Fraction(1, 2)

@@ -6,7 +6,7 @@ import pytest
 from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
                        InputError, PartialMap, PreconditionError,
                        brute_force_invariant_sets,
-                       expansiveness_upgrade_check, expansiveness_verdict,
+                       expansiveness_verdict,
                        invariant_sets, is_ergodic, is_homogeneous,
                        is_invariant_measure, local_entropy, orbit_components)
 from pseudodyn.measure import (HOMOGENEITY_LADDER_CAP, ExpansivenessVerdict,
@@ -200,13 +200,6 @@ def test_expansiveness_verdict_examples(line, line_system):
     assert all(m == 1 for m in wide.ball_measures.values())
 
 
-def test_expansive_implies_weakly(line, line_system):
-    for d in line.distance_grid():
-        rep = expansiveness_verdict(FiniteMeasure.uniform(line), line_system, d)
-        if rep.expansive:
-            assert rep.weakly_expansive
-
-
 def test_atoms_block_weak_expansiveness():
     spec = InstanceSpec(seed="atoms", count=10)
     for idx in range(spec.count):
@@ -215,26 +208,6 @@ def test_atoms_block_weak_expansiveness():
             for d in sys_i.space.distance_grid():
                 assert expansiveness_verdict(mu, sys_i, d).classification \
                     == "neither"
-
-
-def test_upgrade_check_vacuous_on_atomic(line, line_system_cores):
-    rep = expansiveness_upgrade_check(FiniteMeasure.uniform(line),
-                                      line_system_cores)
-    assert rep.vacuous and not rep.violated
-
-
-def test_upgrade_check_unbounded_rho(line):
-    p = PartialMap.from_dict(line, {"a": "b", "b": "c", "c": "a"}, name="p")
-    sys_total = GeneratingSystem.build(line, [p], cores={"p": {0, 1, 2}})
-    rep = expansiveness_upgrade_check(FiniteMeasure.uniform(line), sys_total)
-    assert rep.vacuous and rep.hypothesis is None
-
-
-def test_upgrade_never_violated_randomized():
-    spec = InstanceSpec(seed="qtp-module", count=25)
-    for idx in range(spec.count):
-        sys_i, mu = random_genome(spec, idx).build()
-        assert not expansiveness_upgrade_check(mu, sys_i).violated
 
 
 def test_verdicts_stable_under_point_permutation(line):
@@ -355,7 +328,7 @@ def ref_expansiveness_verdict(mu, sys, delta):
                 "finite-space measure is expansive at any scale")
     return ExpansivenessVerdict(delta=delta, classification=cls,
                                 ball_measures=measures, zero_set=zero_set,
-                                atoms=atoms, zero_set_measure=zmass, note=note)
+                                atoms=atoms, note=note)
 
 
 COPRIME = (3, 5, 7, 11, 13, 17, 19)

@@ -11,6 +11,7 @@ from pseudodyn import InputError, morphism, pseudogroup
 from pseudodyn.cli import main, render, to_jsonable
 from pseudodyn.dynamics import N_MAX_CAP
 from pseudodyn.model import parse_model
+from pseudodyn.probes import STATEMENTS
 from pseudodyn.rational import format_rational
 from pseudodyn.shift import WINDOW_RADIUS_CAP
 
@@ -603,16 +604,21 @@ def test_cli_verify_alias(capsys):
 
 # sha1 of the sorted JSON of the `verify --seeds 500` result; a change
 # that alters the payload on purpose updates it and says why
-VERIFY_500_SHA1 = "8a53a1f5217cb0cac5e35baa992c18d9fbcf3d2d"
+VERIFY_500_SHA1 = "e44e56e398b34def92fc5e3130215984bafd8120"
 
 
 def test_verify_500_result_is_pinned(capsys):
     """Every statement's counts and witnesses over 500 instances, as one
-    digest: a speed-up that changes an answer shows here."""
+    digest: a speed-up that changes an answer shows here.  Every registered
+    statement is substantive on some instance, so none is a check that
+    cannot fail."""
     assert main(["verify", "--seeds", "500", "--format", "json"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     digest = hashlib.sha1(json.dumps(result, sort_keys=True).encode())
     assert digest.hexdigest() == VERIFY_500_SHA1
+    statements = result["statements"]
+    assert sorted(statements) == sorted(STATEMENTS)
+    assert all(rep["substantive"] > 0 for rep in statements.values())
 
 
 @pytest.mark.parametrize("command", ["probe", "verify"])
@@ -724,3 +730,15 @@ def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
             "invariant|ergodic|homogeneous|expansive, equicont --compacted "
             "and conjugate build none") in err
     assert [run(argv) for argv in commands] == uncapped
+
+
+@pytest.mark.parametrize("rho, message", [("-1", "radius must be nonnegative"),
+                                          ("abc", "cannot parse rational")])
+def test_cli_equicont_rejects_rho_before_the_closure(model_path, monkeypatch,
+                                                     capsys, rho, message):
+    """A bad ``--rho`` is an input error even when the closure would pass
+    the cap: the radius is parsed before the closure is built."""
+    monkeypatch.setattr(pseudogroup, "CLOSURE_CAP", 5)
+    assert main(["equicont", "--model", model_path, "--rho", rho]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "capability error" not in err

@@ -6,7 +6,7 @@ import pytest
 from pseudodyn import (FiniteMeasure, FiniteMetricSpace,
                        InputError, PartialMap, SpaceIso, compacted_system,
                        compare_entropy, conjugate_map,
-                       conjugate_system, expansiveness_verdict, morphism,
+                       conjugate_system, morphism,
                        pushforward, transfer_expansive_constant)
 from pseudodyn.dynamics import separated_count
 from pseudodyn.probes import (InstanceSpec, random_genome,
@@ -106,21 +106,6 @@ def test_transfer_claim_pointwise(line, line_system, doubled):
             for z in range(3):
                 if values2[m2[doubled.fwd[x]][doubled.fwd[z]]] <= delta:
                     assert values1[m1[x][z]] <= eta
-
-
-def test_expansiveness_transfer_never_violated():
-    spec = InstanceSpec(seed="iso-transfer", count=12)
-    for idx in range(spec.count):
-        sys_i, mu = random_genome(spec, idx).build()
-        iso = SpaceIso.relabel(sys_i.space,
-                               [f"q{i}" for i in range(sys_i.space.n)])
-        conj = conjugate_system(sys_i, iso)
-        push = pushforward(mu, iso)
-        for eta in sys_i.space.distance_grid()[:3]:
-            src = expansiveness_verdict(mu, sys_i, eta)
-            if src.expansive:
-                delta = transfer_expansive_constant(eta, iso)
-                assert expansiveness_verdict(push, conj, delta).expansive
 
 
 def test_compare_entropy_isometric(line, line_system, relabel):

@@ -1,5 +1,6 @@
 import random
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,26 @@ def test_group_claim_rejects_a_delta_raised_to_the_next_grid_value(monkeypatch):
     caught = [o for o in outcomes() if o.status == "violation"]
     assert len(caught) > spec.count // 2
     assert all(o.witness[0] == "delta" for o in caught)
+
+
+def test_half_radius_rejects_a_verdict_over_open_balls(monkeypatch):
+    """The recentering statement reads the upgrade's measure step through
+    ``expansiveness_verdict``, so a verdict that sums open balls, leaving
+    out the points at exactly the radius, is caught."""
+    verdict = probes.expansiveness_verdict
+
+    def open_balls(mu, sys, delta):
+        rep = verdict(mu, sys, delta)
+        space = sys.space
+        nums = mu.ball_numerators(sys.constraint_table(),
+                                  space.threshold(delta))
+        return replace(rep, ball_measures={
+            space.label(xi): Fraction(m, mu.den) for xi, m in enumerate(nums)})
+
+    monkeypatch.setattr(probes, "expansiveness_verdict", open_balls)
+    reports = run_suite(InstanceSpec(seed=0, count=200),
+                        statements=["half-radius-recentering"])
+    assert reports["half-radius-recentering"].violations
 
 
 def test_shrinking_reaches_small_witness():

@@ -11,7 +11,6 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        PartialMap, PreconditionError, SpaceIso,
                        bowen_ball, brute_force_separated, compacted_system,
                        conjugate_system, dyn_ball,
-                       expansiveness_upgrade_check,
                        expansiveness_verdict, h_top_table,
                        invariant_sets, is_ergodic, is_homogeneous,
                        is_unbounded, local_entropy,
@@ -208,7 +207,6 @@ def test_table_only_calls_build_no_closure(monkeypatch):
         local_entropy(mu, sys_i, 0, n_max=3)
         if sys_i.has_cores:
             no_expansive_certificate_good(sys_i)
-            expansiveness_upgrade_check(mu, sys_i)
             cored += 1
     assert cored
     with pytest.raises(AssertionError, match="closure built"):
