@@ -220,6 +220,9 @@ def cmd_entropy(args) -> tuple[int, object]:
 
 
 def cmd_check(args) -> tuple[int, object]:
+    if args.delta is not None and args.what != "expansive":
+        raise InputError(f"--delta is read only by --what expansive, "
+                         f"not --what {args.what}")
     model = load_model(args.model)
     mu = _measure(args, model)
     if mu is None:
@@ -272,16 +275,13 @@ def cmd_conjugate(args) -> tuple[int, object]:
         iso = load_iso(args.iso, model.space)
     if iso is None:
         raise InputError("conjugation needs an iso (--iso or 'phi')")
-    mu = _measure(args, model)
-    rep = morphism.compare_entropy(model.system, iso, mu=mu,
-                                   x=0 if mu else None)
+    rep = morphism.compare_entropy(model.system, iso)
     payload = {
         "check": "entropy",
         "isometric": rep.isometric,
         "forward_ok": rep.forward_ok,
         "backward_ok": rep.backward_ok,
         "tables_equal": rep.tables_equal,
-        "local_equal": rep.local_equal,
         "counts_src": {f"n={n} eps={format_rational(e)}": c
                        for (n, e), c in rep.counts_src.items()},
         "counts_dst": {f"n={n} eps={format_rational(e)}": c
@@ -292,6 +292,9 @@ def cmd_conjugate(args) -> tuple[int, object]:
 
 
 def cmd_equicont(args) -> tuple[int, object]:
+    if args.compacted and args.rho is not None:
+        raise InputError("--rho is not read with --compacted, which checks "
+                         "every grid rho")
     model = load_model(args.model)
     sysm = model.system
     if args.compacted:
@@ -382,6 +385,8 @@ def cmd_shift(args) -> tuple[int, object]:
 
 
 def cmd_probe(args) -> tuple[int, object]:
+    if args.survey and args.statements is not None:
+        raise InputError("--statements is not read with --survey")
     if args.seeds < 1:
         raise InputError("--seeds must be at least 1")
     spec = probes.InstanceSpec(seed=args.seed, count=args.seeds)
@@ -394,7 +399,8 @@ def cmd_probe(args) -> tuple[int, object]:
             "note": survey.note,
         }
         return EXIT_OK, (payload, None)
-    statements = "all" if args.statements == "all" else args.statements.split(",")
+    statements = ("all" if args.statements in (None, "all")
+                  else args.statements.split(","))
     reports = probes.run_suite(spec, statements=statements)
     payload = {
         "seeds": args.seeds,
@@ -474,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="separated-count transfer across a bijection")
     p.add_argument("--model", required=True)
     p.add_argument("--iso")
-    p.add_argument("--measure")
-    p.add_argument("--check", choices=["entropy"], default="entropy")
 
     p = sub.add_parser("equicont", help="equicontinuity certificates")
     p.add_argument("--model", required=True)
@@ -508,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="randomized statement conformance suite")
         p.add_argument("--seeds", type=int, default=500)
         p.add_argument("--seed", default=0)
-        p.add_argument("--statements", default="all")
+        p.add_argument("--statements")
         p.add_argument("--survey", choices=probes.QUESTION_TOPICS)
 
     return parser

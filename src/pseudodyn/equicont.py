@@ -111,9 +111,12 @@ class GroupInclusionReport:
 
     rho: Fraction
     delta: object
-    inclusions: dict
-    inclusion_ok: bool
+    failures: tuple  # labels of the centres whose inclusion fails
     conclusion: str
+
+    @property
+    def inclusion_ok(self) -> bool:
+        return not self.failures
 
 
 def _inclusion_failures(space: FiniteMetricSpace, delta, table, rho) -> list[int]:
@@ -142,16 +145,15 @@ def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusion
     delta_used = space.diameter() if is_unbounded(delta) else delta
     table = sys.constraint_table()
     failed = _inclusion_failures(space, delta_used, table, rho)
-    inclusions = {space.label(x): x not in failed for x in range(space.n)}
-    ok = not failed
     conclusion = (
         "every Bowen ball at rho contains the open delta-ball around its "
         "center; a ball around any atom has positive measure, so no measure "
         "is weakly expansive at this scale"
-        if ok else "inclusion failed; no conclusion"
+        if not failed else "inclusion failed; no conclusion"
     )
-    return GroupInclusionReport(rho=rho, delta=delta, inclusions=inclusions,
-                                inclusion_ok=ok, conclusion=conclusion)
+    return GroupInclusionReport(rho=rho, delta=delta,
+                                failures=space.labels_of(failed),
+                                conclusion=conclusion)
 
 
 @dataclass(frozen=True)

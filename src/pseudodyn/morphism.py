@@ -16,7 +16,7 @@ from typing import Optional
 from .dynamics import separated_count
 from .equicont import _modulus
 from .errors import InputError
-from .measure import FiniteMeasure, LocalEntropyTable, local_entropy
+from .measure import FiniteMeasure
 from .pseudogroup import GeneratingSystem, PartialMap
 from .rational import is_unbounded, parse_rational
 from .space import FiniteMetricSpace, PointSet
@@ -148,9 +148,6 @@ class EntropyComparison:
     forward_ok: bool
     backward_ok: bool
     tables_equal: Optional[bool]
-    local_src: Optional[LocalEntropyTable]
-    local_dst: Optional[LocalEntropyTable]
-    local_equal: Optional[bool]
 
 
 def _transfer_ok(counts, other, grid, n_list, modulus) -> bool:
@@ -166,8 +163,7 @@ def _transfer_ok(counts, other, grid, n_list, modulus) -> bool:
 
 
 def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
-                    mu: FiniteMeasure | None = None, n_list=None,
-                    x=None) -> EntropyComparison:
+                    n_list=None) -> EntropyComparison:
     """Separated-count tables on both sides of the bijection.
 
     For every (n, eps) the source count is bounded by the target count at
@@ -175,8 +171,7 @@ def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
     to a set separated at ``iso.inverse_modulus(eps)``, the least target
     distance among images of source pairs at least eps apart; backwards
     the scale is ``iso.forward_modulus(eps)``.  For an isometric bijection the
-    tables agree cell by cell (and so do local entropy tables when a
-    measure and a basepoint index ``x`` are supplied).
+    tables agree cell by cell.
     """
     conj = conjugate_system(sys, iso)
     eps_grid = sys.space.distance_grid()
@@ -203,20 +198,6 @@ def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
             counts_src[(n, eps)] == counts_dst[(n, eps)]
             for n in n_list for eps in eps_grid
         )
-    local_src = local_dst = None
-    local_equal = None
-    if mu is not None and x is not None:
-        local_src = local_entropy(mu, sys, x, eps_grid=eps_grid)
-        push = pushforward(mu, iso)
-        dst_eps = dst_grid if not isometric else eps_grid
-        local_dst = local_entropy(push, conj, iso.fwd[x], eps_grid=dst_eps)
-        if isometric:
-            local_equal = (
-                [(c.eps, c.n, c.ball_measure) for c in local_src.cells]
-                == [(c.eps, c.n, c.ball_measure) for c in local_dst.cells]
-            )
     return EntropyComparison(isometric=isometric, counts_src=counts_src,
                              counts_dst=counts_dst, forward_ok=forward_ok,
-                             backward_ok=backward_ok, tables_equal=tables_equal,
-                             local_src=local_src, local_dst=local_dst,
-                             local_equal=local_equal)
+                             backward_ok=backward_ok, tables_equal=tables_equal)

@@ -540,8 +540,7 @@ def stmt_group_claim(ctx: ProbeContext) -> Outcome:
     for rho in ctx.eps_sample(cap=4):
         rep = no_expansive_certificate_group(group, rho)
         if not rep.inclusion_ok:
-            x = next(x for x, inside in rep.inclusions.items() if not inside)
-            return Outcome.bad((x, str(rho), str(rep.delta)))
+            return Outcome.bad((rep.failures[0], str(rho), str(rep.delta)))
         folded = _modulus(fold, ctx.space, ctx.space.threshold(rho))[0]
         if rep.delta != folded:
             return Outcome.bad(("delta", str(rho), str(rep.delta),

@@ -391,7 +391,6 @@ class ShiftBowenReport:
 
     delta: Fraction
     singleton: bool
-    outer_radius_gap: Optional[int]   # t with mu(Phi) <= mu(block of width 2(n+t)+1)
     measure_zero: Optional[bool]
     measure_bounds: list
     non_singleton_witness: Optional[ShiftPoint]
@@ -411,16 +410,14 @@ def bowen_ball_shift(x: ShiftPoint, delta,
         q = max(spec.p, 1 - spec.p)
         bounds = [(n, q ** (2 * _window(n + t) + 1)) for n in range(1, 9)]
         return ShiftBowenReport(delta=delta, singleton=True,
-                                outer_radius_gap=t, measure_zero=True,
-                                measure_bounds=bounds,
+                                measure_zero=True, measure_bounds=bounds,
                                 non_singleton_witness=None,
                                 note="nested outer cylinders shrink to the "
                                      "center; their measures decay "
                                      "geometrically to 0")
     flip = x.flipped(0)
     return ShiftBowenReport(delta=delta, singleton=False,
-                            outer_radius_gap=None, measure_zero=None,
-                            measure_bounds=[],
+                            measure_zero=None, measure_bounds=[],
                             non_singleton_witness=flip,
                             note="a single flipped coordinate stays within "
                                  "delta under every shift exponent, so the "

@@ -6,9 +6,9 @@ import pytest
 from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        GeneratingSystem, InputError, SpaceIso, bowen_ball,
                        brute_force_separated, compacted_system,
-                       compare_entropy, dyn_ball, dyn_ball_via_formula,
+                       conjugate_system, dyn_ball, dyn_ball_via_formula,
                        h_top_table, is_unbounded, local_entropy,
-                       separated_count, separation_radius)
+                       pushforward, separated_count, separation_radius)
 from pseudodyn.mutations import MUTATIONS
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
 from pseudodyn.pseudogroup import PartialMap, WordClosure
@@ -46,8 +46,8 @@ def test_a_point_argument_is_an_index_not_a_label():
     assert local_entropy(mu, system, 0).x == 2
     assert FiniteMeasure.point_mass(space, 0).weights[0] == 1
     iso = SpaceIso.relabel(space, ["p", "q", "r"])
-    rep = compare_entropy(system, iso, mu=mu, x=0)
-    assert (rep.local_src.x, rep.local_dst.x) == (2, "p")
+    assert local_entropy(pushforward(mu, iso), conjugate_system(system, iso),
+                         0).x == "p"
 
 
 @pytest.mark.parametrize("x", ["a", True, -1, 3, 1.0])
@@ -55,13 +55,11 @@ def test_a_point_that_is_no_index_is_input_error(line, line_system, x):
     """A label, a bool, a non-int and an int out of range are refused by
     every computation at a point."""
     mu = FiniteMeasure.uniform(line)
-    iso = SpaceIso.relabel(line, ["p", "q", "r"])
     calls = [lambda: dyn_ball(line_system, x, 1, 1),
              lambda: bowen_ball(line_system, x, 1),
              lambda: dyn_ball_via_formula(line_system, x, 1, 1),
              lambda: local_entropy(mu, line_system, x),
-             lambda: FiniteMeasure.point_mass(line, x),
-             lambda: compare_entropy(line_system, iso, mu=mu, x=x)]
+             lambda: FiniteMeasure.point_mass(line, x)]
     for call in calls:
         with pytest.raises(InputError, match="not a point index"):
             call()

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import InputError, morphism, pseudogroup
+from pseudodyn import InputError, cli, morphism, pseudogroup
 from pseudodyn.cli import main, render, to_jsonable
 from pseudodyn.dynamics import N_MAX_CAP
+from pseudodyn.measure import local_entropy
 from pseudodyn.model import parse_model
 from pseudodyn.probes import STATEMENTS
 from pseudodyn.rational import format_rational
@@ -177,14 +178,47 @@ def test_cli_payloads_read_the_fixpoint_level(model_path, capsys):
     ["conjugate", "--model", "m.json", "--check", "expansive"],
     ["conjugate", "--model", "m.json", "--eta", "1"],
     ["shift", "htop", "--eps", "1", "--n", "1", "--p", "1/3"],
+    ["conjugate", "--model", "m.json", "--measure", "mu.json"],
+    ["conjugate", "--model", "m.json", "--check", "entropy"],
 ])
 def test_cli_removed_options_are_usage_errors(argv, capsys):
-    """The expansiveness transfer check, its --eta and shift htop's --p,
-    which no computation read, are gone: argparse exits 2."""
+    """The expansiveness transfer check, its --eta, shift htop's --p and
+    conjugate's --measure and --check, which no payload read, are gone:
+    argparse exits 2."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["equicont", "--compacted", "--rho", "1"], "--rho"),
+    (["equicont", "--compacted", "--rho", "-1"], "--rho"),
+    (["equicont", "--compacted", "--rho", "abc"], "--rho"),
+    (["check", "--what", "homogeneous", "--delta", "abc"], "--delta"),
+    (["check", "--what", "invariant", "--delta", "-1"], "--delta"),
+    (["check", "--what", "ergodic", "--delta", "1"], "--delta"),
+    (["probe", "--seeds", "2", "--survey", "homogeneity",
+      "--statements", "nope"], "--statements"),
+    (["verify", "--seeds", "2", "--survey", "homogeneity",
+      "--statements", "all"], "--statements"),
+], ids=["compacted-rho", "compacted-negative-rho", "compacted-bad-rho",
+        "homogeneous-delta", "invariant-negative-delta", "ergodic-delta",
+        "survey-statements", "verify-survey-statements-all"])
+def test_cli_ignored_inputs_are_refused(argv, option, model_path,
+                                        monkeypatch, capsys):
+    """An option its command would not read is an input error, raised
+    before the model is loaded."""
+    loaded = []
+    monkeypatch.setattr(cli, "load_model",
+                        lambda path: loaded.append(path) or parse_model(
+                            json.dumps(LINE_MODEL)))
+    if argv[0] in ("equicont", "check"):
+        argv = [argv[0], "--model", model_path, *argv[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and option in err
+    assert loaded == []
 
 
 def test_cli_check_negative_exit(model_path, capsys):
@@ -434,10 +468,13 @@ def test_cli_malformed_iso_shape_is_input_error(doc, model_path, tmp_path,
 
 
 def test_cli_conjugate_entropy(model_path, capsys):
-    code = main(["--format", "json", "conjugate", "--model", model_path,
-                 "--check", "entropy"])
+    code = main(["--format", "json", "conjugate", "--model", model_path])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
+    assert sorted(out["result"]) == [
+        "backward_ok", "check", "counts_dst", "counts_src", "forward_ok",
+        "isometric", "tables_equal"]
+    assert out["result"]["check"] == "entropy"
     assert out["result"]["isometric"] is True
     assert out["result"]["tables_equal"] is True
 
@@ -467,16 +504,23 @@ def test_cli_entropy_of_a_ball_below_float_range(tiny_atom_path, capsys):
 
 
 def test_cli_conjugate_entropy_below_float_range(tiny_atom_path, capsys):
-    code = main(["--format", "json", "conjugate", "--model", tiny_atom_path,
-                 "--check", "entropy"])
+    """The identity iso of the tiny-atom model conjugates the system onto
+    itself, and the local entropy on both sides is finite and positive at
+    a ball below float range."""
+    code = main(["--format", "json", "conjugate", "--model", tiny_atom_path])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["result"]["tables_equal"] is True
     model = parse_model(json.dumps(TINY_ATOM_MODEL))
-    rep = morphism.compare_entropy(model.system, model.iso, mu=model.measure,
-                                   x=0)
-    assert rep.local_equal is True
-    values = [c.value for c in rep.local_src.cells]
+    iso = model.iso
+    src = local_entropy(model.measure, model.system, 0)
+    dst = local_entropy(morphism.pushforward(model.measure, iso),
+                        morphism.conjugate_system(model.system, iso),
+                        iso.fwd[0])
+    assert [(c.eps, c.n, c.ball_measure) for c in src.cells] \
+        == [(c.eps, c.n, c.ball_measure) for c in dst.cells]
+    values = [c.value for c in src.cells]
+    assert min(c.ball_measure for c in src.cells) == Fraction(1, TINY)
     assert all(0 < v < float("inf") for v in values)
 
 
@@ -710,9 +754,9 @@ def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
                 ["entropy", *model, "--x", "p0"],
                 ["equicont", *model, "--compacted"],
                 ["conjugate", *model]]
-    commands += [["check", *model, "--what", what, "--delta", "1"]
-                 for what in ("invariant", "ergodic", "homogeneous",
-                              "expansive")]
+    commands += [["check", *model, "--what", what]
+                 for what in ("invariant", "ergodic", "homogeneous")]
+    commands += [["check", *model, "--what", "expansive", "--delta", "1"]]
 
     def run(argv):
         code = main(["--format", "json", *argv])
