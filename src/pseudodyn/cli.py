@@ -223,6 +223,9 @@ def cmd_check(args) -> tuple[int, object]:
     if args.delta is not None and args.what != "expansive":
         raise InputError(f"--delta is read only by --what expansive, "
                          f"not --what {args.what}")
+    if args.delta is None and args.what == "expansive":
+        raise InputError("--delta is required for the expansiveness check")
+    delta = None if args.delta is None else parse_rational(args.delta)
     model = load_model(args.model)
     mu = _measure(args, model)
     if mu is None:
@@ -252,9 +255,7 @@ def cmd_check(args) -> tuple[int, object]:
         }
         return (EXIT_OK if rep.ok else EXIT_NEGATIVE), (payload, model)
     if what == "expansive":
-        if args.delta is None:
-            raise InputError("--delta is required for the expansiveness check")
-        rep = measure.expansiveness_verdict(mu, sysm, parse_rational(args.delta))
+        rep = measure.expansiveness_verdict(mu, sysm, delta)
         payload = {
             "what": what, "delta": rep.delta,
             "classification": rep.classification,

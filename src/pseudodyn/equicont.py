@@ -64,9 +64,12 @@ def _modulus(spread, space: FiniteMetricSpace, t: int):
 
 
 def _spread(maps, space: FiniteMetricSpace):
-    """The spread table of ``maps``: a word closure's ``ClosureMaps`` reads
-    its system's fixpoint pair table, which equals their fold; any other
-    list is folded."""
+    """The spread table of ``maps``: a system is read as its word closure,
+    whose spread is the system's fixpoint pair table; a word closure's
+    ``ClosureMaps`` reads that same table, which equals their fold; any
+    other list is folded."""
+    if isinstance(maps, GeneratingSystem):
+        return maps.constraint_table()
     if isinstance(maps, ClosureMaps):
         return maps.pairs.table(math.inf)
     return spread_table(maps, space)
@@ -74,7 +77,8 @@ def _spread(maps, space: FiniteMetricSpace):
 
 def modulus_at(maps, space: FiniteMetricSpace, eps):
     """Least distance among pairs some map spreads to eps or beyond;
-    UNBOUNDED when no map ever does."""
+    UNBOUNDED when no map ever does.  ``maps`` is a map list or a system,
+    which stands for its word closure's maps without building it."""
     t = space.threshold(parse_rational(eps))
     return _modulus(_spread(maps, space), space, t)[0]
 
@@ -130,18 +134,18 @@ def _inclusion_failures(space: FiniteMetricSpace, delta, table, rho) -> list[int
 
 
 def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusionReport:
-    """For total generators: delta is the modulus at rho over the closure's
-    maps, and the Bowen rho-balls are rows of the system's constraint table
-    at its fixpoint.  The modulus reads that same table, so the inclusion
-    holds by construction; the group-claim probe checks delta against a
-    fold of the maps."""
+    """For total generators: delta is the modulus at rho over the group's
+    maps, read from the system's constraint table at its fixpoint, and
+    the Bowen rho-balls are rows of that same table, so the inclusion
+    holds by construction.  No word closure is built; the group-claim
+    probe checks delta against a fold of the pair orbits."""
     rho = parse_radius(rho)
     if not all(g.is_total() for g in sys.generators):
         raise CapabilityError(
             "generators are not all total; use the core-restricted variant"
         )
     space = sys.space
-    delta = modulus_at(sys.word_closure().stabilized_maps, space, rho)
+    delta = modulus_at(sys, space, rho)
     delta_used = space.diameter() if is_unbounded(delta) else delta
     table = sys.constraint_table()
     failed = _inclusion_failures(space, delta_used, table, rho)

@@ -22,7 +22,7 @@ from .errors import InputError
 from .measure import FiniteMeasure, expansiveness_verdict, is_homogeneous
 from .pseudogroup import (GeneratingSystem, GermRelation, PartialMap, WordClosure,
                           _closure, compacted_system, separation_radius,
-                          spread_table, table_ball)
+                          table_ball)
 from .rational import is_unbounded
 from .space import FiniteMetricSpace
 
@@ -530,13 +530,45 @@ def totalized_group(space: FiniteMetricSpace, gens,
     return GeneratingSystem.build(space, total_maps)
 
 
+def pair_orbit_table(group: GeneratingSystem) -> list[list[int]]:
+    """``S[i][j]`` = the top distance rank on the orbit of (i, j) under a
+    group of bijections, which is its component in the pair graph
+    (i, j) -> (g i, g j) over the generators: union-find over the n^2
+    ordered pairs, then one max per component.  It equals ``spread_table``
+    over the group's closure without building it, and it is not the pair
+    tables' backward max-push, so it checks them independently."""
+    n = group.space.n
+    ranks = group.space.distance_ranks()[0]
+    parent = list(range(n * n))
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for g in group.generators:
+        vals = g.vals
+        for i in range(n):
+            for j in range(n):
+                a, b = find(i * n + j), find(vals[i] * n + vals[j])
+                if a != b:
+                    parent[a] = b
+    top = [0] * (n * n)
+    for i in range(n):
+        for j in range(n):
+            root = find(i * n + j)
+            top[root] = max(top[root], ranks[i][j])
+    return [[top[find(i * n + j)] for j in range(n)] for i in range(n)]
+
+
 def stmt_group_claim(ctx: ProbeContext) -> Outcome:
     """On the group generated by totalized generators, open modulus-balls
     sit inside Bowen balls at every grid radius, and the certificate's
-    delta, read from the pair table, is the modulus of a fold of the
-    closure's maps."""
+    delta, read from the pair table, is the modulus of the pair-orbit
+    fold; neither side builds the group's word closure."""
     group = totalized_group(ctx.space, ctx.genome.gens, ctx.rng)
-    fold = spread_table(group.word_closure().stabilized_maps, ctx.space)
+    fold = pair_orbit_table(group)
     for rho in ctx.eps_sample(cap=4):
         rep = no_expansive_certificate_group(group, rho)
         if not rep.inclusion_ok:

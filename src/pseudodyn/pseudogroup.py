@@ -569,9 +569,9 @@ def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
     both points, 0 where none is (maps are injective, so a shared map makes
     the entry positive off the diagonal); ``values[S[i][j]]`` is the
     distance.  The fold of an explicit map list: the moduli of any list
-    but a ``ClosureMaps``, every certificate audit, the group-claim
-    probe's delta, and the reference the pair tables are tested against,
-    so it reads every list alike.
+    but a ``ClosureMaps``, every certificate audit, and the reference the
+    pair tables and the group-claim probe's pair-orbit fold are tested
+    against, so it reads every list alike.
 
     Entries only grow and none passes the top rank (the diameter), so the
     fold stops reading maps once every pair i < j holds the top rank: on

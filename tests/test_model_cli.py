@@ -221,6 +221,26 @@ def test_cli_ignored_inputs_are_refused(argv, option, model_path,
     assert loaded == []
 
 
+@pytest.mark.parametrize("model", ["missing", "no-mu"])
+@pytest.mark.parametrize("delta,message", [
+    ([], "--delta is required"),
+    (["--delta", "abc"], "cannot parse rational from 'abc'"),
+], ids=["no-delta", "bad-delta"])
+def test_cli_check_expansive_reads_delta_before_the_model(model, delta, message,
+                                                          tmp_path, capsys):
+    """A missing or unparsable --delta is reported before the model is
+    read, so neither a model file that does not exist nor a model without
+    a measure is what the error names."""
+    path = tmp_path / "m.json"
+    if model == "no-mu":
+        path.write_text(json.dumps({"points": ["a", "b"],
+                                    "dist": [[0, 1], [1, 0]]}))
+    argv = ["check", "--model", str(path), "--what", "expansive", *delta]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
 def test_cli_check_negative_exit(model_path, capsys):
     code = main(["check", "--model", model_path, "--what", "expansive",
                  "--delta", "1"])

@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import InputError, is_unbounded, probes
+from pseudodyn import (GeneratingSystem, InputError, is_unbounded,
+                       no_expansive_certificate_group, probes)
 from pseudodyn.mutations import MUTATIONS, crafted_genomes
 from pseudodyn.probes import (DEFAULT_OPS, Genome, InstanceSpec, OperationSet,
-                              ProbeContext, QUESTION_TOPICS, question_probe,
-                              random_genome, random_instance, run_suite,
-                              shrink_genome, stmt_group_claim)
+                              ProbeContext, QUESTION_TOPICS, pair_orbit_table,
+                              question_probe, random_genome, random_instance,
+                              run_suite, shrink_genome, stmt_group_claim,
+                              totalized_group)
+from pseudodyn.pseudogroup import spread_table
+
+from conftest import coprime_space, symmetric_group
 
 
 def test_random_instance_deterministic():
@@ -79,10 +84,57 @@ def test_every_mutation_is_caught(mutation):
     assert caught, f"mutation {mutation} undetected"
 
 
+def assert_orbit_fold_matches_closure_fold(group) -> int:
+    """The pair-orbit fold equals ``spread_table`` over the group's
+    closure on every pair i < j; returns the closure's size."""
+    maps = group.word_closure().stabilized_maps
+    fold = spread_table(maps, group.space)
+    orbit = pair_orbit_table(group)
+    n = group.space.n
+    assert all(orbit[i][j] == fold[i][j]
+               for i in range(n) for j in range(i + 1, n))
+    return len(maps)
+
+
+def test_pair_orbit_fold_matches_the_closure_fold():
+    """S_6 and S_7, and seeded totalized groups built as the group-claim
+    statement builds them, some as large as S_6."""
+    for n in (6, 7):
+        assert_orbit_fold_matches_closure_fold(
+            symmetric_group(coprime_space(n)))
+    spec = InstanceSpec(seed="orbit-fold", count=300)
+    rng = random.Random("orbit-fold")
+    orders = []
+    for idx in range(spec.count):
+        genome = random_genome(spec, idx)
+        space = genome.build()[0].space
+        group = totalized_group(space, genome.gens, rng)
+        orders.append(assert_orbit_fold_matches_closure_fold(group))
+    assert max(orders) >= 720
+
+
+def test_group_claim_builds_no_word_closure(monkeypatch):
+    """The certificate reads the fixpoint pair table and the statement the
+    pair-orbit fold, so neither builds the group's word closure."""
+    group = symmetric_group(coprime_space(7))
+    assert no_expansive_certificate_group(group, 1).inclusion_ok
+    assert group._closure is None
+
+    def refused(self):
+        raise AssertionError("word closure built")
+
+    monkeypatch.setattr(GeneratingSystem, "word_closure", refused)
+    spec = InstanceSpec(seed="no-closure", count=30)
+    for idx in range(spec.count):
+        ctx = ProbeContext(random_genome(spec, idx), DEFAULT_OPS,
+                           random.Random(idx))
+        assert stmt_group_claim(ctx).status == "substantive"
+
+
 def test_group_claim_rejects_a_delta_raised_to_the_next_grid_value(monkeypatch):
     """The certificate's delta and its Bowen balls read one table, so the
-    inclusion cannot catch a wrong delta; the statement's fold of the
-    closure's maps does."""
+    inclusion cannot catch a wrong delta; the statement's pair-orbit fold
+    does."""
     spec = InstanceSpec(seed="group-claim-raised", count=30)
     genomes = [random_genome(spec, idx) for idx in range(spec.count)]
 
