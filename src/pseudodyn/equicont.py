@@ -51,16 +51,23 @@ class EquicontinuityCertificate:
 def _modulus(spread, space: FiniteMetricSpace, t: int):
     """``(delta, pairs)``: the least d(i, j) over the pairs i < j whose
     spread rank reaches the threshold ``t`` (UNBOUNDED when none does), and
-    the pairs at exactly that distance, in lexicographic order."""
-    ranks, values = space.distance_ranks()
+    the pairs at exactly that distance, in lexicographic order.
+
+    The pairs are walked nearest first (``space.pair_order``), one
+    distance rank at a time, and the walk stops at the first rank holding
+    a spread pair.  A table that bounds the distance ranks from below,
+    such as a system's pair table, stops it by rank ``t``."""
+    values = space.distance_ranks()[1]
+    left, right, starts = space.pair_order()
     # rank 0 means no map in scope is defined at both points
     t = max(t, 1)
-    spread_pairs = [(i, j) for i, row in enumerate(spread)
-                    for j in range(i + 1, space.n) if row[j] >= t]
-    if not spread_pairs:
-        return UNBOUNDED, []
-    low = min(ranks[i][j] for i, j in spread_pairs)
-    return values[low], [(i, j) for i, j in spread_pairs if ranks[i][j] == low]
+    for rank in range(1, len(values)):
+        lo, hi = starts[rank], starts[rank + 1]
+        pairs = [(i, j) for i, j in zip(left[lo:hi], right[lo:hi])
+                 if spread[i][j] >= t]
+        if pairs:
+            return values[rank], pairs
+    return UNBOUNDED, []
 
 
 def _spread(maps, space: FiniteMetricSpace):

@@ -74,18 +74,33 @@ class FiniteMeasure:
         nums = self.nums
         return Fraction(sum([nums[i] for i in subset]), self.den)
 
-    def ball_numerators(self, rows, t: int) -> list[int]:
+    def ball_numerators(self, rows, t: int, reuse=None) -> list[int]:
         """For each row of a rank table, the measure of the ball
         ``{y : row[y] < t}`` (see ``table_ball``) as a numerator over
-        ``den``."""
+        ``den``.  ``reuse`` is ``(old_rows, old)``, the numerators ``old``
+        of another table's ``old_rows`` at the same ``t``: a row that is
+        the same list object as its old row keeps its old numerator (pair
+        tables share the rows a level did not raise)."""
         nums = self.nums
-        return [sum([w for w, v in zip(nums, row) if v < t]) for row in rows]
+        if reuse is None:
+            return [sum([w for w, v in zip(nums, row) if v < t])
+                    for row in rows]
+        return [m if row is old_row
+                else sum([w for w, v in zip(nums, row) if v < t])
+                for row, old_row, m in zip(rows, *reuse)]
 
     def atoms(self) -> PointSet:
         return frozenset(i for i, w in enumerate(self.weights) if w > 0)
 
 
 # -- invariance and ergodicity -------------------------------------------------
+
+
+def _same_space(mu: FiniteMeasure, sys: GeneratingSystem) -> None:
+    """Every verdict reads ``mu`` at the system's point indices, so a
+    measure on other points is an input error."""
+    if mu.space is not sys.space and mu.space.points != sys.space.points:
+        raise InputError("measure and system live on different spaces")
 
 
 @dataclass(frozen=True)
@@ -100,13 +115,13 @@ def is_invariant_measure(mu: FiniteMeasure, sys: GeneratingSystem) -> Invariance
     On a finite space this is equivalent to invariance under the whole
     generated family: weights transport along words one letter at a time.
     """
-    if mu.space is not sys.space and mu.space.points != sys.space.points:
-        raise InputError("measure and system live on different spaces")
+    _same_space(mu, sys)
+    nums = mu.nums
     for g in sys.generators:
         for i, v in enumerate(g.vals):
             if v is None:
                 continue
-            if mu.weights[i] != mu.weights[v]:
+            if nums[i] != nums[v]:
                 return InvarianceReport(False, (g.name or repr(g), sys.space.label(i)))
     return InvarianceReport(True, None)
 
@@ -180,9 +195,10 @@ def is_ergodic(mu: FiniteMeasure, sys: GeneratingSystem) -> ErgodicityReport:
             f"measure is not invariant (witness {inv.witness})"
         )
     comps = orbit_components(sys)
+    nums = mu.nums
     for comp in comps:
-        m = mu(comp)
-        if 0 < m < 1:
+        m = sum([nums[i] for i in comp])
+        if 0 < m < mu.den:
             return ErgodicityReport(False, comps, comp)
     return ErgodicityReport(True, comps, None)
 
@@ -234,6 +250,7 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     liminf and limsup coincide.  The default ``n_max`` is the pair
     fixpoint level L, from which every ball is the stabilized one.
     """
+    _same_space(mu, sys)
     space = sys.space
     xi = space._point(x)
     if n_max is None:
@@ -249,9 +266,12 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     scales = sorted(eps_grid)
     thresholds = [space.threshold(eps) for eps in scales]
     for eps, t in zip(scales, thresholds):
+        old = None
         for n in range(1, n_max + 1):
             row = sys.constraint_table(n)[xi]
-            m = Fraction(mu.ball_numerators((row,), t)[0], mu.den)
+            if row is not old:  # a row no level raised keeps its measure
+                old = row
+                m = Fraction(mu.ball_numerators((row,), t)[0], mu.den)
             cells.append(EntropyCell(eps=eps, n=n, ball_measure=m,
                                      value=_rate(m, n)))
     # the smallest scale comes first
@@ -288,7 +308,10 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     delta = eps is tried first, then the distance grid downward; c is the
     exact maximal measure ratio, capped by the 2^20 search ladder.  Cells
     where both sides vanish pass vacuously and set the degenerate flag.
+    The ball measures at level n sum only the rows level n raised; every
+    other row keeps its level n - 1 measure.
     """
+    _same_space(mu, sys)
     space = sys.space
     level = sys.fixpoint_level
     grid = space.distance_grid()
@@ -308,7 +331,12 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
         ``mu.den``, once per threshold and n."""
         row = rows.get((t, n))
         if row is None:
-            row = rows[t, n] = mu.ball_numerators(sys.constraint_table(n), t)
+            # n runs up from 1 for every delta, so level n - 1 is summed
+            reuse = None
+            if n > 1:
+                reuse = (sys.constraint_table(n - 1), rows[t, n - 1])
+            row = rows[t, n] = mu.ball_numerators(sys.constraint_table(n), t,
+                                                  reuse)
         return row
 
     witnesses: dict = {}
@@ -388,6 +416,7 @@ def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
     closed=True)`` is at least 1 and ``table[x][x]`` is 0).  So every atom
     has a ball of positive measure, and ``zero_set`` holds only points of
     weight 0."""
+    _same_space(mu, sys)
     delta = parse_radius(delta)
     space = sys.space
     t = space.threshold(delta, closed=True)

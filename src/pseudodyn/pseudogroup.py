@@ -688,14 +688,16 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
 
 
 class GermRelation:
-    """All realized pairs (x, w(x)) over the words w in the generators."""
+    """All realized pairs (x, w(x)) over the words w in the generators.
+    Immutable: its components are found once."""
 
-    __slots__ = ("space", "pairs")
+    __slots__ = ("space", "pairs", "_components")
 
     def __init__(self, space: FiniteMetricSpace,
                  pairs: frozenset[tuple[int, int]]):
         self.space = space
         self.pairs = pairs
+        self._components = None
 
     def equivalence_failure(self) -> Optional[tuple]:
         """None when the relation is an equivalence, else the first failure
@@ -721,7 +723,13 @@ class GermRelation:
         return None
 
     def components(self) -> list[frozenset[int]]:
-        """Connected components of the relation viewed as an undirected graph."""
+        """Connected components of the relation viewed as an undirected
+        graph, ordered by least member; a fresh list on every call."""
+        if self._components is None:
+            self._components = self._find_components()
+        return list(self._components)
+
+    def _find_components(self) -> tuple[frozenset[int], ...]:
         n = self.space.n
         parent = list(range(n))
 
@@ -738,7 +746,7 @@ class GermRelation:
         groups: dict[int, set[int]] = {}
         for i in range(n):
             groups.setdefault(find(i), set()).add(i)
-        return sorted((frozenset(v) for v in groups.values()), key=min)
+        return tuple(sorted((frozenset(v) for v in groups.values()), key=min))
 
 
 def germ_relation(sys: GeneratingSystem) -> GermRelation:

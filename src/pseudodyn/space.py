@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, InputError
@@ -33,7 +35,8 @@ class FiniteMetricSpace:
     Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("points", "dist", "_index", "_ranks", "_pullbacks")
+    __slots__ = ("points", "dist", "_index", "_ranks", "_grid", "_pullbacks",
+                 "_pair_order")
 
     def __init__(self, points: Sequence, dist: Sequence[Sequence]):
         pts = tuple(points)
@@ -81,7 +84,9 @@ class FiniteMetricSpace:
         self.dist = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
         self._index = {p: i for i, p in enumerate(pts)}
         self._ranks = (ranks, values)
+        self._grid = (tuple(grid), scale)
         self._pullbacks = {}
+        self._pair_order = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -144,9 +149,17 @@ class FiniteMetricSpace:
         """The one radius rule: d(i, j) lies in the open (or closed) ball of
         radius ``r`` exactly when its rank is below ``threshold(r, closed)``,
         and is ``r`` or more exactly when its rank is ``threshold(r)`` or
-        more."""
-        values = self.distance_ranks()[1]
-        return (bisect_right if closed else bisect_left)(values, r)
+        more.
+
+        ``r`` = p/q (an int, ``Fraction`` or float, read exactly) is
+        compared on the scaled integer grid of metric validation: a
+        distance g/scale is below r exactly when g < ceil(p scale / q), and
+        at most r exactly when g <= floor(p scale / q)."""
+        grid, scale = self._grid
+        p, q = r.as_integer_ratio()
+        if closed:
+            return bisect_right(grid, p * scale // q)
+        return bisect_left(grid, -(-p * scale // q))
 
     def ball_ix(self, i: int, r, closed: bool = False) -> PointSet:
         """The metric ball of radius ``r`` around point index ``i``: the
@@ -154,6 +167,27 @@ class FiniteMetricSpace:
         t = self.threshold(parse_rational(r), closed)
         return frozenset(j for j, v in enumerate(self.distance_ranks()[0][i])
                          if v < t)
+
+    def pair_order(self) -> tuple[array, array, array]:
+        """``(left, right, starts)``: the pairs i < j nearest first, as
+        ``(left[k], right[k])`` in (rank, i, j) order, and ``starts[r]``,
+        the position of the first pair of rank r (``starts[0]`` and
+        ``starts[1]`` are 0, since every pair has rank 1 or more; the
+        last entry is the pair count).  Built on first use."""
+        if self._pair_order is None:
+            n = self.n
+            ranks, values = self.distance_ranks()
+            order = sorted((row[j], i, j) for i, row in enumerate(ranks)
+                           for j in range(i + 1, n))
+            counts = Counter(rank for rank, _, _ in order)
+            code = "B" if n <= 256 else "I"
+            self._pair_order = (
+                array(code, [i for _, i, _ in order]),
+                array(code, [j for _, _, j in order]),
+                array("I", accumulate((counts[rank]
+                                       for rank in range(len(values))),
+                                      initial=0)))
+        return self._pair_order
 
     def rank_pullbacks(self, base: int) -> tuple[bytes, ...]:
         """The metric balls at the eight rank thresholds ``base`` to

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import FiniteMetricSpace, GeneratingSystem, PartialMap
+from pseudodyn import UNBOUNDED, FiniteMetricSpace, GeneratingSystem, PartialMap
 
 
 @pytest.fixture
@@ -83,3 +83,17 @@ def z6_rotations():
 @pytest.fixture
 def identity_system(line):
     return GeneratingSystem.build(line, [])
+
+
+def reference_modulus_full_scan(spread, space, t):
+    """``equicont._modulus`` by one scan of every pair i < j: the least
+    distance rank among the pairs whose spread rank reaches ``t`` (at
+    least 1), and the pairs at that rank in lexicographic order."""
+    ranks, values = space.distance_ranks()
+    t = max(t, 1)
+    spread_pairs = [(i, j) for i, row in enumerate(spread)
+                    for j in range(i + 1, space.n) if row[j] >= t]
+    if not spread_pairs:
+        return UNBOUNDED, []
+    low = min(ranks[i][j] for i, j in spread_pairs)
+    return values[low], [(i, j) for i, j in spread_pairs if ranks[i][j] == low]

@@ -12,11 +12,12 @@ from pseudodyn import (UNBOUNDED, CapabilityError, FiniteMeasure,
                        no_expansive_certificate_good,
                        no_expansive_certificate_group)
 from pseudodyn import equicont
-from pseudodyn.equicont import modulus_at
+from pseudodyn.equicont import _modulus, modulus_at
 from pseudodyn.probes import (InstanceSpec, random_genome, random_instance,
                               totalized_group)
 
-from conftest import coprime_space, cyclic_space, symmetric_group
+from conftest import (coprime_space, cyclic_space, reference_modulus_full_scan,
+                      symmetric_group)
 
 
 def closure_maps(sys):
@@ -332,3 +333,36 @@ def test_audit_folds_the_maps_once(monkeypatch):
     unbounded = replace(cert, table=dict.fromkeys(cert.table, UNBOUNDED))
     assert unbounded.audit(maps, space)
     assert folds == [len(maps)]
+
+
+def test_nearest_first_modulus_matches_full_scan():
+    """The nearest-first walk returns the full scan's delta and pairs at
+    every threshold from 0 to past the top rank, on seeded random spread
+    tables, on the pair tables of seeded systems at every level and on
+    folds of random map lists; an all-zero table is unbounded."""
+    rng = random.Random("nearest-first-modulus")
+    spec = InstanceSpec(seed="nearest-first-modulus", count=60)
+    cases = 0
+    outcomes = set()
+    for idx in range(spec.count):
+        sys_i, _ = random_instance(spec, idx)
+        space = sys_i.space
+        top = len(space.distance_ranks()[1]) - 1
+        tables = [[[0] * space.n for _ in range(space.n)],
+                  [[rng.randint(0, top) for _ in range(space.n)]
+                   for _ in range(space.n)],
+                  [[rng.choice((0, top)) for _ in range(space.n)]
+                   for _ in range(space.n)]]
+        tables += [sys_i.constraint_table(n)
+                   for n in range(1, sys_i.fixpoint_level + 1)]
+        maps = list(sys_i.generators[1:])
+        tables.append(equicont.spread_table(rng.sample(maps, len(maps) // 2),
+                                            space))
+        for table in tables:
+            for t in range(top + 2):
+                want = reference_modulus_full_scan(table, space, t)
+                assert _modulus(table, space, t) == want
+                outcomes.add(is_unbounded(want[0]))
+                cases += 1
+        assert _modulus(tables[0], space, 0) == (UNBOUNDED, [])
+    assert outcomes == {True, False} and cases > 1500

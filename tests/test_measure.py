@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -404,3 +405,90 @@ def test_verdicts_match_fraction_reference():
             for r in reference_radii(space):
                 assert expansiveness_verdict(mu, sys_i, r) \
                     == ref_expansiveness_verdict(mu, sys_i, r)
+
+
+class FreshRows:
+    """A system's pair tables with every row copied on each read, so no
+    row is shared between levels and every ball measure is summed from
+    scratch."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.space = sys.space
+        self.fixpoint_level = sys.fixpoint_level
+
+    def constraint_table(self, n=math.inf):
+        return [list(row) for row in self.sys.constraint_table(n)]
+
+
+def multilevel_system(rng):
+    """40 to 60 points at irregular positions on a line, with two partial
+    shifts along runs of points: pair tables of many levels, whose
+    unraised rows are shared between levels."""
+    n = rng.randint(40, 60)
+    xs = sorted(rng.sample(range(1, 10 * n), n))
+    space = FiniteMetricSpace([f"p{i}" for i in range(n)],
+                              [[Fraction(abs(a - b), 3) for b in xs]
+                               for a in xs])
+    maps = []
+    for k in range(2):
+        start = rng.randrange(n // 2)
+        vals = [None] * n
+        for i in range(start, start + rng.randrange(5, n // 2)):
+            vals[i] = i + 1
+        maps.append(PartialMap(space, vals, name=f"s{k}"))
+    return GeneratingSystem.build(space, maps)
+
+
+def test_level_reuse_matches_per_level_sums():
+    """Homogeneity reports and local-entropy tables that keep the ball
+    measure of every row a level did not raise equal those summed from
+    scratch at every level, on multi-level models (L >= 5) under uniform,
+    random and partly zero measures."""
+    rng = random.Random("level-reuse")
+    levels = []
+    for _ in range(4):
+        sys_i = multilevel_system(rng)
+        space, level = sys_i.space, sys_i.fixpoint_level
+        levels.append(level)
+        shared = sum(a is b for n in range(2, level + 1)
+                     for a, b in zip(sys_i.constraint_table(n),
+                                     sys_i.constraint_table(n - 1)))
+        assert 0 < shared < (level - 1) * space.n
+        fresh = FreshRows(sys_i)
+        weights = [rng.randint(0, 4) for _ in range(space.n)]
+        weights[0] += 1
+        measures = [FiniteMeasure.uniform(space),
+                    FiniteMeasure(space, [Fraction(w, sum(weights))
+                                          for w in weights]),
+                    FiniteMeasure(space, [Fraction(i % 3 == 0, (space.n + 2) // 3)
+                                          for i in range(space.n)])]
+        grid = space.distance_grid()
+        eps_grid = rng.sample(grid, 2) + [grid[0], grid[-1] + 1]
+        for mu in measures:
+            for n_max in (None, 3):
+                assert is_homogeneous(mu, sys_i, eps_grid, n_max) \
+                    == is_homogeneous(mu, fresh, eps_grid, n_max)
+            for x in rng.sample(range(space.n), 3):
+                assert local_entropy(mu, sys_i, x, eps_grid, level + 2) \
+                    == local_entropy(mu, fresh, x, eps_grid, level + 2)
+    assert min(levels) >= 5
+
+
+def test_measure_on_another_space_is_input_error():
+    """Every verdict that reads a measure refuses one on other points: a
+    uniform measure on three points against a five-point line system."""
+    five = FiniteMetricSpace(list("abcde"),
+                             [[abs(i - j) for j in range(5)] for i in range(5)])
+    g = PartialMap.from_dict(five, {"a": "b", "b": "c"}, name="g")
+    sys5 = GeneratingSystem.build(five, [g])
+    three = FiniteMetricSpace(list("abc"),
+                              [[abs(i - j) for j in range(3)] for i in range(3)])
+    mu = FiniteMeasure.uniform(three)
+    for verdict in (lambda: expansiveness_verdict(mu, sys5, 1),
+                    lambda: is_homogeneous(mu, sys5),
+                    lambda: local_entropy(mu, sys5, 0),
+                    lambda: is_ergodic(mu, sys5)):
+        with pytest.raises(InputError,
+                           match="measure and system live on different spaces"):
+            verdict()

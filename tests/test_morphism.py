@@ -9,9 +9,12 @@ from pseudodyn import (FiniteMeasure, FiniteMetricSpace,
                        conjugate_system, morphism,
                        pushforward, transfer_expansive_constant)
 from pseudodyn.dynamics import separated_count
+from pseudodyn.equicont import _modulus
 from pseudodyn.probes import (InstanceSpec, random_genome,
                               random_space_matrix)
 from pseudodyn.rational import UNBOUNDED, is_unbounded
+
+from conftest import reference_modulus_full_scan
 
 
 @pytest.fixture
@@ -262,6 +265,21 @@ def test_iso_moduli_match_reference_scans():
                 == reference_separation_transfer_scale(eps, iso.inverted())
             assert transfer_expansive_constant(eps, iso) \
                 == reference_transfer_expansive_constant(eps, iso)
+
+
+def test_pulled_table_moduli_match_full_scan():
+    """On the pulled tables of the seeded isos, both ways, the nearest-first
+    modulus returns the full scan's delta and pairs at every target
+    threshold from 0 to past the top rank."""
+    bounded = 0
+    for iso in seeded_isos():
+        for way in (iso, iso.inverted()):
+            way.forward_modulus(0)  # builds the pulled table
+            for t in range(len(way.dst.distance_ranks()[1]) + 1):
+                want = reference_modulus_full_scan(way._pulled, way.src, t)
+                assert _modulus(way._pulled, way.src, t) == want
+                bounded += not is_unbounded(want[0])
+    assert bounded > 1000
 
 
 def reference_forward_modulus(iso, eps):

@@ -118,6 +118,33 @@ def test_germ_equivalence_failure_witnesses(line):
     assert no_loop.equivalence_failure() == ("reflexivity", 2)
 
 
+def test_components_are_found_once_and_copied(monkeypatch):
+    """A relation finds its components once: later calls, ``is_ergodic``
+    and ``invariant_sets`` included, read the kept ones, and every call
+    returns a new list that its caller may change."""
+    calls = []
+    find = GermRelation._find_components
+
+    def spy(self):
+        calls.append(self)
+        return find(self)
+
+    monkeypatch.setattr(GermRelation, "_find_components", spy)
+    space = coprime_space(4)
+    sys_c = GeneratingSystem.build(space, [PartialMap(
+        space, [1, 0, None, None], name="s")])
+    first = sys_c.germ_relation().components()
+    assert first == [frozenset({0, 1}), frozenset({2}), frozenset({3})]
+    first.append(frozenset({9}))
+    second = sys_c.germ_relation().components()
+    assert second is not first and len(second) == 3
+    report = is_ergodic(FiniteMeasure.uniform(space), sys_c)
+    assert not report.ok and report.components == second
+    assert report.components is not second
+    assert len(invariant_sets(sys_c)) == 2 ** 3
+    assert calls == [sys_c.germ_relation()]
+
+
 def reference_germ_relation(system):
     """The closure scan: every pair (i, g(i)) of every stabilized closure
     map."""

@@ -1,5 +1,6 @@
 import collections
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -361,3 +362,65 @@ def test_threshold_matches_ball_ix():
                     want = {j for j in range(space.n)
                             if (row[j] <= r if closed else row[j] < r)}
                     assert space.ball_ix(i, r, closed) == want
+
+
+def reference_threshold(space, r, closed=False):
+    """The radius rule by bisecting the ``Fraction`` values."""
+    values = space.distance_ranks()[1]
+    return (bisect_right if closed else bisect_left)(values, r)
+
+
+def test_threshold_matches_fraction_bisection():
+    """The integer route equals the ``Fraction`` bisection on shortest-path
+    metrics with non-integer scales and on the coprime space, at every
+    grid value, at midpoints, 0, negative radii and past the diameter, each
+    as a ``Fraction``, and at ints and floats, open and closed."""
+    rng = random.Random("threshold-integer")
+    spaces = [coprime_space(7), cyclic_space(5), FiniteMetricSpace("a", [[0]])]
+    spaces += [FiniteMetricSpace(range(n), _path_metric(rng, n))
+               for n in (2, 3, 5, 8, 12) for _ in range(6)]
+    scales = collections.Counter()
+    checked = 0
+    for space in spaces:
+        scale = space._grid[1]
+        scales[scale > 1] += 1
+        grid = space.distance_grid()
+        top = space.diameter()
+        radii = [Fraction(0), Fraction(-1), Fraction(-1, 3), *grid,
+                 top + 1, top + Fraction(1, scale + 1), top * 7]
+        radii += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        radii += [v - Fraction(1, 10 * scale) for v in grid]
+        radii += [0, -2, 1, 2, 3, int(top), int(top) + 1, 10 ** 6]
+        radii += [0.0, -0.5, 0.1, 0.25, 1 / 3, 1.5, float(top),
+                  float(top) + 0.5]
+        radii += [float(v) for v in grid]
+        for r in radii:
+            for closed in (False, True):
+                assert space.threshold(r, closed) \
+                    == reference_threshold(space, r, closed), (r, closed)
+                checked += 1
+    assert scales[True] >= 20 and checked > 2000
+
+
+def test_pair_order_walks_pairs_nearest_first():
+    """``pair_order`` lists every pair i < j once, in (rank, i, j) order,
+    and ``starts`` delimits each rank; one and two points, ties, and the
+    256-point space whose indices fill a byte."""
+    spec = InstanceSpec(seed="pair-order", count=20)
+    spaces = [coprime_space(7), cyclic_space(6), FiniteMetricSpace("a", [[0]]),
+              FiniteMetricSpace("ab", [[0, 1], [1, 0]]),
+              system_past_255_points().space]
+    spaces += [random_genome(spec, idx).build()[0].space
+               for idx in range(spec.count)]
+    for space in spaces:
+        ranks, values = space.distance_ranks()
+        left, right, starts = space.pair_order()
+        assert space.pair_order() is space.pair_order()
+        want = sorted((ranks[i][j], i, j) for i in range(space.n)
+                      for j in range(i + 1, space.n))
+        assert list(zip(left, right)) == [(i, j) for _, i, j in want]
+        assert len(starts) == len(values) + 1
+        assert starts[0] == starts[1] == 0 and starts[-1] == len(want)
+        for rank in range(1, len(values)):
+            assert {r for r, _, _ in want[starts[rank]:starts[rank + 1]]} \
+                == {rank}
