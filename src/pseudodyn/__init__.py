@@ -52,7 +52,6 @@ from .shift import (
     htop_shift,
     measure_entropy_shift,
     shift_distance,
-    shift_expansiveness_verdict,
     window_radius,
 )
 from .morphism import (

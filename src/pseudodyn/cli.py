@@ -278,7 +278,6 @@ def cmd_conjugate(args) -> tuple[int, object]:
         raise InputError("conjugation needs an iso (--iso or 'phi')")
     rep = morphism.compare_entropy(model.system, iso)
     payload = {
-        "check": "entropy",
         "isometric": rep.isometric,
         "forward_ok": rep.forward_ok,
         "backward_ok": rep.backward_ok,

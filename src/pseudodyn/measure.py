@@ -90,7 +90,7 @@ class FiniteMeasure:
                 for row, old_row, m in zip(rows, *reuse)]
 
     def atoms(self) -> PointSet:
-        return frozenset(i for i, w in enumerate(self.weights) if w > 0)
+        return frozenset(i for i, w in enumerate(self.nums) if w)
 
 
 # -- invariance and ergodicity -------------------------------------------------

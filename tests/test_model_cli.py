@@ -492,9 +492,8 @@ def test_cli_conjugate_entropy(model_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert sorted(out["result"]) == [
-        "backward_ok", "check", "counts_dst", "counts_src", "forward_ok",
+        "backward_ok", "counts_dst", "counts_src", "forward_ok",
         "isometric", "tables_equal"]
-    assert out["result"]["check"] == "entropy"
     assert out["result"]["isometric"] is True
     assert out["result"]["tables_equal"] is True
 

@@ -2,22 +2,24 @@ import math
 import random
 import signal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from pseudodyn import (BernoulliSpec, Cylinder, InputError, ShiftPoint,
                        bowen_ball_shift, cylinder_measure, dyn_ball_cylinder,
                        dyn_ball_cylinder_bounds, htop_shift,
-                       measure_entropy_shift, shift_distance,
-                       shift_expansiveness_verdict, window_radius)
-from pseudodyn.shift import (_largest_single_cost_at_least,
-                             _strict_tail_radius, are_separated, ball_contains,
-                             bernoulli_invariance_report,
-                             separated_witness_points,
-                             shift_entropy_criterion_report,
-                             shift_homogeneity_check, shift_upgrade_report)
+                       measure_entropy_shift, shift_distance, window_radius)
+from pseudodyn.shift import _largest_single_cost_at_least, _strict_tail_radius
+
+from conftest import homogeneous
 
 HALF = BernoulliSpec(Fraction(1, 2))
+ONES = ShiftPoint((1,), 1)
+
+
+def blocks(width):
+    return list(product((0, 1), repeat=width))
 
 
 def random_point(rng, radius=5):
@@ -25,11 +27,88 @@ def random_point(rng, radius=5):
                       rng.randint(0, 1))
 
 
+# -- brute-force references for the closed forms ------------------------
+
+
+def shifted(x, j):
+    """``x`` under the j-fold shift: coordinate k of the result reads k + j."""
+    r = x.radius + abs(j)
+    return ShiftPoint(tuple(x.at(k + j) for k in range(-r, r + 1)),
+                      x.background)
+
+
+def in_cylinder(c, x):
+    return all(x.at(c.start + i) == s for i, s in enumerate(c.block))
+
+
+def ball_contains(x, y, n, eps):
+    """Closed dynamical-ball membership: every shift exponent in [-n, n]
+    keeps the image distance within eps."""
+    return all(shift_distance(shifted(x, k), shifted(y, k)) <= eps
+               for k in range(-n, n + 1))
+
+
+def are_separated(x, y, n, eps):
+    return any(shift_distance(shifted(x, k), shifted(y, k)) >= eps
+               for k in range(-n, n + 1))
+
+
+def separated_witness_points(n, eps):
+    """The explicit separated family behind ``htop_shift``'s lower bound:
+    every block on [-(n+u), n+u] over the background 0."""
+    u = _largest_single_cost_at_least(eps)
+    if u is None:
+        return [ShiftPoint.zero()]
+    return [ShiftPoint(block) for block in blocks(2 * (n + u) + 1)]
+
+
+def assert_bernoulli_invariant_and_independent(spec, max_block):
+    """Shifting a cylinder leaves its measure fixed (every block up to
+    ``max_block``), and cylinders on disjoint windows multiply exactly,
+    which forces trivial invariant sets (ergodicity)."""
+    for width in range(1, max_block + 1):
+        for block in blocks(width):
+            m = cylinder_measure(Cylinder(-(width // 2), block), spec)
+            for j in (-2, -1, 1, 2):
+                # the preimage under the j-fold shift reads the block j further
+                assert cylinder_measure(Cylinder(j - width // 2, block),
+                                        spec) == m
+    short = [b for w in range(1, 4) for b in blocks(w)]
+    for b1 in short:
+        for b2 in short:
+            # sum over the three free symbols between the two windows
+            joint = sum(cylinder_measure(Cylinder(0, b1 + mid + b2), spec)
+                        for mid in blocks(3))
+            assert joint == (cylinder_measure(Cylinder(0, b1), spec)
+                             * cylinder_measure(Cylinder(len(b1) + 3, b2),
+                                                spec))
+
+
+def check_entropy_criterion(delta):
+    """The entropy criterion on the shift at p = 1/2, asserted directly.
+
+    Its hypotheses: the Bernoulli measure is invariant, ergodic and
+    homogeneous, with entropy 2 log 2 > 0.  Its conclusion, weak
+    expansiveness at some scale, is certified at ``delta`` by a
+    measure-zero singleton Bowen ball.  That certificate covers (0, 1)
+    only: at delta >= 1 a flipped coordinate stays in the ball, which
+    leaves the conclusion uncertified there, not violated."""
+    if not 0 < delta < 1:
+        raise InputError("the criterion is certified for delta in (0, 1)")
+    assert_bernoulli_invariant_and_independent(HALF, max_block=3)
+    assert homogeneous(HALF, [(ShiftPoint.zero(), ONES, n, eps)
+                              for n in (1, 2, 5)
+                              for eps in (Fraction(3, 5), Fraction(1, 10))])
+    assert measure_entropy_shift(HALF, delta, 1).limit_log2_coeff == 2
+    rep = bowen_ball_shift(ShiftPoint.zero(), delta, HALF)
+    assert rep.singleton and rep.measure_zero
+
+
 def test_distance_examples():
     x = ShiftPoint.zero()
     assert shift_distance(x, x) == 0
     assert shift_distance(x, x.flipped(0)) == 1
-    assert shift_distance(x, ShiftPoint.constant(1)) == 3
+    assert shift_distance(x, ONES) == 3
 
 
 def test_distance_symmetry_and_triangle():
@@ -153,7 +232,7 @@ def test_cylinder_locality():
 
 def test_cylinder_measure_examples():
     assert cylinder_measure(Cylinder(-3, (0,) * 7), HALF) == Fraction(1, 128)
-    assert cylinder_measure(Cylinder.full(), HALF) == 1
+    assert cylinder_measure(Cylinder(0, ()), HALF) == 1
     third = BernoulliSpec(Fraction(1, 3))
     assert cylinder_measure(Cylinder(0, (0, 1)), third) == Fraction(2, 9)
 
@@ -165,16 +244,16 @@ def test_cylinder_sandwich_brackets_true_ball():
         n = rng.randint(0, 2)
         eps = rng.choice([Fraction(3, 5), Fraction(3, 10), Fraction(4, 5)])
         sandwich = dyn_ball_cylinder_bounds(x, n, eps)
-        span = 2 * (sandwich.inner_radius + 1) + 1
+        span = 2 * (sandwich.inner.interval[1] + 1) + 1
         for code in range(2 ** min(span, 11)):
             width = min(span, 11)
             y = ShiftPoint(tuple(code >> i & 1 for i in range(width)),
                            x.background)
             in_ball = ball_contains(x, y, n, eps)
-            if sandwich.inner.contains(y):
+            if in_cylinder(sandwich.inner, y):
                 assert in_ball
             if in_ball and sandwich.outer is not None:
-                assert sandwich.outer.contains(y)
+                assert in_cylinder(sandwich.outer, y)
 
 
 def test_paper_cylinder_between_sandwich_bounds():
@@ -183,8 +262,8 @@ def test_paper_cylinder_between_sandwich_bounds():
         for eps in (Fraction(3, 5), Fraction(1, 10)):
             paper = dyn_ball_cylinder(x, n, eps)
             sandwich = dyn_ball_cylinder_bounds(x, n, eps)
-            assert sandwich.outer_radius <= (paper.interval[1]) \
-                <= sandwich.inner_radius
+            assert (sandwich.outer.interval[1] <= paper.interval[1]
+                    <= sandwich.inner.interval[1])
 
 
 def test_measure_entropy_values():
@@ -237,7 +316,6 @@ def test_htop_pigeonhole_upper_bound():
     v = window_radius(eps, "exact")
     for _ in range(30):
         base = random_point(rng, radius=n + v)
-        far = ShiftPoint(base.window + (0,) * 0, base.background)
         # flip something strictly outside the shared cylinder
         y = base.flipped(n + v + 1 + rng.randint(0, 3))
         assert not are_separated(base, y, n, eps)
@@ -248,8 +326,7 @@ def test_htop_bracket_vs_truncated_clique():
     from pseudodyn.dynamics import _max_clique
     n, eps = 0, Fraction(3, 5)
     width = 5  # blocks on [-2, 2], background 0
-    pts = [ShiftPoint(tuple(code >> i & 1 for i in range(width)), 0)
-           for code in range(2 ** width)]
+    pts = [ShiftPoint(block, 0) for block in blocks(width)]
     adj = [0] * len(pts)
     for i, a in enumerate(pts):
         for j in range(i + 1, len(pts)):
@@ -286,17 +363,16 @@ def test_bowen_coarse_delta_not_singleton():
 
 
 def test_shift_expansiveness_verdict():
-    assert shift_expansiveness_verdict(HALF, Fraction(1, 2)).expansive
-    assert shift_expansiveness_verdict(HALF, Fraction(1, 4)).expansive
-    assert not shift_expansiveness_verdict(HALF, 2).expansive
+    for delta in (Fraction(1, 2), Fraction(1, 4)):
+        rep = bowen_ball_shift(ShiftPoint.zero(), delta, HALF)
+        assert rep.singleton and rep.measure_zero
+    assert not bowen_ball_shift(ShiftPoint.zero(), 2, HALF).singleton
 
 
 def test_invariance_and_ergodicity_report():
-    rep = bernoulli_invariance_report(HALF, max_block=4)
-    assert rep.invariant and rep.ergodic
-    third = bernoulli_invariance_report(BernoulliSpec(Fraction(1, 3)),
-                                        max_block=3)
-    assert third.invariant and third.ergodic
+    assert_bernoulli_invariant_and_independent(HALF, max_block=4)
+    assert_bernoulli_invariant_and_independent(BernoulliSpec(Fraction(1, 3)),
+                                               max_block=3)
 
 
 def test_homogeneity_witness_delta_eps_c_one():
@@ -304,17 +380,31 @@ def test_homogeneity_witness_delta_eps_c_one():
     tuples = [(random_point(rng), random_point(rng), rng.randint(1, 64),
                rng.choice([Fraction(3, 5), Fraction(1, 10)]))
               for _ in range(40)]
-    rep = shift_homogeneity_check(HALF, tuples)
-    assert rep.ok and rep.c == 1
+    assert homogeneous(HALF, tuples)
 
 
 def test_entropy_criterion_substantive():
-    rep = shift_entropy_criterion_report()
-    assert rep.invariant and rep.ergodic and rep.homogeneous
-    assert rep.entropy_log2_coeff == 2 and rep.entropy_positive
-    assert rep.conclusion_weakly_expansive and not rep.violated
+    for delta in (Fraction(1, 2), Fraction(1, 4)):
+        check_entropy_criterion(delta)
+
+
+def test_entropy_criterion_refuses_delta_outside_unit_interval():
+    """Every hypothesis holds at any delta, but the Bowen ball is no
+    singleton at delta >= 1, so the conclusion is not certified there.
+    That is not a counterexample: the criterion asserts weak expansiveness
+    at some scale, and (0, 1) certifies it."""
+    for delta in (1, 2, 0, Fraction(-1, 2)):
+        with pytest.raises(InputError, match=r"delta in \(0, 1\)"):
+            check_entropy_criterion(delta)
+    for delta in (1, 2):
+        assert not bowen_ball_shift(ShiftPoint.zero(), delta, HALF).singleton
 
 
 def test_upgrade_report_substantive():
-    rep = shift_upgrade_report(Fraction(1, 2))
-    assert rep.hypothesis and rep.conclusion and not rep.violated
+    """Cores are the whole space, so the compacted system is the shift:
+    the hypothesis (weak expansiveness at rho) and the conclusion
+    (expansiveness at rho / 2) both hold with exact certificates."""
+    rho = Fraction(1, 2)
+    for scale in (rho, rho / 2):
+        rep = bowen_ball_shift(ShiftPoint.zero(), scale, HALF)
+        assert rep.singleton and rep.measure_zero
