@@ -20,7 +20,7 @@ from itertools import compress, islice
 from .errors import CapabilityError, InputError
 from .pseudogroup import GeneratingSystem, PartialMap, WordClosure, table_ball
 from .rational import parse_radius, parse_rational
-from .space import PointSet
+from .space import UNDEFINED_BYTE, PointSet
 
 EXACT_CLIQUE_CAP = 20
 N_MAX_CAP = 10_000
@@ -117,7 +117,7 @@ def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,
     closure = closure or sys.word_closure()
     npts = space.n
     t = space.threshold(eps, closed)
-    if npts > 255:
+    if npts > UNDEFINED_BYTE:
         ranks = space.distance_ranks()[0]
         full = (1 << npts) - 1
         result = full

@@ -3,9 +3,10 @@
 On a finite space a modulus always exists (the least distance among pairs
 some map spreads past the scale is positive), so the content is the exact
 table: isometry families certify with delta(eps) = eps, while distortion
-shows up as a smaller modulus with an explicit witness pair.  A
-certificate's audit folds the maps it is given once, with
-``spread_table``, and checks every scale against that one fold.
+shows up as a smaller modulus with an explicit witness pair.  The moduli
+read a system's fixpoint pair table; only a certificate's audit folds
+maps, the ones it is given, once with ``spread_table``, and checks every
+scale against that one fold.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, PreconditionError
-from .pseudogroup import (ClosureMaps, GeneratingSystem, compacted_system,
-                          spread_table, table_ball)
+from .pseudogroup import (GeneratingSystem, compacted_system, spread_table,
+                          table_ball)
 from .rational import UNBOUNDED, is_unbounded, parse_radius, parse_rational
 from .space import FiniteMetricSpace
 
@@ -70,33 +71,33 @@ def _modulus(spread, space: FiniteMetricSpace, t: int):
     return UNBOUNDED, []
 
 
-def _spread(maps, space: FiniteMetricSpace):
-    """The spread table of ``maps``: a system is read as its word closure,
-    whose spread is the system's fixpoint pair table; a word closure's
-    ``ClosureMaps`` reads that same table, which equals their fold; any
-    other list is folded."""
-    if isinstance(maps, GeneratingSystem):
-        return maps.constraint_table()
-    if isinstance(maps, ClosureMaps):
-        return maps.pairs.table(math.inf)
-    return spread_table(maps, space)
+def _spread(source):
+    """The spread table of a system's word closure, which is the system's
+    fixpoint pair table, read from a system or from the ``ClosureMaps`` of
+    its closure, which carries that table."""
+    if isinstance(source, GeneratingSystem):
+        return source.constraint_table()
+    return source.pairs.table(math.inf)
 
 
-def modulus_at(maps, space: FiniteMetricSpace, eps):
-    """Least distance among pairs some map spreads to eps or beyond;
-    UNBOUNDED when no map ever does.  ``maps`` is a map list or a system,
-    which stands for its word closure's maps without building it."""
+def modulus_at(source, space: FiniteMetricSpace, eps):
+    """Least distance among pairs some map of a word closure spreads to eps
+    or beyond; UNBOUNDED when no map ever does.  ``source`` is a system,
+    which stands for its closure without building it, or a closure's
+    ``ClosureMaps``."""
     t = space.threshold(parse_rational(eps))
-    return _modulus(_spread(maps, space), space, t)[0]
+    return _modulus(_spread(source), space, t)[0]
 
 
-def equicontinuity_modulus(maps, space: FiniteMetricSpace
-                           ) -> EquicontinuityCertificate:
-    """One spread table serves every grid eps.  Each finite delta's witness
+def equicontinuity_modulus(sys: GeneratingSystem) -> EquicontinuityCertificate:
+    """One pair table serves every grid eps.  Each finite delta's witness
     is the first (map, i, j) that spreads a pair at distance delta to eps,
-    scanning maps in order and i < j over each sorted domain."""
+    scanning the closure's maps in order and i < j over each sorted
+    domain."""
+    space = sys.space
     eps_grid = space.distance_grid()
-    spread = _spread(maps, space)
+    spread = sys.constraint_table()
+    maps = sys.word_closure().stabilized_maps
     ranks = space.distance_ranks()[0]
     table = {}
     witnesses = {}
@@ -122,12 +123,7 @@ class GroupInclusionReport:
 
     rho: Fraction
     delta: object
-    failures: tuple  # labels of the centres whose inclusion fails
     conclusion: str
-
-    @property
-    def inclusion_ok(self) -> bool:
-        return not self.failures
 
 
 def _inclusion_failures(space: FiniteMetricSpace, delta, table, rho) -> list[int]:
@@ -142,29 +138,21 @@ def _inclusion_failures(space: FiniteMetricSpace, delta, table, rho) -> list[int
 
 def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusionReport:
     """For total generators: delta is the modulus at rho over the group's
-    maps, read from the system's constraint table at its fixpoint, and
-    the Bowen rho-balls are rows of that same table, so the inclusion
-    holds by construction.  No word closure is built; the group-claim
-    probe checks delta against a fold of the pair orbits."""
+    maps, read from the system's fixpoint pair table.  The Bowen rho-balls
+    are rows of that same table, and a pair closer than delta has a table
+    rank below ``threshold(rho)``, so the inclusion is a theorem, not a
+    check.  No word closure is built; the group-claim probe checks delta
+    against a fold of the pair orbits."""
     rho = parse_radius(rho)
     if not all(g.is_total() for g in sys.generators):
         raise CapabilityError(
             "generators are not all total; use the core-restricted variant"
         )
-    space = sys.space
-    delta = modulus_at(sys, space, rho)
-    delta_used = space.diameter() if is_unbounded(delta) else delta
-    table = sys.constraint_table()
-    failed = _inclusion_failures(space, delta_used, table, rho)
-    conclusion = (
-        "every Bowen ball at rho contains the open delta-ball around its "
-        "center; a ball around any atom has positive measure, so no measure "
-        "is weakly expansive at this scale"
-        if not failed else "inclusion failed; no conclusion"
-    )
-    return GroupInclusionReport(rho=rho, delta=delta,
-                                failures=space.labels_of(failed),
-                                conclusion=conclusion)
+    return GroupInclusionReport(
+        rho=rho, delta=modulus_at(sys, sys.space, rho),
+        conclusion="every Bowen ball at rho contains the open delta-ball "
+                   "around its center; a ball around any atom has positive "
+                   "measure, so no measure is weakly expansive at this scale")
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,13 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CapabilityError, InputError, PreconditionError
 from .rational import UNBOUNDED
-from .space import FiniteMetricSpace, PointSet
+from .space import UNDEFINED_BYTE, FiniteMetricSpace, PointSet
 
 # The most maps a word closure may hold: the largest one known to fit has
 # 1,188,736 maps, and a closure past the cap stops after about 320 MB.
 CLOSURE_CAP = 1_500_000
 
-# A byte key holds an image index per point, and this byte off the domain,
-# so it serves spaces of at most this many points.
-_UNDEFINED = 255
-_DECODE = tuple(range(_UNDEFINED)) + (None,)
+_DECODE = tuple(range(UNDEFINED_BYTE)) + (None,)
 
 
 class PartialMap:
@@ -92,10 +89,6 @@ class PartialMap:
     def identity(cls, space: FiniteMetricSpace) -> "PartialMap":
         return cls(space, tuple(range(space.n)), name="id", word=())
 
-    @classmethod
-    def empty(cls, space: FiniteMetricSpace, name: str | None = None) -> "PartialMap":
-        return cls(space, (None,) * space.n, name=name)
-
     # -- extensional identity ------------------------------------------------
 
     def __eq__(self, other):
@@ -143,10 +136,10 @@ class PartialMap:
         255 points; built once.  ``key.translate(table)`` reads a 256-byte
         table at each point's image, and at 255 off the domain."""
         if self._key is None:
-            if self.space.n > _UNDEFINED:
+            if self.space.n > UNDEFINED_BYTE:
                 raise CapabilityError(
-                    f"a byte key serves at most {_UNDEFINED} points")
-            self._key = bytes([_UNDEFINED if v is None else v
+                    f"a byte key serves at most {UNDEFINED_BYTE} points")
+            self._key = bytes([UNDEFINED_BYTE if v is None else v
                                for v in self.vals])
         return self._key
 
@@ -165,9 +158,6 @@ class PartialMap:
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.vals))
-
-    def graph(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, v) for i, v in enumerate(self.vals) if v is not None)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -464,7 +454,7 @@ class ClosureMaps(abc.Sequence):
             if type(self._keys[0]) is bytes:  # else the keys are the vals
                 for key, (parent, gen) in zip(self._keys[start:stop], links):
                     vals = (tuple([_DECODE[v] for v in key])
-                            if _UNDEFINED in key else tuple(key))
+                            if UNDEFINED_BYTE in key else tuple(key))
                     maps.append(raw(space, vals,
                                     word=maps[parent].word + maps[gen].word,
                                     key=key))
@@ -645,9 +635,9 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
         if g not in seen:
             seen.add(g)
             level1.append(g)
-    if compose is PartialMap.then and space.n <= _UNDEFINED:
+    if compose is PartialMap.then and space.n <= UNDEFINED_BYTE:
         keys = [g.key for g in level1]
-        pad = bytes([_UNDEFINED]) * (256 - space.n)
+        pad = bytes([UNDEFINED_BYTE]) * (256 - space.n)
         tables = [key + pad for key in keys]
         step = bytes.translate
     else:

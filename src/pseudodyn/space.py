@@ -22,6 +22,10 @@ from .rational import parse_rational
 
 PointSet = frozenset
 
+# The byte a ``PartialMap.key`` holds off its domain, so byte keys and the
+# translate tables they index serve spaces of at most this many points.
+UNDEFINED_BYTE = 255
+
 
 class FiniteMetricSpace:
     """An ordered finite point set together with an exact metric matrix.
@@ -202,11 +206,11 @@ class FiniteMetricSpace:
         its domain.  Memoized per ``base``; spaces of at most 255 points."""
         tables = self._pullbacks.get(base)
         if tables is None:
-            if self.n > 255:
+            if self.n > UNDEFINED_BYTE:
                 raise CapabilityError("rank pullback tables serve at most "
-                                      "255 points")
+                                      f"{UNDEFINED_BYTE} points")
             # a rank d past base is below base + j for the bits j > d
-            pad = bytes(255 - self.n) + b"\xff"
+            pad = bytes(UNDEFINED_BYTE - self.n) + b"\xff"
             tables = self._pullbacks[base] = tuple(
                 bytes(0xff if rank < base else 0xff << rank - base + 1 & 0xff
                       for rank in row) + pad

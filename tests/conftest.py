@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from pseudodyn import (UNBOUNDED, FiniteMetricSpace, GeneratingSystem,
-                       PartialMap, cylinder_measure, dyn_ball_cylinder)
+                       PartialMap, cylinder_measure, dyn_ball_cylinder,
+                       is_unbounded)
 
 
 @pytest.fixture
@@ -23,6 +24,16 @@ def line_system_cores(line):
     g = PartialMap.from_dict(line, {"a": "b", "b": "c"}, name="g")
     return GeneratingSystem.build(line, [g],
                                   cores={"g": {0}, "g^-1": {2}})
+
+
+def empty_map(space, name=None):
+    """The partial map defined nowhere."""
+    return PartialMap(space, (None,) * space.n, name=name)
+
+
+def graph(g):
+    """The pairs (i, g i) over the domain of ``g``."""
+    return frozenset((i, v) for i, v in enumerate(g.vals) if v is not None)
 
 
 def cyclic_space(n):
@@ -98,6 +109,35 @@ def reference_modulus_full_scan(spread, space, t):
         return UNBOUNDED, []
     low = min(ranks[i][j] for i, j in spread_pairs)
     return values[low], [(i, j) for i, j in spread_pairs if ranks[i][j] == low]
+
+
+def group_inclusion_failures(group, rho, delta):
+    """The centres x whose open delta-ball (the diameter's where delta is
+    unbounded) is not inside the Bowen rho-ball {y : d(w x, w y) <= rho
+    for every word w}, in distances.  A group of bijections sends (x, y)
+    along its component of the pair graph (x, y) -> (g x, g y), so the
+    Bowen ball holds y exactly when no pair of that component, found here
+    breadth first, is farther apart than rho."""
+    space = group.space
+    n, dist = space.n, space.dist
+    radius = space.diameter() if is_unbounded(delta) else delta
+    spread = {}
+    for start in ((x, y) for x in range(n) for y in range(n)):
+        if start in spread:
+            continue
+        component, todo = {start}, [start]
+        while todo:
+            a, b = todo.pop()
+            for g in group.generators:
+                image = (g.vals[a], g.vals[b])
+                if image not in component:
+                    component.add(image)
+                    todo.append(image)
+        top = max(dist[a][b] for a, b in component)
+        spread.update(dict.fromkeys(component, top))
+    return [x for x in range(n)
+            if any(dist[x][y] < radius and spread[x, y] > rho
+                   for y in range(n))]
 
 
 def homogeneous(spec, tuples):

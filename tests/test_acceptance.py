@@ -23,7 +23,7 @@ from pseudodyn.mutations import MUTATIONS, crafted_genomes
 from pseudodyn.probes import InstanceSpec, DEFAULT_OPS, random_genome, \
     run_suite
 
-from conftest import homogeneous, rotation_system
+from conftest import group_inclusion_failures, homogeneous, rotation_system
 
 HALF = BernoulliSpec(Fraction(1, 2))
 
@@ -227,11 +227,11 @@ def test_criterion_11_equicontinuity_rotations():
     for size in (6, 12):
         sys_r = rotation_system(size)
         space = sys_r.space
-        maps = sys_r.word_closure().stabilized_maps
-        cert = equicontinuity_modulus(maps, space)
+        cert = equicontinuity_modulus(sys_r)
         ok = ok and all(cert.table[e] == e for e in space.distance_grid())
         for rho in space.distance_grid():
-            ok = ok and no_expansive_certificate_group(sys_r, rho).inclusion_ok
+            delta = no_expansive_certificate_group(sys_r, rho).delta
+            ok = ok and group_inclusion_failures(sys_r, rho, delta) == []
         for _ in range(100):
             raw = [rng.randint(1, 9) for _ in range(size)]
             total = sum(raw)

@@ -12,12 +12,13 @@ from pseudodyn import (UNBOUNDED, CapabilityError, FiniteMeasure,
                        no_expansive_certificate_good,
                        no_expansive_certificate_group)
 from pseudodyn import equicont
-from pseudodyn.equicont import _modulus, modulus_at
+from pseudodyn.equicont import EquicontinuityCertificate, _modulus, modulus_at
 from pseudodyn.probes import (InstanceSpec, random_genome, random_instance,
                               totalized_group)
+from pseudodyn.pseudogroup import spread_table
 
-from conftest import (coprime_space, cyclic_space, reference_modulus_full_scan,
-                      symmetric_group)
+from conftest import (coprime_space, cyclic_space, group_inclusion_failures,
+                      reference_modulus_full_scan, symmetric_group)
 
 
 def closure_maps(sys):
@@ -25,15 +26,14 @@ def closure_maps(sys):
 
 
 def test_isometries_certify_identity_modulus(z6_rotations):
-    cert = equicontinuity_modulus(closure_maps(z6_rotations),
-                                  z6_rotations.space)
+    cert = equicontinuity_modulus(z6_rotations)
     assert cert.isometric
     assert all(cert.table[e] == e for e in z6_rotations.space.distance_grid())
     assert cert.audit(closure_maps(z6_rotations), z6_rotations.space)
 
 
 def test_identity_only_modulus(line, identity_system):
-    cert = equicontinuity_modulus(closure_maps(identity_system), line)
+    cert = equicontinuity_modulus(identity_system)
     assert all(cert.table[e] == e for e in line.distance_grid())
 
 
@@ -43,7 +43,7 @@ def test_distorting_map_shrinks_modulus():
     vline = FiniteMetricSpace(["a", "b", "c"], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
     g = PartialMap.from_dict(vline, {"a": "b", "b": "c"}, name="g")
     sysv = GeneratingSystem.build(vline, [g])
-    cert = equicontinuity_modulus(closure_maps(sysv), vline)
+    cert = equicontinuity_modulus(sysv)
     assert cert.table[Fraction(2)] == 1
     wmap, wx, wy = cert.witnesses[Fraction(2)]
     assert {wx, wy} == {"a", "b"}
@@ -54,7 +54,7 @@ def test_distorting_map_shrinks_modulus():
 def test_group_certificate_rotations(z6_rotations):
     rep = no_expansive_certificate_group(z6_rotations, 1)
     assert rep.delta == 1
-    assert rep.inclusion_ok
+    assert group_inclusion_failures(z6_rotations, 1, rep.delta) == []
     # B(x, 1) = {x} sits inside the three-point Bowen ball at every center
     for x in range(6):
         assert bowen_ball(z6_rotations, x, 1).members \
@@ -63,7 +63,8 @@ def test_group_certificate_rotations(z6_rotations):
 
 def test_group_certificate_trivial_group(line, identity_system):
     rep = no_expansive_certificate_group(identity_system, 1)
-    assert rep.inclusion_ok  # B(x, delta) subset of B[x, rho]
+    # B(x, delta) subset of B[x, rho]
+    assert group_inclusion_failures(identity_system, 1, rep.delta) == []
 
 
 def test_group_certificate_requires_total(line_system):
@@ -76,7 +77,59 @@ def test_negative_radius_is_input_error(z6_rotations, line_system_cores):
     0 stays valid."""
     with pytest.raises(InputError, match="nonnegative"):
         no_expansive_certificate_group(z6_rotations, -1)
-    assert no_expansive_certificate_group(z6_rotations, 0).inclusion_ok
+    rep = no_expansive_certificate_group(z6_rotations, 0)
+    assert group_inclusion_failures(z6_rotations, 0, rep.delta) == []
+
+
+def seeded_group_inclusion_cases(count):
+    """Seeded totalized groups, built as the group-claim statement builds
+    them, each with its radii: 0, a third of the least grid value, every
+    grid value, every midpoint and twice the diameter."""
+    spec = InstanceSpec(seed="group-inclusion", count=count)
+    rng = random.Random("group-inclusion")
+    for idx in range(spec.count):
+        genome = random_genome(spec, idx)
+        space = genome.build()[0].space
+        group = totalized_group(space, genome.gens, rng)
+        grid = space.distance_grid()
+        middles = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        yield group, [Fraction(0), grid[0] / 3, *grid, *middles,
+                      2 * space.diameter()]
+
+
+def test_group_inclusion_reference_holds_on_seeded_groups():
+    """The group certificate's open delta-balls sit inside the Bowen
+    rho-balls of the pair-orbit reference at every radius."""
+    cases = 0
+    for group, radii in seeded_group_inclusion_cases(600):
+        for rho in radii:
+            delta = no_expansive_certificate_group(group, rho).delta
+            assert group_inclusion_failures(group, rho, delta) == []
+            cases += 1
+    assert cases > 4000
+
+
+def test_group_inclusion_reference_rejects_a_modulus_raised_to_the_next_grid_value(
+        monkeypatch):
+    """With every bounded modulus below the diameter raised to the next
+    grid value, the reference finds a centre whose ball escapes."""
+    modulus = equicont._modulus
+
+    def raised(spread, space, t):
+        delta, pairs = modulus(spread, space, t)
+        grid = space.distance_grid()
+        if is_unbounded(delta) or delta == grid[-1]:
+            return delta, pairs
+        return grid[grid.index(delta) + 1], pairs
+
+    monkeypatch.setattr(equicont, "_modulus", raised)
+    cases = failed = 0
+    for group, radii in seeded_group_inclusion_cases(200):
+        for rho in radii:
+            delta = no_expansive_certificate_group(group, rho).delta
+            failed += bool(group_inclusion_failures(group, rho, delta))
+            cases += 1
+    assert failed > cases // 2
 
 
 def test_group_conclusion_cross_checked_with_measures(z6_rotations):
@@ -146,25 +199,27 @@ def reference_modulus_and_witness(maps, space, eps):
                     return best, (g, space.label(i), space.label(j))
 
 
-def assert_moduli_match_two_scan_reference(maps, space) -> dict:
+def assert_moduli_match_two_scan_reference(system) -> dict:
     """Every table entry and every witness, down to the map object, equals
-    the two-scan reference, over the maps as given (a closure's list reads
-    its pair table) and as a plain list (which is folded); returns the
-    reference modulus per grid eps, None where it is unbounded."""
+    the two-scan reference over the system's closure, and ``modulus_at``
+    agrees over the system and over the closure's maps; the audit accepts
+    over the maps and over them as a plain list.  Returns the reference
+    modulus per grid eps, None where it is unbounded."""
+    maps, space = closure_maps(system), system.space
     want = {eps: reference_modulus_and_witness(maps, space, eps)
             for eps in space.distance_grid()}
-    for route in (maps, list(maps)):
-        cert = equicontinuity_modulus(route, space)
-        for eps, (delta, witness) in want.items():
-            if delta is None:
-                assert is_unbounded(cert.table[eps])
-                assert is_unbounded(modulus_at(route, space, eps))
-                assert cert.witnesses[eps] is None
-                continue
-            assert cert.table[eps] == delta == modulus_at(route, space, eps)
-            got = cert.witnesses[eps]
-            assert got[0] is witness[0] and got[1:] == witness[1:]
-        assert cert.audit(route, space)
+    cert = equicontinuity_modulus(system)
+    for eps, (delta, witness) in want.items():
+        moduli = [modulus_at(route, space, eps) for route in (system, maps)]
+        if delta is None:
+            assert is_unbounded(cert.table[eps])
+            assert all(is_unbounded(m) for m in moduli)
+            assert cert.witnesses[eps] is None
+            continue
+        assert cert.table[eps] == delta == moduli[0] == moduli[1]
+        got = cert.witnesses[eps]
+        assert got[0] is witness[0] and got[1:] == witness[1:]
+    assert cert.audit(maps, space) and cert.audit(list(maps), space)
     return {eps: delta for eps, (delta, _) in want.items()}
 
 
@@ -175,8 +230,7 @@ def test_modulus_and_witness_match_two_scan_reference():
     for idx in range(spec.count):
         sys_i, _ = random_instance(spec, idx)
         for s in (sys_i, compacted_system(sys_i)):
-            deltas = assert_moduli_match_two_scan_reference(closure_maps(s),
-                                                            sys_i.space)
+            deltas = assert_moduli_match_two_scan_reference(s)
             checked += sum(d is not None for d in deltas.values())
     assert checked > 200
 
@@ -184,8 +238,7 @@ def test_modulus_and_witness_match_two_scan_reference():
 def assert_group_moduli_match_two_scan_reference(group) -> None:
     """The closure's moduli and witnesses, and the group certificate's
     delta at every grid rho, equal the two-scan reference."""
-    deltas = assert_moduli_match_two_scan_reference(closure_maps(group),
-                                                    group.space)
+    deltas = assert_moduli_match_two_scan_reference(group)
     for rho, delta in deltas.items():
         got = no_expansive_certificate_group(group, rho).delta
         assert is_unbounded(got) if delta is None else got == delta
@@ -211,19 +264,26 @@ def test_group_moduli_match_two_scan_reference():
 
 
 def test_modulus_at_direct(z6_rotations):
-    maps = closure_maps(z6_rotations)
-    assert modulus_at(maps, z6_rotations.space, 2) == 2
-    assert is_unbounded(modulus_at(maps, z6_rotations.space, 4))
+    for route in (z6_rotations, closure_maps(z6_rotations)):
+        assert modulus_at(route, z6_rotations.space, 2) == 2
+        assert is_unbounded(modulus_at(route, z6_rotations.space, 4))
 
 
 def test_modulus_at_zero_counts_only_shared_pairs():
-    """At eps <= 0 every pair some map is defined at qualifies, and only
-    those: (a, b) is closer than (b, c) but no map is defined at both."""
+    """Over a folded map list, which the audit reads, at eps <= 0 every
+    pair some map is defined at qualifies, and only those: (a, b) is
+    closer than (b, c) but no map is defined at both."""
     vline = FiniteMetricSpace(["a", "b", "c"], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
     g = PartialMap.from_dict(vline, {"b": "a", "c": "b"}, name="g")
+    fold = spread_table([g], vline)
     for eps in (0, -1):
-        assert modulus_at([g], vline, eps) == 2
+        assert _modulus(fold, vline, vline.threshold(eps))[0] == 2
         assert reference_modulus_and_witness([g], vline, eps)[0] == 2
+        for delta, ok in ((2, True), (3, False)):
+            cert = EquicontinuityCertificate(scope="closure",
+                                             table={eps: Fraction(delta)},
+                                             witnesses={}, isometric=False)
+            assert cert.audit([g], vline) is ok
 
 
 def test_audit_rejects_a_delta_raised_to_the_next_grid_value():
@@ -236,7 +296,7 @@ def test_audit_rejects_a_delta_raised_to_the_next_grid_value():
         maps = closure_maps(sys_i)
         space = sys_i.space
         grid = space.distance_grid()
-        cert = equicontinuity_modulus(maps, space)
+        cert = equicontinuity_modulus(sys_i)
         assert cert.audit(maps, space)
         for eps, delta in cert.table.items():
             if is_unbounded(delta) or delta == grid[-1]:
@@ -249,25 +309,28 @@ def test_audit_rejects_a_delta_raised_to_the_next_grid_value():
 
 
 def test_closure_moduli_read_the_pair_table(monkeypatch):
-    """Over a word closure's map list the moduli read the system's fixpoint
-    pair table: they answer, as the fold did, with the fold disabled."""
+    """The moduli of a system, and of its closure's map list, read the
+    system's fixpoint pair table: with the fold disabled they answer as
+    the modulus of the fold of the closure's maps."""
     spec = InstanceSpec(seed="closure-moduli", count=20)
     cases = []
     for idx in range(spec.count):
         sys_i, _ = random_instance(spec, idx)
-        maps, space = closure_maps(sys_i), sys_i.space
-        cert = equicontinuity_modulus(list(maps), space)
-        cases.append((maps, space, cert))
+        space = sys_i.space
+        fold = spread_table(closure_maps(sys_i), space)
+        want = {eps: _modulus(fold, space, space.threshold(eps))[0]
+                for eps in space.distance_grid()}
+        cases.append((sys_i, want))
 
     def no_fold(maps, space):
         raise AssertionError("a closure's moduli folded its maps")
 
     monkeypatch.setattr(equicont, "spread_table", no_fold)
-    for maps, space, want in cases:
-        got = equicontinuity_modulus(maps, space)
-        assert got == want
-        for eps, delta in want.table.items():
-            assert modulus_at(maps, space, eps) == delta
+    for sys_i, want in cases:
+        assert equicontinuity_modulus(sys_i).table == want
+        for eps, delta in want.items():
+            for route in (sys_i, closure_maps(sys_i)):
+                assert modulus_at(route, sys_i.space, eps) == delta
 
 
 def reference_audit(cert, maps, space) -> bool:
@@ -298,7 +361,7 @@ def test_audit_matches_fraction_reference():
     for system in systems:
         maps, space = closure_maps(system), system.space
         grid = space.distance_grid()
-        cert = equicontinuity_modulus(maps, space)
+        cert = equicontinuity_modulus(system)
         certs = [cert] + [
             replace(cert, table={**cert.table,
                                  eps: grid[grid.index(delta) + 1]})
@@ -325,7 +388,7 @@ def test_audit_folds_the_maps_once(monkeypatch):
     monkeypatch.setattr(equicont, "spread_table", spy)
     group = symmetric_group(coprime_space(5))
     maps, space = closure_maps(group), group.space
-    cert = equicontinuity_modulus(maps, space)
+    cert = equicontinuity_modulus(group)
     assert sum(not is_unbounded(d) for d in cert.table.values()) > 1
     assert folds == []
     assert cert.audit(maps, space)

@@ -320,6 +320,30 @@ def test_cli_entropy(model_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["htop"], ["entropy", "--x", "a"]])
+@pytest.mark.parametrize("grid,scale", [("1,1", "1"), ("1/2,2,0.5", "1/2")])
+def test_cli_eps_grid_repeating_a_scale_is_refused(model_path, monkeypatch,
+                                                   capsys, command, grid,
+                                                   scale):
+    """A scale given twice, by any spelling, would repeat its rows: it is
+    an input error, raised before the model is loaded."""
+    loaded = []
+    monkeypatch.setattr(cli, "load_model", loaded.append)
+    assert main([command[0], "--model", model_path, *command[1:],
+                 "--eps-grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and loaded == []
+    assert captured.err == (f"input error: --eps-grid gives the scale "
+                            f"{scale} twice\n")
+
+
+def test_cli_htop_rows_follow_the_grid_as_given(model_path, capsys):
+    code = main(["--format", "json", "htop", "--model", model_path,
+                 "--eps-grid", "2,1/2", "--n-max", "1"])
+    rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+    assert code == 0 and [r["eps"] for r in rows] == ["2", "1/2"]
+
+
+@pytest.mark.parametrize("command", [["htop"], ["entropy", "--x", "a"]])
 def test_cli_n_max_is_capped(model_path, capsys, command):
     """An explicit --n-max answers at the cap and exits 2 one past it,
     naming the cap, before any row is built."""

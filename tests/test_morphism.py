@@ -14,7 +14,7 @@ from pseudodyn.probes import (InstanceSpec, random_genome,
                               random_space_matrix)
 from pseudodyn.rational import UNBOUNDED, is_unbounded
 
-from conftest import reference_modulus_full_scan
+from conftest import graph, reference_modulus_full_scan
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def test_conjugate_relabeling(line, line_system, relabel):
     g = PartialMap.from_dict(line, {"a": "b", "b": "c"}, name="g")
     gp = conjugate_map(g, relabel)
     assert gp.space is relabel.dst
-    assert gp.graph() == {(0, 1), (1, 2)}
+    assert graph(gp) == {(0, 1), (1, 2)}
 
     ident = SpaceIso(line, line, range(3))
     assert set(conjugate_system(line_system, ident).generators) \

@@ -117,7 +117,7 @@ def test_group_claim_builds_no_word_closure(monkeypatch):
     """The certificate reads the fixpoint pair table and the statement the
     pair-orbit fold, so neither builds the group's word closure."""
     group = symmetric_group(coprime_space(7))
-    assert no_expansive_certificate_group(group, 1).inclusion_ok
+    assert no_expansive_certificate_group(group, 1).delta == 1 + Fraction(1, 17)
     assert group._closure is None
 
     def refused(self):
@@ -132,9 +132,8 @@ def test_group_claim_builds_no_word_closure(monkeypatch):
 
 
 def test_group_claim_rejects_a_delta_raised_to_the_next_grid_value(monkeypatch):
-    """The certificate's delta and its Bowen balls read one table, so the
-    inclusion cannot catch a wrong delta; the statement's pair-orbit fold
-    does."""
+    """The certificate's delta and its Bowen balls read one table, so only
+    the statement's pair-orbit fold can catch a wrong delta, and it does."""
     spec = InstanceSpec(seed="group-claim-raised", count=30)
     genomes = [random_genome(spec, idx) for idx in range(spec.count)]
 
