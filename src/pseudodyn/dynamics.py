@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import compress, islice
 
 from .errors import CapabilityError, InputError
-from .pseudogroup import GeneratingSystem, PartialMap, WordClosure, table_ball
+from .pseudogroup import (GeneratingSystem, PartialMap, WordClosure,
+                          below_flags, table_ball)
 from .rational import parse_radius, parse_rational
 from .space import UNDEFINED_BYTE, PointSet
 
@@ -187,13 +188,18 @@ class SeparationReport:
     exact: bool
 
 
+# below flag -> adjacency digit: a cell at or past the threshold is an edge
+_EDGE_DIGITS = b"10" + bytes(254)
+
+
 def separation_graph(sys: GeneratingSystem, n: int, eps) -> list[int]:
     """Adjacency bitmasks: an edge joins two points some shared word pushes
     at least ``eps`` apart."""
     t = sys.space.threshold(parse_rational(eps))
-    table = sys.constraint_table(n)
-    return [sum(1 << j for j, r in enumerate(row) if r >= t and j != i)
-            for i, row in enumerate(table)]
+    flags = below_flags(sys.constraint_table(n), t)
+    # bit j of a row's mask is its cell j, so the digits run from the last
+    return [int(row.translate(_EDGE_DIGITS)[::-1], 2) & ~(1 << i)
+            for i, row in enumerate(flags)]
 
 
 def separated_count(sys: GeneratingSystem, n: int, eps,
@@ -223,7 +229,7 @@ def separated_count(sys: GeneratingSystem, n: int, eps,
                                 witness=members, exact=True)
     if mode == "greedy":
         mask = _greedy_clique(adj, npts)
-        size = bin(mask).count("1")
+        size = mask.bit_count()
         members = frozenset(i for i in range(npts) if mask >> i & 1)
         return SeparationReport(n=n, eps=eps, lower=size, upper=npts,
                                 witness=members, exact=False)
@@ -231,7 +237,7 @@ def separated_count(sys: GeneratingSystem, n: int, eps,
 
 
 def _greedy_clique(adj: list[int], npts: int) -> int:
-    order = sorted(range(npts), key=lambda i: -bin(adj[i]).count("1"))
+    order = sorted(range(npts), key=lambda i: -adj[i].bit_count())
     mask = 0
     for v in order:
         if mask & ~adj[v] == 0:
@@ -245,14 +251,14 @@ def _max_clique(adj: list[int], npts: int) -> tuple[int, int]:
 
     def expand(current: int, size: int, cand: int):
         nonlocal best_size, best_mask
-        if size + bin(cand).count("1") <= best_size:
+        if size + cand.bit_count() <= best_size:
             return
         if cand == 0:
             if size > best_size:
                 best_size, best_mask = size, current
             return
         while cand:
-            if size + bin(cand).count("1") <= best_size:
+            if size + cand.bit_count() <= best_size:
                 return
             v = (cand & -cand).bit_length() - 1
             bit = 1 << v
@@ -282,7 +288,7 @@ def brute_force_separated(sys: GeneratingSystem, n: int, eps) -> int:
                 break
             m &= m - 1
         if ok:
-            c = bin(subset).count("1")
+            c = subset.bit_count()
             if c > best:
                 best = c
     return best

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Optional
 
 from .dynamics import check_n_max
 from .errors import InputError, PreconditionError
-from .pseudogroup import GeneratingSystem
+from .pseudogroup import GeneratingSystem, below_flags
 from .rational import parse_radius, parse_rational
 from .space import FiniteMetricSpace, PointSet
 
@@ -79,15 +79,18 @@ class FiniteMeasure:
         ``{y : row[y] < t}`` (see ``table_ball``) as a numerator over
         ``den``.  ``reuse`` is ``(old_rows, old)``, the numerators ``old``
         of another table's ``old_rows`` at the same ``t``: a row that is
-        the same list object as its old row keeps its old numerator (pair
+        the same object as its old row keeps its old numerator (pair
         tables share the rows a level did not raise)."""
         nums = self.nums
         if reuse is None:
-            return [sum([w for w, v in zip(nums, row) if v < t])
-                    for row in rows]
-        return [m if row is old_row
-                else sum([w for w, v in zip(nums, row) if v < t])
-                for row, old_row, m in zip(rows, *reuse)]
+            return [sum(compress(nums, flags))
+                    for flags in below_flags(rows, t)]
+        old_rows, old = reuse
+        fresh = iter(below_flags(
+            [row for row, old_row in zip(rows, old_rows) if row is not old_row],
+            t))
+        return [m if row is old_row else sum(compress(nums, next(fresh)))
+                for row, old_row, m in zip(rows, old_rows, old)]
 
     def atoms(self) -> PointSet:
         return frozenset(i for i, w in enumerate(self.nums) if w)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import abc
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapabilityError, InputError, PreconditionError
@@ -323,11 +323,12 @@ class GeneratingSystem:
             self._closure = word_closure(self)
         return self._closure
 
-    def constraint_table(self, n=math.inf) -> list[list[int]]:
+    def constraint_table(self, n=math.inf) -> list[Sequence[int]]:
         """``T[i][j]`` = the rank of max d(w i, w j) over the words w of
         length ``n`` defined at i and j: ``table_ball(T, i, space.threshold(
         eps, closed))`` is the dynamical n-ball around ``i``.  Every level
-        from ``fixpoint_level`` on, and the default, is the fixpoint table."""
+        from ``fixpoint_level`` on, and the default, is the fixpoint table.
+        Its rows are read-only ``bytes``, or lists past 256 rank values."""
         return self._pair_tables().table(n)
 
     @property
@@ -355,20 +356,31 @@ class _PairTables:
 
     Levels are built semi-naively, cell by cell: T_{k-1}[i][j] already
     bounds every T_{k-2}[g i][g j], so only a cell (a, b) raised at level
-    k-1 can raise a cell at level k, namely (g^-1 a, g^-1 b).  Level k
-    starts as a shallow copy of level k-1's rows and copies a row the first
-    time one of its cells rises, so an unchanged row is the same list in
-    both levels: rows are read-only.  Level 1 pushes every cell of T_0.
+    k-1 can raise a cell at level k, namely (g^-1 a, g^-1 b).  Every table
+    is symmetric with a zero diagonal, so only the cells a < b are pushed,
+    and each rise writes both mirror cells.  Level k starts as a shallow
+    copy of level k-1's rows and copies a row the first time one of its
+    cells rises, so an unchanged row is the same object in both levels.
     The pullbacks g^-1 come from each generator's own values, since a
     compacted family need not hold the inverse of its maps.  Once settled,
     the engine keeps only its levels.  It holds no reference to the system,
-    which caches it: that would make a cycle."""
+    which caches it: that would make a cycle.
 
-    __slots__ = ("tables", "_pulls", "_raised")
+    Rows are ``bytes`` when every rank fits a byte (at most 256 rank
+    values), so ``below_flags`` scans one with a single ``translate``;
+    a raised row is built in a ``bytearray`` and frozen when its level is
+    done.  A wider space keeps list rows.  Either way rows are read-only:
+    levels share them.  ``below_flags`` is the one reader that knows the
+    format."""
+
+    __slots__ = ("tables", "_pulls", "_raised", "_copy")
 
     def __init__(self, space: FiniteMetricSpace, generators):
         n = space.n
-        self.tables = [list(map(list, space.distance_ranks()[0]))]
+        ranks, values = space.distance_ranks()
+        narrow = len(values) <= 256
+        self._copy = bytearray if narrow else list
+        self.tables = [list(map(bytes if narrow else list, ranks))]
         self._pulls = []  # pull[a] = g^-1 a, or None off g's range
         for g in generators:
             if not g.is_identity():
@@ -377,10 +389,10 @@ class _PairTables:
                     if a is not None:
                         pull[a] = i
                 self._pulls.append(pull)
-        every = range(n)
-        self._raised = {a: every for a in every}  # row -> columns raised
+        # row a -> the columns b > a raised in it
+        self._raised = {a: range(a + 1, n) for a in range(n - 1)}
 
-    def table(self, n) -> list[list[int]]:
+    def table(self, n) -> list[Sequence[int]]:
         if n < 1:
             raise InputError("word length must be at least 1")
         tables = self.tables
@@ -393,6 +405,8 @@ class _PairTables:
         settle when none rises."""
         prev = self.tables[-1]
         level = prev[:]
+        copy = self._copy
+        copied = []
         raised: dict[int, set[int]] = {}
         for a, cols in self._raised.items():
             src = prev[a]
@@ -401,21 +415,42 @@ class _PairTables:
                 if i is None:
                     continue
                 row = level[i]
-                up = None
                 for b in cols:
                     j = pull[b]
                     if j is not None and src[b] > row[j]:
-                        if up is None:
-                            if row is prev[i]:
-                                row = level[i] = row[:]
-                            up = raised.setdefault(i, set())
-                        row[j] = src[b]
-                        up.add(j)
+                        if row is prev[i]:
+                            row = level[i] = copy(row)
+                            copied.append(i)
+                        mirror = level[j]
+                        if mirror is prev[j]:
+                            mirror = level[j] = copy(mirror)
+                            copied.append(j)
+                        row[j] = mirror[i] = src[b]
+                        if i < j:
+                            raised.setdefault(i, set()).add(j)
+                        else:
+                            raised.setdefault(j, set()).add(i)
         if raised:
+            if copy is bytearray:
+                for i in copied:
+                    level[i] = bytes(level[i])
             self.tables.append(level)
             self._raised = raised
         else:
-            self._pulls = self._raised = None
+            self._pulls = self._raised = self._copy = None
+
+
+def below_flags(rows, t: int) -> list[bytes]:
+    """For each row of a rank table, the bytes whose byte y is 1 when
+    ``row[y] < t``, else 0: the ball ``{y : row[y] < t}`` as a mask for
+    ``itertools.compress`` and ``bytes.translate``.  Pair-table rows of
+    at most 256 rank values are ``bytes`` and take one ``translate``
+    each; any other row (wider pair tables, distance ranks, spread
+    tables) is compared cell by cell."""
+    if rows and type(rows[0]) is bytes:
+        below = b"\x01" * t + bytes(256 - t)
+        return [row.translate(below) for row in rows]
+    return [bytes([v < t for v in row]) for row in rows]
 
 
 class ClosureMaps(abc.Sequence):
@@ -549,7 +584,7 @@ class WordClosure:
         """Every level as its own list, sliced when read."""
         return [self.stabilized_maps[:size] for size in self.sizes]
 
-    def constraint_table(self, n: int) -> list[list[int]]:
+    def constraint_table(self, n: int) -> list[Sequence[int]]:
         """The system's constraint table at length ``n``."""
         return self._pairs.table(n)
 
@@ -594,7 +629,8 @@ def table_ball(table, i: int, t: int) -> PointSet:
     """``{y : table[i][y] < t}`` for a rank threshold ``t`` from
     ``space.threshold``: with a spread table the dynamical ball around
     ``i``, with the distance ranks the metric ball."""
-    return frozenset(y for y, v in enumerate(table[i]) if v < t)
+    row = table[i]
+    return frozenset(compress(range(len(row)), below_flags((row,), t)[0]))
 
 
 def word_closure(sys: GeneratingSystem) -> WordClosure:

@@ -147,3 +147,33 @@ def homogeneous(spec, tuples):
     return all(cylinder_measure(dyn_ball_cylinder(y, n, eps), spec)
                <= c * cylinder_measure(dyn_ball_cylinder(x, n, eps), spec)
                for x, y, n, eps in tuples)
+
+
+def ranked_space(n, values):
+    """``n`` points whose pairs i < j, in order, take the distances
+    1 + k/values for k = 0, 1, ..., values - 1, 0, 1, ...: ``values`` + 1
+    rank values once there are at least ``values`` pairs.  Every distance
+    lies in [1, 2], so the triangle inequality holds."""
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = 1 + Fraction(k % values, values)
+            k += 1
+    return FiniteMetricSpace([f"r{i}" for i in range(n)], dist)
+
+
+# Row readers of a rank table, one comprehension per row: the references
+# that every row format of the pair tables is tested against.
+
+def reference_table_ball(table, i, t):
+    return frozenset(y for y, v in enumerate(table[i]) if v < t)
+
+
+def reference_ball_numerators(nums, rows, t):
+    return [sum([w for w, v in zip(nums, row) if v < t]) for row in rows]
+
+
+def reference_separation_graph(table, t):
+    return [sum(1 << j for j, r in enumerate(row) if r >= t and j != i)
+            for i, row in enumerate(table)]

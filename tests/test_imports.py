@@ -4,7 +4,8 @@ No linter runs on this tree, so these tests read each module's syntax tree.
 One fails on an import that binds a name the module never reads; the other
 on a public top-level ``def`` or ``class`` in ``src/pseudodyn``, or a
 public method or property of one of its classes, that no library or
-benchmark module reads, unless ``TEST_ONLY`` names it as a test oracle,
+benchmark module reads (a method or property as an attribute, not as a
+bare name), unless ``TEST_ONLY`` names it as a test oracle,
 fixture or test-only API.  The package ``__init__.py`` is skipped:
 its imports are the re-exports, not callers.
 """
@@ -90,10 +91,12 @@ def public_definitions(source: str) -> list[str]:
     return names
 
 
-def names_read(source: str) -> set[str]:
+def names_read(source: str, attributes_only: bool = False) -> set[str]:
     """Names, attribute names and imported names a module reads, except a
     top-level definition's reads of its own name and a method's reads of
-    its own name."""
+    its own name.  With ``attributes_only``, only the attribute names: a
+    method or property is read through an attribute, so a local variable
+    spelled like it is no caller."""
     read = set()
     for stmt in ast.parse(source).body:
         if isinstance(stmt, ast.ClassDef):
@@ -105,10 +108,12 @@ def names_read(source: str) -> set[str]:
         for unit, method in units:
             names = set()
             for node in ast.walk(unit):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                if isinstance(node, ast.Attribute):
                     names.add(node.attr)
+                elif attributes_only:
+                    continue
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.split(".")[-1])
             names -= {getattr(stmt, "name", None), method}
@@ -130,16 +135,30 @@ def test_names_read_skip_a_definitions_own_name():
     assert public_definitions(source) == ["Row", "Row.again", "Row.other"]
 
 
+def test_a_local_variable_is_no_caller_of_a_method():
+    """A bare name spelled like a method reads the name, not the method."""
+    source = ("class Box:\n    def empty(self):\n        return 0\n"
+              "def size(box):\n    empty = box.full\n    return empty\n")
+    assert names_read(source) == {"box", "full", "empty"}
+    assert names_read(source, attributes_only=True) == {"full"}
+
+
 def test_every_public_definition_has_a_caller():
-    """Every public function, class, method and property in
-    ``src/pseudodyn`` is read by name in a library or benchmark module, or
-    is listed in ``TEST_ONLY``."""
+    """Every public function and class in ``src/pseudodyn`` is read by
+    name in a library or benchmark module, and every public method and
+    property is read there as an attribute, or is listed in
+    ``TEST_ONLY``."""
     sources = [p for p in FILES if p.parent.name == "pseudodyn"]
-    read = set().union(*(names_read(p.read_text()) for p in
-                         sources + sorted((ROOT / "perfbench").glob("*.py"))))
+    readers = [p.read_text() for p in
+               sources + sorted((ROOT / "perfbench").glob("*.py"))]
+    read = set().union(*map(names_read, readers))
+    attributes = set().union(*(names_read(text, attributes_only=True)
+                               for text in readers))
     defined = {f"{p.name}:{name}": name for p in sources
                for name in public_definitions(p.read_text())}
     assert [key for key, name in defined.items()
-            if name.split(".")[-1] not in read and name not in TEST_ONLY] == []
+            if name not in TEST_ONLY
+            and (name.split(".")[-1] not in attributes if "." in name
+                 else name not in read)] == []
     # an entry whose definition is gone leaves the set
     assert set(TEST_ONLY) <= set(defined.values())

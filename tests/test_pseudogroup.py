@@ -16,13 +16,16 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        is_unbounded, local_entropy,
                        no_expansive_certificate_good, pseudogroup,
                        raw_word_maps, separated_count, separation_radius)
+from pseudodyn.dynamics import separation_graph
 from pseudodyn.mutations import MUTATIONS
 from pseudodyn.pseudogroup import (ClosureMaps, WordClosure, spread_table,
                                    table_ball)
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
 
-from conftest import (coprime_space, empty_map, graph, rotation_system,
-                      symmetric_group, system_past_255_points)
+from conftest import (coprime_space, empty_map, graph, ranked_space,
+                      reference_ball_numerators, reference_separation_graph,
+                      reference_table_ball, rotation_system, symmetric_group,
+                      system_past_255_points)
 
 
 def _g(line):
@@ -765,7 +768,7 @@ def assert_pair_tables_match_spread_tables(system):
     closure = system.word_closure()
     for n in range(1, closure.stable_index + 2):
         fold = spread_table(closure.maps_at(n), system.space)
-        assert system.constraint_table(n) == fold
+        assert [list(row) for row in system.constraint_table(n)] == fold
         assert closure.constraint_table(n) \
             is system.constraint_table(min(n, closure.stable_index))
     level = system.fixpoint_level
@@ -834,12 +837,12 @@ def assert_pair_levels_match_reference(system):
     last = 0
     for k, want in enumerate(reference_pair_levels(system)):
         if k:
-            assert system.constraint_table(k) == want
+            assert [list(row) for row in system.constraint_table(k)] == want
         last = k
     level = max(last, 1)
     assert system.fixpoint_level == level
     for n in (level, level + 1, level + 2, math.inf):
-        assert system.constraint_table(n) == want
+        assert [list(row) for row in system.constraint_table(n)] == want
 
 
 def long_chain_system(n=200):
@@ -914,7 +917,8 @@ def read_every_table(system, mu):
 
 def assert_rows_shared_when_unchanged(system):
     """A level shares each unchanged row with the level before and holds a
-    new list for each changed one; a settled engine keeps only levels."""
+    new bytes row for each changed one; a settled engine keeps only
+    levels."""
     system.fixpoint_level
     engine = system._tables
     assert engine._pulls is None and engine._raised is None
@@ -946,6 +950,92 @@ def test_table_readers_leave_every_level_intact():
     read_every_table(chain, FiniteMeasure.uniform(chain.space))
     assert_pair_levels_match_reference(chain)
     assert_rows_shared_when_unchanged(chain)
+
+
+def assert_row_readers_match_references(system, mu, row_type):
+    """Every level's rows are ``row_type``, and at every level and every
+    rank threshold the ball measures (summed in full and reusing the level
+    before), the table balls and, at each threshold a scale reaches, the
+    separation graph equal the row-by-row references.  The scales 0,
+    each grid value and twice the diameter reach every threshold."""
+    space = system.space
+    values = space.distance_ranks()[1]
+    system.fixpoint_level
+    tables = system._tables.tables
+    assert all(type(row) is row_type for table in tables for row in table)
+    scales = {space.threshold(eps): eps
+              for eps in [0, *space.distance_grid(), 2 * space.diameter()]}
+    assert set(scales) == set(range(len(values) + 1))
+    before = None
+    for n, table in enumerate(tables):
+        wants = [reference_ball_numerators(mu.nums, table, t)
+                 for t in range(len(values) + 1)]
+        for t, want in enumerate(wants):
+            assert mu.ball_numerators(table, t) == want
+            if n:
+                reuse = (tables[n - 1], before[t])
+                assert mu.ball_numerators(table, t, reuse) == want
+            assert [table_ball(table, i, t) for i in range(space.n)] \
+                == [reference_table_ball(table, i, t)
+                    for i in range(space.n)]
+            if n and t in scales:
+                assert separation_graph(system, n, scales[t]) \
+                    == reference_separation_graph(table, t)
+        before = wants
+    assert system.constraint_table() is tables[-1]
+
+
+def random_partial_maps(space, rng, count):
+    """``count`` injective partial maps, each on a random half of the
+    points or more."""
+    maps = []
+    for k in range(count):
+        dom = rng.sample(range(space.n), rng.randint(space.n // 2, space.n))
+        vals = [None] * space.n
+        for i, v in zip(dom, rng.sample(range(space.n), len(dom))):
+            vals[i] = v
+        maps.append(PartialMap(space, vals, name=f"g{k}"))
+    return maps
+
+
+def test_pair_table_rows_are_bytes_and_read_like_the_references():
+    """Pair tables of at most 256 rank values hold ``bytes`` rows, and
+    the readers agree with the references at every threshold, the top
+    one included."""
+    spec = InstanceSpec(seed="row-format", count=60)
+    deep = 0
+    for idx in range(spec.count):
+        sys_i, mu = random_genome(spec, idx).build()
+        systems = [sys_i]
+        if sys_i.has_cores:
+            systems.append(compacted_system(sys_i))
+        for system in systems:
+            assert_row_readers_match_references(system, mu, bytes)
+            deep += system.fixpoint_level > 1
+    assert deep
+    rng = random.Random("row-format-boundary")
+    space = ranked_space(24, 255)
+    assert len(space.distance_ranks()[1]) == 256
+    system = GeneratingSystem.build(space, random_partial_maps(space, rng, 2))
+    weights = [rng.randint(0, 3) for _ in range(space.n)]
+    weights[0] += 1
+    mu = FiniteMeasure(space, [Fraction(w, sum(weights)) for w in weights])
+    assert_row_readers_match_references(system, mu, bytes)
+    assert system.fixpoint_level > 1
+    assert_pair_levels_match_reference(system)
+
+
+def test_pair_table_rows_past_256_rank_values_stay_lists():
+    """276 rank values do not fit a byte: the rows stay lists, and the
+    readers agree with the same references."""
+    rng = random.Random("row-format-wide")
+    space = ranked_space(24, 275)
+    assert len(space.distance_ranks()[1]) == 276
+    system = GeneratingSystem.build(space, random_partial_maps(space, rng, 2))
+    assert_row_readers_match_references(
+        system, FiniteMeasure.uniform(space), list)
+    assert system.fixpoint_level > 1
+    assert_pair_levels_match_reference(system)
 
 
 def test_constraint_table_rejects_word_length_below_1(line_system):
