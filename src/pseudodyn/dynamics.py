@@ -311,8 +311,9 @@ class HTopTable:
 
 
 def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8) -> HTopTable:
-    """Separated-count table with growth rates: exact counts up to
-    ``EXACT_CLIQUE_CAP`` points, greedy bounds above.
+    """Separated-count table with growth rates, one row per (eps, n) with
+    the scales in increasing order, as ``local_entropy`` orders its cells:
+    exact counts up to ``EXACT_CLIQUE_CAP`` points, greedy bounds above.
 
     On a finite space the counts are bounded by |X|, so the reported limit
     is 0; the rows still show the per-(n, eps) structure.
@@ -320,7 +321,7 @@ def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8) -> HTopTab
     check_n_max(n_max)
     if eps_grid is None:
         eps_grid = sys.space.distance_grid()
-    eps_grid = [parse_rational(e) for e in eps_grid]
+    eps_grid = sorted(parse_rational(e) for e in eps_grid)
     if not eps_grid or n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
     mode = "exact" if sys.space.n <= EXACT_CLIQUE_CAP else "greedy"

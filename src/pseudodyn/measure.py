@@ -424,9 +424,10 @@ def expansiveness_verdict(mu: FiniteMeasure, sys: GeneratingSystem,
     space = sys.space
     t = space.threshold(delta, closed=True)
     nums = mu.ball_numerators(sys.constraint_table(), t)
+    values = {m: Fraction(m, mu.den) for m in set(nums)}
     return ExpansivenessVerdict(
         delta=delta, classification="neither",
-        ball_measures={space.label(xi): Fraction(m, mu.den)
+        ball_measures={space.label(xi): values[m]
                        for xi, m in enumerate(nums)},
         zero_set=frozenset(xi for xi, m in enumerate(nums) if m == 0),
         atoms=mu.atoms(),

@@ -209,7 +209,7 @@ class GeneratingSystem:
     """
 
     __slots__ = ("space", "generators", "cores", "_closure", "_germ",
-                 "_compacted", "_tables")
+                 "_tables")
 
     def __init__(self, space: FiniteMetricSpace, generators: Sequence[PartialMap],
                  cores: Sequence[Optional[PointSet]] | None = None):
@@ -235,7 +235,6 @@ class GeneratingSystem:
         self.cores = cores
         self._closure = None
         self._germ = None
-        self._compacted = None
         self._tables = None
 
     # -- construction ----------------------------------------------------------
@@ -593,9 +592,9 @@ def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
     """``S[i][j]`` = the rank of max d(g(i), g(j)) over the maps defined at
     both points, 0 where none is (maps are injective, so a shared map makes
     the entry positive off the diagonal); ``values[S[i][j]]`` is the
-    distance.  The fold of an explicit map list: the moduli of any list
-    but a ``ClosureMaps``, every certificate audit, and the reference the
-    pair tables and the group-claim probe's pair-orbit fold are tested
+    distance.  The fold of an explicit map list: the certificate audit
+    folds the maps it is given with it, and it is the reference the pair
+    tables and the group-claim probe's pair-orbit fold are tested
     against, so it reads every list alike.
 
     Entries only grow and none passes the top rank (the diameter), so the
@@ -801,14 +800,9 @@ def compacted_system(sys: GeneratingSystem) -> GeneratingSystem:
     new domain.  It is not forced to be symmetric: symmetry of the
     restricted family holds exactly when inverse cores are images of each
     other, which callers may or may not have arranged.
-
-    It is cached on ``sys``, so every caller shares one core-restricted
-    system and its word closure; it holds no reference back to ``sys``.
     """
     if not sys.has_cores:
         raise PreconditionError("compaction requires cores")
-    if sys._compacted is not None:
-        return sys._compacted
     gens = []
     cores = []
     for g, core in zip(sys.generators, sys.cores):
@@ -821,8 +815,7 @@ def compacted_system(sys: GeneratingSystem) -> GeneratingSystem:
                        word=(g.name,) if g.name else None)
         gens.append(r)
         cores.append(r.dom)
-    sys._compacted = GeneratingSystem(sys.space, gens, cores=tuple(cores))
-    return sys._compacted
+    return GeneratingSystem(sys.space, gens, cores=tuple(cores))
 
 
 def separation_radius(sys: GeneratingSystem):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from pseudodyn import (UNBOUNDED, FiniteMetricSpace, GeneratingSystem,
-                       PartialMap, cylinder_measure, dyn_ball_cylinder,
-                       is_unbounded)
+                       PartialMap, compacted_system, cylinder_measure,
+                       dyn_ball_cylinder, is_unbounded)
 
 
 @pytest.fixture
@@ -137,6 +137,27 @@ def group_inclusion_failures(group, rho, delta):
         spread.update(dict.fromkeys(component, top))
     return [x for x in range(n)
             if any(dist[x][y] < radius and spread[x, y] > rho
+                   for y in range(n))]
+
+
+def good_inclusion_failures(sys, rho, xi):
+    """The centres x whose open xi-ball is not inside the core-restricted
+    Bowen rho-ball {y : d(w x, w y) <= rho for every word w of the
+    compacted system defined at x and y}, in distances: the compacted
+    system's closure maps are read one by one, and no table is."""
+    space = sys.space
+    n, dist = space.n, space.dist
+    spread = {}
+    for g in compacted_system(sys).word_closure().stabilized_maps:
+        vals = g.vals
+        dom = [i for i, v in enumerate(vals) if v is not None]
+        for i in dom:
+            for j in dom:
+                d = dist[vals[i]][vals[j]]
+                if d > spread.get((i, j), 0):
+                    spread[i, j] = d
+    return [x for x in range(n)
+            if any(dist[x][y] < xi and spread.get((x, y), 0) > rho
                    for y in range(n))]
 
 

@@ -17,8 +17,9 @@ from pseudodyn.probes import (InstanceSpec, random_genome, random_instance,
                               totalized_group)
 from pseudodyn.pseudogroup import spread_table
 
-from conftest import (coprime_space, cyclic_space, group_inclusion_failures,
-                      reference_modulus_full_scan, symmetric_group)
+from conftest import (coprime_space, cyclic_space, good_inclusion_failures,
+                      group_inclusion_failures, reference_modulus_full_scan,
+                      symmetric_group)
 
 
 def closure_maps(sys):
@@ -171,10 +172,54 @@ def test_good_certificate_rotations():
     q = PartialMap.from_dict(z6, {i: (i + 1) % 6 for i in range(5)}, name="q")
     sys_q = GeneratingSystem.build(z6, [q], cores={"q": {0, 1, 2}})
     rep = no_expansive_certificate_good(sys_q)
-    assert rep.all_ok
-    assert [r.inclusion_ok for r in rep.rows] == [True] * len(rep.rows)
+    assert [r.rho for r in rep.rows] == z6.distance_grid()
+    assert all(good_inclusion_failures(sys_q, r.rho, r.xi) == []
+               for r in rep.rows)
     wide = [r for r in rep.rows if r.rho >= z6.diameter()]
-    assert wide and all(r.inclusion_ok for r in wide)
+    assert wide and all(r.xi == z6.diameter() for r in wide)
+
+
+def seeded_good_inclusion_cases(count):
+    """Seeded cored systems with every certificate row."""
+    spec = InstanceSpec(seed="good-inclusion", count=count)
+    for idx in range(spec.count):
+        sys_i, _ = random_instance(spec, idx)
+        if sys_i.has_cores:
+            yield sys_i, no_expansive_certificate_good(sys_i).rows
+
+
+def test_good_inclusion_reference_holds_on_seeded_systems():
+    """The core-restricted certificate's open xi-balls sit inside the
+    core-restricted Bowen rho-balls of the closure-map reference at every
+    grid rho."""
+    cases = 0
+    for sys_i, rows in seeded_good_inclusion_cases(300):
+        for row in rows:
+            assert good_inclusion_failures(sys_i, row.rho, row.xi) == []
+            cases += 1
+    assert cases > 900
+
+
+def test_good_inclusion_reference_rejects_a_modulus_raised_to_the_next_grid_value(
+        monkeypatch):
+    """With every bounded modulus below the diameter raised to the next
+    grid value, the reference finds a centre whose ball escapes."""
+    modulus = equicont._modulus
+
+    def raised(spread, space, t):
+        delta, pairs = modulus(spread, space, t)
+        grid = space.distance_grid()
+        if is_unbounded(delta) or delta == grid[-1]:
+            return delta, pairs
+        return grid[grid.index(delta) + 1], pairs
+
+    monkeypatch.setattr(equicont, "_modulus", raised)
+    cases = failed = 0
+    for sys_i, rows in seeded_good_inclusion_cases(300):
+        for row in rows:
+            failed += bool(good_inclusion_failures(sys_i, row.rho, row.xi))
+            cases += 1
+    assert failed > cases // 5
 
 
 def reference_modulus_and_witness(maps, space, eps):

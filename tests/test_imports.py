@@ -6,8 +6,10 @@ on a public top-level ``def`` or ``class`` in ``src/pseudodyn``, or a
 public method or property of one of its classes, that no library or
 benchmark module reads (a method or property as an attribute, not as a
 bare name), unless ``TEST_ONLY`` names it as a test oracle,
-fixture or test-only API.  The package ``__init__.py`` is skipped:
-its imports are the re-exports, not callers.
+fixture or test-only API.  A third fails on a private definition there
+(a leading underscore, not a dunder) that no library or benchmark module
+reads.  The package ``__init__.py`` is skipped: its imports are the
+re-exports, not callers.
 """
 
 import ast
@@ -75,19 +77,25 @@ TEST_ONLY = {
 }
 
 
-def public_definitions(source: str) -> list[str]:
+def public_definitions(source: str, private: bool = False) -> list[str]:
     """Public top-level ``def`` and ``class`` names, and ``Class.method``
-    for the public methods and properties of every class."""
+    for the public methods and properties of every class.  With
+    ``private``, the private ones instead: a leading underscore, and not
+    a dunder such as ``__init__``, which Python itself calls."""
+    def wanted(name):
+        if private:
+            return name.startswith("_") and not name.endswith("__")
+        return not name.startswith("_")
+
     names = []
     for stmt in ast.parse(source).body:
         if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if not stmt.name.startswith("_"):
+        if wanted(stmt.name):
             names.append(stmt.name)
         if isinstance(stmt, ast.ClassDef):
             names += [f"{stmt.name}.{m.name}" for m in stmt.body
-                      if isinstance(m, ast.FunctionDef)
-                      and not m.name.startswith("_")]
+                      if isinstance(m, ast.FunctionDef) and wanted(m.name)]
     return names
 
 
@@ -143,22 +151,56 @@ def test_a_local_variable_is_no_caller_of_a_method():
     assert names_read(source, attributes_only=True) == {"full"}
 
 
+def unread_definitions(sources: dict[str, str], readers: list[str],
+                       private: bool = False) -> list[str]:
+    """``file:name`` for each definition in ``sources`` (file name to
+    text) that no text of ``readers`` reads: a function or class by name,
+    a method or property as an attribute."""
+    read = set().union(*map(names_read, readers))
+    attributes = set().union(*(names_read(text, attributes_only=True)
+                               for text in readers))
+    return [f"{path}:{name}" for path, text in sources.items()
+            for name in public_definitions(text, private)
+            if name not in TEST_ONLY
+            and (name.split(".")[-1] not in attributes if "." in name
+                 else name not in read)]
+
+
+def library_and_benchmark_texts() -> tuple[dict[str, str], list[str]]:
+    sources = {p.name: p.read_text() for p in FILES
+               if p.parent.name == "pseudodyn"}
+    benchmark = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return sources, list(sources.values()) + benchmark
+
+
 def test_every_public_definition_has_a_caller():
     """Every public function and class in ``src/pseudodyn`` is read by
     name in a library or benchmark module, and every public method and
     property is read there as an attribute, or is listed in
     ``TEST_ONLY``."""
-    sources = [p for p in FILES if p.parent.name == "pseudodyn"]
-    readers = [p.read_text() for p in
-               sources + sorted((ROOT / "perfbench").glob("*.py"))]
-    read = set().union(*map(names_read, readers))
-    attributes = set().union(*(names_read(text, attributes_only=True)
-                               for text in readers))
-    defined = {f"{p.name}:{name}": name for p in sources
-               for name in public_definitions(p.read_text())}
-    assert [key for key, name in defined.items()
-            if name not in TEST_ONLY
-            and (name.split(".")[-1] not in attributes if "." in name
-                 else name not in read)] == []
+    sources, readers = library_and_benchmark_texts()
+    assert unread_definitions(sources, readers) == []
     # an entry whose definition is gone leaves the set
-    assert set(TEST_ONLY) <= set(defined.values())
+    defined = {name for text in sources.values()
+               for name in public_definitions(text)}
+    assert set(TEST_ONLY) <= defined
+
+
+def test_every_private_definition_has_a_reader():
+    """Every private function, class, method and property in
+    ``src/pseudodyn`` has a reader in a library or benchmark module: a
+    helper only the tests would call, or none, is an orphan."""
+    assert unread_definitions(*library_and_benchmark_texts(),
+                              private=True) == []
+
+
+def test_an_orphaned_private_helper_is_found():
+    source = ("def _used():\n    return 1\n"
+              "def _orphan():\n    return _orphan()\n"
+              "class Box:\n    def __init__(self):\n        self._size()\n"
+              "    def _size(self):\n        return _used()\n"
+              "    def _stale(self):\n        return 0\n")
+    assert public_definitions(source, private=True) \
+        == ["_used", "_orphan", "Box._size", "Box._stale"]
+    assert unread_definitions({"box.py": source}, [source], private=True) \
+        == ["box.py:_orphan", "box.py:Box._stale"]

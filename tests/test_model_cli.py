@@ -103,15 +103,18 @@ def test_generator_name_labels_one_map(generators, name, tmp_path, capsys):
 
 
 def _results(generators, tmp_path, capsys):
+    """A Bowen query's exit code and result, and the loaded system's cores
+    and core-restricted generators, which no ``equicont`` payload shows."""
+    doc = json.dumps(_four_points(generators))
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(_four_points(generators)))
-    results = []
-    for argv in (["bowen", "--x", "b", "--delta", "1"],
-                 ["equicont", "--compacted"]):
-        code = main(["--format", "json", argv[0], "--model", str(path),
-                     *argv[1:]])
-        results.append((code, json.loads(capsys.readouterr().out)["result"]))
-    return results
+    path.write_text(doc)
+    code = main(["--format", "json", "bowen", "--model", str(path),
+                 "--x", "b", "--delta", "1"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    system = parse_model(doc).system
+    restricted = pseudogroup.compacted_system(system).generators
+    return (code, result, system.cores,
+            [(g.name, g.vals) for g in restricted])
 
 
 def test_explicit_inverse_loads_like_the_completed_one(tmp_path, capsys):
@@ -336,11 +339,13 @@ def test_cli_eps_grid_repeating_a_scale_is_refused(model_path, monkeypatch,
                             f"{scale} twice\n")
 
 
-def test_cli_htop_rows_follow_the_grid_as_given(model_path, capsys):
+def test_cli_htop_rows_follow_the_sorted_grid(model_path, capsys):
+    """``htop`` orders its rows by scale, as ``entropy`` orders its cells,
+    whatever the order of ``--eps-grid``."""
     code = main(["--format", "json", "htop", "--model", model_path,
                  "--eps-grid", "2,1/2", "--n-max", "1"])
     rows = json.loads(capsys.readouterr().out)["result"]["rows"]
-    assert code == 0 and [r["eps"] for r in rows] == ["2", "1/2"]
+    assert code == 0 and [r["eps"] for r in rows] == ["1/2", "2"]
 
 
 @pytest.mark.parametrize("command", [["htop"], ["entropy", "--x", "a"]])
@@ -571,6 +576,38 @@ def test_cli_equicont(model_path, capsys):
     code = main(["equicont", "--model", model_path])
     assert code == 0
     assert "audit_ok: True" in capsys.readouterr().out
+
+
+def test_cli_equicont_compacted_reads_the_ambient_table_alone(
+        model_path, monkeypatch, capsys):
+    """The core-restricted certificate builds no second system and reads
+    no pair table but the loaded system's; its payload is the rows and the
+    conclusion, with exit 0."""
+    built, read = [], []
+    init = pseudogroup.GeneratingSystem.__init__
+    table = pseudogroup.GeneratingSystem.constraint_table
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def spying_table(self, *args):
+        read.append(self)
+        return table(self, *args)
+
+    monkeypatch.setattr(pseudogroup.GeneratingSystem, "__init__",
+                        counting_init)
+    monkeypatch.setattr(pseudogroup.GeneratingSystem, "constraint_table",
+                        spying_table)
+    code = main(["--format", "json", "equicont", "--model", model_path,
+                 "--compacted"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert code == 0
+    assert len(built) == 1 and read and set(map(id, read)) == {id(built[0])}
+    assert sorted(result) == ["conclusion", "mode", "rows"]
+    assert result["mode"] == "core-restricted"
+    assert [sorted(row) for row in result["rows"]] == [["delta", "rho", "xi"]] * 2
+    assert [row["rho"] for row in result["rows"]] == ["1", "2"]
 
 
 TRIANGLE_ROTATION = {

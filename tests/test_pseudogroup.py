@@ -386,15 +386,6 @@ def test_compacted_system(line, line_system_cores):
     assert comp.cores[1] == by_name["g"].dom
 
 
-def test_compacted_system_is_shared(line_system_cores):
-    """One core-restricted system per parent, so its closure is built once;
-    it keeps no reference to the parent, so the cache forms no cycle."""
-    comp = compacted_system(line_system_cores)
-    assert compacted_system(line_system_cores) is comp
-    assert all(getattr(comp, slot) is not line_system_cores
-               for slot in GeneratingSystem.__slots__)
-
-
 def test_table_engine_and_closure_hold_no_reference_to_the_system():
     """The system caches its tables and its closure, so neither may reach
     back to it: that would make a cycle only the cyclic collector frees."""
