@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from operator import itemgetter
 
 from . import __version__
 from . import dynamics, equicont, measure, morphism, probes, shift
@@ -31,8 +32,24 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
 
+# types a payload renders as they are, and the sequences it maps over:
+# dispatched on the exact type before the isinstance chain below
+_PLAIN = frozenset({str, int, bool, type(None)})
+_SEQUENCES = frozenset({list, tuple})
+
+
 def to_jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
+    cls = type(obj)
+    if cls in _PLAIN:
+        return obj
+    if cls in _SEQUENCES:
+        return [to_jsonable(v) for v in obj]
+    if cls is dict:
+        # sorted by the key strings, each key rendered once
+        return {k: to_jsonable(v)
+                for k, v in sorted([(_key(k), v) for k, v in obj.items()],
+                                   key=itemgetter(0))}
+    if isinstance(obj, (int, str)):  # an int or str subclass
         return obj
     if isinstance(obj, Fraction):
         return format_rational(obj)
@@ -56,8 +73,7 @@ def to_jsonable(obj):
         return to_jsonable({f.name: getattr(obj, f.name)
                             for f in dataclasses.fields(obj)})
     if isinstance(obj, dict):
-        return {_key(k): to_jsonable(v) for k, v in sorted(
-            obj.items(), key=lambda kv: _key(kv[0]))}
+        return to_jsonable(dict(obj))
     if isinstance(obj, (frozenset, set)):
         return sorted((to_jsonable(v) for v in obj), key=str)
     if isinstance(obj, (list, tuple)):
@@ -66,6 +82,8 @@ def to_jsonable(obj):
 
 
 def _key(k) -> str:
+    if type(k) is str:
+        return k
     if isinstance(k, Fraction):
         return format_rational(k)
     if isinstance(k, tuple):

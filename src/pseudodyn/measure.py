@@ -36,16 +36,17 @@ class FiniteMeasure:
     __slots__ = ("space", "weights", "den", "nums")
 
     def __init__(self, space: FiniteMetricSpace, weights):
-        ws = tuple(parse_rational(w) for w in weights)
+        ws = tuple(map(parse_rational, weights))
         if len(ws) != space.n:
             raise InputError("weight vector length must match the space")
-        if any(w < 0 for w in ws):
+        pairs = [w.as_integer_ratio() for w in ws]
+        if any(p < 0 for p, _ in pairs):
             raise InputError("weights must be nonnegative")
-        den = math.lcm(*(w.denominator for w in ws))
-        nums = tuple(w.numerator * (den // w.denominator) for w in ws)
-        total = Fraction(sum(nums), den)
-        if total != 1:
-            raise InputError(f"weights must sum to 1 (got {total})")
+        den = math.lcm(*(q for _, q in pairs))
+        nums = tuple(p * (den // q) for p, q in pairs)
+        if sum(nums) != den:
+            raise InputError("weights must sum to 1 "
+                             f"(got {Fraction(sum(nums), den)})")
         self.space = space
         self.weights = ws
         self.den = den
@@ -65,9 +66,13 @@ class FiniteMeasure:
 
     @classmethod
     def from_dict(cls, space: FiniteMetricSpace, mapping: dict) -> "FiniteMeasure":
+        """The weights ``{label: weight}``, zero at every point not named.
+        An ASCII 'digits/digits' string with a nonzero denominator is read
+        as its two integers; every other weight goes through
+        ``parse_rational``."""
         weights = [Fraction(0)] * space.n
         for label, w in mapping.items():
-            weights[space.index(label)] = parse_rational(w)
+            weights[space.index(label)] = _weight(w)
         return cls(space, weights)
 
     def __call__(self, subset) -> Fraction:
@@ -94,6 +99,19 @@ class FiniteMeasure:
 
     def atoms(self) -> PointSet:
         return frozenset(i for i, w in enumerate(self.nums) if w)
+
+
+def _weight(w) -> Fraction:
+    """``parse_rational(w)``, with the plain 'p/q' string of a model file
+    read as two ASCII digit runs, without ``Fraction``'s string parser."""
+    if type(w) is str and w.isascii():
+        p, slash, q = w.partition("/")
+        if slash and p.isdigit() and q.isdigit() and q.strip("0"):
+            try:
+                return Fraction(int(p), int(q))
+            except ValueError:  # more digits than int() reads: refused below
+                pass
+    return parse_rational(w)
 
 
 # -- invariance and ergodicity -------------------------------------------------

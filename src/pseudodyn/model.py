@@ -154,4 +154,4 @@ def _read_iso(doc: dict, space: FiniteMetricSpace) -> SpaceIso:
     if missing:
         raise InputError(f"phi misses points {missing}")
     return SpaceIso.from_dict(
-        space, FiniteMetricSpace([phi[p] for p in space.points], space.dist), phi)
+        space, space.relabelled([phi[p] for p in space.points]), phi)

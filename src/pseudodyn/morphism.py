@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import separated_count
+from .dynamics import EXACT_CLIQUE_CAP, separated_count
 from .equicont import _modulus
-from .errors import InputError
+from .errors import CapabilityError, InputError
 from .measure import FiniteMeasure
 from .pseudogroup import GeneratingSystem, PartialMap
 from .rational import is_unbounded, parse_rational
@@ -57,23 +57,19 @@ class SpaceIso:
     @classmethod
     def relabel(cls, src: FiniteMetricSpace, new_labels,
                 scale=Fraction(1)) -> "SpaceIso":
-        """Fresh copy of ``src`` with new labels and optionally scaled
-        distances; the identity index map is then an iso onto it."""
-        scale = parse_rational(scale)
-        dst = FiniteMetricSpace(
-            new_labels,
-            [[src.dist[i][j] * scale for j in range(src.n)] for i in range(src.n)],
-        )
-        return cls(src, dst, range(src.n))
+        """A copy of ``src`` with new labels and optionally scaled
+        distances (``FiniteMetricSpace.relabelled``); the identity index
+        map is then an iso onto it."""
+        return cls(src, src.relabelled(new_labels, scale), range(src.n))
 
     def apply_set(self, s) -> PointSet:
         return frozenset(self.fwd[i] for i in s)
 
     def is_isometric(self) -> bool:
-        return all(
-            self.src.dist[i][j] == self.dst.dist[self.fwd[i]][self.fwd[j]]
-            for i in range(self.src.n) for j in range(self.src.n)
-        )
+        """Whether ``fwd`` keeps every distance: exactly when both spaces
+        have the same distinct distances and every pair keeps its rank."""
+        return (self.src.distance_ranks()[1] == self.dst.distance_ranks()[1]
+                and self._pulled_ranks() == self.src.distance_ranks()[0])
 
     def inverted(self) -> "SpaceIso":
         return SpaceIso(self.dst, self.src, self.inv)
@@ -84,11 +80,18 @@ class SpaceIso:
         """Largest threshold delta with d_src(u,v) < delta implying
         d_dst(phi u, phi v) < eps: the least source distance among pairs
         whose images are eps or farther apart (UNBOUNDED if none)."""
+        t = self.dst.threshold(parse_rational(eps))
+        return _modulus(self._pulled_ranks(), self.src, t)[0]
+
+    def _pulled_ranks(self) -> tuple:
+        """The target's rank table read at the images: row u is the rank
+        of d_dst(phi u, phi v) for each v.  Built on first use."""
         if self._pulled is None:
             rows = self.dst.distance_ranks()[0]
-            self._pulled = [[rows[u][v] for v in self.fwd] for u in self.fwd]
-        t = self.dst.threshold(parse_rational(eps))
-        return _modulus(self._pulled, self.src, t)[0]
+            fwd = self.fwd
+            self._pulled = tuple(tuple(map(rows[u].__getitem__, fwd))
+                                 for u in fwd)
+        return self._pulled
 
     def inverse_modulus(self, eps):
         if self._inverse is None:
@@ -172,7 +175,16 @@ def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
     distance among images of source pairs at least eps apart; backwards
     the scale is ``iso.forward_modulus(eps)``.  For an isometric bijection the
     tables agree cell by cell.
+
+    The counts are exact, so past ``EXACT_CLIQUE_CAP`` points nothing is
+    conjugated or counted: the refusal names ``htop``, whose greedy bounds
+    serve such a model.
     """
+    if sys.space.n > EXACT_CLIQUE_CAP:
+        raise CapabilityError(
+            f"conjugate compares exact separated counts, capped at "
+            f"{EXACT_CLIQUE_CAP} points (got {sys.space.n}); "
+            "htop gives greedy count bounds on this model")
     conj = conjugate_system(sys, iso)
     eps_grid = sys.space.distance_grid()
     if n_list is None:

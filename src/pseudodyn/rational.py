@@ -75,7 +75,7 @@ def parse_radius(value) -> Fraction:
 def format_rational(value) -> str:
     if is_unbounded(value):
         return "unbounded"
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    p, q = value.as_integer_ratio()
+    if q == 1:
+        return str(p)
+    return f"{p}/{q}"

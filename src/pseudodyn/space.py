@@ -33,8 +33,9 @@ class FiniteMetricSpace:
     The metric axioms (zero diagonal, positivity, symmetry, triangle
     inequality) are validated exactly at construction; a violation is a
     hard error because every verdict downstream assumes a genuine metric.
-    Each distinct entry is parsed once, and every check runs on one integer
-    matrix over a common denominator: the triangle inequality costs |X|
+    Each distinct entry is parsed once (a matrix of ints is its own integer
+    matrix), and every check runs on one integer matrix over a common
+    denominator: the triangle inequality costs |X|
     big-integer steps, one per middle point, each over |X|^2 packed fields.
     Instances are immutable and safe to share between threads.
     """
@@ -52,25 +53,13 @@ class FiniteMetricSpace:
         if len(dist) != n or any(len(row) != n for row in dist):
             raise InputError(f"distance matrix must be {n}x{n}")
         flat = list(chain.from_iterable(dist))
-        ratios = None  # each distinct entry's key -> (numerator, denominator)
-        if set(map(type, flat)) != {Fraction}:
-            # each distinct entry is parsed once, at its first occurrence;
-            # keyed by type too, so True is never read as the int 1
-            keys = list(zip(map(type, flat), flat))
-            try:
-                distinct = dict.fromkeys(keys)
-            except TypeError:  # an unhashable entry: parse entry by entry
-                flat = [parse_rational(v) for v in flat]
-            else:
-                ratios = {key: parse_rational(key[1]).as_integer_ratio()
-                          for key in distinct}
-        if ratios is None:
-            # a Fraction hashes and compares in Python code, its pair in C
-            keys = list(map(Fraction.as_integer_ratio, flat))
-            ratios = dict(zip(keys, keys))
-        scale = math.lcm(*(q for _, q in ratios.values()))
-        scaled = {key: p * (scale // q) for key, (p, q) in ratios.items()}
-        ints = list(map(scaled.__getitem__, keys))
+        types = set(map(type, flat))
+        if types == {int}:
+            # integer entries are their own scaled integers (a bool is no
+            # int here: it takes the general path and is refused there)
+            ints, scale = flat, 1
+        else:
+            ints, scale = _scaled(flat, types)
         rows = [ints[i * n:(i + 1) * n] for i in range(n)]
         grid = sorted(set(ints))
         if not (ints.count(0) == n and grid[0] >= 0
@@ -126,6 +115,41 @@ class FiniteMetricSpace:
 
     def diameter(self) -> Fraction:
         return self.distance_ranks()[1][-1]
+
+    def relabelled(self, points: Sequence, factor=1) -> "FiniteMetricSpace":
+        """A copy of this space with the labels ``points`` (in index order)
+        and every distance multiplied by ``factor`` > 0.
+
+        A positive multiple of a metric is a metric whose distances order
+        exactly as the original's, so the copy keeps the ranks and
+        validates nothing again; its scaled grid is ``(g p, scale q)`` for
+        ``factor`` = p/q, so ``threshold`` answers as on a fresh copy."""
+        pts = tuple(points)
+        if len(pts) != self.n:
+            raise InputError(f"a relabelled copy needs {self.n} point labels "
+                             f"(got {len(pts)})")
+        if len(set(pts)) != len(pts):
+            raise InputError("duplicate point labels")
+        factor = parse_rational(factor)
+        if factor <= 0:
+            raise InputError("a metric scales by a positive factor only")
+        ranks, values = self._ranks
+        grid, scale = self._grid
+        dist = self.dist
+        if factor != 1:
+            p, q = factor.as_integer_ratio()
+            values = tuple(v * factor for v in values)
+            grid, scale = tuple(g * p for g in grid), scale * q
+            dist = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
+        copy = object.__new__(FiniteMetricSpace)
+        copy.points = pts
+        copy.dist = dist
+        copy._index = {label: i for i, label in enumerate(pts)}
+        copy._ranks = (ranks, values)
+        copy._grid = (grid, scale)
+        copy._pullbacks = {}
+        copy._pair_order = self._pair_order  # a function of the ranks alone
+        return copy
 
     # -- operations --------------------------------------------------------
 
@@ -217,6 +241,30 @@ class FiniteMetricSpace:
                 for row in self.distance_ranks()[0]
             ) + (b"\xff" * 256,) * (256 - self.n)
         return tables
+
+
+def _scaled(flat: list, types: set) -> tuple[list[int], int]:
+    """``(ints, scale)``: the entries of ``flat`` as integers over their
+    least common denominator ``scale``.  Each distinct entry is parsed
+    once, at its first occurrence."""
+    ratios = None  # each distinct entry's key -> (numerator, denominator)
+    if types != {Fraction}:
+        # keyed by type too, so True is never read as the int 1
+        keys = list(zip(map(type, flat), flat))
+        try:
+            distinct = dict.fromkeys(keys)
+        except TypeError:  # an unhashable entry: parse entry by entry
+            flat = [parse_rational(v) for v in flat]
+        else:
+            ratios = {key: parse_rational(key[1]).as_integer_ratio()
+                      for key in distinct}
+    if ratios is None:
+        # a Fraction hashes and compares in Python code, its pair in C
+        keys = list(map(Fraction.as_integer_ratio, flat))
+        ratios = dict(zip(keys, keys))
+    scale = math.lcm(*(q for _, q in ratios.values()))
+    scaled = {key: p * (scale // q) for key, (p, q) in ratios.items()}
+    return list(map(scaled.__getitem__, keys)), scale
 
 
 def _axiom_failure(pts: tuple, rows: list[list[int]], scale: int) -> str:

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from pseudodyn import (UNBOUNDED, FiniteMetricSpace, GeneratingSystem,
                        PartialMap, compacted_system, cylinder_measure,
                        dyn_ball_cylinder, is_unbounded)
+from pseudodyn.shift import ShiftPoint
 
 
 @pytest.fixture
@@ -198,3 +201,57 @@ def reference_ball_numerators(nums, rows, t):
 def reference_separation_graph(table, t):
     return [sum(1 << j for j, r in enumerate(row) if r >= t and j != i)
             for i, row in enumerate(table)]
+
+
+# The payload renderer as one isinstance chain, each key rendered once per
+# comparison: the reference for ``cli.to_jsonable``'s type dispatch.
+
+def reference_format_rational(value) -> str:
+    if is_unbounded(value):
+        return "unbounded"
+    frac = Fraction(value)
+    if frac.denominator == 1:
+        return str(frac.numerator)
+    return f"{frac.numerator}/{frac.denominator}"
+
+
+def reference_key(k) -> str:
+    if isinstance(k, Fraction):
+        return reference_format_rational(k)
+    if isinstance(k, tuple):
+        return ",".join(reference_key(v) for v in k)
+    return str(k)
+
+
+def reference_to_jsonable(obj):
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, Fraction):
+        return reference_format_rational(obj)
+    if is_unbounded(obj):
+        return "unbounded"
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return obj
+    if isinstance(obj, PartialMap):
+        return {
+            "name": obj.name,
+            "word": obj.word_str(),
+            "map": {str(obj.space.label(i)): str(obj.space.label(v))
+                    for i, v in enumerate(obj.vals) if v is not None},
+        }
+    if isinstance(obj, ShiftPoint):
+        return {"window": list(obj.window), "background": obj.background}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return reference_to_jsonable({f.name: getattr(obj, f.name)
+                                      for f in dataclasses.fields(obj)})
+    if isinstance(obj, dict):
+        return {reference_key(k): reference_to_jsonable(v)
+                for k, v in sorted(obj.items(),
+                                   key=lambda kv: reference_key(kv[0]))}
+    if isinstance(obj, (frozenset, set)):
+        return sorted((reference_to_jsonable(v) for v in obj), key=str)
+    if isinstance(obj, (list, tuple)):
+        return [reference_to_jsonable(v) for v in obj]
+    return repr(obj)

@@ -121,7 +121,6 @@ def _ranked(values):
 def _general():
     """Distances and weights on the general parse paths: JSON decimals,
     'p/q' and decimal strings, and integers mixed with them."""
-    half, third = Fraction(1, 2), Fraction(1, 3)
     return {
         "points": ["a", "b", "c", "d"],
         "dist": [[0, "1/2", 1.25, "1.5"],
@@ -130,8 +129,7 @@ def _general():
                  ["1.5", 1, "5/6", 0]],
         "generators": [{"name": "s", "map": {"a": "b", "b": "c"}},
                        {"name": "f", "map": {"a": "d", "d": "a", "c": "c"}}],
-        "mu": {"a": 0.25, "b": "0.25", "c": str(half - third + Fraction(0)),
-               "d": str(1 - Fraction(1, 2) - (half - third))},
+        "mu": {"a": 0.25, "b": "0.25", "c": "1/6", "d": "1/3"},
         "phi": {"a": "w", "b": "x", "c": "y", "d": "z"},
         "target": {"points": ["w", "x", "y", "z"],
                    "dist": [[0, 1, "5/2", 3], [1, 0, "3/2", 2],
@@ -325,7 +323,7 @@ CORPUS_PINS = {
     "ball": "d2ead348fdc9b354067f91a5c79a0f99845aff00",
     "bowen": "36ebf7d691a54149a341cfcafc82accfcb17459b",
     "check": "b0ff2b70a7cd3d60989d049b34b537553b9f5ed1",
-    "conjugate": "98234511cdc1487c77baa1848f8c199453c32ad4",
+    "conjugate": "50c9182c34e359272417eecb706d3e37d1928720",
     "entropy": "da8dcbae09f0c19357e9086b658681cc2626e6b6",
     "equicont": "853017dfa6f56b89b70f5b20102100a85ecf701f",
     "htop": "42dedcb75d91900c59c6ead96678ee17d4a888af",

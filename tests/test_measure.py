@@ -11,10 +11,11 @@ from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
                        invariant_sets, is_ergodic, is_homogeneous,
                        is_invariant_measure, local_entropy, orbit_components)
 from pseudodyn.measure import (HOMOGENEITY_LADDER_CAP, ExpansivenessVerdict,
-                               HomogeneityReport, HomogeneityWitness, _scales)
+                               HomogeneityReport, HomogeneityWitness, _scales,
+                               _weight)
 from pseudodyn.probes import InstanceSpec, random_genome
 from pseudodyn.pseudogroup import compacted_system, table_ball
-from pseudodyn.rational import parse_radius
+from pseudodyn.rational import parse_radius, parse_rational
 
 
 def two_cycles():
@@ -492,3 +493,43 @@ def test_measure_on_another_space_is_input_error():
         with pytest.raises(InputError,
                            match="measure and system live on different spaces"):
             verdict()
+
+
+WEIGHT_STRINGS = [
+    "1/2", "007/014", "0/5", "3/3", "12345678901234567890/3", "1/0", "0/0",
+    "00/000", " 1/2", "1/2 ", "1 / 2", "+1/2", "-1/2", "1/-2", "٣/٤",
+    "1/٤", "²/3", "1_0/3", "1/1_0", "1/2/3", "/2", "1/", "/", "",
+    "3", "-3", "0.25", "1.5/2", "1e-1/2", "1e2", "0x1/2", "⅔",
+    "1" * 5000 + "/3", "1/" + "3" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", WEIGHT_STRINGS,
+                         ids=lambda s: s if len(s) < 20 else f"{len(s)} chars")
+def test_weight_strings_read_like_parse_rational(text):
+    """The plain 'p/q' reading of a model weight gives what
+    ``parse_rational`` gives on this Python's ``Fraction`` string rules:
+    the same value, or the same refusal."""
+    try:
+        expected = parse_rational(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            _weight(text)
+        assert str(got.value) == str(exc)
+        return
+    got = _weight(text)
+    assert type(got) is Fraction and got == expected
+    assert got.as_integer_ratio() == expected.as_integer_ratio()
+
+
+def test_measure_from_dict_reads_weights_exactly():
+    space = FiniteMetricSpace("abcd", [[int(i != j) for j in range(4)]
+                                       for i in range(4)])
+    mu = FiniteMeasure.from_dict(space, {"a": "002/8", "b": " 1/4",
+                                         "c": Fraction(1, 4), "d": 0.25})
+    assert mu.weights == (Fraction(1, 4),) * 4
+    assert (mu.nums, mu.den) == ((1, 1, 1, 1), 4)
+    with pytest.raises(InputError, match=r"^weights must sum to 1 \(got 5/4\)$"):
+        FiniteMeasure.from_dict(space, {"a": "1/2", "b": "3/4"})
+    with pytest.raises(InputError, match="^weights must be nonnegative$"):
+        FiniteMeasure.from_dict(space, {"a": "-1/2", "b": "3/2"})

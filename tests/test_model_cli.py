@@ -1,4 +1,6 @@
+import collections
 import copy
+import enum
 import hashlib
 import json
 import math
@@ -7,14 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import InputError, cli, morphism, pseudogroup
+from pseudodyn import (UNBOUNDED, FiniteMetricSpace, InputError, PartialMap,
+                       cli, morphism, pseudogroup)
 from pseudodyn.cli import main, render, to_jsonable
-from pseudodyn.dynamics import N_MAX_CAP
+from pseudodyn.dynamics import N_MAX_CAP, HTopRow
 from pseudodyn.measure import local_entropy
 from pseudodyn.model import parse_model
 from pseudodyn.probes import STATEMENTS
 from pseudodyn.rational import format_rational
-from pseudodyn.shift import WINDOW_RADIUS_CAP
+from pseudodyn.shift import WINDOW_RADIUS_CAP, ShiftPoint
+
+from conftest import reference_format_rational, reference_to_jsonable
 
 LINE_MODEL = {
     "points": ["a", "b", "c"],
@@ -141,6 +146,63 @@ def test_to_jsonable_round_trip():
     assert json.loads(text)["result"] == data
     # idempotent: rendering the parsed result again changes nothing
     assert json.loads(render(json.loads(text)["result"], "json"))["result"] == data
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+
+
+def _payload(rng, depth=0):
+    """A seeded payload mixing every kind the renderer meets: rationals,
+    infinite floats, the unbounded marker, sets, tuples, dataclasses,
+    maps and shift points, and dicts keyed by strings, ints, ``Fraction``s
+    and tuples, some of whose keys print alike."""
+    space = FiniteMetricSpace("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    leaves = [
+        lambda: rng.randint(-5, 5), lambda: rng.random() < 0.5, lambda: None,
+        lambda: rng.choice(["x", "", "1/2", "é"]),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        lambda: rng.choice([math.inf, -math.inf, 0.5, -0.0]),
+        lambda: UNBOUNDED, lambda: _Level.LOW,
+        lambda: frozenset(Fraction(rng.randint(0, 6), 3) for _ in range(3)),
+        lambda: {rng.choice("abc") for _ in range(2)},
+        lambda: PartialMap.from_dict(space, {"a": "b"}, name="g"),
+        lambda: ShiftPoint((1, 0, 1), background=rng.randint(0, 1)),
+        lambda: HTopRow(eps=Fraction(1, 2), n=2, count_lower=1,
+                        count_upper=2, rate=-math.inf),
+        lambda: _Pair(Fraction(1, 3), "b"),
+    ]
+    if depth >= 3 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    kind = rng.randrange(4)
+    items = [_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 0:
+        return items
+    if kind == 1:
+        return tuple(items)
+    keys = [rng.choice([str(rng.randint(0, 3)), rng.randint(0, 3),
+                        Fraction(rng.randint(0, 6), 2),
+                        (rng.randint(0, 2), Fraction(1, rng.randint(1, 3))),
+                        None, True])
+            for _ in items]
+    mapping = dict(zip(keys, items))
+    return mapping if kind == 2 else collections.OrderedDict(mapping)
+
+
+def test_to_jsonable_matches_the_isinstance_chain():
+    """The type-dispatched renderer gives what one isinstance chain gives,
+    key order included (``json.dumps`` without sorting keeps it)."""
+    rng = random.Random(37)
+    for _ in range(600):
+        payload = _payload(rng)
+        assert json.dumps(to_jsonable(payload)) \
+            == json.dumps(reference_to_jsonable(payload))
+    for value in (Fraction(-7, 3), Fraction(4), 5, -2, True, 0.375, -1.5,
+                  UNBOUNDED):
+        assert format_rational(value) == reference_format_rational(value)
 
 
 def test_cli_ball(model_path, capsys):

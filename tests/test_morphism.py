@@ -1,14 +1,17 @@
+import collections
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from pseudodyn import (FiniteMeasure, FiniteMetricSpace,
-                       InputError, PartialMap, SpaceIso, compacted_system,
-                       compare_entropy, conjugate_map,
+from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
+                       GeneratingSystem, InputError, PartialMap, SpaceIso,
+                       compacted_system, compare_entropy, conjugate_map,
                        conjugate_system, morphism,
                        pushforward, transfer_expansive_constant)
-from pseudodyn.dynamics import separated_count
+from pseudodyn.cli import main
+from pseudodyn.dynamics import EXACT_CLIQUE_CAP, separated_count
 from pseudodyn.equicont import _modulus
 from pseudodyn.probes import (InstanceSpec, random_genome,
                               random_space_matrix)
@@ -331,3 +334,85 @@ def test_separation_transfer_scale(line, doubled):
     assert is_unbounded(doubled.inverse_modulus(3))
     assert doubled.forward_modulus(2) == 1
     assert doubled.forward_modulus(4) == 2
+
+
+def reference_is_isometric(iso):
+    """Every distance kept, compared as ``Fraction``s pair by pair."""
+    src, dst, fwd = iso.src, iso.dst, iso.fwd
+    return all(src.dist[i][j] == dst.dist[fwd[i]][fwd[j]]
+               for i in range(src.n) for j in range(src.n))
+
+
+def test_is_isometric_matches_the_distance_comparison():
+    """Rank comparison against the pairwise distance reference on seeded
+    isos: onto relabelled copies (scaled by 1, 2 and 1/3), onto permuted
+    copies under the matching and under a shuffled bijection, and onto
+    independent random metrics with the same distances or not."""
+    rng = random.Random("is-isometric")
+    outcomes = collections.Counter()
+    for idx in range(150):
+        n = rng.randint(1, 9)
+        src = FiniteMetricSpace(range(n), random_space_matrix(rng, n, 4))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inv = [0] * n
+        for i, v in enumerate(perm):
+            inv[v] = i
+        permuted = FiniteMetricSpace(
+            [f"z{v}" for v in range(n)],
+            [[src.dist[inv[u]][inv[v]] for v in range(n)] for u in range(n)])
+        other = FiniteMetricSpace(range(n), random_space_matrix(rng, n, 4))
+        isos = [SpaceIso.relabel(src, [f"q{i}" for i in range(n)], scale)
+                for scale in (1, 2, Fraction(1, 3))]
+        isos += [SpaceIso(src, permuted, perm),
+                 SpaceIso(src, permuted, rng.sample(range(n), n)),
+                 SpaceIso(src, other, rng.sample(range(n), n))]
+        for iso in isos:
+            expected = reference_is_isometric(iso)
+            assert iso.is_isometric() == expected
+            outcomes[expected] += 1
+            # the pulled-back ranks it reads serve the moduli too
+            for eps in iso.dst.distance_grid():
+                assert iso.forward_modulus(eps) \
+                    == reference_modulus(iso, eps)
+    assert outcomes[True] >= 300 and outcomes[False] >= 300
+
+
+def reference_modulus(iso, eps):
+    """The least source distance among pairs whose images are eps or
+    farther apart, from the distances."""
+    src, dst, fwd = iso.src, iso.dst, iso.fwd
+    spread = [src.dist[i][j] for i in range(src.n) for j in range(src.n)
+              if dst.dist[fwd[i]][fwd[j]] >= eps]
+    return min(spread) if spread else UNBOUNDED
+
+
+def test_conjugate_past_the_cap_names_htop_and_conjugates_nothing(
+        monkeypatch, tmp_path, capsys):
+    """Past ``EXACT_CLIQUE_CAP`` points ``compare_entropy`` refuses before
+    it conjugates or counts, and the refusal names ``htop``, which a
+    command-line user can run on the same model."""
+    n = EXACT_CLIQUE_CAP + 1
+    dist = [[abs(i - j) for j in range(n)] for i in range(n)]
+    space = FiniteMetricSpace([f"p{i}" for i in range(n)], dist)
+    step = PartialMap(space, [i + 1 if i < 3 else None for i in range(n)],
+                      name="s")
+    system = GeneratingSystem.build(space, [step])
+    iso = SpaceIso.relabel(space, [f"q{i}" for i in range(n)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing is conjugated or counted")
+
+    monkeypatch.setattr(morphism, "conjugate_system", refuse)
+    monkeypatch.setattr(morphism, "separated_count", refuse)
+    with pytest.raises(CapabilityError, match=f"got {n}.*htop"):
+        compare_entropy(system, iso)
+    doc = {"points": list(space.points), "dist": dist,
+           "generators": [{"name": "s", "map": {"p0": "p1"}}],
+           "phi": {f"p{i}": f"q{i}" for i in range(n)}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["conjugate", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("capability error: ") and "htop" in err
+    assert "mode=" not in err

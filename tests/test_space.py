@@ -1,4 +1,6 @@
 import collections
+import functools
+import itertools
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -424,3 +426,137 @@ def test_pair_order_walks_pairs_nearest_first():
         for rank in range(1, len(values)):
             assert {r for r, _, _ in want[starts[rank]:starts[rank + 1]]} \
                 == {rank}
+
+
+def _integer_cases():
+    """Seeded integer matrices, valid and with one planted fault: the
+    packed-field cases with integral entries, path metrics of integer
+    edge weights and the fault kinds of ``_plant`` made integral (negative
+    and zero distances, a nonzero diagonal, asymmetry, a stretched pair)."""
+    rng = random.Random(20261020)
+    for top in (63, 64, 2**14 - 1, 2**14):
+        for kind in range(6):
+            yield _plant_late(rng, _banded(rng, rng.randint(20, 40), top),
+                              top, kind)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        d = [[0 if i == j else rng.randint(1, 30) for j in range(n)]
+             for i in range(n)]
+        for i in range(n):
+            for j in range(i):
+                d[i][j] = d[j][i]
+        if rng.random() < 0.6:
+            for k in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+        if n > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(n), 2)
+            kind = rng.randrange(4)
+            if kind == 0:
+                d[i][j] = d[j][i] = 3 * d[i][j] + 1
+            elif kind == 1:
+                d[i][i] = rng.randint(1, 3)
+            elif kind == 2:
+                d[i][j] += 1
+            else:
+                d[i][j] = d[j][i] = rng.choice((0, -1, -7))
+        yield d
+
+
+def _radii(space):
+    """Every grid value and every midpoint between two, with 0 and a
+    radius past the diameter."""
+    values = space.distance_ranks()[1]
+    mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    return [*values, *mids, values[-1] + 1]
+
+
+def test_integer_matrices_match_their_fraction_copies():
+    """The all-int branch of metric validation against the same matrix
+    given as ``Fraction``s, which takes the general path: the same space,
+    the same thresholds, or the same refusal."""
+    outcomes = collections.Counter()
+    for dist in _integer_cases():
+        labels = [f"p{i}" for i in range(len(dist))]
+        fractions = [[Fraction(v) for v in row] for row in dist]
+        try:
+            expected = FiniteMetricSpace(labels, fractions)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                FiniteMetricSpace(labels, dist)
+            assert str(got.value) == str(exc)
+            msg = str(exc)
+            outcomes["diagonal" if msg.endswith("must be 0")
+                     else msg.split(" ")[0]] += 1
+            continue
+        space = FiniteMetricSpace(labels, dist)
+        outcomes["accepted"] += 1
+        assert space.points == expected.points
+        assert space.dist == expected.dist
+        assert all(type(v) is Fraction for row in space.dist for v in row)
+        assert space.distance_ranks() == expected.distance_ranks()
+        for r in _radii(expected):
+            for closed in (False, True):
+                assert space.threshold(r, closed) \
+                    == expected.threshold(r, closed)
+    assert set(outcomes) == {"accepted", "triangle", "symmetry", "distinct",
+                             "diagonal"}
+    assert outcomes["accepted"] >= 100 and outcomes["triangle"] >= 20
+
+
+def test_a_bool_entry_is_refused_beside_integers():
+    """``True`` is an int to ``isinstance`` but no distance: a matrix of
+    ints with one bool is refused, as a matrix of Fractions with one is."""
+    ints = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    for i, j in ((0, 1), (1, 0), (2, 2)):
+        for other in (ints, [[Fraction(v) for v in row] for row in ints]):
+            dist = [row[:] for row in other]
+            dist[i][j] = True if i != j else False
+            with pytest.raises(InputError) as got:
+                FiniteMetricSpace("abc", dist)
+            assert str(got.value) == f"not a rational: {dist[i][j]!r}"
+
+
+@functools.cache
+def _some_accepted_spaces():
+    spaces = [coprime_space(7), cyclic_space(6), FiniteMetricSpace("a", [[0]])]
+    for dist in itertools.islice(_validator_cases(), 0, None, 3):
+        try:
+            spaces.append(FiniteMetricSpace(range(len(dist)), dist))
+        except InputError:
+            continue
+    return spaces
+
+
+@pytest.mark.parametrize("factor", [1, 2, Fraction(1, 3)])
+def test_relabelled_matches_full_construction(factor):
+    """A relabelled, scaled copy keeps the ranks and validates nothing,
+    yet reads like the same labels and scaled matrix validated afresh:
+    the same distances, ranks, index and thresholds at every grid value
+    and every midpoint, open and closed."""
+    rng = random.Random(f"relabelled:{factor}")
+    for space in _some_accepted_spaces():
+        labels = [f"z{i}" for i in range(space.n)]
+        rng.shuffle(labels)
+        copy = space.relabelled(labels, factor)
+        fresh = FiniteMetricSpace(labels, [[v * factor for v in row]
+                                           for row in space.dist])
+        assert copy.points == fresh.points
+        assert copy.dist == fresh.dist
+        assert copy.distance_ranks() == fresh.distance_ranks()
+        assert [copy.index(p) for p in labels] == list(range(space.n))
+        for r in _radii(fresh):
+            for closed in (False, True):
+                assert copy.threshold(r, closed) == fresh.threshold(r, closed)
+
+
+def test_relabelled_refuses_what_a_copy_cannot_be(line):
+    with pytest.raises(InputError, match="positive factor"):
+        line.relabelled("xyz", 0)
+    with pytest.raises(InputError, match="positive factor"):
+        line.relabelled("xyz", Fraction(-1, 2))
+    with pytest.raises(InputError, match=r"needs 3 point labels \(got 2\)"):
+        line.relabelled("xy")
+    with pytest.raises(InputError, match="^duplicate point labels$"):
+        line.relabelled("xyx")
