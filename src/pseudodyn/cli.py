@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 
 from . import __version__
@@ -98,7 +99,9 @@ def render(payload, fmt: str, manifest: dict | None = None) -> str:
             doc = {"result": data}
             if manifest:
                 doc["manifest"] = manifest
-            return json.dumps(doc, indent=2, sort_keys=True)
+            out = []
+            _write_json(doc, out, "\n")
+            return "".join(out)
         if fmt == "csv":
             return _render_csv(data)
         return _render_table(data)
@@ -108,6 +111,56 @@ def render(payload, fmt: str, manifest: dict | None = None) -> str:
             "a value has more than the "
             f"{sys.get_int_max_str_digits()} digits Python prints "
             "in an integer") from exc
+
+
+def _write_json(node, out: list, newline: str) -> None:
+    """Append to ``out`` the text ``json.dumps(node, indent=2,
+    sort_keys=True)`` gives for a node of ``to_jsonable``'s output (or the
+    manifest): one pass, with the two-space indent carried in ``newline``,
+    the line break that opens each item at this depth."""
+    cls = type(node)
+    if cls is str:
+        out.append(_encode_str(node))
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif cls is int:
+        # a too-long integer raises ValueError here, as json's encoder does
+        out.append(int.__repr__(node))
+    elif cls is list or cls is tuple:
+        if not node:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in node:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif cls is dict:
+        if not node:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(node.items()):
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(node, str):
+        out.append(_encode_str(node))
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    else:
+        # a float, spelled as json spells it (NaN, Infinity)
+        out.append(json.dumps(node))
 
 
 def _render_csv(data, prefix="") -> str:
@@ -351,7 +404,10 @@ def cmd_equicont(args) -> tuple[int, object]:
                 "conclusion": rep.conclusion,
             }
         else:
-            payload["group_certificate"] = "generators not total; use --compacted"
+            # the core-restricted certificate needs cores to run
+            payload["group_certificate"] = (
+                "generators not total; use --compacted" if sysm.has_cores
+                else "generators not total")
     return EXIT_OK, (payload, model)
 
 

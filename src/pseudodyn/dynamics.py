@@ -63,7 +63,7 @@ def dyn_ball(sys: GeneratingSystem, x, n: int, eps,
     closure = sys.word_closure()
     t = space.threshold(eps, closed)
     members = table_ball(closure.constraint_table(n), xi, t)
-    ranks = space.distance_ranks()[0]
+    ranks, values = space.distance_ranks()
     # one lazy pass over the words of length n, a prefix of the closure,
     # each non-member leaving at its first blocker: no map past the last
     # first blocker is read or built
@@ -82,7 +82,7 @@ def dyn_ball(sys: GeneratingSystem, x, n: int, eps,
         for y in pending:
             gy = vals[y]
             if gy is not None and row[gy] >= t:
-                found[y] = (g, space.dist[gx][gy])
+                found[y] = (g, values[row[gy]])
             else:
                 left.append(y)
         pending = left

@@ -36,16 +36,15 @@ class EquicontinuityCertificate:
         """Re-verify over ``maps`` that no pair closer than delta is spread
         to eps: a bounded delta holds exactly when the modulus at eps of
         one fold of the maps is unbounded or at least delta."""
-        bounded = {eps: delta for eps, delta in self.table.items()
-                   if not is_unbounded(delta)}
+        bounded = [(space.threshold(eps), delta)
+                   for eps, delta in self.table.items()
+                   if not is_unbounded(delta)]
         if not bounded:
             return True
-        fold = spread_table(maps, space)
-        for eps, delta in bounded.items():
-            least = _modulus(fold, space, space.threshold(eps))[0]
-            if not (is_unbounded(least) or least >= delta):
-                return False
-        return True
+        moduli = _moduli(spread_table(maps, space), space,
+                         [t for t, _ in bounded])
+        return all(is_unbounded(moduli[t][0]) or moduli[t][0] >= delta
+                   for t, delta in bounded)
 
 
 def _modulus(spread, space: FiniteMetricSpace, t: int):
@@ -70,6 +69,38 @@ def _modulus(spread, space: FiniteMetricSpace, t: int):
     return UNBOUNDED, []
 
 
+def _moduli(spread, space: FiniteMetricSpace, thresholds) -> dict:
+    """``{t: _modulus(spread, space, t)}`` for every threshold in
+    ``thresholds``, from one walk over the distance ranks.
+
+    The modulus rank at t is the least rank holding a pair whose spread
+    rank reaches t, so it never falls as t rises: one pointer serves the
+    thresholds in increasing order, and each rank's largest spread rank
+    is read once, when the pointer reaches it.  Pairs are listed only at
+    the rank each threshold stops at."""
+    values = space.distance_ranks()[1]
+    left, right, starts = space.pair_order()
+    out = {}
+    rank, top = 1, None  # top: the largest spread rank of the pairs of rank
+    for t in sorted(set(thresholds)):
+        need = max(t, 1)  # rank 0 means no map in scope is defined at both
+        while rank < len(values):
+            lo, hi = starts[rank], starts[rank + 1]
+            if top is None:
+                top = max([spread[i][j]
+                           for i, j in zip(left[lo:hi], right[lo:hi])])
+            if top >= need:
+                break
+            rank, top = rank + 1, None
+        if rank == len(values):
+            out[t] = UNBOUNDED, []
+        else:
+            out[t] = values[rank], [(i, j) for i, j in zip(left[lo:hi],
+                                                           right[lo:hi])
+                                    if spread[i][j] >= need]
+    return out
+
+
 def _spread(source):
     """The spread table of a system's word closure, which is the system's
     fixpoint pair table, read from a system or from the ``ClosureMaps`` of
@@ -89,20 +120,22 @@ def modulus_at(source, space: FiniteMetricSpace, eps):
 
 
 def equicontinuity_modulus(sys: GeneratingSystem) -> EquicontinuityCertificate:
-    """One pair table serves every grid eps.  Each finite delta's witness
+    """One pair table serves every grid eps, read in one walk over the
+    distance ranks (``_moduli``).  Each finite delta's witness
     is the first (map, i, j) that spreads a pair at distance delta to eps,
     scanning the closure's maps in order and i < j over each sorted
     domain."""
     space = sys.space
     eps_grid = space.distance_grid()
-    spread = sys.constraint_table()
     maps = sys.word_closure().stabilized_maps
     ranks = space.distance_ranks()[0]
+    # the grid value of rank t has the threshold t
+    moduli = _moduli(sys.constraint_table(), space,
+                     range(1, len(eps_grid) + 1))
     table = {}
     witnesses = {}
-    for eps in eps_grid:
-        t = space.threshold(eps)
-        delta, pairs = _modulus(spread, space, t)
+    for t, eps in enumerate(eps_grid, 1):
+        delta, pairs = moduli[t]
         table[eps] = delta
         witnesses[eps] = next(
             ((g, space.label(i), space.label(j)) for g in maps for i, j in pairs

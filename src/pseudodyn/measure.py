@@ -29,17 +29,23 @@ HOMOGENEITY_LADDER_CAP = Fraction(2) ** 20
 class FiniteMeasure:
     """Per-point rational weights, nonnegative and summing to one.
 
-    ``weights`` holds the ``Fraction``s; ``nums`` holds the same weights
-    as integer numerators over the one common denominator ``den``, which
-    every ball and subset measure sums."""
+    ``nums`` holds the weights as integer numerators over the one common
+    denominator ``den``, which every ball and subset measure sums;
+    ``weights`` holds them as ``Fraction``s, built on first read when the
+    measure was read from a mapping."""
 
-    __slots__ = ("space", "weights", "den", "nums")
+    __slots__ = ("space", "den", "nums", "_weights")
 
     def __init__(self, space: FiniteMetricSpace, weights):
         ws = tuple(map(parse_rational, weights))
         if len(ws) != space.n:
             raise InputError("weight vector length must match the space")
-        pairs = [w.as_integer_ratio() for w in ws]
+        self._set(space, [w.as_integer_ratio() for w in ws])
+        self._weights = ws
+
+    def _set(self, space: FiniteMetricSpace, pairs: list) -> None:
+        """Validate the reduced ``(numerator, denominator)`` pairs, one per
+        point, and keep them over their least common denominator."""
         if any(p < 0 for p, _ in pairs):
             raise InputError("weights must be nonnegative")
         den = math.lcm(*(q for _, q in pairs))
@@ -48,9 +54,17 @@ class FiniteMeasure:
             raise InputError("weights must sum to 1 "
                              f"(got {Fraction(sum(nums), den)})")
         self.space = space
-        self.weights = ws
         self.den = den
         self.nums = nums
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        ws = self._weights
+        if ws is None:
+            den = self.den
+            value = {m: Fraction(m, den) for m in set(self.nums)}
+            ws = self._weights = tuple(map(value.__getitem__, self.nums))
+        return ws
 
     @classmethod
     def uniform(cls, space: FiniteMetricSpace) -> "FiniteMeasure":
@@ -69,11 +83,15 @@ class FiniteMeasure:
         """The weights ``{label: weight}``, zero at every point not named.
         An ASCII 'digits/digits' string with a nonzero denominator is read
         as its two integers; every other weight goes through
-        ``parse_rational``."""
-        weights = [Fraction(0)] * space.n
+        ``parse_rational``.  No ``Fraction`` is built until ``weights`` is
+        read."""
+        pairs = [(0, 1)] * space.n
         for label, w in mapping.items():
-            weights[space.index(label)] = _weight(w)
-        return cls(space, weights)
+            pairs[space.index(label)] = _weight(w)
+        mu = cls.__new__(cls)
+        mu._set(space, pairs)
+        mu._weights = None
+        return mu
 
     def __call__(self, subset) -> Fraction:
         nums = self.nums
@@ -101,17 +119,21 @@ class FiniteMeasure:
         return frozenset(i for i, w in enumerate(self.nums) if w)
 
 
-def _weight(w) -> Fraction:
-    """``parse_rational(w)``, with the plain 'p/q' string of a model file
-    read as two ASCII digit runs, without ``Fraction``'s string parser."""
+def _weight(w) -> tuple[int, int]:
+    """``parse_rational(w).as_integer_ratio()``, with the plain 'p/q'
+    string of a model file read as two ASCII digit runs and reduced,
+    without a ``Fraction``."""
     if type(w) is str and w.isascii():
         p, slash, q = w.partition("/")
         if slash and p.isdigit() and q.isdigit() and q.strip("0"):
             try:
-                return Fraction(int(p), int(q))
+                p, q = int(p), int(q)
             except ValueError:  # more digits than int() reads: refused below
                 pass
-    return parse_rational(w)
+            else:
+                g = math.gcd(p, q)
+                return p // g, q // g
+    return parse_rational(w).as_integer_ratio()
 
 
 # -- invariance and ergodicity -------------------------------------------------
@@ -330,7 +352,10 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     exact maximal measure ratio, capped by the 2^20 search ladder.  Cells
     where both sides vanish pass vacuously and set the degenerate flag.
     The ball measures at level n sum only the rows level n raised; every
-    other row keeps its level n - 1 measure.
+    other row keeps its level n - 1 measure.  The search runs on integers:
+    the grid value ``grid[r - 1]`` has the open threshold r, ratios
+    compare by cross-multiplying, and ``Fraction``s are built only for a
+    witness.
     """
     _same_space(mu, sys)
     space = sys.space
@@ -345,6 +370,7 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
         raise InputError("need a nonempty eps grid and n_max >= 1")
     # every n past the fixpoint reads the same table, so adds no cell
     n_range = range(1, min(n_max, level) + 1)
+    cap = HOMOGENEITY_LADDER_CAP.numerator
     rows: dict[tuple[int, int], list[int]] = {}
 
     def measures(t: int, n: int) -> list[int]:
@@ -366,12 +392,15 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     ok = True
     for eps in eps_grid:
         t_eps = space.threshold(eps)
-        candidates = [eps] + [d for d in reversed(grid) if d != eps]
+        # delta = eps, then every other grid value downward, by rank
+        skip = t_eps if t_eps <= len(grid) and grid[t_eps - 1] == eps else 0
+        candidates = [(eps, t_eps)] + [(grid[r - 1], r)
+                                       for r in range(len(grid), 0, -1)
+                                       if r != skip]
         found = None
         fail_cell = None
-        for delta in candidates:
-            t_delta = t_eps if delta == eps else space.threshold(delta)
-            c_needed = Fraction(0)
+        for delta, t_delta in candidates:
+            cp, cq = 0, 1  # the largest ratio hi / lo so far
             feasible = True
             for n in n_range:
                 denom = measures(t_eps, n)
@@ -387,20 +416,20 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
                     yi = numer.index(hi)
                     fail_cell = (eps, space.label(xi), space.label(yi), n)
                     break
-                ratio = Fraction(hi, lo)
-                if ratio > c_needed:
-                    c_needed = ratio
+                if hi * cq > cp * lo:
+                    cp, cq = hi, lo
             if not feasible:
                 continue
-            if c_needed > HOMOGENEITY_LADDER_CAP:
+            if cp > cap * cq:
                 fail_cell = fail_cell or (eps, None, None, None)
                 continue
-            c_exact = max(c_needed, Fraction(1))
-            ladder = Fraction(1)
-            while ladder < c_exact:
-                ladder *= 2
-            found = HomogeneityWitness(eps=eps, delta=delta,
-                                       c_exact=c_exact, c_ladder=ladder)
+            if cp <= cq:
+                c_exact, ladder = Fraction(1), 1
+            else:
+                c_exact = Fraction(cp, cq)
+                ladder = 1 << (-(-cp // cq) - 1).bit_length()
+            found = HomogeneityWitness(eps=eps, delta=delta, c_exact=c_exact,
+                                       c_ladder=Fraction(ladder))
             break
         if found is None:
             ok = False

@@ -9,12 +9,11 @@ point indices.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, InputError
@@ -37,10 +36,13 @@ class FiniteMetricSpace:
     matrix), and every check runs on one integer matrix over a common
     denominator: the triangle inequality costs |X|
     big-integer steps, one per middle point, each over |X|^2 packed fields.
-    Instances are immutable and safe to share between threads.
+    The rank rows come from one pass over that matrix, and the ``Fraction``
+    matrix ``dist`` is built from them on first read.
+    Instances are immutable and safe to share between threads: a lazy
+    field is built idempotently, so a race builds equal values twice.
     """
 
-    __slots__ = ("points", "dist", "_index", "_ranks", "_grid", "_pullbacks",
+    __slots__ = ("points", "_dist", "_index", "_ranks", "_grid", "_pullbacks",
                  "_pair_order")
 
     def __init__(self, points: Sequence, dist: Sequence[Sequence]):
@@ -70,11 +72,20 @@ class FiniteMetricSpace:
         if triple is not None:
             raise InputError("triangle inequality violated at "
                              "({},{},{})".format(*map(pts.__getitem__, triple)))
-        rank_of = {v: r for r, v in enumerate(grid)}
         values = tuple(Fraction(v, scale) for v in grid)
-        ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in rows)
+        if grid[-1] < 256:
+            # one translate of the whole matrix: byte v becomes v's rank
+            table = bytearray(256)
+            for r, v in enumerate(grid):
+                table[v] = r
+            flat_ranks = bytes(ints).translate(table)
+        else:
+            flat_ranks = map({v: r for r, v in enumerate(grid)}.__getitem__,
+                             ints)
+        # n references to one iterator: zip cuts it into rows of n
+        ranks = tuple(zip(*[iter(flat_ranks)] * n))
         self.points = pts
-        self.dist = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
+        self._dist = None
         self._index = {p: i for i, p in enumerate(pts)}
         self._ranks = (ranks, values)
         self._grid = (tuple(grid), scale)
@@ -103,6 +114,17 @@ class FiniteMetricSpace:
 
     def label(self, i: int):
         return self.points[i]
+
+    @property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance matrix: ``dist[i][j]`` is ``values[ranks[i][j]]``
+        (see ``distance_ranks``), built on first read."""
+        dist = self._dist
+        if dist is None:
+            ranks, values = self._ranks
+            dist = self._dist = tuple(tuple(map(values.__getitem__, row))
+                                      for row in ranks)
+        return dist
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
@@ -135,15 +157,15 @@ class FiniteMetricSpace:
             raise InputError("a metric scales by a positive factor only")
         ranks, values = self._ranks
         grid, scale = self._grid
-        dist = self.dist
+        dist = self._dist
         if factor != 1:
             p, q = factor.as_integer_ratio()
             values = tuple(v * factor for v in values)
             grid, scale = tuple(g * p for g in grid), scale * q
-            dist = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
+            dist = None
         copy = object.__new__(FiniteMetricSpace)
         copy.points = pts
-        copy.dist = dist
+        copy._dist = dist
         copy._index = {label: i for i, label in enumerate(pts)}
         copy._ranks = (ranks, values)
         copy._grid = (grid, scale)
@@ -302,6 +324,8 @@ def _triangle_failure(rows: list[list[int]], ints: list[int],
     width = (grid[-1].bit_length() + 9) // 8  # bytes per field
     enc = {v: v.to_bytes(width, "little") for v in grid}
     packed = b"".join(map(enc.__getitem__, ints))  # field (i, k): d(i, k)
+    # each value's field repeated n times, so a row expands by lookups
+    spans = {v: e * n for v, e in enc.items()}
     guards = int.from_bytes((bytes(width - 1) + b"\x80") * (n * n), "little")
     base = guards - int.from_bytes(packed, "little")
     step = n * width
@@ -312,9 +336,8 @@ def _triangle_failure(rows: list[list[int]], ints: list[int],
         fields = (base
                   + int.from_bytes(packed[j * step:(j + 1) * step] * n,
                                    "little")
-                  + int.from_bytes(b"".join(map(operator.mul,
-                                                map(enc.__getitem__, row),
-                                                repeat(n))), "little"))
+                  + int.from_bytes(b"".join(map(spans.__getitem__, row)),
+                                   "little"))
         if fields & guards != guards:
             failed = guards & ~fields
             i, k = divmod(((failed & -failed).bit_length() - 1) // (8 * width),

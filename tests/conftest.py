@@ -7,6 +7,10 @@ import pytest
 from pseudodyn import (UNBOUNDED, FiniteMetricSpace, GeneratingSystem,
                        PartialMap, compacted_system, cylinder_measure,
                        dyn_ball_cylinder, is_unbounded)
+from pseudodyn.errors import InputError
+from pseudodyn.measure import (HOMOGENEITY_LADDER_CAP, HomogeneityReport,
+                               HomogeneityWitness)
+from pseudodyn.rational import parse_rational
 from pseudodyn.shift import ShiftPoint
 
 
@@ -255,3 +259,74 @@ def reference_to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [reference_to_jsonable(v) for v in obj]
     return repr(obj)
+
+
+# The homogeneity search over ``Fraction`` ratios and grid values, each
+# delta's threshold read with ``threshold``: the reference for
+# ``measure.is_homogeneous``'s integer search, which must take the same
+# walk (the same witnesses, degenerate flag and counterexample).
+
+def reference_is_homogeneous(mu, sys, eps_grid=None, n_max=None):
+    space = sys.space
+    level = sys.fixpoint_level
+    grid = space.distance_grid()
+    if eps_grid is None:
+        eps_grid = grid
+    eps_grid = [parse_rational(e) for e in eps_grid]
+    if any(e <= 0 for e in eps_grid):
+        raise InputError("scale must be positive")
+    if n_max is None:
+        n_max = level
+    if not eps_grid or n_max < 1:
+        raise InputError("need a nonempty eps grid and n_max >= 1")
+    n_range = range(1, min(n_max, level) + 1)
+
+    def measures(t, n):
+        return mu.ball_numerators(sys.constraint_table(n), t)
+
+    witnesses = {}
+    degenerate = False
+    counterexample = None
+    ok = True
+    for eps in eps_grid:
+        t_eps = space.threshold(eps)
+        candidates = [eps] + [d for d in reversed(grid) if d != eps]
+        found = None
+        fail_cell = None
+        for delta in candidates:
+            t_delta = space.threshold(delta)
+            c_needed = Fraction(0)
+            feasible = True
+            for n in n_range:
+                denom = measures(t_eps, n)
+                numer = measures(t_delta, n)
+                lo = min(denom)
+                hi = max(numer)
+                if lo == 0:
+                    if hi == 0:
+                        degenerate = True
+                        continue
+                    feasible = False
+                    fail_cell = (eps, space.label(denom.index(lo)),
+                                 space.label(numer.index(hi)), n)
+                    break
+                c_needed = max(c_needed, Fraction(hi, lo))
+            if not feasible:
+                continue
+            if c_needed > HOMOGENEITY_LADDER_CAP:
+                fail_cell = fail_cell or (eps, None, None, None)
+                continue
+            c_exact = max(c_needed, Fraction(1))
+            ladder = Fraction(1)
+            while ladder < c_exact:
+                ladder *= 2
+            found = HomogeneityWitness(eps=eps, delta=delta,
+                                       c_exact=c_exact, c_ladder=ladder)
+            break
+        if found is None:
+            ok = False
+            counterexample = counterexample or fail_cell
+        else:
+            witnesses[eps] = found
+    return HomogeneityReport(ok=ok, witnesses=witnesses, degenerate=degenerate,
+                             counterexample=counterexample)

@@ -325,7 +325,7 @@ CORPUS_PINS = {
     "check": "b0ff2b70a7cd3d60989d049b34b537553b9f5ed1",
     "conjugate": "50c9182c34e359272417eecb706d3e37d1928720",
     "entropy": "da8dcbae09f0c19357e9086b658681cc2626e6b6",
-    "equicont": "853017dfa6f56b89b70f5b20102100a85ecf701f",
+    "equicont": "34c95173aa4884f48120bcda04d026d03fabb8bf",
     "htop": "42dedcb75d91900c59c6ead96678ee17d4a888af",
     "probe": "d94155e069f0438bb438a20eeac6f3ea247087dc",
     "shift": "b6434abc445f51b08ae9f418575f8ef636809a89",

@@ -23,6 +23,29 @@ def test_dyn_ball_line(line_system):
     assert blocker.is_identity() and dist == 2
 
 
+def test_dyn_ball_exclusions_never_build_dist(monkeypatch, line_system):
+    """An exclusion's distance is the value of its rank, the same
+    ``Fraction`` as ``dist`` holds, read without building ``dist``."""
+    space = line_system.space
+    want = {(x, n): dyn_ball(line_system, x, n, Fraction(3, 2)).exclusions
+            for x in range(space.n) for n in (1, 2)}
+    assert any(want.values())
+
+    def unread(space):
+        raise AssertionError("dist was built")
+
+    fresh = FiniteMetricSpace(space.points, space.dist)
+    system = GeneratingSystem.build(
+        fresh, [PartialMap(fresh, g.vals, name=g.name)
+                for g in line_system.generators[1:2]])
+    monkeypatch.setattr(FiniteMetricSpace, "dist", property(unread))
+    for (x, n), exclusions in want.items():
+        got = dyn_ball(system, x, n, Fraction(3, 2)).exclusions
+        assert {y: d for y, (_, d) in got.items()} \
+            == {y: d for y, (_, d) in exclusions.items()}
+        assert all(type(d) is Fraction for _, d in got.values())
+
+
 def test_dyn_ball_identity_system_is_metric_ball(identity_system):
     space = identity_system.space
     for x in range(space.n):

@@ -12,14 +12,15 @@ from pseudodyn import (UNBOUNDED, CapabilityError, FiniteMeasure,
                        no_expansive_certificate_good,
                        no_expansive_certificate_group)
 from pseudodyn import equicont
-from pseudodyn.equicont import EquicontinuityCertificate, _modulus, modulus_at
+from pseudodyn.equicont import (EquicontinuityCertificate, _moduli, _modulus,
+                                modulus_at)
 from pseudodyn.probes import (InstanceSpec, random_genome, random_instance,
                               totalized_group)
 from pseudodyn.pseudogroup import spread_table
 
 from conftest import (coprime_space, cyclic_space, good_inclusion_failures,
-                      group_inclusion_failures, reference_modulus_full_scan,
-                      symmetric_group)
+                      group_inclusion_failures, ranked_space,
+                      reference_modulus_full_scan, symmetric_group)
 
 
 def closure_maps(sys):
@@ -474,3 +475,71 @@ def test_nearest_first_modulus_matches_full_scan():
                 cases += 1
         assert _modulus(tables[0], space, 0) == (UNBOUNDED, [])
     assert outcomes == {True, False} and cases > 1500
+
+
+def ranked_system():
+    """24 points with 275 distinct distances (276 ranks with 0) and two
+    partial maps, as the CLI corpus's largest model."""
+    space = ranked_space(24, 275)
+    maps = [PartialMap(space, [1, 2, 3] + [None] * 21, name="g0"),
+            PartialMap(space, [None] * 5 + [9, None, 11, None, 5]
+                       + [None] * 14, name="g1")]
+    return GeneratingSystem.build(space, maps)
+
+
+def test_one_walk_moduli_match_the_per_scale_walk():
+    """``_moduli`` answers every threshold as ``_modulus`` does, delta and
+    pairs, on thresholds in any order and with repeats, over the fixpoint
+    pair table, a fold of the closure and a random spread table of seeded
+    systems and their core restrictions, and of the 276-rank model; the
+    certificate's table and its audit follow."""
+    rng = random.Random("one-walk-moduli")
+    spec = InstanceSpec(seed="one-walk-moduli", count=30)
+    systems = [ranked_system()]
+    for idx in range(spec.count):
+        sys_i, _ = random_instance(spec, idx)
+        systems += [sys_i, compacted_system(sys_i)]
+    outcomes = set()
+    for sys_i in systems:
+        space = sys_i.space
+        top = len(space.distance_ranks()[1]) - 1
+        tables = [sys_i.constraint_table(),
+                  spread_table(closure_maps(sys_i), space),
+                  [[rng.randint(0, top) for _ in range(space.n)]
+                   for _ in range(space.n)]]
+        for table in tables:
+            ts = [rng.randint(0, top + 1) for _ in range(top + 2)]
+            want = {t: _modulus(table, space, t) for t in ts}
+            assert _moduli(table, space, ts) == want
+            outcomes |= {is_unbounded(delta) for delta, _ in want.values()}
+        cert = equicontinuity_modulus(sys_i)
+        assert cert.table == {
+            eps: _modulus(tables[0], space, space.threshold(eps))[0]
+            for eps in space.distance_grid()}
+        assert cert.audit(closure_maps(sys_i), space)
+    assert outcomes == {True, False}
+    assert len(systems[0].space.distance_grid()) == 275
+
+
+def test_certificate_and_audit_walk_the_ranks_once(monkeypatch):
+    """On the 276-rank model the certificate and its audit each make one
+    walk over the distance ranks for all 275 scales, and no per-scale
+    walk."""
+    walks = []
+
+    def one_walk(spread, space, thresholds):
+        walks.append(len(list(thresholds)))
+        return _moduli(spread, space, thresholds)
+
+    def per_scale(spread, space, t):
+        raise AssertionError("a per-scale walk ran")
+
+    sys_r = ranked_system()
+    maps = closure_maps(sys_r)
+    monkeypatch.setattr(equicont, "_moduli", one_walk)
+    monkeypatch.setattr(equicont, "_modulus", per_scale)
+    cert = equicontinuity_modulus(sys_r)
+    assert walks == [275]
+    assert cert.audit(maps, sys_r.space)
+    bounded = sum(not is_unbounded(d) for d in cert.table.values())
+    assert walks == [275, bounded] and bounded > 0

@@ -17,6 +17,8 @@ from pseudodyn.probes import InstanceSpec, random_genome
 from pseudodyn.pseudogroup import compacted_system, table_ball
 from pseudodyn.rational import parse_radius, parse_rational
 
+from conftest import reference_is_homogeneous
+
 
 def two_cycles():
     space = FiniteMetricSpace(
@@ -408,6 +410,70 @@ def test_verdicts_match_fraction_reference():
                     == ref_expansiveness_verdict(mu, sys_i, r)
 
 
+def capped_measures(space):
+    """Ratios of ball measures near, at and past the 2^20 cap: one heavy
+    point and every other weight 2^-k, and one light point of weight 2^-k
+    and equal weights elsewhere, for k around 20."""
+    n = space.n
+    out = []
+    for k in (19, 20, 21, 22, 24):
+        light = Fraction(1, 2 ** k)
+        out.append(FiniteMeasure(space, [1 - (n - 1) * light]
+                                 + [light] * (n - 1)))
+        out.append(FiniteMeasure(space, [light]
+                                 + [(1 - light) / (n - 1)] * (n - 1)))
+    return out
+
+
+class EmptyLevelOne:
+    """A system's pair tables, except that level 1 puts every cell, the
+    diagonal too, at the top rank: every ball below that rank is empty
+    on both sides of a cell, which a genuine table never allows."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.space = sys.space
+        self.fixpoint_level = sys.fixpoint_level
+
+    def constraint_table(self, n=math.inf):
+        if n == 1:
+            top = len(self.space.distance_ranks()[1]) - 1
+            return [[top] * self.space.n for _ in range(self.space.n)]
+        return self.sys.constraint_table(n)
+
+
+def test_integer_homogeneity_search_matches_the_fraction_walk():
+    """The integer search returns the ``Fraction`` walk's report, witness
+    for witness, with its degenerate flag and counterexample, on seeded
+    systems under the default grid, grids of off-grid scales (midpoints,
+    below the least distance, past the diameter) and mixed grids, for
+    measures with zero weights and ratios around the 2^20 cap, and with
+    a first level whose cells vanish on both sides."""
+    seen = {"capped": 0, "degenerate": 0, "ladder": 0, "lower delta": 0,
+            "off-grid witness": 0, "empty ball": 0}
+    for sys_real, mu_i in reference_systems(40):
+        sys_i = sys_real if sys_real.fixpoint_level < 2 \
+            or sys_real.space.n % 2 else EmptyLevelOne(sys_real)
+        space = sys_i.space
+        grid = space.distance_grid()
+        mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        grids = [None, [grid[0] / 2, *mids, grid[-1] + 1],
+                 [grid[-1], *mids[:2], grid[0], grid[0] / 3]]
+        for mu in reference_measures(space, mu_i) + capped_measures(space):
+            for eps_grid in grids:
+                got = is_homogeneous(mu, sys_i, eps_grid)
+                assert got == reference_is_homogeneous(mu, sys_i, eps_grid)
+                cell = got.counterexample
+                seen["capped"] += cell is not None and cell[1] is None
+                seen["empty ball"] += cell is not None and cell[1] is not None
+                seen["degenerate"] += got.degenerate
+                for eps, w in got.witnesses.items():
+                    seen["ladder"] += w.c_ladder > 2
+                    seen["lower delta"] += w.delta < eps
+                    seen["off-grid witness"] += eps not in grid
+    assert min(seen.values()) >= 10, seen
+
+
 class FreshRows:
     """A system's pair tables with every row copied on each read, so no
     row is shared between levels and every ball measure is summed from
@@ -509,17 +575,17 @@ WEIGHT_STRINGS = [
 def test_weight_strings_read_like_parse_rational(text):
     """The plain 'p/q' reading of a model weight gives what
     ``parse_rational`` gives on this Python's ``Fraction`` string rules:
-    the same value, or the same refusal."""
+    the same reduced integer pair, or the same refusal."""
     try:
-        expected = parse_rational(text)
+        expected = parse_rational(text).as_integer_ratio()
     except InputError as exc:
         with pytest.raises(InputError) as got:
             _weight(text)
         assert str(got.value) == str(exc)
         return
     got = _weight(text)
-    assert type(got) is Fraction and got == expected
-    assert got.as_integer_ratio() == expected.as_integer_ratio()
+    assert type(got) is tuple and list(map(type, got)) == [int, int]
+    assert got == expected
 
 
 def test_measure_from_dict_reads_weights_exactly():

@@ -5,13 +5,14 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from pseudodyn import (UNBOUNDED, FiniteMetricSpace, InputError, PartialMap,
-                       cli, morphism, pseudogroup)
-from pseudodyn.cli import main, render, to_jsonable
+from pseudodyn import (UNBOUNDED, CapabilityError, FiniteMetricSpace,
+                       InputError, PartialMap, cli, morphism, pseudogroup)
+from pseudodyn.cli import _write_json, main, render, to_jsonable
 from pseudodyn.dynamics import N_MAX_CAP, HTopRow
 from pseudodyn.measure import local_entropy
 from pseudodyn.model import parse_model
@@ -203,6 +204,80 @@ def test_to_jsonable_matches_the_isinstance_chain():
     for value in (Fraction(-7, 3), Fraction(4), 5, -2, True, 0.375, -1.5,
                   UNBOUNDED):
         assert format_rational(value) == reference_format_rational(value)
+
+
+def _written(doc) -> str:
+    out = []
+    _write_json(doc, out, "\n")
+    return "".join(out)
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    """An int that prints otherwise: ``json`` reads its value."""
+
+    def __repr__(self):
+        return "_Count()"
+
+    __str__ = __repr__
+
+
+def test_json_writer_matches_json_dumps():
+    """The one-pass writer prints what ``json.dumps(indent=2,
+    sort_keys=True)`` prints: on the seeded payloads above, rendered and
+    wrapped with a manifest, and on NaN, infinite floats, an ``IntEnum``,
+    an int subclass that prints otherwise, ``str`` subclasses as values and
+    keys, non-ASCII and escaped text,
+    long integers and nested empty containers, with unsorted keys."""
+    rng = random.Random(37)
+    manifest = {"command": "check --what homogeneous", "model_sha256": None,
+                "seed": 7, "version": "0.1", "wall_ms": 12}
+    for k in range(600):
+        doc = {"result": to_jsonable(_payload(rng))}
+        if k % 2:
+            doc["manifest"] = manifest
+        assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    edges = [
+        math.nan, math.inf, -math.inf, -0.0, 1e300, 0.1, _Level.LOW,
+        _Count(3), _Text("sub"), "é ☃ \U0001f600", 'quote " backslash \\ tab \t',
+        "\x00\x1f\u2028", 10 ** 40, -(10 ** 40), True, False, None,
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[{}]], {"b": [[]]}],
+        {"z": 1, "a": [2, {"y": None, "b": "x"}], "é": 1.5, _Text("m"): []},
+        (1, "two", (3.5, [])),
+    ]
+    for value in edges + [edges]:
+        for doc in (value, {"result": value, "manifest": manifest}):
+            assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_render_refuses_an_integer_too_long_to_print():
+    """The writer prints an int as ``json`` does, so an integer past the
+    digits Python prints raises there and renders as a capability error."""
+    with pytest.raises(CapabilityError, match="digits Python prints"):
+        render({"big": 10 ** (sys.get_int_max_str_digits() + 1)}, "json")
+
+
+def test_cold_homogeneity_request_never_builds_dist(monkeypatch, tmp_path,
+                                                    capsys):
+    """Loading a model and checking homogeneity read ranks only: with
+    ``dist`` made to fail on first read, the request answers as before."""
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(LINE_MODEL))
+    argv = ["--format", "json", "check", "--what", "homogeneous",
+            "--model", str(path)]
+    assert main(argv) == 0
+    want = json.loads(capsys.readouterr().out)["result"]
+
+    def unread(space):
+        raise AssertionError("dist was built")
+
+    monkeypatch.setattr(FiniteMetricSpace, "dist", property(unread))
+    parse_model(json.dumps(LINE_MODEL))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == want
 
 
 def test_cli_ball(model_path, capsys):

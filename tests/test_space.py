@@ -560,3 +560,56 @@ def test_relabelled_refuses_what_a_copy_cannot_be(line):
         line.relabelled("xy")
     with pytest.raises(InputError, match="^duplicate point labels$"):
         line.relabelled("xyx")
+
+
+def eager_reference(dist):
+    """``(dist, ranks, values)`` built eagerly from the parsed entries:
+    the distinct values sorted, and each entry's position among them."""
+    entries = tuple(tuple(map(parse_rational, row)) for row in dist)
+    values = tuple(sorted({v for row in entries for v in row}))
+    rank = {v: r for r, v in enumerate(values)}
+    return entries, tuple(tuple(rank[v] for v in row) for row in entries), \
+        values
+
+
+def test_lazy_dist_and_ranks_match_an_eager_reference():
+    """The ranks built at construction, and ``dist`` built on first read,
+    equal an eager reference on both rank builds: scaled entries all below
+    256 (one translate) and some at or above it (a lookup per entry), at
+    scale 1 and at other scales, and on relabelled copies at factors 1, 2
+    and 1/3, whose ``dist`` is built on first read too."""
+    rng = random.Random("lazy-dist")
+    kinds = collections.Counter()
+    # (top numerator, denominator): scaled entries below 256 or not, with
+    # the top entry at 255 and at 256
+    bands = [(4, 1), (120, 1), (255, 1), (256, 1), (600, 1), (60, 3),
+             (250, 7), (400, 3)]
+    for trial in range(320):
+        top, den = bands[trial % len(bands)]
+        dist = [[Fraction(v, den) if den > 1 else v for v in row]
+                for row in _banded(rng, rng.randint(2, 9), top)]
+        space = FiniteMetricSpace(range(len(dist)), dist)
+        grid, scale = space._grid
+        kinds[grid[-1] < 256, scale == 1] += 1
+        want_dist, want_ranks, want_values = eager_reference(dist)
+        assert space._dist is None
+        assert space.distance_ranks() == (want_ranks, want_values)
+        assert all(type(row) is tuple and all(type(r) is int for r in row)
+                   for row in space.distance_ranks()[0])
+        if trial % 2:
+            assert space.dist == want_dist  # built before the copies
+        for factor in (1, 2, Fraction(1, 3)):
+            copy = space.relabelled([f"z{i}" for i in range(space.n)],
+                                    factor)
+            scaled = [[v * factor for v in row] for row in want_dist]
+            # a copy shares a built dist at factor 1, else builds its own
+            assert copy._dist is (space._dist if factor == 1 else None)
+            assert copy.dist == eager_reference(scaled)[0]
+            assert copy.distance_ranks() == eager_reference(scaled)[1:]
+        assert space.dist == want_dist
+        assert all(type(v) is Fraction for row in space.dist for v in row)
+        assert space.dist is space.dist  # built once
+        assert space.relabelled(range(space.n)).dist is space.dist
+    assert set(kinds) == {(True, True), (False, True), (True, False),
+                          (False, False)}
+    assert min(kinds.values()) >= 30
