@@ -47,37 +47,21 @@ class EquicontinuityCertificate:
                    for t, delta in bounded)
 
 
-def _modulus(spread, space: FiniteMetricSpace, t: int):
-    """``(delta, pairs)``: the least d(i, j) over the pairs i < j whose
-    spread rank reaches the threshold ``t`` (UNBOUNDED when none does), and
-    the pairs at exactly that distance, in lexicographic order.
+def _moduli(spread, space: FiniteMetricSpace, thresholds) -> dict:
+    """``{t: (delta, pairs)}`` for every threshold t in ``thresholds``:
+    the least d(i, j) over the pairs i < j whose spread rank reaches t
+    (UNBOUNDED when none does), and the pairs at exactly that distance, in
+    lexicographic order.
 
     The pairs are walked nearest first (``space.pair_order``), one
-    distance rank at a time, and the walk stops at the first rank holding
-    a spread pair.  A table that bounds the distance ranks from below,
-    such as a system's pair table, stops it by rank ``t``."""
-    values = space.distance_ranks()[1]
-    left, right, starts = space.pair_order()
-    # rank 0 means no map in scope is defined at both points
-    t = max(t, 1)
-    for rank in range(1, len(values)):
-        lo, hi = starts[rank], starts[rank + 1]
-        pairs = [(i, j) for i, j in zip(left[lo:hi], right[lo:hi])
-                 if spread[i][j] >= t]
-        if pairs:
-            return values[rank], pairs
-    return UNBOUNDED, []
-
-
-def _moduli(spread, space: FiniteMetricSpace, thresholds) -> dict:
-    """``{t: _modulus(spread, space, t)}`` for every threshold in
-    ``thresholds``, from one walk over the distance ranks.
-
-    The modulus rank at t is the least rank holding a pair whose spread
-    rank reaches t, so it never falls as t rises: one pointer serves the
-    thresholds in increasing order, and each rank's largest spread rank
-    is read once, when the pointer reaches it.  Pairs are listed only at
-    the rank each threshold stops at."""
+    distance rank at a time.  The modulus rank at t is the least rank
+    holding a pair whose spread rank reaches t, so it never falls as t
+    rises: one pointer serves the thresholds in increasing order, each
+    rank's largest spread rank is read once, when the pointer reaches it,
+    and the walk stops at the rank the largest threshold stops at.  Pairs
+    are listed only at the rank each threshold stops at.  A table that
+    bounds the distance ranks from below, such as a system's pair table,
+    stops the walk for t by rank t."""
     values = space.distance_ranks()[1]
     left, right, starts = space.pair_order()
     out = {}
@@ -99,6 +83,11 @@ def _moduli(spread, space: FiniteMetricSpace, thresholds) -> dict:
                                                            right[lo:hi])
                                     if spread[i][j] >= need]
     return out
+
+
+def _modulus(spread, space: FiniteMetricSpace, t: int):
+    """``(delta, pairs)`` at the one threshold ``t`` (see ``_moduli``)."""
+    return _moduli(spread, space, (t,))[t]
 
 
 def _spread(source):

@@ -9,11 +9,12 @@ point indices.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, InputError
@@ -36,8 +37,8 @@ class FiniteMetricSpace:
     matrix), and every check runs on one integer matrix over a common
     denominator: the triangle inequality costs |X|
     big-integer steps, one per middle point, each over |X|^2 packed fields.
-    The rank rows come from one pass over that matrix, and the ``Fraction``
-    matrix ``dist`` is built from them on first read.
+    The rank rows come from one lookup pass over that matrix, and the
+    ``Fraction`` matrix ``dist`` is built from them on first read.
     Instances are immutable and safe to share between threads: a lazy
     field is built idempotently, so a race builds equal values twice.
     """
@@ -73,15 +74,7 @@ class FiniteMetricSpace:
             raise InputError("triangle inequality violated at "
                              "({},{},{})".format(*map(pts.__getitem__, triple)))
         values = tuple(Fraction(v, scale) for v in grid)
-        if grid[-1] < 256:
-            # one translate of the whole matrix: byte v becomes v's rank
-            table = bytearray(256)
-            for r, v in enumerate(grid):
-                table[v] = r
-            flat_ranks = bytes(ints).translate(table)
-        else:
-            flat_ranks = map({v: r for r, v in enumerate(grid)}.__getitem__,
-                             ints)
+        flat_ranks = map({v: r for r, v in enumerate(grid)}.__getitem__, ints)
         # n references to one iterator: zip cuts it into rows of n
         ranks = tuple(zip(*[iter(flat_ranks)] * n))
         self.points = pts
@@ -324,8 +317,11 @@ def _triangle_failure(rows: list[list[int]], ints: list[int],
     width = (grid[-1].bit_length() + 9) // 8  # bytes per field
     enc = {v: v.to_bytes(width, "little") for v in grid}
     packed = b"".join(map(enc.__getitem__, ints))  # field (i, k): d(i, k)
-    # each value's field repeated n times, so a row expands by lookups
-    spans = {v: e * n for v, e in enc.items()}
+    # each value's field repeated n times, so a row expands by lookups; with
+    # at most n values the table is no larger than ``packed``, and past
+    # that each entry is repeated as its row is expanded
+    spans = ({v: e * n for v, e in enc.items()} if len(grid) <= n
+             else None)
     guards = int.from_bytes((bytes(width - 1) + b"\x80") * (n * n), "little")
     base = guards - int.from_bytes(packed, "little")
     step = n * width
@@ -333,11 +329,13 @@ def _triangle_failure(rows: list[list[int]], ints: list[int],
     for j, row in enumerate(rows):
         # field (i, k) gets d(j, k) from row j repeated, and d(j, i), which
         # is d(i, j) by symmetry, from each entry of row j repeated
+        expanded = (map(spans.__getitem__, row) if spans is not None
+                    else map(operator.mul, map(enc.__getitem__, row),
+                             repeat(n)))
         fields = (base
                   + int.from_bytes(packed[j * step:(j + 1) * step] * n,
                                    "little")
-                  + int.from_bytes(b"".join(map(spans.__getitem__, row)),
-                                   "little"))
+                  + int.from_bytes(b"".join(expanded), "little"))
         if fields & guards != guards:
             failed = guards & ~fields
             i, k = divmod(((failed & -failed).bit_length() - 1) // (8 * width),

@@ -487,12 +487,13 @@ def ranked_system():
     return GeneratingSystem.build(space, maps)
 
 
-def test_one_walk_moduli_match_the_per_scale_walk():
-    """``_moduli`` answers every threshold as ``_modulus`` does, delta and
-    pairs, on thresholds in any order and with repeats, over the fixpoint
-    pair table, a fold of the closure and a random spread table of seeded
-    systems and their core restrictions, and of the 276-rank model; the
-    certificate's table and its audit follow."""
+def test_one_walk_moduli_match_the_full_scan():
+    """``_moduli`` answers every threshold as the full scan does, delta and
+    pairs, on thresholds in any order and with repeats, and so does
+    ``_modulus`` at each threshold alone, over the fixpoint pair table, a
+    fold of the closure and a random spread table of seeded systems and
+    their core restrictions, and of the 276-rank model; the certificate's
+    table and its audit follow."""
     rng = random.Random("one-walk-moduli")
     spec = InstanceSpec(seed="one-walk-moduli", count=30)
     systems = [ranked_system()]
@@ -509,12 +510,15 @@ def test_one_walk_moduli_match_the_per_scale_walk():
                    for _ in range(space.n)]]
         for table in tables:
             ts = [rng.randint(0, top + 1) for _ in range(top + 2)]
-            want = {t: _modulus(table, space, t) for t in ts}
+            want = {t: reference_modulus_full_scan(table, space, t)
+                    for t in ts}
             assert _moduli(table, space, ts) == want
+            assert {t: _modulus(table, space, t) for t in ts} == want
             outcomes |= {is_unbounded(delta) for delta, _ in want.values()}
         cert = equicontinuity_modulus(sys_i)
         assert cert.table == {
-            eps: _modulus(tables[0], space, space.threshold(eps))[0]
+            eps: reference_modulus_full_scan(tables[0], space,
+                                             space.threshold(eps))[0]
             for eps in space.distance_grid()}
         assert cert.audit(closure_maps(sys_i), space)
     assert outcomes == {True, False}

@@ -222,6 +222,45 @@ def test_metric_validation_matches_reference():
     assert outcomes["accepted"] >= 150 and outcomes["triangle"] >= 50
 
 
+def test_triangle_check_reports_the_first_triple_at_any_distance_count():
+    """The packed triangle check names the reference's first failing
+    triple, or accepts, on spaces of up to 40 points with at most as many
+    distinct entries as points (a row expands from a table of repeated
+    fields) and with a distinct distance per pair (each entry is repeated
+    as its row expands), each with up to three pairs stretched."""
+    rng = random.Random("triangle-distance-count")
+    outcomes = collections.Counter()
+    for trial in range(120):
+        n = rng.randint(3, 40)
+        few = trial % 2 == 0
+        base = 1000
+        dist = [[0] * n for _ in range(n)]
+        pairs = list(itertools.combinations(range(n), 2))
+        # distances in [base, 2 base): every triangle holds until stretched
+        draws = (rng.choices(range(base, base + 3), k=len(pairs)) if few
+                 else rng.sample(range(base, 2 * base), len(pairs)))
+        for (i, j), v in zip(pairs, draws):
+            dist[i][j] = dist[j][i] = v
+        for i, j in rng.sample(pairs, min(len(pairs), rng.randint(0, 3))):
+            dist[i][j] = dist[j][i] = rng.randint(2 * base, 3 * base)
+        labels = [f"p{i}" for i in range(n)]
+        distinct = len({v for row in dist for v in row})
+        try:
+            reference_metric_check(labels, dist)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                FiniteMetricSpace(labels, dist)
+            assert str(got.value) == str(exc)
+            outcome = "triangle"
+        else:
+            FiniteMetricSpace(labels, dist)
+            outcome = "accepted"
+        outcomes[distinct <= n, outcome] += 1
+    assert set(outcomes) == {(few, outcome) for few in (True, False)
+                             for outcome in ("triangle", "accepted")}
+    assert min(outcomes.values()) >= 10
+
+
 def reference_distance_ranks(space):
     """``(ranks, values)`` by hashing each upper-triangle ``Fraction`` of
     ``space.dist`` once: the oracle for the ranks built at construction."""
@@ -574,10 +613,10 @@ def eager_reference(dist):
 
 def test_lazy_dist_and_ranks_match_an_eager_reference():
     """The ranks built at construction, and ``dist`` built on first read,
-    equal an eager reference on both rank builds: scaled entries all below
-    256 (one translate) and some at or above it (a lookup per entry), at
-    scale 1 and at other scales, and on relabelled copies at factors 1, 2
-    and 1/3, whose ``dist`` is built on first read too."""
+    equal an eager reference with scaled entries all below 256 and with
+    some at or above it, at scale 1 and at other scales, and on relabelled
+    copies at factors 1, 2 and 1/3, whose ``dist`` is built on first read
+    too."""
     rng = random.Random("lazy-dist")
     kinds = collections.Counter()
     # (top numerator, denominator): scaled entries below 256 or not, with
