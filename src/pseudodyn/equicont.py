@@ -4,9 +4,9 @@ On a finite space a modulus always exists (the least distance among pairs
 some map spreads past the scale is positive), so the content is the exact
 table: isometry families certify with delta(eps) = eps, while distortion
 shows up as a smaller modulus with an explicit witness pair.  The moduli
-read a system's fixpoint pair table; only a certificate's audit folds
-maps, the ones it is given, once with ``spread_table``, and checks every
-scale against that one fold.
+read a system's fixpoint pair table and the witnesses its levels; only a
+certificate's audit folds maps, the ones it is given, once with
+``spread_table``, and checks every scale against that one fold.
 """
 
 from __future__ import annotations
@@ -110,14 +110,12 @@ def modulus_at(source, space: FiniteMetricSpace, eps):
 
 def equicontinuity_modulus(sys: GeneratingSystem) -> EquicontinuityCertificate:
     """One pair table serves every grid eps, read in one walk over the
-    distance ranks (``_moduli``).  Each finite delta's witness
-    is the first (map, i, j) that spreads a pair at distance delta to eps,
-    scanning the closure's maps in order and i < j over each sorted
-    domain."""
+    distance ranks (``_moduli``).  Each finite delta's witness is the
+    first map of the word closure, in its order, that spreads a pair at
+    distance delta to eps, with the first such pair i < j; both are read
+    off the table's levels (``first_spreading``), so no closure is built."""
     space = sys.space
     eps_grid = space.distance_grid()
-    maps = sys.word_closure().stabilized_maps
-    ranks = space.distance_ranks()[0]
     # the grid value of rank t has the threshold t
     moduli = _moduli(sys.constraint_table(), space,
                      range(1, len(eps_grid) + 1))
@@ -126,11 +124,9 @@ def equicontinuity_modulus(sys: GeneratingSystem) -> EquicontinuityCertificate:
     for t, eps in enumerate(eps_grid, 1):
         delta, pairs = moduli[t]
         table[eps] = delta
-        witnesses[eps] = next(
-            ((g, space.label(i), space.label(j)) for g in maps for i, j in pairs
-             if g.vals[i] is not None and g.vals[j] is not None
-             and ranks[g.vals[i]][g.vals[j]] >= t),
-            None)
+        found = sys.first_spreading(pairs, t)
+        witnesses[eps] = None if found is None else (
+            found[0], *map(space.label, found[1]))
     isometric = all(table[e] == e for e in eps_grid)
     return EquicontinuityCertificate(scope="closure", table=table,
                                      witnesses=witnesses, isometric=isometric)

@@ -337,6 +337,35 @@ class GeneratingSystem:
         self.constraint_table()
         return max(len(self._tables.tables) - 1, 1)
 
+    def first_spreading(self, pairs, t: int):
+        """``(g, (i, j))``: the closure's first map g, with its word, that
+        sends one of ``pairs`` to rank ``t`` or more, and the first such
+        pair; None when no word does.  The closure lists maps by their
+        (length, lex)-least words, first-applied letter most significant,
+        keeping the first of a repeated generator, so the table levels give
+        each next letter: the first generator after which some pair reaches
+        t in the level of the remaining length.  No closure is built."""
+        self.constraint_table()
+        tables = self._tables.tables
+        k = next((k for k, T in enumerate(tables)
+                  if any(T[i][j] >= t for i, j in pairs)), None)
+        if k is None:
+            return None
+        g = PartialMap.identity(self.space)
+        live = [(p, p) for p in pairs]  # (source pair, its image under g)
+        for r in range(max(k, 1), 0, -1):
+            T = tables[r - 1]
+            for h in self.generators:
+                v = h.vals
+                step = [(p, (v[a], v[b])) for p, (a, b) in live
+                        if v[a] is not None and v[b] is not None
+                        and T[v[a]][v[b]] >= t]
+                if step:
+                    break
+            live = step
+            g = g.then(PartialMap._raw(self.space, v, word=_letter(h)))
+        return g, live[0][0]
+
     def _pair_tables(self) -> "_PairTables":
         if self._tables is None:
             self._tables = _PairTables(self.space, self.generators)
@@ -595,20 +624,11 @@ def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
     distance.  The fold of an explicit map list: the certificate audit
     folds the maps it is given with it, and it is the reference the pair
     tables and the group-claim probe's pair-orbit fold are tested
-    against, so it reads every list alike.
-
-    Entries only grow and none passes the top rank (the diameter), so the
-    fold stops reading maps once every pair i < j holds the top rank: on
-    a group transitive on pairs, such as S_n, within a few hundred of its
-    maps.  A pair no map can spread to the diameter keeps it reading all."""
+    against, so it reads every map of every list."""
     npts = space.n
-    ranks, values = space.distance_ranks()
-    top = len(values) - 1
-    below_top = npts * (npts - 1) // 2
+    ranks = space.distance_ranks()[0]
     table = [[0] * npts for _ in range(npts)]
     for g in maps:
-        if not below_top:
-            break
         vals = g.vals
         dom = [i for i, v in enumerate(vals) if v is not None]
         for a_pos, i in enumerate(dom):
@@ -619,8 +639,6 @@ def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
                 if r > row[j]:
                     row[j] = r
                     table[j][i] = r
-                    if r == top:
-                        below_top -= 1
     return table
 
 
@@ -699,8 +717,7 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
                 raise CapabilityError(
                     f"the word closure passed {CLOSURE_CAP} maps; htop, "
                     "entropy, check --what invariant|ergodic|homogeneous|"
-                    "expansive, equicont --compacted and conjugate build "
-                    "none")
+                    "expansive, equicont and conjugate build none")
         if len(keys) == end:
             break
         sizes.append(len(keys))

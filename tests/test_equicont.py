@@ -246,11 +246,13 @@ def reference_modulus_and_witness(maps, space, eps):
 
 
 def assert_moduli_match_two_scan_reference(system) -> dict:
-    """Every table entry and every witness, down to the map object, equals
-    the two-scan reference over the system's closure, and ``modulus_at``
-    agrees over the system and over the closure's maps; the audit accepts
-    over the maps and over them as a plain list.  Returns the reference
-    modulus per grid eps, None where it is unbounded."""
+    """Every table entry equals the two-scan reference over the system's
+    closure, and every witness has the reference map's values and word
+    (it is built from the pair tables, not taken from the closure) and
+    the reference's labels; ``modulus_at`` agrees over the system and
+    over the closure's maps; the audit accepts over the maps and over them
+    as a plain list.  Returns the reference modulus per grid eps, None
+    where it is unbounded."""
     maps, space = closure_maps(system), system.space
     want = {eps: reference_modulus_and_witness(maps, space, eps)
             for eps in space.distance_grid()}
@@ -264,7 +266,9 @@ def assert_moduli_match_two_scan_reference(system) -> dict:
             continue
         assert cert.table[eps] == delta == moduli[0] == moduli[1]
         got = cert.witnesses[eps]
-        assert got[0] is witness[0] and got[1:] == witness[1:]
+        assert (got[0].vals, got[0].word) == (witness[0].vals,
+                                              witness[0].word)
+        assert got[1:] == witness[1:]
     assert cert.audit(maps, space) and cert.audit(list(maps), space)
     return {eps: delta for eps, (delta, _) in want.items()}
 
@@ -307,6 +311,115 @@ def test_group_moduli_match_two_scan_reference():
         orders.append(len(closure_maps(group)))
         assert_group_moduli_match_two_scan_reference(group)
     assert max(orders) >= 720
+
+
+def scan_first_spreading(maps, space, pairs, t):
+    """The closure scan that ``first_spreading`` replaces: the first map in
+    closure order sending one of ``pairs`` to rank ``t`` or more, with the
+    first such pair in the given order, or None."""
+    ranks = space.distance_ranks()[0]
+    for g in maps:
+        v = g.vals
+        for i, j in pairs:
+            if v[i] is not None and v[j] is not None \
+                    and ranks[v[i]][v[j]] >= t:
+                return g, (i, j)
+    return None
+
+
+def assert_first_spreading_matches_the_closure(system, rng) -> list:
+    """At every grid eps, the walk gives the two-scan reference's witness
+    from the pairs at the reference modulus; at every rank threshold it
+    gives the closure scan's map and pair from a few shuffled pairs, in
+    either orientation.  Returns the words it compared."""
+    maps, space = closure_maps(system), system.space
+    words = []
+    for eps in space.distance_grid():
+        delta, witness = reference_modulus_and_witness(maps, space, eps)
+        if delta is None:
+            continue
+        pairs = [(i, j) for i in range(space.n) for j in range(i + 1, space.n)
+                 if space.dist[i][j] == delta]
+        g, (i, j) = system.first_spreading(pairs, space.threshold(eps))
+        assert (g.vals, g.word) == (witness[0].vals, witness[0].word)
+        assert (space.label(i), space.label(j)) == witness[1:]
+        words.append(g.word)
+    ranks, values = space.distance_ranks()
+    every = [(i, j) for i in range(space.n) for j in range(space.n) if i != j]
+    for t in range(len(values) + 1):
+        # pairs the identity keeps below t ask for longer words
+        near = [(i, j) for i, j in every if ranks[i][j] < t]
+        for pool in (every, near, near):
+            if not pool:
+                continue
+            pairs = rng.sample(pool, rng.randint(1, min(len(pool), 4)))
+            got = system.first_spreading(pairs, t)
+            want = scan_first_spreading(maps, space, pairs, t)
+            if want is None:
+                assert got is None
+            else:
+                assert (got[0].vals, got[0].word, got[1]) \
+                    == (want[0].vals, want[0].word, want[1])
+                words.append(got[0].word)
+    return words
+
+
+def test_first_spreading_matches_the_closure_on_seeded_systems():
+    """Seeded systems and their compacted systems."""
+    rng = random.Random("first-spreading")
+    spec = InstanceSpec(seed="first-spreading", count=60, n_points=(3, 8),
+                        domain_density=(0.5, 0.9))
+    words = []
+    for idx in range(spec.count):
+        sys_i, _ = random_instance(spec, idx)
+        for s in (sys_i, compacted_system(sys_i)):
+            words += assert_first_spreading_matches_the_closure(s, rng)
+    assert len(words) > 500 and max(map(len, words)) >= 4
+
+
+def test_first_spreading_matches_the_closure_on_hand_built_systems():
+    """A system whose identity is not its first generator, one with a
+    repeated generator, whose first copy gives the letter, and one whose
+    generators have no name or word, each letter then being ``?``."""
+    rng = random.Random("first-spreading-hand-built")
+    space = coprime_space(6)
+    ident = PartialMap.identity(space)
+    step = PartialMap(space, [1, 2, 3, 4, 5, None], name="s")
+    flip = PartialMap(space, [5, 4, 3, 2, 1, 0], name="f")
+    swap = PartialMap(space, [1, 0, None, 4, 3, None], name="w")
+    first = GeneratingSystem(space, [flip, swap, ident, step, step.inverse()])
+    assert assert_first_spreading_matches_the_closure(first, rng)
+    again = PartialMap(space, step.vals, name="t", word=("t",))
+    repeated = GeneratingSystem(space, [ident, swap, step, again, flip,
+                                        step.inverse()])
+    words = assert_first_spreading_matches_the_closure(repeated, rng)
+    letters = {a for w in words for a in w}
+    assert "s" in letters and "t" not in letters
+    bare = GeneratingSystem(space, [PartialMap(space, g.vals) for g in
+                                    (step, ident, swap, step.inverse(), flip)])
+    words = assert_first_spreading_matches_the_closure(bare, rng)
+    assert words and {a for w in words for a in w} == {"?"}
+
+
+def test_first_spreading_gives_each_bowen_ball_exclusion():
+    """For every non-member y of a Bowen ball around x, the walk from the
+    one pair (x, y) gives its exclusion's map, values and word."""
+    spec = InstanceSpec(seed="first-spreading-bowen", count=30)
+    checked = 0
+    for idx in range(spec.count):
+        sys_i, _ = random_instance(spec, idx)
+        for s in (sys_i, compacted_system(sys_i)):
+            space = s.space
+            for eps in space.distance_grid():
+                t = space.threshold(eps, closed=True)
+                for x in range(space.n):
+                    rep = bowen_ball(s, x, eps)
+                    for y, (g, _) in rep.exclusions.items():
+                        got, pair = s.first_spreading([(x, y)], t)
+                        assert (got.vals, got.word) == (g.vals, g.word)
+                        assert pair == (x, y)
+                        checked += 1
+    assert checked > 1000
 
 
 def test_modulus_at_direct(z6_rotations):
@@ -395,9 +508,9 @@ def reference_audit(cert, maps, space) -> bool:
 
 
 def test_audit_matches_fraction_reference():
-    """The one-fold audit and the distance loop agree on seeded true
-    certificates, which both accept, and on each finite delta raised to
-    the next grid value, which both reject; on S_5 the fold stops early."""
+    """The one-fold audit and the distance loop agree on S_5's and seeded
+    true certificates, which both accept, and on each finite delta raised
+    to the next grid value, which both reject."""
     spec = InstanceSpec(seed="audit-reference", count=40)
     systems = [symmetric_group(coprime_space(5))]
     for idx in range(spec.count):

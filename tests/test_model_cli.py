@@ -6,6 +6,7 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from pseudodyn import (UNBOUNDED, CapabilityError, FiniteMetricSpace,
                        InputError, PartialMap, cli, morphism, pseudogroup)
 from pseudodyn.cli import _write_json, main, render, to_jsonable
 from pseudodyn.dynamics import N_MAX_CAP, HTopRow
+from pseudodyn.equicont import _moduli
 from pseudodyn.measure import local_entropy
 from pseudodyn.model import parse_model
 from pseudodyn.probes import STATEMENTS
@@ -974,6 +976,7 @@ def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
     commands += [["check", *model, "--what", what]
                  for what in ("invariant", "ergodic", "homogeneous")]
     commands += [["check", *model, "--what", "expansive", "--delta", "1"]]
+    commands += [["equicont", *model], ["equicont", *model, "--rho", "1"]]
 
     def run(argv):
         code = main(["--format", "json", *argv])
@@ -988,18 +991,77 @@ def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "capability error" in err
     assert ("htop, entropy, check --what "
-            "invariant|ergodic|homogeneous|expansive, equicont --compacted "
+            "invariant|ergodic|homogeneous|expansive, equicont "
             "and conjugate build none") in err
     assert [run(argv) for argv in commands] == uncapped
 
 
 @pytest.mark.parametrize("rho, message", [("-1", "radius must be nonnegative"),
                                           ("abc", "cannot parse rational")])
-def test_cli_equicont_rejects_rho_before_the_closure(model_path, monkeypatch,
-                                                     capsys, rho, message):
-    """A bad ``--rho`` is an input error even when the closure would pass
-    the cap: the radius is parsed before the closure is built."""
-    monkeypatch.setattr(pseudogroup, "CLOSURE_CAP", 5)
+def test_cli_equicont_rejects_a_bad_rho(model_path, capsys, rho, message):
+    """A bad ``--rho`` is an input error that names the radius."""
     assert main(["equicont", "--model", model_path, "--rho", rho]) == 2
     err = capsys.readouterr().err
-    assert message in err and "capability error" not in err
+    assert message in err and "input error" in err
+
+
+def test_cli_equicont_answers_past_the_closure_cap(tmp_path, monkeypatch,
+                                                   capsys):
+    """On the 10-cycle's metric, the rotation and the transposition
+    (p0 p1) generate S_10, whose closure passes ``CLOSURE_CAP``.
+    ``equicont`` builds no closure, so it and ``equicont --rho 2`` answer
+    in under 2 s.  Each bounded delta is the modulus of the pair table at
+    its threshold, and each witness word sends its pair, at distance
+    delta, to eps or more, where no shorter word sends any modulus pair."""
+    n = 10
+    assert math.factorial(n) > pseudogroup.CLOSURE_CAP
+    labels = [f"p{i}" for i in range(n)]
+    swap = {p: p for p in labels} | {"p0": "p1", "p1": "p0"}
+    doc = {"points": labels,
+           "dist": [[min(abs(i - j), n - abs(i - j)) for j in range(n)]
+                    for i in range(n)],
+           "generators": [
+               {"name": "r", "map": {labels[i]: labels[(i + 1) % n]
+                                     for i in range(n)}},
+               {"name": "s", "map": swap}]}
+    path = tmp_path / "s10.json"
+    path.write_text(json.dumps(doc))
+    system = parse_model(json.dumps(doc)).system
+    space = system.space
+    ranks = space.distance_ranks()[0]
+    letters = {g.word[0]: g for g in system.generators if g.word}
+    grid = space.distance_grid()
+    moduli = _moduli(system.constraint_table(), space, range(1, len(grid) + 1))
+
+    def no_closure(*args):
+        raise AssertionError("equicont built a word closure")
+
+    monkeypatch.setattr(pseudogroup, "_closure", no_closure)
+    results = []
+    for extra in ([], ["--rho", "2"]):
+        start = time.perf_counter()
+        code = main(["--format", "json", "equicont", "--model", str(path),
+                     *extra])
+        assert code == 0 and time.perf_counter() - start < 2
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    plain, with_rho = results
+    assert with_rho["rows"] == plain["rows"]
+    assert with_rho["group_certificate"]["delta"] == "1"
+    lengths = []
+    for row in plain["rows"]:
+        t, witness = space.threshold(Fraction(row["eps"])), row["witness"]
+        delta, pairs = moduli[t]
+        assert row["delta"] == format_rational(delta)
+        x, y = space.index(witness["x"]), space.index(witness["y"])
+        assert space.d(x, y) == delta and (x, y) in pairs
+        word = ([] if witness["map"] == "id"
+                else witness["map"].split("\u2218")[::-1])
+        for letter in word:
+            x, y = letters[letter].vals[x], letters[letter].vals[y]
+        assert ranks[x][y] >= t
+        if word:
+            below = (ranks if len(word) == 1
+                     else system.constraint_table(len(word) - 1))
+            assert all(below[i][j] < t for i, j in pairs)
+        lengths.append(len(word))
+    assert lengths == [0, 1, 3, 5, 7]

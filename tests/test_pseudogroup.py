@@ -637,14 +637,9 @@ def test_spread_table_edge_cases():
     assert table == reference_spread_table([g], space)
     assert table[0][4] == table[4][0] == space.d(1, 0)
     assert table[0][1] == table[2][3] == 0
-
-
-class Unreadable:
-    """Stands for a map that a saturated fold must not read."""
-
-    @property
-    def vals(self):
-        raise AssertionError("map read after every pair held the diameter")
+    two = FiniteMetricSpace(["a", "b"], [[0, 3], [3, 0]])
+    assert_spread_tables_agree([empty_map(two), PartialMap(two, [1, None]),
+                                PartialMap(two, [1, 0])], two)
 
 
 class CountedReads:
@@ -675,48 +670,12 @@ def saturation_length(maps, space):
     return len(maps) if not below else None
 
 
-def assert_fold_stops_at_saturation(maps, space):
-    """The shortest saturating prefix ends on its saturating map, and the
-    fold reads nothing after it."""
-    k = saturation_length(maps, space)
-    assert k is not None and k >= 1
-    prefix = maps[:k]
-    assert_spread_tables_agree(prefix, space)
-    diam = space.diameter()
-    assert any(d < diam for i, row in enumerate(
-        reference_spread_table(prefix[:-1], space)) for d in row[i + 1:])
-    table = spread_table(prefix + [Unreadable()] * 3, space)
-    assert spread_distances(table, space) \
-        == reference_spread_table(prefix, space)
-    assert table == spread_table(maps, space)
-
-
 def assert_fold_reads_every_map(maps, space):
     assert saturation_length(maps, space) is None
     counted = [CountedReads(g) for g in maps]
     table = spread_table(counted, space)
     assert spread_distances(table, space) == reference_spread_table(maps, space)
     assert [c.reads for c in counted] == [1] * len(maps)
-
-
-def test_spread_table_stops_at_saturation_on_groups():
-    """S_6 and S_7 saturate within their first few dozen maps, and so do
-    the seeded closures whose every pair reaches the diameter."""
-    for n in (6, 7):
-        space = coprime_space(n)
-        assert_fold_stops_at_saturation(
-            symmetric_group(space).word_closure().stabilized_maps, space)
-    spec = InstanceSpec(seed="spread-saturation", count=60)
-    saturated = 0
-    for idx in range(spec.count):
-        sys_i, _ = random_genome(spec, idx).build()
-        maps = sys_i.word_closure().stabilized_maps
-        if saturation_length(maps, sys_i.space) is None:
-            assert_fold_reads_every_map(maps, sys_i.space)
-        else:
-            saturated += 1
-            assert_fold_stops_at_saturation(maps, sys_i.space)
-    assert 0 < saturated < spec.count
 
 
 def test_spread_table_reads_every_map_below_saturation():
@@ -735,19 +694,6 @@ def test_spread_table_reads_every_map_below_saturation():
     assert_fold_reads_every_map(
         [g.restrict(rng.sample(range(8), rng.randint(0, 8)))
          for g in z8.word_closure().stabilized_maps] * 3, z8.space)
-
-
-def test_spread_table_saturation_on_one_and_two_points():
-    one = FiniteMetricSpace(["a"], [[0]])
-    # no pair is below the top rank, so no map is read
-    assert spread_table([Unreadable()], one) == [[0]]
-    two = FiniteMetricSpace(["a", "b"], [[0, 3], [3, 0]])
-    step = PartialMap(two, [1, None])
-    swap = PartialMap(two, [1, 0])
-    empty = empty_map(two)
-    assert_fold_reads_every_map([empty, step, empty], two)
-    assert_fold_stops_at_saturation([step, empty, swap, step], two)
-    assert spread_table([swap, Unreadable()], two) == [[0, 1], [1, 0]]
 
 
 def assert_pair_tables_match_spread_tables(system):
