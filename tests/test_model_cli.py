@@ -998,11 +998,16 @@ def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("rho, message", [("-1", "radius must be nonnegative"),
                                           ("abc", "cannot parse rational")])
-def test_cli_equicont_rejects_a_bad_rho(model_path, capsys, rho, message):
-    """A bad ``--rho`` is an input error that names the radius."""
+def test_cli_equicont_rejects_rho_before_the_closure(model_path, monkeypatch,
+                                                     capsys, rho, message):
+    """A bad ``--rho`` is an input error that names the radius, never a
+    capability error, even when the closure would pass the cap: equicont
+    builds no closure."""
+    monkeypatch.setattr(pseudogroup, "CLOSURE_CAP", 5)
     assert main(["equicont", "--model", model_path, "--rho", rho]) == 2
     err = capsys.readouterr().err
     assert message in err and "input error" in err
+    assert "capability error" not in err
 
 
 def test_cli_equicont_answers_past_the_closure_cap(tmp_path, monkeypatch,
