@@ -9,8 +9,10 @@ carrying the command line, model hash, seed and library version.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import sys
@@ -163,8 +165,16 @@ def _write_json(node, out: list, newline: str) -> None:
         out.append(json.dumps(node))
 
 
-def _render_csv(data, prefix="") -> str:
-    lines = []
+def _render_csv(data) -> str:
+    """Records through ``csv.writer``, which quotes a field holding a
+    comma, a quote or a line break; a nested list or dict is compact JSON."""
+    buf = io.StringIO()
+    write = csv.writer(buf, lineterminator="\n").writerow
+
+    def cell(value) -> str:
+        if isinstance(value, (dict, list)):
+            return json.dumps(value, separators=(",", ":"))
+        return str(value)
 
     def walk(node, path):
         if isinstance(node, dict):
@@ -173,17 +183,16 @@ def _render_csv(data, prefix="") -> str:
         elif isinstance(node, list) and node and all(
                 isinstance(e, dict) for e in node):
             keys = sorted({k for e in node for k in e})
-            lines.append(",".join([path or "row"] + keys))
+            write([path or "row"] + keys)
             for e in node:
-                lines.append(",".join(
-                    [""] + [str(e.get(k, "")) for k in keys]))
+                write([""] + [cell(e.get(k, "")) for k in keys])
         elif isinstance(node, list):
-            lines.append(f"{path}," + ";".join(str(v) for v in node))
+            write([path, ";".join(map(cell, node))])
         else:
-            lines.append(f"{path},{node}")
+            write([path, cell(node)])
 
-    walk(data, prefix)
-    return "\n".join(lines)
+    walk(data, "")
+    return buf.getvalue().removesuffix("\n")
 
 
 def _render_table(data, indent=0) -> str:
@@ -210,14 +219,13 @@ def _render_table(data, indent=0) -> str:
     return "\n".join(lines)
 
 
-def _manifest(argv, model=None, seed=None, started=None) -> dict:
+def _manifest(argv, model, seed, started) -> dict:
     return {
         "command": " ".join(argv),
         "model_sha256": getattr(model, "sha256", None),
         "seed": seed,
         "version": __version__,
-        "wall_ms": None if started is None else round(
-            (time.perf_counter() - started) * 1000),
+        "wall_ms": round((time.perf_counter() - started) * 1000),
     }
 
 

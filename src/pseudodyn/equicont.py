@@ -108,6 +108,14 @@ def modulus_at(source, space: FiniteMetricSpace, eps):
     return _modulus(_spread(source), space, t)[0]
 
 
+def _grid_moduli(sys: GeneratingSystem) -> tuple[list, dict]:
+    """The grid and the pair table's ``_moduli`` at every grid value, in
+    one walk: the grid value of rank t has the threshold t."""
+    eps_grid = sys.space.distance_grid()
+    return eps_grid, _moduli(sys.constraint_table(), sys.space,
+                             range(1, len(eps_grid) + 1))
+
+
 def equicontinuity_modulus(sys: GeneratingSystem) -> EquicontinuityCertificate:
     """One pair table serves every grid eps, read in one walk over the
     distance ranks (``_moduli``).  Each finite delta's witness is the
@@ -115,10 +123,7 @@ def equicontinuity_modulus(sys: GeneratingSystem) -> EquicontinuityCertificate:
     distance delta to eps, with the first such pair i < j; both are read
     off the table's levels (``first_spreading``), so no closure is built."""
     space = sys.space
-    eps_grid = space.distance_grid()
-    # the grid value of rank t has the threshold t
-    moduli = _moduli(sys.constraint_table(), space,
-                     range(1, len(eps_grid) + 1))
+    eps_grid, moduli = _grid_moduli(sys)
     table = {}
     witnesses = {}
     for t, eps in enumerate(eps_grid, 1):
@@ -190,9 +195,10 @@ def no_expansive_certificate_good(sys: GeneratingSystem) -> GoodInclusionReport:
     if not sys.has_cores:
         raise PreconditionError("this certificate requires cores")
     space = sys.space
+    eps_grid, moduli = _grid_moduli(sys)
     rows = []
-    for rho in space.distance_grid():
-        delta = modulus_at(sys, space, rho)
+    for t, rho in enumerate(eps_grid, 1):
+        delta = moduli[t][0]
         xi = space.diameter() if is_unbounded(delta) else delta
         rows.append(GoodInclusionRow(rho=rho, delta=delta, xi=xi))
     return GoodInclusionReport(

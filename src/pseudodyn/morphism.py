@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import EXACT_CLIQUE_CAP, separated_count
+from .dynamics import EXACT_CLIQUE_CAP, h_top_table
 from .equicont import _modulus
 from .errors import CapabilityError, InputError
 from .measure import FiniteMeasure
@@ -153,21 +153,31 @@ class EntropyComparison:
     tables_equal: Optional[bool]
 
 
-def _transfer_ok(counts, other, grid, n_list, modulus) -> bool:
+def _transfer_ok(counts, other, grid, n_max, modulus) -> bool:
     """Every count is at most the other side's count at the modulus of its
     scale.  A bounded modulus is a distance of the other space, hence one
     of its grid values, so that count is already in ``other``."""
     for eps in grid:
         scale = modulus(eps)
         if not is_unbounded(scale) and any(
-                counts[(n, eps)] > other[(n, scale)] for n in n_list):
+                counts[(n, eps)] > other[(n, scale)]
+                for n in range(1, n_max + 1)):
             return False
     return True
 
 
+def _counts(sys: GeneratingSystem, n_max: int) -> dict:
+    """``h_top_table``'s counts by (n, eps); none on one point (no grid)."""
+    if not sys.space.distance_grid():
+        return {}
+    return {(row.n, row.eps): row.count_lower
+            for row in h_top_table(sys, n_max=n_max).rows}
+
+
 def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
-                    n_list=None) -> EntropyComparison:
-    """Separated-count tables on both sides of the bijection.
+                    n_max: int = 3) -> EntropyComparison:
+    """Separated-count tables on both sides of the bijection, for n from 1
+    to ``n_max``.
 
     For every (n, eps) the source count is bounded by the target count at
     the transferred scale and vice versa.  An eps-separated source set maps
@@ -187,29 +197,18 @@ def compare_entropy(sys: GeneratingSystem, iso: SpaceIso,
             "htop gives greedy count bounds on this model")
     conj = conjugate_system(sys, iso)
     eps_grid = sys.space.distance_grid()
-    if n_list is None:
-        n_list = [1, 2, 3]
-    counts_src = {}
-    counts_dst = {}
-    for eps in eps_grid:
-        for n in n_list:
-            counts_src[(n, eps)] = separated_count(sys, n, eps).lower
-    dst_grid = iso.dst.distance_grid()
-    for eps in dst_grid:
-        for n in n_list:
-            counts_dst[(n, eps)] = separated_count(conj, n, eps).lower
-    forward_ok = _transfer_ok(counts_src, counts_dst, eps_grid, n_list,
+    counts_src = _counts(sys, n_max)
+    counts_dst = _counts(conj, n_max)
+    forward_ok = _transfer_ok(counts_src, counts_dst, eps_grid, n_max,
                               iso.inverse_modulus)
-    backward_ok = _transfer_ok(counts_dst, counts_src, dst_grid, n_list,
+    backward_ok = _transfer_ok(counts_dst, counts_src,
+                               iso.dst.distance_grid(), n_max,
                                iso.forward_modulus)
 
     isometric = iso.is_isometric()
     tables_equal = None
     if isometric:
-        tables_equal = all(
-            counts_src[(n, eps)] == counts_dst[(n, eps)]
-            for n in n_list for eps in eps_grid
-        )
+        tables_equal = counts_src == counts_dst
     return EntropyComparison(isometric=isometric, counts_src=counts_src,
                              counts_dst=counts_dst, forward_ok=forward_ok,
                              backward_ok=backward_ok, tables_equal=tables_equal)

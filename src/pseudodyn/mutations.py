@@ -43,29 +43,13 @@ def _mutant_bowen_open(sys, x, delta):
 
 
 def _mutant_build_skip_symmetrization(space, maps, cores):
-    """Assembles the system without inserting inverses."""
-    gens = [PartialMap.identity(space)]
-    seen = {gens[0]}
-    for g in maps:
-        if g.word is None:
-            g = PartialMap(space, g.vals, name=g.name,
-                           word=(g.name,) if g.name else None)
-        if g not in seen:
-            gens.append(g)
-            seen.add(g)
-    core_tuple = None
-    if cores is not None:
-        named = {g.name: g for g in gens if g.name}
-        core_tuple = []
-        for g in gens:
-            if g.is_identity():
-                core_tuple.append(space.full_set())
-            elif g.name in cores:
-                core_tuple.append(frozenset(cores[g.name]))
-            else:
-                core_tuple.append(g.dom)
-        core_tuple = tuple(core_tuple)
-    return GeneratingSystem(space, gens, cores=core_tuple)
+    """``build``'s system without the inverses it appends after the
+    identity and the given maps: its first generators, one per distinct
+    map among those, with their cores."""
+    full = GeneratingSystem.build(space, maps, cores=cores)
+    kept = len({PartialMap.identity(space), *maps})
+    cores = None if full.cores is None else full.cores[:kept]
+    return GeneratingSystem(space, full.generators[:kept], cores=cores)
 
 
 def _mutant_compose_intersect(g: PartialMap, h: PartialMap) -> PartialMap:

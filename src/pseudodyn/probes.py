@@ -184,7 +184,7 @@ def random_genome(spec: InstanceSpec, index: int) -> Genome:
                   weights=weights)
 
 
-def random_instance(spec: InstanceSpec, index: int = 0):
+def random_instance(spec: InstanceSpec, index: int):
     """Deterministic (system, measure) pair for (spec.seed, index)."""
     return random_genome(spec, index).build()
 
@@ -504,7 +504,7 @@ def stmt_iso_counts(ctx: ProbeContext) -> Outcome:
     """Separated counts transfer across the bijection in both directions,
     and agree exactly for a relabeling isometry."""
     iso = _random_iso(ctx)
-    rep = morphism.compare_entropy(ctx.sys, iso, n_list=[1, 2])
+    rep = morphism.compare_entropy(ctx.sys, iso, n_max=2)
     if not rep.forward_ok or not rep.backward_ok:
         return Outcome.bad(("count transfer", rep.forward_ok, rep.backward_ok))
     if rep.isometric and rep.tables_equal is False:

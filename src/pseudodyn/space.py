@@ -56,13 +56,12 @@ class FiniteMetricSpace:
         if len(dist) != n or any(len(row) != n for row in dist):
             raise InputError(f"distance matrix must be {n}x{n}")
         flat = list(chain.from_iterable(dist))
-        types = set(map(type, flat))
-        if types == {int}:
+        if set(map(type, flat)) == {int}:
             # integer entries are their own scaled integers (a bool is no
             # int here: it takes the general path and is refused there)
             ints, scale = flat, 1
         else:
-            ints, scale = _scaled(flat, types)
+            ints, scale = _scaled(flat)
         rows = [ints[i * n:(i + 1) * n] for i in range(n)]
         grid = sorted(set(ints))
         if not (ints.count(0) == n and grid[0] >= 0
@@ -118,9 +117,6 @@ class FiniteMetricSpace:
             dist = self._dist = tuple(tuple(map(values.__getitem__, row))
                                       for row in ranks)
         return dist
-
-    def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
 
     def full_set(self) -> PointSet:
         return frozenset(range(len(self.points)))
@@ -223,10 +219,9 @@ class FiniteMetricSpace:
             order = sorted((row[j], i, j) for i, row in enumerate(ranks)
                            for j in range(i + 1, n))
             counts = Counter(rank for rank, _, _ in order)
-            code = "B" if n <= 256 else "I"
             self._pair_order = (
-                array(code, [i for _, i, _ in order]),
-                array(code, [j for _, _, j in order]),
+                array("I", [i for _, i, _ in order]),
+                array("I", [j for _, _, j in order]),
                 array("I", accumulate((counts[rank]
                                        for rank in range(len(values))),
                                       initial=0)))
@@ -258,25 +253,20 @@ class FiniteMetricSpace:
         return tables
 
 
-def _scaled(flat: list, types: set) -> tuple[list[int], int]:
+def _scaled(flat: list) -> tuple[list[int], int]:
     """``(ints, scale)``: the entries of ``flat`` as integers over their
     least common denominator ``scale``.  Each distinct entry is parsed
     once, at its first occurrence."""
-    ratios = None  # each distinct entry's key -> (numerator, denominator)
-    if types != {Fraction}:
-        # keyed by type too, so True is never read as the int 1
-        keys = list(zip(map(type, flat), flat))
-        try:
-            distinct = dict.fromkeys(keys)
-        except TypeError:  # an unhashable entry: parse entry by entry
-            flat = [parse_rational(v) for v in flat]
-        else:
-            ratios = {key: parse_rational(key[1]).as_integer_ratio()
-                      for key in distinct}
-    if ratios is None:
-        # a Fraction hashes and compares in Python code, its pair in C
-        keys = list(map(Fraction.as_integer_ratio, flat))
-        ratios = dict(zip(keys, keys))
+    # keyed by type too, so True is never read as the int 1
+    keys = list(zip(map(type, flat), flat))
+    try:
+        distinct = dict.fromkeys(keys)
+    except TypeError:  # an unhashable entry: refuse the first bad entry
+        for v in flat:
+            parse_rational(v)
+        raise
+    ratios = {key: parse_rational(key[1]).as_integer_ratio()
+              for key in distinct}
     scale = math.lcm(*(q for _, q in ratios.values()))
     scaled = {key: p * (scale // q) for key, (p, q) in ratios.items()}
     return list(map(scaled.__getitem__, keys)), scale

@@ -6,9 +6,11 @@ Each request's exit code, standard output and standard error (the model
 directory and ``wall_ms`` scrubbed) feed one sha1 per command, so a
 payload or message that moves names its command.  A change that alters a
 payload on purpose edits only the pins of the commands it moves and says
-why in CHANGES.md; a pin is never regenerated wholesale.
+why in CHANGES.md; a pin is never regenerated wholesale.  Every csv
+output that is printed must also read back through ``csv.reader``.
 """
 
+import csv
 import hashlib
 import io
 import json
@@ -322,31 +324,40 @@ CORPUS_ARGV = 501
 CORPUS_PINS = {
     "ball": "d2ead348fdc9b354067f91a5c79a0f99845aff00",
     "bowen": "36ebf7d691a54149a341cfcafc82accfcb17459b",
-    "check": "b0ff2b70a7cd3d60989d049b34b537553b9f5ed1",
+    "check": "8782b9ecd3f115e08c80be5272f79967cf969ce3",
     "conjugate": "50c9182c34e359272417eecb706d3e37d1928720",
     "entropy": "da8dcbae09f0c19357e9086b658681cc2626e6b6",
-    "equicont": "34c95173aa4884f48120bcda04d026d03fabb8bf",
-    "htop": "42dedcb75d91900c59c6ead96678ee17d4a888af",
+    "equicont": "19ec783596d8cf599170553a6928711ff6e54be6",
+    "htop": "1766e0365fa1671bff7267d26fcf930b94032db6",
     "probe": "d94155e069f0438bb438a20eeac6f3ea247087dc",
-    "shift": "b6434abc445f51b08ae9f418575f8ef636809a89",
+    "shift": "d944cba62d1503bc92e1efc261a02979f0b21aec",
     "verify": "e8ee8b6be00ffbd72a43907df276171725941f50",
 }
 
 
 @pytest.fixture(scope="module")
-def corpus_digests(tmp_path_factory):
+def corpus_runs(tmp_path_factory):
+    """``(argv, [code, stdout, stderr])`` for every request in every
+    format, in order; each argv opens with its ``--format``."""
     directory = tmp_path_factory.mktemp("corpus")
     models = _models()
     write_corpus(directory, models)
-    requests = corpus_requests(models)
-    digests = {}
+    runs = []
     root = str(directory)
-    for argv in requests:
+    for argv in corpus_requests(models):
         argv = [a.replace("{dir}", root) for a in argv]
-        records = digests.setdefault(argv[0], [])
         for fmt in FORMATS:
-            records.append(_run(["--format", fmt, *argv], root))
-    return len(requests), {
+            full = ["--format", fmt, *argv]
+            runs.append((full, _run(full, root)))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def corpus_digests(corpus_runs):
+    digests = {}
+    for argv, record in corpus_runs:
+        digests.setdefault(argv[2], []).append(record)
+    return len(corpus_runs) // len(FORMATS), {
         command: hashlib.sha1(json.dumps(records).encode()).hexdigest()
         for command, records in digests.items()}
 
@@ -360,3 +371,58 @@ def test_corpus_covers_every_command(corpus_digests):
 @pytest.mark.parametrize("command", sorted(CORPUS_PINS))
 def test_corpus_is_pinned(command, corpus_digests):
     assert corpus_digests[1][command] == CORPUS_PINS[command]
+
+
+def csv_faults(text: str) -> list[str]:
+    """What ``csv.reader`` reads wrongly in one csv output: a ``path,value``
+    record without 2 fields, a row of a table without its header's field
+    count, or a list or dict field (or ``;``-separated item) that is not
+    compact JSON, such as a Python repr.  A record is a header when the
+    record after it opens with an empty field, as every row does."""
+    records = list(csv.reader(io.StringIO(text)))
+    faults = []
+    header = None
+    for k, record in enumerate(records):
+        if record[:1] == [""]:
+            if header is None or len(record) != len(header):
+                faults.append(f"row {record} under header {header}")
+        elif k + 1 < len(records) and records[k + 1][:1] == [""]:
+            header = record
+        elif len(record) != 2:
+            faults.append(f"record {record} has {len(record)} fields")
+        for field in record:
+            for item in field.split(";"):
+                if item[:1] in ("[", "{") and not _is_compact_json(item):
+                    faults.append(f"field item {item!r} is not compact JSON")
+    return faults
+
+
+def _is_compact_json(text: str) -> bool:
+    try:
+        return json.dumps(json.loads(text), separators=(",", ":")) == text
+    except ValueError:
+        return False
+
+
+def test_csv_faults_are_found():
+    assert csv_faults("a,1\nrows,x,y\n,1,2\nb,\"u,v\"") == []
+    assert csv_faults("note,a, b\nrows,x\n,1,2\nc,['p0'];[\"p1\"]\n"
+                      "d,\"[1, 2]\"\ne,\"{\"\"k\"\":1}\"") == [
+        "record ['note', 'a', ' b'] has 3 fields",
+        "row ['', '1', '2'] under header ['rows', 'x']",
+        "field item \"['p0']\" is not compact JSON",
+        "field item '[1, 2]' is not compact JSON"]
+
+
+def test_corpus_csv_reads_back(corpus_runs):
+    """Every csv output of the corpus reads back through ``csv.reader``:
+    each ``path,value`` record has 2 fields, each row its header's field
+    count, and no field holds a Python repr."""
+    read = 0
+    for argv, (code, out, _) in corpus_runs:
+        # the last --format wins
+        fmt = [argv[k + 1] for k, a in enumerate(argv) if a == "--format"][-1]
+        if fmt == "csv" and code != 2:
+            assert csv_faults(out) == [], argv
+            read += 1
+    assert read == 388

@@ -205,16 +205,20 @@ def test_good_inclusion_reference_rejects_a_modulus_raised_to_the_next_grid_valu
         monkeypatch):
     """With every bounded modulus below the diameter raised to the next
     grid value, the reference finds a centre whose ball escapes."""
-    modulus = equicont._modulus
+    moduli = equicont._moduli
 
-    def raised(spread, space, t):
-        delta, pairs = modulus(spread, space, t)
-        grid = space.distance_grid()
+    def raise_one(delta, grid):
         if is_unbounded(delta) or delta == grid[-1]:
-            return delta, pairs
-        return grid[grid.index(delta) + 1], pairs
+            return delta
+        return grid[grid.index(delta) + 1]
 
-    monkeypatch.setattr(equicont, "_modulus", raised)
+    def raised(spread, space, thresholds):
+        grid = space.distance_grid()
+        return {t: (raise_one(delta, grid), pairs)
+                for t, (delta, pairs) in moduli(spread, space,
+                                                thresholds).items()}
+
+    monkeypatch.setattr(equicont, "_moduli", raised)
     cases = failed = 0
     for sys_i, rows in seeded_good_inclusion_cases(300):
         for row in rows:

@@ -8,11 +8,14 @@ benchmark module reads (a method or property as an attribute, not as a
 bare name), unless ``TEST_ONLY`` names it as a test oracle,
 fixture or test-only API.  A third fails on a private definition there
 (a leading underscore, not a dunder) that no library or benchmark module
-reads.  The package ``__init__.py`` is skipped: its imports are the
-re-exports, not callers.
+reads.  A fourth fails on a defaulted parameter of a function or method
+there that no library or benchmark call sets, unless ``DEFAULTS_SET_BY_
+TESTS`` names it: an option no caller sets changes nothing.  The package
+``__init__.py`` is skipped: its imports are the re-exports, not callers.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -204,3 +207,121 @@ def test_an_orphaned_private_helper_is_found():
         == ["_used", "_orphan", "Box._size", "Box._stale"]
     assert unread_definitions({"box.py": source}, [source], private=True) \
         == ["box.py:_orphan", "box.py:Box._stale"]
+
+
+DEFAULTS_SET_BY_TESTS = {
+    "run_suite(extra_genomes)": "the crafted genomes the mutation tests "
+                                "run ahead of the seeded stream",
+    "run_suite(shrink)": "the mutation tests turn shrinking off, and the "
+                         "shrinking test on",
+}
+
+
+def defaulted_parameters(source: str):
+    """``(qualified name, call name, implicit self, parameter, position)``
+    for each defaulted parameter of a top-level function or of a method of
+    a top-level class; ``position`` is None for a keyword-only parameter.
+    A constructor is called by its class name, with ``self`` implicit.
+    Nested functions are skipped: their defaults bind enclosing values."""
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef):
+            units = [(stmt.name, stmt.name, False, stmt)]
+        elif isinstance(stmt, ast.ClassDef):
+            units = [(f"{stmt.name}.{m.name}",
+                      stmt.name if m.name == "__init__" else m.name,
+                      m.name == "__init__", m)
+                     for m in stmt.body if isinstance(m, ast.FunctionDef)]
+        else:
+            continue
+        for qualified, callee, implicit, fn in units:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for k, arg in enumerate(positional[first:], first):
+                yield qualified, callee, implicit, arg.arg, k
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield qualified, callee, implicit, arg.arg, None
+
+
+def calls_by_name(readers: list[str]) -> dict:
+    """``name -> [(call, slack)]`` for every call in ``readers``: a call of
+    a bare name has no slack, and a call of an attribute one position,
+    where ``self`` may be implicit.  A name bound to a name or attribute
+    (``raw = PartialMap._raw``, also in a tuple) is an alias of it."""
+    calls = defaultdict(list)
+    for text in readers:
+        tree = ast.parse(text)
+        alias = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = [(target, value)]
+                if isinstance(target, ast.Tuple) and isinstance(value,
+                                                                ast.Tuple):
+                    pairs = zip(target.elts, value.elts)
+                for t, v in pairs:
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Attribute):
+                        alias[t.id] = v.attr
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute):
+                    calls[func.attr].append((node, 1))
+                elif isinstance(func, ast.Name):
+                    calls[alias.get(func.id, func.id)].append((node, 0))
+    return calls
+
+
+def sets_parameter(call, slack: int, param: str, position) -> bool:
+    """Whether ``call`` sets ``param``: by keyword, through ``*`` or
+    ``**``, or by position."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) + slack > position
+
+
+def unset_defaults(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """``file:name(parameter)`` for each defaulted parameter in
+    ``sources`` that no call in ``readers`` sets."""
+    calls = calls_by_name(readers)
+    return [f"{path}:{qualified}({param})"
+            for path, text in sources.items()
+            for qualified, callee, implicit, param, position
+            in defaulted_parameters(text)
+            if not any(sets_parameter(call, max(slack, implicit), param,
+                                      position)
+                       for call, slack in calls[callee])]
+
+
+def test_unset_defaults_are_found():
+    source = ("class Box:\n"
+              "    def __init__(self, size, fill=0):\n        pass\n"
+              "    def put(self, item, *, where=None, how=None):\n"
+              "        def inner(v=item):\n            return v\n"
+              "def make(n, tag='', strict=False, extra=None):\n"
+              "    b = Box(n, 1)\n    put, other = b.put, None\n"
+              "    put(n, where=1)\n    make(n, *extra)\n"
+              "    return make(n, tag)\n")
+    assert unset_defaults({"box.py": source}, [source]) \
+        == ["box.py:Box.put(how)"]
+    source = source.replace("make(n, *extra)", "make(n, extra=[])")
+    assert unset_defaults({"box.py": source}, [source]) \
+        == ["box.py:Box.put(how)", "box.py:make(strict)"]
+
+
+def test_every_default_is_set_by_a_caller():
+    """Every defaulted parameter of a function or method in
+    ``src/pseudodyn`` is set by some library or benchmark call, or is
+    named in ``DEFAULTS_SET_BY_TESTS`` with the reason only tests set
+    it."""
+    sources, readers = library_and_benchmark_texts()
+    unset = unset_defaults(sources, readers)
+    assert [name for name in unset
+            if name.split(":")[1] not in DEFAULTS_SET_BY_TESTS] == []
+    # an entry that a library call sets, or whose parameter is gone,
+    # leaves the allowlist
+    assert sorted(name.split(":")[1] for name in unset) \
+        == sorted(DEFAULTS_SET_BY_TESTS)

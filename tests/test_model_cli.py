@@ -55,7 +55,7 @@ def test_parse_model_valid():
 def test_parse_model_exact_decimal():
     doc = {"points": ["a", "b"], "dist": [[0, 0.5], [0.5, 0]]}
     model = parse_model(json.dumps(doc))
-    assert model.space.d(0, 1) == Fraction(1, 2)
+    assert model.space.dist[0][1] == Fraction(1, 2)
 
 
 def test_parse_model_errors_name_the_invariant():
@@ -1058,7 +1058,7 @@ def test_cli_equicont_answers_past_the_closure_cap(tmp_path, monkeypatch,
         delta, pairs = moduli[t]
         assert row["delta"] == format_rational(delta)
         x, y = space.index(witness["x"]), space.index(witness["y"])
-        assert space.d(x, y) == delta and (x, y) in pairs
+        assert space.dist[x][y] == delta and (x, y) in pairs
         word = ([] if witness["map"] == "id"
                 else witness["map"].split("\u2218")[::-1])
         for letter in word:

@@ -8,7 +8,7 @@ import pytest
 from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        GeneratingSystem, InputError, PartialMap, SpaceIso,
                        compacted_system, compare_entropy, conjugate_map,
-                       conjugate_system, morphism,
+                       conjugate_system, dynamics, morphism,
                        pushforward, transfer_expansive_constant)
 from pseudodyn.cli import main
 from pseudodyn.dynamics import EXACT_CLIQUE_CAP, separated_count
@@ -129,6 +129,33 @@ def test_compare_entropy_scaled(line, line_system, doubled):
         assert rep.counts_dst[(n, 2 * eps)] == count
 
 
+def test_compare_entropy_on_one_point_has_empty_tables():
+    """One point has no distance grid: both count tables are empty and
+    every verdict holds."""
+    space = FiniteMetricSpace(["a"], [[0]])
+    system = GeneratingSystem.build(
+        space, [PartialMap(space, [0], name="f")])
+    rep = compare_entropy(system, SpaceIso.relabel(space, ["b"]))
+    assert rep.counts_src == rep.counts_dst == {}
+    assert (rep.forward_ok, rep.backward_ok, rep.tables_equal) \
+        == (True, True, True)
+
+
+def test_cli_conjugate_on_one_point_exits_0(tmp_path, capsys):
+    """``conjugate`` on a one-point model prints empty count tables with
+    every verdict true, and exits 0."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({
+        "points": ["a"], "dist": [[0]],
+        "generators": [{"name": "f", "map": {"a": "a"}}],
+        "phi": {"a": "b"}}))
+    assert main(["--format", "json", "conjugate", "--model", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["counts_src"] == result["counts_dst"] == {}
+    assert (result["forward_ok"], result["backward_ok"],
+            result["tables_equal"]) == (True, True, True)
+
+
 def reference_compare_counts(sys, iso, n_list=(1, 2, 3)):
     """``compare_entropy``'s count tables and verdicts, recounting the
     other side at every transfer scale."""
@@ -172,7 +199,7 @@ def test_compare_entropy_matches_recount_reference(monkeypatch):
         calls.append(args)
         return separated_count(*args, **kwargs)
 
-    monkeypatch.setattr(morphism, "separated_count", spy)
+    monkeypatch.setattr(dynamics, "separated_count", spy)
     rng = random.Random("compare-recount")
     spec = InstanceSpec(seed="compare-recount", count=100)
     for idx in range(spec.count):
@@ -404,7 +431,7 @@ def test_conjugate_past_the_cap_names_htop_and_conjugates_nothing(
         raise AssertionError("nothing is conjugated or counted")
 
     monkeypatch.setattr(morphism, "conjugate_system", refuse)
-    monkeypatch.setattr(morphism, "separated_count", refuse)
+    monkeypatch.setattr(morphism, "h_top_table", refuse)
     with pytest.raises(CapabilityError, match=f"got {n}.*htop"):
         compare_entropy(system, iso)
     doc = {"points": list(space.points), "dist": dist,

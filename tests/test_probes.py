@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodyn import (GeneratingSystem, InputError, is_unbounded,
+from pseudodyn import (GeneratingSystem, InputError, PartialMap, is_unbounded,
                        no_expansive_certificate_group, probes)
 from pseudodyn.mutations import MUTATIONS, crafted_genomes
 from pseudodyn.probes import (DEFAULT_OPS, Genome, InstanceSpec, OperationSet,
@@ -176,6 +176,70 @@ def test_half_radius_rejects_a_verdict_over_open_balls(monkeypatch):
     reports = run_suite(InstanceSpec(seed=0, count=200),
                         statements=["half-radius-recentering"])
     assert reports["half-radius-recentering"].violations
+
+
+def reference_skip_symmetrization(space, maps, cores):
+    """The identity and the given maps, each map once in first-seen
+    order, a map with no word worded by its name; the identity's core is
+    the space, a map's core the one its name is given, else its domain."""
+    gens = [PartialMap.identity(space)]
+    for g in maps:
+        if g.word is None:
+            g = PartialMap(space, g.vals, name=g.name,
+                           word=(g.name,) if g.name else None)
+        if g not in gens:
+            gens.append(g)
+    core_list = None
+    if cores is not None:
+        core_list = [space.full_set() if g.is_identity()
+                     else frozenset(cores[g.name]) if g.name in cores
+                     else g.dom for g in gens]
+    return [(g.vals, g.name, g.word) for g in gens], core_list
+
+
+def build_arguments(genome):
+    """The ``(space, maps, cores)`` a genome hands its ``build_system``."""
+    seen = []
+
+    def record(space, maps, cores):
+        seen.append((space, maps, cores))
+        return GeneratingSystem.build(space, maps, cores=cores)
+
+    genome.build(replace(DEFAULT_OPS, build_system=record))
+    return seen[0]
+
+
+def test_skip_symmetrization_mutant_is_build_without_the_inverses():
+    """The mutant's system is ``build``'s system cut before the inverses
+    it appends: the same generators, names, words and cores as a
+    first-seen dedup of the identity and the given maps, and every
+    generator ``build`` adds past them is the inverse of one of them.
+    On the crafted genomes, seeded genomes with and without cores, and
+    every one-step shrink candidate of both."""
+    mutant = MUTATIONS["skip-symmetrization"].build_system
+    spec = InstanceSpec(seed="skip-symmetrization", count=150,
+                        n_generators=(1, 4), total_fraction=0.4)
+    seeded = [random_genome(spec, idx) for idx in range(spec.count)]
+    seeded += [replace(g, cores=None) for g in seeded[::3]]
+    genomes = crafted_genomes() + seeded
+    for genome in list(genomes):
+        genomes += [c for c in map(genome.without_point, genome.labels)
+                    if c is not None]
+        genomes += [genome.without_generator(k)
+                    for k in range(len(genome.gens))]
+    assert len(genomes) > 1500
+    for genome in genomes:
+        space, maps, cores = build_arguments(genome)
+        cut = mutant(space, maps, cores)
+        full = GeneratingSystem.build(space, maps, cores=cores)
+        want_gens, want_cores = reference_skip_symmetrization(space, maps,
+                                                             cores)
+        assert [(g.vals, g.name, g.word) for g in cut.generators] == want_gens
+        assert (None if cut.cores is None else list(cut.cores)) == want_cores
+        kept = len(cut.generators)
+        assert full.generators[:kept] == cut.generators
+        assert all(g.inverse() in cut.generators
+                   for g in full.generators[kept:])
 
 
 def test_shrinking_reaches_small_witness():

@@ -324,7 +324,7 @@ def test_metric_validation_accepts_exact_ties():
     xs = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(7, 5), 3]
     dist = [[abs(Fraction(a) - b) for b in xs] for a in xs]
     space = FiniteMetricSpace(list("vwxyz"), dist)
-    assert space.d(0, 4) == space.d(0, 2) + space.d(2, 4)
+    assert space.dist[0][4] == space.dist[0][2] + space.dist[2][4]
     # Any excess over a tie is a violation, named at its first triple.
     dist[0][4] = dist[4][0] = Fraction(3) + Fraction(1, 10**9)
     with pytest.raises(InputError) as exc:
