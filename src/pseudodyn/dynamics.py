@@ -35,6 +35,23 @@ def check_n_max(n_max: int) -> None:
             "rows past the fixpoint level repeat")
 
 
+def grid_scales(space, eps_grid) -> list[tuple[Fraction, int]]:
+    """The one grid rule: ``(eps, t)`` for every scale of a grid query,
+    with t its open rank threshold.  With ``eps_grid`` None the scales are
+    the distance grid, where the value of rank t has threshold t (none on
+    one point); otherwise they are the given scales in their given order.
+    A given grid must be nonempty, and a scale <= 0 has empty open balls,
+    so either is an input error rather than an empty or zero answer."""
+    if eps_grid is None:
+        return [(eps, t) for t, eps in enumerate(space.distance_grid(), 1)]
+    scales = [parse_rational(e) for e in eps_grid]
+    if not scales:
+        raise InputError("need a nonempty eps grid and n_max >= 1")
+    if any(e <= 0 for e in scales):
+        raise InputError("scale must be positive")
+    return [(eps, space.threshold(eps)) for eps in scales]
+
+
 @dataclass(frozen=True)
 class BallReport:
     """A computed dynamical ball with its exclusion evidence.
@@ -319,15 +336,13 @@ def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8) -> HTopTab
     is 0; the rows still show the per-(n, eps) structure.
     """
     check_n_max(n_max)
-    if eps_grid is None:
-        eps_grid = sys.space.distance_grid()
-    eps_grid = sorted(parse_rational(e) for e in eps_grid)
-    if not eps_grid or n_max < 1:
+    if n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
+    scales = sorted(grid_scales(sys.space, eps_grid))
     mode = "exact" if sys.space.n <= EXACT_CLIQUE_CAP else "greedy"
     level = sys.fixpoint_level
     rows = []
-    for eps in eps_grid:
+    for eps, _ in scales:
         for n in range(1, n_max + 1):
             # past the tables' fixpoint the table, hence the count, is fixed
             if n <= level:

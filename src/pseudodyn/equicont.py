@@ -121,7 +121,9 @@ def equicontinuity_modulus(sys: GeneratingSystem) -> EquicontinuityCertificate:
     distance ranks (``_moduli``).  Each finite delta's witness is the
     first map of the word closure, in its order, that spreads a pair at
     distance delta to eps, with the first such pair i < j; both are read
-    off the table's levels (``first_spreading``), so no closure is built."""
+    off the table's levels (``first_spreading``), so no closure is built.
+    The pair table bounds the distance ranks from below, so every grid
+    delta is bounded and has a witness."""
     space = sys.space
     eps_grid, moduli = _grid_moduli(sys)
     table = {}
@@ -130,8 +132,7 @@ def equicontinuity_modulus(sys: GeneratingSystem) -> EquicontinuityCertificate:
         delta, pairs = moduli[t]
         table[eps] = delta
         found = sys.first_spreading(pairs, t)
-        witnesses[eps] = None if found is None else (
-            found[0], *map(space.label, found[1]))
+        witnesses[eps] = (found[0], *map(space.label, found[1]))
     isometric = all(table[e] == e for e in eps_grid)
     return EquicontinuityCertificate(scope="closure", table=table,
                                      witnesses=witnesses, isometric=isometric)
@@ -171,7 +172,6 @@ def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusion
 class GoodInclusionRow:
     rho: Fraction
     delta: object
-    xi: object
 
 
 @dataclass(frozen=True)
@@ -181,29 +181,24 @@ class GoodInclusionReport:
 
 
 def no_expansive_certificate_good(sys: GeneratingSystem) -> GoodInclusionReport:
-    """Core-restricted analogue: open xi-balls sit inside the
+    """Core-restricted analogue: open delta-balls sit inside the
     core-restricted Bowen rho-balls, point by point and for every grid rho,
-    where xi is the ambient modulus at rho, or the diameter where the
-    modulus is unbounded.
+    where delta is the ambient modulus at rho.
 
     Every core-restricted word is a restriction of an ambient word, so the
     core-restricted pair table is at most the ambient one in every cell,
-    and a pair closer than xi has an ambient rank below
+    and a pair closer than delta has an ambient rank below
     ``threshold(rho)``.  So the inclusion is a theorem, not a check: only
     the ambient table is read, and no core-restricted system is built.
     """
     if not sys.has_cores:
         raise PreconditionError("this certificate requires cores")
-    space = sys.space
     eps_grid, moduli = _grid_moduli(sys)
-    rows = []
-    for t, rho in enumerate(eps_grid, 1):
-        delta = moduli[t][0]
-        xi = space.diameter() if is_unbounded(delta) else delta
-        rows.append(GoodInclusionRow(rho=rho, delta=delta, xi=xi))
+    rows = [GoodInclusionRow(rho=rho, delta=moduli[t][0])
+            for t, rho in enumerate(eps_grid, 1)]
     return GoodInclusionReport(
         rows=rows,
-        conclusion="open xi-balls land inside the core-restricted Bowen "
+        conclusion="open delta-balls land inside the core-restricted Bowen "
                    "balls at every grid rho; a ball around any atom has "
                    "positive measure, so no measure is weakly expansive for "
                    "the core-restricted system")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, compress
 from typing import Optional
 
-from .dynamics import check_n_max
+from .dynamics import check_n_max, grid_scales
 from .errors import InputError, PreconditionError
 from .pseudogroup import GeneratingSystem, below_flags
 from .rational import parse_radius, parse_rational
@@ -264,15 +264,6 @@ class LocalEntropyTable:
     limit: float  # 0.0 when the stabilized ball keeps positive measure
 
 
-def _scales(eps_grid) -> list[Fraction]:
-    """The parsed grid; a scale <= 0 has empty open balls, so it is an
-    input error rather than a zero ball measure."""
-    scales = [parse_rational(e) for e in eps_grid]
-    if any(e <= 0 for e in scales):
-        raise InputError("scale must be positive")
-    return scales
-
-
 def _rate(m: Fraction, n: int) -> float:
     """-(1/n) log m, +inf at m = 0.  A positive m below float range takes
     the logarithms of its numerator and denominator instead."""
@@ -300,15 +291,11 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
         n_max = sys.fixpoint_level
     else:
         check_n_max(n_max)
-    if eps_grid is None:
-        eps_grid = space.distance_grid()
-    eps_grid = _scales(eps_grid)
-    if not eps_grid or n_max < 1:
+    scales = sorted(grid_scales(space, eps_grid))
+    if n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
     cells = []
-    scales = sorted(eps_grid)
-    thresholds = [space.threshold(eps) for eps in scales]
-    for eps, t in zip(scales, thresholds):
+    for eps, t in scales:
         old = None
         for n in range(1, n_max + 1):
             row = sys.constraint_table(n)[xi]
@@ -317,9 +304,10 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
                 m = Fraction(mu.ball_numerators((row,), t)[0], mu.den)
             cells.append(EntropyCell(eps=eps, n=n, ball_measure=m,
                                      value=_rate(m, n)))
-    # the smallest scale comes first
+    # the smallest scale comes first; with none, the stabilized ball is {x}
     stab_row = sys.constraint_table()[xi]
-    stab_m = mu.ball_numerators((stab_row,), thresholds[0])[0]
+    t_min = scales[0][1] if scales else 1
+    stab_m = mu.ball_numerators((stab_row,), t_min)[0]
     limit = 0.0 if stab_m > 0 else math.inf
     return LocalEntropyTable(x=space.label(xi), cells=cells, limit=limit)
 
@@ -361,12 +349,10 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     space = sys.space
     level = sys.fixpoint_level
     grid = space.distance_grid()
-    if eps_grid is None:
-        eps_grid = grid
-    eps_grid = _scales(eps_grid)
+    scales = grid_scales(space, eps_grid)
     if n_max is None:
         n_max = level
-    if not eps_grid or n_max < 1:
+    if n_max < 1:
         raise InputError("need a nonempty eps grid and n_max >= 1")
     # every n past the fixpoint reads the same table, so adds no cell
     n_range = range(1, min(n_max, level) + 1)
@@ -390,8 +376,7 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     degenerate = False
     counterexample = None
     ok = True
-    for eps in eps_grid:
-        t_eps = space.threshold(eps)
+    for eps, t_eps in scales:
         # delta = eps, then every other grid value downward, by rank
         skip = t_eps if t_eps <= len(grid) and grid[t_eps - 1] == eps else 0
         candidates = [(eps, t_eps)] + [(grid[r - 1], r)

@@ -168,8 +168,6 @@ def _transfer_ok(counts, other, grid, n_max, modulus) -> bool:
 
 def _counts(sys: GeneratingSystem, n_max: int) -> dict:
     """``h_top_table``'s counts by (n, eps); none on one point (no grid)."""
-    if not sys.space.distance_grid():
-        return {}
     return {(row.n, row.eps): row.count_lower
             for row in h_top_table(sys, n_max=n_max).rows}
 

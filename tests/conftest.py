@@ -147,8 +147,8 @@ def group_inclusion_failures(group, rho, delta):
                    for y in range(n))]
 
 
-def good_inclusion_failures(sys, rho, xi):
-    """The centres x whose open xi-ball is not inside the core-restricted
+def good_inclusion_failures(sys, rho, delta):
+    """The centres x whose open delta-ball is not inside the core-restricted
     Bowen rho-ball {y : d(w x, w y) <= rho for every word w of the
     compacted system defined at x and y}, in distances: the compacted
     system's closure maps are read one by one, and no table is."""
@@ -164,7 +164,7 @@ def good_inclusion_failures(sys, rho, xi):
                 if d > spread.get((i, j), 0):
                     spread[i, j] = d
     return [x for x in range(n)
-            if any(dist[x][y] < xi and spread.get((x, y), 0) > rho
+            if any(dist[x][y] < delta and spread.get((x, y), 0) > rho
                    for y in range(n))]
 
 

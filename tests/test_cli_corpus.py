@@ -327,7 +327,7 @@ CORPUS_PINS = {
     "check": "8782b9ecd3f115e08c80be5272f79967cf969ce3",
     "conjugate": "50c9182c34e359272417eecb706d3e37d1928720",
     "entropy": "da8dcbae09f0c19357e9086b658681cc2626e6b6",
-    "equicont": "19ec783596d8cf599170553a6928711ff6e54be6",
+    "equicont": "ac17b91c255e445b76d9a8cd2c17a03cc00d2eaf",
     "htop": "1766e0365fa1671bff7267d26fcf930b94032db6",
     "probe": "d94155e069f0438bb438a20eeac6f3ea247087dc",
     "shift": "d944cba62d1503bc92e1efc261a02979f0b21aec",
@@ -335,16 +335,12 @@ CORPUS_PINS = {
 }
 
 
-@pytest.fixture(scope="module")
-def corpus_runs(tmp_path_factory):
+def run_requests(directory, requests):
     """``(argv, [code, stdout, stderr])`` for every request in every
     format, in order; each argv opens with its ``--format``."""
-    directory = tmp_path_factory.mktemp("corpus")
-    models = _models()
-    write_corpus(directory, models)
     runs = []
     root = str(directory)
-    for argv in corpus_requests(models):
+    for argv in requests:
         argv = [a.replace("{dir}", root) for a in argv]
         for fmt in FORMATS:
             full = ["--format", fmt, *argv]
@@ -352,14 +348,27 @@ def corpus_runs(tmp_path_factory):
     return runs
 
 
-@pytest.fixture(scope="module")
-def corpus_digests(corpus_runs):
+def digest_runs(runs):
+    """The argv count and one sha1 per command over its records."""
     digests = {}
-    for argv, record in corpus_runs:
+    for argv, record in runs:
         digests.setdefault(argv[2], []).append(record)
-    return len(corpus_runs) // len(FORMATS), {
+    return len(runs) // len(FORMATS), {
         command: hashlib.sha1(json.dumps(records).encode()).hexdigest()
         for command, records in digests.items()}
+
+
+@pytest.fixture(scope="module")
+def corpus_runs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("corpus")
+    models = _models()
+    write_corpus(directory, models)
+    return run_requests(directory, corpus_requests(models))
+
+
+@pytest.fixture(scope="module")
+def corpus_digests(corpus_runs):
+    return digest_runs(corpus_runs)
 
 
 def test_corpus_covers_every_command(corpus_digests):
@@ -371,6 +380,85 @@ def test_corpus_covers_every_command(corpus_digests):
 @pytest.mark.parametrize("command", sorted(CORPUS_PINS))
 def test_corpus_is_pinned(command, corpus_digests):
     assert corpus_digests[1][command] == CORPUS_PINS[command]
+
+
+def _edge_models():
+    """The sizes the corpus above lacks: one point, where the auto grid is
+    empty, and 256 points, one past the byte keys, where closure maps are
+    keyed by their value tuples."""
+    one = {"points": ["a"], "dist": [[0]], "generators": [],
+           "mu": {"a": 1}, "phi": {"a": "b"}}
+    n = 256
+    labels = [f"v{i}" for i in range(n)]
+    dist = [[min(abs(i - j), 3) for j in range(n)] for i in range(n)]
+    # 0 -> 2 -> 10 and 1 -> 3 -> 20: only the square of the map pushes the
+    # neighbours 0 and 1 three apart, so the 2-ball around v0 reads level 2
+    gens = [[(0, 2), (1, 3), (2, 10), (3, 20)]]
+    return {"one": one,
+            "line256": _doc(labels, dist, gens, [1] * n, cores=[[0, 1, 2]],
+                            phi=True)}
+
+
+def edge_requests():
+    """Every command once on each edge model."""
+    out = []
+    for name, x, eps in (("one", "a", "1"), ("line256", "v0", "2")):
+        model = f"{{dir}}/{name}.json"
+        out += [["ball", "--model", model, "--x", x, "--n", "2",
+                 "--eps", eps],
+                ["bowen", "--model", model, "--x", x, "--delta", eps],
+                ["htop", "--model", model],
+                ["entropy", "--model", model, "--x", x],
+                *(["check", "--model", model, "--what", what]
+                  for what in ("invariant", "ergodic", "homogeneous")),
+                ["check", "--model", model, "--what", "expansive",
+                 "--delta", eps],
+                ["conjugate", "--model", model],
+                ["equicont", "--model", model],
+                ["equicont", "--model", model, "--compacted"]]
+    return out
+
+
+# a second pinned set, kept apart so that the pins above keep their inputs
+EDGE_ARGV = 22
+EDGE_PINS = {
+    "ball": "5b5720b0763b874de23bb20d4a203343f69f1055",
+    "bowen": "015f1a57105f1171e2a6dde3ff59e2d7c63850aa",
+    "check": "3f2c9103053eaa1e87940e3004d5f64c60da299c",
+    "conjugate": "f0622c62e00271b3542be7848e8d737425dd1160",
+    "entropy": "695be6dc634cceb8babad3774f0d23c7ec557b8d",
+    "equicont": "f6ee3b9e9bbae8b652ea49acef919da09b05b677",
+    "htop": "8038674215e0722b845f80e486f0b49495c5738b",
+}
+
+
+@pytest.fixture(scope="module")
+def edge_runs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("edge")
+    for name, doc in _edge_models().items():
+        _write(directory, f"{name}.json", doc)
+    return run_requests(directory, edge_requests())
+
+
+@pytest.fixture(scope="module")
+def edge_digests(edge_runs):
+    return digest_runs(edge_runs)
+
+
+def test_edge_corpus_covers_every_model_command(edge_runs, edge_digests):
+    """Every command on both edge models, and every csv output that is
+    printed reads back through ``csv.reader``."""
+    count, digests = edge_digests
+    assert count == EDGE_ARGV
+    assert sorted(digests) == sorted(EDGE_PINS)
+    for argv, (code, out, _) in edge_runs:
+        if argv[1] == "csv" and code != 2:
+            assert csv_faults(out) == [], argv
+
+
+@pytest.mark.parametrize("command", sorted(EDGE_PINS))
+def test_edge_corpus_is_pinned(command, edge_digests):
+    assert edge_digests[1][command] == EDGE_PINS[command]
 
 
 def csv_faults(text: str) -> list[str]:

@@ -154,8 +154,9 @@ def test_group_conclusion_cross_checked_with_measures(z6_rotations):
 
 
 def test_good_certificate_xi_is_modulus_seeded():
-    """Every row's delta is the modulus of the ambient closure, and its xi
-    is that modulus, or the diameter where the modulus is unbounded."""
+    """Every row's delta is the modulus of the ambient closure, and it is
+    bounded: the pair table holds the total identity's distance ranks, so
+    at the grid value of rank t the modulus stops by rank t."""
     spec = InstanceSpec(seed=13, count=60)
     for idx in range(spec.count):
         sys_i, _ = random_instance(spec, idx)
@@ -165,7 +166,7 @@ def test_good_certificate_xi_is_modulus_seeded():
         for row in no_expansive_certificate_good(sys_i).rows:
             delta = modulus_at(gamma, space, row.rho)
             assert row.delta == delta
-            assert row.xi == (space.diameter() if is_unbounded(delta) else delta)
+            assert not is_unbounded(row.delta)
 
 
 def test_good_certificate_rotations():
@@ -174,10 +175,11 @@ def test_good_certificate_rotations():
     sys_q = GeneratingSystem.build(z6, [q], cores={"q": {0, 1, 2}})
     rep = no_expansive_certificate_good(sys_q)
     assert [r.rho for r in rep.rows] == z6.distance_grid()
-    assert all(good_inclusion_failures(sys_q, r.rho, r.xi) == []
+    assert all(good_inclusion_failures(sys_q, r.rho, r.delta) == []
                for r in rep.rows)
+    assert not any(is_unbounded(r.delta) for r in rep.rows)
     wide = [r for r in rep.rows if r.rho >= z6.diameter()]
-    assert wide and all(r.xi == z6.diameter() for r in wide)
+    assert wide and all(r.delta == z6.diameter() for r in wide)
 
 
 def seeded_good_inclusion_cases(count):
@@ -190,13 +192,13 @@ def seeded_good_inclusion_cases(count):
 
 
 def test_good_inclusion_reference_holds_on_seeded_systems():
-    """The core-restricted certificate's open xi-balls sit inside the
+    """The core-restricted certificate's open delta-balls sit inside the
     core-restricted Bowen rho-balls of the closure-map reference at every
     grid rho."""
     cases = 0
     for sys_i, rows in seeded_good_inclusion_cases(300):
         for row in rows:
-            assert good_inclusion_failures(sys_i, row.rho, row.xi) == []
+            assert good_inclusion_failures(sys_i, row.rho, row.delta) == []
             cases += 1
     assert cases > 900
 
@@ -222,7 +224,7 @@ def test_good_inclusion_reference_rejects_a_modulus_raised_to_the_next_grid_valu
     cases = failed = 0
     for sys_i, rows in seeded_good_inclusion_cases(300):
         for row in rows:
-            failed += bool(good_inclusion_failures(sys_i, row.rho, row.xi))
+            failed += bool(good_inclusion_failures(sys_i, row.rho, row.delta))
             cases += 1
     assert failed > cases // 5
 

@@ -10,9 +10,10 @@ from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
                        expansiveness_verdict,
                        invariant_sets, is_ergodic, is_homogeneous,
                        is_invariant_measure, local_entropy, orbit_components)
+from pseudodyn.dynamics import h_top_table
 from pseudodyn.measure import (HOMOGENEITY_LADDER_CAP, ExpansivenessVerdict,
-                               HomogeneityReport, HomogeneityWitness, _scales,
-                               _weight)
+                               HomogeneityReport, HomogeneityWitness,
+                               LocalEntropyTable, _weight)
 from pseudodyn.probes import InstanceSpec, random_genome
 from pseudodyn.pseudogroup import compacted_system, table_ball
 from pseudodyn.rational import parse_radius, parse_rational
@@ -127,13 +128,23 @@ def test_n_max_below_one_is_input_error(line, identity_system, n_max):
 
 
 def test_local_entropy_empty_grid_is_input_error(line, line_system):
-    one = FiniteMetricSpace(["a"], [[0]])
     with pytest.raises(InputError, match="eps grid"):
         local_entropy(FiniteMeasure.uniform(line), line_system, 0,
                       eps_grid=[])
-    with pytest.raises(InputError, match="eps grid"):
-        local_entropy(FiniteMeasure.uniform(one),
-                      GeneratingSystem.build(one, []), 0)
+
+
+def test_grid_queries_on_one_point_answer_with_no_scale():
+    """A one-point space has no positive distance, so the default grid is
+    empty: the tables have no row, the stabilized ball {x} keeps its
+    measure, and the homogeneity search has nothing to refute."""
+    one = FiniteMetricSpace(["a"], [[0]])
+    sys_one = GeneratingSystem.build(one, [])
+    mu = FiniteMeasure.uniform(one)
+    assert local_entropy(mu, sys_one, 0) == LocalEntropyTable(
+        x="a", cells=[], limit=0.0)
+    assert is_homogeneous(mu, sys_one) == HomogeneityReport(
+        ok=True, witnesses={}, degenerate=False, counterexample=None)
+    assert h_top_table(sys_one).rows == []
 
 
 @pytest.mark.parametrize("eps", [0, -1])
@@ -246,7 +257,9 @@ def ref_is_homogeneous(mu, sys, eps_grid=None, n_max=None):
     grid = space.distance_grid()
     if eps_grid is None:
         eps_grid = grid
-    eps_grid = _scales(eps_grid)
+    eps_grid = [parse_rational(e) for e in eps_grid]
+    if any(e <= 0 for e in eps_grid):
+        raise InputError("scale must be positive")
     if n_max is None:
         n_max = closure.stable_index
     n_range = range(1, min(n_max, closure.stable_index) + 1)

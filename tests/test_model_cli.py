@@ -511,24 +511,39 @@ def test_cli_entropy_n_max_below_one_is_input_error(model_path, capsys, n_max):
     assert "n_max" in capsys.readouterr().err
 
 
-def test_cli_entropy_one_point_model_is_input_error(tmp_path, capsys):
-    """A one-point space has no positive distance, so the auto grid is
-    empty."""
+def one_point_result(tmp_path, capsys, command):
+    """Exit code and json ``result`` of ``command`` on a one-point model,
+    whose auto grid is empty: it has no positive distance."""
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"points": ["a"], "dist": [[0]],
                                 "generators": [], "mu": {"a": 1}}))
-    code = main(["entropy", "--model", str(path), "--x", "a"])
-    assert code == 2
-    assert "eps grid" in capsys.readouterr().err
+    code = main(["--format", "json", command[0], "--model", str(path),
+                 *command[1:]])
+    return code, json.loads(capsys.readouterr().out)["result"]
 
 
-def test_cli_check_homogeneous_one_point_model_is_input_error(tmp_path, capsys):
-    path = tmp_path / "one.json"
-    path.write_text(json.dumps({"points": ["a"], "dist": [[0]],
-                                "generators": [], "mu": {"a": 1}}))
-    code = main(["check", "--model", str(path), "--what", "homogeneous"])
-    assert code == 2
-    assert "eps grid" in capsys.readouterr().err
+def test_cli_htop_one_point_model_has_no_rows(tmp_path, capsys):
+    code, result = one_point_result(tmp_path, capsys, ["htop"])
+    assert code == 0
+    assert result == {"limit": 0.0, "rows": [], "note": (
+        "counts are bounded by |X| = 1, so the large-n limit of (1/n) "
+        "log s is 0 on this finite space")}
+
+
+def test_cli_entropy_one_point_model_has_no_cells(tmp_path, capsys):
+    """With no scale the stabilized ball is {a}, of measure 1."""
+    code, result = one_point_result(tmp_path, capsys,
+                                    ["entropy", "--x", "a"])
+    assert code == 0
+    assert result == {"cells": [], "limit": 0.0, "x": "a"}
+
+
+def test_cli_check_homogeneous_one_point_model_is_ok(tmp_path, capsys):
+    code, result = one_point_result(tmp_path, capsys,
+                                    ["check", "--what", "homogeneous"])
+    assert code == 0
+    assert result == {"what": "homogeneous", "ok": True, "degenerate": False,
+                      "witnesses": {}, "counterexample": None}
 
 
 def test_integer_point_labels_are_strings(tmp_path, capsys):
@@ -745,7 +760,7 @@ def test_cli_equicont_compacted_reads_the_ambient_table_alone(
     assert len(built) == 1 and read and set(map(id, read)) == {id(built[0])}
     assert sorted(result) == ["conclusion", "mode", "rows"]
     assert result["mode"] == "core-restricted"
-    assert [sorted(row) for row in result["rows"]] == [["delta", "rho", "xi"]] * 2
+    assert [sorted(row) for row in result["rows"]] == [["delta", "rho"]] * 2
     assert [row["rho"] for row in result["rows"]] == ["1", "2"]
 
 
