@@ -277,18 +277,8 @@ def cmd_bowen(args) -> tuple[int, object]:
 
 
 def _eps_grid(arg: str) -> list[Fraction] | None:
-    """``--eps-grid`` as given, or None for "auto"; a scale given twice,
-    by any spelling, is refused, since its rows would repeat."""
-    if arg == "auto":
-        return None
-    grid = [parse_rational(v) for v in arg.split(",")]
-    seen = set()
-    for eps in grid:
-        if eps in seen:
-            raise InputError(f"--eps-grid gives the scale "
-                             f"{format_rational(eps)} twice")
-        seen.add(eps)
-    return grid
+    """None for "auto"; else the grid rule's scales, before the model loads."""
+    return None if arg == "auto" else dynamics.parse_grid(arg.split(","))
 
 
 def cmd_htop(args) -> tuple[int, object]:
@@ -344,19 +334,18 @@ def cmd_check(args) -> tuple[int, object]:
             "counterexample": rep.counterexample,
         }
         return (EXIT_OK if rep.ok else EXIT_NEGATIVE), (payload, model)
-    if what == "expansive":
-        rep = measure.expansiveness_verdict(mu, sysm, delta)
-        payload = {
-            "what": what, "delta": rep.delta,
-            "classification": rep.classification,
-            "ball_measures": rep.ball_measures,
-            "zero_set": sorted(model.space.labels_of(rep.zero_set), key=str),
-            "atoms": sorted(model.space.labels_of(rep.atoms), key=str),
-            "note": rep.note,
-        }
-        # a finite measure has an atom, so the verdict is always "neither"
-        return EXIT_NEGATIVE, (payload, model)
-    raise InputError(f"unknown check {what!r}")
+    # argparse's choices leave only --what expansive
+    rep = measure.expansiveness_verdict(mu, sysm, delta)
+    payload = {
+        "what": what, "delta": rep.delta,
+        "classification": rep.classification,
+        "ball_measures": rep.ball_measures,
+        "zero_set": sorted(model.space.labels_of(rep.zero_set), key=str),
+        "atoms": sorted(model.space.labels_of(rep.atoms), key=str),
+        "note": rep.note,
+    }
+    # a finite measure has an atom, so the verdict is always "neither"
+    return EXIT_NEGATIVE, (payload, model)
 
 
 def cmd_conjugate(args) -> tuple[int, object]:
@@ -455,20 +444,19 @@ def cmd_shift(args) -> tuple[int, object]:
             "measure": shift.cylinder_measure(cyl, spec),
         }
         return EXIT_OK, (payload, None)
-    if args.shift_command == "bowen":
-        x = shift.ShiftPoint.from_string(args.x, center=args.center)
-        rep = shift.bowen_ball_shift(x, parse_rational(args.delta), spec=spec)
-        payload = {
-            "delta": rep.delta, "singleton": rep.singleton,
-            "measure_zero": rep.measure_zero,
-            "measure_bounds": [{"n": n, "bound": b}
-                               for n, b in rep.measure_bounds],
-            "witness": rep.non_singleton_witness,
-            "note": rep.note,
-        }
-        code = EXIT_OK if rep.singleton else EXIT_NEGATIVE
-        return code, (payload, None)
-    raise InputError(f"unknown shift command {args.shift_command!r}")
+    # the sub-commands are required, so this is shift bowen
+    x = shift.ShiftPoint.from_string(args.x, center=args.center)
+    rep = shift.bowen_ball_shift(x, parse_rational(args.delta), spec=spec)
+    payload = {
+        "delta": rep.delta, "singleton": rep.singleton,
+        "measure_zero": rep.measure_zero,
+        "measure_bounds": [{"n": n, "bound": b}
+                           for n, b in rep.measure_bounds],
+        "witness": rep.non_singleton_witness,
+        "note": rep.note,
+    }
+    code = EXIT_OK if rep.singleton else EXIT_NEGATIVE
+    return code, (payload, None)
 
 
 def cmd_probe(args) -> tuple[int, object]:
@@ -521,10 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["table", "json", "csv"],
                         default="table")
-    # accepted before or after the subcommand
+    # also after each command, the innermost winning: a sub-parser copies
+    # its namespace over its parent's, so it sets no default of its own
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", dest="format_sub",
-                        choices=["table", "json", "csv"], default=None)
+    common.add_argument("--format", choices=["table", "json", "csv"],
+                        default=argparse.SUPPRESS)
 
     def with_common(**kw):
         return argparse.ArgumentParser(parents=[common], **kw)
@@ -626,8 +615,7 @@ def main(argv=None) -> int:
         code, (payload, model) = handlers[args.command](args)
         seed = getattr(args, "seed", None)
         manifest = _manifest(argv, model=model, seed=seed, started=started)
-        fmt = getattr(args, "format_sub", None) or args.format
-        text = render(payload, fmt, manifest=manifest)
+        text = render(payload, args.format, manifest=manifest)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

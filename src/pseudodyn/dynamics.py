@@ -20,36 +20,50 @@ from itertools import compress, islice
 from .errors import CapabilityError, InputError
 from .pseudogroup import (GeneratingSystem, PartialMap, WordClosure,
                           below_flags, table_ball)
-from .rational import parse_radius, parse_rational
+from .rational import format_rational, parse_radius, parse_rational
 from .space import UNDEFINED_BYTE, PointSet
 
 EXACT_CLIQUE_CAP = 20
 N_MAX_CAP = 10_000
 
 
-def check_n_max(n_max: int) -> None:
-    """Refuse an explicit table length past ``N_MAX_CAP``, before any row."""
+def check_n_max(n_max: int) -> int:
+    """An explicit table length, refused below 1 or past ``N_MAX_CAP``
+    before any row."""
+    if n_max < 1:
+        raise InputError("n_max must be at least 1")
     if n_max > N_MAX_CAP:
         raise CapabilityError(
             f"n_max is capped at N_MAX_CAP = {N_MAX_CAP} (got {n_max}); "
             "rows past the fixpoint level repeat")
+    return n_max
+
+
+def parse_grid(eps_grid) -> list[Fraction]:
+    """The grid rule of the library and of ``--eps-grid``: the given scales
+    in their given order.  A grid must be nonempty, a scale <= 0 has empty
+    open balls, and a scale given twice, by any spelling, would repeat its
+    rows; each is an input error, and a repeat's message names the option."""
+    scales = [parse_rational(e) for e in eps_grid]
+    if not scales:
+        raise InputError("need a nonempty eps grid")
+    if any(eps <= 0 for eps in scales):
+        raise InputError("scale must be positive")
+    for k, eps in enumerate(scales):
+        if eps in scales[:k]:
+            raise InputError(f"--eps-grid gives the scale "
+                             f"{format_rational(eps)} twice")
+    return scales
 
 
 def grid_scales(space, eps_grid) -> list[tuple[Fraction, int]]:
-    """The one grid rule: ``(eps, t)`` for every scale of a grid query,
-    with t its open rank threshold.  With ``eps_grid`` None the scales are
-    the distance grid, where the value of rank t has threshold t (none on
-    one point); otherwise they are the given scales in their given order.
-    A given grid must be nonempty, and a scale <= 0 has empty open balls,
-    so either is an input error rather than an empty or zero answer."""
+    """``(eps, t)`` for every scale of a grid query, with t its open rank
+    threshold.  With ``eps_grid`` None the scales are the distance grid,
+    where the value of rank t has threshold t (none on one point);
+    otherwise they are ``parse_grid``'s."""
     if eps_grid is None:
         return [(eps, t) for t, eps in enumerate(space.distance_grid(), 1)]
-    scales = [parse_rational(e) for e in eps_grid]
-    if not scales:
-        raise InputError("need a nonempty eps grid and n_max >= 1")
-    if any(e <= 0 for e in scales):
-        raise InputError("scale must be positive")
-    return [(eps, space.threshold(eps)) for eps in scales]
+    return [(eps, space.threshold(eps)) for eps in parse_grid(eps_grid)]
 
 
 @dataclass(frozen=True)
@@ -336,8 +350,6 @@ def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8) -> HTopTab
     is 0; the rows still show the per-(n, eps) structure.
     """
     check_n_max(n_max)
-    if n_max < 1:
-        raise InputError("need a nonempty eps grid and n_max >= 1")
     scales = sorted(grid_scales(sys.space, eps_grid))
     mode = "exact" if sys.space.n <= EXACT_CLIQUE_CAP else "greedy"
     level = sys.fixpoint_level
@@ -347,7 +359,7 @@ def h_top_table(sys: GeneratingSystem, eps_grid=None, n_max: int = 8) -> HTopTab
             # past the tables' fixpoint the table, hence the count, is fixed
             if n <= level:
                 rep = separated_count(sys, n, eps, mode=mode)
-            rate = math.log(rep.lower) / n if rep.lower > 0 else float("-inf")
+            rate = math.log(rep.lower) / n  # a separated set has a point
             rows.append(HTopRow(eps=eps, n=n, count_lower=rep.lower,
                                 count_upper=rep.upper, rate=rate))
     note = (f"counts are bounded by |X| = {sys.space.n}, so the large-n "

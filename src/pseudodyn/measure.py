@@ -287,13 +287,8 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     _same_space(mu, sys)
     space = sys.space
     xi = space._point(x)
-    if n_max is None:
-        n_max = sys.fixpoint_level
-    else:
-        check_n_max(n_max)
+    n_max = sys.fixpoint_level if n_max is None else check_n_max(n_max)
     scales = sorted(grid_scales(space, eps_grid))
-    if n_max < 1:
-        raise InputError("need a nonempty eps grid and n_max >= 1")
     cells = []
     for eps, t in scales:
         old = None
@@ -349,11 +344,8 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     space = sys.space
     level = sys.fixpoint_level
     grid = space.distance_grid()
+    n_max = level if n_max is None else check_n_max(n_max)
     scales = grid_scales(space, eps_grid)
-    if n_max is None:
-        n_max = level
-    if n_max < 1:
-        raise InputError("need a nonempty eps grid and n_max >= 1")
     # every n past the fixpoint reads the same table, so adds no cell
     n_range = range(1, min(n_max, level) + 1)
     cap = HOMOGENEITY_LADDER_CAP.numerator

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
 from . import morphism
@@ -21,8 +22,8 @@ from .equicont import _modulus, no_expansive_certificate_group
 from .errors import InputError
 from .measure import FiniteMeasure, expansiveness_verdict, is_homogeneous
 from .pseudogroup import (GeneratingSystem, GermRelation, PartialMap, WordClosure,
-                          _closure, compacted_system, separation_radius,
-                          table_ball)
+                          _closure, _union_roots, compacted_system,
+                          separation_radius, table_ball)
 from .rational import is_unbounded
 from .space import FiniteMetricSpace
 
@@ -531,28 +532,16 @@ def pair_orbit_table(group: GeneratingSystem) -> list[list[int]]:
     over the group's closure without building it, and it is not the pair
     tables' backward max-push, so it checks them independently."""
     n = group.space.n
-    ranks = group.space.distance_ranks()[0]
-    parent = list(range(n * n))
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    for g in group.generators:
-        vals = g.vals
-        for i in range(n):
-            for j in range(n):
-                a, b = find(i * n + j), find(vals[i] * n + vals[j])
-                if a != b:
-                    parent[a] = b
+    # pair (i, j) is i * n + j, and g takes it to (g i) * n + g j
+    roots = _union_roots(n * n, chain.from_iterable(
+        zip(range(n * n), [a * n + b for a in g.vals for b in g.vals])
+        for g in group.generators))
     top = [0] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            root = find(i * n + j)
-            top[root] = max(top[root], ranks[i][j])
-    return [[top[find(i * n + j)] for j in range(n)] for i in range(n)]
+    for root, rank in zip(roots, chain.from_iterable(
+            group.space.distance_ranks()[0])):
+        top[root] = max(top[root], rank)
+    return [[top[root] for root in roots[i * n:(i + 1) * n]]
+            for i in range(n)]
 
 
 def stmt_group_claim(ctx: ProbeContext) -> Outcome:
@@ -725,16 +714,15 @@ def question_probe(topic: str, spec: InstanceSpec) -> QuestionSurvey:
                          f"choose from {QUESTION_TOPICS}")
     agreements = 0
     disagreements = []
-    note = ""
     for i in range(spec.count):
         sys, mu = random_genome(spec, i).build()
-        note = "homogeneity verdicts for the system vs its core restriction"
         a = is_homogeneous(mu, sys).ok
         b = is_homogeneous(mu, compacted_system(sys)).ok
         if a == b:
             agreements += 1
         else:
             disagreements.append((i, f"original={a} compacted={b}"))
-    return QuestionSurvey(topic=topic, instances=spec.count,
-                          agreements=agreements, disagreements=disagreements,
-                          note=note)
+    return QuestionSurvey(
+        topic=topic, instances=spec.count, agreements=agreements,
+        disagreements=disagreements,
+        note="homogeneity verdicts for the system vs its core restriction")

@@ -404,21 +404,15 @@ class _PairTables:
     __slots__ = ("tables", "_pulls", "_raised", "_copy")
 
     def __init__(self, space: FiniteMetricSpace, generators):
-        n = space.n
         ranks, values = space.distance_ranks()
         narrow = len(values) <= 256
         self._copy = bytearray if narrow else list
         self.tables = [list(map(bytes if narrow else list, ranks))]
-        self._pulls = []  # pull[a] = g^-1 a, or None off g's range
-        for g in generators:
-            if not g.is_identity():
-                pull = [None] * n
-                for i, a in enumerate(g.vals):
-                    if a is not None:
-                        pull[a] = i
-                self._pulls.append(pull)
+        # pull[a] = g^-1 a, or None off g's range
+        self._pulls = [g.inverse().vals for g in generators
+                       if not g.is_identity()]
         # row a -> the columns b > a raised in it
-        self._raised = {a: range(a + 1, n) for a in range(n - 1)}
+        self._raised = {a: range(a + 1, space.n) for a in range(space.n - 1)}
 
     def table(self, n) -> list[Sequence[int]]:
         if n < 1:
@@ -765,23 +759,29 @@ class GermRelation:
         return list(self._components)
 
     def _find_components(self) -> tuple[frozenset[int], ...]:
-        n = self.space.n
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in self.pairs:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
         groups: dict[int, set[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), set()).add(i)
+        for i, root in enumerate(_union_roots(self.space.n, self.pairs)):
+            groups.setdefault(root, set()).add(i)
         return tuple(sorted((frozenset(v) for v in groups.values()), key=min))
+
+
+def _union_roots(size: int, edges) -> list[int]:
+    """Union-find over ``range(size)``: each element's root once every
+    edge ``(a, b)`` has joined its ends, so two elements share a root
+    exactly when a path of edges connects them."""
+    parent = list(range(size))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(a) for a in range(size)]
 
 
 def germ_relation(sys: GeneratingSystem) -> GermRelation:

@@ -7,10 +7,8 @@ import pytest
 from pseudodyn import (UNBOUNDED, FiniteMetricSpace, GeneratingSystem,
                        PartialMap, compacted_system, cylinder_measure,
                        dyn_ball_cylinder, is_unbounded)
-from pseudodyn.errors import InputError
 from pseudodyn.measure import (HOMOGENEITY_LADDER_CAP, HomogeneityReport,
                                HomogeneityWitness)
-from pseudodyn.rational import parse_rational
 from pseudodyn.shift import ShiftPoint
 
 
@@ -265,25 +263,17 @@ def reference_to_jsonable(obj):
 # delta's threshold read with ``threshold``: the reference for
 # ``measure.is_homogeneous``'s integer search, which must take the same
 # walk (the same witnesses, degenerate flag and counterexample).
+# ``measures(t, n)`` is the ball-measure route: every point's open ball
+# measure at rank threshold t and word length n, as numerators over
+# ``mu.den`` or as ``Fraction``s.  The default grid is the distance grid,
+# empty on one point, where the search finds nothing to refute.
 
-def reference_is_homogeneous(mu, sys, eps_grid=None, n_max=None):
+def reference_is_homogeneous(sys, measures, eps_grid=None):
     space = sys.space
-    level = sys.fixpoint_level
     grid = space.distance_grid()
     if eps_grid is None:
         eps_grid = grid
-    eps_grid = [parse_rational(e) for e in eps_grid]
-    if any(e <= 0 for e in eps_grid):
-        raise InputError("scale must be positive")
-    if n_max is None:
-        n_max = level
-    if not eps_grid or n_max < 1:
-        raise InputError("need a nonempty eps grid and n_max >= 1")
-    n_range = range(1, min(n_max, level) + 1)
-
-    def measures(t, n):
-        return mu.ball_numerators(sys.constraint_table(n), t)
-
+    n_range = range(1, sys.fixpoint_level + 1)
     witnesses = {}
     degenerate = False
     counterexample = None

@@ -257,19 +257,16 @@ def assert_moduli_match_two_scan_reference(system) -> dict:
     (it is built from the pair tables, not taken from the closure) and
     the reference's labels; ``modulus_at`` agrees over the system and
     over the closure's maps; the audit accepts over the maps and over them
-    as a plain list.  Returns the reference modulus per grid eps, None
-    where it is unbounded."""
+    as a plain list.  Every grid modulus is bounded: the total identity
+    spreads the pairs at each grid distance.  Returns the reference
+    modulus per grid eps."""
     maps, space = closure_maps(system), system.space
     want = {eps: reference_modulus_and_witness(maps, space, eps)
             for eps in space.distance_grid()}
     cert = equicontinuity_modulus(system)
     for eps, (delta, witness) in want.items():
+        assert delta is not None
         moduli = [modulus_at(route, space, eps) for route in (system, maps)]
-        if delta is None:
-            assert is_unbounded(cert.table[eps])
-            assert all(is_unbounded(m) for m in moduli)
-            assert cert.witnesses[eps] is None
-            continue
         assert cert.table[eps] == delta == moduli[0] == moduli[1]
         got = cert.witnesses[eps]
         assert (got[0].vals, got[0].word) == (witness[0].vals,
@@ -286,8 +283,7 @@ def test_modulus_and_witness_match_two_scan_reference():
     for idx in range(spec.count):
         sys_i, _ = random_instance(spec, idx)
         for s in (sys_i, compacted_system(sys_i)):
-            deltas = assert_moduli_match_two_scan_reference(s)
-            checked += sum(d is not None for d in deltas.values())
+            checked += len(assert_moduli_match_two_scan_reference(s))
     assert checked > 200
 
 
@@ -296,8 +292,7 @@ def assert_group_moduli_match_two_scan_reference(group) -> None:
     delta at every grid rho, equal the two-scan reference."""
     deltas = assert_moduli_match_two_scan_reference(group)
     for rho, delta in deltas.items():
-        got = no_expansive_certificate_group(group, rho).delta
-        assert is_unbounded(got) if delta is None else got == delta
+        assert no_expansive_certificate_group(group, rho).delta == delta
 
 
 def test_group_moduli_match_two_scan_reference():

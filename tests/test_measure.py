@@ -11,8 +11,7 @@ from pseudodyn import (FiniteMeasure, FiniteMetricSpace, GeneratingSystem,
                        invariant_sets, is_ergodic, is_homogeneous,
                        is_invariant_measure, local_entropy, orbit_components)
 from pseudodyn.dynamics import h_top_table
-from pseudodyn.measure import (HOMOGENEITY_LADDER_CAP, ExpansivenessVerdict,
-                               HomogeneityReport, HomogeneityWitness,
+from pseudodyn.measure import (ExpansivenessVerdict, HomogeneityReport,
                                LocalEntropyTable, _weight)
 from pseudodyn.probes import InstanceSpec, random_genome
 from pseudodyn.pseudogroup import compacted_system, table_ball
@@ -119,12 +118,15 @@ def test_local_entropy_zero_measure_cells_are_inf(line, identity_system):
 @pytest.mark.parametrize("n_max", [0, -3])
 def test_n_max_below_one_is_input_error(line, identity_system, n_max):
     """No n means no ball to measure: refuse instead of answering vacuously
-    (the default n_max finds the point mass inhomogeneous)."""
+    (the default n_max finds the point mass inhomogeneous), naming n_max
+    and not the grid."""
     pm = FiniteMeasure.point_mass(line, 0)
-    with pytest.raises(InputError, match="n_max"):
+    with pytest.raises(InputError, match="^n_max must be at least 1$"):
         local_entropy(pm, identity_system, 0, n_max=n_max)
-    with pytest.raises(InputError, match="n_max"):
+    with pytest.raises(InputError, match="^n_max must be at least 1$"):
         is_homogeneous(pm, identity_system, n_max=n_max)
+    with pytest.raises(InputError, match="^n_max must be at least 1$"):
+        h_top_table(identity_system, n_max=n_max)
 
 
 def test_local_entropy_empty_grid_is_input_error(line, line_system):
@@ -156,6 +158,20 @@ def test_nonpositive_scale_is_input_error(line, line_system, eps):
         local_entropy(mu, line_system, 0, eps_grid=[1, eps])
     with pytest.raises(InputError, match="scale must be positive"):
         is_homogeneous(mu, line_system, eps_grid=[eps])
+
+
+@pytest.mark.parametrize("grid", [[1, 1], [Fraction(1, 2), 2, "0.5"]])
+def test_grid_queries_refuse_a_repeated_scale(line, line_system, grid):
+    """A scale given twice, by any spelling, would repeat its rows or
+    collapse its witnesses: the three grid queries refuse it, as
+    ``--eps-grid`` does."""
+    mu = FiniteMeasure.uniform(line)
+    queries = [lambda: h_top_table(line_system, eps_grid=grid),
+               lambda: local_entropy(mu, line_system, 0, eps_grid=grid),
+               lambda: is_homogeneous(mu, line_system, eps_grid=grid)]
+    for query in queries:
+        with pytest.raises(InputError, match="gives the scale .* twice"):
+            query()
 
 
 def test_homogeneity_empty_grid_is_input_error(line, identity_system):
@@ -250,70 +266,16 @@ def ref_mu(mu, subset) -> Fraction:
     return sum((mu.weights[i] for i in subset), Fraction(0))
 
 
-def ref_is_homogeneous(mu, sys, eps_grid=None, n_max=None):
-    """Reference homogeneity search with ``Fraction`` ball measures."""
-    space = sys.space
+def fraction_ball_measures(mu, sys):
+    """The reference's ball-measure route: each ball read from the word
+    closure's constraint table, its weights summed one by one."""
     closure = sys.word_closure()
-    grid = space.distance_grid()
-    if eps_grid is None:
-        eps_grid = grid
-    eps_grid = [parse_rational(e) for e in eps_grid]
-    if any(e <= 0 for e in eps_grid):
-        raise InputError("scale must be positive")
-    if n_max is None:
-        n_max = closure.stable_index
-    n_range = range(1, min(n_max, closure.stable_index) + 1)
 
     def measures(t, n):
         table = closure.constraint_table(n)
-        return [ref_mu(mu, table_ball(table, i, t)) for i in range(space.n)]
-
-    witnesses = {}
-    degenerate = False
-    counterexample = None
-    ok = True
-    for eps in eps_grid:
-        t_eps = space.threshold(eps)
-        candidates = [eps] + [d for d in reversed(grid) if d != eps]
-        found = None
-        fail_cell = None
-        for delta in candidates:
-            t_delta = space.threshold(delta)
-            c_needed = Fraction(0)
-            feasible = True
-            for n in n_range:
-                denom = measures(t_eps, n)
-                numer = measures(t_delta, n)
-                lo = min(denom)
-                hi = max(numer)
-                if lo == 0:
-                    if hi == 0:
-                        degenerate = True
-                        continue
-                    feasible = False
-                    fail_cell = (eps, space.label(denom.index(lo)),
-                                 space.label(numer.index(hi)), n)
-                    break
-                c_needed = max(c_needed, hi / lo)
-            if not feasible:
-                continue
-            if c_needed > HOMOGENEITY_LADDER_CAP:
-                fail_cell = fail_cell or (eps, None, None, None)
-                continue
-            c_exact = max(c_needed, Fraction(1))
-            ladder = Fraction(1)
-            while ladder < c_exact:
-                ladder *= 2
-            found = HomogeneityWitness(eps=eps, delta=delta,
-                                       c_exact=c_exact, c_ladder=ladder)
-            break
-        if found is None:
-            ok = False
-            counterexample = counterexample or fail_cell
-        else:
-            witnesses[eps] = found
-    return HomogeneityReport(ok=ok, witnesses=witnesses, degenerate=degenerate,
-                             counterexample=counterexample)
+        return [ref_mu(mu, table_ball(table, i, t))
+                for i in range(sys.space.n)]
+    return measures
 
 
 def ref_expansiveness_verdict(mu, sys, delta):
@@ -370,7 +332,7 @@ def reference_radii(space):
     diameter."""
     grid = space.distance_grid()
     mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
-    return [Fraction(0), *grid, *mids, grid[-1] + 1]
+    return [Fraction(0), *grid, *mids, max(grid, default=0) + 1]
 
 
 def reference_systems(count=60):
@@ -413,11 +375,16 @@ def test_ball_numerators_match_fraction_sums():
 
 def test_verdicts_match_fraction_reference():
     """Whole homogeneity reports and expansiveness verdicts equal the
-    reference on every measure, at every radius for the verdict."""
-    for sys_i, mu_i in reference_systems():
+    reference on every measure, at every radius for the verdict, on the
+    seeded systems and on one point, whose default grid is empty."""
+    one = FiniteMetricSpace(["a"], [[0]])
+    systems = [*reference_systems(),
+               (GeneratingSystem.build(one, []), FiniteMeasure.uniform(one))]
+    for sys_i, mu_i in systems:
         space = sys_i.space
         for mu in reference_measures(space, mu_i):
-            assert is_homogeneous(mu, sys_i) == ref_is_homogeneous(mu, sys_i)
+            assert is_homogeneous(mu, sys_i) == reference_is_homogeneous(
+                sys_i, fraction_ball_measures(mu, sys_i))
             for r in reference_radii(space):
                 assert expansiveness_verdict(mu, sys_i, r) \
                     == ref_expansiveness_verdict(mu, sys_i, r)
@@ -470,12 +437,17 @@ def test_integer_homogeneity_search_matches_the_fraction_walk():
         space = sys_i.space
         grid = space.distance_grid()
         mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        # the mixed grid names grid[0] once on a one-value grid, as the
+        # grid rule refuses a repeated scale
         grids = [None, [grid[0] / 2, *mids, grid[-1] + 1],
-                 [grid[-1], *mids[:2], grid[0], grid[0] / 3]]
+                 list(dict.fromkeys([grid[-1], *mids[:2], grid[0],
+                                     grid[0] / 3]))]
         for mu in reference_measures(space, mu_i) + capped_measures(space):
             for eps_grid in grids:
                 got = is_homogeneous(mu, sys_i, eps_grid)
-                assert got == reference_is_homogeneous(mu, sys_i, eps_grid)
+                assert got == reference_is_homogeneous(
+                    sys_i, lambda t, n: mu.ball_numerators(
+                        sys_i.constraint_table(n), t), eps_grid)
                 cell = got.counterexample
                 seen["capped"] += cell is not None and cell[1] is None
                 seen["empty ball"] += cell is not None and cell[1] is not None

@@ -455,6 +455,48 @@ def test_cli_htop_csv(model_path, capsys):
     assert "count_lower" in out
 
 
+SHIFT_HTOP = ["htop", "--eps", "1/2", "--n", "1"]
+
+
+def printed_format(out: str) -> str:
+    """json opens with a brace; a csv record joins its path and value with
+    a comma, a table line with a colon."""
+    first = out.split("\n", 1)[0]
+    return "json" if first == "{" else "csv" if "," in first else "table"
+
+
+@pytest.mark.parametrize("argv,fmt", [
+    (["--format", "csv", "shift", *SHIFT_HTOP], "csv"),
+    (["shift", *SHIFT_HTOP, "--format", "csv"], "csv"),
+    (["shift", "--format", "csv", *SHIFT_HTOP], "csv"),
+    (["--format", "csv", "shift", "--format", "json", *SHIFT_HTOP], "json"),
+    (["--format", "json", "shift", "--format", "table", *SHIFT_HTOP,
+      "--format", "csv"], "csv"),
+    (["shift", *SHIFT_HTOP], "table"),
+    (["--format", "csv", "htop", "--model", "{model}"], "csv"),
+    (["htop", "--model", "{model}", "--format", "csv"], "csv"),
+    (["--format", "json", "htop", "--format", "csv", "--model", "{model}"],
+     "csv"),
+], ids=["before", "after", "between", "between-and-before", "repeated",
+        "none", "model-before", "model-after", "model-repeated"])
+def test_cli_format_innermost_wins(model_path, capsys, argv, fmt):
+    """``--format`` is read before the command, after it and between
+    ``shift`` and its sub-command; given more than once, the innermost
+    wins, and given nowhere, the output is a table."""
+    argv = [a.replace("{model}", model_path) for a in argv]
+    assert main(argv) == 0
+    assert printed_format(capsys.readouterr().out) == fmt
+
+
+@pytest.mark.parametrize("command", [["htop"], ["entropy", "--x", "a"]])
+def test_cli_n_max_below_one_names_n_max(model_path, capsys, command):
+    """``--n-max 0`` on a valid model blames n_max, not an eps grid the
+    user never gave."""
+    assert main([command[0], "--model", model_path, *command[1:],
+                 "--n-max", "0"]) == 2
+    assert capsys.readouterr().err == "input error: n_max must be at least 1\n"
+
+
 def test_cli_entropy(model_path, capsys):
     code = main(["entropy", "--model", model_path, "--x", "a", "--n-max", "3"])
     assert code == 0

@@ -401,17 +401,8 @@ def test_is_isometric_matches_the_distance_comparison():
             # the pulled-back ranks it reads serve the moduli too
             for eps in iso.dst.distance_grid():
                 assert iso.forward_modulus(eps) \
-                    == reference_modulus(iso, eps)
+                    == reference_forward_modulus(iso, eps)
     assert outcomes[True] >= 300 and outcomes[False] >= 300
-
-
-def reference_modulus(iso, eps):
-    """The least source distance among pairs whose images are eps or
-    farther apart, from the distances."""
-    src, dst, fwd = iso.src, iso.dst, iso.fwd
-    spread = [src.dist[i][j] for i in range(src.n) for j in range(src.n)
-              if dst.dist[fwd[i]][fwd[j]] >= eps]
-    return min(spread) if spread else UNBOUNDED
 
 
 def test_conjugate_past_the_cap_names_htop_and_conjugates_nothing(
