@@ -26,8 +26,8 @@ from . import dynamics, equicont, measure, morphism, probes, shift
 from .errors import CapabilityError, InputError
 from .model import load_iso, load_measure, load_model
 from .pseudogroup import PartialMap
-from .rational import (format_rational, is_unbounded, parse_radius,
-                       parse_rational)
+from .rational import (check_length, format_rational, is_unbounded,
+                       parse_radius, parse_rational)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -248,7 +248,7 @@ def _measure(args, model):
 def cmd_ball(args) -> tuple[int, object]:
     model = load_model(args.model)
     rep = dynamics.dyn_ball(model.system, model.space.index(args.x), args.n,
-                            parse_rational(args.eps), closed=args.closed)
+                            args.eps, closed=args.closed)
     space = model.space
     payload = {
         "center": rep.center,
@@ -264,7 +264,7 @@ def cmd_ball(args) -> tuple[int, object]:
 def cmd_bowen(args) -> tuple[int, object]:
     model = load_model(args.model)
     rep = dynamics.bowen_ball(model.system, model.space.index(args.x),
-                              parse_rational(args.delta))
+                              args.delta)
     space = model.space
     payload = {
         "center": rep.center,
@@ -305,7 +305,7 @@ def cmd_check(args) -> tuple[int, object]:
                          f"not --what {args.what}")
     if args.delta is None and args.what == "expansive":
         raise InputError("--delta is required for the expansiveness check")
-    delta = None if args.delta is None else parse_rational(args.delta)
+    delta = None if args.delta is None else parse_radius(args.delta)
     model = load_model(args.model)
     mu = _measure(args, model)
     if mu is None:
@@ -409,7 +409,7 @@ def cmd_equicont(args) -> tuple[int, object]:
 
 def cmd_shift(args) -> tuple[int, object]:
     if args.shift_command == "htop":
-        rep = shift.htop_shift(parse_rational(args.eps), args.n)
+        rep = shift.htop_shift(args.eps, args.n)
         payload = {
             "eps": rep.eps, "n": rep.n,
             "count_lower": rep.lower, "count_upper": rep.upper,
@@ -418,9 +418,9 @@ def cmd_shift(args) -> tuple[int, object]:
             "limit": "2 log 2",
         }
         return EXIT_OK, (payload, None)
-    spec = shift.BernoulliSpec(parse_rational(args.p))
+    spec = shift.BernoulliSpec(args.p)
     if args.shift_command == "entropy":
-        val = shift.measure_entropy_shift(spec, parse_rational(args.eps), args.n)
+        val = shift.measure_entropy_shift(spec, args.eps, args.n)
         payload = {
             "eps": val.eps, "n": val.n, "window_radius": val.s,
             "ball_interval": val.ball.interval,
@@ -433,10 +433,11 @@ def cmd_shift(args) -> tuple[int, object]:
         return EXIT_OK, (payload, None)
     if args.shift_command == "ball":
         x = shift.ShiftPoint.from_string(args.x, center=args.center)
-        cyl = shift.dyn_ball_cylinder(x, args.n, parse_rational(args.eps))
-        sandwich = shift.dyn_ball_cylinder_bounds(x, args.n, parse_rational(args.eps))
+        eps = parse_rational(args.eps)
+        cyl = shift.dyn_ball_cylinder(x, args.n, eps)
+        sandwich = shift.dyn_ball_cylinder_bounds(x, args.n, eps)
         payload = {
-            "x": x, "n": args.n, "eps": parse_rational(args.eps),
+            "x": x, "n": args.n, "eps": eps,
             "cylinder": {"interval": cyl.interval, "block": list(cyl.block)},
             "inner_interval": sandwich.inner.interval,
             "outer_interval": None if sandwich.outer is None
@@ -446,7 +447,7 @@ def cmd_shift(args) -> tuple[int, object]:
         return EXIT_OK, (payload, None)
     # the sub-commands are required, so this is shift bowen
     x = shift.ShiftPoint.from_string(args.x, center=args.center)
-    rep = shift.bowen_ball_shift(x, parse_rational(args.delta), spec=spec)
+    rep = shift.bowen_ball_shift(x, args.delta, spec=spec)
     payload = {
         "delta": rep.delta, "singleton": rep.singleton,
         "measure_zero": rep.measure_zero,
@@ -462,8 +463,7 @@ def cmd_shift(args) -> tuple[int, object]:
 def cmd_probe(args) -> tuple[int, object]:
     if args.survey and args.statements is not None:
         raise InputError("--statements is not read with --survey")
-    if args.seeds < 1:
-        raise InputError("--seeds must be at least 1")
+    check_length(args.seeds, "--seeds")
     spec = probes.InstanceSpec(seed=args.seed, count=args.seeds)
     if args.survey:
         survey = probes.question_probe(args.survey, spec)
@@ -587,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("probe", "verify"):
         p = sub.add_parser(name, help="randomized statement conformance suite")
         p.add_argument("--seeds", type=int, default=500)
-        p.add_argument("--seed", default=0)
+        p.add_argument("--seed", default="0")
         p.add_argument("--statements")
         p.add_argument("--survey", choices=probes.QUESTION_TOPICS)
 

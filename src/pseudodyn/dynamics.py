@@ -20,7 +20,8 @@ from itertools import compress, islice
 from .errors import CapabilityError, InputError
 from .pseudogroup import (GeneratingSystem, PartialMap, WordClosure,
                           below_flags, table_ball)
-from .rational import format_rational, parse_radius, parse_rational
+from .rational import (check_length, format_rational, parse_radius,
+                       parse_scale)
 from .space import UNDEFINED_BYTE, PointSet
 
 EXACT_CLIQUE_CAP = 20
@@ -28,11 +29,8 @@ N_MAX_CAP = 10_000
 
 
 def check_n_max(n_max: int) -> int:
-    """An explicit table length, refused below 1 or past ``N_MAX_CAP``
-    before any row."""
-    if n_max < 1:
-        raise InputError("n_max must be at least 1")
-    if n_max > N_MAX_CAP:
+    """An explicit table length (``check_length``), capped at N_MAX_CAP."""
+    if check_length(n_max, "n_max") > N_MAX_CAP:
         raise CapabilityError(
             f"n_max is capped at N_MAX_CAP = {N_MAX_CAP} (got {n_max}); "
             "rows past the fixpoint level repeat")
@@ -41,17 +39,14 @@ def check_n_max(n_max: int) -> int:
 
 def parse_grid(eps_grid) -> list[Fraction]:
     """The grid rule of the library and of ``--eps-grid``: the given scales
-    in their given order.  A grid must be nonempty, a scale <= 0 has empty
-    open balls, and a scale given twice, by any spelling, would repeat its
-    rows; each is an input error, and a repeat's message names the option."""
-    scales = [parse_rational(e) for e in eps_grid]
+    in their given order, nonempty, each positive (``parse_scale``), and
+    none given twice by any spelling, which would repeat its rows."""
+    scales = [parse_scale(e) for e in eps_grid]
     if not scales:
         raise InputError("need a nonempty eps grid")
-    if any(eps <= 0 for eps in scales):
-        raise InputError("scale must be positive")
     for k, eps in enumerate(scales):
         if eps in scales[:k]:
-            raise InputError(f"--eps-grid gives the scale "
+            raise InputError(f"the eps grid gives the scale "
                              f"{format_rational(eps)} twice")
     return scales
 
@@ -87,8 +82,7 @@ def dyn_ball(sys: GeneratingSystem, x, n: int, eps,
     """Dynamical n-ball around point index ``x`` with radius ``eps``: a
     row of the constraint table, with each non-member's first blocking word."""
     eps = parse_radius(eps)
-    if n < 1:
-        raise InputError("n must be at least 1")
+    check_length(n)
     space = sys.space
     xi = space._point(x)
     closure = sys.word_closure()
@@ -142,8 +136,7 @@ def dyn_ball_via_formula(sys: GeneratingSystem, x, n: int, eps,
     its own point.
     """
     eps = parse_radius(eps)
-    if n < 1:
-        raise InputError("n must be at least 1")
+    check_length(n)
     space = sys.space
     xi = space._point(x)
     closure = closure or sys.word_closure()
@@ -206,6 +199,7 @@ def bowen_ball(sys: GeneratingSystem, x, delta) -> BallReport:
     """Exact Bowen ball around point index ``x``: the closed dynamical ball
     at the pair fixpoint level L, from which the tables, hence the nested
     intersection, are constant; words of length L block every non-member."""
+    delta = parse_radius(delta)
     return dyn_ball(sys, x, sys.fixpoint_level, delta, closed=True)
 
 
@@ -226,7 +220,7 @@ _EDGE_DIGITS = b"10" + bytes(254)
 def separation_graph(sys: GeneratingSystem, n: int, eps) -> list[int]:
     """Adjacency bitmasks: an edge joins two points some shared word pushes
     at least ``eps`` apart."""
-    t = sys.space.threshold(parse_rational(eps))
+    t = sys.space.threshold(parse_scale(eps))
     flags = below_flags(sys.constraint_table(n), t)
     # bit j of a row's mask is its cell j, so the digits run from the last
     return [int(row.translate(_EDGE_DIGITS)[::-1], 2) & ~(1 << i)
@@ -241,11 +235,8 @@ def separated_count(sys: GeneratingSystem, n: int, eps,
     branch-and-bound maximum clique (instances up to 20 points); ``greedy``
     reports a maximal clique as the lower bound and |X| as the upper.
     """
-    eps = parse_rational(eps)
-    if n < 1:
-        raise InputError("n must be at least 1")
-    if eps <= 0:
-        raise InputError("separation scale must be positive")
+    eps = parse_scale(eps)
+    check_length(n)
     npts = sys.space.n
     adj = separation_graph(sys, n, eps)
     if mode == "exact":
@@ -302,7 +293,7 @@ def _max_clique(adj: list[int], npts: int) -> tuple[int, int]:
 
 def brute_force_separated(sys: GeneratingSystem, n: int, eps) -> int:
     """Exhaustive maximum over all subsets; oracle for small instances."""
-    eps = parse_rational(eps)
+    eps = parse_scale(eps)
     npts = sys.space.n
     if npts > 14:
         raise CapabilityError("brute-force oracle is for small instances only")

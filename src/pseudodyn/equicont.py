@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import CapabilityError, PreconditionError
 from .pseudogroup import GeneratingSystem, spread_table
-from .rational import UNBOUNDED, is_unbounded, parse_radius, parse_rational
+from .rational import UNBOUNDED, is_unbounded, parse_radius
 from .space import FiniteMetricSpace
 
 
@@ -104,7 +104,7 @@ def modulus_at(source, space: FiniteMetricSpace, eps):
     or beyond; UNBOUNDED when no map ever does.  ``source`` is a system,
     which stands for its closure without building it, or a closure's
     ``ClosureMaps``."""
-    t = space.threshold(parse_rational(eps))
+    t = space.threshold(parse_radius(eps))
     return _modulus(_spread(source), space, t)[0]
 
 

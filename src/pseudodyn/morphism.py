@@ -17,8 +17,8 @@ from .dynamics import EXACT_CLIQUE_CAP, h_top_table
 from .equicont import _modulus
 from .errors import CapabilityError, InputError
 from .measure import FiniteMeasure
-from .pseudogroup import GeneratingSystem, PartialMap
-from .rational import is_unbounded, parse_rational
+from .pseudogroup import GeneratingSystem, PartialMap, _inverse_table
+from .rational import is_unbounded, parse_radius, parse_scale
 from .space import FiniteMetricSpace, PointSet
 
 
@@ -33,13 +33,10 @@ class SpaceIso:
         fwd = tuple(fwd)
         if sorted(fwd) != list(range(dst.n)):
             raise InputError("mapping is not a bijection")
-        inv = [0] * dst.n
-        for i, v in enumerate(fwd):
-            inv[v] = i
         self.src = src
         self.dst = dst
         self.fwd = fwd
-        self.inv = tuple(inv)
+        self.inv = _inverse_table(fwd)
         self._pulled = None  # pulled-back ranks and inverse: built on first use
         self._inverse = None
 
@@ -80,7 +77,7 @@ class SpaceIso:
         """Largest threshold delta with d_src(u,v) < delta implying
         d_dst(phi u, phi v) < eps: the least source distance among pairs
         whose images are eps or farther apart (UNBOUNDED if none)."""
-        t = self.dst.threshold(parse_rational(eps))
+        t = self.dst.threshold(parse_radius(eps))
         return _modulus(self._pulled_ranks(), self.src, t)[0]
 
     def _pulled_ranks(self) -> tuple:
@@ -94,6 +91,7 @@ class SpaceIso:
         return self._pulled
 
     def inverse_modulus(self, eps):
+        eps = parse_radius(eps)
         if self._inverse is None:
             self._inverse = self.inverted()
         return self._inverse.forward_modulus(eps)
@@ -132,9 +130,7 @@ def transfer_expansive_constant(eta, iso: SpaceIso) -> Fraction:
     Falls back to m / 2 when no grid value qualifies, and to the target
     diameter when m is unbounded.
     """
-    eta = parse_rational(eta)
-    if eta <= 0:
-        raise InputError("eta must be positive")
+    eta = parse_scale(eta, "eta")
     bound = iso.inverse_modulus(eta)
     if is_unbounded(bound):
         return iso.dst.diameter()

@@ -15,7 +15,7 @@ from itertools import compress, islice
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapabilityError, InputError, PreconditionError
-from .rational import UNBOUNDED
+from .rational import UNBOUNDED, check_length
 from .space import UNDEFINED_BYTE, FiniteMetricSpace, PointSet
 
 # The most maps a word closure may hold: the largest one known to fit has
@@ -163,15 +163,12 @@ class PartialMap:
     # -- algebra ---------------------------------------------------------------
 
     def inverse(self) -> "PartialMap":
-        vals: list[Optional[int]] = [None] * self.space.n
-        for i, v in enumerate(self.vals):
-            if v is not None:
-                vals[v] = i
         name = None if self.name is None else _invert_letter(self.name)
         word = None
         if self.word is not None:
             word = tuple(_invert_letter(w) for w in reversed(self.word))
-        return PartialMap._raw(self.space, tuple(vals), name=name, word=word)
+        return PartialMap._raw(self.space, _inverse_table(self.vals),
+                               name=name, word=word)
 
     def then(self, other: "PartialMap") -> "PartialMap":
         """``other`` after ``self``: domain is the set of points whose image
@@ -197,6 +194,11 @@ class PartialMap:
 
 def _invert_letter(letter: str) -> str:
     return letter[:-3] if letter.endswith("^-1") else letter + "^-1"
+
+
+def _inverse_table(vals: Sequence[Optional[int]]) -> tuple:
+    """The inverse of an injective index table, None off its range."""
+    return tuple(map({v: i for i, v in enumerate(vals)}.get, range(len(vals))))
 
 
 class GeneratingSystem:
@@ -415,11 +417,11 @@ class _PairTables:
         self._raised = {a: range(a + 1, space.n) for a in range(space.n - 1)}
 
     def table(self, n) -> list[Sequence[int]]:
-        if n < 1:
-            raise InputError("word length must be at least 1")
         tables = self.tables
-        while len(tables) <= n and self._raised is not None:
-            self._push()
+        if not 0 < n < len(tables):  # a built level is read unchecked
+            check_length(n)
+            while len(tables) <= n and self._raised is not None:
+                self._push()
         return tables[min(n, len(tables) - 1)]
 
     def _push(self) -> None:
@@ -589,8 +591,7 @@ class WordClosure:
 
     def maps_at(self, n: int) -> list[PartialMap]:
         """The word set at length ``n``: a prefix of ``stabilized_maps``."""
-        if n < 1:
-            raise InputError("word length must be at least 1")
+        check_length(n)
         maps = self.stabilized_maps
         return maps if n >= self.stable_index else maps[:self.sizes[n - 1]]
 
@@ -852,8 +853,7 @@ def raw_word_maps(sys: GeneratingSystem, n: int) -> list[PartialMap]:
     Exponential in ``n``; exists as the independent oracle for closure
     soundness at desk scale.
     """
-    if n < 1:
-        raise InputError("word length must be at least 1")
+    check_length(n)
     words = [g for g in sys.generators]
     for _ in range(n - 1):
         words = [w.then(g) for w in words for g in sys.generators]

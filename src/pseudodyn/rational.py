@@ -1,4 +1,6 @@
-"""Exact rational parsing/formatting and the unbounded marker.
+"""Exact rational parsing/formatting, the unbounded marker, and the one
+owner of each argument rule: a radius is at least 0, a scale positive and
+a word length at least 1, and an entry point checks them before any work.
 
 All verdict-relevant numbers in this library are `fractions.Fraction`;
 floats only ever appear in rendered log/entropy columns.
@@ -67,9 +69,27 @@ def parse_rational(value) -> Fraction:
 def parse_radius(value) -> Fraction:
     """Parse a ball radius: an exact rational that must be nonnegative."""
     radius = parse_rational(value)
-    if radius < 0:
+    # the numerator has the sign, and reads faster than a Fraction compare
+    if radius.numerator < 0:
         raise InputError("radius must be nonnegative")
     return radius
+
+
+def parse_scale(value, name: str = "scale") -> Fraction:
+    """Parse a scale (an eps, a delta, a factor): a positive rational."""
+    scale = parse_rational(value)
+    if scale.numerator <= 0:
+        raise InputError(f"{name} must be positive")
+    return scale
+
+
+def check_length(n, name: str = "n", least: int = 1):
+    """A word length ``n``, or a count, at least ``least``: 1, or 0 for
+    the shift's n, whose 0-ball is the metric ball."""
+    if n < least:
+        raise InputError(f"{name} must be at least {least}" if least
+                         else f"{name} must be nonnegative")
+    return n
 
 
 def format_rational(value) -> str:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CapabilityError, InputError
-from .rational import parse_rational
+from .rational import check_length, parse_rational, parse_scale
 
 LOG2 = math.log(2)
 
@@ -122,8 +122,7 @@ def _dyadic_exponent(c: int, eps: Fraction, strict: bool) -> int:
 
     With eps = p/q, c/2^m < eps iff p * 2^m > c * q, and comparing bit
     lengths leaves one candidate and its successor."""
-    if eps <= 0:
-        raise InputError("scale must be positive")
+    eps = parse_scale(eps)
     a, b = c * eps.denominator, eps.numerator
     m = max(0, a.bit_length() - b.bit_length())
     if (b << m <= a) if strict else (b << m < a):
@@ -207,8 +206,7 @@ def dyn_ball_cylinder(x: ShiftPoint, n: int, eps) -> Cylinder:
     scale-s window of each shifted point pins the coordinates out to n+s.
     """
     eps = parse_rational(eps)
-    if n < 0:
-        raise InputError("n must be nonnegative")
+    check_length(n, least=0)
     s = window_radius(eps)
     return Cylinder.around(x, n + s)
 
@@ -228,6 +226,7 @@ def dyn_ball_cylinder_bounds(x: ShiftPoint, n: int, eps) -> CylinderSandwich:
     eps, so membership forces agreement there.
     """
     eps = parse_rational(eps)
+    check_length(n, least=0)
     s_in = window_radius(eps, mode="exact")
     inner = Cylinder.around(x, n + s_in)
     t = _strict_tail_radius(eps)
@@ -257,8 +256,7 @@ def measure_entropy_shift(spec: BernoulliSpec, eps,
     per-n value is computed from the cylinder measure at the zero point.
     """
     eps = parse_rational(eps)
-    if n < 1:
-        raise InputError("n must be at least 1")
+    check_length(n)
     ball = dyn_ball_cylinder(ShiftPoint.zero(), n, eps)
     s = window_radius(eps)
     m = cylinder_measure(ball, spec)
@@ -296,8 +294,7 @@ class ShiftSeparationBounds:
 def htop_shift(eps, n: int) -> ShiftSeparationBounds:
     eps = parse_rational(eps)
     u = _largest_single_cost_at_least(eps)
-    if n < 0:
-        raise InputError("n must be nonnegative")
+    check_length(n, least=0)
     m = _dyadic_exponent(2, eps, strict=True)
     upper = 2 ** (2 * _window(n + m) + 1)
     lower = 1 if u is None else 2 ** (2 * (n + u) + 1)
@@ -335,9 +332,7 @@ def bowen_ball_shift(x: ShiftPoint, delta,
                      spec: BernoulliSpec | None = None) -> ShiftBowenReport:
     """The Bowen delta-ball around ``x``.  A singleton carries the
     measures of its outer blocks of width 2(n+t)+1 for n = 1..8."""
-    delta = parse_rational(delta)
-    if delta <= 0:
-        raise InputError("delta must be positive")
+    delta = parse_scale(delta, "delta")
     spec = spec or BernoulliSpec(Fraction(1, 2))
     t = _strict_tail_radius(delta)
     if t is not None:

@@ -18,7 +18,7 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, InputError
-from .rational import parse_rational
+from .rational import parse_radius, parse_rational, parse_scale
 
 PointSet = frozenset
 
@@ -141,9 +141,7 @@ class FiniteMetricSpace:
                              f"(got {len(pts)})")
         if len(set(pts)) != len(pts):
             raise InputError("duplicate point labels")
-        factor = parse_rational(factor)
-        if factor <= 0:
-            raise InputError("a metric scales by a positive factor only")
+        factor = parse_scale(factor, "factor")
         ranks, values = self._ranks
         grid, scale = self._grid
         dist = self._dist
@@ -203,7 +201,7 @@ class FiniteMetricSpace:
     def ball_ix(self, i: int, r, closed: bool = False) -> PointSet:
         """The metric ball of radius ``r`` around point index ``i``: the
         rank row below ``threshold(r, closed)``."""
-        t = self.threshold(parse_rational(r), closed)
+        t = self.threshold(parse_radius(r), closed)
         return frozenset(j for j, v in enumerate(self.distance_ranks()[0][i])
                          if v < t)
 

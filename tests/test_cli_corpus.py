@@ -328,10 +328,10 @@ CORPUS_PINS = {
     "conjugate": "50c9182c34e359272417eecb706d3e37d1928720",
     "entropy": "da8dcbae09f0c19357e9086b658681cc2626e6b6",
     "equicont": "ac17b91c255e445b76d9a8cd2c17a03cc00d2eaf",
-    "htop": "1766e0365fa1671bff7267d26fcf930b94032db6",
-    "probe": "d94155e069f0438bb438a20eeac6f3ea247087dc",
+    "htop": "c349d931405c5439922cab2bf6452b4342190e82",
+    "probe": "7fc7c80f4ebd231b85bd0cc543c963de87148784",
     "shift": "d944cba62d1503bc92e1efc261a02979f0b21aec",
-    "verify": "e8ee8b6be00ffbd72a43907df276171725941f50",
+    "verify": "e26cb6de664fb1f232793b2d9a9b0d8a65fa2895",
 }
 
 

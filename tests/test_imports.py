@@ -10,7 +10,9 @@ fixture or test-only API.  A third fails on a private definition there
 (a leading underscore, not a dunder) that no library or benchmark module
 reads.  A fourth fails on a defaulted parameter of a function or method
 there that no library or benchmark call sets, unless ``DEFAULTS_SET_BY_
-TESTS`` names it: an option no caller sets changes nothing.  The package
+TESTS`` names it: an option no caller sets changes nothing.  A fifth fails
+on an argument rule (a radius, scale or length bound) stated in a raised
+message outside ``rational.py``, which owns the three rules.  The package
 ``__init__.py`` is skipped: its imports are the re-exports, not callers.
 """
 
@@ -325,3 +327,46 @@ def test_every_default_is_set_by_a_caller():
     # leaves the allowlist
     assert sorted(name.split(":")[1] for name in unset) \
         == sorted(DEFAULTS_SET_BY_TESTS)
+
+
+# The argument rules (a radius at least 0, a scale positive, a length at
+# least 1) are stated in ``rational.py`` alone, by their owners.
+RULE_FORMS = ("must be positive", "must be nonnegative", "must be at least")
+RULE_FORMS_ALLOWED = {
+    ("measure.py", "'weights must be nonnegative'"):
+        "a measure's weights are one vector, refused as a whole, and a "
+        "weight of 0 is allowed, so neither a scale nor a radius rule",
+}
+
+
+def rule_copies(source: str) -> list[str]:
+    """The message argument, as source text, of each ``InputError`` or
+    ``PreconditionError`` raised in ``source`` that states an argument
+    rule in one of ``RULE_FORMS``."""
+    copies = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None)
+                in ("InputError", "PreconditionError")):
+            copies += [text for text in map(ast.unparse, node.exc.args)
+                       if any(form in text for form in RULE_FORMS)]
+    return copies
+
+
+def test_rule_copies_are_found():
+    source = ("def f(n, eps):\n    if n < 1:\n"
+              "        raise InputError(f'{n} must be at least 1')\n"
+              "    if eps <= 0:\n"
+              "        raise InputError('scale ' 'must be positive')\n"
+              "    raise InputError('unknown mode')\n")
+    assert rule_copies(source) == ["f'{n} must be at least 1'",
+                                   "'scale must be positive'"]
+
+
+def test_argument_rules_have_one_owner():
+    """No module but ``rational.py`` raises a message in a rule form,
+    except once where ``RULE_FORMS_ALLOWED`` gives the reason."""
+    found = [(path.name, text) for path in FILES
+             if path.parent.name == "pseudodyn" and path.name != "rational.py"
+             for text in rule_copies(path.read_text())]
+    assert sorted(found) == sorted(RULE_FORMS_ALLOWED)

@@ -164,13 +164,14 @@ def test_nonpositive_scale_is_input_error(line, line_system, eps):
 def test_grid_queries_refuse_a_repeated_scale(line, line_system, grid):
     """A scale given twice, by any spelling, would repeat its rows or
     collapse its witnesses: the three grid queries refuse it, as
-    ``--eps-grid`` does."""
+    ``--eps-grid`` does, with a message that names no option."""
     mu = FiniteMeasure.uniform(line)
     queries = [lambda: h_top_table(line_system, eps_grid=grid),
                lambda: local_entropy(mu, line_system, 0, eps_grid=grid),
                lambda: is_homogeneous(mu, line_system, eps_grid=grid)]
     for query in queries:
-        with pytest.raises(InputError, match="gives the scale .* twice"):
+        with pytest.raises(InputError,
+                           match=r"^the eps grid gives the scale \S+ twice$"):
             query()
 
 

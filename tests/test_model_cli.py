@@ -516,7 +516,7 @@ def test_cli_eps_grid_repeating_a_scale_is_refused(model_path, monkeypatch,
                  "--eps-grid", grid]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and loaded == []
-    assert captured.err == (f"input error: --eps-grid gives the scale "
+    assert captured.err == (f"input error: the eps grid gives the scale "
                             f"{scale} twice\n")
 
 

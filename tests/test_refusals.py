@@ -2,6 +2,7 @@
 with its message, before any answer is built."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -9,13 +10,16 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        GeneratingSystem, InputError, PartialMap,
                        PreconditionError)
 from pseudodyn.dynamics import (brute_force_separated, dyn_ball,
-                                dyn_ball_via_formula, separated_count)
+                                dyn_ball_via_formula, separated_count,
+                                separation_graph)
+from pseudodyn.equicont import modulus_at
 from pseudodyn.measure import brute_force_invariant_sets
 from pseudodyn.model import load_iso, load_measure, parse_model
 from pseudodyn.morphism import SpaceIso, transfer_expansive_constant
 from pseudodyn.pseudogroup import raw_word_maps, separation_radius
 from pseudodyn.shift import (BernoulliSpec, Cylinder, ShiftPoint,
-                             bowen_ball_shift, dyn_ball_cylinder, htop_shift,
+                             bowen_ball_shift, dyn_ball_cylinder,
+                             dyn_ball_cylinder_bounds, htop_shift,
                              measure_entropy_shift, window_radius)
 
 
@@ -29,6 +33,7 @@ LINE = line(3)
 SHIFT = PartialMap(LINE, (1, 2, None), name="s")
 SYSTEM = GeneratingSystem.build(LINE, [SHIFT])
 IDENTITY = PartialMap.identity(LINE)
+ISO = SpaceIso(LINE, LINE, [2, 1, 0])
 
 
 def written(tmp_path, doc):
@@ -46,7 +51,20 @@ REFUSALS = {
     "separated_count n": (lambda tmp: separated_count(SYSTEM, 0, 1),
                           InputError, "n must be at least 1"),
     "separated_count eps": (lambda tmp: separated_count(SYSTEM, 1, 0),
-                            InputError, "separation scale must be positive"),
+                            InputError, "scale must be positive"),
+    "separation_graph eps": (lambda tmp: separation_graph(SYSTEM, 1, 0),
+                             InputError, "scale must be positive"),
+    "brute_force_separated eps": (
+        lambda tmp: brute_force_separated(SYSTEM, 1, -1),
+        InputError, "scale must be positive"),
+    "modulus_at eps": (lambda tmp: modulus_at(SYSTEM, LINE, -5),
+                       InputError, "radius must be nonnegative"),
+    "forward_modulus eps": (lambda tmp: ISO.forward_modulus(-1),
+                            InputError, "radius must be nonnegative"),
+    "inverse_modulus eps": (lambda tmp: ISO.inverse_modulus(-1),
+                            InputError, "radius must be nonnegative"),
+    "ball_ix radius": (lambda tmp: LINE.ball_ix(0, -1),
+                       InputError, "radius must be nonnegative"),
     "separated_count mode": (
         lambda tmp: separated_count(SYSTEM, 1, 1, mode="fast"),
         InputError, "unknown mode 'fast'"),
@@ -98,9 +116,11 @@ REFUSALS = {
         lambda tmp: GeneratingSystem.build(LINE, [SHIFT], cores={"t": {0}}),
         InputError, "unknown generator 't'"),
     "maps_at n": (lambda tmp: SYSTEM.word_closure().maps_at(0),
-                  InputError, "word length must be at least 1"),
+                  InputError, "n must be at least 1"),
     "raw_word_maps n": (lambda tmp: raw_word_maps(SYSTEM, 0),
-                        InputError, "word length must be at least 1"),
+                        InputError, "n must be at least 1"),
+    "constraint_table n": (lambda tmp: SYSTEM.constraint_table(-1),
+                           InputError, "n must be at least 1"),
     "separation_radius cores": (lambda tmp: separation_radius(SYSTEM),
                                 PreconditionError, "requires cores"),
     "ShiftPoint window": (lambda tmp: ShiftPoint((0, 1)),
@@ -117,6 +137,10 @@ REFUSALS = {
                         InputError, "strictly between 0 and 1"),
     "dyn_ball_cylinder n": (
         lambda tmp: dyn_ball_cylinder(ShiftPoint.zero(), -1, 1),
+        InputError, "n must be nonnegative"),
+    "dyn_ball_cylinder_bounds n": (
+        lambda tmp: dyn_ball_cylinder_bounds(ShiftPoint.zero(), -3,
+                                             Fraction(1, 2)),
         InputError, "n must be nonnegative"),
     "measure_entropy_shift n": (
         lambda tmp: measure_entropy_shift(BernoulliSpec(0.5), 1, 0),
