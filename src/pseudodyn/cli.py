@@ -327,7 +327,7 @@ def cmd_check(args) -> tuple[int, object]:
     if what == "homogeneous":
         rep = measure.is_homogeneous(mu, sysm)
         payload = {
-            "what": what, "ok": rep.ok, "degenerate": rep.degenerate,
+            "what": what, "ok": rep.ok,
             "witnesses": {format_rational(e): {
                 "delta": w.delta, "c_exact": w.c_exact, "c_ladder": w.c_ladder}
                 for e, w in rep.witnesses.items()},

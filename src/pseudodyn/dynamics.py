@@ -237,25 +237,25 @@ def separated_count(sys: GeneratingSystem, n: int, eps,
     """
     eps = parse_scale(eps)
     check_length(n)
+    if mode not in ("exact", "greedy"):
+        raise InputError(f"unknown mode {mode!r}")
+    exact = mode == "exact"
     npts = sys.space.n
+    if exact and npts > EXACT_CLIQUE_CAP:
+        raise CapabilityError(
+            f"exact separated-set search is capped at {EXACT_CLIQUE_CAP} "
+            f"points (got {npts}); use mode='greedy'"
+        )
     adj = separation_graph(sys, n, eps)
-    if mode == "exact":
-        if npts > EXACT_CLIQUE_CAP:
-            raise CapabilityError(
-                f"exact separated-set search is capped at {EXACT_CLIQUE_CAP} "
-                f"points (got {npts}); use mode='greedy'"
-            )
+    if exact:
         size, mask = _max_clique(adj, npts)
-        members = frozenset(i for i in range(npts) if mask >> i & 1)
-        return SeparationReport(n=n, eps=eps, lower=size, upper=size,
-                                witness=members, exact=True)
-    if mode == "greedy":
+    else:
         mask = _greedy_clique(adj, npts)
         size = mask.bit_count()
-        members = frozenset(i for i in range(npts) if mask >> i & 1)
-        return SeparationReport(n=n, eps=eps, lower=size, upper=npts,
-                                witness=members, exact=False)
-    raise InputError(f"unknown mode {mode!r}")
+    members = frozenset(i for i in range(npts) if mask >> i & 1)
+    return SeparationReport(n=n, eps=eps, lower=size,
+                            upper=size if exact else npts,
+                            witness=members, exact=exact)
 
 
 def _greedy_clique(adj: list[int], npts: int) -> int:

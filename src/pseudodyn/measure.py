@@ -322,7 +322,6 @@ class HomogeneityWitness:
 class HomogeneityReport:
     ok: bool
     witnesses: dict
-    degenerate: bool  # some comparison cell had measure zero on both sides
     counterexample: Optional[tuple]  # (eps, x label, y label, n)
 
 
@@ -331,14 +330,15 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     """Search, per grid eps, for (delta, c) with
     mu(B_n(y, delta)) <= c * mu(B_n(x, eps)) for all x, y, n.
 
-    delta = eps is tried first, then the distance grid downward; c is the
-    exact maximal measure ratio, capped by the 2^20 search ladder.  Cells
-    where both sides vanish pass vacuously and set the degenerate flag.
-    The ball measures at level n sum only the rows level n raised; every
-    other row keeps its level n - 1 measure.  The search runs on integers:
-    the grid value ``grid[r - 1]`` has the open threshold r, ratios
-    compare by cross-multiplying, and ``Fraction``s are built only for a
-    witness.
+    Every ball holds its center (a table keeps the zero diagonal of the
+    ranks, and a scale's open threshold is at least 1), so a level with
+    an eps-ball of measure 0 fails eps for every (delta, c); its y is read
+    at the smallest grid value other than eps.  Otherwise balls grow with
+    delta, so delta = eps is tried, then the grid values below eps
+    downward; c is the exact maximal measure ratio, capped by the 2^20
+    ladder.  Level n sums only the rows it raised.  The search runs on
+    integers: ``grid[r - 1]`` has the open threshold r, ratios compare by
+    cross-multiplying, and ``Fraction``s are built only for a witness.
     """
     _same_space(mu, sys)
     space = sys.space
@@ -356,7 +356,7 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
         ``mu.den``, once per threshold and n."""
         row = rows.get((t, n))
         if row is None:
-            # n runs up from 1 for every delta, so level n - 1 is summed
+            # n runs up from 1 for every threshold, so level n - 1 is summed
             reuse = None
             if n > 1:
                 reuse = (sys.constraint_table(n - 1), rows[t, n - 1])
@@ -365,55 +365,42 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
         return row
 
     witnesses: dict = {}
-    degenerate = False
     counterexample = None
-    ok = True
     for eps, t_eps in scales:
-        # delta = eps, then every other grid value downward, by rank
-        skip = t_eps if t_eps <= len(grid) and grid[t_eps - 1] == eps else 0
-        candidates = [(eps, t_eps)] + [(grid[r - 1], r)
-                                       for r in range(len(grid), 0, -1)
-                                       if r != skip]
-        found = None
-        fail_cell = None
-        for delta, t_delta in candidates:
-            cp, cq = 0, 1  # the largest ratio hi / lo so far
-            feasible = True
-            for n in n_range:
-                denom = measures(t_eps, n)
-                numer = measures(t_delta, n)
-                lo = min(denom)
-                hi = max(numer)
-                if lo == 0:
-                    if hi == 0:
-                        degenerate = True
-                        continue
-                    feasible = False
-                    xi = denom.index(lo)
-                    yi = numer.index(hi)
-                    fail_cell = (eps, space.label(xi), space.label(yi), n)
+        lows = []  # the least eps-ball measure at each level
+        for n in n_range:
+            denom = measures(t_eps, n)
+            lo = min(denom)
+            if lo == 0:
+                if counterexample is None:
+                    t_y = 1 + (len(grid) > 1 and grid[0] == eps)
+                    numer = mu.ball_numerators(sys.constraint_table(n), t_y)
+                    counterexample = (eps, space.label(denom.index(0)),
+                                      space.label(numer.index(max(numer))), n)
+                break
+            lows.append(lo)
+        else:
+            # delta = eps at threshold t_eps, then grid[t - 1] downward
+            for t in range(t_eps, 0, -1):
+                cp, cq = 0, 1  # the largest ratio hi / lo
+                for n, lo in zip(n_range, lows):
+                    hi = max(measures(t, n))
+                    if hi * cq > cp * lo:
+                        cp, cq = hi, lo
+                if cp <= cap * cq:
                     break
-                if hi * cq > cp * lo:
-                    cp, cq = hi, lo
-            if not feasible:
-                continue
-            if cp > cap * cq:
-                fail_cell = fail_cell or (eps, None, None, None)
+            else:
+                counterexample = counterexample or (eps, None, None, None)
                 continue
             if cp <= cq:
                 c_exact, ladder = Fraction(1), 1
             else:
                 c_exact = Fraction(cp, cq)
                 ladder = 1 << (-(-cp // cq) - 1).bit_length()
-            found = HomogeneityWitness(eps=eps, delta=delta, c_exact=c_exact,
-                                       c_ladder=Fraction(ladder))
-            break
-        if found is None:
-            ok = False
-            counterexample = counterexample or fail_cell
-        else:
-            witnesses[eps] = found
-    return HomogeneityReport(ok=ok, witnesses=witnesses, degenerate=degenerate,
+            witnesses[eps] = HomogeneityWitness(
+                eps=eps, delta=eps if t == t_eps else grid[t - 1],
+                c_exact=c_exact, c_ladder=Fraction(ladder))
+    return HomogeneityReport(ok=counterexample is None, witnesses=witnesses,
                              counterexample=counterexample)
 
 

@@ -418,8 +418,10 @@ class _PairTables:
 
     def table(self, n) -> list[Sequence[int]]:
         tables = self.tables
-        if not 0 < n < len(tables):  # a built level is read unchecked
-            check_length(n)
+        # a built level is read unchecked; math.inf stands for the fixpoint
+        if type(n) is not int or not 0 < n < len(tables):
+            if n != math.inf:
+                check_length(n)
             while len(tables) <= n and self._raised is not None:
                 self._push()
         return tables[min(n, len(tables) - 1)]

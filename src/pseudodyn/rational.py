@@ -1,6 +1,6 @@
 """Exact rational parsing/formatting, the unbounded marker, and the one
 owner of each argument rule: a radius is at least 0, a scale positive and
-a word length at least 1, and an entry point checks them before any work.
+a word length an int of at least 1, and an entry point checks them first.
 
 All verdict-relevant numbers in this library are `fractions.Fraction`;
 floats only ever appear in rendered log/entropy columns.
@@ -84,8 +84,10 @@ def parse_scale(value, name: str = "scale") -> Fraction:
 
 
 def check_length(n, name: str = "n", least: int = 1):
-    """A word length ``n``, or a count, at least ``least``: 1, or 0 for
-    the shift's n, whose 0-ball is the metric ball."""
+    """A word length ``n``, or a count: an ``int`` (no ``bool``) of at least
+    ``least``, 1 or 0 for the shift's n, whose 0-ball is the metric ball."""
+    if type(n) is not int:
+        raise InputError(f"{name} must be an integer (got {n!r})")
     if n < least:
         raise InputError(f"{name} must be at least {least}" if least
                          else f"{name} must be nonnegative")

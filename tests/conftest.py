@@ -261,8 +261,11 @@ def reference_to_jsonable(obj):
 
 # The homogeneity search over ``Fraction`` ratios and grid values, each
 # delta's threshold read with ``threshold``: the reference for
-# ``measure.is_homogeneous``'s integer search, which must take the same
-# walk (the same witnesses, degenerate flag and counterexample).
+# ``measure.is_homogeneous``'s integer search, which must reach the same
+# report (the same witnesses and counterexample).  It walks every
+# candidate delta at every scale, as the search does not, and checks the
+# search's premise on its way: every ball holds its center, so the largest
+# delta-ball measure beside a zero eps-ball is positive.
 # ``measures(t, n)`` is the ball-measure route: every point's open ball
 # measure at rank threshold t and word length n, as numerators over
 # ``mu.den`` or as ``Fraction``s.  The default grid is the distance grid,
@@ -275,7 +278,6 @@ def reference_is_homogeneous(sys, measures, eps_grid=None):
         eps_grid = grid
     n_range = range(1, sys.fixpoint_level + 1)
     witnesses = {}
-    degenerate = False
     counterexample = None
     ok = True
     for eps in eps_grid:
@@ -293,9 +295,7 @@ def reference_is_homogeneous(sys, measures, eps_grid=None):
                 lo = min(denom)
                 hi = max(numer)
                 if lo == 0:
-                    if hi == 0:
-                        degenerate = True
-                        continue
+                    assert hi > 0
                     feasible = False
                     fail_cell = (eps, space.label(denom.index(lo)),
                                  space.label(numer.index(hi)), n)
@@ -318,5 +318,5 @@ def reference_is_homogeneous(sys, measures, eps_grid=None):
             counterexample = counterexample or fail_cell
         else:
             witnesses[eps] = found
-    return HomogeneityReport(ok=ok, witnesses=witnesses, degenerate=degenerate,
+    return HomogeneityReport(ok=ok, witnesses=witnesses,
                              counterexample=counterexample)

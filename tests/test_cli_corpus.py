@@ -324,7 +324,7 @@ CORPUS_ARGV = 501
 CORPUS_PINS = {
     "ball": "d2ead348fdc9b354067f91a5c79a0f99845aff00",
     "bowen": "36ebf7d691a54149a341cfcafc82accfcb17459b",
-    "check": "8782b9ecd3f115e08c80be5272f79967cf969ce3",
+    "check": "5ef06c8eb6bfa29a1cf46226ae8cb5aa352a3d03",
     "conjugate": "50c9182c34e359272417eecb706d3e37d1928720",
     "entropy": "da8dcbae09f0c19357e9086b658681cc2626e6b6",
     "equicont": "ac17b91c255e445b76d9a8cd2c17a03cc00d2eaf",
@@ -424,7 +424,7 @@ EDGE_ARGV = 22
 EDGE_PINS = {
     "ball": "5b5720b0763b874de23bb20d4a203343f69f1055",
     "bowen": "015f1a57105f1171e2a6dde3ff59e2d7c63850aa",
-    "check": "3f2c9103053eaa1e87940e3004d5f64c60da299c",
+    "check": "b2f556b16266e396dad9e9165c9029de18449c0d",
     "conjugate": "f0622c62e00271b3542be7848e8d737425dd1160",
     "entropy": "695be6dc634cceb8babad3774f0d23c7ec557b8d",
     "equicont": "f6ee3b9e9bbae8b652ea49acef919da09b05b677",
@@ -432,11 +432,15 @@ EDGE_PINS = {
 }
 
 
+def write_edges(directory):
+    for name, doc in _edge_models().items():
+        _write(directory, f"{name}.json", doc)
+
+
 @pytest.fixture(scope="module")
 def edge_runs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("edge")
-    for name, doc in _edge_models().items():
-        _write(directory, f"{name}.json", doc)
+    write_edges(directory)
     return run_requests(directory, edge_requests())
 
 
@@ -514,3 +518,40 @@ def test_corpus_csv_reads_back(corpus_runs):
             assert csv_faults(out) == [], argv
             read += 1
     assert read == 388
+
+
+def dump_records(directory) -> list[dict]:
+    """Every corpus record, then every edge record, as ``argv`` (the
+    model directory written ``{dir}``), ``code``, and ``stdout`` and
+    ``stderr`` as lists of their lines: the records behind
+    ``CORPUS_PINS`` and ``EDGE_PINS``."""
+    models = _models()
+    records = []
+    for kind, write, requests in (
+            ("corpus", lambda root: write_corpus(root, models),
+             corpus_requests(models)),
+            ("edge", write_edges, edge_requests())):
+        root = directory / kind
+        root.mkdir()
+        write(root)
+        records += [{"argv": [a.replace(str(root), "{dir}") for a in argv],
+                     "code": code,
+                     "stdout": out.splitlines(keepends=True),
+                     "stderr": err.splitlines(keepends=True)}
+                    for argv, (code, out, err) in run_requests(root,
+                                                                requests)]
+    return records
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli_corpus.py OUT.json writes every
+    # record, one output line to a JSON line, so that a diff of two trees'
+    # dumps shows which records and lines a pin move holds
+    import sys
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        dumped = dump_records(Path(tmp))
+    Path(sys.argv[1]).write_text(json.dumps(dumped, indent=1) + "\n")
+    print(f"{len(dumped)} records written to {sys.argv[1]}")

@@ -507,8 +507,16 @@ def test_greedy_mode_bounds(line_system):
     assert rep.lower <= 2 <= rep.upper
 
 
+def test_separated_count_refuses_its_mode_before_any_table(line):
+    """An unknown mode is refused with the other arguments: a fresh
+    system has built no pair table after the refusal."""
+    system = GeneratingSystem.build(line, [])
+    with pytest.raises(InputError, match="^unknown mode 'fast'$"):
+        separated_count(system, 1, 1, mode="fast")
+    assert system._tables is None
+
+
 def test_exact_mode_size_cap():
-    from pseudodyn import FiniteMetricSpace
     n = 21
     space = FiniteMetricSpace(
         list(range(n)),
@@ -516,6 +524,7 @@ def test_exact_mode_size_cap():
     sys_big = GeneratingSystem.build(space, [])
     with pytest.raises(CapabilityError, match="greedy"):
         separated_count(sys_big, 1, Fraction(1, 2))
+    assert sys_big._tables is None  # refused before any table
     rep = separated_count(sys_big, 1, Fraction(1, 2), mode="greedy")
     assert rep.lower == n  # all points are 1 apart
 

@@ -145,7 +145,7 @@ def test_grid_queries_on_one_point_answer_with_no_scale():
     assert local_entropy(mu, sys_one, 0) == LocalEntropyTable(
         x="a", cells=[], limit=0.0)
     assert is_homogeneous(mu, sys_one) == HomogeneityReport(
-        ok=True, witnesses={}, degenerate=False, counterexample=None)
+        ok=True, witnesses={}, counterexample=None)
     assert h_top_table(sys_one).rows == []
 
 
@@ -406,35 +406,17 @@ def capped_measures(space):
     return out
 
 
-class EmptyLevelOne:
-    """A system's pair tables, except that level 1 puts every cell, the
-    diagonal too, at the top rank: every ball below that rank is empty
-    on both sides of a cell, which a genuine table never allows."""
-
-    def __init__(self, sys):
-        self.sys = sys
-        self.space = sys.space
-        self.fixpoint_level = sys.fixpoint_level
-
-    def constraint_table(self, n=math.inf):
-        if n == 1:
-            top = len(self.space.distance_ranks()[1]) - 1
-            return [[top] * self.space.n for _ in range(self.space.n)]
-        return self.sys.constraint_table(n)
-
-
 def test_integer_homogeneity_search_matches_the_fraction_walk():
     """The integer search returns the ``Fraction`` walk's report, witness
-    for witness, with its degenerate flag and counterexample, on seeded
-    systems under the default grid, grids of off-grid scales (midpoints,
-    below the least distance, past the diameter) and mixed grids, for
-    measures with zero weights and ratios around the 2^20 cap, and with
-    a first level whose cells vanish on both sides."""
-    seen = {"capped": 0, "degenerate": 0, "ladder": 0, "lower delta": 0,
-            "off-grid witness": 0, "empty ball": 0}
-    for sys_real, mu_i in reference_systems(40):
-        sys_i = sys_real if sys_real.fixpoint_level < 2 \
-            or sys_real.space.n % 2 else EmptyLevelOne(sys_real)
+    for witness, with its counterexample, on seeded systems under the
+    default grid, grids of off-grid scales (midpoints, below the least
+    distance, past the diameter) and mixed grids, for measures with zero
+    weights and ratios around the 2^20 cap.  The walk tries every delta
+    at every scale; the search reads none above a failing eps but the
+    one its counterexample's y is read at."""
+    seen = {"capped": 0, "ladder": 0, "lower delta": 0,
+            "off-grid witness": 0, "empty ball": 0, "empty ball at grid[0]": 0}
+    for sys_i, mu_i in reference_systems(40):
         space = sys_i.space
         grid = space.distance_grid()
         mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
@@ -452,12 +434,44 @@ def test_integer_homogeneity_search_matches_the_fraction_walk():
                 cell = got.counterexample
                 seen["capped"] += cell is not None and cell[1] is None
                 seen["empty ball"] += cell is not None and cell[1] is not None
-                seen["degenerate"] += got.degenerate
+                seen["empty ball at grid[0]"] += (
+                    cell is not None and cell[1] is not None
+                    and cell[0] == grid[0])
                 for eps, w in got.witnesses.items():
                     seen["ladder"] += w.c_ladder > 2
                     seen["lower delta"] += w.delta < eps
                     seen["off-grid witness"] += eps not in grid
     assert min(seen.values()) >= 10, seen
+
+
+def test_homogeneity_search_reads_no_threshold_above_a_failing_eps(
+        monkeypatch):
+    """A point mass has eps-balls of measure 0 at eps = grid[0], so eps
+    fails for every (delta, c): the search reads the eps-balls, and above
+    eps only grid[1], the smallest grid value other than eps, where its
+    counterexample's y is read."""
+    n = 6
+    space = FiniteMetricSpace(list(range(n)),
+                              [[abs(i - j) for j in range(n)]
+                               for i in range(n)])
+    sys_i = GeneratingSystem.build(space, [])
+    mu = FiniteMeasure.point_mass(space, 0)
+    grid = space.distance_grid()
+    assert len(grid) == n - 1
+    read = set()
+    ball_numerators = FiniteMeasure.ball_numerators
+
+    def recording(self, rows, t, reuse=None):
+        read.add(t)
+        return ball_numerators(self, rows, t, reuse)
+
+    monkeypatch.setattr(FiniteMeasure, "ball_numerators", recording)
+    got = is_homogeneous(mu, sys_i, [grid[0]])
+    assert read == {space.threshold(grid[0]), space.threshold(grid[1])}
+    assert got.counterexample[0] == grid[0]
+    assert got == reference_is_homogeneous(
+        sys_i, lambda t, n: ball_numerators(mu, sys_i.constraint_table(n), t),
+        [grid[0]])
 
 
 class FreshRows:

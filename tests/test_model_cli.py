@@ -584,7 +584,7 @@ def test_cli_check_homogeneous_one_point_model_is_ok(tmp_path, capsys):
     code, result = one_point_result(tmp_path, capsys,
                                     ["check", "--what", "homogeneous"])
     assert code == 0
-    assert result == {"what": "homogeneous", "ok": True, "degenerate": False,
+    assert result == {"what": "homogeneous", "ok": True,
                       "witnesses": {}, "counterexample": None}
 
 

@@ -50,6 +50,15 @@ REFUSALS = {
         InputError, "n must be at least 1"),
     "separated_count n": (lambda tmp: separated_count(SYSTEM, 0, 1),
                           InputError, "n must be at least 1"),
+    "separated_count n float": (lambda tmp: separated_count(SYSTEM, 1.5, 1),
+                                InputError, "n must be an integer (got 1.5)"),
+    "dyn_ball n float": (lambda tmp: dyn_ball(SYSTEM, 0, 1.5, 1),
+                         InputError, "n must be an integer (got 1.5)"),
+    "dyn_ball n bool": (lambda tmp: dyn_ball(SYSTEM, 0, True, 1),
+                        InputError, "n must be an integer (got True)"),
+    "constraint_table n float": (
+        lambda tmp: SYSTEM.constraint_table(2.5),
+        InputError, "n must be an integer (got 2.5)"),
     "separated_count eps": (lambda tmp: separated_count(SYSTEM, 1, 0),
                             InputError, "scale must be positive"),
     "separation_graph eps": (lambda tmp: separation_graph(SYSTEM, 1, 0),
