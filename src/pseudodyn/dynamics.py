@@ -205,8 +205,6 @@ def bowen_ball(sys: GeneratingSystem, x, delta) -> BallReport:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    n: int
-    eps: Fraction
     lower: int
     upper: int
     witness: PointSet
@@ -253,8 +251,7 @@ def separated_count(sys: GeneratingSystem, n: int, eps,
         mask = _greedy_clique(adj, npts)
         size = mask.bit_count()
     members = frozenset(i for i in range(npts) if mask >> i & 1)
-    return SeparationReport(n=n, eps=eps, lower=size,
-                            upper=size if exact else npts,
+    return SeparationReport(lower=size, upper=size if exact else npts,
                             witness=members, exact=exact)
 
 

@@ -312,7 +312,6 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
 
 @dataclass(frozen=True)
 class HomogeneityWitness:
-    eps: Fraction
     delta: Fraction
     c_exact: Fraction
     c_ladder: Fraction
@@ -398,7 +397,7 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
                 c_exact = Fraction(cp, cq)
                 ladder = 1 << (-(-cp // cq) - 1).bit_length()
             witnesses[eps] = HomogeneityWitness(
-                eps=eps, delta=eps if t == t_eps else grid[t - 1],
+                delta=eps if t == t_eps else grid[t - 1],
                 c_exact=c_exact, c_ladder=Fraction(ladder))
     return HomogeneityReport(ok=counterexample is None, witnesses=witnesses,
                              counterexample=counterexample)

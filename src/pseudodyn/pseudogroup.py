@@ -188,8 +188,16 @@ class PartialMap:
     def restrict(self, subset: Iterable[int]) -> "PartialMap":
         keep = frozenset(subset)
         vals = tuple(v if i in keep else None for i, v in enumerate(self.vals))
-        name = f"{self.name}|" if self.name else None
-        return PartialMap._raw(self.space, vals, name=name, word=None)
+        return PartialMap._raw(self.space, vals, name=self.name)
+
+
+def _check_space(g: PartialMap, space: FiniteMetricSpace) -> None:
+    """Refuse a generator that does not live on ``space``: a map lives on
+    a space when it was built on it or on one with the same points, as
+    ``then`` reads them."""
+    if g.space is not space and g.space.points != space.points:
+        raise InputError(f"generator {g!r} does not live on the system's "
+                         "space")
 
 
 def _invert_letter(letter: str) -> str:
@@ -204,10 +212,14 @@ def _inverse_table(vals: Sequence[Optional[int]]) -> tuple:
 class GeneratingSystem:
     """Finite generator family containing the total identity.
 
-    ``cores`` is an optional parallel tuple of subsets ``K_g`` of the
-    generator domains; the identity's core defaults to the whole space.
-    Symmetry is what ``build`` guarantees, not a class invariant: derived
-    systems (e.g. core-restricted ones) may be non-symmetric.
+    Every generator lives on ``space`` and carries its witness word: a map
+    given without one is stored with the word ``(name,)``, or ``("?",)``
+    when it has no name, so every word closure, certificate and first
+    spreading word spells its maps in these letters.  ``cores`` is an
+    optional parallel tuple of subsets ``K_g`` of the generator domains;
+    the identity's core defaults to the whole space.  Symmetry is what
+    ``build`` guarantees, not a class invariant: derived systems (e.g.
+    core-restricted ones) may be non-symmetric.
     """
 
     __slots__ = ("space", "generators", "cores", "_closure", "_germ",
@@ -215,7 +227,14 @@ class GeneratingSystem:
 
     def __init__(self, space: FiniteMetricSpace, generators: Sequence[PartialMap],
                  cores: Sequence[Optional[PointSet]] | None = None):
-        gens = tuple(generators)
+        gens = []
+        for g in generators:
+            _check_space(g, space)
+            if g.word is None:
+                g = PartialMap._raw(space, g.vals, name=g.name,
+                                    word=(g.name or "?",))
+            gens.append(g)
+        gens = tuple(gens)
         if not any(g.is_identity() and g.is_total() for g in gens):
             raise InputError("generating system must contain the total identity")
         if cores is not None:
@@ -276,9 +295,7 @@ class GeneratingSystem:
         identity = PartialMap.identity(space)
         push(identity)
         for g in maps:
-            if g.word is None:
-                g = PartialMap(space, g.vals, name=g.name,
-                               word=(g.name,) if g.name else None)
+            _check_space(g, space)  # the cores below read g before __init__
             push(g)
         for g in list(gens):
             push(g.inverse())
@@ -329,7 +346,7 @@ class GeneratingSystem:
         length ``n`` defined at i and j: ``table_ball(T, i, space.threshold(
         eps, closed))`` is the dynamical n-ball around ``i``.  Every level
         from ``fixpoint_level`` on, and the default, is the fixpoint table.
-        Its rows are read-only ``bytes``, or lists past 256 rank values."""
+        Its rows are read-only: ``bytes``, or tuples past 256 rank values."""
         return self._pair_tables().table(n)
 
     @property
@@ -365,7 +382,7 @@ class GeneratingSystem:
                 if step:
                     break
             live = step
-            g = g.then(PartialMap._raw(self.space, v, word=_letter(h)))
+            g = g.then(h)
         return g, live[0][0]
 
     def _pair_tables(self) -> "_PairTables":
@@ -398,18 +415,18 @@ class _PairTables:
 
     Rows are ``bytes`` when every rank fits a byte (at most 256 rank
     values), so ``below_flags`` scans one with a single ``translate``;
-    a raised row is built in a ``bytearray`` and frozen when its level is
-    done.  A wider space keeps list rows.  Either way rows are read-only:
-    levels share them.  ``below_flags`` is the one reader that knows the
-    format."""
+    a raised row is built in a ``bytearray`` and frozen to ``bytes`` when
+    its level is done.  A wider space builds a raised row in a list and
+    freezes it to a tuple.  Either way rows are read-only: levels share
+    them.  ``below_flags`` is the one reader that knows the format."""
 
-    __slots__ = ("tables", "_pulls", "_raised", "_copy")
+    __slots__ = ("tables", "_pulls", "_raised", "_copy", "_freeze")
 
     def __init__(self, space: FiniteMetricSpace, generators):
         ranks, values = space.distance_ranks()
-        narrow = len(values) <= 256
-        self._copy = bytearray if narrow else list
-        self.tables = [list(map(bytes if narrow else list, ranks))]
+        self._copy, self._freeze = ((bytearray, bytes) if len(values) <= 256
+                                    else (list, tuple))
+        self.tables = [list(map(self._freeze, ranks))]
         # pull[a] = g^-1 a, or None off g's range
         self._pulls = [g.inverse().vals for g in generators
                        if not g.is_identity()]
@@ -457,13 +474,13 @@ class _PairTables:
                         else:
                             raised.setdefault(j, set()).add(i)
         if raised:
-            if copy is bytearray:
-                for i in copied:
-                    level[i] = bytes(level[i])
+            freeze = self._freeze
+            for i in copied:
+                level[i] = freeze(level[i])
             self.tables.append(level)
             self._raised = raised
         else:
-            self._pulls = self._raised = self._copy = None
+            self._pulls = self._raised = self._copy = self._freeze = None
 
 
 def below_flags(rows, t: int) -> list[bytes]:
@@ -480,11 +497,11 @@ def below_flags(rows, t: int) -> list[bytes]:
 
 
 class ClosureMaps(abc.Sequence):
-    """A word closure's maps under ``PartialMap.then``, in breadth-first
-    order, carrying its system's pair tables ``pairs``: their fixpoint
-    table is the spread table of these maps, so the moduli read it instead
-    of folding them.  The tables hold no reference to the maps, the space
-    or the system.
+    """A word closure's maps, in breadth-first order, carrying its system's
+    pair tables ``pairs``.  Under ``PartialMap.then`` their fixpoint table
+    is the spread table of these maps, so the moduli read it instead of
+    folding them; under a mutant compose it need not be.  The tables hold
+    no reference to the maps, the space or the system.
 
     The closure loop leaves each map as a key and a (parent, generator)
     link.  A map and its witness word are built when an index, a slice or
@@ -570,25 +587,23 @@ class WordClosure:
     ``stabilized_maps`` lists every realizable map once, in breadth-first
     order with one shortest witness word; its first ``sizes[k]`` maps are
     those realized by words of length ``k+1`` (cumulative, since the
-    identity pads any shorter word).  Its tables are the system's; under
-    ``PartialMap.then`` the maps are a ``ClosureMaps`` that carries them
-    and builds each map when first read.
+    identity pads any shorter word).  It is a ``ClosureMaps``, which builds
+    each map when first read and carries the system's pair tables, read by
+    ``constraint_table``.
 
-    It keeps the system's table engine, not the system: a system caches its
-    closure, and a back reference would make a cycle that only the cyclic
-    collector frees.  The balls of the set-algebra route are memoized
-    here too, as bytes (``dynamics._formula_balls``).
+    It reaches the system's table engine, not the system: a system caches
+    its closure, and a back reference would make a cycle that only the
+    cyclic collector frees.  The balls of the set-algebra route are
+    memoized here too, as bytes (``dynamics._formula_balls``).
     """
 
-    __slots__ = ("stabilized_maps", "sizes", "stable_index", "_pairs",
+    __slots__ = ("stabilized_maps", "sizes", "stable_index",
                  "_formula_balls")
 
-    def __init__(self, sys: GeneratingSystem, maps: Sequence[PartialMap],
-                 sizes: list[int]):
+    def __init__(self, maps: Sequence[PartialMap], sizes: list[int]):
         self.stabilized_maps = maps
         self.sizes = sizes
         self.stable_index = len(sizes)
-        self._pairs = sys._pair_tables()
         self._formula_balls = {}  # see dynamics._formula_balls
 
     def maps_at(self, n: int) -> list[PartialMap]:
@@ -604,7 +619,7 @@ class WordClosure:
 
     def constraint_table(self, n: int) -> list[Sequence[int]]:
         """The system's constraint table at length ``n``."""
-        return self._pairs.table(n)
+        return self.stabilized_maps.pairs.table(n)
 
 
 def spread_table(maps, space: FiniteMetricSpace) -> list[list[int]]:
@@ -646,13 +661,6 @@ def word_closure(sys: GeneratingSystem) -> WordClosure:
     return _closure(sys, PartialMap.then)
 
 
-def _letter(g: PartialMap) -> tuple[str, ...]:
-    """A generator's part of a witness word: its word, else its name."""
-    if g.word is not None:
-        return g.word
-    return (g.name,) if g.name else ("?",)
-
-
 def _closure(sys: GeneratingSystem, compose) -> WordClosure:
     """The closure loop behind every word closure: each round extends the
     newest words by one generator through ``compose(word, generator)``
@@ -665,19 +673,12 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
     one C call that also sends 255 to 255.  Any other ``compose``, and
     any wider space, steps through ``compose`` on ``PartialMap``s keyed
     by their ``vals``.  Each new key keeps its parent's position and its
-    generator's.  Under ``PartialMap.then`` the maps, with their witness
-    words, are built when first read (``ClosureMaps``); under any other
-    ``compose`` all of them are built after the loop, into a plain list.
+    generator's.  Level 1 is the system's generators, the first of a
+    repeated map, with their words; every later map, with its witness word,
+    is built when first read (``ClosureMaps``).
     """
     space = sys.space
-    seen: set[PartialMap] = set()
-    level1: list[PartialMap] = []
-    for g in sys.generators:
-        if g.word is None:
-            g = PartialMap(space, g.vals, name=g.name, word=_letter(g))
-        if g not in seen:
-            seen.add(g)
-            level1.append(g)
+    level1 = list(dict.fromkeys(sys.generators))
     if compose is PartialMap.then and space.n <= UNDEFINED_BYTE:
         keys = [g.key for g in level1]
         pad = bytes([UNDEFINED_BYTE]) * (256 - space.n)
@@ -712,11 +713,8 @@ def _closure(sys: GeneratingSystem, compose) -> WordClosure:
             break
         sizes.append(len(keys))
         start = end
-    if compose is PartialMap.then:
-        maps = ClosureMaps(space, level1, keys, links, sys._pair_tables())
-    else:
-        maps = ClosureMaps(space, level1, keys, links, None)[:]
-    return WordClosure(sys, maps, sizes)
+    return WordClosure(
+        ClosureMaps(space, level1, keys, links, sys._pair_tables()), sizes)
 
 
 class GermRelation:
@@ -823,11 +821,8 @@ def compacted_system(sys: GeneratingSystem) -> GeneratingSystem:
             gens.append(g)
             cores.append(sys.space.full_set())
             continue
-        r = g.restrict(core)
-        r = PartialMap(sys.space, r.vals, name=g.name,
-                       word=(g.name,) if g.name else None)
-        gens.append(r)
-        cores.append(r.dom)
+        gens.append(g.restrict(core))
+        cores.append(gens[-1].dom)
     return GeneratingSystem(sys.space, gens, cores=tuple(cores))
 
 

@@ -310,8 +310,8 @@ def reference_is_homogeneous(sys, measures, eps_grid=None):
             ladder = Fraction(1)
             while ladder < c_exact:
                 ladder *= 2
-            found = HomogeneityWitness(eps=eps, delta=delta,
-                                       c_exact=c_exact, c_ladder=ladder)
+            found = HomogeneityWitness(delta=delta, c_exact=c_exact,
+                                       c_ladder=ladder)
             break
         if found is None:
             ok = False

@@ -11,7 +11,7 @@ from pseudodyn import (CapabilityError, FiniteMeasure, FiniteMetricSpace,
                        pushforward, separated_count, separation_radius)
 from pseudodyn.mutations import MUTATIONS
 from pseudodyn.probes import InstanceSpec, closure_with, random_genome
-from pseudodyn.pseudogroup import PartialMap, WordClosure
+from pseudodyn.pseudogroup import ClosureMaps, PartialMap, WordClosure
 
 from conftest import rotation_system, system_past_255_points
 
@@ -164,8 +164,8 @@ def test_formula_matches_per_map_masks_seeded():
 
 
 def test_formula_matches_reference_on_mutant_closures():
-    """A mutant compose's closure is a plain list of maps whose byte keys
-    are built when the formula first reads them.  It memoizes its own
+    """A mutant compose's closure is a ``ClosureMaps`` whose maps' byte
+    keys are built when the formula first reads them.  It memoizes its own
     balls: after the production closure of the same system has filled its
     memo, the mutant closure still answers by its own words, and on some
     instance that answer differs from the production one."""
@@ -182,7 +182,7 @@ def test_formula_matches_reference_on_mutant_closures():
         memo = dict(closure._formula_balls)
         for ops in mutants:
             mutant = closure_with(ops, sys_i)
-            assert type(mutant.stabilized_maps) is list
+            assert type(mutant.stabilized_maps) is ClosureMaps
             assert not mutant._formula_balls
             assert_formula_matches_reference(sys_i, mutant, ns, radii)
             differ += any(

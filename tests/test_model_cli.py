@@ -395,6 +395,26 @@ def test_cli_check_invariant(model_path, capsys):
     assert code == 0
 
 
+def test_cli_check_invariant_spells_an_unnamed_generator_as_its_word(
+        tmp_path, capsys):
+    """An unnamed generator's word is ``?``: the invariance witness prints
+    it as a ball's exclusions do."""
+    path = tmp_path / "unnamed.json"
+    path.write_text(json.dumps({
+        "points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+        "generators": [{"map": {"a": "a", "b": "c"}}],
+        "mu": {"a": "1/4", "b": "1/4", "c": "1/2"}}))
+    argv = ["--format", "json", "check", "--model", str(path),
+            "--what", "invariant"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["witness"] \
+        == ["<?: a->a, b->c>", "b"]
+    assert main(["--format", "json", "ball", "--model", str(path), "--x",
+                 "a", "--n", "2", "--eps", "2"]) == 0
+    excluded = json.loads(capsys.readouterr().out)["result"]["excluded"]
+    assert excluded["b"]["by"] == "?"
+
+
 def test_cli_input_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"points": ["a", "b"],

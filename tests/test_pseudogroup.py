@@ -2,6 +2,7 @@ import gc
 import math
 import random
 from fractions import Fraction
+from itertools import product
 from operator import itemgetter
 
 import pytest
@@ -46,6 +47,7 @@ def test_invert_restrict(line):
     g = _g(line)
     assert g.inverse() == PartialMap.from_dict(line, {"b": "a", "c": "b"})
     assert g.restrict({0}) == PartialMap.from_dict(line, {"a": "b"})
+    assert g.restrict({0}).name == "g"
     assert g.inverse().inverse() == g
 
 
@@ -247,13 +249,11 @@ def test_table_only_calls_build_no_closure(monkeypatch):
 def reference_closure(sys, compose):
     """The closure loop over ``PartialMap``s: each round extends the newest
     maps by one generator through ``compose``, deduplicating on the maps
-    themselves, until a round adds nothing."""
+    themselves, until a round adds nothing.  The generators carry their
+    words (``test_every_generator_carries_its_word``)."""
     seen = {}
     level1 = []
     for g in sys.generators:
-        if g.word is None:
-            g = PartialMap(sys.space, g.vals, name=g.name,
-                           word=(g.name,) if g.name else ("?",))
         if g not in seen:
             seen[g] = g
             level1.append(g)
@@ -271,7 +271,7 @@ def reference_closure(sys, compose):
             break
         levels.append(levels[-1] + new)
         frontier = new
-    return WordClosure(sys, levels[-1], [len(level) for level in levels])
+    return WordClosure(levels[-1], [len(level) for level in levels])
 
 
 def assert_closure_matches_reference(sys, compose=PartialMap.then,
@@ -345,8 +345,9 @@ def test_closure_matches_reference_past_255_points():
 
 
 def test_closure_matches_reference_under_mutant_compose():
-    """Every mutant compose's closure matches the reference and keeps a
-    plain list: the system's pair tables are not the spread of its maps."""
+    """Every mutant compose's closure matches the reference, and its maps
+    are a ``ClosureMaps`` carrying the system's pair tables, which
+    ``constraint_table`` reads."""
     mutants = [ops for ops in MUTATIONS.values()
                if ops.compose is not PartialMap.then]
     assert mutants
@@ -356,7 +357,9 @@ def test_closure_matches_reference_under_mutant_compose():
         for ops in mutants:
             got = closure_with(ops, sys_i)
             assert_closure_matches_reference(sys_i, ops.compose, got=got)
-            assert type(got.stabilized_maps) is list
+            assert type(got.stabilized_maps) is ClosureMaps
+            assert got.stabilized_maps.pairs is sys_i._pair_tables()
+            assert got.constraint_table(1) is sys_i.constraint_table(1)
 
 
 def test_compose_associative_on_closure(line_system):
@@ -377,6 +380,44 @@ def test_closure_realizes_pseudogroup_operations(line_system):
         assert graph(f.restrict({0, 1})) <= pairs
         for g in maps[:5]:
             assert graph(f.then(g)) <= pairs
+
+
+def test_every_generator_carries_its_word(line):
+    """A map given to a system without a word carries ``(name,)``, or
+    ``("?",)`` when it has no name: in a built system, a directly
+    constructed one of unnamed maps, a core-restricted system and the
+    conjugates of both.  ``PartialMap.identity`` keeps the empty word."""
+    unnamed = PartialMap.from_dict(line, {"a": "b", "b": "c"})
+    built = GeneratingSystem.build(
+        line, [_g(line), PartialMap.from_dict(line, {"a": "c"})],
+        cores={"g": {0}})
+    direct = GeneratingSystem(line, [PartialMap(line, (0, 1, 2)), unnamed,
+                                     unnamed.inverse()])
+    rng = random.Random("generator-words")
+    words = set()
+    for system in (built, direct, compacted_system(built),
+                   permuted_conjugate(built, rng),
+                   permuted_conjugate(direct, rng)):
+        for g in system.generators:
+            assert g.word == (() if g.name == "id" else (g.name or "?",))
+            words.add(g.word)
+    assert {(), ("?",), ("g",), ("g^-1",)} <= words
+
+
+def test_closure_level_one_holds_the_system_generators(line):
+    """A closure's first level is the system's own generator objects, the
+    first of a repeated map, under the production and a mutant compose."""
+    g = _g(line)
+    again = PartialMap.from_dict(line, {"a": "b", "b": "c"}, name="again")
+    system = GeneratingSystem(line, [PartialMap.identity(line), g, again,
+                                     g.inverse()])
+    gens = system.generators
+    for compose in (PartialMap.then,
+                    MUTATIONS["compose-intersect-domains"].compose):
+        level1 = pseudogroup._closure(system, compose).level_maps[0]
+        assert len(level1) == 3
+        assert all(m is g for m, g in zip(level1, (gens[0], gens[1],
+                                                   gens[3])))
 
 
 def test_compacted_system(line, line_system_cores):
@@ -404,10 +445,10 @@ def test_table_engine_and_closure_hold_no_reference_to_the_system():
 
 
 def maps_held(closure):
-    """The map references in the lists reachable from ``closure``, past
-    its table engine."""
+    """The map references in the lists reachable from ``closure`` through
+    lists, tuples, dicts and its ``ClosureMaps``."""
     held, seen = 0, set()
-    todo = [r for r in gc.get_referents(closure) if r is not closure._pairs]
+    todo = gc.get_referents(closure)
     while todo:
         obj = todo.pop()
         if id(obj) in seen or not isinstance(obj, (list, tuple, dict,
@@ -430,14 +471,15 @@ def test_closure_holds_each_map_once():
                               [[abs(i - j) for j in range(20)] for i in range(20)])
     shift = PartialMap(space, [i + 1 if i < 19 else None for i in range(20)],
                        name="g")
-    closure = GeneratingSystem.build(space, [shift]).word_closure()
+    system = GeneratingSystem.build(space, [shift])
+    closure = system.word_closure()
     maps = closure.stabilized_maps
     assert (len(maps), closure.stable_index) == (2871, 38)
     assert maps_held(closure) == closure.sizes[0] == 3
     assert len(list(maps)) == len(maps)
     assert maps_held(closure) == len(maps)
     assert maps._keys is None and maps._links is None
-    assert type(maps) is ClosureMaps and maps.pairs is closure._pairs
+    assert type(maps) is ClosureMaps and maps.pairs is system._tables
     for n in range(1, closure.stable_index + 3):
         level = closure.maps_at(n)
         assert len(level) <= len(maps)
@@ -446,13 +488,13 @@ def test_closure_holds_each_map_once():
             assert type(level) is list
 
 
-def lazy_and_eager(system):
-    """A fresh, unread closure map list of ``system`` and the reference
-    closure's eager list."""
-    closure = pseudogroup._closure(system, PartialMap.then)
+def lazy_and_eager(system, compose):
+    """A fresh closure map list of ``system`` under ``compose``, which
+    holds only its level-1 maps, and the reference closure's eager list."""
+    closure = pseudogroup._closure(system, compose)
     lazy = closure.stabilized_maps
     assert type(lazy) is ClosureMaps and len(lazy._maps) == closure.sizes[0]
-    return lazy, reference_closure(system, PartialMap.then).stabilized_maps
+    return lazy, reference_closure(system, compose).stabilized_maps
 
 
 def same_maps(got, want):
@@ -465,42 +507,44 @@ def test_lazy_closure_maps_read_like_the_eager_build():
     gives the maps and witness words of the eager reference build: int,
     negative and out-of-range indices, slices with any step, iterating
     after a partial read, ``len``, ``random.sample`` and the
-    levels.  Each map's ``key`` is its ``vals`` in bytes."""
+    levels.  Each map's ``key`` is its ``vals`` in bytes.  Closures under
+    a mutant compose are read the same way."""
     spec = InstanceSpec(seed="lazy-closure", count=40)
     systems = [random_genome(spec, idx).build()[0] for idx in range(spec.count)]
     systems += [symmetric_group(coprime_space(5)), system_past_255_points()]
+    mutant = MUTATIONS["compose-intersect-domains"].compose
     rng = random.Random("lazy-closure")
-    for system in systems:
-        lazy, eager = lazy_and_eager(system)
+    for compose, system in product((PartialMap.then, mutant), systems):
+        lazy, eager = lazy_and_eager(system, compose)
         size = len(eager)
         assert len(lazy) == size
         assert same_maps(lazy, eager)
         for _ in range(3):
             k = rng.randrange(size)
-            lazy, _ = lazy_and_eager(system)
+            lazy, _ = lazy_and_eager(system, compose)
             assert same_maps([lazy[k], lazy[-1 - k]], [eager[k], eager[-1 - k]])
             assert same_maps(lazy, eager)
-            lazy, _ = lazy_and_eager(system)
+            lazy, _ = lazy_and_eager(system, compose)
             for bad in (size, -size - 1):
                 with pytest.raises(IndexError):
                     lazy[bad]
             a, b = sorted(rng.randrange(-size - 2, size + 2) for _ in range(2))
             for cut in (slice(a, b), slice(b, a, -1), slice(None, b, 3),
                         slice(a, None, -2), slice(-3, None), slice(None)):
-                lazy, _ = lazy_and_eager(system)
+                lazy, _ = lazy_and_eager(system, compose)
                 got = lazy[cut]
                 assert type(got) is list and same_maps(got, eager[cut])
-            lazy, _ = lazy_and_eager(system)
+            lazy, _ = lazy_and_eager(system, compose)
             read = iter(lazy)
             head = [next(read) for _ in range(min(k, 3))]
             lazy[k]
             assert same_maps(head + list(read), eager)
-            lazy, _ = lazy_and_eager(system)
+            lazy, _ = lazy_and_eager(system, compose)
             picked = random.Random(k).sample(lazy, min(size, 5))
             assert same_maps(picked, random.Random(k).sample(eager,
                                                              min(size, 5)))
-        closure = pseudogroup._closure(system, PartialMap.then)
-        want = reference_closure(system, PartialMap.then)
+        closure = pseudogroup._closure(system, compose)
+        want = reference_closure(system, compose)
         assert closure.sizes == want.sizes
         for got_level, want_level in zip(closure.level_maps, want.level_maps):
             assert type(got_level) is list and same_maps(got_level,
@@ -961,17 +1005,36 @@ def test_pair_table_rows_are_bytes_and_read_like_the_references():
     assert_pair_levels_match_reference(system)
 
 
-def test_pair_table_rows_past_256_rank_values_stay_lists():
-    """276 rank values do not fit a byte: the rows stay lists, and the
+def test_pair_table_rows_past_256_rank_values_are_tuples():
+    """276 rank values do not fit a byte: the rows are tuples, and the
     readers agree with the same references."""
     rng = random.Random("row-format-wide")
     space = ranked_space(24, 275)
     assert len(space.distance_ranks()[1]) == 276
     system = GeneratingSystem.build(space, random_partial_maps(space, rng, 2))
     assert_row_readers_match_references(
-        system, FiniteMeasure.uniform(space), list)
+        system, FiniteMeasure.uniform(space), tuple)
     assert system.fixpoint_level > 1
     assert_pair_levels_match_reference(system)
+
+
+def test_pair_table_rows_refuse_item_assignment():
+    """Levels share rows, so no row of any level takes an item assignment,
+    in either format: ``bytes`` up to 256 rank values, tuples past them."""
+    rng = random.Random("row-read-only")
+    for values in (255, 275):
+        space = ranked_space(24, values)
+        system = GeneratingSystem.build(space,
+                                        random_partial_maps(space, rng, 2))
+        system.fixpoint_level
+        tables = system._tables.tables
+        assert len(tables) > 2
+        assert any(a is b for prev, level in zip(tables, tables[1:])
+                   for a, b in zip(prev, level))
+        for table in tables:
+            for row in table:
+                with pytest.raises(TypeError):
+                    row[0] = 1
 
 
 def test_constraint_table_rejects_word_length_below_1(line_system):

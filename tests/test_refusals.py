@@ -108,6 +108,15 @@ REFUSALS = {
     "then across spaces": (
         lambda tmp: SHIFT.then(PartialMap.identity(line(4))),
         InputError, "different spaces"),
+    "system generator from another space": (
+        lambda tmp: GeneratingSystem(LINE, [IDENTITY,
+                                            PartialMap(line(2), (1, 0))]),
+        InputError, "does not live on the system's space"),
+    "build generator from another space": (
+        lambda tmp: GeneratingSystem.build(
+            LINE, [PartialMap(line(2), (1, None), name="t")],
+            cores={"t": {2}}),
+        InputError, "does not live on the system's space"),
     "system identity": (lambda tmp: GeneratingSystem(LINE, [SHIFT]),
                         InputError, "must contain the total identity"),
     "cores length": (
