@@ -219,10 +219,14 @@ def separation_graph(sys: GeneratingSystem, n: int, eps) -> list[int]:
     """Adjacency bitmasks: an edge joins two points some shared word pushes
     at least ``eps`` apart."""
     t = sys.space.threshold(parse_scale(eps))
-    flags = below_flags(sys.constraint_table(n), t)
+    return _edges(sys.constraint_table(n), t)
+
+
+def _edges(rows, t: int) -> list[int]:
+    """The adjacency bitmasks of the cells of rank ``t`` or more."""
     # bit j of a row's mask is its cell j, so the digits run from the last
     return [int(row.translate(_EDGE_DIGITS)[::-1], 2) & ~(1 << i)
-            for i, row in enumerate(flags)]
+            for i, row in enumerate(below_flags(rows, t))]
 
 
 def separated_count(sys: GeneratingSystem, n: int, eps,
@@ -233,7 +237,7 @@ def separated_count(sys: GeneratingSystem, n: int, eps,
     branch-and-bound maximum clique (instances up to 20 points); ``greedy``
     reports a maximal clique as the lower bound and |X| as the upper.
     """
-    eps = parse_scale(eps)
+    t = sys.space.threshold(parse_scale(eps))
     check_length(n)
     if mode not in ("exact", "greedy"):
         raise InputError(f"unknown mode {mode!r}")
@@ -244,7 +248,7 @@ def separated_count(sys: GeneratingSystem, n: int, eps,
             f"exact separated-set search is capped at {EXACT_CLIQUE_CAP} "
             f"points (got {npts}); use mode='greedy'"
         )
-    adj = separation_graph(sys, n, eps)
+    adj = _edges(sys.constraint_table(n), t)
     if exact:
         size, mask = _max_clique(adj, npts)
     else:

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import accumulate, combinations
 from typing import Optional
 
 from .dynamics import check_n_max, grid_scales
 from .errors import InputError, PreconditionError
-from .pseudogroup import GeneratingSystem, below_flags
+from .pseudogroup import GeneratingSystem
 from .rational import parse_radius, parse_rational
 from .space import FiniteMetricSpace, PointSet
 
@@ -32,9 +32,11 @@ class FiniteMeasure:
     ``nums`` holds the weights as integer numerators over the one common
     denominator ``den``, which every ball and subset measure sums;
     ``weights`` holds them as ``Fraction``s, built on first read when the
-    measure was read from a mapping."""
+    measure was read from a mapping.  ``_cum`` keeps, for each rank-table
+    row read so far, its cumulative rank histogram of weights (see
+    ``cumulative``), so a ball measure is one lookup."""
 
-    __slots__ = ("space", "den", "nums", "_weights")
+    __slots__ = ("space", "den", "nums", "_weights", "_cum")
 
     def __init__(self, space: FiniteMetricSpace, weights):
         ws = tuple(map(parse_rational, weights))
@@ -56,6 +58,7 @@ class FiniteMeasure:
         self.space = space
         self.den = den
         self.nums = nums
+        self._cum = {}
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -97,26 +100,39 @@ class FiniteMeasure:
         nums = self.nums
         return Fraction(sum([nums[i] for i in subset]), self.den)
 
-    def ball_numerators(self, rows, t: int, reuse=None) -> list[int]:
+    def cumulative(self, rows) -> list[tuple[int, ...]]:
+        """For each row of a rank table, its cumulative rank histogram of
+        weights: entry ``r`` is the measure of ``{y : row[y] < r}`` over
+        ``den``, for r up to ``max(row) + 1`` (sized from the row, as the
+        system's metric may rank past this space's ranks).  Built on the
+        first read of a row and kept in ``_cum``, keyed by the row, so rows
+        are hashable: pair-table rows are read-only ``bytes`` or tuples."""
+        nums, cum = self.nums, self._cum
+        out = []
+        for row in rows:
+            c = cum.get(row)
+            if c is None:
+                hist = [0] * (max(row) + 1)
+                for w, r in zip(nums, row):
+                    hist[r] += w
+                c = cum[row] = tuple(accumulate(hist, initial=0))
+            out.append(c)
+        return out
+
+    def ball_numerators(self, rows, t: int) -> list[int]:
         """For each row of a rank table, the measure of the ball
         ``{y : row[y] < t}`` (see ``table_ball``) as a numerator over
-        ``den``.  ``reuse`` is ``(old_rows, old)``, the numerators ``old``
-        of another table's ``old_rows`` at the same ``t``: a row that is
-        the same object as its old row keeps its old numerator (pair
-        tables share the rows a level did not raise)."""
-        nums = self.nums
-        if reuse is None:
-            return [sum(compress(nums, flags))
-                    for flags in below_flags(rows, t)]
-        old_rows, old = reuse
-        fresh = iter(below_flags(
-            [row for row, old_row in zip(rows, old_rows) if row is not old_row],
-            t))
-        return [m if row is old_row else sum(compress(nums, next(fresh)))
-                for row, old_row, m in zip(rows, old_rows, old)]
+        ``den``."""
+        return _balls_at(self.cumulative(rows), t)
 
     def atoms(self) -> PointSet:
         return frozenset(i for i, w in enumerate(self.nums) if w)
+
+
+def _balls_at(cums, t: int) -> list[int]:
+    """Entry ``t`` of each cumulative histogram, or its last entry when
+    ``t`` is past it: that ball is the whole space."""
+    return [c[t] if t < len(c) else c[-1] for c in cums]
 
 
 def _weight(w) -> tuple[int, int]:
@@ -289,14 +305,12 @@ def local_entropy(mu: FiniteMeasure, sys: GeneratingSystem, x,
     xi = space._point(x)
     n_max = sys.fixpoint_level if n_max is None else check_n_max(n_max)
     scales = sorted(grid_scales(space, eps_grid))
+    cums = mu.cumulative([sys.constraint_table(n)[xi]
+                          for n in range(1, n_max + 1)])
     cells = []
     for eps, t in scales:
-        old = None
-        for n in range(1, n_max + 1):
-            row = sys.constraint_table(n)[xi]
-            if row is not old:  # a row no level raised keeps its measure
-                old = row
-                m = Fraction(mu.ball_numerators((row,), t)[0], mu.den)
+        for n, num in enumerate(_balls_at(cums, t), 1):
+            m = Fraction(num, mu.den)
             cells.append(EntropyCell(eps=eps, n=n, ball_measure=m,
                                      value=_rate(m, n)))
     # the smallest scale comes first; with none, the stabilized ball is {x}
@@ -335,9 +349,10 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     at the smallest grid value other than eps.  Otherwise balls grow with
     delta, so delta = eps is tried, then the grid values below eps
     downward; c is the exact maximal measure ratio, capped by the 2^20
-    ladder.  Level n sums only the rows it raised.  The search runs on
-    integers: ``grid[r - 1]`` has the open threshold r, ratios compare by
-    cross-multiplying, and ``Fraction``s are built only for a witness.
+    ladder.  Each level's rows are read once, as cumulative histograms, so
+    a ball measure at any threshold is one index per row.  The search runs
+    on integers: ``grid[r - 1]`` has the open threshold r, ratios compare
+    by cross-multiplying, and ``Fraction``s are built only for a witness.
     """
     _same_space(mu, sys)
     space = sys.space
@@ -348,42 +363,30 @@ def is_homogeneous(mu: FiniteMeasure, sys: GeneratingSystem, eps_grid=None,
     # every n past the fixpoint reads the same table, so adds no cell
     n_range = range(1, min(n_max, level) + 1)
     cap = HOMOGENEITY_LADDER_CAP.numerator
-    rows: dict[tuple[int, int], list[int]] = {}
-
-    def measures(t: int, n: int) -> list[int]:
-        """Open-ball measures around every point, as numerators over
-        ``mu.den``, once per threshold and n."""
-        row = rows.get((t, n))
-        if row is None:
-            # n runs up from 1 for every threshold, so level n - 1 is summed
-            reuse = None
-            if n > 1:
-                reuse = (sys.constraint_table(n - 1), rows[t, n - 1])
-            row = rows[t, n] = mu.ball_numerators(sys.constraint_table(n), t,
-                                                  reuse)
-        return row
-
+    levels = [mu.cumulative(sys.constraint_table(n)) for n in n_range]
     witnesses: dict = {}
     counterexample = None
     for eps, t_eps in scales:
-        lows = []  # the least eps-ball measure at each level
-        for n in n_range:
-            denom = measures(t_eps, n)
+        lows, highs = [], []  # the extreme eps-ball measures at each level
+        for n, cums in zip(n_range, levels):
+            denom = _balls_at(cums, t_eps)
             lo = min(denom)
             if lo == 0:
                 if counterexample is None:
                     t_y = 1 + (len(grid) > 1 and grid[0] == eps)
-                    numer = mu.ball_numerators(sys.constraint_table(n), t_y)
+                    numer = _balls_at(cums, t_y)
                     counterexample = (eps, space.label(denom.index(0)),
                                       space.label(numer.index(max(numer))), n)
                 break
             lows.append(lo)
+            highs.append(max(denom))
         else:
             # delta = eps at threshold t_eps, then grid[t - 1] downward
             for t in range(t_eps, 0, -1):
+                if t < t_eps:
+                    highs = [max(_balls_at(cums, t)) for cums in levels]
                 cp, cq = 0, 1  # the largest ratio hi / lo
-                for n, lo in zip(n_range, lows):
-                    hi = max(measures(t, n))
+                for hi, lo in zip(highs, lows):
                     if hi * cq > cp * lo:
                         cp, cq = hi, lo
                 if cp <= cap * cq:

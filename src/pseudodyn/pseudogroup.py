@@ -311,6 +311,10 @@ class GeneratingSystem:
                 if target.is_identity() and core != space.full_set():
                     raise InputError(f"generator {gname!r} is the identity, "
                                      "whose core is the whole space")
+                # the inverse step below maps this core through target
+                if not core <= target.dom:
+                    raise InputError(f"core of {target!r} is not inside its "
+                                     "domain")
                 first = owner.setdefault(target, gname)
                 if by_map.setdefault(target, core) != core:
                     raise InputError(f"generators {first!r} and {gname!r} "

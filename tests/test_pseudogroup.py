@@ -934,9 +934,11 @@ def test_table_readers_leave_every_level_intact():
 
 def assert_row_readers_match_references(system, mu, row_type):
     """Every level's rows are ``row_type``, and at every level and every
-    rank threshold the ball measures (summed in full and reusing the level
-    before), the table balls and, at each threshold a scale reaches, the
-    separation graph equal the row-by-row references.  The scales 0,
+    rank threshold the ball measures, the table balls and, at each
+    threshold a scale reaches, the separation graph equal the row-by-row
+    references.  The ball measures are read cold (by a copy of ``mu``
+    that has read no row), then warm (by the same copy again, and by
+    ``mu``, which read the earlier levels and thresholds).  The scales 0,
     each grid value and twice the diameter reach every threshold."""
     space = system.space
     values = space.distance_ranks()[1]
@@ -946,22 +948,19 @@ def assert_row_readers_match_references(system, mu, row_type):
     scales = {space.threshold(eps): eps
               for eps in [0, *space.distance_grid(), 2 * space.diameter()]}
     assert set(scales) == set(range(len(values) + 1))
-    before = None
     for n, table in enumerate(tables):
-        wants = [reference_ball_numerators(mu.nums, table, t)
-                 for t in range(len(values) + 1)]
-        for t, want in enumerate(wants):
+        for t in range(len(values) + 1):
+            want = reference_ball_numerators(mu.nums, table, t)
+            cold = FiniteMeasure(space, mu.weights)
+            assert cold.ball_numerators(table, t) == want
+            assert cold.ball_numerators(table, t) == want
             assert mu.ball_numerators(table, t) == want
-            if n:
-                reuse = (tables[n - 1], before[t])
-                assert mu.ball_numerators(table, t, reuse) == want
             assert [table_ball(table, i, t) for i in range(space.n)] \
                 == [reference_table_ball(table, i, t)
                     for i in range(space.n)]
             if n and t:  # the scale 0 of threshold 0 is refused
                 assert separation_graph(system, n, scales[t]) \
                     == reference_separation_graph(table, t)
-        before = wants
     assert system.constraint_table() is tables[-1]
 
 

@@ -130,6 +130,13 @@ REFUSALS = {
         lambda tmp: GeneratingSystem(LINE, [IDENTITY, SHIFT],
                                      cores=[None, {2}]),
         InputError, "is not inside its domain"),
+    "build core outside domain": (
+        lambda tmp: GeneratingSystem.build(LINE, [SHIFT], cores={"s": {2}}),
+        InputError, "core of <s: 0->1, 1->2> is not inside its domain"),
+    "build inverse core outside domain": (
+        lambda tmp: GeneratingSystem.build(LINE, [SHIFT],
+                                           cores={"s^-1": {0}}),
+        InputError, "core of <s^-1: 1->0, 2->1> is not inside its domain"),
     "core unknown generator": (
         lambda tmp: GeneratingSystem.build(LINE, [SHIFT], cores={"t": {0}}),
         InputError, "unknown generator 't'"),
