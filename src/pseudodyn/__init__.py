@@ -71,7 +71,6 @@ from .equicont import (
 from .probes import (
     InstanceSpec,
     ProbeReport,
-    question_probe,
     random_instance,
     run_suite,
 )

@@ -461,19 +461,8 @@ def cmd_shift(args) -> tuple[int, object]:
 
 
 def cmd_probe(args) -> tuple[int, object]:
-    if args.survey and args.statements is not None:
-        raise InputError("--statements is not read with --survey")
     check_length(args.seeds, "--seeds")
     spec = probes.InstanceSpec(seed=args.seed, count=args.seeds)
-    if args.survey:
-        survey = probes.question_probe(args.survey, spec)
-        payload = {
-            "survey": survey.topic, "instances": survey.instances,
-            "agreements": survey.agreements,
-            "disagreements": survey.disagreements,
-            "note": survey.note,
-        }
-        return EXIT_OK, (payload, None)
     statements = ("all" if args.statements in (None, "all")
                   else args.statements.split(","))
     reports = probes.run_suite(spec, statements=statements)
@@ -589,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", type=int, default=500)
         p.add_argument("--seed", default="0")
         p.add_argument("--statements")
-        p.add_argument("--survey", choices=probes.QUESTION_TOPICS)
 
     return parser
 

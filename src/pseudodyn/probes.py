@@ -20,7 +20,7 @@ from . import morphism
 from .dynamics import bowen_ball, dyn_ball_via_formula
 from .equicont import _modulus, no_expansive_certificate_group
 from .errors import InputError
-from .measure import FiniteMeasure, expansiveness_verdict, is_homogeneous
+from .measure import FiniteMeasure, expansiveness_verdict
 from .pseudogroup import (GeneratingSystem, GermRelation, PartialMap, WordClosure,
                           _closure, _union_roots, compacted_system,
                           separation_radius, table_ball)
@@ -650,6 +650,8 @@ def run_suite(spec: InstanceSpec, statements="all",
 
     Deterministic for a fixed spec: instance i is derived from
     (spec.seed, i), and instances are evaluated and reported in index order.
+    An unknown or repeated statement name is an input error, raised before
+    any instance is drawn.
     """
     ops = ops or DEFAULT_OPS
     if statements == "all":
@@ -659,6 +661,9 @@ def run_suite(spec: InstanceSpec, statements="all",
         unknown = [s for s in names if s not in STATEMENTS]
         if unknown:
             raise InputError(f"unknown statements: {unknown}")
+        repeated = sorted({s for s in names if names.count(s) > 1})
+        if repeated:
+            raise InputError(f"repeated statements: {repeated}")
     genomes = list(extra_genomes or [])
     genomes += [random_genome(spec, i) for i in range(spec.count)]
     seeds = [f"pseudodyn-eval:{spec.seed}:{i}" for i in range(len(genomes))]
@@ -685,44 +690,3 @@ def run_suite(spec: InstanceSpec, statements="all",
                         small, ops, [name], seed)[name].witness
                 rep.violations.append(violation)
     return reports
-
-
-# -- open-question surveys ------------------------------------------------------------
-
-
-QUESTION_TOPICS = ("homogeneity",)
-
-
-@dataclass
-class QuestionSurvey:
-    topic: str
-    instances: int
-    agreements: int
-    disagreements: list
-    note: str
-
-
-def question_probe(topic: str, spec: InstanceSpec) -> QuestionSurvey:
-    """Finite-instance surveys around the open independence questions.
-
-    These are evidence tables, not verdicts: they compare paired verdicts
-    across reformulations and report agreement counts with explicit
-    disagreement witnesses.
-    """
-    if topic not in QUESTION_TOPICS:
-        raise InputError(f"unknown survey topic {topic!r}; "
-                         f"choose from {QUESTION_TOPICS}")
-    agreements = 0
-    disagreements = []
-    for i in range(spec.count):
-        sys, mu = random_genome(spec, i).build()
-        a = is_homogeneous(mu, sys).ok
-        b = is_homogeneous(mu, compacted_system(sys)).ok
-        if a == b:
-            agreements += 1
-        else:
-            disagreements.append((i, f"original={a} compacted={b}"))
-    return QuestionSurvey(
-        topic=topic, instances=spec.count, agreements=agreements,
-        disagreements=disagreements,
-        note="homogeneity verdicts for the system vs its core restriction")

@@ -221,6 +221,30 @@ def test_homogeneity_point_mass_fails_literally(line, identity_system):
     assert rep.counterexample is not None
 
 
+def test_default_grid_homogeneity_is_full_support(line, line_system_cores):
+    """Let grid[0] be the least positive distance.  Every open grid[0]-ball
+    at every level is {x}: the level-0 ball is {x}, tables only rise, and
+    every ball holds its center.  So a point of weight 0 has a grid[0]-ball
+    of measure 0, which fails the search; with every weight positive,
+    delta = eps gives c <= 1 / (least weight), under the 2^20 ladder cap.
+    On the default grid the verdict is therefore "mu has full support",
+    for a cored system and for its compacted system alike.  On the line
+    with weights (1/2, 0, 1/2), grid [1, 2], only grid[0] sees the null
+    point: its 2-ball is the whole line at every level."""
+    half = Fraction(1, 2)
+    cases = [(line_system_cores, FiniteMeasure(line, [half, 0, half]))]
+    spec = InstanceSpec(seed=1, count=1000)
+    cases += [random_genome(spec, i).build() for i in range(spec.count)]
+    verdicts = []
+    for sys_i, mu in cases:
+        full = mu.atoms() == sys_i.space.full_set()
+        assert is_homogeneous(mu, sys_i).ok == full
+        assert is_homogeneous(mu, compacted_system(sys_i)).ok == full
+        verdicts.append(full)
+    assert verdicts[0] is False
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
 def test_expansiveness_verdict_examples(line, line_system):
     uniform = FiniteMeasure.uniform(line)
     rep = expansiveness_verdict(uniform, line_system, 1)

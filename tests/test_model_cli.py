@@ -5,9 +5,11 @@ import hashlib
 import json
 import math
 import random
+import shlex
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -322,15 +324,46 @@ def test_cli_payloads_read_the_fixpoint_level(model_path, capsys):
     ["shift", "htop", "--eps", "1", "--n", "1", "--p", "1/3"],
     ["conjugate", "--model", "m.json", "--measure", "mu.json"],
     ["conjugate", "--model", "m.json", "--check", "entropy"],
+    ["probe", "--survey", "homogeneity"],
+    ["verify", "--survey", "homogeneity"],
 ])
 def test_cli_removed_options_are_usage_errors(argv, capsys):
-    """The expansiveness transfer check, its --eta, shift htop's --p and
-    conjugate's --measure and --check, which no payload read, are gone:
-    argparse exits 2."""
+    """The expansiveness transfer check, its --eta, shift htop's --p,
+    conjugate's --measure and --check, which no payload read, and the
+    homogeneity survey of probe and verify, which a theorem decides, are
+    gone: argparse exits 2."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+def readme_cli_examples() -> list[str]:
+    """Each ``pseudodyn ...`` line of README's ``sh`` blocks, without its
+    trailing ``# ...`` comment."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines, in_sh = [], False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("pseudodyn "):
+            lines.append(line.split("#", 1)[0].strip())
+    return lines
+
+
+def test_readme_cli_examples_parse(capsys):
+    """Every CLI example in README parses, so an example of a removed
+    option, or one that is not a command line at all, fails here."""
+    parser = cli.build_parser()
+    examples = readme_cli_examples()
+    assert len(examples) >= 10
+    stale = []
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            stale.append(line)
+    assert stale == []
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -340,13 +373,8 @@ def test_cli_removed_options_are_usage_errors(argv, capsys):
     (["check", "--what", "homogeneous", "--delta", "abc"], "--delta"),
     (["check", "--what", "invariant", "--delta", "-1"], "--delta"),
     (["check", "--what", "ergodic", "--delta", "1"], "--delta"),
-    (["probe", "--seeds", "2", "--survey", "homogeneity",
-      "--statements", "nope"], "--statements"),
-    (["verify", "--seeds", "2", "--survey", "homogeneity",
-      "--statements", "all"], "--statements"),
 ], ids=["compacted-rho", "compacted-negative-rho", "compacted-bad-rho",
-        "homogeneous-delta", "invariant-negative-delta", "ergodic-delta",
-        "survey-statements", "verify-survey-statements-all"])
+        "homogeneous-delta", "invariant-negative-delta", "ergodic-delta"])
 def test_cli_ignored_inputs_are_refused(argv, option, model_path,
                                         monkeypatch, capsys):
     """An option its command would not read is an input error, raised
@@ -931,15 +959,20 @@ def test_cli_probe_small(capsys):
     assert set(out["result"]["statements"]) >= {"ball-formula-identity"}
 
 
-def test_cli_probe_survey(capsys):
-    code = main(["probe", "--seeds", "3", "--survey", "homogeneity"])
-    assert code == 0
-
-
 def test_cli_verify_alias(capsys):
     code = main(["verify", "--seeds", "2",
                  "--statements", "germ-equivalence,inverse-composition"])
     assert code == 0
+
+
+def test_cli_repeated_statement_exits_2(capsys):
+    """A statement named twice would only run twice: it is refused."""
+    code = main(["probe", "--seeds", "2", "--statements",
+                 "germ-equivalence,germ-equivalence"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("input error: repeated statements: "
+                   "['germ-equivalence']\n")
 
 
 # sha1 of the sorted JSON of the `verify --seeds 500` result; a change

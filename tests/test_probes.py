@@ -8,10 +8,9 @@ from pseudodyn import (GeneratingSystem, InputError, PartialMap, is_unbounded,
                        no_expansive_certificate_group, probes)
 from pseudodyn.mutations import MUTATIONS, crafted_genomes
 from pseudodyn.probes import (DEFAULT_OPS, Genome, InstanceSpec, OperationSet,
-                              ProbeContext, QUESTION_TOPICS, pair_orbit_table,
-                              question_probe, random_genome, random_instance,
-                              run_suite, shrink_genome, stmt_group_claim,
-                              totalized_group)
+                              ProbeContext, pair_orbit_table, random_genome,
+                              random_instance, run_suite, shrink_genome,
+                              stmt_group_claim, totalized_group)
 from pseudodyn.pseudogroup import spread_table
 
 from conftest import coprime_space, symmetric_group
@@ -56,9 +55,19 @@ def test_suite_deterministic():
         assert not a[name].violations
 
 
-def test_suite_rejects_unknown_statement():
-    with pytest.raises(InputError, match="unknown statements"):
-        run_suite(InstanceSpec(count=1), statements=["nope"])
+def test_suite_rejects_unknown_statement(monkeypatch):
+    """An unknown or a repeated statement name is refused by name before
+    any genome is drawn."""
+    drawn = []
+    monkeypatch.setattr(probes, "random_genome",
+                        lambda spec, i: drawn.append(i))
+    for names, message in (
+            (["nope"], r"unknown statements: \['nope'\]"),
+            (["germ-equivalence", "core-margin", "germ-equivalence"],
+             r"repeated statements: \['germ-equivalence'\]")):
+        with pytest.raises(InputError, match=message):
+            run_suite(InstanceSpec(count=1), statements=names)
+    assert drawn == []
 
 
 def test_production_suite_clean():
@@ -275,16 +284,3 @@ def test_shrink_genome_propagates_predicate_errors():
 
     with pytest.raises(RuntimeError, match="predicate fault"):
         shrink_genome(crafted_genomes()[0], broken)
-
-
-@pytest.mark.parametrize("topic", QUESTION_TOPICS)
-def test_question_surveys_run(topic):
-    survey = question_probe(topic, InstanceSpec(seed=1, count=6))
-    assert survey.instances <= 6
-    assert survey.agreements + len(survey.disagreements) == survey.instances
-    assert survey.note
-
-
-def test_question_probe_unknown_topic():
-    with pytest.raises(InputError, match="unknown survey topic"):
-        question_probe("nope", InstanceSpec(count=1))
