@@ -65,7 +65,6 @@ from .morphism import (
 from .equicont import (
     EquicontinuityCertificate,
     equicontinuity_modulus,
-    no_expansive_certificate_good,
     no_expansive_certificate_group,
 )
 from .probes import (

@@ -371,16 +371,8 @@ def cmd_conjugate(args) -> tuple[int, object]:
 
 
 def cmd_equicont(args) -> tuple[int, object]:
-    if args.compacted and args.rho is not None:
-        raise InputError("--rho is not read with --compacted, which checks "
-                         "every grid rho")
     model = load_model(args.model)
     sysm = model.system
-    if args.compacted:
-        rep = equicont.no_expansive_certificate_good(sysm)
-        payload = {"mode": "core-restricted", "rows": rep.rows,
-                   "conclusion": rep.conclusion}
-        return EXIT_OK, (payload, model)
     rho = None if args.rho is None else parse_radius(args.rho)
     cert = equicont.equicontinuity_modulus(sysm)
     rows = []
@@ -390,8 +382,7 @@ def cmd_equicont(args) -> tuple[int, object]:
             "map": g.word_str() or g.name, "x": str(x), "y": str(y)}})
     # audit_ok and inclusion_ok hold by construction and the tests keep the
     # audit; the keys stay because the benchmark oracle reads them
-    payload = {"mode": "closure", "isometric": cert.isometric, "rows": rows,
-               "audit_ok": True}
+    payload = {"isometric": cert.isometric, "rows": rows, "audit_ok": True}
     if rho is not None:
         if all(g.is_total() for g in sysm.generators):
             rep = equicont.no_expansive_certificate_group(sysm, rho)
@@ -400,10 +391,7 @@ def cmd_equicont(args) -> tuple[int, object]:
                 "conclusion": rep.conclusion,
             }
         else:
-            # the core-restricted certificate needs cores to run
-            payload["group_certificate"] = (
-                "generators not total; use --compacted" if sysm.has_cores
-                else "generators not total")
+            payload["group_certificate"] = "generators not total"
     return EXIT_OK, (payload, model)
 
 
@@ -548,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equicont", help="equicontinuity certificates")
     p.add_argument("--model", required=True)
-    p.add_argument("--compacted", action="store_true")
     p.add_argument("--rho")
 
     p = sub.add_parser("shift", help="full binary shift computations")

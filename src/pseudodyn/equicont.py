@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapabilityError, PreconditionError
+from .errors import CapabilityError
 from .pseudogroup import GeneratingSystem, spread_table
 from .rational import UNBOUNDED, is_unbounded, parse_radius
 from .space import FiniteMetricSpace
@@ -108,14 +108,6 @@ def modulus_at(source, space: FiniteMetricSpace, eps):
     return _modulus(_spread(source), space, t)[0]
 
 
-def _grid_moduli(sys: GeneratingSystem) -> tuple[list, dict]:
-    """The grid and the pair table's ``_moduli`` at every grid value, in
-    one walk: the grid value of rank t has the threshold t."""
-    eps_grid = sys.space.distance_grid()
-    return eps_grid, _moduli(sys.constraint_table(), sys.space,
-                             range(1, len(eps_grid) + 1))
-
-
 def equicontinuity_modulus(sys: GeneratingSystem) -> EquicontinuityCertificate:
     """One pair table serves every grid eps, read in one walk over the
     distance ranks (``_moduli``).  Each finite delta's witness is the
@@ -123,9 +115,12 @@ def equicontinuity_modulus(sys: GeneratingSystem) -> EquicontinuityCertificate:
     distance delta to eps, with the first such pair i < j; both are read
     off the table's levels (``first_spreading``), so no closure is built.
     The pair table bounds the distance ranks from below, so every grid
-    delta is bounded and has a witness."""
+    delta is bounded and has a witness.  The rows also certify the
+    core-restricted system, whose pair table is at most this one per cell."""
     space = sys.space
-    eps_grid, moduli = _grid_moduli(sys)
+    # the grid value of rank t has the threshold t
+    eps_grid = space.distance_grid()
+    moduli = _moduli(sys.constraint_table(), space, range(1, len(eps_grid) + 1))
     table = {}
     witnesses = {}
     for t, eps in enumerate(eps_grid, 1):
@@ -159,46 +154,10 @@ def no_expansive_certificate_group(sys: GeneratingSystem, rho) -> GroupInclusion
     rho = parse_radius(rho)
     if not all(g.is_total() for g in sys.generators):
         raise CapabilityError(
-            "generators are not all total; use the core-restricted variant"
+            "generators are not all total; equicontinuity_modulus covers cores"
         )
     return GroupInclusionReport(
         rho=rho, delta=modulus_at(sys, sys.space, rho),
         conclusion="every Bowen ball at rho contains the open delta-ball "
                    "around its center; a ball around any atom has positive "
                    "measure, so no measure is weakly expansive at this scale")
-
-
-@dataclass(frozen=True)
-class GoodInclusionRow:
-    rho: Fraction
-    delta: object
-
-
-@dataclass(frozen=True)
-class GoodInclusionReport:
-    rows: list[GoodInclusionRow]
-    conclusion: str
-
-
-def no_expansive_certificate_good(sys: GeneratingSystem) -> GoodInclusionReport:
-    """Core-restricted analogue: open delta-balls sit inside the
-    core-restricted Bowen rho-balls, point by point and for every grid rho,
-    where delta is the ambient modulus at rho.
-
-    Every core-restricted word is a restriction of an ambient word, so the
-    core-restricted pair table is at most the ambient one in every cell,
-    and a pair closer than delta has an ambient rank below
-    ``threshold(rho)``.  So the inclusion is a theorem, not a check: only
-    the ambient table is read, and no core-restricted system is built.
-    """
-    if not sys.has_cores:
-        raise PreconditionError("this certificate requires cores")
-    eps_grid, moduli = _grid_moduli(sys)
-    rows = [GoodInclusionRow(rho=rho, delta=moduli[t][0])
-            for t, rho in enumerate(eps_grid, 1)]
-    return GoodInclusionReport(
-        rows=rows,
-        conclusion="open delta-balls land inside the core-restricted Bowen "
-                   "balls at every grid rho; a ball around any atom has "
-                   "positive measure, so no measure is weakly expansive for "
-                   "the core-restricted system")

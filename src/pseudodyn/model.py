@@ -31,11 +31,22 @@ class Model:
     sha256: str
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, refused when it gives a key twice."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise InputError(f"repeated key {max(keys, key=keys.count)!r}")
+    return out
+
+
 def _exact_loads(text: str):
     try:
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(text, parse_float=Fraction, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("JSON nested too deeply") from exc
 
 
 _KINDS = {list: "a list", dict: "an object", str: "a string"}

@@ -209,9 +209,7 @@ def _model_requests(name, doc):
              "--delta", "1"],
             ["check", "--model", model, "--what", "expansive"]]
     out += [["conjugate", "--model", model],
-            ["equicont", "--model", model],
-            ["equicont", "--model", model, "--compacted"],
-            ["equicont", "--model", model, "--compacted", "--rho", "1"]]
+            ["equicont", "--model", model]]
     if small:
         out.append(["equicont", "--model", model,
                     "--rho", _radius(rng, grid)])
@@ -317,14 +315,14 @@ def _run(argv, directory):
 
 # the number of argv and one sha1 per command over its requests in every
 # format; a change that moves a payload edits only its command's pin
-CORPUS_ARGV = 499
+CORPUS_ARGV = 467
 CORPUS_PINS = {
     "ball": "d2ead348fdc9b354067f91a5c79a0f99845aff00",
     "bowen": "36ebf7d691a54149a341cfcafc82accfcb17459b",
     "check": "5ef06c8eb6bfa29a1cf46226ae8cb5aa352a3d03",
     "conjugate": "50c9182c34e359272417eecb706d3e37d1928720",
     "entropy": "da8dcbae09f0c19357e9086b658681cc2626e6b6",
-    "equicont": "ac17b91c255e445b76d9a8cd2c17a03cc00d2eaf",
+    "equicont": "3e2e8cffb91c066dbebdc67c6f3929574b5215f8",
     "htop": "c349d931405c5439922cab2bf6452b4342190e82",
     "probe": "409a92bf6a93a820d5035220ef20268713ed3176",
     "shift": "d944cba62d1503bc92e1efc261a02979f0b21aec",
@@ -411,20 +409,19 @@ def edge_requests():
                 ["check", "--model", model, "--what", "expansive",
                  "--delta", eps],
                 ["conjugate", "--model", model],
-                ["equicont", "--model", model],
-                ["equicont", "--model", model, "--compacted"]]
+                ["equicont", "--model", model]]
     return out
 
 
 # a second pinned set, kept apart so that the pins above keep their inputs
-EDGE_ARGV = 22
+EDGE_ARGV = 20
 EDGE_PINS = {
     "ball": "5b5720b0763b874de23bb20d4a203343f69f1055",
     "bowen": "015f1a57105f1171e2a6dde3ff59e2d7c63850aa",
     "check": "b2f556b16266e396dad9e9165c9029de18449c0d",
     "conjugate": "f0622c62e00271b3542be7848e8d737425dd1160",
     "entropy": "695be6dc634cceb8babad3774f0d23c7ec557b8d",
-    "equicont": "f6ee3b9e9bbae8b652ea49acef919da09b05b677",
+    "equicont": "ed1579a941339fb86e9d5cd7e808d539a7379ebf",
     "htop": "8038674215e0722b845f80e486f0b49495c5738b",
 }
 
@@ -514,7 +511,7 @@ def test_corpus_csv_reads_back(corpus_runs):
         if fmt == "csv" and code != 2:
             assert csv_faults(out) == [], argv
             read += 1
-    assert read == 387
+    assert read == 384
 
 
 def dump_records(directory) -> list[dict]:

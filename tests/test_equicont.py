@@ -9,7 +9,6 @@ from pseudodyn import (UNBOUNDED, CapabilityError, FiniteMeasure,
                        PartialMap, bowen_ball,
                        compacted_system, equicontinuity_modulus,
                        expansiveness_verdict, is_unbounded,
-                       no_expansive_certificate_good,
                        no_expansive_certificate_group)
 from pseudodyn import equicont
 from pseudodyn.equicont import (EquicontinuityCertificate, _moduli, _modulus,
@@ -154,51 +153,52 @@ def test_group_conclusion_cross_checked_with_measures(z6_rotations):
 
 
 def test_good_certificate_xi_is_modulus_seeded():
-    """Every row's delta is the modulus of the ambient closure, and it is
-    bounded: the pair table holds the total identity's distance ranks, so
-    at the grid value of rank t the modulus stops by rank t."""
+    """On cored systems every row's delta is the modulus of the ambient
+    closure, and it is bounded: the pair table holds the total identity's
+    distance ranks, so at the grid value of rank t the modulus stops by
+    rank t."""
     spec = InstanceSpec(seed=13, count=60)
     for idx in range(spec.count):
         sys_i, _ = random_instance(spec, idx)
         assert sys_i.has_cores
         gamma = closure_maps(sys_i)
         space = sys_i.space
-        for row in no_expansive_certificate_good(sys_i).rows:
-            delta = modulus_at(gamma, space, row.rho)
-            assert row.delta == delta
-            assert not is_unbounded(row.delta)
+        for rho, delta in equicontinuity_modulus(sys_i).table.items():
+            assert delta == modulus_at(gamma, space, rho)
+            assert not is_unbounded(delta)
 
 
 def test_good_certificate_rotations():
     z6 = cyclic_space(6)
     q = PartialMap.from_dict(z6, {i: (i + 1) % 6 for i in range(5)}, name="q")
     sys_q = GeneratingSystem.build(z6, [q], cores={"q": {0, 1, 2}})
-    rep = no_expansive_certificate_good(sys_q)
-    assert [r.rho for r in rep.rows] == z6.distance_grid()
-    assert all(good_inclusion_failures(sys_q, r.rho, r.delta) == []
-               for r in rep.rows)
-    assert not any(is_unbounded(r.delta) for r in rep.rows)
-    wide = [r for r in rep.rows if r.rho >= z6.diameter()]
-    assert wide and all(r.delta == z6.diameter() for r in wide)
+    table = equicontinuity_modulus(sys_q).table
+    assert list(table) == z6.distance_grid()
+    assert all(good_inclusion_failures(sys_q, rho, delta) == []
+               for rho, delta in table.items())
+    assert not any(is_unbounded(delta) for delta in table.values())
+    wide = [delta for rho, delta in table.items() if rho >= z6.diameter()]
+    assert wide and all(delta == z6.diameter() for delta in wide)
 
 
 def seeded_good_inclusion_cases(count):
-    """Seeded cored systems with every certificate row."""
+    """Seeded cored systems with their certificate rows: ``(rho, delta)``
+    for every grid rho."""
     spec = InstanceSpec(seed="good-inclusion", count=count)
     for idx in range(spec.count):
         sys_i, _ = random_instance(spec, idx)
         if sys_i.has_cores:
-            yield sys_i, no_expansive_certificate_good(sys_i).rows
+            yield sys_i, equicontinuity_modulus(sys_i).table.items()
 
 
 def test_good_inclusion_reference_holds_on_seeded_systems():
-    """The core-restricted certificate's open delta-balls sit inside the
-    core-restricted Bowen rho-balls of the closure-map reference at every
-    grid rho."""
+    """The theorem behind the core-restricted setting: at every grid rho,
+    the open delta-balls of the ``equicontinuity_modulus`` rows sit inside
+    the core-restricted Bowen rho-balls of the closure-map reference."""
     cases = 0
     for sys_i, rows in seeded_good_inclusion_cases(300):
-        for row in rows:
-            assert good_inclusion_failures(sys_i, row.rho, row.delta) == []
+        for rho, delta in rows:
+            assert good_inclusion_failures(sys_i, rho, delta) == []
             cases += 1
     assert cases > 900
 
@@ -223,8 +223,8 @@ def test_good_inclusion_reference_rejects_a_modulus_raised_to_the_next_grid_valu
     monkeypatch.setattr(equicont, "_moduli", raised)
     cases = failed = 0
     for sys_i, rows in seeded_good_inclusion_cases(300):
-        for row in rows:
-            failed += bool(good_inclusion_failures(sys_i, row.rho, row.delta))
+        for rho, delta in rows:
+            failed += bool(good_inclusion_failures(sys_i, rho, delta))
             cases += 1
     assert failed > cases // 5
 

@@ -326,11 +326,15 @@ def test_cli_payloads_read_the_fixpoint_level(model_path, capsys):
     ["conjugate", "--model", "m.json", "--check", "entropy"],
     ["probe", "--survey", "homogeneity"],
     ["verify", "--survey", "homogeneity"],
+    ["equicont", "--model", "m.json", "--compacted", "--rho", "1"],
+    ["equicont", "--model", "m.json", "--compacted", "--rho", "-1"],
+    ["equicont", "--model", "m.json", "--compacted", "--rho", "abc"],
 ])
 def test_cli_removed_options_are_usage_errors(argv, capsys):
     """The expansiveness transfer check, its --eta, shift htop's --p,
-    conjugate's --measure and --check, which no payload read, and the
-    homogeneity survey of probe and verify, which a theorem decides, are
+    conjugate's --measure and --check, which no payload read, the
+    homogeneity survey of probe and verify, which a theorem decides, and
+    equicont's --compacted, whose rows were the plain equicont deltas, are
     gone: argparse exits 2."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -367,14 +371,10 @@ def test_readme_cli_examples_parse(capsys):
 
 
 @pytest.mark.parametrize("argv,option", [
-    (["equicont", "--compacted", "--rho", "1"], "--rho"),
-    (["equicont", "--compacted", "--rho", "-1"], "--rho"),
-    (["equicont", "--compacted", "--rho", "abc"], "--rho"),
     (["check", "--what", "homogeneous", "--delta", "abc"], "--delta"),
     (["check", "--what", "invariant", "--delta", "-1"], "--delta"),
     (["check", "--what", "ergodic", "--delta", "1"], "--delta"),
-], ids=["compacted-rho", "compacted-negative-rho", "compacted-bad-rho",
-        "homogeneous-delta", "invariant-negative-delta", "ergodic-delta"])
+], ids=["homogeneous-delta", "invariant-negative-delta", "ergodic-delta"])
 def test_cli_ignored_inputs_are_refused(argv, option, model_path,
                                         monkeypatch, capsys):
     """An option its command would not read is an input error, raised
@@ -383,9 +383,7 @@ def test_cli_ignored_inputs_are_refused(argv, option, model_path,
     monkeypatch.setattr(cli, "load_model",
                         lambda path: loaded.append(path) or parse_model(
                             json.dumps(LINE_MODEL)))
-    if argv[0] in ("equicont", "check"):
-        argv = [argv[0], "--model", model_path, *argv[1:]]
-    assert main(argv) == 2
+    assert main([argv[0], "--model", model_path, *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and option in err
     assert loaded == []
@@ -458,6 +456,25 @@ def test_cli_negative_delta_is_input_error(model_path, capsys):
                  "--delta", "-1"])
     assert code == 2
     assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    ("[" * 200_000, ["ball", "--x", "a", "--n", "1", "--eps", "1"],
+     "JSON nested too deeply"),
+    (json.dumps(LINE_MODEL)[:-1] + ', "dist": [[0, 2, 4], [2, 0, 2], '
+     '[4, 2, 0]]}', ["bowen", "--x", "a", "--delta", "1"],
+     "repeated key 'dist'"),
+], ids=["nested", "repeated-key"])
+def test_cli_unreadable_model_exits_2(text, argv, message, tmp_path, capsys):
+    """A model nested past the JSON parser's depth, which raised
+    RecursionError out of main (exit 1, the negative-verdict code), and a
+    model that gives a key twice, whose second value was read silently,
+    are one input error line and exit 2, with no traceback."""
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main([argv[0], "--model", str(path), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {message}\n"
 
 
 MALFORMED_ISOS = {
@@ -824,9 +841,10 @@ def test_cli_equicont(model_path, capsys):
 
 def test_cli_equicont_compacted_reads_the_ambient_table_alone(
         model_path, monkeypatch, capsys):
-    """The core-restricted certificate builds no second system and reads
-    no pair table but the loaded system's; its payload is the rows and the
-    conclusion, with exit 0."""
+    """equicont, whose rows also certify the core-restricted system, builds
+    one system and reads no pair table but that system's; on a model
+    without --rho its payload is the audit flag, the isometry flag and the
+    rows, with exit 0."""
     built, read = [], []
     init = pseudogroup.GeneratingSystem.__init__
     table = pseudogroup.GeneratingSystem.constraint_table
@@ -843,15 +861,14 @@ def test_cli_equicont_compacted_reads_the_ambient_table_alone(
                         counting_init)
     monkeypatch.setattr(pseudogroup.GeneratingSystem, "constraint_table",
                         spying_table)
-    code = main(["--format", "json", "equicont", "--model", model_path,
-                 "--compacted"])
+    code = main(["--format", "json", "equicont", "--model", model_path])
     result = json.loads(capsys.readouterr().out)["result"]
     assert code == 0
     assert len(built) == 1 and read and set(map(id, read)) == {id(built[0])}
-    assert sorted(result) == ["conclusion", "mode", "rows"]
-    assert result["mode"] == "core-restricted"
-    assert [sorted(row) for row in result["rows"]] == [["delta", "rho"]] * 2
-    assert [row["rho"] for row in result["rows"]] == ["1", "2"]
+    assert sorted(result) == ["audit_ok", "isometric", "rows"]
+    assert [sorted(row) for row in result["rows"]] == \
+        [["delta", "eps", "witness"]] * 2
+    assert [row["eps"] for row in result["rows"]] == ["1", "2"]
 
 
 TRIANGLE_ROTATION = {
@@ -1081,7 +1098,6 @@ def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
     commands = [["htop", *model],
                 ["entropy", *model, "--x", "p0", "--n-max", "2"],
                 ["entropy", *model, "--x", "p0"],
-                ["equicont", *model, "--compacted"],
                 ["conjugate", *model]]
     commands += [["check", *model, "--what", what]
                  for what in ("invariant", "ergodic", "homogeneous")]
@@ -1094,7 +1110,7 @@ def test_cli_closure_past_cap_exits_2(tmp_path, monkeypatch, capsys):
 
     uncapped = [run(argv) for argv in commands]
     assert all(code != 2 for code, _ in uncapped)
-    for code, result in uncapped[5:7]:  # check --what invariant|ergodic
+    for code, result in uncapped[4:6]:  # check --what invariant|ergodic
         assert code == 0 and result["ok"] is True
     monkeypatch.setattr(pseudogroup, "CLOSURE_CAP", 100)
     assert main(["ball", *model, "--x", "p0", "--n", "2", "--eps", "1"]) == 2

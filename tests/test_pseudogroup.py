@@ -11,11 +11,10 @@ from pseudodyn import (UNBOUNDED, CapabilityError, FiniteMeasure,
                        FiniteMetricSpace, GeneratingSystem, GermRelation,
                        InputError, PartialMap, PreconditionError, SpaceIso,
                        bowen_ball, brute_force_separated, compacted_system,
-                       conjugate_system, dyn_ball,
+                       conjugate_system, dyn_ball, equicontinuity_modulus,
                        expansiveness_verdict, h_top_table,
                        invariant_sets, is_ergodic, is_homogeneous,
-                       is_unbounded, local_entropy,
-                       no_expansive_certificate_good, pseudogroup,
+                       is_unbounded, local_entropy, pseudogroup,
                        raw_word_maps, separated_count, separation_radius)
 from pseudodyn.dynamics import separation_graph
 from pseudodyn.mutations import MUTATIONS
@@ -221,15 +220,14 @@ def test_orbit_questions_build_no_closure(monkeypatch):
 
 def test_table_only_calls_build_no_closure(monkeypatch):
     """Separated counts, entropy rows up to a given n, homogeneity,
-    expansiveness and the core-restricted certificate read the constraint
-    tables alone: the closure loop is never entered, for the system or
-    its core restriction."""
+    expansiveness and the equicontinuity certificate, which also certifies
+    the core restriction, read the constraint tables alone: the closure
+    loop is never entered."""
     def no_closure(*args):
         raise AssertionError("word closure built")
 
     monkeypatch.setattr(pseudogroup, "_closure", no_closure)
     spec = InstanceSpec(seed="tables-no-closure", count=20)
-    cored = 0
     for idx in range(spec.count):
         sys_i, mu = random_genome(spec, idx).build()
         eps = sys_i.space.distance_grid()[0]
@@ -238,10 +236,7 @@ def test_table_only_calls_build_no_closure(monkeypatch):
         is_homogeneous(mu, sys_i)
         expansiveness_verdict(mu, sys_i, eps)
         local_entropy(mu, sys_i, 0, n_max=3)
-        if sys_i.has_cores:
-            no_expansive_certificate_good(sys_i)
-            cored += 1
-    assert cored
+        equicontinuity_modulus(sys_i)
     with pytest.raises(AssertionError, match="closure built"):
         sys_i.word_closure()
 
@@ -891,8 +886,7 @@ def read_every_table(system, mu):
     local_entropy(mu, system, 0, n_max=4)
     is_homogeneous(mu, system)
     expansiveness_verdict(mu, system, grid[0])
-    if system.has_cores:
-        no_expansive_certificate_good(system)
+    equicontinuity_modulus(system)
 
 
 def assert_rows_shared_when_unchanged(system):

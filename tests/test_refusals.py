@@ -36,10 +36,14 @@ IDENTITY = PartialMap.identity(LINE)
 ISO = SpaceIso(LINE, LINE, [2, 1, 0])
 
 
-def written(tmp_path, doc):
+def written(tmp_path, text):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     return str(path)
+
+
+# deeper than the JSON parser's recursion limit on every supported version
+NESTED = "[" * 200_000
 
 
 REFUSALS = {
@@ -89,10 +93,34 @@ REFUSALS = {
         InputError, "for small spaces"),
     "schema": (lambda tmp: parse_model(json.dumps({"schema": 99})),
                InputError, "unsupported schema version 99"),
-    "measure file mu": (lambda tmp: load_measure(written(tmp, {}), LINE),
+    "model nested": (lambda tmp: parse_model(NESTED),
+                     InputError, "JSON nested too deeply"),
+    "model repeated key": (
+        lambda tmp: parse_model('{"points": [0], "dist": [[0]], '
+                                '"dist": [[1]]}'),
+        InputError, "repeated key 'dist'"),
+    "measure file mu": (lambda tmp: load_measure(written(tmp, "{}"), LINE),
                         InputError, "needs a 'mu' object"),
-    "iso file phi": (lambda tmp: load_iso(written(tmp, {}), LINE),
+    "measure file nested": (
+        lambda tmp: load_measure(
+            written(tmp, '{"mu": ' + '{"0": ' * 200_000 + "1"
+                    + "}" * 200_001),
+            LINE),
+        InputError, "JSON nested too deeply"),
+    "measure file repeated key": (
+        lambda tmp: load_measure(
+            written(tmp, '{"mu": {"0": "1/2", "1": "1/2", "0": "1/4"}}'),
+            LINE),
+        InputError, "repeated key '0'"),
+    "iso file phi": (lambda tmp: load_iso(written(tmp, "{}"), LINE),
                      InputError, "needs a 'phi' object"),
+    "iso file nested": (lambda tmp: load_iso(written(tmp, NESTED), LINE),
+                        InputError, "JSON nested too deeply"),
+    "iso file repeated key": (
+        lambda tmp: load_iso(
+            written(tmp, '{"phi": {"0": "a", "1": "b", "2": "c", '
+                         '"1": "d"}}'), LINE),
+        InputError, "repeated key '1'"),
     "SpaceIso sizes": (lambda tmp: SpaceIso(LINE, line(2), [0, 1]),
                        InputError, "same cardinality"),
     "transfer eta": (
